@@ -267,17 +267,28 @@ def build_name_sequence(cfg: LimitConfig, K: int) -> list[NameParams]:
     """K-name book whose intensity parameters decrease to the limit.
 
     Name k scales alpha, kappa, sigma, c, d, lambda_hat and x0 by (1 + 1/k).
-    Every name is long (z = +1) with spread s_z and loss l_z, so the book's
-    signed per-name averages of spread and loss equal s_z and l_z for every K.
+    Every name carries spread |s_z| and loss |l_z|: long (z = +1) when
+    s_z, l_z >= 0, short (z = -1) when both are <= 0, so the book's signed
+    per-name averages of spread and loss equal s_z and l_z for every K.
+    Opposite signs would need a mix of long and short names and raise
+    :class:`ConfigError`.
     """
 
     if K < 1:
         raise ValueError("K must be >= 1.")
+    if cfg.s_z >= 0.0 and cfg.l_z >= 0.0:
+        z = 1
+    elif cfg.s_z <= 0.0 and cfg.l_z <= 0.0:
+        z = -1
+    else:
+        raise ConfigError(
+            f"mixed-sign books are not supported (s_z = {cfg.s_z:g}, "
+            f"l_z = {cfg.l_z:g}); s_z and l_z must share a sign.")
     out = []
     for k in range(1, K + 1):
         up = 1.0 + 1.0 / k
         out.append(NameParams(
             alpha=cfg.alpha * up, kappa=cfg.kappa * up, sigma=cfg.sigma * up,
             c=cfg.c * up, d=cfg.d * up, lambda_hat=cfg.lambda_hat * up,
-            xi0=cfg.x0 * up, spread=cfg.s_z, loss=cfg.l_z, z=1))
+            xi0=cfg.x0 * up, spread=abs(cfg.s_z), loss=abs(cfg.l_z), z=z))
     return out

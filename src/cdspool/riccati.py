@@ -8,7 +8,9 @@ Everything here revolves around the autonomous equation
 whose solutions are the exponent coefficients of transforms of the form
 ``E[exp(-a * integral x_s ds + b * x_u)]`` for a square-root diffusion x.
 The zero-initial-condition solution :func:`riccati_b` and its integral
-:func:`integral_b` carry the survival transforms; :func:`riccati_beta`
+:func:`integral_b` carry the survival transforms, and
+:func:`survival_exponents` adds exponential-size jump layers to them in
+closed form, broadcasting over parameter vectors; :func:`riccati_beta`
 handles nonzero initial conditions (exponential test functions), and
 :func:`riccati_beta_general` rescales to an arbitrary killing weight.
 
@@ -33,6 +35,7 @@ __all__ = [
     "varpi",
     "riccati_b",
     "integral_b",
+    "survival_exponents",
     "exp_phi",
     "integral_exp_phi",
     "riccati_beta",
@@ -42,6 +45,11 @@ __all__ = [
     "riccati_rhs",
     "rk4_solve",
 ]
+
+
+# below this |p|, log1p(p x) / p equals its limit x to rounding, and p x
+# would lose digits to subnormal underflow
+_TINY = 1e-100
 
 
 def _check_rates(kappa: float, sigma: float) -> None:
@@ -116,17 +124,64 @@ def integral_b(kappa: float, sigma: float, u) -> float | np.ndarray:
 
     Equals -2u/(varpi+kappa) - 4/(varpi^2-kappa^2) *
     log1p((varpi-kappa) expm1(-varpi u) / (2 varpi)); non-positive and
-    decreasing in u with slope riccati_b(u).
+    decreasing in u with slope riccati_b(u). Both differences are evaluated
+    in the sigma^2 form, so the relative error stays at rounding level as
+    sigma / kappa -> 0.
     """
 
     w = varpi(kappa, sigma)
     u = _check_u(u)
     scalar = u.ndim == 0
-    out = -2.0 * u / (w + kappa) - (4.0 / (w * w - kappa * kappa)) * np.log1p(
-        (w - kappa) * np.expm1(-w * u) / (2.0 * w)
-    )
+    # varpi - kappa = 2 sigma^2 / (varpi + kappa) and varpi^2 - kappa^2 =
+    # 2 sigma^2, written without the subtractions that cancel as sigma -> 0
+    g = w + kappa
+    q = sigma * sigma / (w * g)
+    em = np.expm1(-w * u)
+    out = -2.0 * u / g - (2.0 / (w * g)) * (np.log1p(q * em) / q if q > _TINY else em)
     out = out + 0.0
     return _maybe_scalar(out, scalar)
+
+
+def _log1p_ratio(p, x):
+    """log1p(p x) / p, continued by its p -> 0 limit x; broadcasts."""
+
+    tiny = np.abs(p) <= _TINY
+    return np.where(tiny, x, np.log1p(p * x) / np.where(tiny, 1.0, p))
+
+
+def survival_exponents(kappa, sigma, alpha, jumps, u) -> tuple[np.ndarray, np.ndarray]:
+    """Exponents (A, B) of the basic affine jump-diffusion survival transform.
+
+    For dx = (alpha - kappa x) dt + sigma sqrt(x) dW plus, for each
+    ``(rate, ell, gamma)`` in ``jumps``, Poisson(rate) jumps of size
+    ell * Exp(gamma), E[exp(-integral of x on [0, u]) | x_0] =
+    exp(A(u) + B(u) x_0). B is :func:`riccati_b`; A = alpha IB(u) +
+    sum of rate * J(ell, gamma; u), where IB is :func:`integral_b` and
+    J = integral over [0, u] of gamma / (gamma - ell B(s)) - 1 in closed form:
+
+        J = -2 ell u / Q
+            - (4 ell gamma / Q) log1p(P expm1(-varpi u) / (2 gamma varpi)) / P
+
+    with P = gamma (varpi - kappa) - 2 ell, Q = gamma (kappa + varpi) + 2 ell
+    (Duffie and Garleanu 2001). Every argument broadcasts; sigma = 0 and the
+    P = 0 crossing are covered by the limits. Arguments are not validated:
+    kappa > 0, sigma, ell, rate >= 0, gamma > 0 and u >= 0 are assumed.
+    """
+
+    kappa, sigma, u = (np.asarray(v, dtype=float) for v in (kappa, sigma, u))
+    s2 = sigma * sigma
+    w = np.sqrt(kappa * kappa + 2.0 * s2)
+    g = w + kappa
+    em = np.expm1(-w * u)
+    b = 2.0 * em / (2.0 * w * np.exp(-w * u) - g * em) + 0.0
+    # varpi - kappa = 2 sigma^2 / g, free of cancellation as sigma -> 0
+    a = alpha * (-2.0 * u / g - (2.0 / (w * g)) * _log1p_ratio(s2 / (w * g), em))
+    for rate, ell, gamma in jumps:
+        big_q = gamma * g + 2.0 * ell
+        big_p = 2.0 * gamma * s2 / g - 2.0 * ell
+        a = a + rate * (-2.0 * ell * u / big_q - (2.0 * ell / (big_q * w))
+                        * _log1p_ratio(big_p / (2.0 * gamma * w), em))
+    return a, b
 
 
 def exp_phi(kappa: float, sigma: float, u) -> float | np.ndarray:

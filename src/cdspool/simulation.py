@@ -19,6 +19,7 @@ blocks.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -26,12 +27,10 @@ from typing import Sequence
 
 import numpy as np
 from numpy.random import Generator, Philox
-from scipy.integrate import cumulative_simpson
 
-from .errors import AccuracyError, ConfigError
-from .jumps import BveParams, mgf_exp, sample_bve
-from .quadrature import simpson_weights
-from .riccati import riccati_b
+from .errors import ConfigError
+from .jumps import BveParams, sample_bve
+from .riccati import survival_exponents
 
 __all__ = [
     "NameParams",
@@ -472,16 +471,33 @@ def _name_vectors(names: Sequence[NameParams]):
     return get
 
 
+# premium-leg rule: 16-node Gauss-Legendre on each of ceil(span / 10) equal
+# panels; one panel below a 10-year span, where its error is under 1e-13
+_GL_PANEL_YEARS = 10.0
+
+
+@functools.cache
+def _gauss_legendre_16() -> tuple[np.ndarray, np.ndarray]:
+    # built on first use: the eigensolver behind it costs about 1 MB of
+    # resident memory that pipelines without mc_exposure need not pay
+    return np.polynomial.legendre.leggauss(16)
+
+
 def mc_exposure(pathset: PathSet, names: Sequence[NameParams], t: float, maturity: float,
-                r: float, *, n_panels: int = 64) -> tuple[float, float]:
+                r: float) -> tuple[float, float]:
     """Monte-Carlo estimate of the per-name portfolio exposure at time t.
 
     Each path prices its CDS book from the simulated intensity state at t
     through the name-level affine survival transform
-    exp(A0(s - t) + B0(s - t) xi_t); the premium-leg time integral uses
-    composite Simpson on ``n_panels`` panels. Returns (estimate, stderr)
-    of the per-name (divided by K) exposure of a long investor at time t
-    for contracts maturing at ``maturity``.
+    exp(A0(s - t) + B0(s - t) xi_t). The exponents are closed forms
+    (:func:`~cdspool.riccati.survival_exponents`, the basic affine
+    jump-diffusion transform with exponential jump sizes), evaluated for all
+    names at once, so no quadrature error enters them. The premium-leg time
+    integral uses 16-node Gauss-Legendre on [t, maturity], split into equal
+    panels of at most 10 years; the loss leg reads the transform at
+    maturity. Returns (estimate, stderr) of the per-name (divided by K)
+    exposure of the investor at time t for contracts maturing at
+    ``maturity``; short names (z = -1) enter with negative sign.
     """
 
     if t > maturity:
@@ -490,56 +506,40 @@ def mc_exposure(pathset: PathSet, names: Sequence[NameParams], t: float, maturit
     if K == 0 or len(names) != K:
         raise ValueError("names must match the simulated reference pool.")
     get = _name_vectors(names)
-    rho = get("rho")
-    if np.any(rho != 0.5):
+    if np.any(get("rho") != 0.5):
         raise ValueError("Exposure transform requires square-root names (rho = 0.5).")
-    if n_panels < 2 or n_panels % 2:
-        raise ValueError("n_panels must be a positive even integer.")
 
-    i_t = pathset.time_index(t)
-    x_t = pathset.intensities[:, i_t, :K]
-    z = get("z")
-    spread, loss = get("spread"), get("loss")
-    alpha, kappa, sigma = get("alpha"), get("kappa"), get("sigma")
-    c, d, lam = get("c"), get("d"), get("lambda_hat")
-
+    x_t = pathset.intensities[:, pathset.time_index(t), :K]
     span = maturity - t
-    coeff_loss = z * loss / K
     if span == 0.0:
         return 0.0, 0.0
 
-    refine = 16
-    nf = refine * n_panels
-    uf = np.linspace(0.0, span, nf + 1)
-    b0f = np.column_stack([riccati_b(kappa[k], sigma[k], uf) for k in range(K)])
-    integrand = (alpha[None, :] * b0f
-                 + pathset.lambda_c * (mgf_exp(c[None, :] * b0f, pathset.gamma1) - 1.0)
-                 + lam[None, :] * (mgf_exp(d[None, :] * b0f, pathset.gamma2) - 1.0))
-    a0f = cumulative_simpson(integrand, dx=span / nf, axis=0, initial=0.0)
-    a0 = a0f[::refine]
-    b0 = b0f[::refine]
-    # half-resolution cross-check of the exponent quadrature
-    a0_half = cumulative_simpson(integrand[::2], dx=2 * span / nf, axis=0,
-                                 initial=0.0)[::refine // 2]
-    drift = float(np.max(np.abs(a0 - a0_half)))
-    if drift > 1e-7:
-        raise AccuracyError(
-            f"survival-exponent quadrature off by {drift:.3e} between "
-            f"refinements; increase n_panels.")
+    z, spread, loss = get("z"), get("spread"), get("loss")
+    gl_nodes, gl_weights = _gauss_legendre_16()
+    n_gl = math.ceil(span / _GL_PANEL_YEARS)
+    h = span / n_gl
+    # premium-leg nodes panel by panel, then maturity for the loss leg
+    u = np.append((h * np.arange(n_gl)[:, None] + 0.5 * h * (1.0 + gl_nodes)).ravel(),
+                  span)
+    a0, b0 = survival_exponents(
+        get("kappa"), get("sigma"), get("alpha"),
+        [(pathset.lambda_c, get("c"), pathset.gamma1),
+         (get("lambda_hat"), get("d"), pathset.gamma2)], u[:, None])
+    disc = np.exp(-r * u)
+    coeff_loss = z * loss / K
+    # row j weights name k's survival exp(B0 x) at node j, exp(A0) folded in
+    rows = np.empty((len(u), K))
+    rows[:-1] = ((0.5 * h * np.tile(gl_weights, n_gl) * disc[:-1])[:, None]
+                 * (z * (spread + r * loss) / K))
+    rows[-1] = disc[-1] * coeff_loss
+    rows *= np.exp(a0)
 
-    h = span / n_panels
-    w = simpson_weights(n_panels, h)
-    disc = np.exp(-r * np.arange(n_panels + 1) * h)
-    coeff_spread = z * (spread + r * loss) / K
-
-    acc = np.zeros(pathset.n_paths)
-    surv_T = None
-    for j in range(n_panels + 1):
-        surv = np.exp(a0[j][None, :] + b0[j][None, :] * x_t)
-        acc += (w[j] * disc[j]) * (surv * coeff_spread).sum(axis=1)
-        if j == n_panels:
-            surv_T = surv
-    eps = disc[-1] * (surv_T * coeff_loss).sum(axis=1) - coeff_loss.sum() + acc
+    eps = np.full(pathset.n_paths, -coeff_loss.sum())
+    buf = np.empty_like(x_t)
+    for j in range(len(u)):
+        np.multiply(x_t, b0[j], out=buf)
+        np.exp(buf, out=buf)
+        eps += buf @ rows[j]
     n = len(eps)
     stderr = float(eps.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     return float(eps.mean()), stderr

@@ -113,6 +113,17 @@ def test_config_error_exit_codes(tmp_path, capsys):
                     "--seed", "1", "--out", tmp_path]) == EXIT_CONFIG
 
 
+def test_mixed_sign_book_is_a_config_error(tmp_path, capsys):
+    # a long spread with a short loss leg needs a mixed long/short book
+    code = run_cli(["--experiment", "convergence", "--config", CONFIGS / "fig1-a.cfg",
+                    "--seed", "1", "--set", "limit.l_z=-0.4", "--out", tmp_path]
+                   + SMALL)
+    assert code == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"]["code"] == EXIT_CONFIG
+    assert "mixed-sign" in err["error"]["message"]
+
+
 def test_validate_passes_and_perturbation_fails(tmp_path, capsys):
     out = tmp_path / "ok"
     assert run_cli(["--experiment", "validate", "--config", CONFIGS / "validate.cfg",

@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scipy.integrate import cumulative_simpson, quad
+
 from cdspool.riccati import (RiccatiParams, exp_phi, integral_b, integral_beta,
                              integral_beta_general, riccati_b, riccati_beta,
-                             riccati_beta_general, riccati_rhs, rk4_solve, varpi)
+                             riccati_beta_general, riccati_rhs, rk4_solve,
+                             survival_exponents, varpi)
 
 rates = st.floats(min_value=0.1, max_value=3.0)
 
@@ -65,6 +68,80 @@ def test_integral_b_derivative_is_b(kappa, sigma, u):
     h = 1e-5
     fd = (integral_b(kappa, sigma, u + h) - integral_b(kappa, sigma, u - h)) / (2 * h)
     assert fd == pytest.approx(riccati_b(kappa, sigma, u), rel=1e-6, abs=1e-9)
+
+
+@pytest.mark.parametrize("sigma", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-160])
+def test_integral_b_small_sigma_matches_quadrature(sigma):
+    # varpi - kappa and varpi^2 - kappa^2 cancel as sigma / kappa -> 0;
+    # the closed form must not
+    oracle, _ = quad(lambda v: riccati_b(0.8, sigma, v), 0.0, 2.0,
+                     epsabs=0.0, epsrel=1e-13)
+    assert integral_b(0.8, sigma, 2.0) == pytest.approx(oracle, rel=1e-10)
+
+
+def _jump_integral(kappa, sigma, ell, gamma, u):
+    """J(ell, gamma; u) alone: one unit-rate jump layer, no drift."""
+    return survival_exponents(kappa, sigma, 0.0, [(1.0, ell, gamma)], u)[0]
+
+
+def _p_zero_loading(kappa, sigma, gamma):
+    """The loading ell at which P = gamma (varpi - kappa) - 2 ell is zero."""
+    return gamma * (varpi(kappa, sigma) - kappa) / 2.0
+
+
+@pytest.mark.parametrize("kappa, sigma, ell, gamma", [
+    (0.5, 0.2, 0.2, 1.5), (0.8, 1e-8, 0.3, 2.0), (1.2, 0.9, 1.5, 0.7),
+    (0.5, 0.2, 0.0, 1.5),
+    (0.6, 0.5, _p_zero_loading(0.6, 0.5, 1.5) * (1 + 1e-9), 1.5),
+    (0.6, 0.5, _p_zero_loading(0.6, 0.5, 1.5) * (1 - 1e-9), 1.5),
+])
+def test_jump_integral_matches_simpson_and_rk4(kappa, sigma, ell, gamma):
+    u = np.linspace(0.0, 12.0, 4801)
+    integrand = gamma / (gamma - ell * riccati_b(kappa, sigma, u)) - 1.0
+    simpson = cumulative_simpson(integrand, x=u, initial=0.0)
+    closed = _jump_integral(kappa, sigma, ell, gamma, u)
+    # odd nodes carry the weaker single-panel closure; compare on even ones
+    np.testing.assert_allclose(closed[::2], simpson[::2], rtol=0.0, atol=1e-10)
+
+    def rhs(y):
+        return np.array([-kappa * y[0] + 0.5 * sigma * sigma * y[0] ** 2 - 1.0,
+                         gamma / (gamma - ell * y[0]) - 1.0])
+
+    for horizon in (0.3, 3.0, 12.0):
+        b, j = rk4_solve(rhs, np.zeros(2), horizon, 1e-3)
+        closed_j = _jump_integral(kappa, sigma, ell, gamma, horizon)
+        assert closed_j == pytest.approx(j, abs=1e-10)
+
+
+def test_jump_integral_exact_p_zero_takes_the_limit():
+    kappa, sigma, gamma = 0.6, 0.5, 1.5
+    s2 = sigma * sigma
+    # the same float operations as the closed form, so P is exactly 0.0
+    ell = gamma * s2 / (np.sqrt(kappa * kappa + 2.0 * s2) + kappa)
+    u = np.array([0.0, 0.5, 4.0])
+    at = _jump_integral(kappa, sigma, ell, gamma, u)
+    assert np.all(np.isfinite(at)) and at[0] == 0.0
+    for nudge in (1 + 1e-9, 1 - 1e-9):
+        np.testing.assert_allclose(at, _jump_integral(kappa, sigma, ell * nudge, gamma, u),
+                                   rtol=1e-8)
+
+
+def test_survival_exponents_broadcast_and_reduce():
+    kappa = np.array([0.5, 0.9, 1.4])
+    sigma = np.array([0.2, 1e-8, 0.7])
+    alpha = np.array([0.01, 0.3, 0.0])
+    u = np.linspace(0.0, 5.0, 11)[:, None]
+    a, b = survival_exponents(kappa, sigma, alpha, [(2.5, np.zeros(3), 1.5)], u)
+    assert a.shape == b.shape == (11, 3)
+    for k in range(3):
+        np.testing.assert_array_equal(b[:, k], riccati_b(kappa[k], sigma[k], u[:, 0]))
+        ib = integral_b(kappa[k], sigma[k], u[:, 0])
+        np.testing.assert_allclose(a[:, k], alpha[k] * ib, rtol=1e-14, atol=0.0)
+    # sigma = 0: deterministic decay, IB = -u / kappa + (1 - e^{-kappa u}) / kappa^2
+    a0, b0 = survival_exponents(0.8, 0.0, 1.0, [], u[:, 0])
+    np.testing.assert_allclose(b0, np.expm1(-0.8 * u[:, 0]) / 0.8, rtol=1e-15)
+    np.testing.assert_allclose(a0, -u[:, 0] / 0.8 - np.expm1(-0.8 * u[:, 0]) / 0.64,
+                               rtol=1e-13)
 
 
 def test_riccati_beta_initial_condition():

@@ -1,13 +1,15 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_simpson
 
 from cdspool.errors import ConfigError
 from cdspool.exposure import LimitConfig, build_name_sequence, exposure_limit
-from cdspool.jumps import BveParams
-from cdspool.quadrature import composite_simpson
-from cdspool.riccati import integral_beta, riccati_beta
+from cdspool.jumps import BveParams, mgf_exp
+from cdspool.quadrature import composite_simpson, simpson_weights
+from cdspool.riccati import integral_beta, riccati_b, riccati_beta
 from cdspool.simulation import (CounterpartyParams, CounterpartySide, NameParams,
                                 mc_exposure, mc_h1_oracle, sample_defaults,
                                 simulate_paths)
@@ -208,7 +210,7 @@ def test_mc_exposure_deterministic_intensity_oracle():
                       lambda_hat=0.0, xi0=x0, spread=spread, loss=loss)
     ps = simulate_paths([name], horizon=0.5, n_paths=1, seed=43, dt=1e-3,
                         sample_times=[0.0])
-    est, _ = mc_exposure(ps, [name], 0.0, horizon, r, n_panels=256)
+    est, _ = mc_exposure(ps, [name], 0.0, horizon, r)
 
     def survival(s):
         integ = ((x0 - alpha / kappa) * (1 - np.exp(-kappa * s)) / kappa
@@ -319,13 +321,63 @@ def test_cev_elasticity_branch_runs_and_stays_nonnegative():
     np.testing.assert_array_equal(a.intensities, b.intensities)
 
 
-def test_mc_exposure_accuracy_guard(tmp_path):
-    # an absurdly coarse premium-leg grid trips the refinement cross-check
-    from cdspool.errors import AccuracyError
-    cfg = NOJUMP_CFG
-    names = build_name_sequence(cfg, 5)
-    ps = simulate_paths(names, lambda_c=cfg.lambda_c, gamma1=cfg.gamma1,
-                        gamma2=cfg.gamma2, horizon=1.0, n_paths=20, seed=73,
-                        dt=1e-2)
-    with pytest.raises(AccuracyError):
-        mc_exposure(ps, names, 0.0, 30.0, cfg.r, n_panels=2)
+def _quadrature_exposure(ps, names, t, maturity, r, n_panels=2048):
+    """mc_exposure computed by quadrature alone: the survival exponent A0 as
+    a cumulative Simpson integral of its Riccati integrand and the premium
+    leg as composite Simpson, both on ``n_panels`` uniform panels."""
+
+    K = ps.n_names
+    x_t = ps.intensities[:, ps.time_index(t), :K]
+    vec = lambda attr: np.array([getattr(n, attr) for n in names])
+    span = maturity - t
+    u = np.linspace(0.0, span, n_panels + 1)
+    b = np.column_stack([riccati_b(n.kappa, n.sigma, u) for n in names])
+    integrand = (vec("alpha") * b
+                 + ps.lambda_c * (mgf_exp(vec("c") * b, ps.gamma1) - 1.0)
+                 + vec("lambda_hat") * (mgf_exp(vec("d") * b, ps.gamma2) - 1.0))
+    a = cumulative_simpson(integrand, dx=span / n_panels, axis=0, initial=0.0)
+    weights = simpson_weights(n_panels, span / n_panels) * np.exp(-r * u)
+    coeff_spread = vec("z") * (vec("spread") + r * vec("loss")) / K
+    coeff_loss = vec("z") * vec("loss") / K
+    eps = (math.exp(-r * span) * (np.exp(a[-1] + b[-1] * x_t) @ coeff_loss)
+           - coeff_loss.sum())
+    for j in range(n_panels + 1):
+        eps = eps + weights[j] * (np.exp(a[j] + b[j] * x_t) @ coeff_spread)
+    return float(eps.mean())
+
+
+@pytest.mark.parametrize("maturity", [1, 3, 30])
+def test_mc_exposure_matches_quadrature_reference(maturity):
+    # closed-form exponent + 16-node Gauss-Legendre premium leg against the
+    # 2048-panel Simpson construction, on a jump book with short names; the
+    # 30-year span is where the fixed rule is weakest
+    names = [make_name(z=z, xi0=0.02 * (1 + k), kappa=0.5 + 0.1 * k, sigma=0.1 + 0.05 * k,
+                       spread=0.01 + 0.005 * k, loss=0.3 + 0.05 * k)
+             for k, z in enumerate([1, -1, 1, 1, -1, 1])]
+    ps = simulate_paths(names, lambda_c=2.5, gamma1=1.5, gamma2=1.5, horizon=1.0,
+                        n_paths=64, seed=73, dt=1e-2, sample_times=[0.0, 0.5, 1.0],
+                        record_integrated=False, record_jumps=False)
+    for t in (0.0, 0.5, 1.0):
+        est, _ = mc_exposure(ps, names, t, t + maturity, 0.03)
+        ref = _quadrature_exposure(ps, names, t, t + maturity, 0.03)
+        assert abs(est - ref) <= 1e-9
+
+
+def test_short_book_negates_long_book():
+    # s_z, l_z <= 0 builds the mirror book: same intensities, z = -1
+    long_cfg = replace(NOJUMP_CFG, c=0.2, d=0.2)
+    short_cfg = replace(long_cfg, s_z=-long_cfg.s_z, l_z=-long_cfg.l_z)
+    long_names = build_name_sequence(long_cfg, 7)
+    short_names = build_name_sequence(short_cfg, 7)
+    assert all(n.z == -1 for n in short_names)
+    ps = simulate_paths(long_names, lambda_c=long_cfg.lambda_c, gamma1=long_cfg.gamma1,
+                        gamma2=long_cfg.gamma2, horizon=1.0, n_paths=40, seed=79,
+                        dt=1e-2, sample_times=[0.0, 0.5], record_integrated=False,
+                        record_jumps=False)
+    for t in (0.0, 0.5):
+        est_long, se_long = mc_exposure(ps, long_names, t, 1.0, long_cfg.r)
+        est_short, se_short = mc_exposure(ps, short_names, t, 1.0, short_cfg.r)
+        assert est_short == -est_long and se_short == se_long
+    assert exposure_limit(0.0, 1.0, short_cfg) == -exposure_limit(0.0, 1.0, long_cfg)
+    with pytest.raises(ConfigError, match="mixed-sign"):
+        build_name_sequence(replace(long_cfg, l_z=-0.4), 3)
