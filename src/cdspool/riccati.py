@@ -266,10 +266,12 @@ def riccati_beta_general(kappa: float, sigma: float, a_ell: float, b0: float,
     if not a_ell > 0.0:
         raise ValueError(f"a_ell must be positive, got {a_ell}")
     s = sigma * math.sqrt(a_ell)
-    if b0 == 0.0:
+    # test the rescaled value: a subnormal b0 / a_ell can round to zero
+    r = b0 / a_ell
+    if r == 0.0:
         b = riccati_b(kappa, s, u)
     else:
-        b = riccati_beta(kappa, s, b0 / a_ell, u)
+        b = riccati_beta(kappa, s, r, u)
     return a_ell * b
 
 
@@ -280,10 +282,11 @@ def integral_beta_general(kappa: float, sigma: float, a_ell: float, b0: float,
     if not a_ell > 0.0:
         raise ValueError(f"a_ell must be positive, got {a_ell}")
     s = sigma * math.sqrt(a_ell)
-    if b0 == 0.0:
+    r = b0 / a_ell
+    if r == 0.0:
         v = integral_b(kappa, s, u)
     else:
-        v = integral_beta(kappa, s, b0 / a_ell, u)
+        v = integral_beta(kappa, s, r, u)
     return a_ell * v
 
 

@@ -176,6 +176,15 @@ def test_riccati_beta_general_zero_initial_reduces_to_b():
     assert riccati_beta_general(0.6, 0.3, 1.0, 0.0, 1.0) == riccati_b(0.6, 0.3, 1.0)
 
 
+def test_riccati_beta_general_subnormal_initial_reduces_to_b():
+    # -5e-324 / 2 rounds to zero; the rescaled value must take the b0 = 0 path
+    u = np.linspace(0.0, 3.0, 7)
+    np.testing.assert_array_equal(riccati_beta_general(1.0, 1.0, 2.0, -5e-324, u),
+                                  2.0 * riccati_b(1.0, np.sqrt(2.0), u))
+    assert integral_beta_general(1.0, 1.0, 2.0, -5e-324, 3.0) == 2.0 * integral_b(
+        1.0, np.sqrt(2.0), 3.0)
+
+
 def test_riccati_beta_general_matches_rk4_oracle():
     # RK4, step 1e-4: -1.966343226874024
     assert riccati_beta_general(0.6, 0.3, 2.0, -0.2, 1.5) == pytest.approx(
