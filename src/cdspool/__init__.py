@@ -14,29 +14,26 @@ from .errors import AccuracyError, ConfigError
 from .exposure import (LimitConfig, MeasureAtom, MeasureAtoms, build_name_sequence,
                        empirical_measure_eval, exposure_limit, limit_exp_test,
                        limit_measure_mass, survival_fhat, survival_fhat_comonotone)
-from .jumps import BveParams, ExpJumpParams, mgf_bve, mgf_bve_partials, mgf_exp, sample_bve
+from .jumps import BveParams, mgf_bve, mgf_bve_partials, mgf_exp, sample_bve
 from .kernels import (AffineKernelCoeffs, BcvaResult, SweepResult, bcva,
                       build_kernel_coeffs, h1, h2, joint_survival_equal,
                       kernel_ode_residuals, sensitivity_sweep)
-from .riccati import (RiccatiParams, integral_b, integral_beta, integral_beta_general,
-                      riccati_b, riccati_beta, riccati_beta_general, riccati_rhs,
-                      rk4_solve, varpi)
+from .riccati import (integral_b, integral_beta, integral_beta_general, riccati_b,
+                      riccati_beta, riccati_beta_general, riccati_rhs, rk4_solve,
+                      varpi)
 from .simulation import (CounterpartyParams, CounterpartySide, NameParams, PathSet,
-                         mc_exposure, mc_h1_oracle, mc_h2_oracle,
-                         mc_joint_survival_oracle, mc_limit_transform,
+                         mc_exposure, mc_kernel_oracles, mc_limit_transform,
                          sample_defaults, simulate_paths)
 
 __all__ = [
     "__version__",
     "AccuracyError", "ConfigError",
-    "RiccatiParams", "varpi", "riccati_b", "integral_b", "riccati_beta",
-    "integral_beta", "riccati_beta_general", "integral_beta_general",
-    "riccati_rhs", "rk4_solve",
-    "ExpJumpParams", "BveParams", "mgf_exp", "mgf_bve", "mgf_bve_partials",
-    "sample_bve",
+    "varpi", "riccati_b", "integral_b", "riccati_beta", "integral_beta",
+    "riccati_beta_general", "integral_beta_general", "riccati_rhs", "rk4_solve",
+    "BveParams", "mgf_exp", "mgf_bve", "mgf_bve_partials", "sample_bve",
     "NameParams", "CounterpartySide", "CounterpartyParams", "PathSet",
-    "simulate_paths", "sample_defaults", "mc_exposure", "mc_h1_oracle",
-    "mc_h2_oracle", "mc_joint_survival_oracle", "mc_limit_transform",
+    "simulate_paths", "sample_defaults", "mc_exposure", "mc_kernel_oracles",
+    "mc_limit_transform",
     "LimitConfig", "MeasureAtom", "MeasureAtoms", "survival_fhat",
     "survival_fhat_comonotone", "exposure_limit", "limit_measure_mass",
     "limit_exp_test", "empirical_measure_eval", "build_name_sequence",

@@ -8,9 +8,11 @@ any worker count reproduces the files byte for byte.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -29,8 +31,7 @@ from .quadrature import composite_simpson
 from .riccati import (exp_phi, integral_b, integral_beta, riccati_b, riccati_beta,
                       riccati_beta_general, riccati_rhs, rk4_solve)
 from .simulation import (CounterpartyParams, CounterpartySide, mc_exposure,
-                         mc_h1_oracle, mc_h2_oracle, mc_joint_survival_oracle,
-                         mc_limit_transform, simulate_paths)
+                         mc_kernel_oracles, mc_limit_transform, simulate_paths)
 
 __all__ = [
     "CurveTable",
@@ -180,7 +181,7 @@ def run_convergence(spec: ExperimentSpec) -> list[CurveTable]:
                             gamma2=cfg.gamma2, horizon=spec.horizon,
                             n_paths=spec.n_paths, seed=spec.seed, dt=dt,
                             sample_times=times, workers=spec.workers,
-                            record_integrated=False, record_jumps=False)
+                            record_integrated=False)
         pairs = _map_ordered(
             lambda t: mc_exposure(ps, names, float(t), spec.horizon, cfg.r),
             list(times), spec.workers)
@@ -217,8 +218,7 @@ def run_measure_convergence(spec: ExperimentSpec) -> list[CurveTable]:
                                 gamma1=cfg.gamma1, gamma2=cfg.gamma2,
                                 horizon=spec.horizon, n_paths=spec.n_paths,
                                 seed=spec.seed + rep, dt=dt, sample_times=times,
-                                workers=spec.workers, record_integrated=False,
-                                record_jumps=False)
+                                workers=spec.workers, record_integrated=False)
             one = np.array([empirical_measure_eval(ps, "one", float(t)) for t in times])
             ee = np.array([empirical_measure_eval(ps, ("exp", theta), float(t))
                            for t in times])
@@ -520,25 +520,33 @@ def _check_exposure_quadrature(offset: float) -> CheckResult:
     return CheckResult("exposure_limit_vs_simpson", abs(closed - oracle), 1e-7)
 
 
-def _kernel_checks(offset: float, which: str) -> CheckResult:
+# the h1, h2 and joint-survival checks share one set of values; the lock
+# keeps checks running on parallel workers from computing it twice
+_KERNEL_LOCK = threading.Lock()
+
+
+@functools.cache
+def _kernel_values() -> dict[str, tuple[float, tuple[float, float]]]:
+    """Closed-form value and MC (estimate, stderr) of each counterparty
+    kernel at u = 1, x_a = x_b = 0.2, all MC values from one simulation."""
+
     cfg, _, cps = _validation_baseline()
     u = 1.0
     x_a = x_b = 0.2
-    coeffs = kernels.build_kernel_coeffs(cps, cfg.lambda_c, "B" if which != "h2" else "A",
-                                          1.5, 2048)
-    if which == "h1":
-        closed = kernels.h1(u, x_a, x_b, coeffs) + offset
-        est, se = mc_h1_oracle(cps, cfg.lambda_c, u, x_a, x_b, 20_000,
-                               VALIDATION_SEED + 12, dt=1e-3)
-    elif which == "h2":
-        closed = kernels.h2(u, x_a, x_b, coeffs) + offset
-        est, se = mc_h2_oracle(cps, cfg.lambda_c, u, x_a, x_b, 20_000,
-                               VALIDATION_SEED + 12, dt=1e-3)
-    else:
-        closed = kernels.joint_survival_equal(u, x_a, x_b, coeffs) + offset
-        est, se = mc_joint_survival_oracle(cps, cfg.lambda_c, u, x_a, x_b, 20_000,
-                                           VALIDATION_SEED + 12, dt=1e-3)
-    return CheckResult(f"{which}_vs_mc", abs(closed - est) / se, 3.0)
+    coeffs_b = kernels.build_kernel_coeffs(cps, cfg.lambda_c, "B", 1.5, 2048)
+    coeffs_a = kernels.build_kernel_coeffs(cps, cfg.lambda_c, "A", 1.5, 2048)
+    mc_h1, mc_h2, mc_joint = mc_kernel_oracles(cps, cfg.lambda_c, u, x_a, x_b, 20_000,
+                                               VALIDATION_SEED + 12, dt=1e-3)
+    return {"h1": (kernels.h1(u, x_a, x_b, coeffs_b), mc_h1),
+            "h2": (kernels.h2(u, x_a, x_b, coeffs_a), mc_h2),
+            "joint_survival": (kernels.joint_survival_equal(u, x_a, x_b, coeffs_b),
+                               mc_joint)}
+
+
+def _kernel_checks(offset: float, which: str) -> CheckResult:
+    with _KERNEL_LOCK:
+        closed, (est, se) = _kernel_values()[which]
+    return CheckResult(f"{which}_vs_mc", abs(closed + offset - est) / se, 3.0)
 
 
 def _check_h1_mc(offset: float) -> CheckResult:
@@ -573,8 +581,7 @@ def _check_cva_nested_mc(offset: float) -> CheckResult:
 
 
 def nested_mc_cva(cfg: LimitConfig, cps: CounterpartyParams, maturity: float,
-                  n_paths: int, seed: int, dt: float | None = None,
-                  workers: int = 1) -> tuple[float, float]:
+                  n_paths: int, seed: int, dt: float | None = None) -> tuple[float, float]:
     """Nested Monte-Carlo CVA oracle: simulate the counterparties, apply the
     limit exposure at side B's default time, weight by pool survival.
 
@@ -585,8 +592,7 @@ def nested_mc_cva(cfg: LimitConfig, cps: CounterpartyParams, maturity: float,
 
     ps = simulate_paths((), cps, lambda_c=cfg.lambda_c, horizon=maturity,
                         n_paths=n_paths, seed=seed, dt=dt, sample_times=[maturity],
-                        workers=workers, block_size=32_768, record_integrated=False,
-                        record_jumps=False)
+                        block_size=32_768, record_integrated=False)
     tau_a, tau_b = ps.default_times[:, 0], ps.default_times[:, 1]
     hit = (tau_b <= np.minimum(tau_a, maturity)) & (tau_b > 0)
     # dense spline of the limit exposure keeps per-path evaluation cheap

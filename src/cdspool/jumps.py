@@ -13,25 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "ExpJumpParams",
     "BveParams",
     "mgf_exp",
     "mgf_bve",
     "mgf_bve_partials",
     "sample_bve",
 ]
-
-
-@dataclass(frozen=True)
-class ExpJumpParams:
-    """Rates of the common (gamma1) and idiosyncratic (gamma2) name jump sizes."""
-
-    gamma1: float
-    gamma2: float
-
-    def __post_init__(self) -> None:
-        if not (self.gamma1 > 0.0 and self.gamma2 > 0.0):
-            raise ValueError("gamma1 and gamma2 must be positive.")
 
 
 @dataclass(frozen=True)

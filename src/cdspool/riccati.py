@@ -25,13 +25,11 @@ as an independent oracle; no pricing path calls it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 __all__ = [
-    "RiccatiParams",
     "varpi",
     "riccati_b",
     "integral_b",
@@ -70,28 +68,7 @@ def _maybe_scalar(value: np.ndarray, scalar_in: bool):
     return float(value) if scalar_in else value
 
 
-@dataclass(frozen=True)
-class RiccatiParams:
-    """Parameter bundle for the general equation y' = -kappa y + sigma^2 y^2 / 2 - a_ell.
-
-    ``b0 <= 0`` keeps the solution non-positive for all u, which is what the
-    downstream moment-generating-function evaluations require.
-    """
-
-    kappa: float
-    sigma: float
-    a_ell: float = 1.0
-    b0: float = 0.0
-
-    def __post_init__(self) -> None:
-        _check_rates(self.kappa, self.sigma)
-        if not self.a_ell >= 0.0:
-            raise ValueError(f"a_ell must be non-negative, got {self.a_ell}")
-        if not self.b0 <= 0.0:
-            raise ValueError(f"b0 must be non-positive, got {self.b0}")
-
-    @property
-    def varpi(self) -> float:
+def varpi(self) -> float:
         return math.sqrt(self.kappa**2 + 2.0 * self.a_ell * self.sigma**2)
 
 

@@ -15,6 +15,12 @@ block owning a counter-based RNG stream derived from (seed, stream tag,
 block index). A path's draws therefore depend only on the seed and its own
 index, never on the total path count or on how many workers process the
 blocks.
+
+Estimators read from simulated paths: :func:`mc_exposure` prices the CDS
+book along the paths (convergence studies), and :func:`mc_kernel_oracles`
+reads the three counterparty kernels from one simulation of the pair
+(validation gate). :func:`mc_limit_transform` runs its own Euler loop for
+the large-pool limit diffusion, whose drift is a per-path frozen mark.
 """
 
 from __future__ import annotations
@@ -40,15 +46,13 @@ __all__ = [
     "simulate_paths",
     "sample_defaults",
     "mc_exposure",
-    "mc_h1_oracle",
-    "mc_h2_oracle",
-    "mc_joint_survival_oracle",
+    "mc_kernel_oracles",
     "mc_limit_transform",
-    "load_pathset_dump",
 ]
 
 _BLOCK_PATHS = 0  # stream tags: keep per-purpose streams disjoint
 _BLOCK_LIMIT = 1
+_LIMIT_BLOCK_SIZE = 8192  # paths per mc_limit_transform block
 
 
 @dataclass(frozen=True)
@@ -167,8 +171,6 @@ class PathSet:
     gamma1: float
     gamma2: float
     integrated: np.ndarray | None = None
-    common_jump_times: list | None = None
-    idio_jump_counts: np.ndarray | None = None
 
     @property
     def n_paths(self) -> int:
@@ -183,50 +185,6 @@ class PathSet:
         if abs(self.times[idx] - t) > 1e-9 * max(1.0, self.horizon):
             raise ValueError(f"t={t} is not a stored sample time.")
         return idx
-
-    def survival_indicator(self, t: float) -> np.ndarray:
-        """1 while the entity has not defaulted by t, per path and entity."""
-
-        return self.default_times > t
-
-    def dump(self, path) -> None:
-        """Columnar debug dump, little-endian float64 throughout.
-
-        Layout: 8-byte magic b"CDSPOOL1", then the header
-        (n_names, n_entities, n_times, n_paths, seed) as <u8 and
-        (dt, horizon) as <f8, then the sample times (n_times,) and the
-        intensity block (n_paths, n_times, n_entities) in C order.
-        """
-
-        import struct
-
-        with open(path, "wb") as fh:
-            fh.write(b"CDSPOOL1")
-            fh.write(struct.pack("<5Q", self.n_names, self.n_entities,
-                                 len(self.times), self.n_paths, self.seed))
-            fh.write(struct.pack("<2d", self.dt, self.horizon))
-            fh.write(np.ascontiguousarray(self.times, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(self.intensities, dtype="<f8").tobytes())
-
-
-def load_pathset_dump(path) -> dict:
-    """Read a :meth:`PathSet.dump` file back into plain arrays."""
-
-    import struct
-
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != b"CDSPOOL1":
-            raise ValueError("not a PathSet dump (bad magic).")
-        n_names, n_entities, n_times, n_paths, seed = struct.unpack("<5Q", fh.read(40))
-        dt, horizon = struct.unpack("<2d", fh.read(16))
-        times = np.frombuffer(fh.read(8 * n_times), dtype="<f8")
-        data = np.frombuffer(fh.read(8 * n_paths * n_times * n_entities), dtype="<f8")
-    return {
-        "n_names": n_names, "n_entities": n_entities, "seed": seed,
-        "dt": dt, "horizon": horizon, "times": times,
-        "intensities": data.reshape(n_paths, n_times, n_entities),
-    }
 
 
 def _philox_key(seed: int) -> np.ndarray:
@@ -260,7 +218,7 @@ def simulate_paths(names: Sequence[NameParams], cps: CounterpartyParams | None =
                    lambda_c: float = 0.0, gamma1: float = 1.0, gamma2: float = 1.0,
                    horizon: float, n_paths: int, seed: int | None, dt: float | None = None,
                    sample_times=None, workers: int = 1, block_size: int = 256,
-                   record_integrated: bool = True, record_jumps: bool = True) -> PathSet:
+                   record_integrated: bool = True) -> PathSet:
     """Simulate the joint intensity system and resolve default times.
 
     Parameters
@@ -325,8 +283,6 @@ def simulate_paths(names: Sequence[NameParams], cps: CounterpartyParams | None =
     integrated = np.empty((n_paths, n_s, E)) if record_integrated else None
     thresholds = np.empty((n_paths, E))
     default_times = np.empty((n_paths, E))
-    idio_counts = np.empty((n_paths, E), dtype=np.int64) if record_jumps else None
-    common_times: list = [None] * n_paths if record_jumps else None
 
     all_sqrt = bool(np.all(vec["rho"] == 0.5))
     sqrt_dt = math.sqrt(dt)
@@ -350,23 +306,19 @@ def simulate_paths(names: Sequence[NameParams], cps: CounterpartyParams | None =
         if lambda_c > 0.0:
             ncom = rng.poisson(lambda_c * horizon, bf)
             tot = int(ncom.sum())
-            ev_t = rng.random(tot) * horizon
+            ev_step = (rng.random(tot) * horizon / dt).astype(np.int64)
             ev_row = np.repeat(np.arange(bf), ncom)
             csize_names = (rng.standard_exponential((tot, K)) / gamma1
                            * vec["c"][None, :K]) if K else np.empty((tot, 0))
             if cps is not None:
                 ya, yb = sample_bve(cps.common_jump, rng, size=tot)
                 csize_cp = np.column_stack([vec["c"][K] * ya, vec["c"][K + 1] * yb])
-                ev_step, ev_row, ev_t, csize_names, csize_cp = _sorted_events(
-                    (ev_t / dt).astype(np.int64), ev_row, ev_t, csize_names, csize_cp)
+                ev_step, ev_row, csize_names, csize_cp = _sorted_events(
+                    ev_step, ev_row, csize_names, csize_cp)
             else:
-                ev_step, ev_row, ev_t, csize_names = _sorted_events(
-                    (ev_t / dt).astype(np.int64), ev_row, ev_t, csize_names)
+                ev_step, ev_row, csize_names = _sorted_events(ev_step, ev_row, csize_names)
             cptr = np.searchsorted(ev_step, np.arange(n_steps + 1))
         else:
-            tot = 0
-            ev_row = np.empty(0, dtype=np.int64)
-            ev_t = np.empty(0)
             cptr = np.zeros(n_steps + 1, dtype=np.int64)
 
         # idiosyncratic schedules, one Poisson clock per entity
@@ -422,10 +374,6 @@ def simulate_paths(names: Sequence[NameParams], cps: CounterpartyParams | None =
 
         thresholds[r0:r1] = thr[:nb]
         default_times[r0:r1] = tau[:nb]
-        if record_jumps:
-            idio_counts[r0:r1] = nidio[:nb]
-            for m in range(nb):
-                common_times[r0 + m] = np.sort(ev_t[ev_row == m]) if tot else np.empty(0)
 
     if workers > 1 and n_blocks > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -437,8 +385,7 @@ def simulate_paths(names: Sequence[NameParams], cps: CounterpartyParams | None =
     return PathSet(times=grid[sample_idx], dt=dt, horizon=horizon, n_names=K,
                    intensities=intensities, thresholds=thresholds,
                    default_times=default_times, seed=seed, lambda_c=lambda_c,
-                   gamma1=gamma1, gamma2=gamma2, integrated=integrated,
-                   common_jump_times=common_times, idio_jump_counts=idio_counts)
+                   gamma1=gamma1, gamma2=gamma2, integrated=integrated)
 
 
 def sample_defaults(pathset: PathSet, rng: Generator | None = None,
@@ -545,9 +492,22 @@ def mc_exposure(pathset: PathSet, names: Sequence[NameParams], t: float, maturit
     return float(eps.mean()), stderr
 
 
-def _kernel_mc(cps: CounterpartyParams, lambda_c: float, u, x_a: float, x_b: float,
-               n_paths: int, seed: int | None, dt: float | None,
-               weight: str | None, workers: int = 1):
+def mc_kernel_oracles(cps: CounterpartyParams, lambda_c: float, u, x_a: float,
+                      x_b: float, n_paths: int, seed: int | None,
+                      dt: float | None = None):
+    """MC estimates of the three counterparty kernels started from (x_a, x_b),
+    all read from one simulation of the pair. With S(u) = exp(-integral of
+    xi_A + xi_B on [0,u]), they are
+
+    - h1 = E[S(u) xi_B(u)], the default-density kernel of side B,
+    - h2 = E[S(u) xi_A(u)], its mirror for side A,
+    - the joint survival factor E[S(u)].
+
+    Returns ((h1, stderr), (h2, stderr), (joint, stderr)), floats for a
+    scalar u and arrays over u otherwise. Validation oracle for the
+    closed-form kernels.
+    """
+
     u_arr = np.atleast_1d(np.asarray(u, dtype=float))
     if np.any(u_arr <= 0.0):
         raise ValueError("u must be positive.")
@@ -556,56 +516,25 @@ def _kernel_mc(cps: CounterpartyParams, lambda_c: float, u, x_a: float, x_b: flo
         dt = horizon / 1000.0
     ps = simulate_paths((), cps.with_initial(x_a, x_b), lambda_c=lambda_c,
                         horizon=horizon, n_paths=n_paths, seed=seed, dt=dt,
-                        sample_times=u_arr, workers=workers, block_size=32_768,
-                        record_jumps=False)
-    idx = [ps.time_index(ui) for ui in u_arr]
-    est = np.empty(len(idx))
-    se = np.empty(len(idx))
-    for j, i in enumerate(idx):
+                        sample_times=u_arr, block_size=32_768)
+    # out[kernel, (estimate, stderr), u]
+    out = np.empty((3, 2, len(u_arr)))
+    for j, ui in enumerate(u_arr):
+        i = ps.time_index(ui)
         surv = np.exp(-(ps.integrated[:, i, 0] + ps.integrated[:, i, 1]))
-        if weight == "b":
-            vals = surv * ps.intensities[:, i, 1]
-        elif weight == "a":
-            vals = surv * ps.intensities[:, i, 0]
-        else:
-            vals = surv
-        est[j] = vals.mean()
-        se[j] = vals.std(ddof=1) / math.sqrt(len(vals))
-    if np.isscalar(u) or np.asarray(u).ndim == 0:
-        return float(est[0]), float(se[0])
-    return est, se
-
-
-def mc_h1_oracle(cps: CounterpartyParams, lambda_c: float, u, x_a: float, x_b: float,
-                 n_paths: int, seed: int | None, dt: float | None = None,
-                 workers: int = 1):
-    """MC estimate of E[exp(-integral of xi_A + xi_B on [0,u]) * xi_B(u)]
-    started from (x_a, x_b), with standard error. Validation oracle for the
-    closed-form default-density kernel of side B."""
-
-    return _kernel_mc(cps, lambda_c, u, x_a, x_b, n_paths, seed, dt, "b", workers)
-
-
-def mc_h2_oracle(cps: CounterpartyParams, lambda_c: float, u, x_a: float, x_b: float,
-                 n_paths: int, seed: int | None, dt: float | None = None,
-                 workers: int = 1):
-    """Mirror of :func:`mc_h1_oracle` weighted by xi_A(u)."""
-
-    return _kernel_mc(cps, lambda_c, u, x_a, x_b, n_paths, seed, dt, "a", workers)
-
-
-def mc_joint_survival_oracle(cps: CounterpartyParams, lambda_c: float, u, x_a: float,
-                             x_b: float, n_paths: int, seed: int | None,
-                             dt: float | None = None, workers: int = 1):
-    """MC estimate of the joint survival factor E[exp(-integral of xi_A + xi_B)]."""
-
-    return _kernel_mc(cps, lambda_c, u, x_a, x_b, n_paths, seed, dt, None, workers)
+        for k, vals in enumerate((surv * ps.intensities[:, i, 1],
+                                  surv * ps.intensities[:, i, 0], surv)):
+            out[k, 0, j] = vals.mean()
+            out[k, 1, j] = vals.std(ddof=1) / math.sqrt(len(vals))
+    if np.ndim(u) == 0:
+        return tuple((float(est[0]), float(se[0])) for est, se in out)
+    return tuple((est, se) for est, se in out)
 
 
 def mc_limit_transform(alpha: float, kappa: float, sigma: float, drift_c: float,
                        drift_d: float, gamma1: float, gamma2: float, x0: float, u,
                        n_paths: int, seed: int | None, theta: float = 0.0,
-                       dt: float | None = None, block_size: int = 8192):
+                       dt: float | None = None):
     """MC estimate of E[exp(-integral of X on [0,u]) * exp(theta X_u)] for the
     limit killing-rate diffusion.
 
@@ -637,13 +566,13 @@ def mc_limit_transform(alpha: float, kappa: float, sigma: float, drift_c: float,
     key = _philox_key(seed)
     sqrt_dt = math.sqrt(dt)
     vals = np.empty((n_paths, len(sample_idx)))
-    n_blocks = (n_paths + block_size - 1) // block_size
+    bf = _LIMIT_BLOCK_SIZE
+    n_blocks = (n_paths + bf - 1) // bf
 
     for b in range(n_blocks):
         rng = _block_generator(key, _BLOCK_LIMIT, b)
-        r0 = b * block_size
-        r1 = min(n_paths, r0 + block_size)
-        bf = block_size
+        r0 = b * bf
+        r1 = min(n_paths, r0 + bf)
         y1 = rng.standard_exponential(bf) / gamma1
         y2 = rng.standard_exponential(bf) / gamma2
         drift0 = alpha + drift_c * y1 + drift_d * y2

@@ -20,7 +20,7 @@ from cdspool.kernels import build_kernel_coeffs, h1, h2, kernel_ode_residuals
 from cdspool.quadrature import composite_simpson
 from cdspool.riccati import (integral_b, riccati_b, riccati_beta,
                              riccati_beta_general, riccati_rhs, rk4_solve)
-from cdspool.simulation import mc_h1_oracle, mc_h2_oracle, mc_limit_transform
+from cdspool.simulation import mc_kernel_oracles, mc_limit_transform
 
 ACCEPT_SEED = 20240617
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -193,10 +193,11 @@ def test_criterion_4_counterparty_kernels():
     ca = build_kernel_coeffs(cps, lam_c, "A", 2.0)
 
     worst_z, worst_rel = 0.0, 0.0
-    est1, se1 = mc_h1_oracle(cps, lam_c, u, x_a, x_b, 100_000, ACCEPT_SEED + 4,
-                             dt=1e-3)
-    est2, se2 = mc_h2_oracle(cps, lam_c, u, x_a, x_b, 100_000, ACCEPT_SEED + 5,
-                             dt=1e-3)
+    # h1 from the ACCEPT_SEED + 4 simulation, h2 from the ACCEPT_SEED + 5 one
+    (est1, se1), _, _ = mc_kernel_oracles(cps, lam_c, u, x_a, x_b, 100_000,
+                                          ACCEPT_SEED + 4, dt=1e-3)
+    _, (est2, se2), _ = mc_kernel_oracles(cps, lam_c, u, x_a, x_b, 100_000,
+                                          ACCEPT_SEED + 5, dt=1e-3)
     for closed, est, se in ((h1(u, x_a, x_b, cb), est1, se1),
                             (h2(u, x_a, x_b, ca), est2, se2)):
         worst_z = max(worst_z, float(np.max(np.abs(closed - est) / se)))

@@ -207,8 +207,7 @@ def test_empirical_measure_converges_to_limit_values():
     names = build_name_sequence(cfg, K)
     ps = simulate_paths(names, lambda_c=cfg.lambda_c, gamma1=cfg.gamma1,
                         gamma2=cfg.gamma2, horizon=1.0, n_paths=400, seed=71,
-                        dt=1e-3, sample_times=[0.5, 1.0], record_jumps=False,
-                        record_integrated=False)
+                        dt=1e-3, sample_times=[0.5, 1.0], record_integrated=False)
     atoms = MeasureAtoms(atoms=(atom_from_cfg(cfg),), gamma1=cfg.gamma1,
                          gamma2=cfg.gamma2, lambda_c=cfg.lambda_c)
     for t in (0.5, 1.0):

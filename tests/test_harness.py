@@ -3,12 +3,14 @@ import json
 import numpy as np
 import pytest
 
+from cdspool import harness, simulation
 from cdspool.errors import ConfigError
 from cdspool.exposure import LimitConfig
 from cdspool.harness import (CurveTable, ExperimentSpec, default_counterparties,
                              grid_for_samples, run_bcva_sweeps, run_convergence,
                              run_experiment, run_measure_convergence, run_validation,
                              write_run)
+from cdspool.simulation import simulate_paths
 
 
 def small_limit(**overrides):
@@ -102,6 +104,25 @@ def test_validation_gate_passes_and_is_reproducible():
     assert rep1.passed
     assert rep1.render() == rep2.render()
     assert len(rep1.checks) == 20
+
+
+def test_validation_gate_simulates_the_kernel_pair_once(monkeypatch):
+    # h1, h2 and joint survival read one simulation; nested_mc_cva the other
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["horizon"])
+        return simulate_paths(*args, **kwargs)
+
+    monkeypatch.setattr(simulation, "simulate_paths", counting)
+    monkeypatch.setattr(harness, "simulate_paths", counting)
+    harness._kernel_values.cache_clear()
+    assert run_validation(workers=1).passed
+    assert calls == [1.0, 3.0]
+    # the shared values still take each check's own perturbation
+    assert not harness._check_h2_mc(1e-2).passed
+    assert harness._check_h1_mc(0.0).passed
+    assert len(calls) == 2
 
 
 def test_validation_fault_injection_flags_only_the_perturbed_check():

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdspool.jumps import (BveParams, ExpJumpParams, mgf_bve, mgf_bve_partials,
-                           mgf_exp, sample_bve)
+from cdspool.jumps import BveParams, mgf_bve, mgf_bve_partials, mgf_exp, sample_bve
 
 
 def test_mgf_exp_values():
@@ -150,8 +149,6 @@ def test_params_validation():
         BveParams(-0.1, 1.0, 0.0)
     with pytest.raises(ValueError):
         BveParams(0.0, 1.0, 0.0)  # marginal rate of side a is zero
-    with pytest.raises(ValueError):
-        ExpJumpParams(0.0, 1.0)
     p = BveParams(1.0, 2.0, 0.5)
     assert p.gamma0 == 3.5
     assert p.correlation == pytest.approx(0.5 / 3.5)

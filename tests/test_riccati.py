@@ -7,10 +7,9 @@ from hypothesis import strategies as st
 
 from scipy.integrate import cumulative_simpson, quad
 
-from cdspool.riccati import (RiccatiParams, exp_phi, integral_b, integral_beta,
-                             integral_beta_general, riccati_b, riccati_beta,
-                             riccati_beta_general, riccati_rhs, rk4_solve,
-                             survival_exponents, varpi)
+from cdspool.riccati import (exp_phi, integral_b, integral_beta, integral_beta_general,
+                             riccati_b, riccati_beta, riccati_beta_general,
+                             riccati_rhs, rk4_solve, survival_exponents, varpi)
 
 rates = st.floats(min_value=0.1, max_value=3.0)
 
@@ -252,12 +251,3 @@ def test_positive_initial_value_pole_raises():
     # 1/b0 < sigma^2/(kappa+varpi) guarantees a finite-time pole
     with pytest.raises(ArithmeticError):
         riccati_beta(0.5, 1.0, 100.0, 5.0)
-
-
-def test_riccati_params_validation():
-    p = RiccatiParams(kappa=0.5, sigma=0.3, a_ell=2.0, b0=-0.1)
-    assert p.varpi == pytest.approx(math.sqrt(0.25 + 2 * 2.0 * 0.09))
-    with pytest.raises(ValueError):
-        RiccatiParams(kappa=0.5, sigma=0.3, b0=0.2)
-    with pytest.raises(ValueError):
-        RiccatiParams(kappa=-1.0, sigma=0.3)

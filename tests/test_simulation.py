@@ -11,7 +11,7 @@ from cdspool.jumps import BveParams, mgf_exp
 from cdspool.quadrature import composite_simpson, simpson_weights
 from cdspool.riccati import integral_beta, riccati_b, riccati_beta
 from cdspool.simulation import (CounterpartyParams, CounterpartySide, NameParams,
-                                mc_exposure, mc_h1_oracle, sample_defaults,
+                                mc_exposure, mc_kernel_oracles, sample_defaults,
                                 simulate_paths)
 
 
@@ -51,7 +51,7 @@ def test_mean_matches_mean_reversion_formula():
     names = build_name_sequence(cfg, K)
     ps = simulate_paths(names, lambda_c=cfg.lambda_c, gamma1=cfg.gamma1,
                         gamma2=cfg.gamma2, horizon=horizon, n_paths=500, seed=11,
-                        dt=1e-3, sample_times=[horizon], record_jumps=False)
+                        dt=1e-3, sample_times=[horizon])
     terminal = ps.intensities[:, -1, :].mean(axis=1)
     expected = np.mean([n.xi0 * math.exp(-n.kappa * horizon)
                         + n.alpha * (1 - math.exp(-n.kappa * horizon)) / n.kappa
@@ -75,10 +75,6 @@ def test_common_jumps_hit_all_entities_at_same_steps():
     for j in range(1, ps.n_entities):
         np.testing.assert_array_equal(jumps[:, :, j], jumps[:, :, 0])
     assert jumps.any()
-    # recorded common-jump times fall in the jumping steps
-    for m in range(ps.n_paths):
-        steps = np.unique((ps.common_jump_times[m] / ps.dt).astype(int))
-        np.testing.assert_array_equal(np.where(jumps[m, :, 0])[0], steps)
 
 
 def test_default_times_match_exponential_survival():
@@ -87,8 +83,7 @@ def test_default_times_match_exponential_survival():
     name = make_name(sigma=0.0, c=0.0, d=0.0, lambda_hat=0.0, alpha=lam * 1e-12,
                      kappa=1e-12, xi0=lam)
     ps = simulate_paths([name], horizon=2.0, n_paths=100_000, seed=5, dt=1e-2,
-                        sample_times=[0.0, 2.0], record_jumps=False,
-                        record_integrated=False)
+                        sample_times=[0.0, 2.0], record_integrated=False)
     for t in (0.5, 1.0, 2.0):
         p_hat = (ps.default_times[:, 0] > t).mean()
         p = math.exp(-lam * t)
@@ -108,7 +103,7 @@ def test_joint_survival_factorizes_for_independent_entities():
     names = [make_name(xi0=0.4, alpha=0.3, c=0.0), make_name(xi0=0.6, alpha=0.2, c=0.0)]
     ps = simulate_paths(names, lambda_c=0.0, gamma1=1.5, gamma2=1.5, horizon=1.0,
                         n_paths=50_000, seed=13, dt=2e-3, sample_times=[0.0, 1.0],
-                        record_jumps=False, record_integrated=False)
+                        record_integrated=False)
     t = 1.0
     alive = ps.default_times > t
     i1, i2 = alive[:, 0].astype(float), alive[:, 1].astype(float)
@@ -122,8 +117,7 @@ def test_conditional_independence_given_frozen_paths():
     # paths: joint default indicator matches the product-of-survivals mean
     cps = make_cps()
     ps = simulate_paths((), cps, lambda_c=1.0, gamma1=1.5, gamma2=1.5, horizon=1.0,
-                        n_paths=50_000, seed=17, dt=2e-3, sample_times=[0.0, 1.0],
-                        record_jumps=False)
+                        n_paths=50_000, seed=17, dt=2e-3, sample_times=[0.0, 1.0])
     rng = np.random.default_rng(23)
     tau = sample_defaults(ps, rng=rng)
     t = 1.0
@@ -138,7 +132,7 @@ def test_intensities_stay_nonnegative_with_jumps():
     names = [make_name(sigma=0.6, xi0=0.01) for _ in range(5)]
     ps = simulate_paths(names, make_cps(), lambda_c=2.5, gamma1=1.5, gamma2=1.5,
                         horizon=1.0, n_paths=300, seed=19, dt=1e-3,
-                        record_jumps=False, record_integrated=False)
+                        record_integrated=False)
     assert ps.intensities.min() >= 0.0
 
 
@@ -152,7 +146,7 @@ def test_fourth_moment_bounded_along_pool_ladder():
         ps = simulate_paths(names, lambda_c=cfg.lambda_c, gamma1=cfg.gamma1,
                             gamma2=cfg.gamma2, horizon=1.0, n_paths=200, seed=29,
                             dt=2e-3, sample_times=np.linspace(0, 1, 11),
-                            record_jumps=False, record_integrated=False)
+                            record_integrated=False)
         est[K] = (ps.intensities**4).mean(axis=(0, 2)).max()
     assert est[300] <= 2.0 * est[10]
 
@@ -234,8 +228,7 @@ def test_mc_exposure_tracks_limit_for_moderate_pool():
     names = build_name_sequence(cfg, K)
     ps = simulate_paths(names, lambda_c=cfg.lambda_c, gamma1=cfg.gamma1,
                         gamma2=cfg.gamma2, horizon=horizon, n_paths=500, seed=47,
-                        dt=1e-3, sample_times=[0.0, 0.5], record_jumps=False,
-                        record_integrated=False)
+                        dt=1e-3, sample_times=[0.0, 0.5], record_integrated=False)
     scale = abs(exposure_limit(0.0, horizon, cfg))
     for t in (0.0, 0.5):
         est, se = mc_exposure(ps, names, t, horizon, cfg.r)
@@ -245,7 +238,8 @@ def test_mc_exposure_tracks_limit_for_moderate_pool():
 
 def test_mc_h1_oracle_short_horizon_recovers_initial_intensity():
     cps = make_cps()
-    est, se = mc_h1_oracle(cps, 0.25, 1e-3, 0.2, 0.3, n_paths=2000, seed=53, dt=1e-5)
+    (est, se), _, _ = mc_kernel_oracles(cps, 0.25, 1e-3, 0.2, 0.3, n_paths=2000, seed=53,
+                                        dt=1e-5)
     assert est == pytest.approx(0.3, rel=2e-2)
 
 
@@ -270,8 +264,20 @@ def test_mc_h1_oracle_matches_transform_derivative():
 
     h = 1e-5
     fd = (transform(0.0) - transform(-h)) / h  # one-sided: theta must stay <= 0
-    est, se = mc_h1_oracle(cps, 0.0, u, 0.0, x_b, n_paths=40_000, seed=59, dt=1e-3)
+    (est, se), _, _ = mc_kernel_oracles(cps, 0.0, u, 0.0, x_b, n_paths=40_000, seed=59,
+                                        dt=1e-3)
     assert abs(est - fd) < 3 * se
+
+
+def test_mc_kernel_oracles_equal_separate_runs_at_gate_arguments():
+    # pinned: each kernel read from its own simulation with these arguments
+    # (same seed, so the same paths) gave exactly these values
+    from cdspool.harness import VALIDATION_SEED, default_counterparties
+    h1, h2, joint = mc_kernel_oracles(default_counterparties(), 0.25, 1.0, 0.2, 0.2,
+                                      20_000, VALIDATION_SEED + 12, dt=1e-3)
+    assert h1 == (0.23675758964126062, 0.0005823850091224832)
+    assert h2 == (0.23525695099451838, 0.0005885147351978539)
+    assert joint == (0.48579399038496013, 0.0005928310471636145)
 
 
 def test_pathset_bookkeeping():
@@ -286,26 +292,6 @@ def test_pathset_bookkeeping():
     # stored integral equals a trapezoid over the stored full-resolution path
     manual = np.trapezoid(ps.intensities[0, :, 0], dx=ps.dt)
     assert ps.integrated[0, -1, 0] == pytest.approx(manual, rel=1e-12)
-    assert ps.idio_jump_counts.shape == (10, 1)
-
-
-def test_pathset_dump_roundtrip(tmp_path):
-    from cdspool.simulation import load_pathset_dump
-    names = [make_name(), make_name(xi0=0.05)]
-    ps = simulate_paths(names, make_cps(), lambda_c=1.0, gamma1=1.5, gamma2=1.5,
-                        horizon=0.2, n_paths=7, seed=67, dt=0.01)
-    path = tmp_path / "paths.bin"
-    ps.dump(path)
-    back = load_pathset_dump(path)
-    assert back["n_names"] == 2 and back["n_entities"] == 4
-    assert back["seed"] == 67
-    assert back["dt"] == ps.dt and back["horizon"] == 0.2
-    np.testing.assert_array_equal(back["times"], ps.times)
-    np.testing.assert_array_equal(back["intensities"], ps.intensities)
-    with pytest.raises(ValueError):
-        bad = tmp_path / "bad.bin"
-        bad.write_bytes(b"NOTADUMP" + b"\0" * 64)
-        load_pathset_dump(bad)
 
 
 def test_cev_elasticity_branch_runs_and_stays_nonnegative():
@@ -356,7 +342,7 @@ def test_mc_exposure_matches_quadrature_reference(maturity):
              for k, z in enumerate([1, -1, 1, 1, -1, 1])]
     ps = simulate_paths(names, lambda_c=2.5, gamma1=1.5, gamma2=1.5, horizon=1.0,
                         n_paths=64, seed=73, dt=1e-2, sample_times=[0.0, 0.5, 1.0],
-                        record_integrated=False, record_jumps=False)
+                        record_integrated=False)
     for t in (0.0, 0.5, 1.0):
         est, _ = mc_exposure(ps, names, t, t + maturity, 0.03)
         ref = _quadrature_exposure(ps, names, t, t + maturity, 0.03)
@@ -372,8 +358,7 @@ def test_short_book_negates_long_book():
     assert all(n.z == -1 for n in short_names)
     ps = simulate_paths(long_names, lambda_c=long_cfg.lambda_c, gamma1=long_cfg.gamma1,
                         gamma2=long_cfg.gamma2, horizon=1.0, n_paths=40, seed=79,
-                        dt=1e-2, sample_times=[0.0, 0.5], record_integrated=False,
-                        record_jumps=False)
+                        dt=1e-2, sample_times=[0.0, 0.5], record_integrated=False)
     for t in (0.0, 0.5):
         est_long, se_long = mc_exposure(ps, long_names, t, 1.0, long_cfg.r)
         est_short, se_short = mc_exposure(ps, short_names, t, 1.0, short_cfg.r)
