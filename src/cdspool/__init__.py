@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 from .errors import AccuracyError, ConfigError
 from .exposure import (LimitConfig, MeasureAtom, MeasureAtoms, build_name_sequence,
                        empirical_measure_eval, exposure_limit, limit_exp_test,
-                       limit_measure_mass, survival_fhat, survival_fhat_comonotone)
+                       limit_measure_mass, survival_fhat)
 from .jumps import BveParams, mgf_bve, mgf_bve_partials, mgf_exp, sample_bve
 from .kernels import (AffineKernelCoeffs, BcvaResult, SweepResult, bcva,
                       build_kernel_coeffs, h1, h2, joint_survival_equal,
@@ -35,7 +35,7 @@ __all__ = [
     "simulate_paths", "sample_defaults", "mc_exposure", "mc_kernel_oracles",
     "mc_limit_transform",
     "LimitConfig", "MeasureAtom", "MeasureAtoms", "survival_fhat",
-    "survival_fhat_comonotone", "exposure_limit", "limit_measure_mass",
+    "exposure_limit", "limit_measure_mass",
     "limit_exp_test", "empirical_measure_eval", "build_name_sequence",
     "AffineKernelCoeffs", "BcvaResult", "SweepResult", "build_kernel_coeffs",
     "h1", "h2", "joint_survival_equal", "bcva", "kernel_ode_residuals",

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .quadrature import simpson_adaptive
+from .quadrature import GL_PANEL_YEARS, gauss_legendre_16
 from .riccati import integral_b, integral_beta, riccati_b, riccati_beta
 from .simulation import NameParams, PathSet
 
@@ -26,7 +26,6 @@ __all__ = [
     "MeasureAtom",
     "MeasureAtoms",
     "survival_fhat",
-    "survival_fhat_comonotone",
     "exposure_limit",
     "limit_measure_mass",
     "limit_exp_test",
@@ -141,48 +140,35 @@ def survival_fhat(t: float, s, cfg: LimitConfig):
     return float(out) if out.ndim == 0 else out
 
 
-def survival_fhat_comonotone(t: float, s, cfg: LimitConfig):
-    """Variant of :func:`survival_fhat` for identical common and
-    idiosyncratic marks (one shared exponential size Y = Ytilde).
+def exposure_limit(t, maturity: float, cfg: LimitConfig):
+    """Limit exposure per unit name of a long investor at time(s) t.
 
-    Requires gamma1 == gamma2; the two mark factors collapse into
-    gamma / (gamma - (c lambda_c + d lambda_hat) IB(u)). Coincides with
-    :func:`survival_fhat` whenever one of the two drift loadings vanishes.
+    l_z [e^{-r v} Fhat(v) - 1] + (s_z + r l_z) * integral of e^{-r u} Fhat(u)
+    over [0, v], with v = T - t and Fhat = survival_fhat(0, .). Broadcasts
+    over t. The integral uses 16-node Gauss-Legendre on whole
+    GL_PANEL_YEARS panels of [0, v] plus the remainder, node by node, so
+    each value depends only on its own t and a vector call equals the
+    scalar calls bit for bit. Vanishes exactly at t = T.
     """
 
-    if cfg.gamma1 != cfg.gamma2:
-        raise ValueError("Comonotone marks require gamma1 == gamma2.")
-    u = np.asarray(s, dtype=float) - t
-    if np.any(u < 0.0):
-        raise ValueError("Require s >= t.")
-    b = riccati_b(cfg.kappa, cfg.sigma, u)
-    ib = integral_b(cfg.kappa, cfg.sigma, u)
-    load = cfg.c * cfg.lambda_c + cfg.d * cfg.lambda_hat
-    out = np.exp(cfg.x0 * b + cfg.alpha * ib) * cfg.gamma1 / (cfg.gamma1 - load * ib)
-    return float(out) if out.ndim == 0 else out
-
-
-def exposure_limit(t: float, maturity: float, cfg: LimitConfig,
-                   rel_tol: float = 1e-8) -> float:
-    """Limit exposure per unit name of a long investor at time t.
-
-    l_z [e^{-r (T-t)} Fhat(t,T) - 1] + (s_z + r l_z) * discounted integral
-    of Fhat(t, .) over [t, T]; the integral uses Simpson doubling with the
-    given relative tolerance. Vanishes at t = T.
-    """
-
-    if t > maturity:
+    v = maturity - np.asarray(t, dtype=float)
+    if np.any(v < 0.0):
         raise ValueError("Require t <= maturity.")
-    span = maturity - t
-    if span == 0.0:
-        return 0.0
-
-    def integrand(u):
-        return np.exp(-cfg.r * u) * survival_fhat(0.0, u, cfg)
-
-    integral = simpson_adaptive(integrand, 0.0, span, rel_tol=rel_tol)
-    terminal = cfg.l_z * (math.exp(-cfg.r * span) * survival_fhat(0.0, span, cfg) - 1.0)
-    return terminal + (cfg.s_z + cfg.r * cfg.l_z) * integral
+    nodes, weights = gauss_legendre_16()
+    integral = np.zeros_like(v)
+    n_panels = math.ceil(v.max(initial=0.0) / GL_PANEL_YEARS)
+    for lo in GL_PANEL_YEARS * np.arange(n_panels):
+        # panels past a point's own v have zero width and add exactly 0
+        half = 0.5 * np.clip(v - lo, 0.0, GL_PANEL_YEARS)
+        u = lo + half[..., None] * (1.0 + nodes)
+        f = np.exp(-cfg.r * u) * survival_fhat(0.0, u, cfg)
+        panel = np.zeros_like(v)
+        for j, w in enumerate(weights):
+            panel += w * f[..., j]
+        integral += half * panel
+    terminal = cfg.l_z * (np.exp(-cfg.r * v) * survival_fhat(0.0, v, cfg) - 1.0)
+    out = np.where(v > 0.0, terminal + (cfg.s_z + cfg.r * cfg.l_z) * integral, 0.0)
+    return float(out) if out.ndim == 0 else out
 
 
 def limit_measure_mass(t: float, atoms: MeasureAtoms) -> float:

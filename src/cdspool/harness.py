@@ -19,7 +19,6 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from . import kernels
 from . import __version__
@@ -173,7 +172,7 @@ def run_convergence(spec: ExperimentSpec) -> list[CurveTable]:
         raise ConfigError("convergence experiments require a seed.")
     cfg = spec.limit
     dt, times = grid_for_samples(spec.horizon, spec.n_times, spec.dt)
-    limit_curve = np.array([exposure_limit(t, spec.horizon, cfg) for t in times])
+    limit_curve = exposure_limit(times, spec.horizon, cfg)
     tables = []
     for K in spec.k_values:
         names = build_name_sequence(cfg, K)
@@ -595,14 +594,10 @@ def nested_mc_cva(cfg: LimitConfig, cps: CounterpartyParams, maturity: float,
                         block_size=32_768, record_integrated=False)
     tau_a, tau_b = ps.default_times[:, 0], ps.default_times[:, 1]
     hit = (tau_b <= np.minimum(tau_a, maturity)) & (tau_b > 0)
-    # dense spline of the limit exposure keeps per-path evaluation cheap
-    s_grid = np.linspace(0.0, maturity, 513)
-    eps_grid = np.array([exposure_limit(s, maturity, cfg) for s in s_grid])
-    eps = CubicSpline(s_grid, eps_grid)
     vals = np.zeros(n_paths)
     tb = tau_b[hit]
     vals[hit] = (np.exp(-cfg.r * tb) * survival_fhat(0.0, tb, cfg)
-                 * np.maximum(eps(tb), 0.0))
+                 * np.maximum(exposure_limit(tb, maturity, cfg), 0.0))
     vals *= cps.loss_b
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n_paths))
 

@@ -5,12 +5,14 @@ The default-density kernels H1 (counterparty B defaults first) and H2
 joint-killing Riccati system and are identical for both sides; only the
 linear prefactor family differs. Coefficients are precomputed on a uniform
 grid, cross-checked at half resolution, and interpolated with cubic
-splines, since the CVA quadrature evaluates them thousands of times.
+splines.
 
 The bilateral adjustment integrates the discounted positive/negative part
-of the limit exposure against pool survival and the matching kernel,
-splitting the quadrature at the exposure's sign changes so the integrand
-stays smooth on each piece.
+of the limit exposure against pool survival and the matching kernel. The
+exposure curve is scanned in one vectorised call and split at its sign
+changes, so the integrand stays smooth on each piece, and every piece is
+integrated by the Gauss-Legendre pricing rule of :mod:`cdspool.quadrature`.
+A side's kernel is built only when the exposure has that side's sign.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from scipy.optimize import brentq
 from .errors import AccuracyError
 from .exposure import LimitConfig, exposure_limit, survival_fhat
 from .jumps import mgf_bve, mgf_bve_partials
-from .quadrature import simpson_adaptive
+from .quadrature import gauss_legendre_rule
 from .riccati import exp_phi, riccati_b
 from .simulation import CounterpartyParams
 
@@ -261,29 +263,27 @@ class BcvaResult:
 
 
 def _sign_segments(f, a: float, b: float, n_scan: int = 256):
-    """Split [a, b] at the sign changes of a smooth scalar function."""
+    """Split [a, b] at the sign changes of a smooth function, scanned at
+    n_scan + 1 points in one vector call and bracketed by brentq."""
 
     s = np.linspace(a, b, n_scan + 1)
-    v = np.array([f(x) for x in s])
-    cuts = [a]
-    for i in range(n_scan):
-        if v[i] == 0.0 or v[i + 1] == 0.0:
-            continue
-        if np.sign(v[i]) != np.sign(v[i + 1]):
-            cuts.append(brentq(f, s[i], s[i + 1], xtol=1e-12))
-    cuts.append(b)
-    return sorted(set(cuts))
+    sign = np.sign(f(s))
+    roots = [brentq(f, s[i], s[i + 1], xtol=1e-12)
+             for i in np.flatnonzero(sign[:-1] * sign[1:] < 0.0)]
+    return sorted(set([a, *roots, b]))
 
 
 def bcva(t: float, maturity: float, cfg: LimitConfig, cps: CounterpartyParams,
          x_a: float | None = None, x_b: float | None = None, k: int = 1,
-         rel_tol: float = 1e-6, n_grid: int = 4096) -> BcvaResult:
+         n_grid: int = 4096) -> BcvaResult:
     """Semi-closed bilateral CVA of the large-pool CDS book at time t.
 
     The CVA term discounts the positive part of the limit exposure against
     pool survival and the side-B default kernel; the DVA term mirrors it
     with the negative part and side A. Sign changes of the exposure are
-    located by bisection and the Simpson quadrature is split there.
+    located by bisection, and each sign segment is integrated by
+    :func:`~cdspool.quadrature.gauss_legendre_rule`. A kernel side is built
+    only when the exposure takes its sign somewhere on [t, T].
     Valuation conditions on everything alive at t, with counterparty states
     (x_a, x_b) defaulting to their initial intensities.
     """
@@ -298,37 +298,27 @@ def bcva(t: float, maturity: float, cfg: LimitConfig, cps: CounterpartyParams,
     if span == 0.0:
         return BcvaResult(bcva=0.0, cva=0.0, dva=0.0, k=k, t=t, maturity=maturity)
 
-    coeffs_b = build_kernel_coeffs(cps, cfg.lambda_c, "B", span, n_grid)
-    coeffs_a = build_kernel_coeffs(cps, cfg.lambda_c, "A", span, n_grid)
-
-    def eps(s: float) -> float:
+    def eps(s):
         return exposure_limit(s, maturity, cfg)
 
-    segments = _sign_segments(eps, t, maturity)
+    cuts = np.array(_sign_segments(eps, t, maturity))
+    mid_sign = np.sign(eps(0.5 * (cuts[:-1] + cuts[1:])))
 
-    def piece(lo: float, hi: float, sign: str) -> float:
-        mid = 0.5 * (lo + hi)
-        val = eps(mid)
-        if sign == "plus" and val <= 0.0:
+    def part(side: str, sign: float) -> float:
+        own = mid_sign == sign
+        rules = [gauss_legendre_rule(lo, hi)
+                 for lo, hi in zip(cuts[:-1][own], cuts[1:][own])]
+        if not rules:
             return 0.0
-        if sign == "minus" and val >= 0.0:
-            return 0.0
-        coeffs = coeffs_b if sign == "plus" else coeffs_a
+        s = np.concatenate([x for x, _ in rules])
+        w = np.concatenate([w for _, w in rules])
+        coeffs = build_kernel_coeffs(cps, cfg.lambda_c, side, span, n_grid)
+        f = (np.exp(-cfg.r * (s - t)) * np.maximum(sign * eps(s), 0.0)
+             * survival_fhat(t, s, cfg) * coeffs.evaluate(s - t, x_a, x_b))
+        return float(np.sum(w * f))
 
-        def integrand(s):
-            s = np.atleast_1d(s)
-            e = np.array([eps(si) for si in s])
-            e = np.maximum(e, 0.0) if sign == "plus" else np.maximum(-e, 0.0)
-            return (np.exp(-cfg.r * (s - t)) * e * survival_fhat(t, s, cfg)
-                    * coeffs.evaluate(s - t, x_a, x_b))
-
-        return simpson_adaptive(integrand, lo, hi, rel_tol=rel_tol,
-                                abs_tol=1e-14, n0=16)
-
-    b_term = sum(piece(lo, hi, "plus") for lo, hi in zip(segments, segments[1:]))
-    a_term = sum(piece(lo, hi, "minus") for lo, hi in zip(segments, segments[1:]))
-    cva = cps.loss_b * b_term
-    dva = cps.loss_a * a_term
+    cva = cps.loss_b * part("B", 1.0)
+    dva = cps.loss_a * part("A", -1.0)
     return BcvaResult(bcva=dva - cva, cva=cva, dva=dva, k=k, t=t, maturity=maturity)
 
 

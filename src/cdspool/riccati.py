@@ -68,10 +68,6 @@ def _maybe_scalar(value: np.ndarray, scalar_in: bool):
     return float(value) if scalar_in else value
 
 
-def varpi(self) -> float:
-        return math.sqrt(self.kappa**2 + 2.0 * self.a_ell * self.sigma**2)
-
-
 def varpi(kappa: float, sigma: float) -> float:
     """Discriminant sqrt(kappa^2 + 2 sigma^2) of the unit-killing equation."""
 

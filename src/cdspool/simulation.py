@@ -25,7 +25,6 @@ the large-pool limit diffusion, whose drift is a per-path frozen mark.
 
 from __future__ import annotations
 
-import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -36,6 +35,7 @@ from numpy.random import Generator, Philox
 
 from .errors import ConfigError
 from .jumps import BveParams, sample_bve
+from .quadrature import gauss_legendre_rule
 from .riccati import survival_exponents
 
 __all__ = [
@@ -418,18 +418,6 @@ def _name_vectors(names: Sequence[NameParams]):
     return get
 
 
-# premium-leg rule: 16-node Gauss-Legendre on each of ceil(span / 10) equal
-# panels; one panel below a 10-year span, where its error is under 1e-13
-_GL_PANEL_YEARS = 10.0
-
-
-@functools.cache
-def _gauss_legendre_16() -> tuple[np.ndarray, np.ndarray]:
-    # built on first use: the eigensolver behind it costs about 1 MB of
-    # resident memory that pipelines without mc_exposure need not pay
-    return np.polynomial.legendre.leggauss(16)
-
-
 def mc_exposure(pathset: PathSet, names: Sequence[NameParams], t: float, maturity: float,
                 r: float) -> tuple[float, float]:
     """Monte-Carlo estimate of the per-name portfolio exposure at time t.
@@ -440,8 +428,8 @@ def mc_exposure(pathset: PathSet, names: Sequence[NameParams], t: float, maturit
     (:func:`~cdspool.riccati.survival_exponents`, the basic affine
     jump-diffusion transform with exponential jump sizes), evaluated for all
     names at once, so no quadrature error enters them. The premium-leg time
-    integral uses 16-node Gauss-Legendre on [t, maturity], split into equal
-    panels of at most 10 years; the loss leg reads the transform at
+    integral uses :func:`~cdspool.quadrature.gauss_legendre_rule` on
+    [t, maturity]; the loss leg reads the transform at
     maturity. Returns (estimate, stderr) of the per-name (divided by K)
     exposure of the investor at time t for contracts maturing at
     ``maturity``; short names (z = -1) enter with negative sign.
@@ -462,12 +450,9 @@ def mc_exposure(pathset: PathSet, names: Sequence[NameParams], t: float, maturit
         return 0.0, 0.0
 
     z, spread, loss = get("z"), get("spread"), get("loss")
-    gl_nodes, gl_weights = _gauss_legendre_16()
-    n_gl = math.ceil(span / _GL_PANEL_YEARS)
-    h = span / n_gl
-    # premium-leg nodes panel by panel, then maturity for the loss leg
-    u = np.append((h * np.arange(n_gl)[:, None] + 0.5 * h * (1.0 + gl_nodes)).ravel(),
-                  span)
+    # premium-leg nodes, then maturity for the loss leg
+    gl_nodes, gl_weights = gauss_legendre_rule(0.0, span)
+    u = np.append(gl_nodes, span)
     a0, b0 = survival_exponents(
         get("kappa"), get("sigma"), get("alpha"),
         [(pathset.lambda_c, get("c"), pathset.gamma1),
@@ -476,8 +461,7 @@ def mc_exposure(pathset: PathSet, names: Sequence[NameParams], t: float, maturit
     coeff_loss = z * loss / K
     # row j weights name k's survival exp(B0 x) at node j, exp(A0) folded in
     rows = np.empty((len(u), K))
-    rows[:-1] = ((0.5 * h * np.tile(gl_weights, n_gl) * disc[:-1])[:, None]
-                 * (z * (spread + r * loss) / K))
+    rows[:-1] = (gl_weights * disc[:-1])[:, None] * (z * (spread + r * loss) / K)
     rows[-1] = disc[-1] * coeff_loss
     rows *= np.exp(a0)
 

@@ -1,12 +1,16 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from cdspool.cli import build_spec, parse_config
 from cdspool.exposure import (LimitConfig, MeasureAtom, MeasureAtoms,
                               build_name_sequence, empirical_measure_eval,
                               exposure_limit, limit_exp_test, limit_measure_mass,
-                              survival_fhat, survival_fhat_comonotone)
+                              survival_fhat)
+from cdspool.harness import grid_for_samples
+from cdspool.quadrature import simpson_adaptive
 from cdspool.riccati import integral_b, riccati_b, riccati_rhs, rk4_solve
 from cdspool.simulation import simulate_paths
 
@@ -17,6 +21,15 @@ def make_cfg(**overrides):
                 r=0.03)
     base.update(overrides)
     return LimitConfig(**base)
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def shipped_spec(stem):
+    mapping = parse_config((CONFIGS / f"{stem}.cfg").read_text())
+    kind = mapping["experiment.kind"]
+    return build_spec(mapping, kind, 1 if kind == "convergence" else None, 1, None)
 
 
 NOJUMP = dict(alpha=0.75, kappa=1.5, sigma=0.2, c=0.0, d=0.0, lambda_hat=0.5,
@@ -47,25 +60,6 @@ def test_fhat_matches_limit_sde_mc():
     assert abs(closed - 0.95213596) < 3 * 1.26e-4
 
 
-def test_fhat_comonotone_variant():
-    cfg = make_cfg()
-    u = 1.5
-    ib = integral_b(cfg.kappa, cfg.sigma, u)
-    b = riccati_b(cfg.kappa, cfg.sigma, u)
-    load = cfg.c * cfg.lambda_c + cfg.d * cfg.lambda_hat
-    expected = (math.exp(cfg.x0 * b + cfg.alpha * ib)
-                * cfg.gamma1 / (cfg.gamma1 - load * ib))
-    assert survival_fhat_comonotone(0.0, u, cfg) == pytest.approx(expected, rel=1e-14)
-    # one shared mark and independent marks coincide when only one jump
-    # layer is active
-    for knockout in (dict(c=0.0), dict(d=0.0)):
-        cfg1 = make_cfg(**knockout)
-        assert survival_fhat_comonotone(0.0, u, cfg1) == pytest.approx(
-            survival_fhat(0.0, u, cfg1), rel=1e-14)
-    with pytest.raises(ValueError):
-        survival_fhat_comonotone(0.0, 1.0, make_cfg(gamma2=3.0))
-
-
 def test_fhat_time_homogeneous_and_monotone():
     cfg = make_cfg()
     s = np.linspace(0.0, 5.0, 101)
@@ -83,6 +77,45 @@ def test_fhat_decreases_in_jump_loadings():
 
 def test_exposure_limit_vanishes_at_maturity():
     assert exposure_limit(3.0, 3.0, make_cfg()) == 0.0
+    assert exposure_limit(np.array([1.0, 3.0]), 3.0, make_cfg())[1] == 0.0
+    short = exposure_limit(3.0, 3.0, make_cfg(s_z=-0.02, l_z=-0.4))
+    assert short == 0.0 and math.copysign(1.0, short) == 1.0
+
+
+def _fig1c_grid():
+    spec = shipped_spec("fig1-c")
+    return grid_for_samples(spec.horizon, spec.n_times, spec.dt)[1], spec.horizon
+
+
+@pytest.mark.parametrize("grid", [
+    _fig1c_grid(),
+    # 25 years: the points cross the 10- and 20-year panel boundaries
+    (np.concatenate([np.linspace(0.0, 25.0, 101),
+                     [5.0 - 1e-9, 5.0, 5.0 + 1e-9, 15.0 - 1e-9, 15.0]]), 25.0),
+], ids=["fig1-c", "25y"])
+def test_exposure_limit_vector_call_equals_scalar_calls(grid):
+    times, maturity = grid
+    cfg = shipped_spec("fig1-c").limit
+    curve = exposure_limit(times, maturity, cfg)
+    assert curve.shape == times.shape
+    assert np.all(curve == [exposure_limit(float(t), maturity, cfg) for t in times])
+    assert curve[times == maturity].tolist() == [0.0]
+
+
+@pytest.mark.parametrize("stem", ["fig1-a", "fig1-b", "fig1-c", "fig1-d", "fig2", "fig5"])
+def test_exposure_limit_matches_tight_simpson_reference(stem):
+    spec = shipped_spec(stem)
+    cfg, maturity = spec.limit, spec.horizon
+    times = np.linspace(0.0, maturity, 25)[:-1]
+    curve = exposure_limit(times, maturity, cfg)
+    for t, got in zip(times, curve):
+        v = maturity - t
+        integral = simpson_adaptive(
+            lambda u: np.exp(-cfg.r * u) * survival_fhat(0.0, u, cfg), 0.0, v,
+            rel_tol=1e-13)
+        want = (cfg.l_z * (math.exp(-cfg.r * v) * survival_fhat(0.0, v, cfg) - 1.0)
+                + (cfg.s_z + cfg.r * cfg.l_z) * integral)
+        assert got == pytest.approx(want, abs=1e-13)
 
 
 def test_exposure_limit_matches_fixed_panel_simpson():

@@ -1,11 +1,13 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cdspool import harness, simulation
+from cdspool.cli import build_spec, parse_config
 from cdspool.errors import ConfigError
-from cdspool.exposure import LimitConfig
+from cdspool.exposure import LimitConfig, exposure_limit
 from cdspool.harness import (CurveTable, ExperimentSpec, default_counterparties,
                              grid_for_samples, run_bcva_sweeps, run_convergence,
                              run_experiment, run_measure_convergence, run_validation,
@@ -91,6 +93,40 @@ def test_run_bcva_sweeps():
                                tables[0].columns["dva"] - tables[0].columns["cva"])
     with pytest.raises(ConfigError):
         run_bcva_sweeps(small_spec(kind="bcva-sweep"))
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def shipped_spec(stem, seed=None):
+    mapping = parse_config((ROOT / "configs" / f"{stem}.cfg").read_text())
+    return build_spec(mapping, mapping["experiment.kind"], seed, 1, None)
+
+
+# The two tests below hold the output contracts that perfbench/checks.py
+# enforces on the benchmark's runs, so a change that breaks them fails here.
+
+def test_convergence_limit_column_equals_fresh_scalar_calls():
+    spec = shipped_spec("fig1-c", seed=11)
+    # the limit column does not depend on the simulation, so a small one will do
+    spec.n_paths = 16
+    table, = run_convergence(spec)
+    written = ["%.10e" % v for v in table.columns["limit_exposure"]]
+    fresh = ["%.10e" % exposure_limit(float(t), spec.horizon, spec.limit)
+             for t in table.abscissa]
+    assert written == fresh
+
+
+def test_bcva_sweeps_match_stored_reference():
+    stored = json.loads((ROOT / "perfbench" / "reference" / "bcva_sweeps.json")
+                        .read_text(encoding="utf-8"))
+    for stem in ("fig2", "fig3", "fig4", "fig5"):
+        ref = stored[stem]
+        table, = run_bcva_sweeps(shipped_spec(stem))
+        assert table.abscissa.tolist() == ref["values"]
+        for name in ("cva", "dva"):
+            got, want = table.columns[name], np.array(ref[name])
+            assert np.all(np.abs(got - want) <= 1e-6 * np.abs(want) + 1e-12), (stem, name)
 
 
 def test_run_experiment_rejects_unknown_kind():

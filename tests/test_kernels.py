@@ -1,8 +1,12 @@
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from cdspool import kernels
+from cdspool.cli import build_spec, parse_config
 from cdspool.errors import AccuracyError
 from cdspool.exposure import LimitConfig, exposure_limit, survival_fhat
 from cdspool.jumps import BveParams
@@ -216,6 +220,59 @@ def test_bcva_handles_sign_change_in_exposure():
         disc * np.maximum(-eps_dense, 0.0) * coeffs_a.evaluate(s, 0.2, 0.2), s)
     assert res.cva == pytest.approx(cva_ref, rel=2e-3)
     assert res.dva == pytest.approx(dva_ref, rel=2e-3)
+
+
+def fig4_point(lambda_c):
+    mapping = parse_config((Path(__file__).resolve().parents[1] / "configs"
+                            / "fig4.cfg").read_text())
+    spec = build_spec(mapping, "bcva-sweep", None, 1, None)
+    return replace(spec.limit, lambda_c=lambda_c), spec.cps, spec.horizon, spec.kernel_grid
+
+
+@pytest.mark.parametrize("lambda_c", [1.0, 3.0])
+def test_bcva_matches_tight_simpson_reference(lambda_c):
+    # both fig4 points change sign inside (0, T); the reference integrates
+    # the same sign segments by Simpson doubling to rel_tol 1e-11
+    cfg, cps, maturity, n_grid = fig4_point(lambda_c)
+    res = bcva(0.0, maturity, cfg, cps, n_grid=n_grid)
+
+    def eps(s):
+        return exposure_limit(s, maturity, cfg)
+
+    cuts = kernels._sign_segments(eps, 0.0, maturity)
+    assert len(cuts) == 3
+    ref = {}
+    for side, sign in (("B", 1.0), ("A", -1.0)):
+        coeffs = build_kernel_coeffs(cps, cfg.lambda_c, side, maturity, n_grid)
+
+        def integrand(s):
+            return (np.exp(-cfg.r * s) * np.maximum(sign * eps(s), 0.0)
+                    * survival_fhat(0.0, s, cfg)
+                    * coeffs.evaluate(s, cps.side_a.xi0, cps.side_b.xi0))
+
+        ref[side] = sum(simpson_adaptive(integrand, lo, hi, rel_tol=1e-11)
+                        for lo, hi in zip(cuts, cuts[1:])
+                        if sign * eps(0.5 * (lo + hi)) > 0.0)
+    assert res.cva == pytest.approx(cps.loss_b * ref["B"], rel=1e-9, abs=0.0)
+    assert res.dva == pytest.approx(cps.loss_a * ref["A"], rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("lambda_c, sides", [(0.0, ["B"]), (1.0, ["B", "A"])])
+def test_bcva_builds_only_the_kernel_sides_it_needs(monkeypatch, lambda_c, sides):
+    # lambda_c = 0 keeps the exposure positive on [0, T], so DVA needs no
+    # side-A kernel; lambda_c = 1 has a sign change and needs both
+    built = []
+    original = kernels.build_kernel_coeffs
+
+    def counting(cps, lam, side, *args, **kwargs):
+        built.append(side)
+        return original(cps, lam, side, *args, **kwargs)
+
+    monkeypatch.setattr(kernels, "build_kernel_coeffs", counting)
+    cfg, cps, maturity, n_grid = fig4_point(lambda_c)
+    res = bcva(0.0, maturity, cfg, cps, n_grid=n_grid)
+    assert built == sides
+    assert (res.dva > 0.0) == ("A" in sides)
 
 
 def test_bcva_against_nested_mc():
