@@ -105,6 +105,16 @@ class ExperimentSpec:
     perturb: dict[str, float] = field(default_factory=dict)
     config_text: str | None = None
 
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.horizon) and self.horizon > 0.0):
+            raise ConfigError(
+                f"experiment horizon must be finite and > 0, got {self.horizon}.")
+        if self.dt is not None and not (math.isfinite(self.dt) and self.dt > 0.0):
+            raise ConfigError(f"experiment dt must be finite and > 0, got {self.dt}.")
+        if not self.k_values or min(self.k_values) < 1:
+            raise ConfigError("experiment k_values must list pool sizes >= 1, "
+                              f"got {list(self.k_values)}.")
+
     def config_hash(self) -> str:
         text = self.config_text if self.config_text is not None else repr(self)
         return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -485,12 +495,15 @@ def _check_bve_empirical_mgf(offset: float) -> CheckResult:
 
 def _check_fhat_cir(offset: float) -> CheckResult:
     _, cfg, _ = _validation_baseline()
+    # independent route: RK4 on the coupled (transform exponent, integral)
+    rhs_b = riccati_rhs(cfg.kappa, cfg.sigma)
+
+    def rhs(y):
+        return np.array([rhs_b(y[0]), y[0]])
+
     err = 0.0
     for u in (0.5, 1.0, 2.0):
         closed = survival_fhat(0.0, u, cfg) + offset
-        # independent route: RK4 on the coupled (transform exponent, integral)
-        def rhs(y):
-            return np.array([riccati_rhs(cfg.kappa, cfg.sigma)(y[0]), y[0]])
         b, ib = rk4_solve(rhs, np.zeros(2), u, 1e-4)
         oracle = math.exp(cfg.x0 * b + cfg.alpha * ib)
         err = max(err, abs(closed - oracle))
@@ -591,7 +604,7 @@ def nested_mc_cva(cfg: LimitConfig, cps: CounterpartyParams, maturity: float,
 
     ps = simulate_paths((), cps, lambda_c=cfg.lambda_c, horizon=maturity,
                         n_paths=n_paths, seed=seed, dt=dt, sample_times=[maturity],
-                        block_size=32_768, record_integrated=False)
+                        record_integrated=False)
     tau_a, tau_b = ps.default_times[:, 0], ps.default_times[:, 1]
     hit = (tau_b <= np.minimum(tau_a, maturity)) & (tau_b > 0)
     vals = np.zeros(n_paths)

@@ -264,7 +264,14 @@ def integral_beta_general(kappa: float, sigma: float, a_ell: float, b0: float,
 
 
 def riccati_rhs(kappa: float, sigma: float, a_ell: float = 1.0) -> Callable:
-    """Right-hand side y -> -kappa y + sigma^2 y^2 / 2 - a_ell (for oracles)."""
+    """Right-hand side y -> -kappa y + sigma^2 y^2 / 2 - a_ell (for oracles).
+
+    Scalar coefficients become Python floats, so a scalar RK4 loop never
+    leaves float arithmetic.
+    """
+
+    kappa, sigma, a_ell = (float(v) if np.ndim(v) == 0 else v
+                           for v in (kappa, sigma, a_ell))
 
     def rhs(y):
         return -kappa * y + 0.5 * sigma * sigma * y * y - a_ell
@@ -277,6 +284,8 @@ def rk4_solve(rhs: Callable, y0, u: float, step: float):
 
     Verification oracle only. ``y0`` may be an array of initial values;
     the step count is rounded so the integration lands exactly on ``u``.
+    A scalar ``y0`` steps as a Python float, which gives the same IEEE
+    results as a 0-d array without numpy's per-operation overhead.
     """
 
     if not step > 0.0:
@@ -285,6 +294,8 @@ def rk4_solve(rhs: Callable, y0, u: float, step: float):
         raise ValueError("u must be non-negative.")
     y = np.asarray(y0, dtype=float).copy()
     scalar = y.ndim == 0
+    if scalar:
+        y = float(y)
     if u == 0.0:
         return _maybe_scalar(y, scalar)
     n = max(1, int(round(u / step)))

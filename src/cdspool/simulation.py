@@ -12,9 +12,11 @@ and diffusion); stored intensities are the truncated, non-negative values.
 
 Reproducibility contract: paths are generated in fixed-width blocks, each
 block owning a counter-based RNG stream derived from (seed, stream tag,
-block index). A path's draws therefore depend only on the seed and its own
-index, never on the total path count or on how many workers process the
-blocks.
+block index). The width is 256 paths for systems with names, and 4096 for
+the counterparty pair alone and for the limit diffusion, whose narrow state
+stays in cache at that width. A path's draws therefore depend only on the
+seed, the system's shape and the path's own index, never on the total path
+count or on how many workers process the blocks.
 
 Estimators read from simulated paths: :func:`mc_exposure` prices the CDS
 book along the paths (convergence studies), and :func:`mc_kernel_oracles`
@@ -52,7 +54,9 @@ __all__ = [
 
 _BLOCK_PATHS = 0  # stream tags: keep per-purpose streams disjoint
 _BLOCK_LIMIT = 1
-_LIMIT_BLOCK_SIZE = 8192  # paths per mc_limit_transform block
+# paths per block: systems with names, then the pair alone and the limit diffusion
+_NAME_BLOCK_SIZE = 256
+_NARROW_BLOCK_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -217,7 +221,7 @@ def _sorted_events(step, *cols):
 def simulate_paths(names: Sequence[NameParams], cps: CounterpartyParams | None = None, *,
                    lambda_c: float = 0.0, gamma1: float = 1.0, gamma2: float = 1.0,
                    horizon: float, n_paths: int, seed: int | None, dt: float | None = None,
-                   sample_times=None, workers: int = 1, block_size: int = 256,
+                   sample_times=None, workers: int = 1,
                    record_integrated: bool = True) -> PathSet:
     """Simulate the joint intensity system and resolve default times.
 
@@ -239,6 +243,9 @@ def simulate_paths(names: Sequence[NameParams], cps: CounterpartyParams | None =
         lie on the Euler grid.
     workers
         Thread count for the block loop; never changes the output values.
+
+    Paths run in blocks of 256 when the system has names and of 4096 for
+    the counterparty pair alone (see the module docstring).
     """
 
     if cps is None and len(names) == 0:
@@ -291,6 +298,7 @@ def simulate_paths(names: Sequence[NameParams], cps: CounterpartyParams | None =
     if cps is not None:
         idio_rate[K] = cps.idio_jump.marginal_rate_a
         idio_rate[K + 1] = cps.idio_jump.marginal_rate_b
+    block_size = _NAME_BLOCK_SIZE if K else _NARROW_BLOCK_SIZE
     n_blocks = (n_paths + block_size - 1) // block_size
 
     def run_block(b: int) -> None:
@@ -500,7 +508,7 @@ def mc_kernel_oracles(cps: CounterpartyParams, lambda_c: float, u, x_a: float,
         dt = horizon / 1000.0
     ps = simulate_paths((), cps.with_initial(x_a, x_b), lambda_c=lambda_c,
                         horizon=horizon, n_paths=n_paths, seed=seed, dt=dt,
-                        sample_times=u_arr, block_size=32_768)
+                        sample_times=u_arr)
     # out[kernel, (estimate, stderr), u]
     out = np.empty((3, 2, len(u_arr)))
     for j, ui in enumerate(u_arr):
@@ -550,7 +558,7 @@ def mc_limit_transform(alpha: float, kappa: float, sigma: float, drift_c: float,
     key = _philox_key(seed)
     sqrt_dt = math.sqrt(dt)
     vals = np.empty((n_paths, len(sample_idx)))
-    bf = _LIMIT_BLOCK_SIZE
+    bf = _NARROW_BLOCK_SIZE
     n_blocks = (n_paths + bf - 1) // bf
 
     for b in range(n_blocks):

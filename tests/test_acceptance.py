@@ -148,10 +148,13 @@ def test_criterion_3_pool_survival():
     nojump = LimitConfig(alpha=0.75, kappa=1.5, sigma=0.2, c=0.0, d=0.0,
                          lambda_hat=0.5, x0=0.5, gamma1=1.5, gamma2=1.5,
                          lambda_c=2.5, s_z=0.02, l_z=0.4, r=0.03)
+    rhs_b = riccati_rhs(nojump.kappa, nojump.sigma)
+
+    def rhs(v):
+        return np.array([rhs_b(v[0]), v[0]])
+
     worst_cir = 0.0
     for u in (0.5, 1.0, 2.0, 3.0):
-        def rhs(v):
-            return np.array([riccati_rhs(nojump.kappa, nojump.sigma)(v[0]), v[0]])
         b, ib = rk4_solve(rhs, np.zeros(2), u, 1e-4)
         worst_cir = max(worst_cir, abs(survival_fhat(0.0, u, nojump)
                                        - math.exp(nojump.x0 * b + nojump.alpha * ib)))
@@ -193,11 +196,9 @@ def test_criterion_4_counterparty_kernels():
     ca = build_kernel_coeffs(cps, lam_c, "A", 2.0)
 
     worst_z, worst_rel = 0.0, 0.0
-    # h1 from the ACCEPT_SEED + 4 simulation, h2 from the ACCEPT_SEED + 5 one
-    (est1, se1), _, _ = mc_kernel_oracles(cps, lam_c, u, x_a, x_b, 100_000,
-                                          ACCEPT_SEED + 4, dt=1e-3)
-    _, (est2, se2), _ = mc_kernel_oracles(cps, lam_c, u, x_a, x_b, 100_000,
-                                          ACCEPT_SEED + 5, dt=1e-3)
+    # h1 and h2 read from one simulation of the pair
+    (est1, se1), (est2, se2), _ = mc_kernel_oracles(cps, lam_c, u, x_a, x_b, 100_000,
+                                                    ACCEPT_SEED + 4, dt=1e-3)
     for closed, est, se in ((h1(u, x_a, x_b, cb), est1, se1),
                             (h2(u, x_a, x_b, ca), est2, se2)):
         worst_z = max(worst_z, float(np.max(np.abs(closed - est) / se)))

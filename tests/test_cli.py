@@ -113,6 +113,19 @@ def test_config_error_exit_codes(tmp_path, capsys):
                     "--seed", "1", "--out", tmp_path]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("override", ["experiment.horizon=nan", "experiment.horizon=inf",
+                                      "experiment.horizon=-1", "experiment.dt=0",
+                                      "experiment.k_values=0"])
+def test_bad_experiment_input_is_a_config_error(tmp_path, capsys, override):
+    code = run_cli(["--experiment", "convergence", "--config", CONFIGS / "fig1-c.cfg",
+                    "--seed", "1", "--set", override, "--out", tmp_path])
+    assert code == EXIT_CONFIG
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"]["code"] == EXIT_CONFIG and err["error"]["kind"] == "config"
+
+
 def test_mixed_sign_book_is_a_config_error(tmp_path, capsys):
     # a long spread with a short loss leg needs a mixed long/short book
     code = run_cli(["--experiment", "convergence", "--config", CONFIGS / "fig1-a.cfg",

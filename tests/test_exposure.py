@@ -44,9 +44,12 @@ def test_fhat_is_one_on_the_diagonal():
 def test_fhat_jump_free_equals_affine_transform():
     # independent route: Runge-Kutta on the coupled (exponent, integral) pair
     cfg = LimitConfig(**NOJUMP)
+    rhs_b = riccati_rhs(cfg.kappa, cfg.sigma)
+
+    def rhs(y):
+        return np.array([rhs_b(y[0]), y[0]])
+
     for u in (0.25, 1.0, 3.0):
-        def rhs(y):
-            return np.array([riccati_rhs(cfg.kappa, cfg.sigma)(y[0]), y[0]])
         b, ib = rk4_solve(rhs, np.zeros(2), u, 1e-4)
         assert survival_fhat(0.0, u, cfg) == pytest.approx(
             math.exp(cfg.x0 * b + cfg.alpha * ib), abs=1e-10)

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -144,17 +145,32 @@ def test_validation_gate_passes_and_is_reproducible():
 
 def test_validation_gate_simulates_the_kernel_pair_once(monkeypatch):
     # h1, h2 and joint survival read one simulation; nested_mc_cva the other
-    calls = []
+    calls, n_paths, blocks = [], [], []
+    block_generator = simulation._block_generator
 
     def counting(*args, **kwargs):
         calls.append(kwargs["horizon"])
+        n_paths.append(kwargs["n_paths"])
         return simulate_paths(*args, **kwargs)
+
+    def counting_blocks(key, tag, block):
+        blocks.append(tag)
+        return block_generator(key, tag, block)
 
     monkeypatch.setattr(simulation, "simulate_paths", counting)
     monkeypatch.setattr(harness, "simulate_paths", counting)
+    monkeypatch.setattr(simulation, "_block_generator", counting_blocks)
     harness._kernel_values.cache_clear()
     assert run_validation(workers=1).passed
     assert calls == [1.0, 3.0]
+    # every pair and limit-diffusion simulation runs narrow blocks, so it
+    # steps at most 5% more paths than it asks for
+    width = simulation._NARROW_BLOCK_SIZE
+    blocks_for = lambda n: math.ceil(n / width)
+    assert blocks.count(simulation._BLOCK_PATHS) == sum(map(blocks_for, n_paths))
+    assert blocks.count(simulation._BLOCK_LIMIT) == blocks_for(100_000)
+    for n in n_paths + [100_000]:
+        assert blocks_for(n) * width <= 1.05 * n
     # the shared values still take each check's own perturbation
     assert not harness._check_h2_mc(1e-2).passed
     assert harness._check_h1_mc(0.0).passed

@@ -227,6 +227,20 @@ def test_rk4_constant_solution():
     assert rk4_solve(lambda y: 0.0 * y, 3.7, 11.0, 0.1) == 3.7
 
 
+def test_rk4_scalar_steps_equal_one_array_call():
+    # the scalar loop runs on Python floats; IEEE arithmetic makes each
+    # result bit-equal to its element of an array-valued solve
+    kappa = np.array([0.3, 1.1, 2.7, 0.8])
+    sigma = np.array([0.2, 1.9, 0.6, 3.0])
+    y0 = np.array([0.0, -0.4, -1.7, -0.05])
+    for u in (0.37, 2.0, 5.5):
+        batch = rk4_solve(riccati_rhs(kappa, sigma), y0, u, 1e-3)
+        for i in range(len(y0)):
+            scalar = rk4_solve(riccati_rhs(kappa[i], sigma[i]), y0[i], u, 1e-3)
+            assert type(scalar) is float
+            assert scalar == batch[i]
+
+
 def test_rk4_hits_riccati_target():
     assert rk4_solve(riccati_rhs(0.5, 0.3), 0.0, 1.0, 1e-4) == pytest.approx(
         riccati_b(0.5, 0.3, 1.0), abs=1e-8)
