@@ -69,7 +69,6 @@ KNOWN_KEYS.update({
     "experiment.repeats": _INT,
     "experiment.sweep": _STR,
     "experiment.sweep_values": _FLOAT_LIST,
-    "experiment.kernel_grid": _INT,
     "validate.perturb": _STR,
 })
 
@@ -214,7 +213,6 @@ def build_spec(mapping: dict[str, str], kind: str, seed: int | None,
         repeats=exp.get("repeats", 3),
         sweep=exp.get("sweep"),
         sweep_values=exp.get("sweep_values", ()),
-        kernel_grid=exp.get("kernel_grid", 4096),
         workers=workers,
         perturb=_parse_perturb(val_sec["perturb"]) if "perturb" in val_sec else {},
         config_text=config_text,

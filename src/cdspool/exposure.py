@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .quadrature import GL_PANEL_YEARS, gauss_legendre_16
+from .quadrature import gauss_legendre_integral
 from .riccati import integral_b, integral_beta, riccati_b, riccati_beta
 from .simulation import NameParams, PathSet
 
@@ -145,27 +145,16 @@ def exposure_limit(t, maturity: float, cfg: LimitConfig):
 
     l_z [e^{-r v} Fhat(v) - 1] + (s_z + r l_z) * integral of e^{-r u} Fhat(u)
     over [0, v], with v = T - t and Fhat = survival_fhat(0, .). Broadcasts
-    over t. The integral uses 16-node Gauss-Legendre on whole
-    GL_PANEL_YEARS panels of [0, v] plus the remainder, node by node, so
-    each value depends only on its own t and a vector call equals the
+    over t. The integral is :func:`~cdspool.quadrature.gauss_legendre_integral`,
+    so each value depends only on its own t and a vector call equals the
     scalar calls bit for bit. Vanishes exactly at t = T.
     """
 
     v = maturity - np.asarray(t, dtype=float)
     if np.any(v < 0.0):
         raise ValueError("Require t <= maturity.")
-    nodes, weights = gauss_legendre_16()
-    integral = np.zeros_like(v)
-    n_panels = math.ceil(v.max(initial=0.0) / GL_PANEL_YEARS)
-    for lo in GL_PANEL_YEARS * np.arange(n_panels):
-        # panels past a point's own v have zero width and add exactly 0
-        half = 0.5 * np.clip(v - lo, 0.0, GL_PANEL_YEARS)
-        u = lo + half[..., None] * (1.0 + nodes)
-        f = np.exp(-cfg.r * u) * survival_fhat(0.0, u, cfg)
-        panel = np.zeros_like(v)
-        for j, w in enumerate(weights):
-            panel += w * f[..., j]
-        integral += half * panel
+    integral = gauss_legendre_integral(
+        lambda u: np.exp(-cfg.r * u) * survival_fhat(0.0, u, cfg), v)
     terminal = cfg.l_z * (np.exp(-cfg.r * v) * survival_fhat(0.0, v, cfg) - 1.0)
     out = np.where(v > 0.0, terminal + (cfg.s_z + cfg.r * cfg.l_z) * integral, 0.0)
     return float(out) if out.ndim == 0 else out

@@ -100,7 +100,6 @@ class ExperimentSpec:
     repeats: int = 3
     sweep: str | None = None
     sweep_values: tuple[float, ...] = ()
-    kernel_grid: int = 4096
     workers: int = 1
     perturb: dict[str, float] = field(default_factory=dict)
     config_text: str | None = None
@@ -114,6 +113,8 @@ class ExperimentSpec:
         if not self.k_values or min(self.k_values) < 1:
             raise ConfigError("experiment k_values must list pool sizes >= 1, "
                               f"got {list(self.k_values)}.")
+        if self.repeats < 1:
+            raise ConfigError(f"experiment repeats must be >= 1, got {self.repeats}.")
 
     def config_hash(self) -> str:
         text = self.config_text if self.config_text is not None else repr(self)
@@ -261,7 +262,7 @@ def run_bcva_sweeps(spec: ExperimentSpec) -> list[CurveTable]:
         raise ConfigError("bcva-sweep requires counterparty parameters.")
     res = kernels.sensitivity_sweep(spec.sweep, spec.sweep_values, spec.limit,
                                     spec.cps, t=0.0, maturity=spec.horizon,
-                                    workers=spec.workers, n_grid=spec.kernel_grid)
+                                    workers=spec.workers)
     table = CurveTable(
         label=f"bcva-{spec.sweep}", abscissa_name=spec.sweep, abscissa=res.values,
         columns={"cva": res.cva, "dva": res.dva, "bcva": res.bcva},
@@ -545,8 +546,8 @@ def _kernel_values() -> dict[str, tuple[float, tuple[float, float]]]:
     cfg, _, cps = _validation_baseline()
     u = 1.0
     x_a = x_b = 0.2
-    coeffs_b = kernels.build_kernel_coeffs(cps, cfg.lambda_c, "B", 1.5, 2048)
-    coeffs_a = kernels.build_kernel_coeffs(cps, cfg.lambda_c, "A", 1.5, 2048)
+    coeffs_b = kernels.build_kernel_coeffs(cps, cfg.lambda_c, "B")
+    coeffs_a = kernels.build_kernel_coeffs(cps, cfg.lambda_c, "A")
     mc_h1, mc_h2, mc_joint = mc_kernel_oracles(cps, cfg.lambda_c, u, x_a, x_b, 20_000,
                                                VALIDATION_SEED + 12, dt=1e-3)
     return {"h1": (kernels.h1(u, x_a, x_b, coeffs_b), mc_h1),
@@ -577,8 +578,8 @@ def _check_kernel_residuals(offset: float) -> CheckResult:
     cfg, _, cps = _validation_baseline()
     err = 0.0
     for side in ("B", "A"):
-        coeffs = kernels.build_kernel_coeffs(cps, cfg.lambda_c, side, 3.0, 4096)
-        res = kernels.kernel_ode_residuals(coeffs, cps, cfg.lambda_c)
+        coeffs = kernels.build_kernel_coeffs(cps, cfg.lambda_c, side)
+        res = kernels.kernel_ode_residuals(coeffs, 3.0)
         err = max(err, max(res.values()))
     return CheckResult("kernel_ode_residuals", err + offset, 1e-5)
 
@@ -586,7 +587,7 @@ def _check_kernel_residuals(offset: float) -> CheckResult:
 def _check_cva_nested_mc(offset: float) -> CheckResult:
     cfg, _, cps = _validation_baseline()
     maturity = 3.0
-    result = kernels.bcva(0.0, maturity, cfg, cps, n_grid=2048)
+    result = kernels.bcva(0.0, maturity, cfg, cps)
     est, se = nested_mc_cva(cfg, cps, maturity, n_paths=20_000,
                             seed=VALIDATION_SEED + 13, dt=maturity / 1000.0)
     return CheckResult("cva_vs_nested_mc", abs(result.cva + offset - est) / se, 3.0)

@@ -3,32 +3,31 @@
 The default-density kernels H1 (counterparty B defaults first) and H2
 (side A) share one exponential family: the exponent coefficients solve the
 joint-killing Riccati system and are identical for both sides; only the
-linear prefactor family differs. Coefficients are precomputed on a uniform
-grid, cross-checked at half resolution, and interpolated with cubic
-splines.
+linear prefactor family differs. Every coefficient is evaluated at the lags
+it is asked for: the state loadings and the own-side prefactor in closed
+form, and the two constant terms as integrals of smooth MGF combinations by
+the Gauss-Legendre rule of :mod:`cdspool.quadrature`.
 
 The bilateral adjustment integrates the discounted positive/negative part
 of the limit exposure against pool survival and the matching kernel. The
 exposure curve is scanned in one vectorised call and split at its sign
 changes, so the integrand stays smooth on each piece, and every piece is
-integrated by the Gauss-Legendre pricing rule of :mod:`cdspool.quadrature`.
-A side's kernel is built only when the exposure has that side's sign.
+integrated by the same Gauss-Legendre rule. A side's kernel is built only
+when the exposure has that side's sign.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
-from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
-from .errors import AccuracyError
+from .errors import ConfigError
 from .exposure import LimitConfig, exposure_limit, survival_fhat
 from .jumps import mgf_bve, mgf_bve_partials
-from .quadrature import gauss_legendre_rule
+from .quadrature import gauss_legendre_integral, gauss_legendre_rule
 from .riccati import exp_phi, riccati_b
 from .simulation import CounterpartyParams
 
@@ -48,123 +47,80 @@ __all__ = [
 SWEEP_PARAMETERS = ("sigma_star", "sigma_b", "lambda_c", "c_star")
 
 
-@dataclass
+def _rates(cps: CounterpartyParams, lambda_c: float, side: str, s) -> np.ndarray:
+    """Derivatives of the two constant terms, hat1' and pre1', at lags s,
+    stacked on a new leading axis."""
+
+    sa, sb = cps.side_a, cps.side_b
+    hat_a = riccati_b(sa.kappa, sa.sigma, s)
+    hat_b = riccati_b(sb.kappa, sb.sigma, s)
+    zero = np.zeros_like(hat_a)
+    rate = (sa.alpha * hat_a + sb.alpha * hat_b
+            + lambda_c * (mgf_bve(sa.c * hat_a, sb.c * hat_b, cps.common_jump) - 1.0)
+            + sa.lambda_hat * (mgf_bve(sa.d * hat_a, zero, cps.idio_jump) - 1.0)
+            + sb.lambda_hat * (mgf_bve(zero, sb.d * hat_b, cps.idio_jump) - 1.0))
+    dphi = mgf_bve_partials(sa.c * hat_a, sb.c * hat_b, cps.common_jump)
+    own, i, idio = ((sb, 1, (zero, sb.d * hat_b)) if side == "B"
+                    else (sa, 0, (sa.d * hat_a, zero)))
+    dphit = mgf_bve_partials(*idio, cps.idio_jump)[i]
+    rate_pre = exp_phi(own.kappa, own.sigma, s) * (
+        own.alpha + lambda_c * own.c * dphi[i] + own.lambda_hat * own.d * dphit)
+    return np.stack([rate, rate_pre])
+
+
+@dataclass(frozen=True)
 class AffineKernelCoeffs:
-    """Gridded coefficient functions of one kernel side.
+    """Coefficient functions of one kernel side.
 
     The kernel value at lag u is (pre1 + pre_a x_a + pre_b x_b) *
     exp(hat1 + hat_a x_a + hat_b x_b). hat_a/hat_b are non-positive;
     the side's own prefactor starts at 1, the other is identically 0.
     """
 
+    cps: CounterpartyParams
+    lambda_c: float
     side: str
-    u_grid: np.ndarray
-    hat1: np.ndarray
-    hat_a: np.ndarray
-    hat_b: np.ndarray
-    pre1: np.ndarray
-    pre_a: np.ndarray
-    pre_b: np.ndarray
-    _splines: dict = field(default_factory=dict, repr=False)
 
-    @property
-    def u_max(self) -> float:
-        return float(self.u_grid[-1])
+    def coefficients(self, u) -> dict[str, np.ndarray]:
+        """The six coefficients at lags u >= 0, by name."""
 
-    def _spline(self, name: str) -> CubicSpline:
-        if name not in self._splines:
-            self._splines[name] = CubicSpline(self.u_grid, getattr(self, name))
-        return self._splines[name]
+        sa, sb = self.cps.side_a, self.cps.side_b
+        u = np.asarray(u, dtype=float)
+        hat_a = np.asarray(riccati_b(sa.kappa, sa.sigma, u))
+        hat_b = np.asarray(riccati_b(sb.kappa, sb.sigma, u))
+        hat1, pre1 = gauss_legendre_integral(
+            lambda s: _rates(self.cps, self.lambda_c, self.side, s), u)
+        own_side = sb if self.side == "B" else sa
+        own, zero = np.asarray(exp_phi(own_side.kappa, own_side.sigma, u)), np.zeros_like(u)
+        pre_a, pre_b = (zero, own) if self.side == "B" else (own, zero)
+        return dict(hat1=hat1, hat_a=hat_a, hat_b=hat_b,
+                    pre1=pre1, pre_a=pre_a, pre_b=pre_b)
 
     def evaluate(self, u, x_a: float, x_b: float):
-        u = np.asarray(u, dtype=float)
-        if np.any(u < -1e-12) or np.any(u > self.u_max * (1.0 + 1e-12)):
-            raise ValueError(f"u outside the built range [0, {self.u_max}].")
-        u = np.clip(u, 0.0, self.u_max)
-        expo = (self._spline("hat1")(u) + self._spline("hat_a")(u) * x_a
-                + self._spline("hat_b")(u) * x_b)
-        pre = (self._spline("pre1")(u) + self._spline("pre_a")(u) * x_a
-               + self._spline("pre_b")(u) * x_b)
-        out = pre * np.exp(expo)
+        c = self.coefficients(u)
+        out = ((c["pre1"] + c["pre_a"] * x_a + c["pre_b"] * x_b)
+               * np.exp(c["hat1"] + c["hat_a"] * x_a + c["hat_b"] * x_b))
         return float(out) if out.ndim == 0 else out
 
     def survival(self, u, x_a: float, x_b: float):
-        u = np.asarray(u, dtype=float)
-        if np.any(u < -1e-12) or np.any(u > self.u_max * (1.0 + 1e-12)):
-            raise ValueError(f"u outside the built range [0, {self.u_max}].")
-        u = np.clip(u, 0.0, self.u_max)
-        out = np.exp(self._spline("hat1")(u) + self._spline("hat_a")(u) * x_a
-                     + self._spline("hat_b")(u) * x_b)
+        c = self.coefficients(u)
+        out = np.exp(c["hat1"] + c["hat_a"] * x_a + c["hat_b"] * x_b)
         return float(out) if out.ndim == 0 else out
 
 
-def build_kernel_coeffs(cps: CounterpartyParams, lambda_c: float, side: str,
-                        u_max: float, n_grid: int = 4096,
-                        richardson_tol: float = 1e-7) -> AffineKernelCoeffs:
-    """Build the coefficient grids of the H1 (side="B") or H2 (side="A") kernel.
+def build_kernel_coeffs(cps: CounterpartyParams, lambda_c: float,
+                        side: str) -> AffineKernelCoeffs:
+    """Coefficients of the H1 (side="B") or H2 (side="A") kernel.
 
-    The exponent system is closed-form in the Riccati solutions; the two
-    constant terms need cumulative quadrature of smooth MGF combinations
-    and are Richardson-checked against a half-resolution rebuild.
+    The exponent loadings and the own-side prefactor are closed-form
+    Riccati solutions; the two constant terms integrate smooth MGF
+    combinations by :func:`~cdspool.quadrature.gauss_legendre_integral` at
+    each lag asked for.
     """
 
     if side not in ("A", "B"):
         raise ValueError("side must be 'A' (H2) or 'B' (H1).")
-    if not u_max > 0.0:
-        raise ValueError("u_max must be positive.")
-    if n_grid < 64:
-        raise ValueError("n_grid must be at least 64.")
-    if n_grid % 2:
-        n_grid += 1
-
-    fine = _kernel_grids(cps, lambda_c, side, u_max, n_grid)
-    coarse = _kernel_grids(cps, lambda_c, side, u_max, n_grid // 2)
-    err = max(
-        float(np.max(np.abs(fine["hat1"][::2] - coarse["hat1"]))),
-        float(np.max(np.abs(fine["pre1"][::2] - coarse["pre1"]))),
-    )
-    if err > richardson_tol:
-        raise AccuracyError(
-            f"Kernel coefficient quadrature off by {err:.3e} between grid and "
-            f"half grid (tolerance {richardson_tol:g}); increase n_grid.")
-    return AffineKernelCoeffs(side=side, **fine)
-
-
-def _kernel_grids(cps: CounterpartyParams, lambda_c: float, side: str,
-                  u_max: float, n_grid: int) -> dict:
-    sa, sb = cps.side_a, cps.side_b
-    lam = sa.lambda_hat + sb.lambda_hat + lambda_c
-    u = np.linspace(0.0, u_max, n_grid + 1)
-    du = u_max / n_grid
-
-    hat_a = riccati_b(sa.kappa, sa.sigma, u)
-    hat_b = riccati_b(sb.kappa, sb.sigma, u)
-    phi = mgf_bve(sa.c * hat_a, sb.c * hat_b, cps.common_jump)
-    phit_a = mgf_bve(sa.d * hat_a, np.zeros_like(u), cps.idio_jump)
-    phit_b = mgf_bve(np.zeros_like(u), sb.d * hat_b, cps.idio_jump)
-    rate = (sa.alpha * hat_a + sb.alpha * hat_b + lambda_c * phi
-            + sa.lambda_hat * phit_a + sb.lambda_hat * phit_b)
-    hat1 = cumulative_simpson(rate, dx=du, initial=0.0) - lam * u
-
-    dphi_a, dphi_b = mgf_bve_partials(sa.c * hat_a, sb.c * hat_b, cps.common_jump)
-    if side == "B":
-        own = exp_phi(sb.kappa, sb.sigma, u)  # exp(-kappa_B u + sigma_B^2 int hat_b)
-        dphit = mgf_bve_partials(np.zeros_like(u), sb.d * hat_b, cps.idio_jump)[1]
-        rate_pre = own * (sb.alpha + lambda_c * sb.c * dphi_b
-                          + sb.lambda_hat * sb.d * dphit)
-        pre1 = cumulative_simpson(rate_pre, dx=du, initial=0.0)
-        pre_a = np.zeros_like(u)
-        pre_b = own
-    else:
-        own = exp_phi(sa.kappa, sa.sigma, u)
-        dphit = mgf_bve_partials(sa.d * hat_a, np.zeros_like(u), cps.idio_jump)[0]
-        rate_pre = own * (sa.alpha + lambda_c * sa.c * dphi_a
-                          + sa.lambda_hat * sa.d * dphit)
-        pre1 = cumulative_simpson(rate_pre, dx=du, initial=0.0)
-        pre_a = own
-        pre_b = np.zeros_like(u)
-    return dict(u_grid=u, hat1=hat1, hat_a=hat_a, hat_b=hat_b,
-                pre1=pre1, pre_a=pre_a, pre_b=pre_b)
+    return AffineKernelCoeffs(cps=cps, lambda_c=lambda_c, side=side)
 
 
 def h1(u, x_a: float, x_b: float, coeffs: AffineKernelCoeffs):
@@ -193,53 +149,30 @@ def joint_survival_equal(u, x_a: float, x_b: float, coeffs: AffineKernelCoeffs):
     return coeffs.survival(u, x_a, x_b)
 
 
-def kernel_ode_residuals(coeffs: AffineKernelCoeffs, cps: CounterpartyParams,
-                         lambda_c: float) -> dict[str, float]:
-    """Max finite-difference residuals of the gridded coefficients in their
-    defining ODE system (interior nodes, central differences)."""
+def kernel_ode_residuals(coeffs: AffineKernelCoeffs, u_max: float) -> dict[str, float]:
+    """Max finite-difference residuals of the coefficients in their defining
+    ODE system, read on 4096 uniform panels of [0, u_max] (interior nodes,
+    central differences)."""
 
-    sa, sb = cps.side_a, cps.side_b
-    lam = sa.lambda_hat + sb.lambda_hat + lambda_c
-    u = coeffs.u_grid
+    sa, sb = coeffs.cps.side_a, coeffs.cps.side_b
+    u = np.linspace(0.0, u_max, 4097)
+    c = coeffs.coefficients(u)
+    own_side, own_hat = (sb, "hat_b") if coeffs.side == "B" else (sa, "hat_a")
+    c["pre_own"] = c["pre_b"] if coeffs.side == "B" else c["pre_a"]
+    m = {name: y[1:-1] for name, y in c.items()}
+    rate, rate_pre = _rates(coeffs.cps, coeffs.lambda_c, coeffs.side, u[1:-1])
+    slopes = {
+        "hat_a": -sa.kappa * m["hat_a"] + 0.5 * sa.sigma**2 * m["hat_a"]**2 - 1.0,
+        "hat_b": -sb.kappa * m["hat_b"] + 0.5 * sb.sigma**2 * m["hat_b"]**2 - 1.0,
+        "hat1": rate,
+        "pre_own": (-own_side.kappa * m["pre_own"]
+                    + own_side.sigma**2 * m["pre_own"] * m[own_hat]),
+        "pre1": rate_pre,
+    }
     du = u[1] - u[0]
-    mid = slice(1, -1)
-
-    def ddu(y):
-        return (y[2:] - y[:-2]) / (2.0 * du)
-
-    hat_a, hat_b = coeffs.hat_a, coeffs.hat_b
-    res = {}
-    res["hat_a"] = float(np.max(np.abs(
-        ddu(hat_a) - (-sa.kappa * hat_a[mid] + 0.5 * sa.sigma**2 * hat_a[mid]**2 - 1.0))))
-    res["hat_b"] = float(np.max(np.abs(
-        ddu(hat_b) - (-sb.kappa * hat_b[mid] + 0.5 * sb.sigma**2 * hat_b[mid]**2 - 1.0))))
-    phi = mgf_bve(sa.c * hat_a[mid], sb.c * hat_b[mid], cps.common_jump)
-    phit_a = mgf_bve(sa.d * hat_a[mid], np.zeros(len(u) - 2), cps.idio_jump)
-    phit_b = mgf_bve(np.zeros(len(u) - 2), sb.d * hat_b[mid], cps.idio_jump)
-    rate = (sa.alpha * hat_a[mid] + sb.alpha * hat_b[mid] + lambda_c * phi
-            + sa.lambda_hat * phit_a + sb.lambda_hat * phit_b) - lam
-    res["hat1"] = float(np.max(np.abs(ddu(coeffs.hat1) - rate)))
-
-    own_side = sb if coeffs.side == "B" else sa
-    own = coeffs.pre_b if coeffs.side == "B" else coeffs.pre_a
-    own_hat = hat_b if coeffs.side == "B" else hat_a
-    res["pre_own"] = float(np.max(np.abs(
-        ddu(own) - (-own_side.kappa * own[mid]
-                    + own_side.sigma**2 * own[mid] * own_hat[mid]))))
-    dphi_a, dphi_b = mgf_bve_partials(sa.c * hat_a[mid], sb.c * hat_b[mid],
-                                      cps.common_jump)
-    if coeffs.side == "B":
-        dphit = mgf_bve_partials(np.zeros(len(u) - 2), sb.d * hat_b[mid],
-                                 cps.idio_jump)[1]
-        rate_pre = own[mid] * (sb.alpha + lambda_c * sb.c * dphi_b
-                               + sb.lambda_hat * sb.d * dphit)
-    else:
-        dphit = mgf_bve_partials(sa.d * hat_a[mid], np.zeros(len(u) - 2),
-                                 cps.idio_jump)[0]
-        rate_pre = own[mid] * (sa.alpha + lambda_c * sa.c * dphi_a
-                               + sa.lambda_hat * sa.d * dphit)
-    res["pre1"] = float(np.max(np.abs(ddu(coeffs.pre1) - rate_pre)))
-    return res
+    return {name: float(np.max(np.abs((c[name][2:] - c[name][:-2]) / (2.0 * du)
+                                      - slope)))
+            for name, slope in slopes.items()}
 
 
 @dataclass(frozen=True)
@@ -274,8 +207,7 @@ def _sign_segments(f, a: float, b: float, n_scan: int = 256):
 
 
 def bcva(t: float, maturity: float, cfg: LimitConfig, cps: CounterpartyParams,
-         x_a: float | None = None, x_b: float | None = None, k: int = 1,
-         n_grid: int = 4096) -> BcvaResult:
+         x_a: float | None = None, x_b: float | None = None, k: int = 1) -> BcvaResult:
     """Semi-closed bilateral CVA of the large-pool CDS book at time t.
 
     The CVA term discounts the positive part of the limit exposure against
@@ -294,8 +226,7 @@ def bcva(t: float, maturity: float, cfg: LimitConfig, cps: CounterpartyParams,
         x_a = cps.side_a.xi0
     if x_b is None:
         x_b = cps.side_b.xi0
-    span = maturity - t
-    if span == 0.0:
+    if t == maturity:
         return BcvaResult(bcva=0.0, cva=0.0, dva=0.0, k=k, t=t, maturity=maturity)
 
     def eps(s):
@@ -312,7 +243,7 @@ def bcva(t: float, maturity: float, cfg: LimitConfig, cps: CounterpartyParams,
             return 0.0
         s = np.concatenate([x for x, _ in rules])
         w = np.concatenate([w for _, w in rules])
-        coeffs = build_kernel_coeffs(cps, cfg.lambda_c, side, span, n_grid)
+        coeffs = build_kernel_coeffs(cps, cfg.lambda_c, side)
         f = (np.exp(-cfg.r * (s - t)) * np.maximum(sign * eps(s), 0.0)
              * survival_fhat(t, s, cfg) * coeffs.evaluate(s - t, x_a, x_b))
         return float(np.sum(w * f))
@@ -344,15 +275,12 @@ def _apply_sweep(parameter: str, value: float, cfg: LimitConfig,
         return replace(cfg, c=value), cps
     if parameter == "lambda_c":
         return replace(cfg, lambda_c=value), cps
-    if parameter == "sigma_b":
-        return cfg, replace(cps, side_b=replace(cps.side_b, sigma=value))
-    raise ValueError(f"Unknown sweep parameter {parameter!r}; "
-                     f"expected one of {SWEEP_PARAMETERS}.")
+    return cfg, replace(cps, side_b=replace(cps.side_b, sigma=value))
 
 
 def sensitivity_sweep(parameter: str, values: Sequence[float], cfg: LimitConfig,
                       cps: CounterpartyParams, t: float = 0.0, maturity: float = 3.0,
-                      k: int = 1, workers: int = 1, n_grid: int = 4096) -> SweepResult:
+                      k: int = 1, workers: int = 1) -> SweepResult:
     """Recompute the bilateral adjustment across a parameter grid.
 
     Supported parameters: sigma_star, sigma_b, lambda_c, c_star. Sweep
@@ -360,11 +288,14 @@ def sensitivity_sweep(parameter: str, values: Sequence[float], cfg: LimitConfig,
     are assembled in grid order.
     """
 
+    if parameter not in SWEEP_PARAMETERS:
+        raise ConfigError(f"Unknown sweep parameter {parameter!r}; "
+                          f"expected one of {SWEEP_PARAMETERS}.")
     values = np.asarray(list(values), dtype=float)
 
     def point(v: float) -> BcvaResult:
         cfg_v, cps_v = _apply_sweep(parameter, v, cfg, cps)
-        return bcva(t, maturity, cfg_v, cps_v, k=k, n_grid=n_grid)
+        return bcva(t, maturity, cfg_v, cps_v, k=k)
 
     if workers > 1 and len(values) > 1:
         from concurrent.futures import ThreadPoolExecutor

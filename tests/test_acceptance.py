@@ -192,8 +192,8 @@ def test_criterion_4_counterparty_kernels():
     lam_c = 0.25
     x_a = x_b = 0.2
     u = np.array([0.5, 1.0, 2.0])
-    cb = build_kernel_coeffs(cps, lam_c, "B", 2.0)
-    ca = build_kernel_coeffs(cps, lam_c, "A", 2.0)
+    cb = build_kernel_coeffs(cps, lam_c, "B")
+    ca = build_kernel_coeffs(cps, lam_c, "A")
 
     worst_z, worst_rel = 0.0, 0.0
     # h1 and h2 read from one simulation of the pair
@@ -206,8 +206,7 @@ def test_criterion_4_counterparty_kernels():
 
     worst_res = 0.0
     for coeffs in (cb, ca):
-        worst_res = max(worst_res, max(kernel_ode_residuals(coeffs, cps,
-                                                            lam_c).values()))
+        worst_res = max(worst_res, max(kernel_ode_residuals(coeffs, 2.0).values()))
 
     elapsed = time.perf_counter() - t0
     ok = worst_z <= 3.0 and worst_rel <= 0.02 and worst_res <= 1e-5 and elapsed < 300

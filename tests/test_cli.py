@@ -5,9 +5,10 @@ from pathlib import Path
 
 import pytest
 
+from cdspool import harness
 from cdspool.cli import (EXIT_ACCURACY, EXIT_CONFIG, EXIT_OK, EXIT_VALIDATION,
                          build_spec, main, parse_config)
-from cdspool.errors import ConfigError
+from cdspool.errors import AccuracyError, ConfigError
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -113,11 +114,18 @@ def test_config_error_exit_codes(tmp_path, capsys):
                     "--seed", "1", "--out", tmp_path]) == EXIT_CONFIG
 
 
+# the experiment and config that read the key under test
+BAD_INPUT_RUNS = {"experiment.sweep": ("bcva-sweep", "fig2"),
+                  "experiment.repeats": ("measure-convergence", "measure")}
+
+
 @pytest.mark.parametrize("override", ["experiment.horizon=nan", "experiment.horizon=inf",
                                       "experiment.horizon=-1", "experiment.dt=0",
-                                      "experiment.k_values=0"])
+                                      "experiment.k_values=0", "experiment.sweep=kappa_star",
+                                      "experiment.repeats=0", "experiment.repeats=-2"])
 def test_bad_experiment_input_is_a_config_error(tmp_path, capsys, override):
-    code = run_cli(["--experiment", "convergence", "--config", CONFIGS / "fig1-c.cfg",
+    kind, config = BAD_INPUT_RUNS.get(override.split("=")[0], ("convergence", "fig1-c"))
+    code = run_cli(["--experiment", kind, "--config", CONFIGS / f"{config}.cfg",
                     "--seed", "1", "--set", override, "--out", tmp_path])
     assert code == EXIT_CONFIG
     lines = capsys.readouterr().err.splitlines()
@@ -158,9 +166,13 @@ def test_validate_passes_and_perturbation_fails(tmp_path, capsys):
     assert manifest["validation"]["failures"] == ["mgf_bve_partials_vs_fd"]
 
 
-def test_accuracy_error_exit_code(tmp_path, capsys):
+def test_accuracy_error_exit_code(tmp_path, capsys, monkeypatch):
+    # no shipped input trips a numerical guard, so the sweep raises one
+    def inaccurate(spec):
+        raise AccuracyError("quadrature did not converge")
+
+    monkeypatch.setattr(harness, "run_bcva_sweeps", inaccurate)
     code = run_cli(["--experiment", "bcva-sweep", "--config", CONFIGS / "fig2.cfg",
-                    "--set", "experiment.kernel_grid=64",
                     "--set", "experiment.sweep_values=0.3", "--out", tmp_path])
     assert code == EXIT_ACCURACY
     err = json.loads(capsys.readouterr().err.strip())

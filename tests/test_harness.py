@@ -85,8 +85,7 @@ def test_run_bcva_sweeps():
                       seed=None, sweep="sigma_star", sweep_values=(0.2, 0.4),
                       limit=small_limit(c=0.1, d=0.1, lambda_c=0.1, alpha=0.01,
                                         sigma=0.3, kappa=0.5, x0=0.02, gamma1=2.0,
-                                        gamma2=2.0, lambda_hat=0.2),
-                      kernel_grid=2048)
+                                        gamma2=2.0, lambda_hat=0.2))
     tables = run_bcva_sweeps(spec)
     assert tables[0].label == "bcva-sigma_star"
     assert list(tables[0].columns) == ["cva", "dva", "bcva"]

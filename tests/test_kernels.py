@@ -4,16 +4,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_simpson
 
 from cdspool import kernels
-from cdspool.cli import build_spec, parse_config
-from cdspool.errors import AccuracyError
+from cdspool.cli import EXIT_OK, build_spec, main, parse_config
 from cdspool.exposure import LimitConfig, exposure_limit, survival_fhat
-from cdspool.jumps import BveParams
+from cdspool.jumps import BveParams, mgf_bve, mgf_bve_partials
 from cdspool.kernels import (bcva, build_kernel_coeffs, h1, h2, joint_survival_equal,
                              kernel_ode_residuals, sensitivity_sweep)
 from cdspool.quadrature import simpson_adaptive
-from cdspool.riccati import integral_b, riccati_b
+from cdspool.riccati import exp_phi, integral_b, riccati_b
 from cdspool.simulation import CounterpartyParams, CounterpartySide
 
 
@@ -40,14 +40,18 @@ LAMBDA_C = 0.25
 
 def test_initial_conditions():
     cps = make_cps()
-    cb = build_kernel_coeffs(cps, LAMBDA_C, "B", 2.0)
-    ca = build_kernel_coeffs(cps, LAMBDA_C, "A", 2.0)
+    cb = build_kernel_coeffs(cps, LAMBDA_C, "B")
+    ca = build_kernel_coeffs(cps, LAMBDA_C, "A")
     for coeffs in (cb, ca):
-        assert coeffs.hat1[0] == 0.0
-        assert coeffs.hat_a[0] == 0.0 and coeffs.hat_b[0] == 0.0
-        assert coeffs.pre1[0] == 0.0
-    assert cb.pre_b[0] == 1.0 and np.all(cb.pre_a == 0.0)
-    assert ca.pre_a[0] == 1.0 and np.all(ca.pre_b == 0.0)
+        at0 = coeffs.coefficients(0.0)
+        assert at0["hat1"] == 0.0
+        assert at0["hat_a"] == 0.0 and at0["hat_b"] == 0.0
+        assert at0["pre1"] == 0.0
+    u = np.linspace(0.0, 2.0, 41)
+    assert cb.coefficients(0.0)["pre_b"] == 1.0
+    assert np.all(cb.coefficients(u)["pre_a"] == 0.0)
+    assert ca.coefficients(0.0)["pre_a"] == 1.0
+    assert np.all(ca.coefficients(u)["pre_b"] == 0.0)
     assert h1(0.0, 0.7, 0.4, cb) == pytest.approx(0.4, abs=1e-14)
     assert h2(0.0, 0.7, 0.4, ca) == pytest.approx(0.7, abs=1e-14)
     assert joint_survival_equal(0.0, 0.7, 0.4, cb) == pytest.approx(1.0, abs=1e-14)
@@ -59,23 +63,25 @@ def test_jump_free_exponent_is_two_factor_transform():
     side_b = CounterpartySide(alpha=0.25, kappa=0.9, sigma=0.2, c=0.0, d=0.0,
                               lambda_hat=0.0, xi0=0.3)
     cps = make_cps(side_a=side_a, side_b=side_b)
-    coeffs = build_kernel_coeffs(cps, 0.0, "B", 2.0)
-    expected = (side_a.alpha * integral_b(side_a.kappa, side_a.sigma, coeffs.u_grid)
-                + side_b.alpha * integral_b(side_b.kappa, side_b.sigma, coeffs.u_grid))
-    np.testing.assert_allclose(coeffs.hat1, expected, atol=1e-9)
+    coeffs = build_kernel_coeffs(cps, 0.0, "B")
+    u = np.linspace(0.0, 2.0, 41)
+    expected = (side_a.alpha * integral_b(side_a.kappa, side_a.sigma, u)
+                + side_b.alpha * integral_b(side_b.kappa, side_b.sigma, u))
+    np.testing.assert_allclose(coeffs.coefficients(u)["hat1"], expected, atol=1e-9)
     # jump sizes off but clocks on: the compensator cancels the size-one MGFs
     coeffs2 = build_kernel_coeffs(make_cps(side_a=side_a,
                                            side_b=CounterpartySide(
                                                alpha=0.25, kappa=0.9, sigma=0.2,
                                                c=0.0, d=0.0, lambda_hat=0.7, xi0=0.3)),
-                                  1.3, "B", 2.0)
-    np.testing.assert_allclose(coeffs2.hat1, expected, atol=1e-9)
+                                  1.3, "B")
+    np.testing.assert_allclose(coeffs2.coefficients(u)["hat1"], expected, atol=1e-9)
 
 
 def test_symmetry_between_sides():
     cps = make_cps()
-    cb = build_kernel_coeffs(cps, LAMBDA_C, "B", 2.0)
-    np.testing.assert_allclose(cb.hat_a, cb.hat_b, rtol=1e-14)
+    cb = build_kernel_coeffs(cps, LAMBDA_C, "B")
+    at = cb.coefficients(np.linspace(0.0, 2.0, 41))
+    np.testing.assert_allclose(at["hat_a"], at["hat_b"], rtol=1e-14)
     # swapping the sides and the states maps one kernel onto the other
     asym = make_cps(side_b=CounterpartySide(alpha=0.2, kappa=0.9, sigma=0.25,
                                             c=0.1, d=0.4, lambda_hat=0.6, xi0=0.35))
@@ -86,8 +92,8 @@ def test_symmetry_between_sides():
                                  idio_jump=BveParams(asym.idio_jump.gamma_b,
                                                      asym.idio_jump.gamma_a,
                                                      asym.idio_jump.gamma_ab))
-    cb_asym = build_kernel_coeffs(asym, LAMBDA_C, "B", 2.0)
-    ca_swap = build_kernel_coeffs(swapped, LAMBDA_C, "A", 2.0)
+    cb_asym = build_kernel_coeffs(asym, LAMBDA_C, "B")
+    ca_swap = build_kernel_coeffs(swapped, LAMBDA_C, "A")
     u = np.linspace(0.0, 2.0, 41)
     np.testing.assert_allclose(h1(u, 0.2, 0.35, cb_asym),
                                h2(u, 0.35, 0.2, ca_swap), rtol=1e-12)
@@ -96,15 +102,91 @@ def test_symmetry_between_sides():
 def test_ode_residuals_small():
     cps = make_cps()
     for side in ("A", "B"):
-        coeffs = build_kernel_coeffs(cps, LAMBDA_C, side, 3.0)
-        res = kernel_ode_residuals(coeffs, cps, LAMBDA_C)
+        coeffs = build_kernel_coeffs(cps, LAMBDA_C, side)
+        res = kernel_ode_residuals(coeffs, 3.0)
         assert max(res.values()) < 1e-5
+
+
+def simpson_reference_kernel(cps, lambda_c, side, u, x_a, x_b):
+    """The two constant terms and the kernel value on a uniform grid u
+    starting at 0, with both constant terms integrated by cumulative
+    Simpson."""
+
+    sa, sb = cps.side_a, cps.side_b
+    hat_a = riccati_b(sa.kappa, sa.sigma, u)
+    hat_b = riccati_b(sb.kappa, sb.sigma, u)
+    zero = np.zeros_like(u)
+    rate = (sa.alpha * hat_a + sb.alpha * hat_b
+            + lambda_c * mgf_bve(sa.c * hat_a, sb.c * hat_b, cps.common_jump)
+            + sa.lambda_hat * mgf_bve(sa.d * hat_a, zero, cps.idio_jump)
+            + sb.lambda_hat * mgf_bve(zero, sb.d * hat_b, cps.idio_jump))
+    lam = sa.lambda_hat + sb.lambda_hat + lambda_c
+    hat1 = cumulative_simpson(rate, x=u, initial=0.0) - lam * u
+    own_side, i = (sb, 1) if side == "B" else (sa, 0)
+    own = exp_phi(own_side.kappa, own_side.sigma, u)
+    dphi = mgf_bve_partials(sa.c * hat_a, sb.c * hat_b, cps.common_jump)[i]
+    idio = (zero, sb.d * hat_b) if side == "B" else (sa.d * hat_a, zero)
+    dphit = mgf_bve_partials(*idio, cps.idio_jump)[i]
+    pre1 = cumulative_simpson(own * (own_side.alpha + lambda_c * own_side.c * dphi
+                                     + own_side.lambda_hat * own_side.d * dphit),
+                              x=u, initial=0.0)
+    x_own = x_b if side == "B" else x_a
+    return hat1, pre1, (pre1 + own * x_own) * np.exp(hat1 + hat_a * x_a + hat_b * x_b)
+
+
+ASYM_CPS = make_cps(side_b=CounterpartySide(alpha=0.2, kappa=0.9, sigma=0.25, c=0.1,
+                                            d=0.4, lambda_hat=0.6, xi0=0.35),
+                    common_jump=BveParams(1.2, 1.5, 0.6),
+                    idio_jump=BveParams(1.5, 0.8, 0.3))
+
+
+@pytest.mark.parametrize("lambda_c", [0.0, 0.1, 3.0])
+@pytest.mark.parametrize("side", ["A", "B"])
+def test_kernel_matches_cumulative_simpson_reference(side, lambda_c):
+    # 2^18 Simpson panels on [0, 25]; the sampled lags lie on that grid and
+    # straddle the 10- and 20-year edges of the Gauss-Legendre panels. The
+    # kernel has decayed where a ten-year panel errs most, so the constant
+    # terms are checked on their own too (for this pair a ten-year panel
+    # errs by up to 7.3e-10 on them, a 25-year one by 5e-7)
+    n = 1 << 18
+    u = np.linspace(0.0, 25.0, n + 1)
+    idx = np.array([0, 1, 7, 5243, 20972, 104857, 104858, 157286, 209715, 209716,
+                    236000, n])
+    hat1, pre1, value = (x[idx] for x in simpson_reference_kernel(
+        ASYM_CPS, lambda_c, side, u, 0.2, 0.35))
+    coeffs = build_kernel_coeffs(ASYM_CPS, lambda_c, side)
+    at = coeffs.coefficients(u[idx])
+    assert np.max(np.abs(at["hat1"] - hat1)) <= 2e-9
+    assert np.max(np.abs(at["pre1"] - pre1)) <= 2e-9
+    assert np.max(np.abs(coeffs.evaluate(u[idx], 0.2, 0.35) - value)) <= 1e-13
+
+
+def test_kernel_vector_call_equals_scalar_calls():
+    u = np.array([0.0, 1e-3, 0.7, 9.999, 10.0, 10.001, 17.3, 20.0, 24.9])
+    for side in ("A", "B"):
+        coeffs = build_kernel_coeffs(ASYM_CPS, 0.1, side)
+        for f in (coeffs.evaluate, coeffs.survival):
+            vector = f(u, 0.2, 0.35)
+            assert np.array_equal(vector, [f(x, 0.2, 0.35) for x in u])
+
+
+def test_fig4_point_prices_at_a_100_year_horizon(tmp_path, capsys):
+    # a horizon of ten Gauss-Legendre panels needs no grid or guard setting
+    code = main(["--experiment", "bcva-sweep", "--config",
+                 str(Path(__file__).resolve().parents[1] / "configs" / "fig4.cfg"),
+                 "--set", "experiment.horizon=100", "--set", "experiment.sweep_values=0.5",
+                 "--out", str(tmp_path)])
+    assert code == EXIT_OK, capsys.readouterr().err
+    rows = (tmp_path / "curve-bcva-lambda_c.csv").read_text().splitlines()
+    assert len(rows) == 2
+    values = [float(x) for x in rows[1].split(",")]
+    assert all(math.isfinite(x) for x in values) and values[2] > 0.0  # dva
 
 
 def test_h1_matches_mc_oracle():
     # frozen oracle: 5e4 counterparty paths, dt 1e-3, seed 909 at u = 1:
     # 0.23569471 +- 3.677e-04
-    coeffs = build_kernel_coeffs(make_cps(), LAMBDA_C, "B", 1.5)
+    coeffs = build_kernel_coeffs(make_cps(), LAMBDA_C, "B")
     closed = h1(1.0, 0.2, 0.2, coeffs)
     assert abs(closed - 0.23569471) < 3 * 3.677e-4
     assert abs(closed - 0.23569471) / 0.23569471 < 0.02
@@ -112,13 +194,13 @@ def test_h1_matches_mc_oracle():
 
 def test_h2_matches_mc_oracle():
     # frozen oracle, same seed, side A weight: 0.23615590 +- 3.706e-04
-    coeffs = build_kernel_coeffs(make_cps(), LAMBDA_C, "A", 1.5)
+    coeffs = build_kernel_coeffs(make_cps(), LAMBDA_C, "A")
     assert abs(h2(1.0, 0.2, 0.2, coeffs) - 0.23615590) < 3 * 3.706e-4
 
 
 def test_joint_survival_matches_mc_oracle():
     # frozen oracle: 0.48547509 +- 3.759e-04
-    coeffs = build_kernel_coeffs(make_cps(), LAMBDA_C, "B", 2.5)
+    coeffs = build_kernel_coeffs(make_cps(), LAMBDA_C, "B")
     closed = joint_survival_equal(1.0, 0.2, 0.2, coeffs)
     assert abs(closed - 0.48547509) < 3 * 3.759e-4
     u = np.linspace(0.0, 2.5, 26)
@@ -131,7 +213,7 @@ def test_joint_survival_factorizes_without_jumps():
                               lambda_hat=0.0, xi0=0.2)
     side_b = CounterpartySide(alpha=0.25, kappa=0.9, sigma=0.2, c=0.0, d=0.0,
                               lambda_hat=0.0, xi0=0.3)
-    coeffs = build_kernel_coeffs(make_cps(side_a=side_a, side_b=side_b), 0.0, "B", 2.0)
+    coeffs = build_kernel_coeffs(make_cps(side_a=side_a, side_b=side_b), 0.0, "B")
     u, x_a, x_b = 1.3, 0.2, 0.3
 
     def transform(side, x):
@@ -143,7 +225,7 @@ def test_joint_survival_factorizes_without_jumps():
 
 
 def test_joint_survival_below_single_side_survivals():
-    coeffs = build_kernel_coeffs(make_cps(), LAMBDA_C, "B", 2.0)
+    coeffs = build_kernel_coeffs(make_cps(), LAMBDA_C, "B")
     u = np.linspace(0.0, 2.0, 21)
     joint = joint_survival_equal(u, 0.4, 0.7, coeffs)
     assert np.all(joint <= joint_survival_equal(u, 0.4, 0.0, coeffs) + 1e-15)
@@ -152,14 +234,14 @@ def test_joint_survival_below_single_side_survivals():
 
 def test_kernels_nonnegative_and_bounded_domain():
     cps = make_cps()
-    coeffs = build_kernel_coeffs(cps, LAMBDA_C, "B", 2.0)
+    coeffs = build_kernel_coeffs(cps, LAMBDA_C, "B")
     u = np.linspace(0.0, 2.0, 81)
     assert np.all(h1(u, 0.0, 0.0, coeffs) >= 0.0)
     assert np.all(h1(u, 0.5, 1.2, coeffs) >= 0.0)
     with pytest.raises(ValueError):
-        h1(2.5, 0.2, 0.2, coeffs)
+        h1(-0.1, 0.2, 0.2, coeffs)
     with pytest.raises(ValueError):
-        h1(1.0, 0.2, 0.2, build_kernel_coeffs(cps, LAMBDA_C, "A", 2.0))
+        h1(1.0, 0.2, 0.2, build_kernel_coeffs(cps, LAMBDA_C, "A"))
 
 
 def test_default_density_integrates_below_one():
@@ -168,18 +250,13 @@ def test_default_density_integrates_below_one():
     cps = make_cps()
     cfg = make_cfg(lambda_c=LAMBDA_C)
     u_max = 50.0 / cps.side_b.kappa
-    coeffs = build_kernel_coeffs(cps, LAMBDA_C, "B", u_max, 8192)
+    coeffs = build_kernel_coeffs(cps, LAMBDA_C, "B")
 
     def integrand(s):
         return survival_fhat(0.0, s, cfg) * coeffs.evaluate(s, 0.2, 0.2)
 
     total = simpson_adaptive(integrand, 0.0, u_max, rel_tol=1e-7)
     assert 0.0 < total <= 1.0
-
-
-def test_accuracy_error_on_coarse_grid():
-    with pytest.raises(AccuracyError):
-        build_kernel_coeffs(make_cps(), LAMBDA_C, "B", 3.0, n_grid=64)
 
 
 def test_bcva_zero_at_maturity():
@@ -208,8 +285,8 @@ def test_bcva_handles_sign_change_in_exposure():
     res = bcva(0.0, 3.0, cfg, cps)
     assert res.cva > 0.0 and res.dva > 0.0
 
-    coeffs_b = build_kernel_coeffs(cps, cfg.lambda_c, "B", 3.0)
-    coeffs_a = build_kernel_coeffs(cps, cfg.lambda_c, "A", 3.0)
+    coeffs_b = build_kernel_coeffs(cps, cfg.lambda_c, "B")
+    coeffs_a = build_kernel_coeffs(cps, cfg.lambda_c, "A")
     s = np.linspace(0.0, 3.0, 30_001)
     eps = np.array([exposure_limit(si, 3.0, cfg) for si in np.linspace(0, 3, 601)])
     eps_dense = np.interp(s, np.linspace(0, 3, 601), eps)
@@ -226,15 +303,15 @@ def fig4_point(lambda_c):
     mapping = parse_config((Path(__file__).resolve().parents[1] / "configs"
                             / "fig4.cfg").read_text())
     spec = build_spec(mapping, "bcva-sweep", None, 1, None)
-    return replace(spec.limit, lambda_c=lambda_c), spec.cps, spec.horizon, spec.kernel_grid
+    return replace(spec.limit, lambda_c=lambda_c), spec.cps, spec.horizon
 
 
 @pytest.mark.parametrize("lambda_c", [1.0, 3.0])
 def test_bcva_matches_tight_simpson_reference(lambda_c):
     # both fig4 points change sign inside (0, T); the reference integrates
     # the same sign segments by Simpson doubling to rel_tol 1e-11
-    cfg, cps, maturity, n_grid = fig4_point(lambda_c)
-    res = bcva(0.0, maturity, cfg, cps, n_grid=n_grid)
+    cfg, cps, maturity = fig4_point(lambda_c)
+    res = bcva(0.0, maturity, cfg, cps)
 
     def eps(s):
         return exposure_limit(s, maturity, cfg)
@@ -243,7 +320,7 @@ def test_bcva_matches_tight_simpson_reference(lambda_c):
     assert len(cuts) == 3
     ref = {}
     for side, sign in (("B", 1.0), ("A", -1.0)):
-        coeffs = build_kernel_coeffs(cps, cfg.lambda_c, side, maturity, n_grid)
+        coeffs = build_kernel_coeffs(cps, cfg.lambda_c, side)
 
         def integrand(s):
             return (np.exp(-cfg.r * s) * np.maximum(sign * eps(s), 0.0)
@@ -269,8 +346,8 @@ def test_bcva_builds_only_the_kernel_sides_it_needs(monkeypatch, lambda_c, sides
         return original(cps, lam, side, *args, **kwargs)
 
     monkeypatch.setattr(kernels, "build_kernel_coeffs", counting)
-    cfg, cps, maturity, n_grid = fig4_point(lambda_c)
-    res = bcva(0.0, maturity, cfg, cps, n_grid=n_grid)
+    cfg, cps, maturity = fig4_point(lambda_c)
+    res = bcva(0.0, maturity, cfg, cps)
     assert built == sides
     assert (res.dva > 0.0) == ("A" in sides)
 
