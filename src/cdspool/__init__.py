@@ -18,9 +18,8 @@ from .jumps import BveParams, mgf_bve, mgf_bve_partials, mgf_exp, sample_bve
 from .kernels import (AffineKernelCoeffs, BcvaResult, SweepResult, bcva,
                       build_kernel_coeffs, h1, h2, joint_survival_equal,
                       kernel_ode_residuals, sensitivity_sweep)
-from .riccati import (integral_b, integral_beta, integral_beta_general, riccati_b,
-                      riccati_beta, riccati_beta_general, riccati_rhs, rk4_solve,
-                      varpi)
+from .riccati import (integral_b, integral_beta, riccati_b, riccati_beta,
+                      riccati_beta_general, riccati_rhs, rk4_solve, varpi)
 from .simulation import (CounterpartyParams, CounterpartySide, NameParams, PathSet,
                          mc_exposure, mc_kernel_oracles, mc_limit_transform,
                          sample_defaults, simulate_paths)
@@ -29,7 +28,7 @@ __all__ = [
     "__version__",
     "AccuracyError", "ConfigError",
     "varpi", "riccati_b", "integral_b", "riccati_beta", "integral_beta",
-    "riccati_beta_general", "integral_beta_general", "riccati_rhs", "rk4_solve",
+    "riccati_beta_general", "riccati_rhs", "rk4_solve",
     "BveParams", "mgf_exp", "mgf_bve", "mgf_bve_partials", "sample_bve",
     "NameParams", "CounterpartySide", "CounterpartyParams", "PathSet",
     "simulate_paths", "sample_defaults", "mc_exposure", "mc_kernel_oracles",

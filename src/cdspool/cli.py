@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .errors import AccuracyError, ConfigError
@@ -43,9 +44,8 @@ _STR = "str"
 _INT_LIST = "int_list"
 _FLOAT_LIST = "float_list"
 
-_LIMIT_FIELDS = ("alpha", "kappa", "sigma", "c", "d", "lambda_hat", "x0",
-                 "gamma1", "gamma2", "lambda_c", "s_z", "l_z", "r")
-_CP_SIDE_FIELDS = ("alpha", "kappa", "sigma", "c", "d", "lambda_hat", "xi0")
+_LIMIT_FIELDS = tuple(f.name for f in fields(LimitConfig))
+_CP_SIDE_FIELDS = tuple(f.name for f in fields(CounterpartySide))
 
 KNOWN_KEYS: dict[str, str] = {}
 KNOWN_KEYS.update({f"limit.{f}": _FLOAT for f in _LIMIT_FIELDS})

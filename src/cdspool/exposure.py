@@ -186,26 +186,27 @@ def limit_measure_mass(t: float, atoms: MeasureAtoms) -> float:
     return total
 
 
-def limit_exp_test(theta: float, t: float, cfg: LimitConfig) -> float:
-    """Limit-measure integral of the test function exp(theta x) at time t.
+def limit_exp_test(theta: float, t, cfg: LimitConfig):
+    """Limit-measure integral of the test function exp(theta x) at time(s) t.
 
-    Swaps the zero-initial Riccati solution for the one started at theta
-    (theta = 0 recovers the surviving mass): exp(alpha Ibeta + beta(t) x0)
-    times the exponential-mark averages at Ibeta.
+    Swaps the zero-initial Riccati solution for the one started at theta:
+    exp(alpha Ibeta + beta(t) x0) times the exponential-mark averages at
+    Ibeta. theta = 0 is the surviving mass, :func:`survival_fhat`.
+    Broadcasts over t; a vector call equals the scalar calls bit for bit.
     """
 
     if theta > 0.0:
         raise ValueError("theta must be <= 0.")
-    if t < 0.0:
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0.0):
         raise ValueError("t must be non-negative.")
     if theta == 0.0:
-        bt = riccati_b(cfg.kappa, cfg.sigma, t)
-        ib = integral_b(cfg.kappa, cfg.sigma, t)
-    else:
-        bt = riccati_beta(cfg.kappa, cfg.sigma, theta, t)
-        ib = integral_beta(cfg.kappa, cfg.sigma, theta, t)
-    return float(np.exp(cfg.alpha * ib + bt * cfg.x0) * _mark_factors(
-        ib, cfg.c * cfg.lambda_c, cfg.d * cfg.lambda_hat, cfg.gamma1, cfg.gamma2))
+        return survival_fhat(0.0, t, cfg)
+    bt = riccati_beta(cfg.kappa, cfg.sigma, theta, t)
+    ib = integral_beta(cfg.kappa, cfg.sigma, theta, t)
+    out = np.exp(cfg.alpha * ib + bt * cfg.x0) * _mark_factors(
+        ib, cfg.c * cfg.lambda_c, cfg.d * cfg.lambda_hat, cfg.gamma1, cfg.gamma2)
+    return float(out) if out.ndim == 0 else out
 
 
 def empirical_measure_eval(pathset: PathSet, f_spec, t: float) -> tuple[float, float]:

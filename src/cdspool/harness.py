@@ -13,10 +13,9 @@ import hashlib
 import json
 import math
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -29,7 +28,7 @@ from .jumps import BveParams, mgf_bve, mgf_bve_partials, mgf_exp, sample_bve
 from .quadrature import composite_simpson
 from .riccati import (exp_phi, integral_b, integral_beta, riccati_b, riccati_beta,
                       riccati_beta_general, riccati_rhs, rk4_solve)
-from .simulation import (CounterpartyParams, CounterpartySide, mc_exposure,
+from .simulation import (CounterpartyParams, CounterpartySide, map_ordered, mc_exposure,
                          mc_kernel_oracles, mc_limit_transform, simulate_paths)
 
 __all__ = [
@@ -163,15 +162,6 @@ def grid_for_samples(horizon: float, n_times: int, dt_target: float | None):
     return dt, times
 
 
-def _map_ordered(fn: Callable, items: Sequence, workers: int) -> list:
-    """Apply fn to items, optionally on a thread pool; results in item order."""
-
-    if workers > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
-
-
 # ---------------------------------------------------------------------------
 # experiments
 # ---------------------------------------------------------------------------
@@ -190,9 +180,8 @@ def run_convergence(spec: ExperimentSpec) -> list[CurveTable]:
         ps = simulate_paths(names, None, lambda_c=cfg.lambda_c, gamma1=cfg.gamma1,
                             gamma2=cfg.gamma2, horizon=spec.horizon,
                             n_paths=spec.n_paths, seed=spec.seed, dt=dt,
-                            sample_times=times, workers=spec.workers,
-                            record_integrated=False)
-        pairs = _map_ordered(
+                            sample_times=times, workers=spec.workers)
+        pairs = map_ordered(
             lambda t: mc_exposure(ps, names, float(t), spec.horizon, cfg.r),
             list(times), spec.workers)
         mc = np.array([p[0] for p in pairs])
@@ -216,8 +205,8 @@ def run_measure_convergence(spec: ExperimentSpec) -> list[CurveTable]:
     cfg = spec.limit
     theta = -1.0
     dt, times = grid_for_samples(spec.horizon, spec.n_times, spec.dt)
-    lim_mass = np.array([survival_fhat(0.0, t, cfg) for t in times])
-    lim_exp = np.array([limit_exp_test(theta, t, cfg) for t in times])
+    lim_mass = survival_fhat(0.0, times, cfg)
+    lim_exp = limit_exp_test(theta, times, cfg)
     tables = []
     sup_one = np.empty((len(spec.k_values), spec.repeats))
     sup_exp = np.empty((len(spec.k_values), spec.repeats))
@@ -228,7 +217,7 @@ def run_measure_convergence(spec: ExperimentSpec) -> list[CurveTable]:
                                 gamma1=cfg.gamma1, gamma2=cfg.gamma2,
                                 horizon=spec.horizon, n_paths=spec.n_paths,
                                 seed=spec.seed + rep, dt=dt, sample_times=times,
-                                workers=spec.workers, record_integrated=False)
+                                workers=spec.workers)
             one = np.array([empirical_measure_eval(ps, "one", float(t)) for t in times])
             ee = np.array([empirical_measure_eval(ps, ("exp", theta), float(t))
                            for t in times])
@@ -342,7 +331,7 @@ def run_validation(spec: ExperimentSpec | None = None, *, workers: int = 1,
         offset = perturb.get(name, 0.0)
         return fn(offset)
 
-    checks = _map_ordered(run_one, _CHECKS, workers)
+    checks = map_ordered(run_one, _CHECKS, workers)
     return ValidationReport(checks=list(checks))
 
 
@@ -518,8 +507,7 @@ def _check_fhat_limit_sde(offset: float) -> CheckResult:
     est, _ = mc_limit_transform(cfg.alpha, cfg.kappa, cfg.sigma,
                                 cfg.c * cfg.lambda_c, cfg.d * cfg.lambda_hat,
                                 cfg.gamma1, cfg.gamma2, cfg.x0, u,
-                                n_paths=100_000, seed=VALIDATION_SEED + 11,
-                                dt=u / 1000.0)
+                                n_paths=100_000, seed=VALIDATION_SEED + 11)
     return CheckResult("fhat_vs_limit_sde_mc", abs(closed - est) / est, 5e-3)
 
 
@@ -588,13 +576,12 @@ def _check_cva_nested_mc(offset: float) -> CheckResult:
     cfg, _, cps = _validation_baseline()
     maturity = 3.0
     result = kernels.bcva(0.0, maturity, cfg, cps)
-    est, se = nested_mc_cva(cfg, cps, maturity, n_paths=20_000,
-                            seed=VALIDATION_SEED + 13, dt=maturity / 1000.0)
+    est, se = nested_mc_cva(cfg, cps, maturity, n_paths=20_000, seed=VALIDATION_SEED + 13)
     return CheckResult("cva_vs_nested_mc", abs(result.cva + offset - est) / se, 3.0)
 
 
 def nested_mc_cva(cfg: LimitConfig, cps: CounterpartyParams, maturity: float,
-                  n_paths: int, seed: int, dt: float | None = None) -> tuple[float, float]:
+                  n_paths: int, seed: int) -> tuple[float, float]:
     """Nested Monte-Carlo CVA oracle: simulate the counterparties, apply the
     limit exposure at side B's default time, weight by pool survival.
 
@@ -604,8 +591,7 @@ def nested_mc_cva(cfg: LimitConfig, cps: CounterpartyParams, maturity: float,
     """
 
     ps = simulate_paths((), cps, lambda_c=cfg.lambda_c, horizon=maturity,
-                        n_paths=n_paths, seed=seed, dt=dt, sample_times=[maturity],
-                        record_integrated=False)
+                        n_paths=n_paths, seed=seed, sample_times=[maturity])
     tau_a, tau_b = ps.default_times[:, 0], ps.default_times[:, 1]
     hit = (tau_b <= np.minimum(tau_a, maturity)) & (tau_b > 0)
     vals = np.zeros(n_paths)

@@ -29,7 +29,7 @@ from .exposure import LimitConfig, exposure_limit, survival_fhat
 from .jumps import mgf_bve, mgf_bve_partials
 from .quadrature import gauss_legendre_integral, gauss_legendre_rule
 from .riccati import exp_phi, riccati_b
-from .simulation import CounterpartyParams
+from .simulation import CounterpartyParams, map_ordered
 
 __all__ = [
     "AffineKernelCoeffs",
@@ -115,11 +115,15 @@ def build_kernel_coeffs(cps: CounterpartyParams, lambda_c: float,
     The exponent loadings and the own-side prefactor are closed-form
     Riccati solutions; the two constant terms integrate smooth MGF
     combinations by :func:`~cdspool.quadrature.gauss_legendre_integral` at
-    each lag asked for.
+    each lag asked for. Both sides need sigma > 0 (:class:`ConfigError`
+    otherwise), since every coefficient reads both sides' Riccati solutions.
     """
 
     if side not in ("A", "B"):
         raise ValueError("side must be 'A' (H2) or 'B' (H1).")
+    if not min(cps.side_a.sigma, cps.side_b.sigma) > 0.0:
+        raise ConfigError("the counterparty kernels need sigma > 0 on both sides, got "
+                          f"sigma_a = {cps.side_a.sigma}, sigma_b = {cps.side_b.sigma}.")
     return AffineKernelCoeffs(cps=cps, lambda_c=lambda_c, side=side)
 
 
@@ -179,20 +183,14 @@ def kernel_ode_residuals(coeffs: AffineKernelCoeffs, u_max: float) -> dict[str, 
 class BcvaResult:
     """Per-name bilateral adjustment: bcva = dva - cva, both parts >= 0.
 
-    cva/dva already include the loss fractions; total book numbers are the
-    per-name values times k.
+    cva/dva already include the loss fractions.
     """
 
     bcva: float
     cva: float
     dva: float
-    k: int
     t: float
     maturity: float
-
-    @property
-    def total_bcva(self) -> float:
-        return self.k * self.bcva
 
 
 def _sign_segments(f, a: float, b: float, n_scan: int = 256):
@@ -207,7 +205,7 @@ def _sign_segments(f, a: float, b: float, n_scan: int = 256):
 
 
 def bcva(t: float, maturity: float, cfg: LimitConfig, cps: CounterpartyParams,
-         x_a: float | None = None, x_b: float | None = None, k: int = 1) -> BcvaResult:
+         x_a: float | None = None, x_b: float | None = None) -> BcvaResult:
     """Semi-closed bilateral CVA of the large-pool CDS book at time t.
 
     The CVA term discounts the positive part of the limit exposure against
@@ -227,7 +225,7 @@ def bcva(t: float, maturity: float, cfg: LimitConfig, cps: CounterpartyParams,
     if x_b is None:
         x_b = cps.side_b.xi0
     if t == maturity:
-        return BcvaResult(bcva=0.0, cva=0.0, dva=0.0, k=k, t=t, maturity=maturity)
+        return BcvaResult(bcva=0.0, cva=0.0, dva=0.0, t=t, maturity=maturity)
 
     def eps(s):
         return exposure_limit(s, maturity, cfg)
@@ -250,7 +248,7 @@ def bcva(t: float, maturity: float, cfg: LimitConfig, cps: CounterpartyParams,
 
     cva = cps.loss_b * part("B", 1.0)
     dva = cps.loss_a * part("A", -1.0)
-    return BcvaResult(bcva=dva - cva, cva=cva, dva=dva, k=k, t=t, maturity=maturity)
+    return BcvaResult(bcva=dva - cva, cva=cva, dva=dva, t=t, maturity=maturity)
 
 
 @dataclass(frozen=True)
@@ -280,7 +278,7 @@ def _apply_sweep(parameter: str, value: float, cfg: LimitConfig,
 
 def sensitivity_sweep(parameter: str, values: Sequence[float], cfg: LimitConfig,
                       cps: CounterpartyParams, t: float = 0.0, maturity: float = 3.0,
-                      k: int = 1, workers: int = 1) -> SweepResult:
+                      workers: int = 1) -> SweepResult:
     """Recompute the bilateral adjustment across a parameter grid.
 
     Supported parameters: sigma_star, sigma_b, lambda_c, c_star. Sweep
@@ -295,14 +293,9 @@ def sensitivity_sweep(parameter: str, values: Sequence[float], cfg: LimitConfig,
 
     def point(v: float) -> BcvaResult:
         cfg_v, cps_v = _apply_sweep(parameter, v, cfg, cps)
-        return bcva(t, maturity, cfg_v, cps_v, k=k)
+        return bcva(t, maturity, cfg_v, cps_v)
 
-    if workers > 1 and len(values) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(point, values))
-    else:
-        results = [point(v) for v in values]
+    results = map_ordered(point, values, workers)
     return SweepResult(parameter=parameter, values=values,
                        cva=np.array([r.cva for r in results]),
                        dva=np.array([r.dva for r in results]))

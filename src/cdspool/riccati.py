@@ -39,7 +39,6 @@ __all__ = [
     "riccati_beta",
     "integral_beta",
     "riccati_beta_general",
-    "integral_beta_general",
     "riccati_rhs",
     "rk4_solve",
 ]
@@ -246,21 +245,6 @@ def riccati_beta_general(kappa: float, sigma: float, a_ell: float, b0: float,
     else:
         b = riccati_beta(kappa, s, r, u)
     return a_ell * b
-
-
-def integral_beta_general(kappa: float, sigma: float, a_ell: float, b0: float,
-                          u) -> float | np.ndarray:
-    """Integral of :func:`riccati_beta_general` from 0 to u."""
-
-    if not a_ell > 0.0:
-        raise ValueError(f"a_ell must be positive, got {a_ell}")
-    s = sigma * math.sqrt(a_ell)
-    r = b0 / a_ell
-    if r == 0.0:
-        v = integral_b(kappa, s, u)
-    else:
-        v = integral_beta(kappa, s, r, u)
-    return a_ell * v
 
 
 def riccati_rhs(kappa: float, sigma: float, a_ell: float = 1.0) -> Callable:

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -50,6 +50,7 @@ __all__ = [
     "mc_exposure",
     "mc_kernel_oracles",
     "mc_limit_transform",
+    "map_ordered",
 ]
 
 _BLOCK_PATHS = 0  # stream tags: keep per-purpose streams disjoint
@@ -157,8 +158,9 @@ class PathSet:
     """Simulated intensity paths sampled on a sub-grid of the Euler grid.
 
     intensities[m, i, j] is the (non-negative) intensity of entity j at
-    times[i] on path m; integrated holds the running fine-grid trapezoid
-    integral at the same nodes. Entities are ordered names first, then
+    times[i] on path m. For the counterparty pair alone, integrated holds
+    the running fine-grid trapezoid integral at the same nodes; systems with
+    names leave it None. Entities are ordered names first, then
     counterparties A and B when present. default_times are resolved at
     fine-grid resolution against the stored unit-exponential thresholds.
     """
@@ -218,11 +220,19 @@ def _sorted_events(step, *cols):
     return (step[order],) + tuple(c[order] for c in cols)
 
 
+def map_ordered(fn: Callable, items: Sequence, workers: int) -> list:
+    """Apply fn to items, on a thread pool when workers > 1; results in item order."""
+
+    if workers > 1 and len(items) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, items))
+    return [fn(x) for x in items]
+
+
 def simulate_paths(names: Sequence[NameParams], cps: CounterpartyParams | None = None, *,
                    lambda_c: float = 0.0, gamma1: float = 1.0, gamma2: float = 1.0,
                    horizon: float, n_paths: int, seed: int | None, dt: float | None = None,
-                   sample_times=None, workers: int = 1,
-                   record_integrated: bool = True) -> PathSet:
+                   sample_times=None, workers: int = 1) -> PathSet:
     """Simulate the joint intensity system and resolve default times.
 
     Parameters
@@ -244,8 +254,10 @@ def simulate_paths(names: Sequence[NameParams], cps: CounterpartyParams | None =
     workers
         Thread count for the block loop; never changes the output values.
 
-    Paths run in blocks of 256 when the system has names and of 4096 for
-    the counterparty pair alone (see the module docstring).
+    The running intensity integrals are stored only for the counterparty
+    pair alone, the system whose kernel oracle reads them. Paths run in
+    blocks of 256 when the system has names and of 4096 for the
+    counterparty pair alone (see the module docstring).
     """
 
     if cps is None and len(names) == 0:
@@ -287,6 +299,7 @@ def simulate_paths(names: Sequence[NameParams], cps: CounterpartyParams | None =
     store_slot[sample_idx] = np.arange(n_s)
 
     intensities = np.empty((n_paths, n_s, E))
+    record_integrated = K == 0
     integrated = np.empty((n_paths, n_s, E)) if record_integrated else None
     thresholds = np.empty((n_paths, E))
     default_times = np.empty((n_paths, E))
@@ -316,15 +329,15 @@ def simulate_paths(names: Sequence[NameParams], cps: CounterpartyParams | None =
             tot = int(ncom.sum())
             ev_step = (rng.random(tot) * horizon / dt).astype(np.int64)
             ev_row = np.repeat(np.arange(bf), ncom)
-            csize_names = (rng.standard_exponential((tot, K)) / gamma1
-                           * vec["c"][None, :K]) if K else np.empty((tot, 0))
+            csize = np.empty((tot, E))
+            if K:
+                csize[:, :K] = (rng.standard_exponential((tot, K)) / gamma1
+                                * vec["c"][None, :K])
             if cps is not None:
                 ya, yb = sample_bve(cps.common_jump, rng, size=tot)
-                csize_cp = np.column_stack([vec["c"][K] * ya, vec["c"][K + 1] * yb])
-                ev_step, ev_row, csize_names, csize_cp = _sorted_events(
-                    ev_step, ev_row, csize_names, csize_cp)
-            else:
-                ev_step, ev_row, csize_names = _sorted_events(ev_step, ev_row, csize_names)
+                csize[:, K] = vec["c"][K] * ya
+                csize[:, K + 1] = vec["c"][K + 1] * yb
+            ev_step, ev_row, csize = _sorted_events(ev_step, ev_row, csize)
             cptr = np.searchsorted(ev_step, np.arange(n_steps + 1))
         else:
             cptr = np.zeros(n_steps + 1, dtype=np.int64)
@@ -351,8 +364,6 @@ def simulate_paths(names: Sequence[NameParams], cps: CounterpartyParams | None =
             if record_integrated:
                 integrated[r0:r1, store_slot[0]] = 0.0
 
-        x_names = x[:, :K]
-        x_cp = x[:, K:]
         for i in range(n_steps):
             z = rng.standard_normal((bf, E))
             xp = np.maximum(x, 0.0)
@@ -360,10 +371,7 @@ def simulate_paths(names: Sequence[NameParams], cps: CounterpartyParams | None =
             x += (vec["alpha"] - vec["kappa"] * xp) * dt + vec["sigma"] * vol * (sqrt_dt * z)
             lo, hi = cptr[i], cptr[i + 1]
             if hi > lo:
-                if K:
-                    np.add.at(x_names, ev_row[lo:hi], csize_names[lo:hi])
-                if cps is not None:
-                    np.add.at(x_cp, ev_row[lo:hi], csize_cp[lo:hi])
+                np.add.at(x, ev_row[lo:hi], csize[lo:hi])
             lo, hi = iptr[i], iptr[i + 1]
             if hi > lo:
                 np.add.at(x, (irow[lo:hi], icol[lo:hi]), isize[lo:hi])
@@ -383,13 +391,7 @@ def simulate_paths(names: Sequence[NameParams], cps: CounterpartyParams | None =
         thresholds[r0:r1] = thr[:nb]
         default_times[r0:r1] = tau[:nb]
 
-    if workers > 1 and n_blocks > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_block, range(n_blocks)))
-    else:
-        for b in range(n_blocks):
-            run_block(b)
-
+    map_ordered(run_block, range(n_blocks), workers)
     return PathSet(times=grid[sample_idx], dt=dt, horizon=horizon, n_names=K,
                    intensities=intensities, thresholds=thresholds,
                    default_times=default_times, seed=seed, lambda_c=lambda_c,
@@ -404,13 +406,14 @@ def sample_defaults(pathset: PathSet, rng: Generator | None = None,
     With no arguments this returns the fine-grid default times resolved
     during simulation. Passing ``rng`` (fresh thresholds) or ``thresholds``
     re-derives default times on the stored sample grid, which lets tests
-    redraw the doubly stochastic layer on frozen intensity paths.
+    redraw the doubly stochastic layer on the pair's frozen paths.
     """
 
     if rng is None and thresholds is None:
         return pathset.default_times.copy()
     if pathset.integrated is None:
-        raise ValueError("PathSet was built without record_integrated.")
+        raise ValueError("Redrawing default times needs the stored intensity integrals, "
+                         "which only the counterparty pair alone records.")
     m, _, e = pathset.integrated.shape
     if thresholds is None:
         thresholds = rng.standard_exponential((m, e))
@@ -419,11 +422,6 @@ def sample_defaults(pathset: PathSet, rng: Generator | None = None,
     any_cross = crossed.any(axis=1)
     first = np.argmax(crossed, axis=1)
     return np.where(any_cross, pathset.times[first], np.inf)
-
-
-def _name_vectors(names: Sequence[NameParams]):
-    get = lambda attr: np.array([getattr(n, attr) for n in names], dtype=float)
-    return get
 
 
 def mc_exposure(pathset: PathSet, names: Sequence[NameParams], t: float, maturity: float,
@@ -448,7 +446,7 @@ def mc_exposure(pathset: PathSet, names: Sequence[NameParams], t: float, maturit
     K = pathset.n_names
     if K == 0 or len(names) != K:
         raise ValueError("names must match the simulated reference pool.")
-    get = _name_vectors(names)
+    get = lambda attr: np.array([getattr(n, attr) for n in names], dtype=float)
     if np.any(get("rho") != 0.5):
         raise ValueError("Exposure transform requires square-root names (rho = 0.5).")
 
@@ -524,11 +522,10 @@ def mc_kernel_oracles(cps: CounterpartyParams, lambda_c: float, u, x_a: float,
 
 
 def mc_limit_transform(alpha: float, kappa: float, sigma: float, drift_c: float,
-                       drift_d: float, gamma1: float, gamma2: float, x0: float, u,
-                       n_paths: int, seed: int | None, theta: float = 0.0,
-                       dt: float | None = None):
-    """MC estimate of E[exp(-integral of X on [0,u]) * exp(theta X_u)] for the
-    limit killing-rate diffusion.
+                       drift_d: float, gamma1: float, gamma2: float, x0: float, u: float,
+                       n_paths: int, seed: int | None) -> tuple[float, float]:
+    """MC estimate of E[exp(-integral of X on [0,u])] for the limit
+    killing-rate diffusion, on 1000 Euler steps; returns (estimate, stderr).
 
     X is a square-root diffusion with per-path constant drift shift
     drift_c * Y + drift_d * Ytilde, Y ~ Exp(gamma1), Ytilde ~ Exp(gamma2)
@@ -536,28 +533,16 @@ def mc_limit_transform(alpha: float, kappa: float, sigma: float, drift_c: float,
     independent oracle for the closed-form pool survival function.
     """
 
-    if theta > 0.0:
-        raise ValueError("theta must be <= 0.")
-    u_arr = np.atleast_1d(np.asarray(u, dtype=float))
-    if np.any(u_arr <= 0.0):
+    u = float(u)
+    if not u > 0.0:
         raise ValueError("u must be positive.")
-    horizon = float(u_arr.max())
-    if dt is None:
-        dt = horizon / 1000.0
-    n_steps = int(round(horizon / dt))
-    if abs(n_steps * dt - horizon) > 1e-8 * horizon:
-        raise ConfigError("dt must divide the horizon.")
-    sample_idx = np.rint(u_arr / dt).astype(int)
-    if np.any(np.abs(sample_idx * dt - u_arr) > 1e-9 * horizon):
-        raise ConfigError("u values must lie on the Euler grid.")
-    store_slot = np.full(n_steps + 1, -1, dtype=int)
-    store_slot[sample_idx] = np.arange(len(sample_idx))
-
+    n_steps = 1000
+    dt = u / n_steps
     if seed is None:
         seed = int(np.random.SeedSequence().entropy) & (2**64 - 1)
     key = _philox_key(seed)
     sqrt_dt = math.sqrt(dt)
-    vals = np.empty((n_paths, len(sample_idx)))
+    vals = np.empty(n_paths)
     bf = _NARROW_BLOCK_SIZE
     n_blocks = (n_paths + bf - 1) // bf
 
@@ -571,22 +556,13 @@ def mc_limit_transform(alpha: float, kappa: float, sigma: float, drift_c: float,
         x = np.full(bf, float(x0))
         prev_pos = x.copy()
         integ = np.zeros(bf)
-        for i in range(n_steps):
+        for _ in range(n_steps):
             z = rng.standard_normal(bf)
             xp = np.maximum(x, 0.0)
             x += (drift0 - kappa * xp) * dt + sigma * np.sqrt(xp) * (sqrt_dt * z)
             xpos = np.maximum(x, 0.0)
             integ += (0.5 * dt) * (prev_pos + xpos)
             prev_pos = xpos
-            slot = store_slot[i + 1]
-            if slot >= 0:
-                v = np.exp(-integ[:r1 - r0])
-                if theta != 0.0:
-                    v = v * np.exp(theta * xpos[:r1 - r0])
-                vals[r0:r1, slot] = v
+        vals[r0:r1] = np.exp(-integ[:r1 - r0])
 
-    est = vals.mean(axis=0)
-    se = vals.std(axis=0, ddof=1) / math.sqrt(n_paths)
-    if np.isscalar(u) or np.asarray(u).ndim == 0:
-        return float(est[0]), float(se[0])
-    return est, se
+    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n_paths))

@@ -168,8 +168,7 @@ def test_criterion_3_pool_survival():
         est, _ = mc_limit_transform(cfg.alpha, cfg.kappa, cfg.sigma,
                                     cfg.c * cfg.lambda_c, cfg.d * cfg.lambda_hat,
                                     cfg.gamma1, cfg.gamma2, cfg.x0, u,
-                                    n_paths=100_000, seed=ACCEPT_SEED + 3,
-                                    dt=u / 1000.0)
+                                    n_paths=100_000, seed=ACCEPT_SEED + 3)
         worst_rel = max(worst_rel, abs(survival_fhat(0.0, u, cfg) - est) / est)
 
     elapsed = time.perf_counter() - t0

@@ -134,6 +134,20 @@ def test_bad_experiment_input_is_a_config_error(tmp_path, capsys, override):
     assert err["error"]["code"] == EXIT_CONFIG and err["error"]["kind"] == "config"
 
 
+@pytest.mark.parametrize("config, override", [("fig3", "experiment.sweep_values=0"),
+                                              ("fig2", "counterparty.sigma_a=0")])
+def test_zero_sigma_counterparty_is_a_config_error(tmp_path, capsys, config, override):
+    # the kernels read both sides' Riccati solutions, which need sigma > 0
+    code = run_cli(["--experiment", "bcva-sweep", "--config", CONFIGS / f"{config}.cfg",
+                    "--set", override, "--out", tmp_path])
+    assert code == EXIT_CONFIG
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"]["kind"] == "config"
+    assert "sigma" in err["error"]["message"]
+
+
 def test_mixed_sign_book_is_a_config_error(tmp_path, capsys):
     # a long spread with a short loss leg needs a mixed long/short book
     code = run_cli(["--experiment", "convergence", "--config", CONFIGS / "fig1-a.cfg",

@@ -222,6 +222,16 @@ def test_limit_exp_test_matches_mc():
     assert abs(closed - 0.47391649) < 3 * 1.21e-4
 
 
+@pytest.mark.parametrize("theta", [-1.0, -0.3, 0.0])
+def test_limit_exp_test_vector_call_equals_scalar_calls(theta):
+    cfg = make_cfg()
+    t = np.linspace(0.0, 3.0, 13)
+    vec = limit_exp_test(theta, t, cfg)
+    assert np.all(vec == np.array([limit_exp_test(theta, float(ti), cfg) for ti in t]))
+    if theta == 0.0:
+        assert np.all(vec == survival_fhat(0.0, t, cfg))
+
+
 def test_limit_exp_test_domain():
     with pytest.raises(ValueError):
         limit_exp_test(0.1, 1.0, make_cfg())
@@ -243,7 +253,7 @@ def test_empirical_measure_converges_to_limit_values():
     names = build_name_sequence(cfg, K)
     ps = simulate_paths(names, lambda_c=cfg.lambda_c, gamma1=cfg.gamma1,
                         gamma2=cfg.gamma2, horizon=1.0, n_paths=400, seed=71,
-                        dt=1e-3, sample_times=[0.5, 1.0], record_integrated=False)
+                        dt=1e-3, sample_times=[0.5, 1.0])
     atoms = MeasureAtoms(atoms=(atom_from_cfg(cfg),), gamma1=cfg.gamma1,
                          gamma2=cfg.gamma2, lambda_c=cfg.lambda_c)
     for t in (0.5, 1.0):

@@ -271,9 +271,6 @@ def test_bcva_sign_decomposition_and_in_the_money_dva():
     assert res.dva == 0.0
     assert res.cva > 0.0
     assert res.bcva == res.dva - res.cva
-    assert res.total_bcva == res.bcva
-    res_k = bcva(0.0, 3.0, make_cfg(), make_cps(), k=300)
-    assert res_k.total_bcva == pytest.approx(300 * res_k.bcva)
 
 
 def test_bcva_handles_sign_change_in_exposure():

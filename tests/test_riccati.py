@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from scipy.integrate import cumulative_simpson, quad
 
-from cdspool.riccati import (exp_phi, integral_b, integral_beta, integral_beta_general,
-                             riccati_b, riccati_beta, riccati_beta_general,
-                             riccati_rhs, rk4_solve, survival_exponents, varpi)
+from cdspool.riccati import (exp_phi, integral_b, integral_beta, riccati_b, riccati_beta,
+                             riccati_beta_general, riccati_rhs, rk4_solve,
+                             survival_exponents, varpi)
 
 rates = st.floats(min_value=0.1, max_value=3.0)
 
@@ -180,8 +180,6 @@ def test_riccati_beta_general_subnormal_initial_reduces_to_b():
     u = np.linspace(0.0, 3.0, 7)
     np.testing.assert_array_equal(riccati_beta_general(1.0, 1.0, 2.0, -5e-324, u),
                                   2.0 * riccati_b(1.0, np.sqrt(2.0), u))
-    assert integral_beta_general(1.0, 1.0, 2.0, -5e-324, 3.0) == 2.0 * integral_b(
-        1.0, np.sqrt(2.0), 3.0)
 
 
 def test_riccati_beta_general_matches_rk4_oracle():
@@ -216,7 +214,6 @@ def test_integral_beta_matches_quadrature():
     for u in (0.5, 2.0, 6.0):
         oracle = composite_simpson(lambda v: riccati_beta(k, s, b0, v), 0.0, u, 4000)
         assert integral_beta(k, s, b0, u) == pytest.approx(oracle, abs=1e-8)
-        assert integral_beta_general(k, s, 1.0, b0, u) == pytest.approx(oracle, abs=1e-8)
 
 
 def test_rk4_linear_ode():

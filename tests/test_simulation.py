@@ -11,8 +11,8 @@ from cdspool.jumps import BveParams, mgf_exp
 from cdspool.quadrature import composite_simpson, simpson_weights
 from cdspool.riccati import integral_beta, riccati_b, riccati_beta
 from cdspool.simulation import (CounterpartyParams, CounterpartySide, NameParams,
-                                mc_exposure, mc_kernel_oracles, sample_defaults,
-                                simulate_paths)
+                                mc_exposure, mc_kernel_oracles, mc_limit_transform,
+                                sample_defaults, simulate_paths)
 
 
 def make_name(**overrides):
@@ -83,7 +83,7 @@ def test_default_times_match_exponential_survival():
     name = make_name(sigma=0.0, c=0.0, d=0.0, lambda_hat=0.0, alpha=lam * 1e-12,
                      kappa=1e-12, xi0=lam)
     ps = simulate_paths([name], horizon=2.0, n_paths=100_000, seed=5, dt=1e-2,
-                        sample_times=[0.0, 2.0], record_integrated=False)
+                        sample_times=[0.0, 2.0])
     for t in (0.5, 1.0, 2.0):
         p_hat = (ps.default_times[:, 0] > t).mean()
         p = math.exp(-lam * t)
@@ -92,7 +92,7 @@ def test_default_times_match_exponential_survival():
 
 
 def test_forced_infinite_thresholds_mean_no_defaults():
-    ps = simulate_paths([make_name()], lambda_c=2.5, gamma1=1.5, gamma2=1.5,
+    ps = simulate_paths((), make_cps(), lambda_c=2.5, gamma1=1.5, gamma2=1.5,
                         horizon=1.0, n_paths=50, seed=9, dt=1e-2)
     tau = sample_defaults(ps, thresholds=np.inf)
     assert np.all(np.isinf(tau))
@@ -102,8 +102,7 @@ def test_joint_survival_factorizes_for_independent_entities():
     # two names, no common jumps: defaults are independent
     names = [make_name(xi0=0.4, alpha=0.3, c=0.0), make_name(xi0=0.6, alpha=0.2, c=0.0)]
     ps = simulate_paths(names, lambda_c=0.0, gamma1=1.5, gamma2=1.5, horizon=1.0,
-                        n_paths=50_000, seed=13, dt=2e-3, sample_times=[0.0, 1.0],
-                        record_integrated=False)
+                        n_paths=50_000, seed=13, dt=2e-3, sample_times=[0.0, 1.0])
     t = 1.0
     alive = ps.default_times > t
     i1, i2 = alive[:, 0].astype(float), alive[:, 1].astype(float)
@@ -131,8 +130,7 @@ def test_conditional_independence_given_frozen_paths():
 def test_intensities_stay_nonnegative_with_jumps():
     names = [make_name(sigma=0.6, xi0=0.01) for _ in range(5)]
     ps = simulate_paths(names, make_cps(), lambda_c=2.5, gamma1=1.5, gamma2=1.5,
-                        horizon=1.0, n_paths=300, seed=19, dt=1e-3,
-                        record_integrated=False)
+                        horizon=1.0, n_paths=300, seed=19, dt=1e-3)
     assert ps.intensities.min() >= 0.0
 
 
@@ -145,8 +143,7 @@ def test_fourth_moment_bounded_along_pool_ladder():
         names = build_name_sequence(cfg, K)
         ps = simulate_paths(names, lambda_c=cfg.lambda_c, gamma1=cfg.gamma1,
                             gamma2=cfg.gamma2, horizon=1.0, n_paths=200, seed=29,
-                            dt=2e-3, sample_times=np.linspace(0, 1, 11),
-                            record_integrated=False)
+                            dt=2e-3, sample_times=np.linspace(0, 1, 11))
         est[K] = (ps.intensities**4).mean(axis=(0, 2)).max()
     assert est[300] <= 2.0 * est[10]
 
@@ -183,8 +180,7 @@ def test_config_errors():
     with pytest.raises(ConfigError):
         simulate_paths([make_name()], horizon=1.0, n_paths=1, seed=1,
                        sample_times=[0.123456])  # off the grid
-    ps = simulate_paths([make_name()], horizon=1.0, n_paths=3, seed=1, dt=0.01,
-                        record_integrated=False)
+    ps = simulate_paths([make_name()], horizon=1.0, n_paths=3, seed=1, dt=0.01)
     with pytest.raises(ValueError):
         sample_defaults(ps, thresholds=np.inf)
 
@@ -228,7 +224,7 @@ def test_mc_exposure_tracks_limit_for_moderate_pool():
     names = build_name_sequence(cfg, K)
     ps = simulate_paths(names, lambda_c=cfg.lambda_c, gamma1=cfg.gamma1,
                         gamma2=cfg.gamma2, horizon=horizon, n_paths=500, seed=47,
-                        dt=1e-3, sample_times=[0.0, 0.5], record_integrated=False)
+                        dt=1e-3, sample_times=[0.0, 0.5])
     scale = abs(exposure_limit(0.0, horizon, cfg))
     for t in (0.0, 0.5):
         est, se = mc_exposure(ps, names, t, horizon, cfg.r)
@@ -280,12 +276,36 @@ def test_mc_kernel_oracles_equal_separate_runs_at_gate_arguments():
     assert joint == (0.48625612040190047, 0.0005919977865622657)
 
 
+def test_mc_limit_transform_pinned_at_gate_arguments():
+    # the gate's limit-SDE oracle: 100,000 paths in 4096-path blocks on
+    # 1000 Euler steps give exactly these values
+    from cdspool.harness import VALIDATION_SEED, _validation_baseline
+    cfg, _, _ = _validation_baseline()
+    est = mc_limit_transform(cfg.alpha, cfg.kappa, cfg.sigma, cfg.c * cfg.lambda_c,
+                             cfg.d * cfg.lambda_hat, cfg.gamma1, cfg.gamma2, cfg.x0, 1.5,
+                             n_paths=100_000, seed=VALIDATION_SEED + 11)
+    assert est == (0.952081442014136, 0.00012555912796769487)
+
+
+def test_integrals_recorded_for_the_pair_alone():
+    # only the pair's kernel oracle reads the running integrals
+    kw = dict(lambda_c=1.0, gamma1=1.5, gamma2=1.5, horizon=0.5, n_paths=8, seed=67,
+              dt=1e-2)
+    pair = simulate_paths((), make_cps(), **kw)
+    assert pair.integrated is not None
+    assert pair.integrated.shape == pair.intensities.shape
+    for cps in (None, make_cps()):
+        ps = simulate_paths([make_name()], cps, **kw)
+        assert ps.integrated is None
+        with pytest.raises(ValueError, match="only the counterparty pair alone records"):
+            sample_defaults(ps, thresholds=np.inf)
+
+
 def test_pathset_bookkeeping():
-    names = [make_name()]
-    ps = simulate_paths(names, lambda_c=1.0, gamma1=1.5, gamma2=1.5, horizon=1.0,
-                        n_paths=10, seed=61, dt=1e-2)
+    ps = simulate_paths((), make_cps(), lambda_c=1.0, gamma1=1.5, gamma2=1.5,
+                        horizon=1.0, n_paths=10, seed=61, dt=1e-2)
     assert ps.seed == 61
-    assert ps.n_names == 1 and ps.n_entities == 1
+    assert ps.n_names == 0 and ps.n_entities == 2
     assert ps.time_index(0.5) == 50
     with pytest.raises(ValueError):
         ps.time_index(0.505)
@@ -341,8 +361,7 @@ def test_mc_exposure_matches_quadrature_reference(maturity):
                        spread=0.01 + 0.005 * k, loss=0.3 + 0.05 * k)
              for k, z in enumerate([1, -1, 1, 1, -1, 1])]
     ps = simulate_paths(names, lambda_c=2.5, gamma1=1.5, gamma2=1.5, horizon=1.0,
-                        n_paths=64, seed=73, dt=1e-2, sample_times=[0.0, 0.5, 1.0],
-                        record_integrated=False)
+                        n_paths=64, seed=73, dt=1e-2, sample_times=[0.0, 0.5, 1.0])
     for t in (0.0, 0.5, 1.0):
         est, _ = mc_exposure(ps, names, t, t + maturity, 0.03)
         ref = _quadrature_exposure(ps, names, t, t + maturity, 0.03)
@@ -358,7 +377,7 @@ def test_short_book_negates_long_book():
     assert all(n.z == -1 for n in short_names)
     ps = simulate_paths(long_names, lambda_c=long_cfg.lambda_c, gamma1=long_cfg.gamma1,
                         gamma2=long_cfg.gamma2, horizon=1.0, n_paths=40, seed=79,
-                        dt=1e-2, sample_times=[0.0, 0.5], record_integrated=False)
+                        dt=1e-2, sample_times=[0.0, 0.5])
     for t in (0.0, 0.5):
         est_long, se_long = mc_exposure(ps, long_names, t, 1.0, long_cfg.r)
         est_short, se_short = mc_exposure(ps, short_names, t, 1.0, short_cfg.r)
