@@ -27,7 +27,8 @@ from .exposure import (LimitConfig, build_name_sequence, empirical_measure_eval,
 from .jumps import BveParams, mgf_bve, mgf_bve_partials, mgf_exp, sample_bve
 from .quadrature import composite_simpson
 from .riccati import (exp_phi, integral_b, integral_beta, riccati_b, riccati_beta,
-                      riccati_beta_general, riccati_rhs, rk4_solve)
+                      riccati_beta_general, riccati_rhs, rk4_solve,
+                      rk4_solve_integral)
 from .simulation import (CounterpartyParams, CounterpartySide, map_ordered, mc_exposure,
                          mc_kernel_oracles, mc_limit_transform, simulate_paths)
 
@@ -487,14 +488,10 @@ def _check_fhat_cir(offset: float) -> CheckResult:
     _, cfg, _ = _validation_baseline()
     # independent route: RK4 on the coupled (transform exponent, integral)
     rhs_b = riccati_rhs(cfg.kappa, cfg.sigma)
-
-    def rhs(y):
-        return np.array([rhs_b(y[0]), y[0]])
-
     err = 0.0
     for u in (0.5, 1.0, 2.0):
         closed = survival_fhat(0.0, u, cfg) + offset
-        b, ib = rk4_solve(rhs, np.zeros(2), u, 1e-4)
+        b, ib = rk4_solve_integral(rhs_b, u, 1e-4)
         oracle = math.exp(cfg.x0 * b + cfg.alpha * ib)
         err = max(err, abs(closed - oracle))
     return CheckResult("fhat_cir_reduction", err, 1e-10)
@@ -537,7 +534,7 @@ def _kernel_values() -> dict[str, tuple[float, tuple[float, float]]]:
     coeffs_b = kernels.build_kernel_coeffs(cps, cfg.lambda_c, "B")
     coeffs_a = kernels.build_kernel_coeffs(cps, cfg.lambda_c, "A")
     mc_h1, mc_h2, mc_joint = mc_kernel_oracles(cps, cfg.lambda_c, u, x_a, x_b, 20_000,
-                                               VALIDATION_SEED + 12, dt=1e-3)
+                                               VALIDATION_SEED + 12)
     return {"h1": (kernels.h1(u, x_a, x_b, coeffs_b), mc_h1),
             "h2": (kernels.h2(u, x_a, x_b, coeffs_a), mc_h2),
             "joint_survival": (kernels.joint_survival_equal(u, x_a, x_b, coeffs_b),

@@ -19,7 +19,8 @@ exponential ``exp(-varpi u)``, which is exact at u = 0 and cannot overflow
 at long horizons.
 
 :func:`rk4_solve` is a plain Runge-Kutta integrator used by the test suite
-as an independent oracle; no pricing path calls it.
+as an independent oracle, and :func:`rk4_solve_integral` carries the running
+integral of the solution along; no pricing path calls either.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ __all__ = [
     "riccati_beta_general",
     "riccati_rhs",
     "rk4_solve",
+    "rk4_solve_integral",
 ]
 
 
@@ -291,3 +293,31 @@ def rk4_solve(rhs: Callable, y0, u: float, step: float):
         k4 = rhs(y + h * k3)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return _maybe_scalar(y, scalar)
+
+
+def rk4_solve_integral(rhs: Callable, u: float, step: float) -> tuple[float, float]:
+    """RK4 on the pair (y, integral of y) from (0, 0); returns both at ``u``.
+
+    Verification oracle for transforms exp(x0 y(u) + alpha * integral of y).
+    The pair steps as two Python floats, with the same IEEE operations in the
+    same order as :func:`rk4_solve` on the vector right-hand side (rhs(y), y).
+    """
+
+    if not step > 0.0:
+        raise ValueError(f"step must be positive, got {step}")
+    if u < 0.0:
+        raise ValueError("u must be non-negative.")
+    n = max(1, int(round(u / step)))
+    h = u / n
+    y = iy = 0.0
+    for _ in range(n):
+        k1 = rhs(y)
+        y2 = y + 0.5 * h * k1
+        k2 = rhs(y2)
+        y3 = y + 0.5 * h * k2
+        k3 = rhs(y3)
+        y4 = y + h * k3
+        k4 = rhs(y4)
+        iy = iy + (h / 6.0) * (y + 2.0 * y2 + 2.0 * y3 + y4)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return y, iy

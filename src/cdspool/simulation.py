@@ -9,6 +9,13 @@ trapezoidal integral of the simulated intensity on the fine grid.
 
 Discretization is Euler with full truncation (positive part in both drift
 and diffusion); stored intensities are the truncated, non-negative values.
+Each block allocates its step buffers once and runs every step in place:
+the normals are drawn into one buffer (``standard_normal(out=...)``, the
+same values as a fresh draw), and the positive part of the state is carried
+from the end of one step, where the trapezoid integral needs it, to the
+start of the next, where drift and diffusion read it. The per-entity
+parameters are rows at block shape, so a block of the narrow pair runs each
+operation as one flat loop.
 
 Reproducibility contract: paths are generated in fixed-width blocks, each
 block owning a counter-based RNG stream derived from (seed, stream tag,
@@ -215,6 +222,13 @@ def _entity_vectors(names: Sequence[NameParams], cps: CounterpartyParams | None)
     return vec
 
 
+def _stderr(vals: np.ndarray) -> float:
+    """Standard error of the mean of per-path values; 0.0 for one path."""
+
+    n = len(vals)
+    return float(vals.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+
+
 def _sorted_events(step, *cols):
     order = np.argsort(step, kind="stable")
     return (step[order],) + tuple(c[order] for c in cols)
@@ -304,7 +318,6 @@ def simulate_paths(names: Sequence[NameParams], cps: CounterpartyParams | None =
     thresholds = np.empty((n_paths, E))
     default_times = np.empty((n_paths, E))
 
-    all_sqrt = bool(np.all(vec["rho"] == 0.5))
     sqrt_dt = math.sqrt(dt)
     # idiosyncratic size rates: names use gamma2, counterparties their BVE marginals
     idio_rate = np.full(E, gamma2)
@@ -313,6 +326,12 @@ def simulate_paths(names: Sequence[NameParams], cps: CounterpartyParams | None =
         idio_rate[K + 1] = cps.idio_jump.marginal_rate_b
     block_size = _NAME_BLOCK_SIZE if K else _NARROW_BLOCK_SIZE
     n_blocks = (n_paths + block_size - 1) // block_size
+    # per-entity rows at block shape, read-only and shared by the blocks:
+    # with contiguous operands numpy runs each step's ufunc as one flat loop
+    # instead of one short loop per path
+    alpha, kappa, sigma = (np.tile(vec[f], (block_size, 1))
+                           for f in ("alpha", "kappa", "sigma"))
+    rho = None if np.all(vec["rho"] == 0.5) else np.tile(vec["rho"], (block_size, 1))
 
     def run_block(b: int) -> None:
         rng = _block_generator(key, _BLOCK_PATHS, b)
@@ -354,37 +373,54 @@ def simulate_paths(names: Sequence[NameParams], cps: CounterpartyParams | None =
                                                   irow, icol, isize)
         iptr = np.searchsorted(istep, np.arange(n_steps + 1))
 
+        # step buffers, local to the block so worker threads never share them;
+        # xp carries the positive part of x from one step to the next
         x = np.tile(vec["xi0"], (bf, 1))
-        prev_pos = x.copy()
+        xp = np.maximum(x, 0.0)
+        xnew, z, a, v = (np.empty((bf, E)) for _ in range(4))
+        newly = np.empty((bf, E), dtype=bool)
         integ = np.zeros((bf, E))
         tau = np.full((bf, E), np.inf)
         alive = np.ones((bf, E), dtype=bool)
         if store_slot[0] >= 0:
-            intensities[r0:r1, store_slot[0]] = np.maximum(x[:nb], 0.0)
+            intensities[r0:r1, store_slot[0]] = xp[:nb]
             if record_integrated:
                 integrated[r0:r1, store_slot[0]] = 0.0
 
         for i in range(n_steps):
-            z = rng.standard_normal((bf, E))
-            xp = np.maximum(x, 0.0)
-            vol = np.sqrt(xp) if all_sqrt else xp ** vec["rho"]
-            x += (vec["alpha"] - vec["kappa"] * xp) * dt + vec["sigma"] * vol * (sqrt_dt * z)
+            # x += (alpha - kappa xp) dt + sigma vol(xp) (sqrt_dt z), in place
+            rng.standard_normal(out=z)
+            np.multiply(kappa, xp, out=a)
+            np.subtract(alpha, a, out=a)
+            a *= dt
+            if rho is None:
+                np.sqrt(xp, out=v)
+            else:
+                np.power(xp, rho, out=v)
+            v *= sigma
+            z *= sqrt_dt
+            v *= z
+            a += v
+            x += a
             lo, hi = cptr[i], cptr[i + 1]
             if hi > lo:
                 np.add.at(x, ev_row[lo:hi], csize[lo:hi])
             lo, hi = iptr[i], iptr[i + 1]
             if hi > lo:
                 np.add.at(x, (irow[lo:hi], icol[lo:hi]), isize[lo:hi])
-            xpos = np.maximum(x, 0.0)
-            integ += (0.5 * dt) * (prev_pos + xpos)
-            prev_pos = xpos
-            newly = alive & (integ >= thr)
+            np.maximum(x, 0.0, out=xnew)
+            np.add(xp, xnew, out=a)
+            a *= 0.5 * dt
+            integ += a
+            xp, xnew = xnew, xp
+            np.greater_equal(integ, thr, out=newly)
+            newly &= alive
             if newly.any():
                 tau[newly] = (i + 1) * dt
                 alive &= ~newly
             slot = store_slot[i + 1]
             if slot >= 0:
-                intensities[r0:r1, slot] = xpos[:nb]
+                intensities[r0:r1, slot] = xp[:nb]
                 if record_integrated:
                     integrated[r0:r1, slot] = integ[:nb]
 
@@ -477,14 +513,11 @@ def mc_exposure(pathset: PathSet, names: Sequence[NameParams], t: float, maturit
         np.multiply(x_t, b0[j], out=buf)
         np.exp(buf, out=buf)
         eps += buf @ rows[j]
-    n = len(eps)
-    stderr = float(eps.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return float(eps.mean()), stderr
+    return float(eps.mean()), _stderr(eps)
 
 
 def mc_kernel_oracles(cps: CounterpartyParams, lambda_c: float, u, x_a: float,
-                      x_b: float, n_paths: int, seed: int | None,
-                      dt: float | None = None):
+                      x_b: float, n_paths: int, seed: int | None):
     """MC estimates of the three counterparty kernels started from (x_a, x_b),
     all read from one simulation of the pair. With S(u) = exp(-integral of
     xi_A + xi_B on [0,u]), they are
@@ -493,19 +526,16 @@ def mc_kernel_oracles(cps: CounterpartyParams, lambda_c: float, u, x_a: float,
     - h2 = E[S(u) xi_A(u)], its mirror for side A,
     - the joint survival factor E[S(u)].
 
-    Returns ((h1, stderr), (h2, stderr), (joint, stderr)), floats for a
-    scalar u and arrays over u otherwise. Validation oracle for the
-    closed-form kernels.
+    The pair runs 1000 Euler steps to the largest u. Returns ((h1, stderr),
+    (h2, stderr), (joint, stderr)), floats for a scalar u and arrays over u
+    otherwise. Validation oracle for the closed-form kernels.
     """
 
     u_arr = np.atleast_1d(np.asarray(u, dtype=float))
     if np.any(u_arr <= 0.0):
         raise ValueError("u must be positive.")
-    horizon = float(u_arr.max())
-    if dt is None:
-        dt = horizon / 1000.0
     ps = simulate_paths((), cps.with_initial(x_a, x_b), lambda_c=lambda_c,
-                        horizon=horizon, n_paths=n_paths, seed=seed, dt=dt,
+                        horizon=float(u_arr.max()), n_paths=n_paths, seed=seed,
                         sample_times=u_arr)
     # out[kernel, (estimate, stderr), u]
     out = np.empty((3, 2, len(u_arr)))
@@ -515,7 +545,7 @@ def mc_kernel_oracles(cps: CounterpartyParams, lambda_c: float, u, x_a: float,
         for k, vals in enumerate((surv * ps.intensities[:, i, 1],
                                   surv * ps.intensities[:, i, 0], surv)):
             out[k, 0, j] = vals.mean()
-            out[k, 1, j] = vals.std(ddof=1) / math.sqrt(len(vals))
+            out[k, 1, j] = _stderr(vals)
     if np.ndim(u) == 0:
         return tuple((float(est[0]), float(se[0])) for est, se in out)
     return tuple((est, se) for est, se in out)
@@ -533,9 +563,13 @@ def mc_limit_transform(alpha: float, kappa: float, sigma: float, drift_c: float,
     independent oracle for the closed-form pool survival function.
     """
 
-    u = float(u)
+    u, x0 = float(u), float(x0)
     if not u > 0.0:
         raise ValueError("u must be positive.")
+    if not (math.isfinite(x0) and x0 >= 0.0):
+        raise ConfigError("x0 must be finite and >= 0.")
+    if n_paths < 1:
+        raise ConfigError("n_paths must be >= 1.")
     n_steps = 1000
     dt = u / n_steps
     if seed is None:
@@ -553,16 +587,27 @@ def mc_limit_transform(alpha: float, kappa: float, sigma: float, drift_c: float,
         y1 = rng.standard_exponential(bf) / gamma1
         y2 = rng.standard_exponential(bf) / gamma2
         drift0 = alpha + drift_c * y1 + drift_d * y2
-        x = np.full(bf, float(x0))
-        prev_pos = x.copy()
+        # the same in-place step as simulate_paths, without jumps
+        x = np.full(bf, x0)
+        xp = np.maximum(x, 0.0)
+        xnew, z, a, v = (np.empty(bf) for _ in range(4))
         integ = np.zeros(bf)
         for _ in range(n_steps):
-            z = rng.standard_normal(bf)
-            xp = np.maximum(x, 0.0)
-            x += (drift0 - kappa * xp) * dt + sigma * np.sqrt(xp) * (sqrt_dt * z)
-            xpos = np.maximum(x, 0.0)
-            integ += (0.5 * dt) * (prev_pos + xpos)
-            prev_pos = xpos
+            rng.standard_normal(out=z)
+            np.multiply(kappa, xp, out=a)
+            np.subtract(drift0, a, out=a)
+            a *= dt
+            np.sqrt(xp, out=v)
+            v *= sigma
+            z *= sqrt_dt
+            v *= z
+            a += v
+            x += a
+            np.maximum(x, 0.0, out=xnew)
+            np.add(xp, xnew, out=a)
+            a *= 0.5 * dt
+            integ += a
+            xp, xnew = xnew, xp
         vals[r0:r1] = np.exp(-integ[:r1 - r0])
 
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n_paths))
+    return float(vals.mean()), _stderr(vals)

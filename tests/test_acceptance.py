@@ -19,7 +19,7 @@ from cdspool.jumps import BveParams, mgf_bve, mgf_bve_partials, sample_bve
 from cdspool.kernels import build_kernel_coeffs, h1, h2, kernel_ode_residuals
 from cdspool.quadrature import composite_simpson
 from cdspool.riccati import (integral_b, riccati_b, riccati_beta,
-                             riccati_beta_general, riccati_rhs, rk4_solve)
+                             riccati_beta_general, riccati_rhs, rk4_solve_integral)
 from cdspool.simulation import mc_kernel_oracles, mc_limit_transform
 
 ACCEPT_SEED = 20240617
@@ -149,13 +149,9 @@ def test_criterion_3_pool_survival():
                          lambda_hat=0.5, x0=0.5, gamma1=1.5, gamma2=1.5,
                          lambda_c=2.5, s_z=0.02, l_z=0.4, r=0.03)
     rhs_b = riccati_rhs(nojump.kappa, nojump.sigma)
-
-    def rhs(v):
-        return np.array([rhs_b(v[0]), v[0]])
-
     worst_cir = 0.0
     for u in (0.5, 1.0, 2.0, 3.0):
-        b, ib = rk4_solve(rhs, np.zeros(2), u, 1e-4)
+        b, ib = rk4_solve_integral(rhs_b, u, 1e-4)
         worst_cir = max(worst_cir, abs(survival_fhat(0.0, u, nojump)
                                        - math.exp(nojump.x0 * b + nojump.alpha * ib)))
 
@@ -197,7 +193,7 @@ def test_criterion_4_counterparty_kernels():
     worst_z, worst_rel = 0.0, 0.0
     # h1 and h2 read from one simulation of the pair
     (est1, se1), (est2, se2), _ = mc_kernel_oracles(cps, lam_c, u, x_a, x_b, 100_000,
-                                                    ACCEPT_SEED + 4, dt=1e-3)
+                                                    ACCEPT_SEED + 4)
     for closed, est, se in ((h1(u, x_a, x_b, cb), est1, se1),
                             (h2(u, x_a, x_b, ca), est2, se2)):
         worst_z = max(worst_z, float(np.max(np.abs(closed - est) / se)))

@@ -11,7 +11,7 @@ from cdspool.exposure import (LimitConfig, MeasureAtom, MeasureAtoms,
                               survival_fhat)
 from cdspool.harness import grid_for_samples
 from cdspool.quadrature import simpson_adaptive
-from cdspool.riccati import integral_b, riccati_b, riccati_rhs, rk4_solve
+from cdspool.riccati import integral_b, riccati_b, riccati_rhs, rk4_solve_integral
 from cdspool.simulation import simulate_paths
 
 
@@ -45,12 +45,8 @@ def test_fhat_jump_free_equals_affine_transform():
     # independent route: Runge-Kutta on the coupled (exponent, integral) pair
     cfg = LimitConfig(**NOJUMP)
     rhs_b = riccati_rhs(cfg.kappa, cfg.sigma)
-
-    def rhs(y):
-        return np.array([rhs_b(y[0]), y[0]])
-
     for u in (0.25, 1.0, 3.0):
-        b, ib = rk4_solve(rhs, np.zeros(2), u, 1e-4)
+        b, ib = rk4_solve_integral(rhs_b, u, 1e-4)
         assert survival_fhat(0.0, u, cfg) == pytest.approx(
             math.exp(cfg.x0 * b + cfg.alpha * ib), abs=1e-10)
 

@@ -9,7 +9,7 @@ from scipy.integrate import cumulative_simpson, quad
 
 from cdspool.riccati import (exp_phi, integral_b, integral_beta, riccati_b, riccati_beta,
                              riccati_beta_general, riccati_rhs, rk4_solve,
-                             survival_exponents, varpi)
+                             rk4_solve_integral, survival_exponents, varpi)
 
 rates = st.floats(min_value=0.1, max_value=3.0)
 
@@ -236,6 +236,22 @@ def test_rk4_scalar_steps_equal_one_array_call():
             scalar = rk4_solve(riccati_rhs(kappa[i], sigma[i]), y0[i], u, 1e-3)
             assert type(scalar) is float
             assert scalar == batch[i]
+
+
+def test_rk4_integral_pair_equals_the_vector_solve():
+    # two Python floats, bit-equal to RK4 on the 2-vector (rhs(y), y), and
+    # on target against the closed forms
+    rhs_b = riccati_rhs(1.5, 0.2)
+    for u in (0.0, 0.37, 2.0):
+        b, ib = rk4_solve_integral(rhs_b, u, 1e-3)
+        vec = rk4_solve(lambda y: np.array([rhs_b(y[0]), y[0]]), np.zeros(2), u, 1e-3)
+        assert type(b) is float and type(ib) is float
+        assert (b, ib) == (vec[0], vec[1])
+        assert ib == pytest.approx(integral_b(1.5, 0.2, u), abs=1e-12)
+    with pytest.raises(ValueError):
+        rk4_solve_integral(rhs_b, 1.0, 0.0)
+    with pytest.raises(ValueError):
+        rk4_solve_integral(rhs_b, -1.0, 1e-3)
 
 
 def test_rk4_hits_riccati_target():

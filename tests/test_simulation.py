@@ -1,4 +1,6 @@
+import hashlib
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -161,6 +163,27 @@ def test_bit_reproducibility_and_worker_invariance():
         np.testing.assert_array_equal(a.thresholds, other.thresholds)
 
 
+@pytest.mark.parametrize("rho, digests", [
+    (0.5, ("867e73cf56a177334ca2631e9b8ace84079f1cc0595d1317a5cd41837da85a4f",
+           "6b48267bf8d6081d76c2c21af9fd95743a2aa1215d917c810ee4611c61c29d5b",
+           "e490def82ff9626acfd806526c5decae152b7de86af3388833389c2cc47e5a57")),
+    (0.6, ("f7268b99a6a0e9a1ac63550995da981910bf4c54b730235400eaec41b6ea2af1",
+           "51a08e225cbe2fde12b690b05c5fed66b4f0331bfbd8583c01ddf725b52d321f",
+           "e490def82ff9626acfd806526c5decae152b7de86af3388833389c2cc47e5a57")),
+])
+def test_names_and_pair_pinned(rho, digests):
+    # pinned stream layout and Euler arithmetic for a system with names:
+    # both jump layers on every entity, the square-root step and (one name
+    # at rho = 0.6) the CEV step; SHA-256 of the raw float64 bytes
+    names = [make_name(xi0=0.01 * (k + 1), sigma=0.1 + 0.05 * k,
+                       rho=rho if k == 1 else 0.5) for k in range(3)]
+    ps = simulate_paths(names, make_cps(), lambda_c=2.5, gamma1=1.5, gamma2=1.5,
+                        horizon=0.5, n_paths=600, seed=31, dt=1e-3, workers=2)
+    got = tuple(hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+                for a in (ps.intensities, ps.default_times, ps.thresholds))
+    assert got == digests
+
+
 def test_paths_invariant_to_total_path_count():
     names = [make_name()]
     kw = dict(lambda_c=2.5, gamma1=1.5, gamma2=1.5, horizon=0.5, seed=37, dt=1e-3)
@@ -234,8 +257,7 @@ def test_mc_exposure_tracks_limit_for_moderate_pool():
 
 def test_mc_h1_oracle_short_horizon_recovers_initial_intensity():
     cps = make_cps()
-    (est, se), _, _ = mc_kernel_oracles(cps, 0.25, 1e-3, 0.2, 0.3, n_paths=2000, seed=53,
-                                        dt=1e-5)
+    (est, se), _, _ = mc_kernel_oracles(cps, 0.25, 1e-3, 0.2, 0.3, n_paths=2000, seed=53)
     assert est == pytest.approx(0.3, rel=2e-2)
 
 
@@ -260,8 +282,7 @@ def test_mc_h1_oracle_matches_transform_derivative():
 
     h = 1e-5
     fd = (transform(0.0) - transform(-h)) / h  # one-sided: theta must stay <= 0
-    (est, se), _, _ = mc_kernel_oracles(cps, 0.0, u, 0.0, x_b, n_paths=40_000, seed=59,
-                                        dt=1e-3)
+    (est, se), _, _ = mc_kernel_oracles(cps, 0.0, u, 0.0, x_b, n_paths=40_000, seed=59)
     assert abs(est - fd) < 3 * se
 
 
@@ -270,7 +291,7 @@ def test_mc_kernel_oracles_equal_separate_runs_at_gate_arguments():
     # blocks, give exactly these values; a change of block width moves them
     from cdspool.harness import VALIDATION_SEED, default_counterparties
     h1, h2, joint = mc_kernel_oracles(default_counterparties(), 0.25, 1.0, 0.2, 0.2,
-                                      20_000, VALIDATION_SEED + 12, dt=1e-3)
+                                      20_000, VALIDATION_SEED + 12)
     assert h1 == (0.235683369101277, 0.0005836593212901791)
     assert h2 == (0.23576508302279536, 0.000575669932328264)
     assert joint == (0.48625612040190047, 0.0005919977865622657)
@@ -285,6 +306,31 @@ def test_mc_limit_transform_pinned_at_gate_arguments():
                              cfg.d * cfg.lambda_hat, cfg.gamma1, cfg.gamma2, cfg.x0, 1.5,
                              n_paths=100_000, seed=VALIDATION_SEED + 11)
     assert est == (0.952081442014136, 0.00012555912796769487)
+
+
+# alpha, kappa, sigma, drift_c, drift_d, gamma1, gamma2 of the limit diffusion
+LIMIT_ARGS = (0.5, 1.5, 0.2, 0.1, 0.1, 1.5, 1.5)
+
+
+def test_oracles_reject_empty_runs_and_bad_initial_values():
+    for x0 in (-1e-3, float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="x0"):
+            mc_limit_transform(*LIMIT_ARGS, x0, 1.0, n_paths=10, seed=1)
+    for n in (0, -3):
+        with pytest.raises(ConfigError, match="n_paths"):
+            mc_limit_transform(*LIMIT_ARGS, 0.5, 1.0, n_paths=n, seed=1)
+        with pytest.raises(ConfigError, match="n_paths"):
+            mc_kernel_oracles(make_cps(), 0.25, 1.0, 0.2, 0.2, n_paths=n, seed=1)
+
+
+def test_oracles_report_zero_stderr_for_one_path():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est, se = mc_limit_transform(*LIMIT_ARGS, 0.5, 1.0, n_paths=1, seed=1)
+        kernels = mc_kernel_oracles(make_cps(), 0.25, 1.0, 0.2, 0.2, n_paths=1, seed=1)
+    assert 0.0 < est < 1.0 and se == 0.0
+    for est, se in kernels:
+        assert math.isfinite(est) and se == 0.0
 
 
 def test_integrals_recorded_for_the_pair_alone():
