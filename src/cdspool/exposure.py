@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ConfigError
 from .quadrature import gauss_legendre_integral
 from .riccati import integral_b, integral_beta, riccati_b, riccati_beta
-from .simulation import NameParams, PathSet
+from .simulation import NameParams, PathSet, _stderr
 
 __all__ = [
     "LimitConfig",
@@ -121,18 +121,18 @@ def _mark_factors(ib, c_load: float, d_load: float, gamma1: float, gamma2: float
     return (gamma1 / (gamma1 - c_load * ib)) * (gamma2 / (gamma2 - d_load * ib))
 
 
-def survival_fhat(t: float, s, cfg: LimitConfig):
-    """Limiting pool survival function between t and s (time-homogeneous).
+def survival_fhat(u, cfg: LimitConfig):
+    """Limiting pool survival function over a lag u (time-homogeneous).
 
     exp(x0 B(u) + alpha IB(u)) * gamma1/(gamma1 - c lambda_c IB(u))
-    * gamma2/(gamma2 - d lambda_hat IB(u)) with u = s - t, B the
-    zero-initial Riccati solution and IB its integral. Values lie in (0, 1]
-    and decrease in u; both denominators exceed their gamma since IB <= 0.
+    * gamma2/(gamma2 - d lambda_hat IB(u)) with B the zero-initial Riccati
+    solution and IB its integral. Values lie in (0, 1] and decrease in u;
+    both denominators exceed their gamma since IB <= 0.
     """
 
-    u = np.asarray(s, dtype=float) - t
+    u = np.asarray(u, dtype=float)
     if np.any(u < 0.0):
-        raise ValueError("Require s >= t.")
+        raise ValueError("Require u >= 0.")
     b = riccati_b(cfg.kappa, cfg.sigma, u)
     ib = integral_b(cfg.kappa, cfg.sigma, u)
     out = np.exp(cfg.x0 * b + cfg.alpha * ib) * _mark_factors(
@@ -144,18 +144,19 @@ def exposure_limit(t, maturity: float, cfg: LimitConfig):
     """Limit exposure per unit name of a long investor at time(s) t.
 
     l_z [e^{-r v} Fhat(v) - 1] + (s_z + r l_z) * integral of e^{-r u} Fhat(u)
-    over [0, v], with v = T - t and Fhat = survival_fhat(0, .). Broadcasts
-    over t. The integral is :func:`~cdspool.quadrature.gauss_legendre_integral`,
-    so each value depends only on its own t and a vector call equals the
-    scalar calls bit for bit. Vanishes exactly at t = T.
+    over [0, v], with v = T - t and Fhat the pool survival function.
+    Broadcasts over t. The integral is
+    :func:`~cdspool.quadrature.gauss_legendre_integral`, so each value
+    depends only on its own t and a vector call equals the scalar calls bit
+    for bit. Vanishes exactly at t = T.
     """
 
     v = maturity - np.asarray(t, dtype=float)
     if np.any(v < 0.0):
         raise ValueError("Require t <= maturity.")
     integral = gauss_legendre_integral(
-        lambda u: np.exp(-cfg.r * u) * survival_fhat(0.0, u, cfg), v)
-    terminal = cfg.l_z * (np.exp(-cfg.r * v) * survival_fhat(0.0, v, cfg) - 1.0)
+        lambda u: np.exp(-cfg.r * u) * survival_fhat(u, cfg), v)
+    terminal = cfg.l_z * (np.exp(-cfg.r * v) * survival_fhat(v, cfg) - 1.0)
     out = np.where(v > 0.0, terminal + (cfg.s_z + cfg.r * cfg.l_z) * integral, 0.0)
     return float(out) if out.ndim == 0 else out
 
@@ -201,7 +202,7 @@ def limit_exp_test(theta: float, t, cfg: LimitConfig):
     if np.any(t < 0.0):
         raise ValueError("t must be non-negative.")
     if theta == 0.0:
-        return survival_fhat(0.0, t, cfg)
+        return survival_fhat(t, cfg)
     bt = riccati_beta(cfg.kappa, cfg.sigma, theta, t)
     ib = integral_beta(cfg.kappa, cfg.sigma, theta, t)
     out = np.exp(cfg.alpha * ib + bt * cfg.x0) * _mark_factors(
@@ -209,34 +210,26 @@ def limit_exp_test(theta: float, t, cfg: LimitConfig):
     return float(out) if out.ndim == 0 else out
 
 
-def empirical_measure_eval(pathset: PathSet, f_spec, t: float) -> tuple[float, float]:
+def empirical_measure_eval(pathset: PathSet, theta: float, t: float) -> tuple[float, float]:
     """Monte-Carlo average of the surviving-name empirical measure applied
-    to a test function, with standard error.
+    to the test function exp(theta x), theta <= 0, with standard error.
 
-    ``f_spec`` is "one" or ("exp", theta): the per-path statistic is the
-    equal-weight average over names of f(intensity at t) times the survival
-    indicator at t.
+    The per-path statistic is the equal-weight average over names of
+    exp(theta * intensity at t) times the survival indicator at t; theta = 0
+    is the surviving mass, as in :func:`limit_exp_test`.
     """
 
+    if theta > 0.0:
+        raise ValueError("theta must be <= 0.")
     k = pathset.n_names
     if k == 0:
         raise ValueError("PathSet holds no reference names.")
     i_t = pathset.time_index(t)
     x = pathset.intensities[:, i_t, :k]
     alive = pathset.default_times[:, :k] > t
-    if f_spec == "one":
-        f = np.ones_like(x)
-    elif isinstance(f_spec, tuple) and len(f_spec) == 2 and f_spec[0] == "exp":
-        theta = float(f_spec[1])
-        if theta > 0.0:
-            raise ValueError("theta must be <= 0.")
-        f = np.exp(theta * x)
-    else:
-        raise ValueError("f_spec must be 'one' or ('exp', theta).")
+    f = 1.0 if theta == 0.0 else np.exp(theta * x)
     per_path = (f * alive).mean(axis=1)
-    n = len(per_path)
-    stderr = float(per_path.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return float(per_path.mean()), stderr
+    return float(per_path.mean()), _stderr(per_path)
 
 
 def build_name_sequence(cfg: LimitConfig, K: int) -> list[NameParams]:

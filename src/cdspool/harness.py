@@ -29,8 +29,9 @@ from .quadrature import composite_simpson
 from .riccati import (exp_phi, integral_b, integral_beta, riccati_b, riccati_beta,
                       riccati_beta_general, riccati_rhs, rk4_solve,
                       rk4_solve_integral)
-from .simulation import (CounterpartyParams, CounterpartySide, map_ordered, mc_exposure,
-                         mc_kernel_oracles, mc_limit_transform, simulate_paths)
+from .simulation import (CounterpartyParams, CounterpartySide, _stderr, map_ordered,
+                         mc_exposure, mc_kernel_oracles, mc_limit_transform,
+                         simulate_paths)
 
 __all__ = [
     "CurveTable",
@@ -206,7 +207,7 @@ def run_measure_convergence(spec: ExperimentSpec) -> list[CurveTable]:
     cfg = spec.limit
     theta = -1.0
     dt, times = grid_for_samples(spec.horizon, spec.n_times, spec.dt)
-    lim_mass = survival_fhat(0.0, times, cfg)
+    lim_mass = survival_fhat(times, cfg)
     lim_exp = limit_exp_test(theta, times, cfg)
     tables = []
     sup_one = np.empty((len(spec.k_values), spec.repeats))
@@ -219,9 +220,8 @@ def run_measure_convergence(spec: ExperimentSpec) -> list[CurveTable]:
                                 horizon=spec.horizon, n_paths=spec.n_paths,
                                 seed=spec.seed + rep, dt=dt, sample_times=times,
                                 workers=spec.workers)
-            one = np.array([empirical_measure_eval(ps, "one", float(t)) for t in times])
-            ee = np.array([empirical_measure_eval(ps, ("exp", theta), float(t))
-                           for t in times])
+            one = np.array([empirical_measure_eval(ps, 0.0, float(t)) for t in times])
+            ee = np.array([empirical_measure_eval(ps, theta, float(t)) for t in times])
             sup_one[ki, rep] = np.max(np.abs(one[:, 0] - lim_mass))
             sup_exp[ki, rep] = np.max(np.abs(ee[:, 0] - lim_exp))
             if rep == 0:
@@ -251,7 +251,7 @@ def run_bcva_sweeps(spec: ExperimentSpec) -> list[CurveTable]:
     if spec.cps is None:
         raise ConfigError("bcva-sweep requires counterparty parameters.")
     res = kernels.sensitivity_sweep(spec.sweep, spec.sweep_values, spec.limit,
-                                    spec.cps, t=0.0, maturity=spec.horizon,
+                                    spec.cps, maturity=spec.horizon,
                                     workers=spec.workers)
     table = CurveTable(
         label=f"bcva-{spec.sweep}", abscissa_name=spec.sweep, abscissa=res.values,
@@ -309,19 +309,16 @@ def _validation_baseline():
     return cfg_jumpy, cfg_nojump, default_counterparties()
 
 
-def run_validation(spec: ExperimentSpec | None = None, *, workers: int = 1,
-                   perturb: dict[str, float] | None = None) -> ValidationReport:
+def run_validation(perturb: dict[str, float] | None = None,
+                   workers: int = 1) -> ValidationReport:
     """Run every closed-form-vs-oracle comparison and report margins.
 
-    ``perturb`` (or spec.perturb) adds an offset to a named check's
-    closed-form value; it exists so the report's sensitivity can itself be
-    exercised. Seeds are fixed constants: the report is byte-reproducible.
+    ``perturb`` adds an offset to a named check's closed-form value; it
+    exists so the report's sensitivity can itself be exercised. Seeds are
+    fixed constants: the report is byte-reproducible for any ``workers``.
     """
 
-    if perturb is None:
-        perturb = dict(spec.perturb) if spec is not None else {}
-    if spec is not None:
-        workers = max(workers, spec.workers)
+    perturb = perturb or {}
     known = {name for name, _ in _CHECKS}
     unknown = set(perturb) - known
     if unknown:
@@ -490,7 +487,7 @@ def _check_fhat_cir(offset: float) -> CheckResult:
     rhs_b = riccati_rhs(cfg.kappa, cfg.sigma)
     err = 0.0
     for u in (0.5, 1.0, 2.0):
-        closed = survival_fhat(0.0, u, cfg) + offset
+        closed = survival_fhat(u, cfg) + offset
         b, ib = rk4_solve_integral(rhs_b, u, 1e-4)
         oracle = math.exp(cfg.x0 * b + cfg.alpha * ib)
         err = max(err, abs(closed - oracle))
@@ -500,7 +497,7 @@ def _check_fhat_cir(offset: float) -> CheckResult:
 def _check_fhat_limit_sde(offset: float) -> CheckResult:
     cfg, _, _ = _validation_baseline()
     u = 1.5
-    closed = survival_fhat(0.0, u, cfg) + offset
+    closed = survival_fhat(u, cfg) + offset
     est, _ = mc_limit_transform(cfg.alpha, cfg.kappa, cfg.sigma,
                                 cfg.c * cfg.lambda_c, cfg.d * cfg.lambda_hat,
                                 cfg.gamma1, cfg.gamma2, cfg.x0, u,
@@ -512,8 +509,8 @@ def _check_exposure_quadrature(offset: float) -> CheckResult:
     _, cfg, _ = _validation_baseline()
     closed = exposure_limit(0.0, 1.0, cfg) + offset
     integral = composite_simpson(
-        lambda u: np.exp(-cfg.r * u) * survival_fhat(0.0, u, cfg), 0.0, 1.0, 10_000)
-    oracle = (cfg.l_z * (math.exp(-cfg.r) * survival_fhat(0.0, 1.0, cfg) - 1.0)
+        lambda u: np.exp(-cfg.r * u) * survival_fhat(u, cfg), 0.0, 1.0, 10_000)
+    oracle = (cfg.l_z * (math.exp(-cfg.r) * survival_fhat(1.0, cfg) - 1.0)
               + (cfg.s_z + cfg.r * cfg.l_z) * integral)
     return CheckResult("exposure_limit_vs_simpson", abs(closed - oracle), 1e-7)
 
@@ -572,7 +569,7 @@ def _check_kernel_residuals(offset: float) -> CheckResult:
 def _check_cva_nested_mc(offset: float) -> CheckResult:
     cfg, _, cps = _validation_baseline()
     maturity = 3.0
-    result = kernels.bcva(0.0, maturity, cfg, cps)
+    result = kernels.bcva(maturity, cfg, cps)
     est, se = nested_mc_cva(cfg, cps, maturity, n_paths=20_000, seed=VALIDATION_SEED + 13)
     return CheckResult("cva_vs_nested_mc", abs(result.cva + offset - est) / se, 3.0)
 
@@ -593,10 +590,10 @@ def nested_mc_cva(cfg: LimitConfig, cps: CounterpartyParams, maturity: float,
     hit = (tau_b <= np.minimum(tau_a, maturity)) & (tau_b > 0)
     vals = np.zeros(n_paths)
     tb = tau_b[hit]
-    vals[hit] = (np.exp(-cfg.r * tb) * survival_fhat(0.0, tb, cfg)
+    vals[hit] = (np.exp(-cfg.r * tb) * survival_fhat(tb, cfg)
                  * np.maximum(exposure_limit(tb, maturity, cfg), 0.0))
     vals *= cps.loss_b
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n_paths))
+    return float(vals.mean()), _stderr(vals)
 
 
 _CHECKS: list[tuple[str, Callable[[float], CheckResult]]] = [
@@ -672,7 +669,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: Path | None = None):
     elif spec.kind == "bcva-sweep":
         tables, report = run_bcva_sweeps(spec), None
     elif spec.kind == "validate":
-        tables, report = [], run_validation(spec)
+        tables, report = [], run_validation(spec.perturb, spec.workers)
     else:
         raise ConfigError(f"Unknown experiment kind {spec.kind!r}.")
     if out_dir is not None:

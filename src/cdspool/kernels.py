@@ -189,8 +189,6 @@ class BcvaResult:
     bcva: float
     cva: float
     dva: float
-    t: float
-    maturity: float
 
 
 def _sign_segments(f, a: float, b: float, n_scan: int = 256):
@@ -204,33 +202,28 @@ def _sign_segments(f, a: float, b: float, n_scan: int = 256):
     return sorted(set([a, *roots, b]))
 
 
-def bcva(t: float, maturity: float, cfg: LimitConfig, cps: CounterpartyParams,
-         x_a: float | None = None, x_b: float | None = None) -> BcvaResult:
-    """Semi-closed bilateral CVA of the large-pool CDS book at time t.
+def bcva(maturity: float, cfg: LimitConfig, cps: CounterpartyParams) -> BcvaResult:
+    """Semi-closed bilateral CVA at time 0 of the large-pool CDS book
+    maturing at ``maturity``.
 
     The CVA term discounts the positive part of the limit exposure against
     pool survival and the side-B default kernel; the DVA term mirrors it
     with the negative part and side A. Sign changes of the exposure are
     located by bisection, and each sign segment is integrated by
     :func:`~cdspool.quadrature.gauss_legendre_rule`. A kernel side is built
-    only when the exposure takes its sign somewhere on [t, T].
-    Valuation conditions on everything alive at t, with counterparty states
-    (x_a, x_b) defaulting to their initial intensities.
+    only when the exposure takes its sign somewhere on [0, T]. The kernels
+    start from the counterparties' initial intensities.
     """
 
-    if t > maturity:
-        raise ValueError("Require t <= maturity.")
-    if x_a is None:
-        x_a = cps.side_a.xi0
-    if x_b is None:
-        x_b = cps.side_b.xi0
-    if t == maturity:
-        return BcvaResult(bcva=0.0, cva=0.0, dva=0.0, t=t, maturity=maturity)
+    if maturity < 0.0:
+        raise ValueError("Require maturity >= 0.")
+    if maturity == 0.0:
+        return BcvaResult(bcva=0.0, cva=0.0, dva=0.0)
 
     def eps(s):
         return exposure_limit(s, maturity, cfg)
 
-    cuts = np.array(_sign_segments(eps, t, maturity))
+    cuts = np.array(_sign_segments(eps, 0.0, maturity))
     mid_sign = np.sign(eps(0.5 * (cuts[:-1] + cuts[1:])))
 
     def part(side: str, sign: float) -> float:
@@ -242,13 +235,13 @@ def bcva(t: float, maturity: float, cfg: LimitConfig, cps: CounterpartyParams,
         s = np.concatenate([x for x, _ in rules])
         w = np.concatenate([w for _, w in rules])
         coeffs = build_kernel_coeffs(cps, cfg.lambda_c, side)
-        f = (np.exp(-cfg.r * (s - t)) * np.maximum(sign * eps(s), 0.0)
-             * survival_fhat(t, s, cfg) * coeffs.evaluate(s - t, x_a, x_b))
+        f = (np.exp(-cfg.r * s) * np.maximum(sign * eps(s), 0.0)
+             * survival_fhat(s, cfg) * coeffs.evaluate(s, cps.side_a.xi0, cps.side_b.xi0))
         return float(np.sum(w * f))
 
     cva = cps.loss_b * part("B", 1.0)
     dva = cps.loss_a * part("A", -1.0)
-    return BcvaResult(bcva=dva - cva, cva=cva, dva=dva, t=t, maturity=maturity)
+    return BcvaResult(bcva=dva - cva, cva=cva, dva=dva)
 
 
 @dataclass(frozen=True)
@@ -277,7 +270,7 @@ def _apply_sweep(parameter: str, value: float, cfg: LimitConfig,
 
 
 def sensitivity_sweep(parameter: str, values: Sequence[float], cfg: LimitConfig,
-                      cps: CounterpartyParams, t: float = 0.0, maturity: float = 3.0,
+                      cps: CounterpartyParams, maturity: float = 3.0,
                       workers: int = 1) -> SweepResult:
     """Recompute the bilateral adjustment across a parameter grid.
 
@@ -293,7 +286,7 @@ def sensitivity_sweep(parameter: str, values: Sequence[float], cfg: LimitConfig,
 
     def point(v: float) -> BcvaResult:
         cfg_v, cps_v = _apply_sweep(parameter, v, cfg, cps)
-        return bcva(t, maturity, cfg_v, cps_v)
+        return bcva(maturity, cfg_v, cps_v)
 
     results = map_ordered(point, values, workers)
     return SweepResult(parameter=parameter, values=values,

@@ -1,9 +1,9 @@
 """Monte-Carlo engine for the K-name + two-counterparty default system.
 
-Intensities follow mean-reverting CEV/CIR dynamics with two jump layers: a
-common Poisson process hitting every entity simultaneously (exponential
-sizes for names, a Marshall-Olkin pair for the counterparties) and
-per-entity idiosyncratic Poisson jumps. Default times are doubly
+Intensities follow mean-reverting square-root (CIR) dynamics with two jump
+layers: a common Poisson process hitting every entity simultaneously
+(exponential sizes for names, a Marshall-Olkin pair for the counterparties)
+and per-entity idiosyncratic Poisson jumps. Default times are doubly
 stochastic: unit-mean exponential thresholds drawn up front, crossed by the
 trapezoidal integral of the simulated intensity on the fine grid.
 
@@ -88,7 +88,6 @@ class NameParams:
     spread: float
     loss: float
     z: int = 1
-    rho: float = 0.5
 
     def __post_init__(self) -> None:
         if not all(map(math.isfinite, (self.alpha, self.kappa, self.sigma, self.c,
@@ -101,8 +100,6 @@ class NameParams:
             raise ConfigError("Jump loadings and rates must be non-negative.")
         if self.xi0 < 0:
             raise ConfigError("xi0 must be non-negative.")
-        if not 0.5 <= self.rho < 1.0:
-            raise ConfigError("rho must lie in [0.5, 1).")
         if not 0.0 <= self.loss <= 1.0:
             raise ConfigError("loss must lie in [0, 1].")
         if self.z not in (-1, 1):
@@ -147,13 +144,10 @@ class CounterpartyParams:
     idio_jump: BveParams
     loss_a: float = 0.4
     loss_b: float = 0.4
-    rho_hat: float = 0.5
 
     def __post_init__(self) -> None:
         if not (0.0 < self.loss_a <= 1.0 and 0.0 < self.loss_b <= 1.0):
             raise ConfigError("Counterparty losses must lie in (0, 1].")
-        if not 0.5 <= self.rho_hat < 1.0:
-            raise ConfigError("rho_hat must lie in [0.5, 1).")
 
     def with_initial(self, x_a: float, x_b: float) -> "CounterpartyParams":
         return replace(self, side_a=replace(self.side_a, xi0=x_a),
@@ -214,12 +208,7 @@ def _entity_vectors(names: Sequence[NameParams], cps: CounterpartyParams | None)
     if cps is not None:
         ent.extend([cps.side_a, cps.side_b])
     get = lambda attr: np.array([getattr(e, attr) for e in ent], dtype=float)
-    vec = {a: get(a) for a in ("alpha", "kappa", "sigma", "c", "d", "lambda_hat", "xi0")}
-    rho = np.array([n.rho for n in names], dtype=float)
-    if cps is not None:
-        rho = np.concatenate([rho, [cps.rho_hat, cps.rho_hat]])
-    vec["rho"] = rho
-    return vec
+    return {a: get(a) for a in ("alpha", "kappa", "sigma", "c", "d", "lambda_hat", "xi0")}
 
 
 def _stderr(vals: np.ndarray) -> float:
@@ -331,7 +320,6 @@ def simulate_paths(names: Sequence[NameParams], cps: CounterpartyParams | None =
     # instead of one short loop per path
     alpha, kappa, sigma = (np.tile(vec[f], (block_size, 1))
                            for f in ("alpha", "kappa", "sigma"))
-    rho = None if np.all(vec["rho"] == 0.5) else np.tile(vec["rho"], (block_size, 1))
 
     def run_block(b: int) -> None:
         rng = _block_generator(key, _BLOCK_PATHS, b)
@@ -388,15 +376,12 @@ def simulate_paths(names: Sequence[NameParams], cps: CounterpartyParams | None =
                 integrated[r0:r1, store_slot[0]] = 0.0
 
         for i in range(n_steps):
-            # x += (alpha - kappa xp) dt + sigma vol(xp) (sqrt_dt z), in place
+            # x += (alpha - kappa xp) dt + sigma sqrt(xp) (sqrt_dt z), in place
             rng.standard_normal(out=z)
             np.multiply(kappa, xp, out=a)
             np.subtract(alpha, a, out=a)
             a *= dt
-            if rho is None:
-                np.sqrt(xp, out=v)
-            else:
-                np.power(xp, rho, out=v)
+            np.sqrt(xp, out=v)
             v *= sigma
             z *= sqrt_dt
             v *= z
@@ -483,9 +468,6 @@ def mc_exposure(pathset: PathSet, names: Sequence[NameParams], t: float, maturit
     if K == 0 or len(names) != K:
         raise ValueError("names must match the simulated reference pool.")
     get = lambda attr: np.array([getattr(n, attr) for n in names], dtype=float)
-    if np.any(get("rho") != 0.5):
-        raise ValueError("Exposure transform requires square-root names (rho = 0.5).")
-
     x_t = pathset.intensities[:, pathset.time_index(t), :K]
     span = maturity - t
     if span == 0.0:
@@ -516,39 +498,30 @@ def mc_exposure(pathset: PathSet, names: Sequence[NameParams], t: float, maturit
     return float(eps.mean()), _stderr(eps)
 
 
-def mc_kernel_oracles(cps: CounterpartyParams, lambda_c: float, u, x_a: float,
+def mc_kernel_oracles(cps: CounterpartyParams, lambda_c: float, u: float, x_a: float,
                       x_b: float, n_paths: int, seed: int | None):
-    """MC estimates of the three counterparty kernels started from (x_a, x_b),
-    all read from one simulation of the pair. With S(u) = exp(-integral of
-    xi_A + xi_B on [0,u]), they are
+    """MC estimates of the three counterparty kernels at lag u started from
+    (x_a, x_b), all read from one simulation of the pair. With
+    S(u) = exp(-integral of xi_A + xi_B on [0,u]), they are
 
     - h1 = E[S(u) xi_B(u)], the default-density kernel of side B,
     - h2 = E[S(u) xi_A(u)], its mirror for side A,
     - the joint survival factor E[S(u)].
 
-    The pair runs 1000 Euler steps to the largest u. Returns ((h1, stderr),
-    (h2, stderr), (joint, stderr)), floats for a scalar u and arrays over u
-    otherwise. Validation oracle for the closed-form kernels.
+    The pair runs 1000 Euler steps to u. Returns ((h1, stderr),
+    (h2, stderr), (joint, stderr)) as floats. Validation oracle for the
+    closed-form kernels.
     """
 
-    u_arr = np.atleast_1d(np.asarray(u, dtype=float))
-    if np.any(u_arr <= 0.0):
+    u = float(u)
+    if not u > 0.0:
         raise ValueError("u must be positive.")
     ps = simulate_paths((), cps.with_initial(x_a, x_b), lambda_c=lambda_c,
-                        horizon=float(u_arr.max()), n_paths=n_paths, seed=seed,
-                        sample_times=u_arr)
-    # out[kernel, (estimate, stderr), u]
-    out = np.empty((3, 2, len(u_arr)))
-    for j, ui in enumerate(u_arr):
-        i = ps.time_index(ui)
-        surv = np.exp(-(ps.integrated[:, i, 0] + ps.integrated[:, i, 1]))
-        for k, vals in enumerate((surv * ps.intensities[:, i, 1],
-                                  surv * ps.intensities[:, i, 0], surv)):
-            out[k, 0, j] = vals.mean()
-            out[k, 1, j] = _stderr(vals)
-    if np.ndim(u) == 0:
-        return tuple((float(est[0]), float(se[0])) for est, se in out)
-    return tuple((est, se) for est, se in out)
+                        horizon=u, n_paths=n_paths, seed=seed, sample_times=[u])
+    surv = np.exp(-(ps.integrated[:, 0, 0] + ps.integrated[:, 0, 1]))
+    return tuple((float(vals.mean()), _stderr(vals))
+                 for vals in (surv * ps.intensities[:, 0, 1],
+                              surv * ps.intensities[:, 0, 0], surv))
 
 
 def mc_limit_transform(alpha: float, kappa: float, sigma: float, drift_c: float,

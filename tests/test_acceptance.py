@@ -152,7 +152,7 @@ def test_criterion_3_pool_survival():
     worst_cir = 0.0
     for u in (0.5, 1.0, 2.0, 3.0):
         b, ib = rk4_solve_integral(rhs_b, u, 1e-4)
-        worst_cir = max(worst_cir, abs(survival_fhat(0.0, u, nojump)
+        worst_cir = max(worst_cir, abs(survival_fhat(u, nojump)
                                        - math.exp(nojump.x0 * b + nojump.alpha * ib)))
 
     worst_rel = 0.0
@@ -165,7 +165,7 @@ def test_criterion_3_pool_survival():
                                     cfg.c * cfg.lambda_c, cfg.d * cfg.lambda_hat,
                                     cfg.gamma1, cfg.gamma2, cfg.x0, u,
                                     n_paths=100_000, seed=ACCEPT_SEED + 3)
-        worst_rel = max(worst_rel, abs(survival_fhat(0.0, u, cfg) - est) / est)
+        worst_rel = max(worst_rel, abs(survival_fhat(u, cfg) - est) / est)
 
     elapsed = time.perf_counter() - t0
     ok = worst_cir <= 1e-10 and worst_rel <= 5e-3 and elapsed < 120.0
@@ -186,18 +186,18 @@ def test_criterion_4_counterparty_kernels():
     cps = default_counterparties()
     lam_c = 0.25
     x_a = x_b = 0.2
-    u = np.array([0.5, 1.0, 2.0])
     cb = build_kernel_coeffs(cps, lam_c, "B")
     ca = build_kernel_coeffs(cps, lam_c, "A")
 
     worst_z, worst_rel = 0.0, 0.0
-    # h1 and h2 read from one simulation of the pair
-    (est1, se1), (est2, se2), _ = mc_kernel_oracles(cps, lam_c, u, x_a, x_b, 100_000,
-                                                    ACCEPT_SEED + 4)
-    for closed, est, se in ((h1(u, x_a, x_b, cb), est1, se1),
-                            (h2(u, x_a, x_b, ca), est2, se2)):
-        worst_z = max(worst_z, float(np.max(np.abs(closed - est) / se)))
-        worst_rel = max(worst_rel, float(np.max(np.abs(closed - est) / est)))
+    for u in (0.5, 1.0, 2.0):
+        # h1 and h2 at lag u read from one simulation of the pair
+        (est1, se1), (est2, se2), _ = mc_kernel_oracles(cps, lam_c, u, x_a, x_b,
+                                                        100_000, ACCEPT_SEED + 4)
+        for closed, est, se in ((h1(u, x_a, x_b, cb), est1, se1),
+                                (h2(u, x_a, x_b, ca), est2, se2)):
+            worst_z = max(worst_z, abs(closed - est) / se)
+            worst_rel = max(worst_rel, abs(closed - est) / est)
 
     worst_res = 0.0
     for coeffs in (cb, ca):

@@ -69,9 +69,18 @@ def test_repeat_invocations_are_byte_identical(tmp_path):
     assert tree_bytes(tmp_path / "a") == tree_bytes(tmp_path / "b")
 
 
-def test_worker_count_never_changes_output(tmp_path):
-    args = ["--experiment", "convergence", "--config", CONFIGS / "fig1-a.cfg",
-            "--seed", "42"] + SMALL
+@pytest.mark.parametrize("args", [
+    ["--experiment", "convergence", "--config", CONFIGS / "fig1-a.cfg",
+     "--seed", "42"] + SMALL,
+    # two 256-path blocks, so the workers split the simulation too
+    ["--experiment", "measure-convergence", "--config", CONFIGS / "measure.cfg",
+     "--seed", "7"] + SMALL + ["--set", "experiment.n_paths=300",
+                               "--set", "experiment.k_values=5,10",
+                               "--set", "experiment.repeats=2"],
+    ["--experiment", "bcva-sweep", "--config", CONFIGS / "fig2.cfg",
+     "--set", "experiment.sweep_values=0.1,0.3,0.5"],
+], ids=["convergence", "measure-convergence", "bcva-sweep"])
+def test_worker_count_never_changes_output(tmp_path, args):
     trees = {}
     for w in (1, 4, 8):
         assert run_cli(args + ["--workers", w, "--out", tmp_path / f"w{w}"]) == EXIT_OK

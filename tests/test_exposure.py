@@ -38,7 +38,7 @@ NOJUMP = dict(alpha=0.75, kappa=1.5, sigma=0.2, c=0.0, d=0.0, lambda_hat=0.5,
 
 
 def test_fhat_is_one_on_the_diagonal():
-    assert survival_fhat(0.7, 0.7, make_cfg()) == 1.0
+    assert survival_fhat(0.0, make_cfg()) == 1.0
 
 
 def test_fhat_jump_free_equals_affine_transform():
@@ -47,14 +47,14 @@ def test_fhat_jump_free_equals_affine_transform():
     rhs_b = riccati_rhs(cfg.kappa, cfg.sigma)
     for u in (0.25, 1.0, 3.0):
         b, ib = rk4_solve_integral(rhs_b, u, 1e-4)
-        assert survival_fhat(0.0, u, cfg) == pytest.approx(
+        assert survival_fhat(u, cfg) == pytest.approx(
             math.exp(cfg.x0 * b + cfg.alpha * ib), abs=1e-10)
 
 
 def test_fhat_matches_limit_sde_mc():
     # frozen oracle: 1e5 Euler paths of the limit diffusion with random
     # drift marks, dt = 1.5e-3, seed 1234: 0.95213596 +- 1.26e-04
-    closed = survival_fhat(0.0, 1.5, make_cfg())
+    closed = survival_fhat(1.5, make_cfg())
     assert closed == pytest.approx(0.95213596, rel=5e-3)
     assert abs(closed - 0.95213596) < 3 * 1.26e-4
 
@@ -62,16 +62,15 @@ def test_fhat_matches_limit_sde_mc():
 def test_fhat_time_homogeneous_and_monotone():
     cfg = make_cfg()
     s = np.linspace(0.0, 5.0, 101)
-    curve = survival_fhat(0.0, s, cfg)
+    curve = survival_fhat(s, cfg)
     assert np.all(curve > 0.0) and np.all(curve <= 1.0)
     assert np.all(np.diff(curve) < 0.0)
-    np.testing.assert_allclose(survival_fhat(2.0, 2.0 + s, cfg), curve, rtol=1e-14)
 
 
 def test_fhat_decreases_in_jump_loadings():
-    base = survival_fhat(0.0, 2.0, make_cfg())
+    base = survival_fhat(2.0, make_cfg())
     for bump in (dict(c=0.3), dict(d=0.3), dict(lambda_c=1.0), dict(lambda_hat=0.8)):
-        assert survival_fhat(0.0, 2.0, make_cfg(**bump)) < base
+        assert survival_fhat(2.0, make_cfg(**bump)) < base
 
 
 def test_exposure_limit_vanishes_at_maturity():
@@ -110,9 +109,9 @@ def test_exposure_limit_matches_tight_simpson_reference(stem):
     for t, got in zip(times, curve):
         v = maturity - t
         integral = simpson_adaptive(
-            lambda u: np.exp(-cfg.r * u) * survival_fhat(0.0, u, cfg), 0.0, v,
+            lambda u: np.exp(-cfg.r * u) * survival_fhat(u, cfg), 0.0, v,
             rel_tol=1e-13)
-        want = (cfg.l_z * (math.exp(-cfg.r * v) * survival_fhat(0.0, v, cfg) - 1.0)
+        want = (cfg.l_z * (math.exp(-cfg.r * v) * survival_fhat(v, cfg) - 1.0)
                 + (cfg.s_z + cfg.r * cfg.l_z) * integral)
         assert got == pytest.approx(want, abs=1e-13)
 
@@ -156,7 +155,7 @@ def test_limit_measure_mass_single_atom_reduces_to_fhat():
                          gamma2=cfg.gamma2, lambda_c=cfg.lambda_c)
     for t in (0.5, 1.0, 2.5):
         assert limit_measure_mass(t, atoms) == pytest.approx(
-            survival_fhat(0.0, t, cfg), rel=1e-14)
+            survival_fhat(t, cfg), rel=1e-14)
 
 
 def test_limit_measure_mass_is_linear_in_atoms():
@@ -225,7 +224,7 @@ def test_limit_exp_test_vector_call_equals_scalar_calls(theta):
     vec = limit_exp_test(theta, t, cfg)
     assert np.all(vec == np.array([limit_exp_test(theta, float(ti), cfg) for ti in t]))
     if theta == 0.0:
-        assert np.all(vec == survival_fhat(0.0, t, cfg))
+        assert np.all(vec == survival_fhat(t, cfg))
 
 
 def test_limit_exp_test_domain():
@@ -239,7 +238,7 @@ def test_empirical_measure_is_one_at_time_zero():
     ps = simulate_paths(names, lambda_c=cfg.lambda_c, gamma1=cfg.gamma1,
                         gamma2=cfg.gamma2, horizon=0.5, n_paths=40, seed=2,
                         dt=1e-2)
-    mean, stderr = empirical_measure_eval(ps, "one", 0.0)
+    mean, stderr = empirical_measure_eval(ps, 0.0, 0.0)
     assert mean == 1.0 and stderr == 0.0
 
 
@@ -253,10 +252,10 @@ def test_empirical_measure_converges_to_limit_values():
     atoms = MeasureAtoms(atoms=(atom_from_cfg(cfg),), gamma1=cfg.gamma1,
                          gamma2=cfg.gamma2, lambda_c=cfg.lambda_c)
     for t in (0.5, 1.0):
-        mean, se = empirical_measure_eval(ps, "one", t)
+        mean, se = empirical_measure_eval(ps, 0.0, t)
         lim = limit_measure_mass(t, atoms)
         assert abs(mean - lim) < 3 * se + 0.01 * lim
-        mean_e, se_e = empirical_measure_eval(ps, ("exp", -1.0), t)
+        mean_e, se_e = empirical_measure_eval(ps, -1.0, t)
         lim_e = limit_exp_test(-1.0, t, cfg)
         assert abs(mean_e - lim_e) < 3 * se_e + 0.02 * lim_e
 
@@ -267,7 +266,7 @@ def test_empirical_measure_rejects_unknown_test_function():
     ps = simulate_paths(names, lambda_c=0.0, gamma1=1.5, gamma2=1.5, horizon=0.1,
                         n_paths=5, seed=3, dt=0.01)
     with pytest.raises(ValueError):
-        empirical_measure_eval(ps, "square", 0.0)
+        empirical_measure_eval(ps, 0.5, 0.0)
 
 
 def test_name_ladder_first_rung_and_limits():

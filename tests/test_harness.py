@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -181,6 +182,14 @@ def test_validation_fault_injection_flags_only_the_perturbed_check():
     assert rep.failures() == ["integral_b_vs_simpson"]
     with pytest.raises(ConfigError):
         run_validation(perturb={"no_such_check": 1.0})
+
+
+def test_nested_mc_cva_one_path_has_zero_stderr():
+    cfg, _, cps = harness._validation_baseline()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est, se = harness.nested_mc_cva(cfg, cps, 3.0, n_paths=1, seed=5)
+    assert math.isfinite(est) and se == 0.0
 
 
 def test_curve_table_csv_format(tmp_path):

@@ -253,21 +253,23 @@ def test_default_density_integrates_below_one():
     coeffs = build_kernel_coeffs(cps, LAMBDA_C, "B")
 
     def integrand(s):
-        return survival_fhat(0.0, s, cfg) * coeffs.evaluate(s, 0.2, 0.2)
+        return survival_fhat(s, cfg) * coeffs.evaluate(s, 0.2, 0.2)
 
     total = simpson_adaptive(integrand, 0.0, u_max, rel_tol=1e-7)
     assert 0.0 < total <= 1.0
 
 
 def test_bcva_zero_at_maturity():
-    res = bcva(3.0, 3.0, make_cfg(), make_cps())
+    res = bcva(0.0, make_cfg(), make_cps())
     assert res.cva == res.dva == res.bcva == 0.0
+    with pytest.raises(ValueError):
+        bcva(-1.0, make_cfg(), make_cps())
 
 
 def test_bcva_sign_decomposition_and_in_the_money_dva():
     # lambda_c = 0.1 keeps the exposure positive on [0, T]: the negative
     # part vanishes identically and so does the own-default term
-    res = bcva(0.0, 3.0, make_cfg(), make_cps())
+    res = bcva(3.0, make_cfg(), make_cps())
     assert res.dva == 0.0
     assert res.cva > 0.0
     assert res.bcva == res.dva - res.cva
@@ -279,7 +281,7 @@ def test_bcva_handles_sign_change_in_exposure():
     # a brute-force dense evaluation of the kinked integrand
     cfg = make_cfg(lambda_c=1.0)
     cps = make_cps()
-    res = bcva(0.0, 3.0, cfg, cps)
+    res = bcva(3.0, cfg, cps)
     assert res.cva > 0.0 and res.dva > 0.0
 
     coeffs_b = build_kernel_coeffs(cps, cfg.lambda_c, "B")
@@ -287,7 +289,7 @@ def test_bcva_handles_sign_change_in_exposure():
     s = np.linspace(0.0, 3.0, 30_001)
     eps = np.array([exposure_limit(si, 3.0, cfg) for si in np.linspace(0, 3, 601)])
     eps_dense = np.interp(s, np.linspace(0, 3, 601), eps)
-    disc = np.exp(-cfg.r * s) * survival_fhat(0.0, s, cfg)
+    disc = np.exp(-cfg.r * s) * survival_fhat(s, cfg)
     cva_ref = cps.loss_b * np.trapezoid(
         disc * np.maximum(eps_dense, 0.0) * coeffs_b.evaluate(s, 0.2, 0.2), s)
     dva_ref = cps.loss_a * np.trapezoid(
@@ -308,7 +310,7 @@ def test_bcva_matches_tight_simpson_reference(lambda_c):
     # both fig4 points change sign inside (0, T); the reference integrates
     # the same sign segments by Simpson doubling to rel_tol 1e-11
     cfg, cps, maturity = fig4_point(lambda_c)
-    res = bcva(0.0, maturity, cfg, cps)
+    res = bcva(maturity, cfg, cps)
 
     def eps(s):
         return exposure_limit(s, maturity, cfg)
@@ -321,7 +323,7 @@ def test_bcva_matches_tight_simpson_reference(lambda_c):
 
         def integrand(s):
             return (np.exp(-cfg.r * s) * np.maximum(sign * eps(s), 0.0)
-                    * survival_fhat(0.0, s, cfg)
+                    * survival_fhat(s, cfg)
                     * coeffs.evaluate(s, cps.side_a.xi0, cps.side_b.xi0))
 
         ref[side] = sum(simpson_adaptive(integrand, lo, hi, rel_tol=1e-11)
@@ -344,7 +346,7 @@ def test_bcva_builds_only_the_kernel_sides_it_needs(monkeypatch, lambda_c, sides
 
     monkeypatch.setattr(kernels, "build_kernel_coeffs", counting)
     cfg, cps, maturity = fig4_point(lambda_c)
-    res = bcva(0.0, maturity, cfg, cps)
+    res = bcva(maturity, cfg, cps)
     assert built == sides
     assert (res.dva > 0.0) == ("A" in sides)
 
@@ -353,7 +355,7 @@ def test_bcva_against_nested_mc():
     # frozen oracle: 5e4 counterparty paths, exposure applied at side B's
     # default times, pool survival weighting; seed 99, dt 3e-3:
     # 1.866279e-03 +- 9.16e-06
-    res = bcva(0.0, 3.0, make_cfg(lambda_c=LAMBDA_C), make_cps())
+    res = bcva(3.0, make_cfg(lambda_c=LAMBDA_C), make_cps())
     assert abs(res.cva - 1.866279e-3) < 3 * 9.16e-6
 
 

@@ -163,20 +163,13 @@ def test_bit_reproducibility_and_worker_invariance():
         np.testing.assert_array_equal(a.thresholds, other.thresholds)
 
 
-@pytest.mark.parametrize("rho, digests", [
-    (0.5, ("867e73cf56a177334ca2631e9b8ace84079f1cc0595d1317a5cd41837da85a4f",
-           "6b48267bf8d6081d76c2c21af9fd95743a2aa1215d917c810ee4611c61c29d5b",
-           "e490def82ff9626acfd806526c5decae152b7de86af3388833389c2cc47e5a57")),
-    (0.6, ("f7268b99a6a0e9a1ac63550995da981910bf4c54b730235400eaec41b6ea2af1",
-           "51a08e225cbe2fde12b690b05c5fed66b4f0331bfbd8583c01ddf725b52d321f",
-           "e490def82ff9626acfd806526c5decae152b7de86af3388833389c2cc47e5a57")),
-])
-def test_names_and_pair_pinned(rho, digests):
+def test_names_and_pair_pinned():
     # pinned stream layout and Euler arithmetic for a system with names:
-    # both jump layers on every entity, the square-root step and (one name
-    # at rho = 0.6) the CEV step; SHA-256 of the raw float64 bytes
-    names = [make_name(xi0=0.01 * (k + 1), sigma=0.1 + 0.05 * k,
-                       rho=rho if k == 1 else 0.5) for k in range(3)]
+    # both jump layers on every entity; SHA-256 of the raw float64 bytes
+    digests = ("867e73cf56a177334ca2631e9b8ace84079f1cc0595d1317a5cd41837da85a4f",
+               "6b48267bf8d6081d76c2c21af9fd95743a2aa1215d917c810ee4611c61c29d5b",
+               "e490def82ff9626acfd806526c5decae152b7de86af3388833389c2cc47e5a57")
+    names = [make_name(xi0=0.01 * (k + 1), sigma=0.1 + 0.05 * k) for k in range(3)]
     ps = simulate_paths(names, make_cps(), lambda_c=2.5, gamma1=1.5, gamma2=1.5,
                         horizon=0.5, n_paths=600, seed=31, dt=1e-3, workers=2)
     got = tuple(hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
@@ -358,19 +351,6 @@ def test_pathset_bookkeeping():
     # stored integral equals a trapezoid over the stored full-resolution path
     manual = np.trapezoid(ps.intensities[0, :, 0], dx=ps.dt)
     assert ps.integrated[0, -1, 0] == pytest.approx(manual, rel=1e-12)
-
-
-def test_cev_elasticity_branch_runs_and_stays_nonnegative():
-    # elasticity above one half: no closed transforms, but the engine must
-    # still honor positivity and determinism
-    name = make_name(rho=0.75, sigma=0.5, xi0=0.3)
-    cps = make_cps(rho_hat=0.8)
-    a = simulate_paths([name], cps, lambda_c=1.0, gamma1=1.5, gamma2=1.5,
-                       horizon=0.5, n_paths=200, seed=71, dt=1e-3)
-    b = simulate_paths([name], cps, lambda_c=1.0, gamma1=1.5, gamma2=1.5,
-                       horizon=0.5, n_paths=200, seed=71, dt=1e-3)
-    assert a.intensities.min() >= 0.0
-    np.testing.assert_array_equal(a.intensities, b.intensities)
 
 
 def _quadrature_exposure(ps, names, t, maturity, r, n_panels=2048):
