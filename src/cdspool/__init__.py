@@ -15,9 +15,8 @@ from .exposure import (LimitConfig, MeasureAtom, MeasureAtoms, build_name_sequen
                        empirical_measure_eval, exposure_limit, limit_exp_test,
                        limit_measure_mass, survival_fhat)
 from .jumps import BveParams, mgf_bve, mgf_bve_partials, mgf_exp, sample_bve
-from .kernels import (AffineKernelCoeffs, BcvaResult, SweepResult, bcva,
-                      build_kernel_coeffs, h1, h2, joint_survival_equal,
-                      kernel_ode_residuals, sensitivity_sweep)
+from .kernels import (BcvaResult, SweepResult, bcva, joint_survival, kernel,
+                      kernel_coefficients, kernel_ode_residuals, sensitivity_sweep)
 from .riccati import (integral_b, integral_beta, riccati_b, riccati_beta,
                       riccati_beta_general, riccati_rhs, rk4_solve, varpi)
 from .simulation import (CounterpartyParams, CounterpartySide, NameParams, PathSet,
@@ -36,7 +35,6 @@ __all__ = [
     "LimitConfig", "MeasureAtom", "MeasureAtoms", "survival_fhat",
     "exposure_limit", "limit_measure_mass",
     "limit_exp_test", "empirical_measure_eval", "build_name_sequence",
-    "AffineKernelCoeffs", "BcvaResult", "SweepResult", "build_kernel_coeffs",
-    "h1", "h2", "joint_survival_equal", "bcva", "kernel_ode_residuals",
-    "sensitivity_sweep",
+    "BcvaResult", "SweepResult", "kernel_coefficients", "kernel", "joint_survival",
+    "bcva", "kernel_ode_residuals", "sensitivity_sweep",
 ]

@@ -528,13 +528,11 @@ def _kernel_values() -> dict[str, tuple[float, tuple[float, float]]]:
     cfg, _, cps = _validation_baseline()
     u = 1.0
     x_a = x_b = 0.2
-    coeffs_b = kernels.build_kernel_coeffs(cps, cfg.lambda_c, "B")
-    coeffs_a = kernels.build_kernel_coeffs(cps, cfg.lambda_c, "A")
     mc_h1, mc_h2, mc_joint = mc_kernel_oracles(cps, cfg.lambda_c, u, x_a, x_b, 20_000,
                                                VALIDATION_SEED + 12)
-    return {"h1": (kernels.h1(u, x_a, x_b, coeffs_b), mc_h1),
-            "h2": (kernels.h2(u, x_a, x_b, coeffs_a), mc_h2),
-            "joint_survival": (kernels.joint_survival_equal(u, x_a, x_b, coeffs_b),
+    return {"h1": (kernels.kernel(u, x_a, x_b, cps, cfg.lambda_c, "B"), mc_h1),
+            "h2": (kernels.kernel(u, x_a, x_b, cps, cfg.lambda_c, "A"), mc_h2),
+            "joint_survival": (kernels.joint_survival(u, x_a, x_b, cps, cfg.lambda_c),
                                mc_joint)}
 
 
@@ -560,8 +558,7 @@ def _check_kernel_residuals(offset: float) -> CheckResult:
     cfg, _, cps = _validation_baseline()
     err = 0.0
     for side in ("B", "A"):
-        coeffs = kernels.build_kernel_coeffs(cps, cfg.lambda_c, side)
-        res = kernels.kernel_ode_residuals(coeffs, 3.0)
+        res = kernels.kernel_ode_residuals(cps, cfg.lambda_c, side, 3.0)
         err = max(err, max(res.values()))
     return CheckResult("kernel_ode_residuals", err + offset, 1e-5)
 

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
+
 __all__ = [
     "BveParams",
     "mgf_exp",
@@ -37,10 +39,11 @@ class BveParams:
     gamma_ab: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.gamma_a < 0.0 or self.gamma_b < 0.0 or self.gamma_ab < 0.0:
-            raise ValueError("BVE rates must be non-negative.")
+        rates = (self.gamma_a, self.gamma_b, self.gamma_ab)
+        if not np.all(np.isfinite(rates)) or min(rates) < 0.0:
+            raise ConfigError(f"BVE rates must be finite and non-negative, got {rates}.")
         if not (self.gamma_a + self.gamma_ab > 0.0 and self.gamma_b + self.gamma_ab > 0.0):
-            raise ValueError("Implied marginal rates gamma_i + gamma_ab must be positive.")
+            raise ConfigError("Implied marginal rates gamma_i + gamma_ab must be positive.")
 
     @property
     def gamma0(self) -> float:

@@ -3,10 +3,11 @@
 The default-density kernels H1 (counterparty B defaults first) and H2
 (side A) share one exponential family: the exponent coefficients solve the
 joint-killing Riccati system and are identical for both sides; only the
-linear prefactor family differs. Every coefficient is evaluated at the lags
-it is asked for: the state loadings and the own-side prefactor in closed
-form, and the two constant terms as integrals of smooth MGF combinations by
-the Gauss-Legendre rule of :mod:`cdspool.quadrature`.
+linear prefactor family differs. :func:`kernel_coefficients` evaluates a
+side's coefficients at the lags it is asked for: the state loadings and the
+own-side prefactor in closed form, and the two constant terms as integrals
+of smooth MGF combinations by the Gauss-Legendre rule of
+:mod:`cdspool.quadrature`.
 
 The bilateral adjustment integrates the discounted positive/negative part
 of the limit exposure against pool survival and the matching kernel. The
@@ -32,13 +33,11 @@ from .riccati import exp_phi, riccati_b
 from .simulation import CounterpartyParams, map_ordered
 
 __all__ = [
-    "AffineKernelCoeffs",
     "BcvaResult",
     "SweepResult",
-    "build_kernel_coeffs",
-    "h1",
-    "h2",
-    "joint_survival_equal",
+    "kernel_coefficients",
+    "kernel",
+    "joint_survival",
     "bcva",
     "sensitivity_sweep",
     "kernel_ode_residuals",
@@ -68,103 +67,65 @@ def _rates(cps: CounterpartyParams, lambda_c: float, side: str, s) -> np.ndarray
     return np.stack([rate, rate_pre])
 
 
-@dataclass(frozen=True)
-class AffineKernelCoeffs:
-    """Coefficient functions of one kernel side.
-
-    The kernel value at lag u is (pre1 + pre_a x_a + pre_b x_b) *
-    exp(hat1 + hat_a x_a + hat_b x_b). hat_a/hat_b are non-positive;
-    the side's own prefactor starts at 1, the other is identically 0.
-    """
-
-    cps: CounterpartyParams
-    lambda_c: float
-    side: str
-
-    def coefficients(self, u) -> dict[str, np.ndarray]:
-        """The six coefficients at lags u >= 0, by name."""
-
-        sa, sb = self.cps.side_a, self.cps.side_b
-        u = np.asarray(u, dtype=float)
-        hat_a = np.asarray(riccati_b(sa.kappa, sa.sigma, u))
-        hat_b = np.asarray(riccati_b(sb.kappa, sb.sigma, u))
-        hat1, pre1 = gauss_legendre_integral(
-            lambda s: _rates(self.cps, self.lambda_c, self.side, s), u)
-        own_side = sb if self.side == "B" else sa
-        own, zero = np.asarray(exp_phi(own_side.kappa, own_side.sigma, u)), np.zeros_like(u)
-        pre_a, pre_b = (zero, own) if self.side == "B" else (own, zero)
-        return dict(hat1=hat1, hat_a=hat_a, hat_b=hat_b,
-                    pre1=pre1, pre_a=pre_a, pre_b=pre_b)
-
-    def evaluate(self, u, x_a: float, x_b: float):
-        c = self.coefficients(u)
-        out = ((c["pre1"] + c["pre_a"] * x_a + c["pre_b"] * x_b)
-               * np.exp(c["hat1"] + c["hat_a"] * x_a + c["hat_b"] * x_b))
-        return float(out) if out.ndim == 0 else out
-
-    def survival(self, u, x_a: float, x_b: float):
-        c = self.coefficients(u)
-        out = np.exp(c["hat1"] + c["hat_a"] * x_a + c["hat_b"] * x_b)
-        return float(out) if out.ndim == 0 else out
-
-
-def build_kernel_coeffs(cps: CounterpartyParams, lambda_c: float,
-                        side: str) -> AffineKernelCoeffs:
-    """Coefficients of the H1 (side="B") or H2 (side="A") kernel.
-
-    The exponent loadings and the own-side prefactor are closed-form
-    Riccati solutions; the two constant terms integrate smooth MGF
-    combinations by :func:`~cdspool.quadrature.gauss_legendre_integral` at
-    each lag asked for. Both sides need sigma > 0 (:class:`ConfigError`
-    otherwise), since every coefficient reads both sides' Riccati solutions.
+def kernel_coefficients(u, cps: CounterpartyParams, lambda_c: float,
+                        side: str) -> dict[str, np.ndarray]:
+    """The six coefficients of the H1 (side="B") or H2 (side="A") kernel at
+    lags u >= 0, by name: the kernel is (pre1 + pre_a x_a + pre_b x_b) *
+    exp(hat1 + hat_a x_a + hat_b x_b). The exponent terms (hat_a, hat_b <= 0)
+    and hat1 are the same for both sides; the own prefactor starts at 1, the
+    other is 0. Both sides need sigma > 0 (:class:`ConfigError` otherwise).
     """
 
     if side not in ("A", "B"):
         raise ValueError("side must be 'A' (H2) or 'B' (H1).")
-    if not min(cps.side_a.sigma, cps.side_b.sigma) > 0.0:
+    sa, sb = cps.side_a, cps.side_b
+    if not min(sa.sigma, sb.sigma) > 0.0:
         raise ConfigError("the counterparty kernels need sigma > 0 on both sides, got "
-                          f"sigma_a = {cps.side_a.sigma}, sigma_b = {cps.side_b.sigma}.")
-    return AffineKernelCoeffs(cps=cps, lambda_c=lambda_c, side=side)
+                          f"sigma_a = {sa.sigma}, sigma_b = {sb.sigma}.")
+    u = np.asarray(u, dtype=float)
+    hat_a = np.asarray(riccati_b(sa.kappa, sa.sigma, u))
+    hat_b = np.asarray(riccati_b(sb.kappa, sb.sigma, u))
+    hat1, pre1 = gauss_legendre_integral(lambda s: _rates(cps, lambda_c, side, s), u)
+    own_side = sb if side == "B" else sa
+    own, zero = np.asarray(exp_phi(own_side.kappa, own_side.sigma, u)), np.zeros_like(u)
+    pre_a, pre_b = (zero, own) if side == "B" else (own, zero)
+    return dict(hat1=hat1, hat_a=hat_a, hat_b=hat_b, pre1=pre1, pre_a=pre_a, pre_b=pre_b)
 
 
-def h1(u, x_a: float, x_b: float, coeffs: AffineKernelCoeffs):
-    """Density kernel of side B defaulting at lag u, both sides surviving to u.
+def kernel(u, x_a: float, x_b: float, cps: CounterpartyParams, lambda_c: float,
+           side: str):
+    """Default density at lag u from (x_a, x_b), both sides surviving to u:
+    H1 (side B defaults; x_b at u = 0) for side="B", H2 (x_a at u = 0) for
+    side="A". Non-negative."""
 
-    At u = 0 this is exactly x_b. Non-negative on the whole domain.
-    """
-
-    if coeffs.side != "B":
-        raise ValueError("h1 requires coefficients built with side='B'.")
-    return coeffs.evaluate(u, x_a, x_b)
-
-
-def h2(u, x_a: float, x_b: float, coeffs: AffineKernelCoeffs):
-    """Mirror kernel for side A defaulting at lag u; equals x_a at u = 0."""
-
-    if coeffs.side != "A":
-        raise ValueError("h2 requires coefficients built with side='A'.")
-    return coeffs.evaluate(u, x_a, x_b)
+    c = kernel_coefficients(u, cps, lambda_c, side)
+    out = ((c["pre1"] + c["pre_a"] * x_a + c["pre_b"] * x_b)
+           * np.exp(c["hat1"] + c["hat_a"] * x_a + c["hat_b"] * x_b))
+    return float(out) if out.ndim == 0 else out
 
 
-def joint_survival_equal(u, x_a: float, x_b: float, coeffs: AffineKernelCoeffs):
+def joint_survival(u, x_a: float, x_b: float, cps: CounterpartyParams, lambda_c: float):
     """Joint survival factor of both counterparties over a lag u:
-    exp(hat1 + hat_a x_a + hat_b x_b), in (0, 1]."""
+    exp(hat1 + hat_a x_a + hat_b x_b), in (0, 1], the same for either side."""
 
-    return coeffs.survival(u, x_a, x_b)
+    c = kernel_coefficients(u, cps, lambda_c, "B")
+    out = np.exp(c["hat1"] + c["hat_a"] * x_a + c["hat_b"] * x_b)
+    return float(out) if out.ndim == 0 else out
 
 
-def kernel_ode_residuals(coeffs: AffineKernelCoeffs, u_max: float) -> dict[str, float]:
-    """Max finite-difference residuals of the coefficients in their defining
-    ODE system, read on 4096 uniform panels of [0, u_max] (interior nodes,
-    central differences)."""
+def kernel_ode_residuals(cps: CounterpartyParams, lambda_c: float, side: str,
+                         u_max: float) -> dict[str, float]:
+    """Max finite-difference residuals of one side's kernel coefficients in
+    their defining ODE system, read on 4096 uniform panels of [0, u_max]
+    (interior nodes, central differences)."""
 
-    sa, sb = coeffs.cps.side_a, coeffs.cps.side_b
+    sa, sb = cps.side_a, cps.side_b
     u = np.linspace(0.0, u_max, 4097)
-    c = coeffs.coefficients(u)
-    own_side, own_hat = (sb, "hat_b") if coeffs.side == "B" else (sa, "hat_a")
-    c["pre_own"] = c["pre_b"] if coeffs.side == "B" else c["pre_a"]
+    c = kernel_coefficients(u, cps, lambda_c, side)
+    own_side, own_hat = (sb, "hat_b") if side == "B" else (sa, "hat_a")
+    c["pre_own"] = c["pre_b"] if side == "B" else c["pre_a"]
     m = {name: y[1:-1] for name, y in c.items()}
-    rate, rate_pre = _rates(coeffs.cps, coeffs.lambda_c, coeffs.side, u[1:-1])
+    rate, rate_pre = _rates(cps, lambda_c, side, u[1:-1])
     slopes = {
         "hat_a": -sa.kappa * m["hat_a"] + 0.5 * sa.sigma**2 * m["hat_a"]**2 - 1.0,
         "hat_b": -sb.kappa * m["hat_b"] + 0.5 * sb.sigma**2 * m["hat_b"]**2 - 1.0,
@@ -234,9 +195,8 @@ def bcva(maturity: float, cfg: LimitConfig, cps: CounterpartyParams) -> BcvaResu
             return 0.0
         s = np.concatenate([x for x, _ in rules])
         w = np.concatenate([w for _, w in rules])
-        coeffs = build_kernel_coeffs(cps, cfg.lambda_c, side)
-        f = (np.exp(-cfg.r * s) * np.maximum(sign * eps(s), 0.0)
-             * survival_fhat(s, cfg) * coeffs.evaluate(s, cps.side_a.xi0, cps.side_b.xi0))
+        f = (np.exp(-cfg.r * s) * np.maximum(sign * eps(s), 0.0) * survival_fhat(s, cfg)
+             * kernel(s, cps.side_a.xi0, cps.side_b.xi0, cps, cfg.lambda_c, side))
         return float(np.sum(w * f))
 
     cva = cps.loss_b * part("B", 1.0)

@@ -28,8 +28,9 @@ count or on how many workers process the blocks.
 Estimators read from simulated paths: :func:`mc_exposure` prices the CDS
 book along the paths (convergence studies), and :func:`mc_kernel_oracles`
 reads the three counterparty kernels from one simulation of the pair
-(validation gate). :func:`mc_limit_transform` runs its own Euler loop for
-the large-pool limit diffusion, whose drift is a per-path frozen mark.
+(validation gate). :func:`mc_limit_transform` runs its own Euler loop, on
+the same in-place step updates, for the large-pool limit diffusion, whose
+drift is a per-path frozen mark.
 """
 
 from __future__ import annotations
@@ -173,7 +174,6 @@ class PathSet:
     intensities: np.ndarray
     thresholds: np.ndarray
     default_times: np.ndarray
-    seed: int
     lambda_c: float
     gamma1: float
     gamma2: float
@@ -223,6 +223,35 @@ def _sorted_events(step, *cols):
     return (step[order],) + tuple(c[order] for c in cols)
 
 
+def _diffuse(rng: Generator, x, xp, alpha, kappa, sigma, dt: float, sqrt_dt: float,
+             z, a, v) -> None:
+    """Euler diffusion update x += (alpha - kappa xp) dt + sigma sqrt(xp)
+    (sqrt_dt z), in place, with fresh normals drawn into z; a and v are
+    scratch buffers of x's shape."""
+
+    rng.standard_normal(out=z)
+    np.multiply(kappa, xp, out=a)
+    np.subtract(alpha, a, out=a)
+    a *= dt
+    np.sqrt(xp, out=v)
+    v *= sigma
+    z *= sqrt_dt
+    v *= z
+    a += v
+    x += a
+
+
+def _truncate_and_integrate(x, xp, xnew, integ, dt: float, a) -> None:
+    """Write the positive part of x to xnew and add the trapezoid of
+    (xp, xnew) over one step to integ, in place; a is a scratch buffer. The
+    caller then swaps xp and xnew."""
+
+    np.maximum(x, 0.0, out=xnew)
+    np.add(xp, xnew, out=a)
+    a *= 0.5 * dt
+    integ += a
+
+
 def map_ordered(fn: Callable, items: Sequence, workers: int) -> list:
     """Apply fn to items, on a thread pool when workers > 1; results in item order."""
 
@@ -234,7 +263,7 @@ def map_ordered(fn: Callable, items: Sequence, workers: int) -> list:
 
 def simulate_paths(names: Sequence[NameParams], cps: CounterpartyParams | None = None, *,
                    lambda_c: float = 0.0, gamma1: float = 1.0, gamma2: float = 1.0,
-                   horizon: float, n_paths: int, seed: int | None, dt: float | None = None,
+                   horizon: float, n_paths: int, seed: int, dt: float | None = None,
                    sample_times=None, workers: int = 1) -> PathSet:
     """Simulate the joint intensity system and resolve default times.
 
@@ -246,9 +275,7 @@ def simulate_paths(names: Sequence[NameParams], cps: CounterpartyParams | None =
         Common Poisson rate and the exponential rates of the names' common
         and idiosyncratic jump sizes.
     horizon, n_paths, seed
-        Simulation horizon, path count, and RNG seed. seed=None draws fresh
-        entropy (recorded in the result, but reproducibility is then up to
-        the caller).
+        Simulation horizon, path count, and RNG seed.
     dt
         Euler step; defaults to horizon / 1000. Must divide the horizon.
     sample_times
@@ -280,8 +307,6 @@ def simulate_paths(names: Sequence[NameParams], cps: CounterpartyParams | None =
     if abs(n_steps * dt - horizon) > 1e-8 * horizon:
         raise ConfigError("dt must divide the horizon.")
 
-    if seed is None:
-        seed = int(np.random.SeedSequence().entropy) & (2**64 - 1)
     key = _philox_key(seed)
 
     K = len(names)
@@ -376,27 +401,14 @@ def simulate_paths(names: Sequence[NameParams], cps: CounterpartyParams | None =
                 integrated[r0:r1, store_slot[0]] = 0.0
 
         for i in range(n_steps):
-            # x += (alpha - kappa xp) dt + sigma sqrt(xp) (sqrt_dt z), in place
-            rng.standard_normal(out=z)
-            np.multiply(kappa, xp, out=a)
-            np.subtract(alpha, a, out=a)
-            a *= dt
-            np.sqrt(xp, out=v)
-            v *= sigma
-            z *= sqrt_dt
-            v *= z
-            a += v
-            x += a
+            _diffuse(rng, x, xp, alpha, kappa, sigma, dt, sqrt_dt, z, a, v)
             lo, hi = cptr[i], cptr[i + 1]
             if hi > lo:
                 np.add.at(x, ev_row[lo:hi], csize[lo:hi])
             lo, hi = iptr[i], iptr[i + 1]
             if hi > lo:
                 np.add.at(x, (irow[lo:hi], icol[lo:hi]), isize[lo:hi])
-            np.maximum(x, 0.0, out=xnew)
-            np.add(xp, xnew, out=a)
-            a *= 0.5 * dt
-            integ += a
+            _truncate_and_integrate(x, xp, xnew, integ, dt, a)
             xp, xnew = xnew, xp
             np.greater_equal(integ, thr, out=newly)
             newly &= alive
@@ -415,7 +427,7 @@ def simulate_paths(names: Sequence[NameParams], cps: CounterpartyParams | None =
     map_ordered(run_block, range(n_blocks), workers)
     return PathSet(times=grid[sample_idx], dt=dt, horizon=horizon, n_names=K,
                    intensities=intensities, thresholds=thresholds,
-                   default_times=default_times, seed=seed, lambda_c=lambda_c,
+                   default_times=default_times, lambda_c=lambda_c,
                    gamma1=gamma1, gamma2=gamma2, integrated=integrated)
 
 
@@ -499,7 +511,7 @@ def mc_exposure(pathset: PathSet, names: Sequence[NameParams], t: float, maturit
 
 
 def mc_kernel_oracles(cps: CounterpartyParams, lambda_c: float, u: float, x_a: float,
-                      x_b: float, n_paths: int, seed: int | None):
+                      x_b: float, n_paths: int, seed: int):
     """MC estimates of the three counterparty kernels at lag u started from
     (x_a, x_b), all read from one simulation of the pair. With
     S(u) = exp(-integral of xi_A + xi_B on [0,u]), they are
@@ -526,7 +538,7 @@ def mc_kernel_oracles(cps: CounterpartyParams, lambda_c: float, u: float, x_a: f
 
 def mc_limit_transform(alpha: float, kappa: float, sigma: float, drift_c: float,
                        drift_d: float, gamma1: float, gamma2: float, x0: float, u: float,
-                       n_paths: int, seed: int | None) -> tuple[float, float]:
+                       n_paths: int, seed: int) -> tuple[float, float]:
     """MC estimate of E[exp(-integral of X on [0,u])] for the limit
     killing-rate diffusion, on 1000 Euler steps; returns (estimate, stderr).
 
@@ -545,8 +557,6 @@ def mc_limit_transform(alpha: float, kappa: float, sigma: float, drift_c: float,
         raise ConfigError("n_paths must be >= 1.")
     n_steps = 1000
     dt = u / n_steps
-    if seed is None:
-        seed = int(np.random.SeedSequence().entropy) & (2**64 - 1)
     key = _philox_key(seed)
     sqrt_dt = math.sqrt(dt)
     vals = np.empty(n_paths)
@@ -560,26 +570,13 @@ def mc_limit_transform(alpha: float, kappa: float, sigma: float, drift_c: float,
         y1 = rng.standard_exponential(bf) / gamma1
         y2 = rng.standard_exponential(bf) / gamma2
         drift0 = alpha + drift_c * y1 + drift_d * y2
-        # the same in-place step as simulate_paths, without jumps
         x = np.full(bf, x0)
         xp = np.maximum(x, 0.0)
         xnew, z, a, v = (np.empty(bf) for _ in range(4))
         integ = np.zeros(bf)
         for _ in range(n_steps):
-            rng.standard_normal(out=z)
-            np.multiply(kappa, xp, out=a)
-            np.subtract(drift0, a, out=a)
-            a *= dt
-            np.sqrt(xp, out=v)
-            v *= sigma
-            z *= sqrt_dt
-            v *= z
-            a += v
-            x += a
-            np.maximum(x, 0.0, out=xnew)
-            np.add(xp, xnew, out=a)
-            a *= 0.5 * dt
-            integ += a
+            _diffuse(rng, x, xp, drift0, kappa, sigma, dt, sqrt_dt, z, a, v)
+            _truncate_and_integrate(x, xp, xnew, integ, dt, a)
             xp, xnew = xnew, xp
         vals[r0:r1] = np.exp(-integ[:r1 - r0])
 

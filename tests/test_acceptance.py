@@ -16,11 +16,11 @@ from cdspool.cli import build_spec, main, parse_config
 from cdspool.exposure import LimitConfig, survival_fhat
 from cdspool.harness import run_bcva_sweeps, run_measure_convergence, run_convergence
 from cdspool.jumps import BveParams, mgf_bve, mgf_bve_partials, sample_bve
-from cdspool.kernels import build_kernel_coeffs, h1, h2, kernel_ode_residuals
+from cdspool.kernels import kernel, kernel_ode_residuals
 from cdspool.quadrature import composite_simpson
 from cdspool.riccati import (integral_b, riccati_b, riccati_beta,
                              riccati_beta_general, riccati_rhs, rk4_solve_integral)
-from cdspool.simulation import mc_kernel_oracles, mc_limit_transform
+from cdspool.simulation import mc_limit_transform, simulate_paths
 
 ACCEPT_SEED = 20240617
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -186,22 +186,26 @@ def test_criterion_4_counterparty_kernels():
     cps = default_counterparties()
     lam_c = 0.25
     x_a = x_b = 0.2
-    cb = build_kernel_coeffs(cps, lam_c, "B")
-    ca = build_kernel_coeffs(cps, lam_c, "A")
+    lags = (0.5, 1.0, 2.0)
 
+    # h1 and h2 at every lag read from one simulation of the pair to u = 2,
+    # by mc_kernel_oracles' estimator: h1 = E[S(u) xi_B(u)], h2 = E[S(u) xi_A(u)]
+    ps = simulate_paths((), cps.with_initial(x_a, x_b), lambda_c=lam_c, horizon=2.0,
+                        n_paths=100_000, seed=ACCEPT_SEED + 4, sample_times=lags)
     worst_z, worst_rel = 0.0, 0.0
-    for u in (0.5, 1.0, 2.0):
-        # h1 and h2 at lag u read from one simulation of the pair
-        (est1, se1), (est2, se2), _ = mc_kernel_oracles(cps, lam_c, u, x_a, x_b,
-                                                        100_000, ACCEPT_SEED + 4)
-        for closed, est, se in ((h1(u, x_a, x_b, cb), est1, se1),
-                                (h2(u, x_a, x_b, ca), est2, se2)):
+    for i, u in enumerate(lags):
+        surv = np.exp(-(ps.integrated[:, i, 0] + ps.integrated[:, i, 1]))
+        for side, x_u in (("B", ps.intensities[:, i, 1]), ("A", ps.intensities[:, i, 0])):
+            vals = surv * x_u
+            est, se = vals.mean(), vals.std(ddof=1) / math.sqrt(len(vals))
+            closed = kernel(u, x_a, x_b, cps, lam_c, side)
             worst_z = max(worst_z, abs(closed - est) / se)
             worst_rel = max(worst_rel, abs(closed - est) / est)
 
     worst_res = 0.0
-    for coeffs in (cb, ca):
-        worst_res = max(worst_res, max(kernel_ode_residuals(coeffs, 2.0).values()))
+    for side in ("B", "A"):
+        res = kernel_ode_residuals(cps, lam_c, side, 2.0)
+        worst_res = max(worst_res, max(res.values()))
 
     elapsed = time.perf_counter() - t0
     ok = worst_z <= 3.0 and worst_rel <= 0.02 and worst_res <= 1e-5 and elapsed < 300

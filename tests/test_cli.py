@@ -125,13 +125,15 @@ def test_config_error_exit_codes(tmp_path, capsys):
 
 # the experiment and config that read the key under test
 BAD_INPUT_RUNS = {"experiment.sweep": ("bcva-sweep", "fig2"),
-                  "experiment.repeats": ("measure-convergence", "measure")}
+                  "experiment.repeats": ("measure-convergence", "measure"),
+                  "counterparty.gamma_a": ("bcva-sweep", "fig2")}
 
 
 @pytest.mark.parametrize("override", ["experiment.horizon=nan", "experiment.horizon=inf",
                                       "experiment.horizon=-1", "experiment.dt=0",
                                       "experiment.k_values=0", "experiment.sweep=kappa_star",
-                                      "experiment.repeats=0", "experiment.repeats=-2"])
+                                      "experiment.repeats=0", "experiment.repeats=-2",
+                                      "counterparty.gamma_a=-1", "counterparty.gamma_a=inf"])
 def test_bad_experiment_input_is_a_config_error(tmp_path, capsys, override):
     kind, config = BAD_INPUT_RUNS.get(override.split("=")[0], ("convergence", "fig1-c"))
     code = run_cli(["--experiment", kind, "--config", CONFIGS / f"{config}.cfg",

@@ -10,7 +10,7 @@ from cdspool import kernels
 from cdspool.cli import EXIT_OK, build_spec, main, parse_config
 from cdspool.exposure import LimitConfig, exposure_limit, survival_fhat
 from cdspool.jumps import BveParams, mgf_bve, mgf_bve_partials
-from cdspool.kernels import (bcva, build_kernel_coeffs, h1, h2, joint_survival_equal,
+from cdspool.kernels import (bcva, joint_survival, kernel, kernel_coefficients,
                              kernel_ode_residuals, sensitivity_sweep)
 from cdspool.quadrature import simpson_adaptive
 from cdspool.riccati import exp_phi, integral_b, riccati_b
@@ -40,21 +40,19 @@ LAMBDA_C = 0.25
 
 def test_initial_conditions():
     cps = make_cps()
-    cb = build_kernel_coeffs(cps, LAMBDA_C, "B")
-    ca = build_kernel_coeffs(cps, LAMBDA_C, "A")
-    for coeffs in (cb, ca):
-        at0 = coeffs.coefficients(0.0)
+    for side in ("B", "A"):
+        at0 = kernel_coefficients(0.0, cps, LAMBDA_C, side)
         assert at0["hat1"] == 0.0
         assert at0["hat_a"] == 0.0 and at0["hat_b"] == 0.0
         assert at0["pre1"] == 0.0
     u = np.linspace(0.0, 2.0, 41)
-    assert cb.coefficients(0.0)["pre_b"] == 1.0
-    assert np.all(cb.coefficients(u)["pre_a"] == 0.0)
-    assert ca.coefficients(0.0)["pre_a"] == 1.0
-    assert np.all(ca.coefficients(u)["pre_b"] == 0.0)
-    assert h1(0.0, 0.7, 0.4, cb) == pytest.approx(0.4, abs=1e-14)
-    assert h2(0.0, 0.7, 0.4, ca) == pytest.approx(0.7, abs=1e-14)
-    assert joint_survival_equal(0.0, 0.7, 0.4, cb) == pytest.approx(1.0, abs=1e-14)
+    assert kernel_coefficients(0.0, cps, LAMBDA_C, "B")["pre_b"] == 1.0
+    assert np.all(kernel_coefficients(u, cps, LAMBDA_C, "B")["pre_a"] == 0.0)
+    assert kernel_coefficients(0.0, cps, LAMBDA_C, "A")["pre_a"] == 1.0
+    assert np.all(kernel_coefficients(u, cps, LAMBDA_C, "A")["pre_b"] == 0.0)
+    assert kernel(0.0, 0.7, 0.4, cps, LAMBDA_C, "B") == pytest.approx(0.4, abs=1e-14)
+    assert kernel(0.0, 0.7, 0.4, cps, LAMBDA_C, "A") == pytest.approx(0.7, abs=1e-14)
+    assert joint_survival(0.0, 0.7, 0.4, cps, LAMBDA_C) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_jump_free_exponent_is_two_factor_transform():
@@ -63,24 +61,22 @@ def test_jump_free_exponent_is_two_factor_transform():
     side_b = CounterpartySide(alpha=0.25, kappa=0.9, sigma=0.2, c=0.0, d=0.0,
                               lambda_hat=0.0, xi0=0.3)
     cps = make_cps(side_a=side_a, side_b=side_b)
-    coeffs = build_kernel_coeffs(cps, 0.0, "B")
     u = np.linspace(0.0, 2.0, 41)
     expected = (side_a.alpha * integral_b(side_a.kappa, side_a.sigma, u)
                 + side_b.alpha * integral_b(side_b.kappa, side_b.sigma, u))
-    np.testing.assert_allclose(coeffs.coefficients(u)["hat1"], expected, atol=1e-9)
+    np.testing.assert_allclose(kernel_coefficients(u, cps, 0.0, "B")["hat1"], expected,
+                               atol=1e-9)
     # jump sizes off but clocks on: the compensator cancels the size-one MGFs
-    coeffs2 = build_kernel_coeffs(make_cps(side_a=side_a,
-                                           side_b=CounterpartySide(
-                                               alpha=0.25, kappa=0.9, sigma=0.2,
-                                               c=0.0, d=0.0, lambda_hat=0.7, xi0=0.3)),
-                                  1.3, "B")
-    np.testing.assert_allclose(coeffs2.coefficients(u)["hat1"], expected, atol=1e-9)
+    cps2 = make_cps(side_a=side_a,
+                    side_b=CounterpartySide(alpha=0.25, kappa=0.9, sigma=0.2,
+                                            c=0.0, d=0.0, lambda_hat=0.7, xi0=0.3))
+    np.testing.assert_allclose(kernel_coefficients(u, cps2, 1.3, "B")["hat1"], expected,
+                               atol=1e-9)
 
 
 def test_symmetry_between_sides():
     cps = make_cps()
-    cb = build_kernel_coeffs(cps, LAMBDA_C, "B")
-    at = cb.coefficients(np.linspace(0.0, 2.0, 41))
+    at = kernel_coefficients(np.linspace(0.0, 2.0, 41), cps, LAMBDA_C, "B")
     np.testing.assert_allclose(at["hat_a"], at["hat_b"], rtol=1e-14)
     # swapping the sides and the states maps one kernel onto the other
     asym = make_cps(side_b=CounterpartySide(alpha=0.2, kappa=0.9, sigma=0.25,
@@ -92,18 +88,15 @@ def test_symmetry_between_sides():
                                  idio_jump=BveParams(asym.idio_jump.gamma_b,
                                                      asym.idio_jump.gamma_a,
                                                      asym.idio_jump.gamma_ab))
-    cb_asym = build_kernel_coeffs(asym, LAMBDA_C, "B")
-    ca_swap = build_kernel_coeffs(swapped, LAMBDA_C, "A")
     u = np.linspace(0.0, 2.0, 41)
-    np.testing.assert_allclose(h1(u, 0.2, 0.35, cb_asym),
-                               h2(u, 0.35, 0.2, ca_swap), rtol=1e-12)
+    np.testing.assert_allclose(kernel(u, 0.2, 0.35, asym, LAMBDA_C, "B"),
+                               kernel(u, 0.35, 0.2, swapped, LAMBDA_C, "A"), rtol=1e-12)
 
 
 def test_ode_residuals_small():
     cps = make_cps()
     for side in ("A", "B"):
-        coeffs = build_kernel_coeffs(cps, LAMBDA_C, side)
-        res = kernel_ode_residuals(coeffs, 3.0)
+        res = kernel_ode_residuals(cps, LAMBDA_C, side, 3.0)
         assert max(res.values()) < 1e-5
 
 
@@ -154,20 +147,30 @@ def test_kernel_matches_cumulative_simpson_reference(side, lambda_c):
                     236000, n])
     hat1, pre1, value = (x[idx] for x in simpson_reference_kernel(
         ASYM_CPS, lambda_c, side, u, 0.2, 0.35))
-    coeffs = build_kernel_coeffs(ASYM_CPS, lambda_c, side)
-    at = coeffs.coefficients(u[idx])
+    at = kernel_coefficients(u[idx], ASYM_CPS, lambda_c, side)
     assert np.max(np.abs(at["hat1"] - hat1)) <= 2e-9
     assert np.max(np.abs(at["pre1"] - pre1)) <= 2e-9
-    assert np.max(np.abs(coeffs.evaluate(u[idx], 0.2, 0.35) - value)) <= 1e-13
+    closed = kernel(u[idx], 0.2, 0.35, ASYM_CPS, lambda_c, side)
+    assert np.max(np.abs(closed - value)) <= 1e-13
+
+
+@pytest.mark.parametrize("lambda_c", [0.1, 3.0])
+def test_exponent_coefficients_do_not_depend_on_the_side(lambda_c):
+    # why joint_survival takes no side: both sides give the same exponent
+    # bit for bit, on an asymmetric pair and across the panel edges
+    u = np.array([0.0, 1e-3, 0.7, 9.999, 10.0, 10.001, 17.3, 25.0])
+    at_a = kernel_coefficients(u, ASYM_CPS, lambda_c, "A")
+    at_b = kernel_coefficients(u, ASYM_CPS, lambda_c, "B")
+    for name in ("hat1", "hat_a", "hat_b"):
+        assert np.array_equal(at_a[name], at_b[name])
 
 
 def test_kernel_vector_call_equals_scalar_calls():
     u = np.array([0.0, 1e-3, 0.7, 9.999, 10.0, 10.001, 17.3, 20.0, 24.9])
-    for side in ("A", "B"):
-        coeffs = build_kernel_coeffs(ASYM_CPS, 0.1, side)
-        for f in (coeffs.evaluate, coeffs.survival):
-            vector = f(u, 0.2, 0.35)
-            assert np.array_equal(vector, [f(x, 0.2, 0.35) for x in u])
+    for f in (lambda v: kernel(v, 0.2, 0.35, ASYM_CPS, 0.1, "A"),
+              lambda v: kernel(v, 0.2, 0.35, ASYM_CPS, 0.1, "B"),
+              lambda v: joint_survival(v, 0.2, 0.35, ASYM_CPS, 0.1)):
+        assert np.array_equal(f(u), [f(x) for x in u])
 
 
 def test_fig4_point_prices_at_a_100_year_horizon(tmp_path, capsys):
@@ -186,25 +189,22 @@ def test_fig4_point_prices_at_a_100_year_horizon(tmp_path, capsys):
 def test_h1_matches_mc_oracle():
     # frozen oracle: 5e4 counterparty paths, dt 1e-3, seed 909 at u = 1:
     # 0.23569471 +- 3.677e-04
-    coeffs = build_kernel_coeffs(make_cps(), LAMBDA_C, "B")
-    closed = h1(1.0, 0.2, 0.2, coeffs)
+    closed = kernel(1.0, 0.2, 0.2, make_cps(), LAMBDA_C, "B")
     assert abs(closed - 0.23569471) < 3 * 3.677e-4
     assert abs(closed - 0.23569471) / 0.23569471 < 0.02
 
 
 def test_h2_matches_mc_oracle():
     # frozen oracle, same seed, side A weight: 0.23615590 +- 3.706e-04
-    coeffs = build_kernel_coeffs(make_cps(), LAMBDA_C, "A")
-    assert abs(h2(1.0, 0.2, 0.2, coeffs) - 0.23615590) < 3 * 3.706e-4
+    assert abs(kernel(1.0, 0.2, 0.2, make_cps(), LAMBDA_C, "A") - 0.23615590) < 3 * 3.706e-4
 
 
 def test_joint_survival_matches_mc_oracle():
     # frozen oracle: 0.48547509 +- 3.759e-04
-    coeffs = build_kernel_coeffs(make_cps(), LAMBDA_C, "B")
-    closed = joint_survival_equal(1.0, 0.2, 0.2, coeffs)
+    closed = joint_survival(1.0, 0.2, 0.2, make_cps(), LAMBDA_C)
     assert abs(closed - 0.48547509) < 3 * 3.759e-4
     u = np.linspace(0.0, 2.5, 26)
-    vals = joint_survival_equal(u, 0.2, 0.2, coeffs)
+    vals = joint_survival(u, 0.2, 0.2, make_cps(), LAMBDA_C)
     assert np.all(vals > 0.0) and np.all(vals <= 1.0)
 
 
@@ -213,35 +213,34 @@ def test_joint_survival_factorizes_without_jumps():
                               lambda_hat=0.0, xi0=0.2)
     side_b = CounterpartySide(alpha=0.25, kappa=0.9, sigma=0.2, c=0.0, d=0.0,
                               lambda_hat=0.0, xi0=0.3)
-    coeffs = build_kernel_coeffs(make_cps(side_a=side_a, side_b=side_b), 0.0, "B")
+    cps = make_cps(side_a=side_a, side_b=side_b)
     u, x_a, x_b = 1.3, 0.2, 0.3
 
     def transform(side, x):
         return math.exp(side.alpha * integral_b(side.kappa, side.sigma, u)
                         + riccati_b(side.kappa, side.sigma, u) * x)
 
-    assert joint_survival_equal(u, x_a, x_b, coeffs) == pytest.approx(
+    assert joint_survival(u, x_a, x_b, cps, 0.0) == pytest.approx(
         transform(side_a, x_a) * transform(side_b, x_b), abs=1e-10)
 
 
 def test_joint_survival_below_single_side_survivals():
-    coeffs = build_kernel_coeffs(make_cps(), LAMBDA_C, "B")
+    cps = make_cps()
     u = np.linspace(0.0, 2.0, 21)
-    joint = joint_survival_equal(u, 0.4, 0.7, coeffs)
-    assert np.all(joint <= joint_survival_equal(u, 0.4, 0.0, coeffs) + 1e-15)
-    assert np.all(joint <= joint_survival_equal(u, 0.0, 0.7, coeffs) + 1e-15)
+    joint = joint_survival(u, 0.4, 0.7, cps, LAMBDA_C)
+    assert np.all(joint <= joint_survival(u, 0.4, 0.0, cps, LAMBDA_C) + 1e-15)
+    assert np.all(joint <= joint_survival(u, 0.0, 0.7, cps, LAMBDA_C) + 1e-15)
 
 
 def test_kernels_nonnegative_and_bounded_domain():
     cps = make_cps()
-    coeffs = build_kernel_coeffs(cps, LAMBDA_C, "B")
     u = np.linspace(0.0, 2.0, 81)
-    assert np.all(h1(u, 0.0, 0.0, coeffs) >= 0.0)
-    assert np.all(h1(u, 0.5, 1.2, coeffs) >= 0.0)
+    assert np.all(kernel(u, 0.0, 0.0, cps, LAMBDA_C, "B") >= 0.0)
+    assert np.all(kernel(u, 0.5, 1.2, cps, LAMBDA_C, "B") >= 0.0)
     with pytest.raises(ValueError):
-        h1(-0.1, 0.2, 0.2, coeffs)
+        kernel(-0.1, 0.2, 0.2, cps, LAMBDA_C, "B")
     with pytest.raises(ValueError):
-        h1(1.0, 0.2, 0.2, build_kernel_coeffs(cps, LAMBDA_C, "A"))
+        kernel(1.0, 0.2, 0.2, cps, LAMBDA_C, "C")
 
 
 def test_default_density_integrates_below_one():
@@ -250,10 +249,9 @@ def test_default_density_integrates_below_one():
     cps = make_cps()
     cfg = make_cfg(lambda_c=LAMBDA_C)
     u_max = 50.0 / cps.side_b.kappa
-    coeffs = build_kernel_coeffs(cps, LAMBDA_C, "B")
 
     def integrand(s):
-        return survival_fhat(s, cfg) * coeffs.evaluate(s, 0.2, 0.2)
+        return survival_fhat(s, cfg) * kernel(s, 0.2, 0.2, cps, LAMBDA_C, "B")
 
     total = simpson_adaptive(integrand, 0.0, u_max, rel_tol=1e-7)
     assert 0.0 < total <= 1.0
@@ -284,16 +282,14 @@ def test_bcva_handles_sign_change_in_exposure():
     res = bcva(3.0, cfg, cps)
     assert res.cva > 0.0 and res.dva > 0.0
 
-    coeffs_b = build_kernel_coeffs(cps, cfg.lambda_c, "B")
-    coeffs_a = build_kernel_coeffs(cps, cfg.lambda_c, "A")
     s = np.linspace(0.0, 3.0, 30_001)
     eps = np.array([exposure_limit(si, 3.0, cfg) for si in np.linspace(0, 3, 601)])
     eps_dense = np.interp(s, np.linspace(0, 3, 601), eps)
     disc = np.exp(-cfg.r * s) * survival_fhat(s, cfg)
     cva_ref = cps.loss_b * np.trapezoid(
-        disc * np.maximum(eps_dense, 0.0) * coeffs_b.evaluate(s, 0.2, 0.2), s)
+        disc * np.maximum(eps_dense, 0.0) * kernel(s, 0.2, 0.2, cps, cfg.lambda_c, "B"), s)
     dva_ref = cps.loss_a * np.trapezoid(
-        disc * np.maximum(-eps_dense, 0.0) * coeffs_a.evaluate(s, 0.2, 0.2), s)
+        disc * np.maximum(-eps_dense, 0.0) * kernel(s, 0.2, 0.2, cps, cfg.lambda_c, "A"), s)
     assert res.cva == pytest.approx(cva_ref, rel=2e-3)
     assert res.dva == pytest.approx(dva_ref, rel=2e-3)
 
@@ -319,12 +315,10 @@ def test_bcva_matches_tight_simpson_reference(lambda_c):
     assert len(cuts) == 3
     ref = {}
     for side, sign in (("B", 1.0), ("A", -1.0)):
-        coeffs = build_kernel_coeffs(cps, cfg.lambda_c, side)
-
         def integrand(s):
             return (np.exp(-cfg.r * s) * np.maximum(sign * eps(s), 0.0)
                     * survival_fhat(s, cfg)
-                    * coeffs.evaluate(s, cps.side_a.xi0, cps.side_b.xi0))
+                    * kernel(s, cps.side_a.xi0, cps.side_b.xi0, cps, cfg.lambda_c, side))
 
         ref[side] = sum(simpson_adaptive(integrand, lo, hi, rel_tol=1e-11)
                         for lo, hi in zip(cuts, cuts[1:])
@@ -338,13 +332,13 @@ def test_bcva_builds_only_the_kernel_sides_it_needs(monkeypatch, lambda_c, sides
     # lambda_c = 0 keeps the exposure positive on [0, T], so DVA needs no
     # side-A kernel; lambda_c = 1 has a sign change and needs both
     built = []
-    original = kernels.build_kernel_coeffs
+    original = kernels.kernel
 
-    def counting(cps, lam, side, *args, **kwargs):
+    def counting(u, x_a, x_b, cps, lam, side):
         built.append(side)
-        return original(cps, lam, side, *args, **kwargs)
+        return original(u, x_a, x_b, cps, lam, side)
 
-    monkeypatch.setattr(kernels, "build_kernel_coeffs", counting)
+    monkeypatch.setattr(kernels, "kernel", counting)
     cfg, cps, maturity = fig4_point(lambda_c)
     res = bcva(maturity, cfg, cps)
     assert built == sides

@@ -343,7 +343,6 @@ def test_integrals_recorded_for_the_pair_alone():
 def test_pathset_bookkeeping():
     ps = simulate_paths((), make_cps(), lambda_c=1.0, gamma1=1.5, gamma2=1.5,
                         horizon=1.0, n_paths=10, seed=61, dt=1e-2)
-    assert ps.seed == 61
     assert ps.n_names == 0 and ps.n_entities == 2
     assert ps.time_index(0.5) == 50
     with pytest.raises(ValueError):
