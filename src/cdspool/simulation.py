@@ -510,6 +510,13 @@ def mc_exposure(pathset: PathSet, names: Sequence[NameParams], t: float, maturit
     return float(eps.mean()), _stderr(eps)
 
 
+def _oracle_lag(u: float) -> float:
+    u = float(u)
+    if not (math.isfinite(u) and u > 0.0):
+        raise ConfigError(f"u must be finite and > 0, got {u}.")
+    return u
+
+
 def mc_kernel_oracles(cps: CounterpartyParams, lambda_c: float, u: float, x_a: float,
                       x_b: float, n_paths: int, seed: int):
     """MC estimates of the three counterparty kernels at lag u started from
@@ -525,9 +532,7 @@ def mc_kernel_oracles(cps: CounterpartyParams, lambda_c: float, u: float, x_a: f
     closed-form kernels.
     """
 
-    u = float(u)
-    if not u > 0.0:
-        raise ValueError("u must be positive.")
+    u = _oracle_lag(u)
     ps = simulate_paths((), cps.with_initial(x_a, x_b), lambda_c=lambda_c,
                         horizon=u, n_paths=n_paths, seed=seed, sample_times=[u])
     surv = np.exp(-(ps.integrated[:, 0, 0] + ps.integrated[:, 0, 1]))
@@ -548,9 +553,13 @@ def mc_limit_transform(alpha: float, kappa: float, sigma: float, drift_c: float,
     independent oracle for the closed-form pool survival function.
     """
 
-    u, x0 = float(u), float(x0)
-    if not u > 0.0:
-        raise ValueError("u must be positive.")
+    u, x0 = _oracle_lag(u), float(x0)
+    if not all(map(math.isfinite, (alpha, kappa, sigma, drift_c, drift_d, gamma1, gamma2))):
+        raise ConfigError("Limit diffusion parameters must be finite.")
+    if alpha < 0 or kappa <= 0 or sigma < 0:
+        raise ConfigError("Require alpha >= 0, kappa > 0, sigma >= 0.")
+    if drift_c < 0 or drift_d < 0 or gamma1 <= 0 or gamma2 <= 0:
+        raise ConfigError("Require drift_c, drift_d >= 0 and gamma1, gamma2 > 0.")
     if not (math.isfinite(x0) and x0 >= 0.0):
         raise ConfigError("x0 must be finite and >= 0.")
     if n_paths < 1:

@@ -168,8 +168,8 @@ def test_validation_gate_simulates_the_kernel_pair_once(monkeypatch):
     width = simulation._NARROW_BLOCK_SIZE
     blocks_for = lambda n: math.ceil(n / width)
     assert blocks.count(simulation._BLOCK_PATHS) == sum(map(blocks_for, n_paths))
-    assert blocks.count(simulation._BLOCK_LIMIT) == blocks_for(100_000)
-    for n in n_paths + [100_000]:
+    assert blocks.count(simulation._BLOCK_LIMIT) == blocks_for(harness._LIMIT_ORACLE_PATHS)
+    for n in n_paths + [harness._LIMIT_ORACLE_PATHS]:
         assert blocks_for(n) * width <= 1.05 * n
     # the shared values still take each check's own perturbation
     assert not harness._check_h2_mc(1e-2).passed
@@ -182,6 +182,13 @@ def test_validation_fault_injection_flags_only_the_perturbed_check():
     assert rep.failures() == ["integral_b_vs_simpson"]
     with pytest.raises(ConfigError):
         run_validation(perturb={"no_such_check": 1.0})
+
+
+@pytest.mark.parametrize("offset", [2e-3, -2e-3])
+def test_limit_sde_check_flags_a_small_offset(offset):
+    # 2e-3 is about 2.1e-3 relative to F-hat(1.5): about 7 oracle stderrs
+    rep = run_validation(perturb={"fhat_vs_limit_sde_mc": offset}, workers=2)
+    assert rep.failures() == ["fhat_vs_limit_sde_mc"]
 
 
 def test_nested_mc_cva_one_path_has_zero_stderr():

@@ -291,14 +291,14 @@ def test_mc_kernel_oracles_equal_separate_runs_at_gate_arguments():
 
 
 def test_mc_limit_transform_pinned_at_gate_arguments():
-    # the gate's limit-SDE oracle: 100,000 paths in 4096-path blocks on
-    # 1000 Euler steps give exactly these values
-    from cdspool.harness import VALIDATION_SEED, _validation_baseline
+    # the gate's limit-SDE oracle: its five 4096-path blocks on 1000 Euler
+    # steps give exactly these values
+    from cdspool.harness import _LIMIT_ORACLE_PATHS, VALIDATION_SEED, _validation_baseline
     cfg, _, _ = _validation_baseline()
     est = mc_limit_transform(cfg.alpha, cfg.kappa, cfg.sigma, cfg.c * cfg.lambda_c,
                              cfg.d * cfg.lambda_hat, cfg.gamma1, cfg.gamma2, cfg.x0, 1.5,
-                             n_paths=100_000, seed=VALIDATION_SEED + 11)
-    assert est == (0.952081442014136, 0.00012555912796769487)
+                             n_paths=_LIMIT_ORACLE_PATHS, seed=VALIDATION_SEED + 11)
+    assert est == (0.9518378243943133, 0.0002780681643869314)
 
 
 # alpha, kappa, sigma, drift_c, drift_d, gamma1, gamma2 of the limit diffusion
@@ -314,6 +314,27 @@ def test_oracles_reject_empty_runs_and_bad_initial_values():
             mc_limit_transform(*LIMIT_ARGS, 0.5, 1.0, n_paths=n, seed=1)
         with pytest.raises(ConfigError, match="n_paths"):
             mc_kernel_oracles(make_cps(), 0.25, 1.0, 0.2, 0.2, n_paths=n, seed=1)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("u", float("inf")), ("u", float("nan")), ("u", 0.0), ("u", -1.0),
+    ("alpha", float("nan")), ("alpha", -0.1),
+    ("kappa", float("inf")), ("kappa", 0.0), ("kappa", -1.5),
+    ("sigma", float("nan")), ("sigma", -0.2),
+    ("drift_c", -0.1), ("drift_d", -0.1), ("drift_c", float("nan")),
+    ("gamma1", 0.0), ("gamma1", -1.0), ("gamma2", 0.0), ("gamma2", float("inf")),
+])
+def test_oracles_reject_bad_input(field, value):
+    args = dict(zip(("alpha", "kappa", "sigma", "drift_c", "drift_d", "gamma1",
+                     "gamma2"), LIMIT_ARGS), x0=0.5, u=1.0)
+    args[field] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError):
+            mc_limit_transform(**args, n_paths=10, seed=1)
+        if field == "u":
+            with pytest.raises(ConfigError, match="u must be"):
+                mc_kernel_oracles(make_cps(), 0.25, value, 0.2, 0.2, n_paths=10, seed=1)
 
 
 def test_oracles_report_zero_stderr_for_one_path():
