@@ -2,7 +2,7 @@
 
 Core pieces: closed-form Riccati transforms (:mod:`cdspool.riccati`),
 jump-size laws (:mod:`cdspool.jumps`), the Monte-Carlo default-system
-engine (:mod:`cdspool.simulation`), the large-pool limit exposure
+engines (:mod:`cdspool.simulation`), the large-pool limit exposure
 (:mod:`cdspool.exposure`), affine counterparty kernels and the bilateral
 CVA (:mod:`cdspool.kernels`), and the experiment harness/CLI
 (:mod:`cdspool.harness`, :mod:`cdspool.cli`).
@@ -21,7 +21,7 @@ from .riccati import (integral_b, integral_beta, riccati_b, riccati_beta,
                       riccati_beta_general, riccati_rhs, rk4_solve, varpi)
 from .simulation import (CounterpartyParams, CounterpartySide, NameParams, PathSet,
                          mc_exposure, mc_kernel_oracles, mc_limit_transform,
-                         sample_defaults, simulate_paths)
+                         sample_defaults, simulate_exact_paths, simulate_paths)
 
 __all__ = [
     "__version__",
@@ -30,8 +30,8 @@ __all__ = [
     "riccati_beta_general", "riccati_rhs", "rk4_solve",
     "BveParams", "mgf_exp", "mgf_bve", "mgf_bve_partials", "sample_bve",
     "NameParams", "CounterpartySide", "CounterpartyParams", "PathSet",
-    "simulate_paths", "sample_defaults", "mc_exposure", "mc_kernel_oracles",
-    "mc_limit_transform",
+    "simulate_paths", "simulate_exact_paths", "sample_defaults", "mc_exposure",
+    "mc_kernel_oracles", "mc_limit_transform",
     "LimitConfig", "MeasureAtom", "MeasureAtoms", "survival_fhat",
     "exposure_limit", "limit_measure_mass",
     "limit_exp_test", "empirical_measure_eval", "build_name_sequence",

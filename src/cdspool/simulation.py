@@ -1,29 +1,43 @@
-"""Monte-Carlo engine for the K-name + two-counterparty default system.
+"""Monte-Carlo engines for the K-name + two-counterparty default system.
 
 Intensities follow mean-reverting square-root (CIR) dynamics with two jump
 layers: a common Poisson process hitting every entity simultaneously
 (exponential sizes for names, a Marshall-Olkin pair for the counterparties)
-and per-entity idiosyncratic Poisson jumps. Default times are doubly
-stochastic: unit-mean exponential thresholds drawn up front, crossed by the
-trapezoidal integral of the simulated intensity on the fine grid.
+and per-entity idiosyncratic Poisson jumps.
 
-Discretization is Euler with full truncation (positive part in both drift
-and diffusion); stored intensities are the truncated, non-negative values.
-Each block allocates its step buffers once and runs every step in place:
-the normals are drawn into one buffer (``standard_normal(out=...)``, the
-same values as a fresh draw), and the positive part of the state is carried
-from the end of one step, where the trapezoid integral needs it, to the
-start of the next, where drift and diffusion read it. The per-entity
-parameters are rows at block shape, so a block of the narrow pair runs each
-operation as one flat loop.
+Two engines simulate this system:
+
+- :func:`simulate_paths` runs Euler with full truncation (positive part in
+  both drift and diffusion) on a fine grid; stored intensities are the
+  truncated, non-negative values. Default times are doubly stochastic:
+  unit-mean exponential thresholds drawn up front, crossed by the
+  trapezoidal integral of the simulated intensity on the fine grid. Each
+  block allocates its step buffers once and runs every step in place: the
+  normals are drawn into one buffer (``standard_normal(out=...)``, the same
+  values as a fresh draw), and the positive part of the state is carried
+  from the end of one step, where the trapezoid integral needs it, to the
+  start of the next, where drift and diffusion read it. The per-entity
+  parameters are rows at block shape, so a block of the narrow pair runs
+  each operation as one flat loop. The measure-convergence study, the
+  counterparty-kernel oracles and the nested-MC CVA oracle read default
+  times or running integrals, and use this engine.
+- :func:`simulate_exact_paths` draws the names only at the sample times,
+  from the exact square-root transition law (Broadie and Kaya 2006): a
+  scaled noncentral chi-square between consecutive events, where the
+  events are the sample times and the jump times. It resolves no default
+  times and stores no integrals, so it serves the exposure convergence
+  study, whose estimator reads the intensities at the sample times alone.
 
 Reproducibility contract: paths are generated in fixed-width blocks, each
 block owning a counter-based RNG stream derived from (seed, stream tag,
-block index). The width is 256 paths for systems with names, and 4096 for
-the counterparty pair alone and for the limit diffusion, whose narrow state
-stays in cache at that width. A path's draws therefore depend only on the
-seed, the system's shape and the path's own index, never on the total path
-count or on how many workers process the blocks.
+block index). The tags keep the engines' streams disjoint: 0 for
+:func:`simulate_paths`, 1 for the limit diffusion, 2 for
+:func:`simulate_exact_paths`. The width is 256 paths for systems with
+names, and 4096 for the counterparty pair alone and for the limit
+diffusion, whose narrow state stays in cache at that width. Every block
+draws at full width, so a path's draws depend only on the seed, the
+system's shape and the path's own index, never on the total path count or
+on how many workers process the blocks.
 
 Estimators read from simulated paths: :func:`mc_exposure` prices the CDS
 book along the paths (convergence studies), and :func:`mc_kernel_oracles`
@@ -54,6 +68,7 @@ __all__ = [
     "CounterpartyParams",
     "PathSet",
     "simulate_paths",
+    "simulate_exact_paths",
     "sample_defaults",
     "mc_exposure",
     "mc_kernel_oracles",
@@ -63,6 +78,7 @@ __all__ = [
 
 _BLOCK_PATHS = 0  # stream tags: keep per-purpose streams disjoint
 _BLOCK_LIMIT = 1
+_BLOCK_EXACT = 2
 # paths per block: systems with names, then the pair alone and the limit diffusion
 _NAME_BLOCK_SIZE = 256
 _NARROW_BLOCK_SIZE = 4096
@@ -157,7 +173,7 @@ class CounterpartyParams:
 
 @dataclass
 class PathSet:
-    """Simulated intensity paths sampled on a sub-grid of the Euler grid.
+    """Simulated intensity paths at a set of sample times.
 
     intensities[m, i, j] is the (non-negative) intensity of entity j at
     times[i] on path m. For the counterparty pair alone, integrated holds
@@ -165,15 +181,17 @@ class PathSet:
     names leave it None. Entities are ordered names first, then
     counterparties A and B when present. default_times are resolved at
     fine-grid resolution against the stored unit-exponential thresholds.
+    The exact engine has no step and resolves no defaults: dt, thresholds
+    and default_times are None.
     """
 
     times: np.ndarray
-    dt: float
+    dt: float | None
     horizon: float
     n_names: int
     intensities: np.ndarray
-    thresholds: np.ndarray
-    default_times: np.ndarray
+    thresholds: np.ndarray | None
+    default_times: np.ndarray | None
     lambda_c: float
     gamma1: float
     gamma2: float
@@ -431,6 +449,155 @@ def simulate_paths(names: Sequence[NameParams], cps: CounterpartyParams | None =
                    gamma1=gamma1, gamma2=gamma2, integrated=integrated)
 
 
+def _by_interval(times: np.ndarray, event_times: np.ndarray):
+    """Group events in (0, times[-1]] by sample interval (s_i, s_{i+1}]:
+    interval i holds events order[ptr[i]:ptr[i + 1]]."""
+
+    interval = np.searchsorted(times, event_times, side="left") - 1
+    order = np.argsort(interval, kind="stable")
+    return np.searchsorted(interval[order], np.arange(len(times))), order
+
+
+def _cir_law(dt, alpha, kappa, sigma):
+    """Coefficients (decay, c, shift) of the exact square-root transition
+    over dt > 0: decay = e^{-kappa dt}, c = sigma^2 (1 - decay) / (4 kappa)
+    and shift = alpha (1 - decay) / kappa, the mean's constant part.
+    Every argument broadcasts."""
+
+    grow = -np.expm1(-kappa * dt)
+    return np.exp(-kappa * dt), sigma * sigma * grow / (4.0 * kappa), alpha * grow / kappa
+
+
+def _cir_transition(rng: Generator, x, decay, c, shift) -> np.ndarray:
+    """One exact square-root transition per element, from :func:`_cir_law`'s
+    coefficients (arrays of x's shape).
+
+    x_{s+dt} = c chi'^2_df(x decay / c) with df = shift / c = 4 alpha /
+    sigma^2 (Broadie and Kaya 2006). numpy's sampler needs df > 0, so
+    alpha = 0 draws the Poisson-gamma mixture 2 Gamma(N), N ~
+    Poisson(nonc / 2); c = 0 (sigma = 0) follows the deterministic flow
+    x decay + shift.
+    """
+
+    noisy = c > 0.0
+    if not noisy.all():
+        out = x * decay + shift
+        out[noisy] = _cir_transition(rng, *(v[noisy] for v in (x, decay, c, shift)))
+        return out
+    df, nonc = shift / c, x * decay / c
+    if np.all(df > 0.0):
+        return c * rng.noncentral_chisquare(df, nonc)
+    draw = np.empty_like(c)
+    pos = df > 0.0
+    draw[pos] = rng.noncentral_chisquare(df[pos], nonc[pos])
+    draw[~pos] = 2.0 * rng.standard_gamma(rng.poisson(0.5 * nonc[~pos]))
+    return c * draw
+
+
+def simulate_exact_paths(names: Sequence[NameParams], *, lambda_c: float, gamma1: float,
+                         gamma2: float, sample_times, n_paths: int, seed: int,
+                         workers: int = 1) -> PathSet:
+    """Simulate the names' intensities at the sample times only, exactly.
+
+    ``sample_times`` start at 0 and increase strictly; the last one is the
+    horizon. Each (path, name) moves between consecutive events by
+    :func:`_cir_transition`; the events are the sample times, the path's
+    common-jump times and the name's idiosyncratic jump times, all in
+    (0, horizon], where the jump is added. Each sample interval runs one
+    full-width draw, to every element's first event or the interval's end,
+    then one round per event rank, drawing only for the elements that
+    jumped. Jump sizes follow :func:`simulate_paths`: c Exp(gamma1) per name
+    at each common event, d Exp(gamma2) at idiosyncratic ones. The result
+    has no default times (see :class:`PathSet`); blocks of 256 paths on
+    stream tag 2, see the module docstring.
+    """
+
+    K = len(names)
+    if K == 0:
+        raise ConfigError("Need at least one name.")
+    if not all(map(math.isfinite, (lambda_c, gamma1, gamma2))):
+        raise ConfigError("lambda_c, gamma1, gamma2 must be finite.")
+    if lambda_c < 0 or gamma1 <= 0 or gamma2 <= 0:
+        raise ConfigError("Require lambda_c >= 0 and gamma1, gamma2 > 0.")
+    times = np.asarray(sample_times, dtype=float)
+    if (times.ndim != 1 or len(times) < 2 or times[0] != 0.0
+            or not np.all(np.isfinite(times)) or np.any(np.diff(times) <= 0.0)):
+        raise ConfigError("sample_times must start at 0 and increase strictly.")
+    if n_paths < 1:
+        raise ConfigError("n_paths must be >= 1.")
+
+    key = _philox_key(seed)
+    horizon = float(times[-1])
+    n_s = len(times)
+    vec = _entity_vectors(names, None)
+    intensities = np.empty((n_paths, n_s, K))
+    bf = _NAME_BLOCK_SIZE
+    n_blocks = (n_paths + bf - 1) // bf
+    law = lambda dt, col: _cir_law(dt, vec["alpha"][col], vec["kappa"][col],
+                                   vec["sigma"][col])
+
+    def run_block(b: int) -> None:
+        rng = _block_generator(key, _BLOCK_EXACT, b)
+        r0 = b * bf
+        r1 = min(n_paths, r0 + bf)
+
+        # common-jump clock, one per path; each name draws its own size at each event
+        ncom = rng.poisson(lambda_c * horizon, bf)
+        crow = np.repeat(np.arange(bf), ncom)
+        ctime = (1.0 - rng.random(len(crow))) * horizon
+        csize = rng.standard_exponential((len(crow), K)) / gamma1 * vec["c"]
+        # idiosyncratic clocks, one per element = path * K + name
+        nidio = rng.poisson(vec["lambda_hat"] * horizon, (bf, K)).reshape(-1)
+        ielem = np.repeat(np.arange(bf * K), nidio)
+        itime = (1.0 - rng.random(len(ielem))) * horizon
+        isize = rng.standard_exponential(len(ielem)) / gamma2 * vec["d"][ielem % K]
+        # each clock's events grouped by sample interval, (s_i, s_{i+1}]
+        cptr, corder = _by_interval(times, ctime)
+        iptr, iorder = _by_interval(times, itime)
+
+        x = np.tile(vec["xi0"], (bf, 1))
+        flat = x.reshape(-1)
+        coef = np.empty((3, bf, K))
+        intensities[r0:r1, 0] = x[:r1 - r0]
+        for i in range(n_s - 1):
+            ce = corder[cptr[i]:cptr[i + 1]]
+            ie = iorder[iptr[i]:iptr[i + 1]]
+            el = np.concatenate([(crow[ce][:, None] * K + np.arange(K)).reshape(-1),
+                                 ielem[ie]])
+            t = np.concatenate([np.repeat(ctime[ce], K), itime[ie]])
+            size = np.concatenate([csize[ce].reshape(-1), isize[ie]])
+            keep = size > 0.0  # a zero-size jump (zero loading) need not split the path
+            order = np.lexsort((t[keep], el[keep]))
+            el, t, size = el[keep][order], t[keep][order], size[keep][order]
+            n = len(el)
+            first = np.ones(n, dtype=bool)
+            first[1:] = el[1:] != el[:-1]
+            # every element moves to its first event, or through the interval:
+            # the per-name law of the whole interval, patched where events fall
+            coef[:] = np.array(law(times[i + 1] - times[i], slice(None)))[:, None, :]
+            e = el[first]
+            coef.reshape(3, -1)[:, e] = law(t[first] - times[i], e % K)
+            x[...] = _cir_transition(rng, x, *coef)
+            # then event rank by rank: jump, move to the next event or the end
+            nxt = np.append(t[1:], times[i + 1])
+            nxt[np.append(first[1:], True)] = times[i + 1]
+            rank = np.arange(n) - np.maximum.accumulate(np.where(first, np.arange(n), 0))
+            for r in range(int(rank.max()) + 1 if n else 0):
+                sel = rank == r
+                e = el[sel]
+                flat[e] += size[sel]
+                step = nxt[sel] - t[sel]
+                move = step > 0.0
+                e, step = e[move], step[move]
+                flat[e] = _cir_transition(rng, flat[e], *law(step, e % K))
+            intensities[r0:r1, i + 1] = x[:r1 - r0]
+
+    map_ordered(run_block, range(n_blocks), workers)
+    return PathSet(times=times, dt=None, horizon=horizon, n_names=K,
+                   intensities=intensities, thresholds=None, default_times=None,
+                   lambda_c=lambda_c, gamma1=gamma1, gamma2=gamma2)
+
+
 def sample_defaults(pathset: PathSet, rng: Generator | None = None,
                     thresholds=None) -> np.ndarray:
     """Default times: first grid time where the integrated intensity crosses
@@ -443,6 +610,8 @@ def sample_defaults(pathset: PathSet, rng: Generator | None = None,
     """
 
     if rng is None and thresholds is None:
+        if pathset.default_times is None:
+            raise ValueError("The exact sample-time engine resolves no default times.")
         return pathset.default_times.copy()
     if pathset.integrated is None:
         raise ValueError("Redrawing default times needs the stored intensity integrals, "
@@ -455,6 +624,34 @@ def sample_defaults(pathset: PathSet, rng: Generator | None = None,
     any_cross = crossed.any(axis=1)
     first = np.argmax(crossed, axis=1)
     return np.where(any_cross, pathset.times[first], np.inf)
+
+
+def _book_rows(names: Sequence[NameParams], lambda_c: float, gamma1: float,
+               gamma2: float, span: float, r: float):
+    """The book's per-name value with ``span`` to maturity as an affine
+    function of the names' intensities: (const, rows, b0) such that
+    const + sum over j of exp(b0[j] * x) @ rows[j] prices intensities x.
+
+    Row j is a premium-leg Gauss-Legendre node on [0, span], then the last
+    row maturity for the loss leg; each weights name k's survival exp(B0 x)
+    at its node, with exp(A0) folded in.
+    """
+
+    K = len(names)
+    get = lambda attr: np.array([getattr(n, attr) for n in names], dtype=float)
+    z, spread, loss = get("z"), get("spread"), get("loss")
+    gl_nodes, gl_weights = gauss_legendre_rule(0.0, span)
+    u = np.append(gl_nodes, span)
+    a0, b0 = survival_exponents(
+        get("kappa"), get("sigma"), get("alpha"),
+        [(lambda_c, get("c"), gamma1), (get("lambda_hat"), get("d"), gamma2)], u[:, None])
+    disc = np.exp(-r * u)
+    coeff_loss = z * loss / K
+    rows = np.empty((len(u), K))
+    rows[:-1] = (gl_weights * disc[:-1])[:, None] * (z * (spread + r * loss) / K)
+    rows[-1] = disc[-1] * coeff_loss
+    rows *= np.exp(a0)
+    return -coeff_loss.sum(), rows, b0
 
 
 def mc_exposure(pathset: PathSet, names: Sequence[NameParams], t: float, maturity: float,
@@ -479,31 +676,16 @@ def mc_exposure(pathset: PathSet, names: Sequence[NameParams], t: float, maturit
     K = pathset.n_names
     if K == 0 or len(names) != K:
         raise ValueError("names must match the simulated reference pool.")
-    get = lambda attr: np.array([getattr(n, attr) for n in names], dtype=float)
     x_t = pathset.intensities[:, pathset.time_index(t), :K]
     span = maturity - t
     if span == 0.0:
         return 0.0, 0.0
 
-    z, spread, loss = get("z"), get("spread"), get("loss")
-    # premium-leg nodes, then maturity for the loss leg
-    gl_nodes, gl_weights = gauss_legendre_rule(0.0, span)
-    u = np.append(gl_nodes, span)
-    a0, b0 = survival_exponents(
-        get("kappa"), get("sigma"), get("alpha"),
-        [(pathset.lambda_c, get("c"), pathset.gamma1),
-         (get("lambda_hat"), get("d"), pathset.gamma2)], u[:, None])
-    disc = np.exp(-r * u)
-    coeff_loss = z * loss / K
-    # row j weights name k's survival exp(B0 x) at node j, exp(A0) folded in
-    rows = np.empty((len(u), K))
-    rows[:-1] = (gl_weights * disc[:-1])[:, None] * (z * (spread + r * loss) / K)
-    rows[-1] = disc[-1] * coeff_loss
-    rows *= np.exp(a0)
-
-    eps = np.full(pathset.n_paths, -coeff_loss.sum())
+    const, rows, b0 = _book_rows(names, pathset.lambda_c, pathset.gamma1,
+                                 pathset.gamma2, span, r)
+    eps = np.full(pathset.n_paths, const)
     buf = np.empty_like(x_t)
-    for j in range(len(u)):
+    for j in range(len(rows)):
         np.multiply(x_t, b0[j], out=buf)
         np.exp(buf, out=buf)
         eps += buf @ rows[j]

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from cdspool.cli import build_spec, main, parse_config
-from cdspool.exposure import LimitConfig, survival_fhat
+from cdspool.exposure import LimitConfig, build_name_sequence, survival_fhat
 from cdspool.harness import run_bcva_sweeps, run_measure_convergence, run_convergence
 from cdspool.jumps import BveParams, mgf_bve, mgf_bve_partials, sample_bve
 from cdspool.kernels import kernel, kernel_ode_residuals
@@ -21,6 +21,8 @@ from cdspool.quadrature import composite_simpson
 from cdspool.riccati import (integral_b, riccati_b, riccati_beta,
                              riccati_beta_general, riccati_rhs, rk4_solve_integral)
 from cdspool.simulation import mc_limit_transform, simulate_paths
+
+from finite_k import finite_k_exposure
 
 ACCEPT_SEED = 20240617
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -267,6 +269,38 @@ def test_criterion_5_jump_exposure_mismatch_dies_at_maturity(stem):
            f"tail gaps {gap[tail][0]:.2e}->{gap[-2]:.2e}->0", elapsed)
     assert ok
     assert elapsed < 600.0
+
+
+@pytest.mark.parametrize("stem", ["fig1-a", "fig1-b", "fig1-c", "fig1-d"])
+def test_exact_engine_matches_finite_k_exposure(stem):
+    # criterion 5's tables against the closed-form expectation of the same
+    # K = 300 book: Monte-Carlo noise alone at interior times, equality at
+    # t = 0 (deterministic state) and at T (both zero). The printed
+    # finite-K minus limit is the intensity ladder's bias at t = 0; on the
+    # jump panels the interior gap is larger, because the limit prices every
+    # t from x0 while the jumps drift the book's intensities up.
+    t0 = time.perf_counter()
+    table = fig1_curves(stem, ACCEPT_SEED, (300,))[300]
+    cfg = build_spec(parse_config((CONFIGS / f"{stem}.cfg").read_text()), "convergence",
+                     ACCEPT_SEED, 1, None).limit
+    names = build_name_sequence(cfg, 300)
+    maturity = float(table.abscissa[-1])
+    exact = np.array([finite_k_exposure(names, cfg.lambda_c, cfg.gamma1, cfg.gamma2,
+                                        float(t), maturity, cfg.r)
+                      for t in table.abscissa])
+    mc, se = table.columns["mc_exposure"], table.columns["mc_stderr"]
+    lim = table.columns["limit_exposure"]
+    z = np.abs(mc - exact)[1:-1] / se[1:-1]
+    at_zero = abs(mc[0] - exact[0]) / abs(exact[0])
+    bias = (exact - lim) / np.max(np.abs(lim))
+    ok = bool(np.all(z <= 3.0)) and at_zero <= 1e-12 and mc[-1] == exact[-1] == 0.0
+    elapsed = time.perf_counter() - t0
+    report(f"5 finite-k-{stem}", ok,
+           f"max z={z.max():.2f} t=0 rel={at_zero:.1e} finite-K - limit "
+           f"t=0 {bias[0]:+.3%} max|{np.abs(bias).max():.3%}| of scale", elapsed)
+    assert np.all(z <= 3.0), f"{stem}: max z {z.max():.2f} at t={table.abscissa[1:-1][z.argmax()]}"
+    assert at_zero <= 1e-12
+    assert mc[-1] == exact[-1] == 0.0
 
 
 # --------------------------------------------------------------------------

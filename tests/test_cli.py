@@ -145,6 +145,20 @@ def test_bad_experiment_input_is_a_config_error(tmp_path, capsys, override):
     assert err["error"]["code"] == EXIT_CONFIG and err["error"]["kind"] == "config"
 
 
+def test_step_on_a_convergence_run_is_a_config_error(tmp_path, capsys):
+    # the convergence book is drawn exactly at the sample times, so a step
+    # would do nothing; the measure study still runs its Euler grid on it
+    code = run_cli(["--experiment", "convergence", "--config", CONFIGS / "fig1-a.cfg",
+                    "--seed", "1", "--set", "experiment.dt=0.001", "--out", tmp_path]
+                   + SMALL)
+    assert code == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"]["kind"] == "config" and "dt" in err["error"]["message"]
+    assert run_cli(["--experiment", "measure-convergence", "--config",
+                    CONFIGS / "measure.cfg", "--seed", "1", "--set", "experiment.dt=0.05",
+                    "--out", tmp_path / "measure"] + SMALL[:4]) == EXIT_OK
+
+
 @pytest.mark.parametrize("config, override", [("fig3", "experiment.sweep_values=0"),
                                               ("fig2", "counterparty.sigma_a=0")])
 def test_zero_sigma_counterparty_is_a_config_error(tmp_path, capsys, config, override):
