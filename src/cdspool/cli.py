@@ -2,10 +2,9 @@
 worker control, and output routing.
 
 Config files are flat ``section.key = value`` text (sections: limit,
-counterparty, experiment, validate); ``#`` starts a comment. Overrides come
-from the CDSPOOL_SET environment variable (semicolon-separated key=value
-pairs) and repeatable ``--set key=value`` flags, applied in that order, and
-must reference known keys.
+counterparty, experiment, validate); ``#`` starts a comment. Repeatable
+``--set key=value`` flags override it, in order, and must reference known
+keys. Experiment keys left unset take :class:`ExperimentSpec`'s defaults.
 
 Exit codes: 0 success, 2 configuration error, 3 validation failure,
 4 numerical-accuracy error.
@@ -15,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -32,8 +30,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_VALIDATION = 3
 EXIT_ACCURACY = 4
-
-ENV_OVERRIDES = "CDSPOOL_SET"
 
 EXPERIMENTS = ("convergence", "bcva-sweep", "validate", "measure-convergence")
 SEED_REQUIRED = ("convergence", "measure-convergence")
@@ -90,13 +86,13 @@ def parse_config(text: str) -> dict[str, str]:
     return mapping
 
 
-def _apply_overrides(mapping: dict[str, str], pairs: list[str], origin: str) -> None:
+def _apply_overrides(mapping: dict[str, str], pairs: list[str]) -> None:
     for pair in pairs:
         if "=" not in pair:
-            raise ConfigError(f"{origin}: override {pair!r} is not key=value")
+            raise ConfigError(f"--set: override {pair!r} is not key=value")
         key, value = (part.strip() for part in pair.split("=", 1))
         if key not in KNOWN_KEYS:
-            raise ConfigError(f"{origin}: override references unknown key {key!r}")
+            raise ConfigError(f"--set: override references unknown key {key!r}")
         mapping[key] = value
 
 
@@ -126,7 +122,9 @@ def _section(mapping: dict[str, str], prefix: str) -> dict[str, object]:
 
 
 def _default_limit() -> LimitConfig:
-    # baseline pool used by the sensitivity studies; harmless for validate
+    # fills spec.limit of a validate run without a limit section; the gate
+    # never reads it, but the config_hash of a run without a config file is
+    # taken from the spec's repr, which includes it
     return LimitConfig(alpha=0.01, kappa=0.5, sigma=0.3, c=0.1, d=0.1,
                        lambda_hat=0.2, x0=0.02, gamma1=2.0, gamma2=2.0,
                        lambda_c=0.1, s_z=0.02, l_z=0.4, r=0.03)
@@ -200,24 +198,11 @@ def build_spec(mapping: dict[str, str], kind: str, seed: int | None,
     if kind == "bcva-sweep" and cps is None:
         raise ConfigError("bcva-sweep requires a counterparty section")
 
-    spec = ExperimentSpec(
-        kind=kind,
-        limit=limit,
-        cps=cps,
-        horizon=exp.get("horizon", 1.0),
-        k_values=exp.get("k_values", (300,)),
-        n_paths=exp.get("n_paths", 2000),
-        dt=exp.get("dt"),
-        n_times=exp.get("n_times", 61),
-        seed=seed,
-        repeats=exp.get("repeats", 3),
-        sweep=exp.get("sweep"),
-        sweep_values=exp.get("sweep_values", ()),
-        workers=workers,
+    exp.pop("kind", None)
+    return ExperimentSpec(
+        kind=kind, limit=limit, cps=cps, seed=seed, workers=workers,
         perturb=_parse_perturb(val_sec["perturb"]) if "perturb" in val_sec else {},
-        config_text=config_text,
-    )
-    return spec
+        config_text=config_text, **exp)
 
 
 def _error_line(code: int, kind: str, message: str) -> None:
@@ -255,11 +240,7 @@ def main(argv: list[str] | None = None) -> int:
             except OSError as exc:
                 raise ConfigError(f"cannot read config {args.config}: {exc}") from None
             mapping = parse_config(config_text)
-        env = os.environ.get(ENV_OVERRIDES, "")
-        if env:
-            _apply_overrides(mapping, [p for p in env.split(";") if p.strip()],
-                             f"${ENV_OVERRIDES}")
-        _apply_overrides(mapping, args.overrides, "--set")
+        _apply_overrides(mapping, args.overrides)
 
         seed = args.seed
         if seed is not None and not 0 <= seed < 2**64:

@@ -59,14 +59,12 @@ class CurveTable:
     """One labeled result curve: abscissa plus named value columns.
 
     Columns keep insertion order; stderr columns are suffixed "_stderr".
-    The provenance block records seed, config hash, and package version.
     """
 
     label: str
     abscissa_name: str
     abscissa: np.ndarray
     columns: dict[str, np.ndarray]
-    provenance: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         n = len(self.abscissa)
@@ -197,12 +195,10 @@ def run_convergence(spec: ExperimentSpec) -> list[CurveTable]:
             list(times), spec.workers)
         mc = np.array([p[0] for p in pairs])
         se = np.array([p[1] for p in pairs])
-        prov = spec.provenance() | {"K": K}
         tables.append(CurveTable(
             label=f"exposure-K{K}", abscissa_name="t", abscissa=times,
             columns={"mc_exposure": mc, "mc_stderr": se,
-                     "limit_exposure": limit_curve},
-            provenance=prov))
+                     "limit_exposure": limit_curve}))
     return tables
 
 
@@ -241,14 +237,12 @@ def run_measure_convergence(spec: ExperimentSpec) -> list[CurveTable]:
                              "limit_mass": lim_mass,
                              "empirical_exp": ee[:, 0],
                              "empirical_exp_stderr": ee[:, 1],
-                             "limit_exp": lim_exp},
-                    provenance=spec.provenance() | {"K": K, "theta": theta}))
+                             "limit_exp": lim_exp}))
     tables.append(CurveTable(
         label="measure-sup-error", abscissa_name="K",
         abscissa=np.array(spec.k_values, dtype=float),
         columns={"sup_err_mass_median": np.median(sup_one, axis=1),
-                 "sup_err_exp_median": np.median(sup_exp, axis=1)},
-        provenance=spec.provenance() | {"repeats": spec.repeats, "theta": theta}))
+                 "sup_err_exp_median": np.median(sup_exp, axis=1)}))
     return tables
 
 
@@ -262,11 +256,9 @@ def run_bcva_sweeps(spec: ExperimentSpec) -> list[CurveTable]:
     res = kernels.sensitivity_sweep(spec.sweep, spec.sweep_values, spec.limit,
                                     spec.cps, maturity=spec.horizon,
                                     workers=spec.workers)
-    table = CurveTable(
+    return [CurveTable(
         label=f"bcva-{spec.sweep}", abscissa_name=spec.sweep, abscissa=res.values,
-        columns={"cva": res.cva, "dva": res.dva, "bcva": res.bcva},
-        provenance=spec.provenance() | {"maturity": spec.horizon})
-    return [table]
+        columns={"cva": res.cva, "dva": res.dva, "bcva": res.bcva})]
 
 
 # ---------------------------------------------------------------------------
@@ -434,8 +426,7 @@ def _check_mgf_exp_mc(offset: float) -> CheckResult:
     rng = np.random.default_rng(VALIDATION_SEED + 7)
     theta, gamma = -0.5, 1.5
     draws = np.exp(theta * rng.standard_exponential(1_000_000) / gamma)
-    se = draws.std(ddof=1) / math.sqrt(len(draws))
-    err = abs(mgf_exp(theta, gamma) + offset - draws.mean()) / se
+    err = abs(mgf_exp(theta, gamma) + offset - draws.mean()) / _stderr(draws)
     return CheckResult("mgf_exp_vs_mc", err, 3.0)
 
 
@@ -444,8 +435,7 @@ def _check_mgf_bve_mc(offset: float) -> CheckResult:
     p = BveParams(1.5, 1.5, 0.5)
     ya, yb = sample_bve(p, rng, size=1_000_000)
     vals = np.exp(-0.7 * ya - 0.3 * yb)
-    se = vals.std(ddof=1) / math.sqrt(len(vals))
-    err = abs(mgf_bve(-0.7, -0.3, p) + offset - vals.mean()) / se
+    err = abs(mgf_bve(-0.7, -0.3, p) + offset - vals.mean()) / _stderr(vals)
     return CheckResult("mgf_bve_vs_mc", err, 3.0)
 
 
@@ -469,8 +459,7 @@ def _check_bve_moments(offset: float) -> CheckResult:
     ya, yb = sample_bve(p, rng, size=n)
     err = 0.0
     for y, rate in ((ya, p.marginal_rate_a), (yb, p.marginal_rate_b)):
-        se = y.std(ddof=1) / math.sqrt(n)
-        err = max(err, abs(y.mean() - (1.0 / rate + offset)) / se)
+        err = max(err, abs(y.mean() - (1.0 / rate + offset)) / _stderr(y))
     corr = np.corrcoef(ya, yb)[0, 1]
     # correlation stderr via the asymptotic normal approximation
     se_corr = (1.0 - corr * corr) / math.sqrt(n)
@@ -485,8 +474,7 @@ def _check_bve_empirical_mgf(offset: float) -> CheckResult:
     err = 0.0
     for ta, tb in ((-0.2, -0.2), (-1.0, -0.1), (-0.1, -1.0), (-0.5, -1.5), (-2.0, -2.0)):
         vals = np.exp(ta * ya + tb * yb)
-        se = vals.std(ddof=1) / math.sqrt(len(vals))
-        err = max(err, abs(mgf_bve(ta, tb, p) + offset - vals.mean()) / se)
+        err = max(err, abs(mgf_bve(ta, tb, p) + offset - vals.mean()) / _stderr(vals))
     return CheckResult("bve_empirical_mgf", err, 4.0)
 
 
@@ -504,7 +492,8 @@ def _check_fhat_cir(offset: float) -> CheckResult:
 
 
 def _check_fhat_limit_sde(offset: float) -> CheckResult:
-    """F-hat(1.5) against an Euler simulation of the limit diffusion, as a
+    """``survival_fhat(1.5, cfg)`` against ``mc_limit_transform(1.5, cfg,
+    ...)``, an Euler simulation of the same config's limit diffusion, as a
     z-score with bound 3. At _LIMIT_ORACLE_PATHS the oracle's relative
     stderr is 2.9e-4, so the check flags a relative offset above about
     8.8e-4. The 1000-step Euler bias, measured by step doubling, is about
@@ -513,10 +502,8 @@ def _check_fhat_limit_sde(offset: float) -> CheckResult:
     cfg, _, _ = _validation_baseline()
     u = 1.5
     closed = survival_fhat(u, cfg) + offset
-    est, se = mc_limit_transform(cfg.alpha, cfg.kappa, cfg.sigma,
-                                 cfg.c * cfg.lambda_c, cfg.d * cfg.lambda_hat,
-                                 cfg.gamma1, cfg.gamma2, cfg.x0, u,
-                                 n_paths=_LIMIT_ORACLE_PATHS, seed=VALIDATION_SEED + 11)
+    est, se = mc_limit_transform(u, cfg, n_paths=_LIMIT_ORACLE_PATHS,
+                                 seed=VALIDATION_SEED + 11)
     return CheckResult("fhat_vs_limit_sde_mc", abs(closed - est) / se, 3.0)
 
 
@@ -551,22 +538,10 @@ def _kernel_values() -> dict[str, tuple[float, tuple[float, float]]]:
                                mc_joint)}
 
 
-def _kernel_checks(offset: float, which: str) -> CheckResult:
+def _kernel_check(which: str, offset: float) -> CheckResult:
     with _KERNEL_LOCK:
         closed, (est, se) = _kernel_values()[which]
     return CheckResult(f"{which}_vs_mc", abs(closed + offset - est) / se, 3.0)
-
-
-def _check_h1_mc(offset: float) -> CheckResult:
-    return _kernel_checks(offset, "h1")
-
-
-def _check_h2_mc(offset: float) -> CheckResult:
-    return _kernel_checks(offset, "h2")
-
-
-def _check_joint_survival_mc(offset: float) -> CheckResult:
-    return _kernel_checks(offset, "joint_survival")
 
 
 def _check_kernel_residuals(offset: float) -> CheckResult:
@@ -624,9 +599,9 @@ _CHECKS: list[tuple[str, Callable[[float], CheckResult]]] = [
     ("fhat_cir_reduction", _check_fhat_cir),
     ("fhat_vs_limit_sde_mc", _check_fhat_limit_sde),
     ("exposure_limit_vs_simpson", _check_exposure_quadrature),
-    ("h1_vs_mc", _check_h1_mc),
-    ("h2_vs_mc", _check_h2_mc),
-    ("joint_survival_vs_mc", _check_joint_survival_mc),
+    ("h1_vs_mc", functools.partial(_kernel_check, "h1")),
+    ("h2_vs_mc", functools.partial(_kernel_check, "h2")),
+    ("joint_survival_vs_mc", functools.partial(_kernel_check, "joint_survival")),
     ("kernel_ode_residuals", _check_kernel_residuals),
     ("cva_vs_nested_mc", _check_cva_nested_mc),
 ]

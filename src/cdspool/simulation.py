@@ -42,9 +42,11 @@ on how many workers process the blocks.
 Estimators read from simulated paths: :func:`mc_exposure` prices the CDS
 book along the paths (convergence studies), and :func:`mc_kernel_oracles`
 reads the three counterparty kernels from one simulation of the pair
-(validation gate). :func:`mc_limit_transform` runs its own Euler loop, on
-the same in-place step updates, for the large-pool limit diffusion, whose
-drift is a per-path frozen mark.
+(validation gate). ``mc_limit_transform(u, cfg, n_paths, seed)`` runs its
+own Euler loop, on the same in-place step updates, for the large-pool limit
+diffusion of a :class:`~cdspool.exposure.LimitConfig`, whose drift is a
+per-path frozen mark; it takes the inputs of ``survival_fhat(u, cfg)``, the
+closed form it checks.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -61,6 +63,9 @@ from .errors import ConfigError
 from .jumps import BveParams, sample_bve
 from .quadrature import gauss_legendre_rule
 from .riccati import survival_exponents
+
+if TYPE_CHECKING:
+    from .exposure import LimitConfig
 
 __all__ = [
     "NameParams",
@@ -723,29 +728,22 @@ def mc_kernel_oracles(cps: CounterpartyParams, lambda_c: float, u: float, x_a: f
                               surv * ps.intensities[:, 0, 0], surv))
 
 
-def mc_limit_transform(alpha: float, kappa: float, sigma: float, drift_c: float,
-                       drift_d: float, gamma1: float, gamma2: float, x0: float, u: float,
-                       n_paths: int, seed: int) -> tuple[float, float]:
+def mc_limit_transform(u: float, cfg: LimitConfig, n_paths: int,
+                       seed: int) -> tuple[float, float]:
     """MC estimate of E[exp(-integral of X on [0,u])] for the limit
-    killing-rate diffusion, on 1000 Euler steps; returns (estimate, stderr).
+    killing-rate diffusion of ``cfg``, on 1000 Euler steps; returns
+    (estimate, stderr).
 
-    X is a square-root diffusion with per-path constant drift shift
-    drift_c * Y + drift_d * Ytilde, Y ~ Exp(gamma1), Ytilde ~ Exp(gamma2)
-    (the frozen-mark drift of the large-pool limit). Used as the
-    independent oracle for the closed-form pool survival function.
+    X is a square-root diffusion from x0 with per-path constant drift shift
+    c lambda_c Y + d lambda_hat Ytilde, Y ~ Exp(gamma1), Ytilde ~ Exp(gamma2)
+    (the frozen-mark drift of the large-pool limit). Used as the independent
+    oracle for the closed form ``survival_fhat(u, cfg)``.
     """
 
-    u, x0 = _oracle_lag(u), float(x0)
-    if not all(map(math.isfinite, (alpha, kappa, sigma, drift_c, drift_d, gamma1, gamma2))):
-        raise ConfigError("Limit diffusion parameters must be finite.")
-    if alpha < 0 or kappa <= 0 or sigma < 0:
-        raise ConfigError("Require alpha >= 0, kappa > 0, sigma >= 0.")
-    if drift_c < 0 or drift_d < 0 or gamma1 <= 0 or gamma2 <= 0:
-        raise ConfigError("Require drift_c, drift_d >= 0 and gamma1, gamma2 > 0.")
-    if not (math.isfinite(x0) and x0 >= 0.0):
-        raise ConfigError("x0 must be finite and >= 0.")
+    u = _oracle_lag(u)
     if n_paths < 1:
         raise ConfigError("n_paths must be >= 1.")
+    drift_c, drift_d = cfg.c * cfg.lambda_c, cfg.d * cfg.lambda_hat
     n_steps = 1000
     dt = u / n_steps
     key = _philox_key(seed)
@@ -758,15 +756,15 @@ def mc_limit_transform(alpha: float, kappa: float, sigma: float, drift_c: float,
         rng = _block_generator(key, _BLOCK_LIMIT, b)
         r0 = b * bf
         r1 = min(n_paths, r0 + bf)
-        y1 = rng.standard_exponential(bf) / gamma1
-        y2 = rng.standard_exponential(bf) / gamma2
-        drift0 = alpha + drift_c * y1 + drift_d * y2
-        x = np.full(bf, x0)
+        y1 = rng.standard_exponential(bf) / cfg.gamma1
+        y2 = rng.standard_exponential(bf) / cfg.gamma2
+        drift0 = cfg.alpha + drift_c * y1 + drift_d * y2
+        x = np.full(bf, cfg.x0, dtype=float)
         xp = np.maximum(x, 0.0)
         xnew, z, a, v = (np.empty(bf) for _ in range(4))
         integ = np.zeros(bf)
         for _ in range(n_steps):
-            _diffuse(rng, x, xp, drift0, kappa, sigma, dt, sqrt_dt, z, a, v)
+            _diffuse(rng, x, xp, drift0, cfg.kappa, cfg.sigma, dt, sqrt_dt, z, a, v)
             _truncate_and_integrate(x, xp, xnew, integ, dt, a)
             xp, xnew = xnew, xp
         vals[r0:r1] = np.exp(-integ[:r1 - r0])

@@ -163,10 +163,7 @@ def test_criterion_3_pool_survival():
                           lambda_hat=0.2, x0=0.02, gamma1=2.0, gamma2=2.0,
                           lambda_c=lam_c, s_z=0.02, l_z=0.4, r=0.03)
         u = 1.5
-        est, _ = mc_limit_transform(cfg.alpha, cfg.kappa, cfg.sigma,
-                                    cfg.c * cfg.lambda_c, cfg.d * cfg.lambda_hat,
-                                    cfg.gamma1, cfg.gamma2, cfg.x0, u,
-                                    n_paths=100_000, seed=ACCEPT_SEED + 3)
+        est, _ = mc_limit_transform(u, cfg, n_paths=100_000, seed=ACCEPT_SEED + 3)
         worst_rel = max(worst_rel, abs(survival_fhat(u, cfg) - est) / est)
 
     elapsed = time.perf_counter() - t0

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -50,6 +51,15 @@ def test_build_spec_kind_mismatch():
         build_spec(mapping, "measure-convergence", 5, 1, None)
 
 
+def test_build_spec_leaves_unset_experiment_keys_to_the_spec_defaults():
+    mapping = {key: value for key, value in parse_config((CONFIGS / "fig2.cfg").read_text())
+               .items() if key.startswith("limit.")}
+    spec = build_spec(mapping, "validate", None, 1, None)
+    default = harness.ExperimentSpec(kind="validate", limit=spec.limit)
+    for f in fields(harness.ExperimentSpec):
+        assert getattr(spec, f.name) == getattr(default, f.name), f.name
+
+
 def test_convergence_end_to_end(tmp_path):
     out = tmp_path / "run"
     code = run_cli(["--experiment", "convergence", "--config", CONFIGS / "fig1-a.cfg",
@@ -88,12 +98,12 @@ def test_worker_count_never_changes_output(tmp_path, args):
     assert trees[1] == trees[4] == trees[8]
 
 
-def test_env_override_applies(tmp_path, monkeypatch):
-    monkeypatch.setenv("CDSPOOL_SET", "experiment.n_paths=32;experiment.n_times=3")
-    out = tmp_path / "env"
+def test_set_overrides_apply(tmp_path):
+    out = tmp_path / "set"
     code = run_cli(["--experiment", "convergence", "--config", CONFIGS / "fig1-a.cfg",
-                    "--seed", "1", "--set", "experiment.k_values=4", "--out", out,
-                    "--set", "experiment.horizon=0.5"])
+                    "--seed", "1", "--set", "experiment.n_paths=32",
+                    "--set", "experiment.n_times=3", "--set", "experiment.k_values=4",
+                    "--out", out, "--set", "experiment.horizon=0.5"])
     assert code == EXIT_OK
     manifest = json.loads((out / "run_manifest.json").read_text())
     assert manifest["provenance"]["n_paths"] == 32
@@ -126,14 +136,16 @@ def test_config_error_exit_codes(tmp_path, capsys):
 # the experiment and config that read the key under test
 BAD_INPUT_RUNS = {"experiment.sweep": ("bcva-sweep", "fig2"),
                   "experiment.repeats": ("measure-convergence", "measure"),
-                  "counterparty.gamma_a": ("bcva-sweep", "fig2")}
+                  "counterparty.gamma_a": ("bcva-sweep", "fig2"),
+                  "limit.sigma": ("bcva-sweep", "fig2")}
 
 
 @pytest.mark.parametrize("override", ["experiment.horizon=nan", "experiment.horizon=inf",
                                       "experiment.horizon=-1", "experiment.dt=0",
                                       "experiment.k_values=0", "experiment.sweep=kappa_star",
                                       "experiment.repeats=0", "experiment.repeats=-2",
-                                      "counterparty.gamma_a=-1", "counterparty.gamma_a=inf"])
+                                      "counterparty.gamma_a=-1", "counterparty.gamma_a=inf",
+                                      "limit.sigma=0"])
 def test_bad_experiment_input_is_a_config_error(tmp_path, capsys, override):
     kind, config = BAD_INPUT_RUNS.get(override.split("=")[0], ("convergence", "fig1-c"))
     code = run_cli(["--experiment", kind, "--config", CONFIGS / f"{config}.cfg",

@@ -295,23 +295,21 @@ def test_mc_limit_transform_pinned_at_gate_arguments():
     # steps give exactly these values
     from cdspool.harness import _LIMIT_ORACLE_PATHS, VALIDATION_SEED, _validation_baseline
     cfg, _, _ = _validation_baseline()
-    est = mc_limit_transform(cfg.alpha, cfg.kappa, cfg.sigma, cfg.c * cfg.lambda_c,
-                             cfg.d * cfg.lambda_hat, cfg.gamma1, cfg.gamma2, cfg.x0, 1.5,
-                             n_paths=_LIMIT_ORACLE_PATHS, seed=VALIDATION_SEED + 11)
+    est = mc_limit_transform(1.5, cfg, n_paths=_LIMIT_ORACLE_PATHS,
+                             seed=VALIDATION_SEED + 11)
     assert est == (0.9518378243943133, 0.0002780681643869314)
 
 
-# alpha, kappa, sigma, drift_c, drift_d, gamma1, gamma2 of the limit diffusion
-LIMIT_ARGS = (0.5, 1.5, 0.2, 0.1, 0.1, 1.5, 1.5)
+# a limit diffusion with both jump drifts at 0.1
+LIMIT_CFG = LimitConfig(alpha=0.5, kappa=1.5, sigma=0.2, c=0.1, d=0.1, lambda_hat=1.0,
+                        x0=0.5, gamma1=1.5, gamma2=1.5, lambda_c=1.0, s_z=0.02,
+                        l_z=0.4, r=0.03)
 
 
-def test_oracles_reject_empty_runs_and_bad_initial_values():
-    for x0 in (-1e-3, float("nan"), float("inf")):
-        with pytest.raises(ConfigError, match="x0"):
-            mc_limit_transform(*LIMIT_ARGS, x0, 1.0, n_paths=10, seed=1)
+def test_oracles_reject_empty_runs():
     for n in (0, -3):
         with pytest.raises(ConfigError, match="n_paths"):
-            mc_limit_transform(*LIMIT_ARGS, 0.5, 1.0, n_paths=n, seed=1)
+            mc_limit_transform(1.0, LIMIT_CFG, n_paths=n, seed=1)
         with pytest.raises(ConfigError, match="n_paths"):
             mc_kernel_oracles(make_cps(), 0.25, 1.0, 0.2, 0.2, n_paths=n, seed=1)
 
@@ -321,26 +319,29 @@ def test_oracles_reject_empty_runs_and_bad_initial_values():
     ("alpha", float("nan")), ("alpha", -0.1),
     ("kappa", float("inf")), ("kappa", 0.0), ("kappa", -1.5),
     ("sigma", float("nan")), ("sigma", -0.2),
-    ("drift_c", -0.1), ("drift_d", -0.1), ("drift_c", float("nan")),
+    ("c", -0.1), ("d", -0.1), ("c", float("nan")), ("d", float("nan")),
     ("gamma1", 0.0), ("gamma1", -1.0), ("gamma2", 0.0), ("gamma2", float("inf")),
+    ("x0", -1e-3), ("x0", float("nan")), ("x0", float("inf")),
 ])
 def test_oracles_reject_bad_input(field, value):
-    args = dict(zip(("alpha", "kappa", "sigma", "drift_c", "drift_d", "gamma1",
-                     "gamma2"), LIMIT_ARGS), x0=0.5, u=1.0)
-    args[field] = value
+    # both oracles check the lag u; the limit oracle's diffusion is a
+    # LimitConfig, which rejects a bad field when it is built
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ConfigError):
-            mc_limit_transform(**args, n_paths=10, seed=1)
-        if field == "u":
-            with pytest.raises(ConfigError, match="u must be"):
-                mc_kernel_oracles(make_cps(), 0.25, value, 0.2, 0.2, n_paths=10, seed=1)
+        if field != "u":
+            with pytest.raises(ConfigError):
+                replace(LIMIT_CFG, **{field: value})
+            return
+        with pytest.raises(ConfigError, match="u must be"):
+            mc_limit_transform(value, LIMIT_CFG, n_paths=10, seed=1)
+        with pytest.raises(ConfigError, match="u must be"):
+            mc_kernel_oracles(make_cps(), 0.25, value, 0.2, 0.2, n_paths=10, seed=1)
 
 
 def test_oracles_report_zero_stderr_for_one_path():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        est, se = mc_limit_transform(*LIMIT_ARGS, 0.5, 1.0, n_paths=1, seed=1)
+        est, se = mc_limit_transform(1.0, LIMIT_CFG, n_paths=1, seed=1)
         kernels = mc_kernel_oracles(make_cps(), 0.25, 1.0, 0.2, 0.2, n_paths=1, seed=1)
     assert 0.0 < est < 1.0 and se == 0.0
     for est, se in kernels:
