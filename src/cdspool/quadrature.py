@@ -34,13 +34,24 @@ __all__ = ["GL_PANEL_YEARS", "composite_simpson", "gauss_legendre_16",
 GL_PANEL_YEARS = 10.0
 
 
+# The positive half of numpy.polynomial.legendre.leggauss(16), whose nodes
+# and weights are exactly symmetric about 0, written out so that no run
+# imports numpy.polynomial (numpy 2 loads it lazily, on first use).
+_GL16_NODES = (0.09501250983763744, 0.2816035507792589, 0.45801677765722737,
+               0.6178762444026438, 0.755404408355003, 0.8656312023878318,
+               0.9445750230732326, 0.9894009349916499)
+_GL16_WEIGHTS = (0.18945061045506864, 0.18260341504492364, 0.16915651939500265,
+                 0.1495959888165767, 0.12462897125553407, 0.0951585116824926,
+                 0.062253523938647456, 0.027152459411754176)
+
+
 @functools.cache
 def gauss_legendre_16() -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of 16-point Gauss–Legendre on [-1, 1]."""
+    """Nodes (increasing) and weights of 16-point Gauss–Legendre on [-1, 1]."""
 
-    # built on first use: the eigensolver behind it costs about 1 MB of
-    # resident memory that pipelines without quadrature need not pay
-    return np.polynomial.legendre.leggauss(16)
+    nodes, weights = np.array(_GL16_NODES), np.array(_GL16_WEIGHTS)
+    return (np.concatenate([-nodes[::-1], nodes]),
+            np.concatenate([weights[::-1], weights]))
 
 
 def gauss_legendre_rule(a: float, b: float) -> tuple[np.ndarray, np.ndarray]:

@@ -241,6 +241,20 @@ def test_console_entry_point(tmp_path):
     assert "run_manifest.json" in result.stdout
 
 
+def test_a_pricing_run_imports_neither_scipy_nor_numpy_polynomial(tmp_path):
+    # scipy is a test oracle only; importing scipy.optimize cost each run
+    # about 0.45 s and 42 MB, and numpy.polynomial loads lazily on first use
+    script = ("import sys\n"
+              "from cdspool.cli import main\n"
+              f"code = main(['--experiment', 'bcva-sweep', '--config', "
+              f"{str(CONFIGS / 'fig4.cfg')!r}, '--out', {str(tmp_path)!r}])\n"
+              "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
+              " or m.startswith('numpy.polynomial')))\n")
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == f"{EXIT_OK} []"
+
+
 def test_shipped_configs_parse_and_declare_kinds():
     kinds = {"fig1-a": "convergence", "fig1-b": "convergence",
              "fig1-c": "convergence", "fig1-d": "convergence",

@@ -5,9 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_simpson
+from scipy.optimize import brentq
 
 from cdspool import kernels
 from cdspool.cli import EXIT_OK, build_spec, main, parse_config
+from cdspool.errors import AccuracyError
 from cdspool.exposure import LimitConfig, exposure_limit, survival_fhat
 from cdspool.jumps import BveParams, mgf_bve, mgf_bve_partials
 from cdspool.kernels import (bcva, joint_survival, kernel, kernel_coefficients,
@@ -15,6 +17,8 @@ from cdspool.kernels import (bcva, joint_survival, kernel, kernel_coefficients,
 from cdspool.quadrature import simpson_adaptive
 from cdspool.riccati import exp_phi, integral_b, riccati_b
 from cdspool.simulation import CounterpartyParams, CounterpartySide
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def make_cps(**overrides):
@@ -176,7 +180,7 @@ def test_kernel_vector_call_equals_scalar_calls():
 def test_fig4_point_prices_at_a_100_year_horizon(tmp_path, capsys):
     # a horizon of ten Gauss-Legendre panels needs no grid or guard setting
     code = main(["--experiment", "bcva-sweep", "--config",
-                 str(Path(__file__).resolve().parents[1] / "configs" / "fig4.cfg"),
+                 str(CONFIGS / "fig4.cfg"),
                  "--set", "experiment.horizon=100", "--set", "experiment.sweep_values=0.5",
                  "--out", str(tmp_path)])
     assert code == EXIT_OK, capsys.readouterr().err
@@ -294,9 +298,67 @@ def test_bcva_handles_sign_change_in_exposure():
     assert res.dva == pytest.approx(dva_ref, rel=2e-3)
 
 
+def test_brent_root_equals_brentq_on_every_sweep_bracket(monkeypatch):
+    # every sign-change bracket bcva meets on the fig2-fig5 sweep points
+    pairs = []
+    brent = kernels._brent_root
+
+    def recording(f, a, b, xtol):
+        root = brent(f, a, b, xtol)
+        pairs.append((root, brentq(f, a, b, xtol=xtol)))
+        return root
+
+    monkeypatch.setattr(kernels, "_brent_root", recording)
+    for stem in ("fig2", "fig3", "fig4", "fig5"):
+        spec = build_spec(parse_config((CONFIGS / f"{stem}.cfg").read_text()),
+                          "bcva-sweep", None, 1, None)
+        sensitivity_sweep(spec.sweep, spec.sweep_values, spec.limit, spec.cps,
+                          maturity=spec.horizon)
+    assert len(pairs) == 10  # all on the lambda_c grid of fig4
+    assert all(ours == ref for ours, ref in pairs)
+
+
+def test_brent_root_equals_brentq_on_random_smooth_brackets():
+    rng = np.random.default_rng(1973)
+    n_brackets = 0
+    for _ in range(4000):
+        c0, c1, c2, c3, amp, rate = rng.normal(size=6)
+        freq, phase = rng.uniform(0.5, 8.0), rng.uniform(0.0, 2.0 * math.pi)
+        a, b = sorted(rng.uniform(-3.0, 3.0, size=2))
+        xtol = 10.0 ** rng.uniform(-12.0, -1.0)  # coarse ones test the step rules
+
+        def f(x):
+            return ((c0 + x * (c1 + x * (c2 + x * c3)) + amp * math.sin(freq * x + phase))
+                    * math.exp(rate * x))
+
+        if f(a) * f(b) < 0.0:
+            n_brackets += 1
+            assert kernels._brent_root(f, a, b, xtol) == brentq(f, a, b, xtol=xtol)
+    assert n_brackets > 1000
+
+
+def test_brent_root_rejects_a_same_sign_bracket():
+    with pytest.raises(ValueError):
+        kernels._brent_root(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-12)
+
+
+def test_brent_root_failures_are_accuracy_errors():
+    # a step function forces bisection, and 100 halvings of [-1e300, 1e300]
+    # leave the bracket wide: scipy ends this in a bare RuntimeError
+    def step(x):
+        return 1.0 if x > 0.1 else -1.0
+
+    with pytest.raises(RuntimeError):
+        brentq(step, -1e300, 1e300, xtol=1e-12)
+    with pytest.raises(AccuracyError, match="100 iterations"):
+        kernels._brent_root(step, -1e300, 1e300, xtol=1e-12)
+    with pytest.raises(AccuracyError, match="NaN"):
+        kernels._brent_root(lambda x: math.nan if 0.4 < x < 0.6 else x - 0.5, 0.0, 1.0,
+                            xtol=1e-12)
+
+
 def fig4_point(lambda_c):
-    mapping = parse_config((Path(__file__).resolve().parents[1] / "configs"
-                            / "fig4.cfg").read_text())
+    mapping = parse_config((CONFIGS / "fig4.cfg").read_text())
     spec = build_spec(mapping, "bcva-sweep", None, 1, None)
     return replace(spec.limit, lambda_c=lambda_c), spec.cps, spec.horizon
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from cdspool.errors import AccuracyError
-from cdspool.quadrature import composite_simpson, simpson_adaptive, simpson_weights
+from cdspool.quadrature import (composite_simpson, gauss_legendre_16, simpson_adaptive,
+                                simpson_weights)
 
 
 def test_weights_sum_to_interval_length():
@@ -43,3 +44,10 @@ def test_adaptive_raises_when_refinement_exhausted():
 def test_adaptive_rejects_reversed_limits():
     with pytest.raises(ValueError):
         simpson_adaptive(np.exp, 1.0, 0.0)
+
+
+def test_gauss_legendre_16_literals_equal_leggauss():
+    nodes, weights = gauss_legendre_16()
+    ref_nodes, ref_weights = np.polynomial.legendre.leggauss(16)
+    assert np.array_equal(nodes, ref_nodes)
+    assert np.array_equal(weights, ref_weights)
