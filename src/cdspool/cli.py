@@ -2,9 +2,13 @@
 worker control, and output routing.
 
 Config files are flat ``section.key = value`` text (sections: limit,
-counterparty, experiment, validate); ``#`` starts a comment. Repeatable
-``--set key=value`` flags override it, in order, and must reference known
-keys. Experiment keys left unset take :class:`ExperimentSpec`'s defaults.
+counterparty, experiment, validate); ``#`` starts a comment and a later
+line for a key wins. Repeatable ``--set key=value`` flags override it, in
+order, and must reference known keys. Experiment keys left unset take
+:class:`ExperimentSpec`'s defaults. A run's ``config_echo.cfg`` is the file
+plus one ``key = value`` line per ``--set``; passed back as ``--config`` it
+reproduces the run. The manifest's ``config_hash`` is the hash of that text
+alone, so it does not depend on ``--workers``.
 
 Exit codes: 0 success, 2 configuration error, 3 validation failure,
 4 numerical-accuracy error.
@@ -20,7 +24,7 @@ from pathlib import Path
 
 from .errors import AccuracyError, ConfigError
 from .exposure import LimitConfig
-from .harness import ExperimentSpec, run_experiment
+from .harness import EXPERIMENTS, ExperimentSpec, run_experiment
 from .jumps import BveParams
 from .simulation import CounterpartyParams, CounterpartySide
 
@@ -30,9 +34,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_VALIDATION = 3
 EXIT_ACCURACY = 4
-
-EXPERIMENTS = ("convergence", "bcva-sweep", "validate", "measure-convergence")
-SEED_REQUIRED = ("convergence", "measure-convergence")
 
 _FLOAT = "float"
 _INT = "int"
@@ -86,7 +87,10 @@ def parse_config(text: str) -> dict[str, str]:
     return mapping
 
 
-def _apply_overrides(mapping: dict[str, str], pairs: list[str]) -> None:
+def _apply_overrides(mapping: dict[str, str], pairs: list[str]) -> str:
+    """Apply ``--set`` pairs in order; returns them as config lines."""
+
+    lines = []
     for pair in pairs:
         if "=" not in pair:
             raise ConfigError(f"--set: override {pair!r} is not key=value")
@@ -94,6 +98,8 @@ def _apply_overrides(mapping: dict[str, str], pairs: list[str]) -> None:
         if key not in KNOWN_KEYS:
             raise ConfigError(f"--set: override references unknown key {key!r}")
         mapping[key] = value
+        lines.append(f"{key} = {value}\n")
+    return "".join(lines)
 
 
 def _convert(key: str, raw: str):
@@ -121,15 +127,6 @@ def _section(mapping: dict[str, str], prefix: str) -> dict[str, object]:
     return out
 
 
-def _default_limit() -> LimitConfig:
-    # fills spec.limit of a validate run without a limit section; the gate
-    # never reads it, but the config_hash of a run without a config file is
-    # taken from the spec's repr, which includes it
-    return LimitConfig(alpha=0.01, kappa=0.5, sigma=0.3, c=0.1, d=0.1,
-                       lambda_hat=0.2, x0=0.02, gamma1=2.0, gamma2=2.0,
-                       lambda_c=0.1, s_z=0.02, l_z=0.4, r=0.03)
-
-
 def _build_limit(sec: dict[str, object]) -> LimitConfig:
     missing = [f for f in _LIMIT_FIELDS if f not in sec]
     if missing:
@@ -153,8 +150,7 @@ def _build_cps(sec: dict[str, object]) -> CounterpartyParams:
                      sec.get("gamma_ab_idio", sec["gamma_ab"]))
     return CounterpartyParams(side_a=side("a"), side_b=side("b"),
                               common_jump=common, idio_jump=idio,
-                              loss_a=sec.get("loss_a", 0.4),
-                              loss_b=sec.get("loss_b", 0.4))
+                              **{k: sec[k] for k in ("loss_a", "loss_b") if k in sec})
 
 
 def _parse_perturb(raw: str) -> dict[str, float]:
@@ -177,30 +173,20 @@ def build_spec(mapping: dict[str, str], kind: str, seed: int | None,
                workers: int, config_text: str | None) -> ExperimentSpec:
     """Resolve a raw config mapping plus CLI arguments into an ExperimentSpec."""
 
-    if kind not in EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {kind!r}; expected one of {EXPERIMENTS}")
     declared = mapping.get("experiment.kind")
     if declared is not None and declared != kind:
         raise ConfigError(
             f"config declares experiment.kind={declared!r} but {kind!r} was requested")
-    if seed is None and kind in SEED_REQUIRED:
-        raise ConfigError(f"experiment {kind!r} requires an explicit --seed")
 
     exp = _section(mapping, "experiment")
     limit_sec = _section(mapping, "limit")
     cp_sec = _section(mapping, "counterparty")
     val_sec = _section(mapping, "validate")
 
-    limit = _build_limit(limit_sec) if limit_sec else _default_limit()
-    if kind != "validate" and not limit_sec:
-        raise ConfigError(f"experiment {kind!r} requires a limit section")
-    cps = _build_cps(cp_sec) if cp_sec else None
-    if kind == "bcva-sweep" and cps is None:
-        raise ConfigError("bcva-sweep requires a counterparty section")
-
     exp.pop("kind", None)
     return ExperimentSpec(
-        kind=kind, limit=limit, cps=cps, seed=seed, workers=workers,
+        kind=kind, limit=_build_limit(limit_sec) if limit_sec else None,
+        cps=_build_cps(cp_sec) if cp_sec else None, seed=seed, workers=workers,
         perturb=_parse_perturb(val_sec["perturb"]) if "perturb" in val_sec else {},
         config_text=config_text, **exp)
 
@@ -240,7 +226,12 @@ def main(argv: list[str] | None = None) -> int:
             except OSError as exc:
                 raise ConfigError(f"cannot read config {args.config}: {exc}") from None
             mapping = parse_config(config_text)
-        _apply_overrides(mapping, args.overrides)
+        set_lines = _apply_overrides(mapping, args.overrides)
+        if set_lines:
+            text = config_text or ""
+            if text and not text.endswith("\n"):
+                text += "\n"
+            config_text = text + set_lines
 
         seed = args.seed
         if seed is not None and not 0 <= seed < 2**64:

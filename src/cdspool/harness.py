@@ -35,6 +35,7 @@ from .simulation import (CounterpartyParams, CounterpartySide, _stderr, map_orde
 
 __all__ = [
     "CurveTable",
+    "EXPERIMENTS",
     "ExperimentSpec",
     "CheckResult",
     "ValidationReport",
@@ -49,6 +50,7 @@ __all__ = [
     "VALIDATION_SEED",
 ]
 
+EXPERIMENTS = ("convergence", "bcva-sweep", "validate", "measure-convergence")
 VALIDATION_SEED = 20240901
 # paths of the gate's limit-SDE oracle: five 4096-path narrow blocks
 _LIMIT_ORACLE_PATHS = 20_480
@@ -87,10 +89,11 @@ class CurveTable:
 
 @dataclass
 class ExperimentSpec:
-    """Everything one experiment run needs, resolved from config + CLI."""
+    """Everything one experiment run needs, resolved from config + CLI;
+    construction checks that the kind's required inputs are set."""
 
     kind: str
-    limit: LimitConfig
+    limit: LimitConfig | None = None
     cps: CounterpartyParams | None = None
     horizon: float = 1.0
     k_values: tuple[int, ...] = (300,)
@@ -106,6 +109,17 @@ class ExperimentSpec:
     config_text: str | None = None
 
     def __post_init__(self) -> None:
+        if self.kind not in EXPERIMENTS:
+            raise ConfigError(f"unknown experiment {self.kind!r}; "
+                              f"expected one of {EXPERIMENTS}")
+        if self.seed is None and self.kind in ("convergence", "measure-convergence"):
+            raise ConfigError(f"experiment {self.kind!r} requires a seed")
+        if self.limit is None and self.kind != "validate":
+            raise ConfigError(f"experiment {self.kind!r} requires a limit section")
+        if self.kind == "bcva-sweep" and (self.cps is None or self.sweep is None
+                                          or not self.sweep_values):
+            raise ConfigError("bcva-sweep requires a counterparty section, "
+                              "a sweep parameter and sweep values")
         if not (math.isfinite(self.horizon) and self.horizon > 0.0):
             raise ConfigError(
                 f"experiment horizon must be finite and > 0, got {self.horizon}.")
@@ -121,8 +135,7 @@ class ExperimentSpec:
             raise ConfigError(f"experiment repeats must be >= 1, got {self.repeats}.")
 
     def config_hash(self) -> str:
-        text = self.config_text if self.config_text is not None else repr(self)
-        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+        return hashlib.sha256((self.config_text or "").encode("utf-8")).hexdigest()
 
     def provenance(self) -> dict:
         return {
@@ -178,8 +191,6 @@ def run_convergence(spec: ExperimentSpec) -> list[CurveTable]:
     exactly at the sample times, so the curves carry no discretization bias.
     """
 
-    if spec.seed is None:
-        raise ConfigError("convergence experiments require a seed.")
     cfg = spec.limit
     _, times = grid_for_samples(spec.horizon, spec.n_times, None)
     limit_curve = exposure_limit(times, spec.horizon, cfg)
@@ -207,8 +218,6 @@ def run_measure_convergence(spec: ExperimentSpec) -> list[CurveTable]:
     measure against the limit measure, with a per-K sup-error summary
     (median over repeats)."""
 
-    if spec.seed is None:
-        raise ConfigError("measure-convergence experiments require a seed.")
     cfg = spec.limit
     theta = -1.0
     dt, times = grid_for_samples(spec.horizon, spec.n_times, spec.dt)
@@ -249,10 +258,6 @@ def run_measure_convergence(spec: ExperimentSpec) -> list[CurveTable]:
 def run_bcva_sweeps(spec: ExperimentSpec) -> list[CurveTable]:
     """CVA/DVA curves over the configured parameter sweep (per-name values)."""
 
-    if spec.sweep is None or not spec.sweep_values:
-        raise ConfigError("bcva-sweep requires a sweep parameter and values.")
-    if spec.cps is None:
-        raise ConfigError("bcva-sweep requires counterparty parameters.")
     res = kernels.sensitivity_sweep(spec.sweep, spec.sweep_values, spec.limit,
                                     spec.cps, maturity=spec.horizon,
                                     workers=spec.workers)
@@ -655,10 +660,8 @@ def run_experiment(spec: ExperimentSpec, out_dir: Path | None = None):
         tables, report = run_measure_convergence(spec), None
     elif spec.kind == "bcva-sweep":
         tables, report = run_bcva_sweeps(spec), None
-    elif spec.kind == "validate":
+    else:  # validate: ExperimentSpec admits no other kind
         tables, report = [], run_validation(spec.perturb, spec.workers)
-    else:
-        raise ConfigError(f"Unknown experiment kind {spec.kind!r}.")
     if out_dir is not None:
         write_run(tables, spec, out_dir, report)
     return tables, report

@@ -43,8 +43,6 @@ __all__ = [
     "kernel_ode_residuals",
 ]
 
-SWEEP_PARAMETERS = ("sigma_star", "sigma_b", "lambda_c", "c_star")
-
 
 def _rates(cps: CounterpartyParams, lambda_c: float, side: str, s) -> np.ndarray:
     """Derivatives of the two constant terms, hat1' and pre1', at lags s,
@@ -277,15 +275,13 @@ class SweepResult:
         return self.dva - self.cva
 
 
-def _apply_sweep(parameter: str, value: float, cfg: LimitConfig,
-                 cps: CounterpartyParams):
-    if parameter == "sigma_star":
-        return replace(cfg, sigma=value), cps
-    if parameter == "c_star":
-        return replace(cfg, c=value), cps
-    if parameter == "lambda_c":
-        return replace(cfg, lambda_c=value), cps
-    return cfg, replace(cps, side_b=replace(cps.side_b, sigma=value))
+# each sweep parameter and the (limit config, counterparties) pair it sets
+_SWEEPS = {
+    "sigma_star": lambda v, cfg, cps: (replace(cfg, sigma=v), cps),
+    "sigma_b": lambda v, cfg, cps: (cfg, replace(cps, side_b=replace(cps.side_b, sigma=v))),
+    "lambda_c": lambda v, cfg, cps: (replace(cfg, lambda_c=v), cps),
+    "c_star": lambda v, cfg, cps: (replace(cfg, c=v), cps),
+}
 
 
 def sensitivity_sweep(parameter: str, values: Sequence[float], cfg: LimitConfig,
@@ -298,14 +294,14 @@ def sensitivity_sweep(parameter: str, values: Sequence[float], cfg: LimitConfig,
     are assembled in grid order.
     """
 
-    if parameter not in SWEEP_PARAMETERS:
+    if parameter not in _SWEEPS:
         raise ConfigError(f"Unknown sweep parameter {parameter!r}; "
-                          f"expected one of {SWEEP_PARAMETERS}.")
+                          f"expected one of {tuple(_SWEEPS)}.")
     values = np.asarray(list(values), dtype=float)
+    apply = _SWEEPS[parameter]
 
     def point(v: float) -> BcvaResult:
-        cfg_v, cps_v = _apply_sweep(parameter, v, cfg, cps)
-        return bcva(maturity, cfg_v, cps_v)
+        return bcva(maturity, *apply(v, cfg, cps))
 
     results = map_ordered(point, values, workers)
     return SweepResult(parameter=parameter, values=values,

@@ -110,6 +110,36 @@ def test_set_overrides_apply(tmp_path):
     assert manifest["provenance"]["k_values"] == [4]
 
 
+def test_validate_manifest_does_not_depend_on_workers(tmp_path):
+    # no --config: the hash is of the empty text; the worker count is no input
+    for w in (1, 2):
+        assert run_cli(["--experiment", "validate", "--workers", w,
+                        "--out", tmp_path / f"w{w}"]) == EXIT_OK
+    assert tree_bytes(tmp_path / "w1") == tree_bytes(tmp_path / "w2")
+
+
+@pytest.mark.parametrize("ending", ["\n", ""], ids=["newline", "no-newline"])
+def test_set_overrides_are_part_of_the_provenance(tmp_path, ending):
+    body = (CONFIGS / "fig2.cfg").read_text().rstrip("\n")
+    config = tmp_path / "fig2.cfg"
+    config.write_text(body + ending)
+    sweep = ["--experiment", "bcva-sweep", "--config"]
+    assert run_cli(sweep + [config, "--out", tmp_path / "plain"]) == EXIT_OK
+    assert run_cli(sweep + [config, "--set", "limit.kappa=0.9",
+                            "--out", tmp_path / "set"]) == EXIT_OK
+    plain, overridden = tree_bytes(tmp_path / "plain"), tree_bytes(tmp_path / "set")
+    curve = "curve-bcva-sigma_star.csv"
+    assert plain[curve] != overridden[curve]
+    hashes = [json.loads(tree["run_manifest.json"])["provenance"]["config_hash"]
+              for tree in (plain, overridden)]
+    assert hashes[0] != hashes[1]
+    echo = tmp_path / "set" / "config_echo.cfg"
+    assert echo.read_text() == body + "\nlimit.kappa = 0.9\n"
+    # the echo alone reproduces the run, provenance included
+    assert run_cli(sweep + [echo, "--out", tmp_path / "again"]) == EXIT_OK
+    assert tree_bytes(tmp_path / "again") == overridden
+
+
 def test_config_error_exit_codes(tmp_path, capsys):
     # missing seed for a Monte-Carlo experiment
     assert run_cli(["--experiment", "convergence", "--config", CONFIGS / "fig1-a.cfg",
@@ -264,3 +294,5 @@ def test_shipped_configs_parse_and_declare_kinds():
     for stem, kind in kinds.items():
         mapping = parse_config((CONFIGS / f"{stem}.cfg").read_text())
         assert mapping["experiment.kind"] == kind, stem
+        seed = 1 if kind in ("convergence", "measure-convergence") else None
+        assert build_spec(mapping, kind, seed, 1, None).kind == kind, stem

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import warnings
@@ -12,8 +13,7 @@ from cdspool.errors import ConfigError
 from cdspool.exposure import LimitConfig, exposure_limit
 from cdspool.harness import (CurveTable, ExperimentSpec, default_counterparties,
                              grid_for_samples, run_bcva_sweeps, run_convergence,
-                             run_experiment, run_measure_convergence, run_validation,
-                             write_run)
+                             run_measure_convergence, run_validation, write_run)
 from cdspool.simulation import simulate_paths
 
 
@@ -31,6 +31,30 @@ def small_spec(**overrides):
                   config_text="test-config")
     fields.update(overrides)
     return ExperimentSpec(**fields)
+
+
+SWEEP = dict(kind="bcva-sweep", cps=default_counterparties(), seed=None,
+             sweep="sigma_star", sweep_values=(0.2,))
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(kind="frobnicate"), dict(seed=None), dict(kind="measure-convergence", seed=None),
+    dict(limit=None), dict(SWEEP, limit=None), dict(SWEEP, cps=None),
+    dict(SWEEP, sweep=None), dict(SWEEP, sweep_values=()),
+], ids=["kind", "seed", "measure-seed", "limit", "sweep-limit", "sweep-cps",
+        "sweep-name", "sweep-values"])
+def test_spec_rejects_a_kind_without_its_inputs(overrides):
+    with pytest.raises(ConfigError):
+        small_spec(**overrides)
+
+
+def test_spec_accepts_each_kind_with_its_inputs():
+    assert small_spec(**SWEEP).kind == "bcva-sweep"
+    assert small_spec(kind="measure-convergence").kind == "measure-convergence"
+    # the gate reads neither a limit config nor a seed, and a run without a
+    # config hashes no text, whatever its worker count
+    bare = [ExperimentSpec(kind="validate", workers=w) for w in (1, 2)]
+    assert bare[0].config_hash() == bare[1].config_hash() == hashlib.sha256(b"").hexdigest()
 
 
 def test_grid_for_samples_lands_on_nodes():
@@ -61,11 +85,6 @@ def test_run_convergence_worker_invariance():
                                   t2[0].columns["mc_stderr"])
 
 
-def test_run_convergence_requires_seed():
-    with pytest.raises(ConfigError):
-        run_convergence(small_spec(seed=None))
-
-
 def test_run_measure_convergence_summary():
     spec = small_spec(kind="measure-convergence", k_values=(3, 6), n_paths=128,
                       repeats=2)
@@ -90,8 +109,6 @@ def test_run_bcva_sweeps():
     assert list(tables[0].columns) == ["cva", "dva", "bcva"]
     np.testing.assert_allclose(tables[0].columns["bcva"],
                                tables[0].columns["dva"] - tables[0].columns["cva"])
-    with pytest.raises(ConfigError):
-        run_bcva_sweeps(small_spec(kind="bcva-sweep"))
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -126,11 +143,6 @@ def test_bcva_sweeps_match_stored_reference():
         for name in ("cva", "dva"):
             got, want = table.columns[name], np.array(ref[name])
             assert np.all(np.abs(got - want) <= 1e-6 * np.abs(want) + 1e-12), (stem, name)
-
-
-def test_run_experiment_rejects_unknown_kind():
-    with pytest.raises(ConfigError):
-        run_experiment(small_spec(kind="frobnicate"))
 
 
 def test_validation_gate_passes_and_is_reproducible():
