@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .quadrature import gauss_legendre_integral
+from .quadrature import gauss_legendre_panels
 from .riccati import integral_b, integral_beta, riccati_b, riccati_beta
 from .simulation import NameParams, PathSet, _stderr
 
@@ -145,17 +145,17 @@ def exposure_limit(t, maturity: float, cfg: LimitConfig):
 
     l_z [e^{-r v} Fhat(v) - 1] + (s_z + r l_z) * integral of e^{-r u} Fhat(u)
     over [0, v], with v = T - t and Fhat the pool survival function.
-    Broadcasts over t. The integral is
-    :func:`~cdspool.quadrature.gauss_legendre_integral`, so each value
-    depends only on its own t and a vector call equals the scalar calls bit
-    for bit. Vanishes exactly at t = T.
+    Broadcasts over t. The integral sums the panels of
+    :func:`~cdspool.quadrature.gauss_legendre_panels` on [0, v], so each
+    value depends only on its own t and a vector call equals the scalar
+    calls bit for bit. Vanishes exactly at t = T.
     """
 
     v = maturity - np.asarray(t, dtype=float)
     if np.any(v < 0.0):
         raise ValueError("Require t <= maturity.")
-    integral = gauss_legendre_integral(
-        lambda u: np.exp(-cfg.r * u) * survival_fhat(u, cfg), v)
+    integral = sum(np.sum(w * np.exp(-cfg.r * u) * survival_fhat(u, cfg), axis=-1)
+                   for u, w in gauss_legendre_panels(v))
     terminal = cfg.l_z * (np.exp(-cfg.r * v) * survival_fhat(v, cfg) - 1.0)
     out = np.where(v > 0.0, terminal + (cfg.s_z + cfg.r * cfg.l_z) * integral, 0.0)
     return float(out) if out.ndim == 0 else out

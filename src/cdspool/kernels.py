@@ -6,15 +6,15 @@ joint-killing Riccati system and are identical for both sides; only the
 linear prefactor family differs. :func:`kernel_coefficients` evaluates a
 side's coefficients at the lags it is asked for: the state loadings and the
 own-side prefactor in closed form, and the two constant terms as integrals
-of smooth MGF combinations by the Gauss-Legendre rule of
-:mod:`cdspool.quadrature`.
+of smooth MGF combinations over the panels of
+:func:`~cdspool.quadrature.gauss_legendre_panels`.
 
 The bilateral adjustment integrates the discounted positive/negative part
 of the limit exposure against pool survival and the matching kernel. The
 exposure curve is scanned in one vectorised call and split at its sign
 changes, so the integrand stays smooth on each piece, and every piece is
-integrated by the same Gauss-Legendre rule. A side's kernel is built only
-when the exposure has that side's sign.
+integrated on the same panels, shifted to its start. A side's kernel is
+built only when the exposure has that side's sign.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 from .errors import AccuracyError, ConfigError
 from .exposure import LimitConfig, exposure_limit, survival_fhat
 from .jumps import mgf_bve, mgf_bve_partials
-from .quadrature import gauss_legendre_integral, gauss_legendre_rule
+from .quadrature import gauss_legendre_panels
 from .riccati import exp_phi, riccati_b
 from .simulation import CounterpartyParams, map_ordered
 
@@ -83,7 +83,13 @@ def kernel_coefficients(u, cps: CounterpartyParams, lambda_c: float,
     u = np.asarray(u, dtype=float)
     hat_a = np.asarray(riccati_b(sa.kappa, sa.sigma, u))
     hat_b = np.asarray(riccati_b(sb.kappa, sb.sigma, u))
-    hat1, pre1 = gauss_legendre_integral(lambda s: _rates(cps, lambda_c, side, s), u)
+    integral = 0.0
+    for s, w in gauss_legendre_panels(u):
+        # holding a panel's rates until the next are built keeps the
+        # allocator from trimming and refaulting its heap every panel
+        rates = _rates(cps, lambda_c, side, s)
+        integral = integral + np.sum(w * rates, axis=-1)
+    hat1, pre1 = integral
     own_side = sb if side == "B" else sa
     own, zero = np.asarray(exp_phi(own_side.kappa, own_side.sigma, u)), np.zeros_like(u)
     pre_a, pre_b = (zero, own) if side == "B" else (own, zero)
@@ -209,11 +215,11 @@ def _brent_root(f, a: float, b: float, xtol: float) -> float:
                         f"{maxiter} iterations; last x = {xcur!r}.")
 
 
-def _sign_segments(f, a: float, b: float, n_scan: int = 256):
-    """Split [a, b] at the sign changes of a smooth function, scanned at
-    n_scan + 1 points in one vector call and located by :func:`_brent_root`."""
+def _sign_segments(f, a: float, b: float):
+    """Split [a, b] at the sign changes of a smooth function, scanned at 257
+    evenly spaced points in one vector call and located by :func:`_brent_root`."""
 
-    s = np.linspace(a, b, n_scan + 1)
+    s = np.linspace(a, b, 257)
     sign = np.sign(f(s))
     roots = [_brent_root(f, s[i], s[i + 1], xtol=1e-12)
              for i in np.flatnonzero(sign[:-1] * sign[1:] < 0.0)]
@@ -228,9 +234,10 @@ def bcva(maturity: float, cfg: LimitConfig, cps: CounterpartyParams) -> BcvaResu
     pool survival and the side-B default kernel; the DVA term mirrors it
     with the negative part and side A. Sign changes of the exposure are
     located by Brent's method (:func:`_brent_root`), and each sign segment
-    is integrated by :func:`~cdspool.quadrature.gauss_legendre_rule`. A
-    kernel side is built only when the exposure takes its sign somewhere on
-    [0, T]. The kernels start from the counterparties' initial intensities.
+    is integrated on :func:`~cdspool.quadrature.gauss_legendre_panels`
+    shifted to its start. A kernel side is built only when the exposure
+    takes its sign somewhere on [0, T]. The kernels start from the
+    counterparties' initial intensities.
     """
 
     if maturity < 0.0:
@@ -246,12 +253,11 @@ def bcva(maturity: float, cfg: LimitConfig, cps: CounterpartyParams) -> BcvaResu
 
     def part(side: str, sign: float) -> float:
         own = mid_sign == sign
-        rules = [gauss_legendre_rule(lo, hi)
-                 for lo, hi in zip(cuts[:-1][own], cuts[1:][own])]
-        if not rules:
+        panels = [(lo + x, w) for lo, hi in zip(cuts[:-1][own], cuts[1:][own])
+                  for x, w in gauss_legendre_panels(hi - lo)]
+        if not panels:
             return 0.0
-        s = np.concatenate([x for x, _ in rules])
-        w = np.concatenate([w for _, w in rules])
+        s, w = map(np.concatenate, zip(*panels))
         f = (np.exp(-cfg.r * s) * np.maximum(sign * eps(s), 0.0) * survival_fhat(s, cfg)
              * kernel(s, cps.side_a.xi0, cps.side_b.xi0, cps, cfg.lambda_c, side))
         return float(np.sum(w * f))
@@ -285,7 +291,7 @@ _SWEEPS = {
 
 
 def sensitivity_sweep(parameter: str, values: Sequence[float], cfg: LimitConfig,
-                      cps: CounterpartyParams, maturity: float = 3.0,
+                      cps: CounterpartyParams, maturity: float,
                       workers: int = 1) -> SweepResult:
     """Recompute the bilateral adjustment across a parameter grid.
 

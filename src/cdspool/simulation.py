@@ -61,7 +61,7 @@ from numpy.random import Generator, Philox
 
 from .errors import ConfigError
 from .jumps import BveParams, sample_bve
-from .quadrature import gauss_legendre_rule
+from .quadrature import gauss_legendre_panels
 from .riccati import survival_exponents
 
 if TYPE_CHECKING:
@@ -645,7 +645,7 @@ def _book_rows(names: Sequence[NameParams], lambda_c: float, gamma1: float,
     K = len(names)
     get = lambda attr: np.array([getattr(n, attr) for n in names], dtype=float)
     z, spread, loss = get("z"), get("spread"), get("loss")
-    gl_nodes, gl_weights = gauss_legendre_rule(0.0, span)
+    gl_nodes, gl_weights = map(np.concatenate, zip(*gauss_legendre_panels(span)))
     u = np.append(gl_nodes, span)
     a0, b0 = survival_exponents(
         get("kappa"), get("sigma"), get("alpha"),
@@ -669,11 +669,11 @@ def mc_exposure(pathset: PathSet, names: Sequence[NameParams], t: float, maturit
     (:func:`~cdspool.riccati.survival_exponents`, the basic affine
     jump-diffusion transform with exponential jump sizes), evaluated for all
     names at once, so no quadrature error enters them. The premium-leg time
-    integral uses :func:`~cdspool.quadrature.gauss_legendre_rule` on
-    [t, maturity]; the loss leg reads the transform at
-    maturity. Returns (estimate, stderr) of the per-name (divided by K)
-    exposure of the investor at time t for contracts maturing at
-    ``maturity``; short names (z = -1) enter with negative sign.
+    integral runs over :func:`~cdspool.quadrature.gauss_legendre_panels` on
+    [0, maturity - t]; the loss leg reads the transform at maturity. Returns
+    (estimate, stderr) of the per-name (divided by K) exposure of the
+    investor at time t for contracts maturing at ``maturity``; short names
+    (z = -1) enter with negative sign.
     """
 
     if t > maturity:

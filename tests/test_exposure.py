@@ -10,9 +10,10 @@ from cdspool.exposure import (LimitConfig, MeasureAtom, MeasureAtoms,
                               exposure_limit, limit_exp_test, limit_measure_mass,
                               survival_fhat)
 from cdspool.harness import grid_for_samples
-from cdspool.quadrature import simpson_adaptive
 from cdspool.riccati import integral_b, riccati_b, riccati_rhs, rk4_solve_integral
 from cdspool.simulation import simulate_paths
+
+from oracles import simpson_adaptive
 
 
 def make_cfg(**overrides):

@@ -14,9 +14,10 @@ from cdspool.exposure import LimitConfig, exposure_limit, survival_fhat
 from cdspool.jumps import BveParams, mgf_bve, mgf_bve_partials
 from cdspool.kernels import (bcva, joint_survival, kernel, kernel_coefficients,
                              kernel_ode_residuals, sensitivity_sweep)
-from cdspool.quadrature import simpson_adaptive
 from cdspool.riccati import exp_phi, integral_b, riccati_b
 from cdspool.simulation import CounterpartyParams, CounterpartySide
+
+from oracles import simpson_adaptive
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -422,7 +423,7 @@ def test_sweep_returns_grid_and_rejects_unknown_parameter():
     assert np.all(np.diff(res.cva) >= 0.0)
     np.testing.assert_allclose(res.bcva, res.dva - res.cva)
     with pytest.raises(ValueError):
-        sensitivity_sweep("kappa_star", [0.1], cfg, cps)
+        sensitivity_sweep("kappa_star", [0.1], cfg, cps, maturity=3.0)
 
 
 def test_sweep_worker_invariance():
