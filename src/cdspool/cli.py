@@ -21,6 +21,7 @@ import json
 import sys
 from dataclasses import fields
 from pathlib import Path
+from typing import Callable
 
 from .errors import AccuracyError, ConfigError
 from .exposure import LimitConfig
@@ -35,38 +36,40 @@ EXIT_CONFIG = 2
 EXIT_VALIDATION = 3
 EXIT_ACCURACY = 4
 
-_FLOAT = "float"
-_INT = "int"
-_STR = "str"
-_INT_LIST = "int_list"
-_FLOAT_LIST = "float_list"
-
 _LIMIT_FIELDS = tuple(f.name for f in fields(LimitConfig))
 _CP_SIDE_FIELDS = tuple(f.name for f in fields(CounterpartySide))
 
-KNOWN_KEYS: dict[str, str] = {}
-KNOWN_KEYS.update({f"limit.{f}": _FLOAT for f in _LIMIT_FIELDS})
+
+def _list_of(parse: Callable[[str], object]) -> Callable[[str], tuple]:
+    """Parser of a comma-separated list whose items ``parse`` reads."""
+
+    return lambda raw: tuple(parse(part.strip()) for part in raw.split(",") if part.strip())
+
+
+# each known key and the parser of its raw value
+KNOWN_KEYS: dict[str, Callable[[str], object]] = {}
+KNOWN_KEYS.update({f"limit.{f}": float for f in _LIMIT_FIELDS})
 for side in ("a", "b"):
-    KNOWN_KEYS.update({f"counterparty.{f}_{side}": _FLOAT for f in _CP_SIDE_FIELDS})
+    KNOWN_KEYS.update({f"counterparty.{f}_{side}": float for f in _CP_SIDE_FIELDS})
 KNOWN_KEYS.update({
-    "counterparty.gamma_a": _FLOAT,
-    "counterparty.gamma_b": _FLOAT,
-    "counterparty.gamma_ab": _FLOAT,
-    "counterparty.gamma_a_idio": _FLOAT,
-    "counterparty.gamma_b_idio": _FLOAT,
-    "counterparty.gamma_ab_idio": _FLOAT,
-    "counterparty.loss_a": _FLOAT,
-    "counterparty.loss_b": _FLOAT,
-    "experiment.kind": _STR,
-    "experiment.horizon": _FLOAT,
-    "experiment.n_paths": _INT,
-    "experiment.k_values": _INT_LIST,
-    "experiment.n_times": _INT,
-    "experiment.dt": _FLOAT,
-    "experiment.repeats": _INT,
-    "experiment.sweep": _STR,
-    "experiment.sweep_values": _FLOAT_LIST,
-    "validate.perturb": _STR,
+    "counterparty.gamma_a": float,
+    "counterparty.gamma_b": float,
+    "counterparty.gamma_ab": float,
+    "counterparty.gamma_a_idio": float,
+    "counterparty.gamma_b_idio": float,
+    "counterparty.gamma_ab_idio": float,
+    "counterparty.loss_a": float,
+    "counterparty.loss_b": float,
+    "experiment.kind": str,
+    "experiment.horizon": float,
+    "experiment.n_paths": int,
+    "experiment.k_values": _list_of(int),
+    "experiment.n_times": int,
+    "experiment.dt": float,
+    "experiment.repeats": int,
+    "experiment.sweep": str,
+    "experiment.sweep_values": _list_of(float),
+    "validate.perturb": str,
 })
 
 
@@ -103,17 +106,8 @@ def _apply_overrides(mapping: dict[str, str], pairs: list[str]) -> str:
 
 
 def _convert(key: str, raw: str):
-    kind = KNOWN_KEYS[key]
     try:
-        if kind == _FLOAT:
-            return float(raw)
-        if kind == _INT:
-            return int(raw)
-        if kind == _INT_LIST:
-            return tuple(int(part.strip()) for part in raw.split(",") if part.strip())
-        if kind == _FLOAT_LIST:
-            return tuple(float(part.strip()) for part in raw.split(",") if part.strip())
-        return raw
+        return KNOWN_KEYS[key](raw)
     except ValueError as exc:
         raise ConfigError(f"config key {key!r}: cannot parse {raw!r} ({exc})") from None
 

@@ -175,7 +175,8 @@ BAD_INPUT_RUNS = {"experiment.sweep": ("bcva-sweep", "fig2"),
                                       "experiment.k_values=0", "experiment.sweep=kappa_star",
                                       "experiment.repeats=0", "experiment.repeats=-2",
                                       "counterparty.gamma_a=-1", "counterparty.gamma_a=inf",
-                                      "limit.sigma=0"])
+                                      "limit.sigma=0", "experiment.n_paths=many",
+                                      "experiment.k_values=10,x", "limit.sigma=abc"])
 def test_bad_experiment_input_is_a_config_error(tmp_path, capsys, override):
     kind, config = BAD_INPUT_RUNS.get(override.split("=")[0], ("convergence", "fig1-c"))
     code = run_cli(["--experiment", kind, "--config", CONFIGS / f"{config}.cfg",
@@ -236,15 +237,16 @@ def test_validate_passes_and_perturbation_fails(tmp_path, capsys):
 
     bad = tmp_path / "bad"
     code = run_cli(["--experiment", "validate", "--config", CONFIGS / "validate.cfg",
-                    "--set", "validate.perturb=mgf_bve_partials_vs_fd:0.01",
+                    "--set", "validate.perturb=mgf_bve_partials_vs_fd:0.01;riccati_b_vs_rk4:nan",
                     "--workers", "4", "--out", bad])
     assert code == EXIT_VALIDATION
     captured = capsys.readouterr()
     assert "FAIL mgf_bve_partials_vs_fd" in captured.out
+    assert "FAIL riccati_b_vs_rk4" in captured.out
     err = json.loads(captured.err.strip())
     assert err["error"]["code"] == EXIT_VALIDATION
     manifest = json.loads((bad / "run_manifest.json").read_text())
-    assert manifest["validation"]["failures"] == ["mgf_bve_partials_vs_fd"]
+    assert manifest["validation"]["failures"] == ["riccati_b_vs_rk4", "mgf_bve_partials_vs_fd"]
 
 
 def test_accuracy_error_exit_code(tmp_path, capsys, monkeypatch):
