@@ -11,9 +11,8 @@ CVA (:mod:`cdspool.kernels`), and the experiment harness/CLI
 __version__ = "0.1.0"
 
 from .errors import AccuracyError, ConfigError
-from .exposure import (LimitConfig, MeasureAtom, MeasureAtoms, build_name_sequence,
-                       empirical_measure_eval, exposure_limit, limit_exp_test,
-                       limit_measure_mass, survival_fhat)
+from .exposure import (LimitConfig, build_name_sequence, empirical_measure_eval,
+                       exposure_limit, limit_exp_test, survival_fhat)
 from .jumps import BveParams, mgf_bve, mgf_bve_partials, mgf_exp, sample_bve
 from .kernels import (BcvaResult, SweepResult, bcva, joint_survival, kernel,
                       kernel_coefficients, kernel_ode_residuals, sensitivity_sweep)
@@ -32,8 +31,7 @@ __all__ = [
     "NameParams", "CounterpartySide", "CounterpartyParams", "PathSet",
     "simulate_paths", "simulate_exact_paths", "sample_defaults", "mc_exposure",
     "mc_kernel_oracles", "mc_limit_transform",
-    "LimitConfig", "MeasureAtom", "MeasureAtoms", "survival_fhat",
-    "exposure_limit", "limit_measure_mass",
+    "LimitConfig", "survival_fhat", "exposure_limit",
     "limit_exp_test", "empirical_measure_eval", "build_name_sequence",
     "BcvaResult", "SweepResult", "kernel_coefficients", "kernel", "joint_survival",
     "bcva", "kernel_ode_residuals", "sensitivity_sweep",

@@ -217,7 +217,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.config is not None:
             try:
                 config_text = Path(args.config).read_text(encoding="utf-8")
-            except OSError as exc:
+            except (OSError, UnicodeDecodeError) as exc:
                 raise ConfigError(f"cannot read config {args.config}: {exc}") from None
             mapping = parse_config(config_text)
         set_lines = _apply_overrides(mapping, args.overrides)

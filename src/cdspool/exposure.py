@@ -1,6 +1,6 @@
 """Law-of-large-numbers layer: the limiting pool survival function, the
-limit exposure per unit name, limit-measure evaluations, and the parameter
-ladder used by convergence studies.
+limit exposure per unit name, and the parameter ladder used by convergence
+studies.
 
 In the large-pool limit the surviving-name mass at horizon u is carried by
 a square-root diffusion killed at its own level, with the two jump layers
@@ -23,11 +23,8 @@ from .simulation import NameParams, PathSet, _stderr
 
 __all__ = [
     "LimitConfig",
-    "MeasureAtom",
-    "MeasureAtoms",
     "survival_fhat",
     "exposure_limit",
-    "limit_measure_mass",
     "limit_exp_test",
     "empirical_measure_eval",
     "build_name_sequence",
@@ -76,68 +73,15 @@ class LimitConfig:
             raise ConfigError("l_z must lie in [-1, 1].")
 
 
-@dataclass(frozen=True)
-class MeasureAtom:
-    """One weighted atom of a discrete sub-probability over (parameters,
-    jump marks, initial intensity).
-
-    ``y = (y1, y2)`` pins the jump marks; ``y = None`` averages over the
-    exponential mark laws of the containing :class:`MeasureAtoms`.
-    """
-
-    weight: float
-    alpha: float
-    kappa: float
-    sigma: float
-    c: float
-    d: float
-    lambda_hat: float
-    x0: float
-    y: tuple[float, float] | None = None
-
-    def __post_init__(self) -> None:
-        if self.weight < 0.0:
-            raise ConfigError("Atom weights must be non-negative.")
-
-
-@dataclass(frozen=True)
-class MeasureAtoms:
-    """Finite atom set with the shared mark rates and common Poisson rate."""
-
-    atoms: tuple[MeasureAtom, ...]
-    gamma1: float
-    gamma2: float
-    lambda_c: float
-
-    def __post_init__(self) -> None:
-        total = sum(a.weight for a in self.atoms)
-        if total > 1.0 + 1e-12:
-            raise ConfigError("Atom weights must sum to at most 1.")
-
-
-def _mark_factors(ib, c_load: float, d_load: float, gamma1: float, gamma2: float):
-    """Averages exp((c_load y1 + d_load y2) * ib) over the exponential marks."""
-
-    return (gamma1 / (gamma1 - c_load * ib)) * (gamma2 / (gamma2 - d_load * ib))
-
-
 def survival_fhat(u, cfg: LimitConfig):
     """Limiting pool survival function over a lag u (time-homogeneous).
 
-    exp(x0 B(u) + alpha IB(u)) * gamma1/(gamma1 - c lambda_c IB(u))
-    * gamma2/(gamma2 - d lambda_hat IB(u)) with B the zero-initial Riccati
-    solution and IB its integral. Values lie in (0, 1] and decrease in u;
-    both denominators exceed their gamma since IB <= 0.
+    :func:`limit_exp_test` at theta = 0, where B is the zero-initial Riccati
+    solution. Values lie in (0, 1] and decrease in u; both mark-factor
+    denominators exceed their gamma since IB <= 0.
     """
 
-    u = np.asarray(u, dtype=float)
-    if np.any(u < 0.0):
-        raise ValueError("Require u >= 0.")
-    b = riccati_b(cfg.kappa, cfg.sigma, u)
-    ib = integral_b(cfg.kappa, cfg.sigma, u)
-    out = np.exp(cfg.x0 * b + cfg.alpha * ib) * _mark_factors(
-        ib, cfg.c * cfg.lambda_c, cfg.d * cfg.lambda_hat, cfg.gamma1, cfg.gamma2)
-    return float(out) if out.ndim == 0 else out
+    return limit_exp_test(0.0, u, cfg)
 
 
 def exposure_limit(t, maturity: float, cfg: LimitConfig):
@@ -161,52 +105,30 @@ def exposure_limit(t, maturity: float, cfg: LimitConfig):
     return float(out) if out.ndim == 0 else out
 
 
-def limit_measure_mass(t: float, atoms: MeasureAtoms) -> float:
-    """Total surviving mass of the limit measure at time t.
-
-    Each atom contributes weight * exp(x0 B + alpha IB) times either the
-    exponential-mark average (y = None) or exp((c lambda_c y1 +
-    d lambda_hat y2) IB) for pinned marks. Reduces to
-    :func:`survival_fhat` for a single unit atom with averaged marks.
-    """
-
-    if t < 0.0:
-        raise ValueError("t must be non-negative.")
-    total = 0.0
-    for a in atoms.atoms:
-        b = riccati_b(a.kappa, a.sigma, t)
-        ib = integral_b(a.kappa, a.sigma, t)
-        core = math.exp(a.x0 * b + a.alpha * ib)
-        if a.y is None:
-            fac = _mark_factors(ib, a.c * atoms.lambda_c, a.d * a.lambda_hat,
-                                atoms.gamma1, atoms.gamma2)
-        else:
-            y1, y2 = a.y
-            fac = math.exp((a.c * atoms.lambda_c * y1 + a.d * a.lambda_hat * y2) * ib)
-        total += a.weight * core * fac
-    return total
-
-
 def limit_exp_test(theta: float, t, cfg: LimitConfig):
     """Limit-measure integral of the test function exp(theta x) at time(s) t.
 
-    Swaps the zero-initial Riccati solution for the one started at theta:
-    exp(alpha Ibeta + beta(t) x0) times the exponential-mark averages at
-    Ibeta. theta = 0 is the surviving mass, :func:`survival_fhat`.
-    Broadcasts over t; a vector call equals the scalar calls bit for bit.
+    exp(x0 B + alpha IB) times the exponential-mark averages
+    gamma1/(gamma1 - c lambda_c IB) and gamma2/(gamma2 - d lambda_hat IB),
+    with B the Riccati solution started at theta and IB its integral.
+    theta = 0 is the surviving mass, :func:`survival_fhat`. Broadcasts over
+    t; a vector call equals the scalar calls bit for bit.
     """
 
-    if theta > 0.0:
+    if not theta <= 0.0:
         raise ValueError("theta must be <= 0.")
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0.0):
+    if not np.all(t >= 0.0):
         raise ValueError("t must be non-negative.")
     if theta == 0.0:
-        return survival_fhat(t, cfg)
-    bt = riccati_beta(cfg.kappa, cfg.sigma, theta, t)
-    ib = integral_beta(cfg.kappa, cfg.sigma, theta, t)
-    out = np.exp(cfg.alpha * ib + bt * cfg.x0) * _mark_factors(
-        ib, cfg.c * cfg.lambda_c, cfg.d * cfg.lambda_hat, cfg.gamma1, cfg.gamma2)
+        b = riccati_b(cfg.kappa, cfg.sigma, t)
+        ib = integral_b(cfg.kappa, cfg.sigma, t)
+    else:
+        b = riccati_beta(cfg.kappa, cfg.sigma, theta, t)
+        ib = integral_beta(cfg.kappa, cfg.sigma, theta, t)
+    m1 = cfg.gamma1 / (cfg.gamma1 - cfg.c * cfg.lambda_c * ib)
+    m2 = cfg.gamma2 / (cfg.gamma2 - cfg.d * cfg.lambda_hat * ib)
+    out = np.exp(cfg.x0 * b + cfg.alpha * ib) * (m1 * m2)
     return float(out) if out.ndim == 0 else out
 
 
@@ -219,8 +141,10 @@ def empirical_measure_eval(pathset: PathSet, theta: float, t: float) -> tuple[fl
     is the surviving mass, as in :func:`limit_exp_test`.
     """
 
-    if theta > 0.0:
+    if not theta <= 0.0:
         raise ValueError("theta must be <= 0.")
+    if pathset.default_times is None:
+        raise ValueError("The exact sample-time engine resolves no default times.")
     k = pathset.n_names
     if k == 0:
         raise ValueError("PathSet holds no reference names.")

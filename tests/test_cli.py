@@ -161,6 +161,13 @@ def test_config_error_exit_codes(tmp_path, capsys):
     # unreadable config path
     assert run_cli(["--experiment", "convergence", "--config", tmp_path / "nope.cfg",
                     "--seed", "1", "--out", tmp_path]) == EXIT_CONFIG
+    # config file that is not UTF-8
+    capsys.readouterr()
+    bad.write_bytes(b"experiment.kind = validate\n\xff\n")
+    assert run_cli(["--experiment", "validate", "--config", bad,
+                    "--out", tmp_path]) == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"]["code"] == EXIT_CONFIG
 
 
 # the experiment and config that read the key under test

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from cdspool.errors import ConfigError
-from cdspool.exposure import LimitConfig, build_name_sequence
+from cdspool.exposure import LimitConfig, build_name_sequence, empirical_measure_eval
 from cdspool.riccati import rk4_solve
 from cdspool.simulation import NameParams, sample_defaults, simulate_exact_paths
 
@@ -170,6 +170,8 @@ def test_exact_paths_store_the_sample_times_and_no_defaults():
     assert ps.dt is None and ps.default_times is None
     with pytest.raises(ValueError, match="no default times"):
         sample_defaults(ps)
+    with pytest.raises(ValueError, match="no default times"):
+        empirical_measure_eval(ps, 0.0, 0.3)
 
 
 @pytest.mark.parametrize("override", [

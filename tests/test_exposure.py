@@ -5,12 +5,10 @@ import numpy as np
 import pytest
 
 from cdspool.cli import build_spec, parse_config
-from cdspool.exposure import (LimitConfig, MeasureAtom, MeasureAtoms,
-                              build_name_sequence, empirical_measure_eval,
-                              exposure_limit, limit_exp_test, limit_measure_mass,
-                              survival_fhat)
+from cdspool.exposure import (LimitConfig, build_name_sequence, empirical_measure_eval,
+                              exposure_limit, limit_exp_test, survival_fhat)
 from cdspool.harness import grid_for_samples
-from cdspool.riccati import integral_b, riccati_b, riccati_rhs, rk4_solve_integral
+from cdspool.riccati import riccati_rhs, rk4_solve_integral
 from cdspool.simulation import simulate_paths
 
 from oracles import simpson_adaptive
@@ -137,73 +135,6 @@ def test_exposure_limit_continuous_in_t():
     assert abs(vals[2] - vals[1]) < 1e-4
 
 
-def atom_from_cfg(cfg, weight=1.0, y=None):
-    return MeasureAtom(weight=weight, alpha=cfg.alpha, kappa=cfg.kappa,
-                       sigma=cfg.sigma, c=cfg.c, d=cfg.d,
-                       lambda_hat=cfg.lambda_hat, x0=cfg.x0, y=y)
-
-
-def test_limit_measure_mass_at_time_zero_is_total_weight():
-    cfg = make_cfg()
-    atoms = MeasureAtoms(atoms=(atom_from_cfg(cfg, 0.3), atom_from_cfg(cfg, 0.45)),
-                         gamma1=cfg.gamma1, gamma2=cfg.gamma2, lambda_c=cfg.lambda_c)
-    assert limit_measure_mass(0.0, atoms) == pytest.approx(0.75, rel=1e-14)
-
-
-def test_limit_measure_mass_single_atom_reduces_to_fhat():
-    cfg = make_cfg()
-    atoms = MeasureAtoms(atoms=(atom_from_cfg(cfg),), gamma1=cfg.gamma1,
-                         gamma2=cfg.gamma2, lambda_c=cfg.lambda_c)
-    for t in (0.5, 1.0, 2.5):
-        assert limit_measure_mass(t, atoms) == pytest.approx(
-            survival_fhat(t, cfg), rel=1e-14)
-
-
-def test_limit_measure_mass_is_linear_in_atoms():
-    cfg_a = make_cfg()
-    cfg_b = make_cfg(kappa=1.1)
-    mix = MeasureAtoms(atoms=(atom_from_cfg(cfg_a, 0.5), atom_from_cfg(cfg_b, 0.5)),
-                       gamma1=cfg_a.gamma1, gamma2=cfg_a.gamma2,
-                       lambda_c=cfg_a.lambda_c)
-    single = []
-    for cfg in (cfg_a, cfg_b):
-        single.append(limit_measure_mass(1.0, MeasureAtoms(
-            atoms=(atom_from_cfg(cfg),), gamma1=cfg.gamma1, gamma2=cfg.gamma2,
-            lambda_c=cfg.lambda_c)))
-    assert limit_measure_mass(1.0, mix) == pytest.approx(
-        0.5 * single[0] + 0.5 * single[1], rel=1e-14)
-
-
-def test_limit_measure_mass_pinned_marks():
-    cfg = make_cfg()
-    y = (0.7, 1.3)
-    atoms = MeasureAtoms(atoms=(atom_from_cfg(cfg, y=y),), gamma1=cfg.gamma1,
-                         gamma2=cfg.gamma2, lambda_c=cfg.lambda_c)
-    t = 1.2
-    ib = integral_b(cfg.kappa, cfg.sigma, t)
-    expected = math.exp(cfg.x0 * riccati_b(cfg.kappa, cfg.sigma, t) + cfg.alpha * ib
-                        + (cfg.c * cfg.lambda_c * y[0]
-                           + cfg.d * cfg.lambda_hat * y[1]) * ib)
-    assert limit_measure_mass(t, atoms) == pytest.approx(expected, rel=1e-14)
-
-
-def test_limit_measure_mass_nonincreasing():
-    cfg = make_cfg()
-    atoms = MeasureAtoms(atoms=(atom_from_cfg(cfg, 0.8),), gamma1=cfg.gamma1,
-                         gamma2=cfg.gamma2, lambda_c=cfg.lambda_c)
-    vals = [limit_measure_mass(t, atoms) for t in np.linspace(0, 4, 17)]
-    assert np.all(np.diff(vals) < 0.0)
-
-
-def test_limit_exp_test_reduces_to_mass_at_zero():
-    cfg = make_cfg()
-    atoms = MeasureAtoms(atoms=(atom_from_cfg(cfg),), gamma1=cfg.gamma1,
-                         gamma2=cfg.gamma2, lambda_c=cfg.lambda_c)
-    for t in (0.3, 1.7):
-        assert limit_exp_test(0.0, t, cfg) == pytest.approx(
-            limit_measure_mass(t, atoms), rel=1e-14)
-
-
 def test_limit_exp_test_initial_value():
     cfg = make_cfg()
     assert limit_exp_test(-0.5, 0.0, cfg) == pytest.approx(
@@ -229,8 +160,13 @@ def test_limit_exp_test_vector_call_equals_scalar_calls(theta):
 
 
 def test_limit_exp_test_domain():
-    with pytest.raises(ValueError):
-        limit_exp_test(0.1, 1.0, make_cfg())
+    cfg = make_cfg()
+    for theta, t in ((0.1, 1.0), (math.nan, 1.0), (-0.5, -1.0), (-0.5, math.nan)):
+        with pytest.raises(ValueError):
+            limit_exp_test(theta, t, cfg)
+    for u in (-1.0, math.nan, [0.5, math.nan]):
+        with pytest.raises(ValueError):
+            survival_fhat(u, cfg)
 
 
 def test_empirical_measure_is_one_at_time_zero():
@@ -250,11 +186,9 @@ def test_empirical_measure_converges_to_limit_values():
     ps = simulate_paths(names, lambda_c=cfg.lambda_c, gamma1=cfg.gamma1,
                         gamma2=cfg.gamma2, horizon=1.0, n_paths=400, seed=71,
                         dt=1e-3, sample_times=[0.5, 1.0])
-    atoms = MeasureAtoms(atoms=(atom_from_cfg(cfg),), gamma1=cfg.gamma1,
-                         gamma2=cfg.gamma2, lambda_c=cfg.lambda_c)
     for t in (0.5, 1.0):
         mean, se = empirical_measure_eval(ps, 0.0, t)
-        lim = limit_measure_mass(t, atoms)
+        lim = survival_fhat(t, cfg)
         assert abs(mean - lim) < 3 * se + 0.01 * lim
         mean_e, se_e = empirical_measure_eval(ps, -1.0, t)
         lim_e = limit_exp_test(-1.0, t, cfg)
@@ -266,8 +200,9 @@ def test_empirical_measure_rejects_unknown_test_function():
     names = build_name_sequence(cfg, 3)
     ps = simulate_paths(names, lambda_c=0.0, gamma1=1.5, gamma2=1.5, horizon=0.1,
                         n_paths=5, seed=3, dt=0.01)
-    with pytest.raises(ValueError):
-        empirical_measure_eval(ps, 0.5, 0.0)
+    for theta in (0.5, math.nan):
+        with pytest.raises(ValueError):
+            empirical_measure_eval(ps, theta, 0.0)
 
 
 def test_name_ladder_first_rung_and_limits():
