@@ -64,7 +64,7 @@ class BveParams:
 
 def _check_theta(theta) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
-    if np.any(theta > 0.0):
+    if not np.all(theta <= 0.0):
         raise ValueError("theta must be <= 0 (MGFs are used on the negative half-line).")
     return theta
 

@@ -60,7 +60,7 @@ def _check_rates(kappa: float, sigma: float) -> None:
 
 def _check_u(u):
     u = np.asarray(u, dtype=float)
-    if np.any(u < 0.0):
+    if not np.all(u >= 0.0):
         raise ValueError("u must be non-negative.")
     return u
 
@@ -195,8 +195,9 @@ def riccati_beta(kappa: float, sigma: float, b0: float, u) -> float | np.ndarray
     1/b0 == sigma^2/2 * integral_exp_phi(u); crossing it raises.
     """
 
-    if b0 == 0.0:
-        raise ValueError("b0 must be nonzero; use riccati_b for b0 = 0.")
+    if not (math.isfinite(b0) and b0 != 0.0):
+        raise ValueError(f"b0 must be finite and nonzero, got {b0}; "
+                         "use riccati_b for b0 = 0.")
     u = _check_u(u)
     scalar = u.ndim == 0
     den = 1.0 / b0 - 0.5 * sigma * sigma * integral_exp_phi(kappa, sigma, u)
@@ -215,8 +216,9 @@ def integral_beta(kappa: float, sigma: float, b0: float, u) -> float | np.ndarra
     -2/sigma^2 * log1p(-b0 sigma^2/2 * integral_exp_phi(u)).
     """
 
-    if b0 == 0.0:
-        raise ValueError("b0 must be nonzero; use integral_b for b0 = 0.")
+    if not (math.isfinite(b0) and b0 != 0.0):
+        raise ValueError(f"b0 must be finite and nonzero, got {b0}; "
+                         "use integral_b for b0 = 0.")
     u = _check_u(u)
     scalar = u.ndim == 0
     arg = -0.5 * b0 * sigma * sigma * integral_exp_phi(kappa, sigma, u)

@@ -41,12 +41,12 @@ on how many workers process the blocks.
 
 Estimators read from simulated paths: :func:`mc_exposure` prices the CDS
 book along the paths (convergence studies), and :func:`mc_kernel_oracles`
-reads the three counterparty kernels from one simulation of the pair
-(validation gate). ``mc_limit_transform(u, cfg, n_paths, seed)`` runs its
-own Euler loop, on the same in-place step updates, for the large-pool limit
-diffusion of a :class:`~cdspool.exposure.LimitConfig`, whose drift is a
-per-path frozen mark; it takes the inputs of ``survival_fhat(u, cfg)``, the
-closed form it checks.
+reads the three counterparty kernels at a stored lag of a simulation of the
+pair alone (validation gate). ``mc_limit_transform(u, cfg, n_paths, seed)``
+runs its own Euler loop, on the same in-place step updates, for the
+large-pool limit diffusion of a :class:`~cdspool.exposure.LimitConfig`,
+whose drift is a per-path frozen mark; it takes the inputs of
+``survival_fhat(u, cfg)``, the closed form it checks.
 """
 
 from __future__ import annotations
@@ -212,7 +212,7 @@ class PathSet:
 
     def time_index(self, t: float) -> int:
         idx = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[idx] - t) > 1e-9 * max(1.0, self.horizon):
+        if not abs(self.times[idx] - t) <= 1e-9 * max(1.0, self.horizon):
             raise ValueError(f"t={t} is not a stored sample time.")
         return idx
 
@@ -697,35 +697,30 @@ def mc_exposure(pathset: PathSet, names: Sequence[NameParams], t: float, maturit
     return float(eps.mean()), _stderr(eps)
 
 
-def _oracle_lag(u: float) -> float:
-    u = float(u)
-    if not (math.isfinite(u) and u > 0.0):
-        raise ConfigError(f"u must be finite and > 0, got {u}.")
-    return u
-
-
-def mc_kernel_oracles(cps: CounterpartyParams, lambda_c: float, u: float, x_a: float,
-                      x_b: float, n_paths: int, seed: int):
-    """MC estimates of the three counterparty kernels at lag u started from
-    (x_a, x_b), all read from one simulation of the pair. With
-    S(u) = exp(-integral of xi_A + xi_B on [0,u]), they are
+def mc_kernel_oracles(pathset: PathSet, u: float):
+    """MC estimates of the three counterparty kernels at lag u, read from a
+    simulation of the counterparty pair alone started at the kernels' (x_a,
+    x_b), with u a stored sample time. With S(u) = exp(-integral of xi_A +
+    xi_B on [0,u]), they are
 
     - h1 = E[S(u) xi_B(u)], the default-density kernel of side B,
     - h2 = E[S(u) xi_A(u)], its mirror for side A,
     - the joint survival factor E[S(u)].
 
-    The pair runs 1000 Euler steps to u. Returns ((h1, stderr),
-    (h2, stderr), (joint, stderr)) as floats. Validation oracle for the
-    closed-form kernels.
+    Returns ((h1, stderr), (h2, stderr), (joint, stderr)) as floats.
+    Raises ValueError for a PathSet without running integrals (a system with
+    names, or the exact engine) or for a lag that is not stored. Validation
+    oracle for the closed-form kernels.
     """
 
-    u = _oracle_lag(u)
-    ps = simulate_paths((), cps.with_initial(x_a, x_b), lambda_c=lambda_c,
-                        horizon=u, n_paths=n_paths, seed=seed, sample_times=[u])
-    surv = np.exp(-(ps.integrated[:, 0, 0] + ps.integrated[:, 0, 1]))
+    if pathset.integrated is None:
+        raise ValueError("The kernel oracles read the running integrals, which only "
+                         "a simulation of the counterparty pair alone records.")
+    i = pathset.time_index(u)
+    surv = np.exp(-(pathset.integrated[:, i, 0] + pathset.integrated[:, i, 1]))
     return tuple((float(vals.mean()), _stderr(vals))
-                 for vals in (surv * ps.intensities[:, 0, 1],
-                              surv * ps.intensities[:, 0, 0], surv))
+                 for vals in (surv * pathset.intensities[:, i, 1],
+                              surv * pathset.intensities[:, i, 0], surv))
 
 
 def mc_limit_transform(u: float, cfg: LimitConfig, n_paths: int,
@@ -740,7 +735,9 @@ def mc_limit_transform(u: float, cfg: LimitConfig, n_paths: int,
     oracle for the closed form ``survival_fhat(u, cfg)``.
     """
 
-    u = _oracle_lag(u)
+    u = float(u)
+    if not (math.isfinite(u) and u > 0.0):
+        raise ConfigError(f"u must be finite and > 0, got {u}.")
     if n_paths < 1:
         raise ConfigError("n_paths must be >= 1.")
     drift_c, drift_d = cfg.c * cfg.lambda_c, cfg.d * cfg.lambda_hat

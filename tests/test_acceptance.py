@@ -20,7 +20,7 @@ from cdspool.kernels import kernel, kernel_ode_residuals
 from cdspool.quadrature import composite_simpson
 from cdspool.riccati import (integral_b, riccati_b, riccati_beta,
                              riccati_beta_general, riccati_rhs, rk4_solve_integral)
-from cdspool.simulation import mc_limit_transform, simulate_paths
+from cdspool.simulation import mc_kernel_oracles, mc_limit_transform, simulate_paths
 
 from finite_k import finite_k_exposure
 
@@ -187,16 +187,13 @@ def test_criterion_4_counterparty_kernels():
     x_a = x_b = 0.2
     lags = (0.5, 1.0, 2.0)
 
-    # h1 and h2 at every lag read from one simulation of the pair to u = 2,
-    # by mc_kernel_oracles' estimator: h1 = E[S(u) xi_B(u)], h2 = E[S(u) xi_A(u)]
+    # h1 and h2 at every lag read from one simulation of the pair to u = 2
     ps = simulate_paths((), cps.with_initial(x_a, x_b), lambda_c=lam_c, horizon=2.0,
                         n_paths=100_000, seed=ACCEPT_SEED + 4, sample_times=lags)
     worst_z, worst_rel = 0.0, 0.0
-    for i, u in enumerate(lags):
-        surv = np.exp(-(ps.integrated[:, i, 0] + ps.integrated[:, i, 1]))
-        for side, x_u in (("B", ps.intensities[:, i, 1]), ("A", ps.intensities[:, i, 0])):
-            vals = surv * x_u
-            est, se = vals.mean(), vals.std(ddof=1) / math.sqrt(len(vals))
+    for u in lags:
+        mc_h1, mc_h2, _ = mc_kernel_oracles(ps, u)
+        for side, (est, se) in (("B", mc_h1), ("A", mc_h2)):
             closed = kernel(u, x_a, x_b, cps, lam_c, side)
             worst_z = max(worst_z, abs(closed - est) / se)
             worst_rel = max(worst_rel, abs(closed - est) / est)

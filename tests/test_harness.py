@@ -10,7 +10,7 @@ import pytest
 from cdspool import harness, simulation
 from cdspool.cli import build_spec, parse_config
 from cdspool.errors import ConfigError
-from cdspool.exposure import LimitConfig, exposure_limit
+from cdspool.exposure import LimitConfig, build_name_sequence, exposure_limit
 from cdspool.harness import (CurveTable, ExperimentSpec, default_counterparties,
                              grid_for_samples, run_bcva_sweeps, run_convergence,
                              run_measure_convergence, run_validation, write_run)
@@ -154,7 +154,7 @@ def test_validation_gate_passes_and_is_reproducible():
 
 
 def test_validation_gate_simulates_the_kernel_pair_once(monkeypatch):
-    # h1, h2 and joint survival read one simulation; nested_mc_cva the other
+    # h1, h2, joint survival and nested_mc_cva all read one pair simulation
     calls, n_paths, blocks = [], [], []
     block_generator = simulation._block_generator
 
@@ -170,15 +170,15 @@ def test_validation_gate_simulates_the_kernel_pair_once(monkeypatch):
     monkeypatch.setattr(simulation, "simulate_paths", counting)
     monkeypatch.setattr(harness, "simulate_paths", counting)
     monkeypatch.setattr(simulation, "_block_generator", counting_blocks)
-    harness._kernel_values.cache_clear()
+    harness._pair_values.cache_clear()
     # the shared values still take each check's own perturbation
     assert run_validation(workers=1, perturb={"h2_vs_mc": 1e-2}).failures() == ["h2_vs_mc"]
-    assert calls == [1.0, 3.0]
-    # every pair and limit-diffusion simulation runs narrow blocks, so it
+    assert calls == [3.0] and n_paths == [20_000]
+    # the pair and limit-diffusion simulations run narrow blocks, so each
     # steps at most 5% more paths than it asks for
     width = simulation._NARROW_BLOCK_SIZE
     blocks_for = lambda n: math.ceil(n / width)
-    assert blocks.count(simulation._BLOCK_PATHS) == sum(map(blocks_for, n_paths))
+    assert blocks.count(simulation._BLOCK_PATHS) == blocks_for(20_000)
     assert blocks.count(simulation._BLOCK_LIMIT) == blocks_for(harness._LIMIT_ORACLE_PATHS)
     for n in n_paths + [harness._LIMIT_ORACLE_PATHS]:
         assert blocks_for(n) * width <= 1.05 * n
@@ -200,12 +200,30 @@ def test_limit_sde_check_flags_a_small_offset(offset):
     assert rep.failures() == ["fhat_vs_limit_sde_mc"]
 
 
+@pytest.mark.parametrize("check, which", [("h1_vs_mc", "h1"),
+                                          ("cva_vs_nested_mc", "cva")])
+def test_pair_checks_fail_alone_under_a_five_stderr_offset(check, which):
+    # the four pair checks read one simulation, yet each verdict is its own
+    _, (_, se) = harness._pair_values()[which]
+    assert run_validation(perturb={check: 5 * se}, workers=2).failures() == [check]
+
+
 def test_nested_mc_cva_one_path_has_zero_stderr():
     cfg, _, cps = harness._validation_baseline()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        est, se = harness.nested_mc_cva(cfg, cps, 3.0, n_paths=1, seed=5)
+        ps = simulate_paths((), cps, lambda_c=cfg.lambda_c, horizon=3.0, n_paths=1,
+                            seed=5)
+        est, se = harness.nested_mc_cva(ps, cfg, cps.loss_b)
     assert math.isfinite(est) and se == 0.0
+
+
+def test_nested_mc_cva_reads_only_a_pair_simulation():
+    cfg, _, cps = harness._validation_baseline()
+    ps = simulate_paths(build_name_sequence(cfg, 2), cps, lambda_c=cfg.lambda_c,
+                        horizon=1.0, n_paths=4, seed=5, dt=0.1)
+    with pytest.raises(ValueError, match="pair alone"):
+        harness.nested_mc_cva(ps, cfg, cps.loss_b)
 
 
 def test_curve_table_csv_format(tmp_path):

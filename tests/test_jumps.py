@@ -23,6 +23,13 @@ def test_mgf_exp_against_mc():
 def test_mgf_exp_domain():
     with pytest.raises(ValueError):
         mgf_exp(0.1, 2.0)
+    # a NaN theta compares false with 0 either way; it must still be rejected
+    p = BveParams(1.5, 1.5, 0.5)
+    for f in (lambda th: mgf_exp(th, 2.0), lambda th: mgf_bve(-0.1, th, p),
+              lambda th: mgf_bve_partials(th, -0.1, p)):
+        for th in (math.nan, np.array([-1.0, math.nan]), math.inf):
+            with pytest.raises(ValueError, match="theta must be <= 0"):
+                f(th)
     with pytest.raises(ValueError):
         mgf_exp(-1.0, 0.0)
 

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from scipy.integrate import cumulative_simpson, quad
 
-from cdspool.riccati import (exp_phi, integral_b, integral_beta, riccati_b, riccati_beta,
-                             riccati_beta_general, riccati_rhs, rk4_solve,
-                             rk4_solve_integral, survival_exponents, varpi)
+from cdspool.riccati import (exp_phi, integral_b, integral_beta, integral_exp_phi,
+                             riccati_b, riccati_beta, riccati_beta_general, riccati_rhs,
+                             rk4_solve, rk4_solve_integral, survival_exponents, varpi)
 
 rates = st.floats(min_value=0.1, max_value=3.0)
 
@@ -272,6 +272,23 @@ def test_domain_errors():
         riccati_beta_general(0.5, 0.3, 0.0, -0.1, 1.0)
     with pytest.raises(ValueError):
         rk4_solve(lambda y: y, 0.0, 1.0, -0.1)
+
+
+@pytest.mark.parametrize("b0", [math.nan, math.inf, -math.inf])
+def test_non_finite_b0_raises(b0):
+    for f in (riccati_beta, integral_beta):
+        with pytest.raises(ValueError, match="b0 must be finite and nonzero"):
+            f(0.5, 0.3, b0, 1.0)
+
+
+def test_nan_lag_raises():
+    # NaN compares false with 0, so the check tests u >= 0, never u < 0
+    for f in (riccati_b, integral_b, exp_phi, integral_exp_phi):
+        for u in (math.nan, np.array([1.0, math.nan])):
+            with pytest.raises(ValueError, match="u must be"):
+                f(0.5, 0.3, u)
+    with pytest.raises(ValueError, match="u must be"):
+        riccati_beta(0.5, 0.3, -1.0, math.nan)
 
 
 def test_positive_initial_value_pole_raises():

@@ -14,7 +14,7 @@ from cdspool.quadrature import composite_simpson, simpson_weights
 from cdspool.riccati import integral_beta, riccati_b, riccati_beta
 from cdspool.simulation import (CounterpartyParams, CounterpartySide, NameParams,
                                 mc_exposure, mc_kernel_oracles, mc_limit_transform,
-                                sample_defaults, simulate_paths)
+                                sample_defaults, simulate_exact_paths, simulate_paths)
 
 
 def make_name(**overrides):
@@ -248,9 +248,15 @@ def test_mc_exposure_tracks_limit_for_moderate_pool():
         assert abs(est - limit) <= 0.10 * scale + 3 * se
 
 
+def pair_to(u, cps=None, lambda_c=0.25, n_paths=10, seed=1):
+    """The pair alone simulated on 1000 steps to lag u, stored at u only."""
+    return simulate_paths((), cps or make_cps(), lambda_c=lambda_c, horizon=u,
+                          n_paths=n_paths, seed=seed, sample_times=[u])
+
+
 def test_mc_h1_oracle_short_horizon_recovers_initial_intensity():
-    cps = make_cps()
-    (est, se), _, _ = mc_kernel_oracles(cps, 0.25, 1e-3, 0.2, 0.3, n_paths=2000, seed=53)
+    ps = pair_to(1e-3, make_cps().with_initial(0.2, 0.3), n_paths=2000, seed=53)
+    (est, se), _, _ = mc_kernel_oracles(ps, 1e-3)
     assert est == pytest.approx(0.3, rel=2e-2)
 
 
@@ -275,19 +281,20 @@ def test_mc_h1_oracle_matches_transform_derivative():
 
     h = 1e-5
     fd = (transform(0.0) - transform(-h)) / h  # one-sided: theta must stay <= 0
-    (est, se), _, _ = mc_kernel_oracles(cps, 0.0, u, 0.0, x_b, n_paths=40_000, seed=59)
+    (est, se), _, _ = mc_kernel_oracles(pair_to(u, cps, 0.0, 40_000, 59), u)
     assert abs(est - fd) < 3 * se
 
 
 def test_mc_kernel_oracles_equal_separate_runs_at_gate_arguments():
-    # pinned stream layout: the gate's arguments, simulated in 4096-path
-    # blocks, give exactly these values; a change of block width moves them
-    from cdspool.harness import VALIDATION_SEED, default_counterparties
-    h1, h2, joint = mc_kernel_oracles(default_counterparties(), 0.25, 1.0, 0.2, 0.2,
-                                      20_000, VALIDATION_SEED + 12)
-    assert h1 == (0.235683369101277, 0.0005836593212901791)
-    assert h2 == (0.23576508302279536, 0.000575669932328264)
-    assert joint == (0.48625612040190047, 0.0005919977865622657)
+    # pinned stream layout: the gate's one pair simulation (1002 steps of
+    # 1/334 to maturity 3 in 4096-path blocks) gives exactly these kernel and
+    # nested-CVA estimates; a change of step, horizon or block width moves them
+    from cdspool.harness import _pair_values
+    mc = {name: est for name, (_, est) in _pair_values().items()}
+    assert mc == {"h1": (0.23612397363773088, 0.0005842981879191098),
+                  "h2": (0.23558650233584486, 0.0005824911604714624),
+                  "joint_survival": (0.4857441350146984, 0.0005953936400864571),
+                  "cva": (0.0018677166007507395, 1.4482382783464542e-05)}
 
 
 def test_mc_limit_transform_pinned_at_gate_arguments():
@@ -310,8 +317,9 @@ def test_oracles_reject_empty_runs():
     for n in (0, -3):
         with pytest.raises(ConfigError, match="n_paths"):
             mc_limit_transform(1.0, LIMIT_CFG, n_paths=n, seed=1)
+        # the kernel oracles read a pair simulation, which rejects it first
         with pytest.raises(ConfigError, match="n_paths"):
-            mc_kernel_oracles(make_cps(), 0.25, 1.0, 0.2, 0.2, n_paths=n, seed=1)
+            pair_to(1.0, n_paths=n)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -324,8 +332,9 @@ def test_oracles_reject_empty_runs():
     ("x0", -1e-3), ("x0", float("nan")), ("x0", float("inf")),
 ])
 def test_oracles_reject_bad_input(field, value):
-    # both oracles check the lag u; the limit oracle's diffusion is a
-    # LimitConfig, which rejects a bad field when it is built
+    # both oracles check the lag u (the kernel oracles take only a stored
+    # one); the limit oracle's diffusion is a LimitConfig, which rejects a
+    # bad field when it is built
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         if field != "u":
@@ -334,18 +343,33 @@ def test_oracles_reject_bad_input(field, value):
             return
         with pytest.raises(ConfigError, match="u must be"):
             mc_limit_transform(value, LIMIT_CFG, n_paths=10, seed=1)
-        with pytest.raises(ConfigError, match="u must be"):
-            mc_kernel_oracles(make_cps(), 0.25, value, 0.2, 0.2, n_paths=10, seed=1)
+        with pytest.raises(ValueError, match="not a stored sample time"):
+            mc_kernel_oracles(pair_to(1.0), value)
 
 
 def test_oracles_report_zero_stderr_for_one_path():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         est, se = mc_limit_transform(1.0, LIMIT_CFG, n_paths=1, seed=1)
-        kernels = mc_kernel_oracles(make_cps(), 0.25, 1.0, 0.2, 0.2, n_paths=1, seed=1)
+        kernels = mc_kernel_oracles(pair_to(1.0, n_paths=1), 1.0)
     assert 0.0 < est < 1.0 and se == 0.0
     for est, se in kernels:
         assert math.isfinite(est) and se == 0.0
+
+
+def test_kernel_oracles_read_only_a_pair_simulation():
+    # the running integrals exist only for the pair alone, and the lag must be stored
+    kw = dict(lambda_c=1.0, gamma1=1.5, gamma2=1.5, n_paths=8, seed=71)
+    exact = simulate_exact_paths([make_name()], sample_times=[0.0, 1.0], **kw)
+    for ps in (simulate_paths([make_name()], make_cps(), horizon=1.0, dt=1e-2, **kw),
+               exact):
+        with pytest.raises(ValueError, match="pair alone"):
+            mc_kernel_oracles(ps, 1.0)
+    ps = simulate_paths((), make_cps(), horizon=1.0, dt=1e-2, sample_times=[0.5, 1.0],
+                        **kw)
+    assert mc_kernel_oracles(ps, 0.5) != mc_kernel_oracles(ps, 1.0)
+    with pytest.raises(ValueError, match="not a stored sample time"):
+        mc_kernel_oracles(ps, 0.25)
 
 
 def test_integrals_recorded_for_the_pair_alone():
@@ -367,8 +391,10 @@ def test_pathset_bookkeeping():
                         horizon=1.0, n_paths=10, seed=61, dt=1e-2)
     assert ps.n_names == 0 and ps.n_entities == 2
     assert ps.time_index(0.5) == 50
-    with pytest.raises(ValueError):
-        ps.time_index(0.505)
+    # off the grid or not finite; a NaN t compares false with every bound
+    for t in (0.505, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="not a stored sample time"):
+            ps.time_index(t)
     # stored integral equals a trapezoid over the stored full-resolution path
     manual = np.trapezoid(ps.intensities[0, :, 0], dx=ps.dt)
     assert ps.integrated[0, -1, 0] == pytest.approx(manual, rel=1e-12)
