@@ -10,8 +10,8 @@ plus one ``key = value`` line per ``--set``; passed back as ``--config`` it
 reproduces the run. The manifest's ``config_hash`` is the hash of that text
 alone, so it does not depend on ``--workers``.
 
-Exit codes: 0 success, 2 configuration error, 3 validation failure,
-4 numerical-accuracy error.
+Exit codes: 0 success, 2 configuration error (or a run too large for the
+machine's memory), 3 validation failure, 4 numerical-accuracy error.
 """
 
 from __future__ import annotations
@@ -234,6 +234,9 @@ def main(argv: list[str] | None = None) -> int:
         tables, report = run_experiment(spec, out_dir=args.out)
     except ConfigError as exc:
         _error_line(EXIT_CONFIG, "config", str(exc))
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        _error_line(EXIT_CONFIG, "memory", str(exc) or "out of memory")
         return EXIT_CONFIG
     except AccuracyError as exc:
         _error_line(EXIT_ACCURACY, "accuracy", str(exc))

@@ -96,8 +96,8 @@ def exposure_limit(t, maturity: float, cfg: LimitConfig):
     """
 
     v = maturity - np.asarray(t, dtype=float)
-    if np.any(v < 0.0):
-        raise ValueError("Require t <= maturity.")
+    if not np.all(v >= 0.0):
+        raise ValueError("Require t <= maturity, neither of them NaN.")
     integral = sum(np.sum(w * np.exp(-cfg.r * u) * survival_fhat(u, cfg), axis=-1)
                    for u, w in gauss_legendre_panels(v))
     terminal = cfg.l_z * (np.exp(-cfg.r * v) * survival_fhat(v, cfg) - 1.0)

@@ -30,8 +30,8 @@ from .riccati import (exp_phi, integral_b, integral_beta, riccati_b, riccati_bet
                       riccati_beta_general, riccati_rhs, rk4_solve,
                       rk4_solve_integral)
 from .simulation import (CounterpartyParams, CounterpartySide, PathSet, _stderr,
-                         map_ordered, mc_exposure, mc_kernel_oracles, mc_limit_transform,
-                         simulate_exact_paths, simulate_paths)
+                         exact_book_values, map_ordered, mc_kernel_oracles,
+                         mc_limit_transform, simulate_paths)
 
 __all__ = [
     "CurveTable",
@@ -191,8 +191,13 @@ def grid_for_samples(horizon: float, n_times: int, dt_target: float | None):
 def run_convergence(spec: ExperimentSpec) -> list[CurveTable]:
     """Monte-Carlo exposure curves against the limit exposure, per pool size.
 
-    The book is simulated by :func:`~cdspool.simulation.simulate_exact_paths`,
-    exactly at the sample times, so the curves carry no discretization bias.
+    The book is drawn by the exact engine, exactly at the sample times, so
+    the curves carry no discretization bias, and priced at each sample time
+    while each block's state is in hand
+    (:func:`~cdspool.simulation.exact_book_values`): the run holds
+    O(block x K) state plus one value per path and time, never the paths.
+    Each time's mean and stderr are reduced from the per-path values in
+    ``mc_exposure``'s order.
     """
 
     cfg = spec.limit
@@ -200,19 +205,15 @@ def run_convergence(spec: ExperimentSpec) -> list[CurveTable]:
     limit_curve = exposure_limit(times, spec.horizon, cfg)
     tables = []
     for K in spec.k_values:
-        names = build_name_sequence(cfg, K)
-        ps = simulate_exact_paths(names, lambda_c=cfg.lambda_c, gamma1=cfg.gamma1,
-                                  gamma2=cfg.gamma2, sample_times=times,
-                                  n_paths=spec.n_paths, seed=spec.seed,
-                                  workers=spec.workers)
-        pairs = map_ordered(
-            lambda t: mc_exposure(ps, names, float(t), spec.horizon, cfg.r),
-            list(times), spec.workers)
-        mc = np.array([p[0] for p in pairs])
-        se = np.array([p[1] for p in pairs])
+        values = exact_book_values(build_name_sequence(cfg, K), lambda_c=cfg.lambda_c,
+                                   gamma1=cfg.gamma1, gamma2=cfg.gamma2,
+                                   sample_times=times, maturity=spec.horizon, r=cfg.r,
+                                   n_paths=spec.n_paths, seed=spec.seed,
+                                   workers=spec.workers)
         tables.append(CurveTable(
             label=f"exposure-K{K}", abscissa_name="t", abscissa=times,
-            columns={"mc_exposure": mc, "mc_stderr": se,
+            columns={"mc_exposure": np.array([v.mean() for v in values]),
+                     "mc_stderr": np.array([_stderr(v) for v in values]),
                      "limit_exposure": limit_curve}))
     return tables
 

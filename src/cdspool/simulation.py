@@ -27,6 +27,9 @@ Two engines simulate this system:
   events are the sample times and the jump times. It resolves no default
   times and stores no integrals, so it serves the exposure convergence
   study, whose estimator reads the intensities at the sample times alone.
+  Its one block loop hands each block's state at each sample time to a
+  visitor: :func:`simulate_exact_paths` stores it, and
+  :func:`exact_book_values` prices the book from it.
 
 Reproducibility contract: paths are generated in fixed-width blocks, each
 block owning a counter-based RNG stream derived from (seed, stream tag,
@@ -39,14 +42,18 @@ draws at full width, so a path's draws depend only on the seed, the
 system's shape and the path's own index, never on the total path count or
 on how many workers process the blocks.
 
-Estimators read from simulated paths: :func:`mc_exposure` prices the CDS
-book along the paths (convergence studies), and :func:`mc_kernel_oracles`
-reads the three counterparty kernels at a stored lag of a simulation of the
-pair alone (validation gate). ``mc_limit_transform(u, cfg, n_paths, seed)``
-runs its own Euler loop, on the same in-place step updates, for the
-large-pool limit diffusion of a :class:`~cdspool.exposure.LimitConfig`,
-whose drift is a per-path frozen mark; it takes the inputs of
-``survival_fhat(u, cfg)``, the closed form it checks.
+Estimators: :func:`mc_exposure` prices the CDS book on stored paths at
+one time. The convergence study instead prices it with
+:func:`exact_book_values` at each sample time while a block's state is in
+hand, so it holds O(block x K) state plus one value per path and time,
+never the paths; the per-path values are ``mc_exposure``'s.
+:func:`mc_kernel_oracles` reads the three counterparty kernels at a stored
+lag of a simulation of the pair alone (validation gate).
+``mc_limit_transform(u, cfg, n_paths, seed)`` runs its own Euler loop, on
+the same in-place step updates, for the large-pool limit diffusion of a
+:class:`~cdspool.exposure.LimitConfig`, whose drift is a per-path frozen
+mark; it takes the inputs of ``survival_fhat(u, cfg)``, the closed form it
+checks.
 """
 
 from __future__ import annotations
@@ -74,6 +81,7 @@ __all__ = [
     "PathSet",
     "simulate_paths",
     "simulate_exact_paths",
+    "exact_book_values",
     "sample_defaults",
     "mc_exposure",
     "mc_kernel_oracles",
@@ -499,26 +507,11 @@ def _cir_transition(rng: Generator, x, decay, c, shift) -> np.ndarray:
     return c * draw
 
 
-def simulate_exact_paths(names: Sequence[NameParams], *, lambda_c: float, gamma1: float,
-                         gamma2: float, sample_times, n_paths: int, seed: int,
-                         workers: int = 1) -> PathSet:
-    """Simulate the names' intensities at the sample times only, exactly.
+def _exact_times(names: Sequence[NameParams], lambda_c: float, gamma1: float,
+                 gamma2: float, sample_times, n_paths: int) -> np.ndarray:
+    """Check the exact engine's inputs; returns the sample times as floats."""
 
-    ``sample_times`` start at 0 and increase strictly; the last one is the
-    horizon. Each (path, name) moves between consecutive events by
-    :func:`_cir_transition`; the events are the sample times, the path's
-    common-jump times and the name's idiosyncratic jump times, all in
-    (0, horizon], where the jump is added. Each sample interval runs one
-    full-width draw, to every element's first event or the interval's end,
-    then one round per event rank, drawing only for the elements that
-    jumped. Jump sizes follow :func:`simulate_paths`: c Exp(gamma1) per name
-    at each common event, d Exp(gamma2) at idiosyncratic ones. The result
-    has no default times (see :class:`PathSet`); blocks of 256 paths on
-    stream tag 2, see the module docstring.
-    """
-
-    K = len(names)
-    if K == 0:
+    if len(names) == 0:
         raise ConfigError("Need at least one name.")
     if not all(map(math.isfinite, (lambda_c, gamma1, gamma2))):
         raise ConfigError("lambda_c, gamma1, gamma2 must be finite.")
@@ -530,12 +523,33 @@ def simulate_exact_paths(names: Sequence[NameParams], *, lambda_c: float, gamma1
         raise ConfigError("sample_times must start at 0 and increase strictly.")
     if n_paths < 1:
         raise ConfigError("n_paths must be >= 1.")
+    return times
 
+
+def _exact_blocks(names: Sequence[NameParams], times: np.ndarray, lambda_c: float,
+                  gamma1: float, gamma2: float, n_paths: int, seed: int, workers: int,
+                  visit: Callable[[int, int, int, np.ndarray], None]) -> None:
+    """The exact engine's block loop over inputs checked by :func:`_exact_times`.
+
+    Each (path, name) moves between consecutive events by
+    :func:`_cir_transition`; the events are the sample times, the path's
+    common-jump times and the name's idiosyncratic jump times, all in
+    (0, horizon], where the jump is added. Each sample interval runs one
+    full-width draw, to every element's first event or the interval's end,
+    then one round per event rank, drawing only for the elements that
+    jumped. Jump sizes follow :func:`simulate_paths`: c Exp(gamma1) per name
+    at each common event, d Exp(gamma2) at idiosyncratic ones. Blocks of 256
+    paths run on stream tag 2 (see the module docstring). At each sample
+    time i, including 0, ``visit(i, r0, r1, x)`` reads the state x (paths
+    r0:r1 by names) of one block; blocks run on ``workers`` threads, so a
+    visit writes only to its own paths.
+    """
+
+    K = len(names)
     key = _philox_key(seed)
     horizon = float(times[-1])
     n_s = len(times)
     vec = _entity_vectors(names, None)
-    intensities = np.empty((n_paths, n_s, K))
     bf = _NAME_BLOCK_SIZE
     n_blocks = (n_paths + bf - 1) // bf
     law = lambda dt, col: _cir_law(dt, vec["alpha"][col], vec["kappa"][col],
@@ -563,7 +577,7 @@ def simulate_exact_paths(names: Sequence[NameParams], *, lambda_c: float, gamma1
         x = np.tile(vec["xi0"], (bf, 1))
         flat = x.reshape(-1)
         coef = np.empty((3, bf, K))
-        intensities[r0:r1, 0] = x[:r1 - r0]
+        visit(0, r0, r1, x[:r1 - r0])
         for i in range(n_s - 1):
             ce = corder[cptr[i]:cptr[i + 1]]
             ie = iorder[iptr[i]:iptr[i + 1]]
@@ -595,12 +609,65 @@ def simulate_exact_paths(names: Sequence[NameParams], *, lambda_c: float, gamma1
                 move = step > 0.0
                 e, step = e[move], step[move]
                 flat[e] = _cir_transition(rng, flat[e], *law(step, e % K))
-            intensities[r0:r1, i + 1] = x[:r1 - r0]
+            visit(i + 1, r0, r1, x[:r1 - r0])
 
     map_ordered(run_block, range(n_blocks), workers)
-    return PathSet(times=times, dt=None, horizon=horizon, n_names=K,
+
+
+def simulate_exact_paths(names: Sequence[NameParams], *, lambda_c: float, gamma1: float,
+                         gamma2: float, sample_times, n_paths: int, seed: int,
+                         workers: int = 1) -> PathSet:
+    """Simulate the names' intensities at the sample times only, exactly.
+
+    ``sample_times`` start at 0 and increase strictly; the last one is the
+    horizon. The paths come from :func:`_exact_blocks`, stored whole: the
+    result has no default times (see :class:`PathSet`).
+    """
+
+    times = _exact_times(names, lambda_c, gamma1, gamma2, sample_times, n_paths)
+    intensities = np.empty((n_paths, len(times), len(names)))
+
+    def store(i: int, r0: int, r1: int, x: np.ndarray) -> None:
+        intensities[r0:r1, i] = x
+
+    _exact_blocks(names, times, lambda_c, gamma1, gamma2, n_paths, seed, workers, store)
+    return PathSet(times=times, dt=None, horizon=float(times[-1]), n_names=len(names),
                    intensities=intensities, thresholds=None, default_times=None,
                    lambda_c=lambda_c, gamma1=gamma1, gamma2=gamma2)
+
+
+def exact_book_values(names: Sequence[NameParams], *, lambda_c: float, gamma1: float,
+                      gamma2: float, sample_times, maturity: float, r: float,
+                      n_paths: int, seed: int, workers: int = 1) -> np.ndarray:
+    """Per-path book values of the exact engine's paths at each sample time.
+
+    Takes :func:`simulate_exact_paths`' arguments plus the book's maturity
+    and rate, and returns values[i, m] = the per-name book value that
+    :func:`mc_exposure` prices on path m at sample time i (0 where the
+    time is the maturity), by the same arithmetic (:func:`_book_values`).
+    No path is stored: each block's state is priced at each sample time
+    while it is in hand, so memory is O(block x names) plus the
+    (times x paths) values. The matrix-vector product runs per block, so
+    a value can differ in its last bits from ``mc_exposure``'s wherever
+    the BLAS groups a block's rows unlike the whole set's (seen at 513
+    paths); each row's mean and :func:`_stderr` equal ``mc_exposure``'s
+    bit for bit at 300 and 2000 paths.
+    """
+
+    times = _exact_times(names, lambda_c, gamma1, gamma2, sample_times, n_paths)
+    if not maturity >= times[-1]:
+        raise ValueError("Require every sample time <= maturity.")
+    spans = [maturity - float(t) for t in times]
+    books = [_book_rows(names, lambda_c, gamma1, gamma2, span, r) if span != 0.0 else None
+             for span in spans]
+    values = np.zeros((len(times), n_paths))
+
+    def price(i: int, r0: int, r1: int, x: np.ndarray) -> None:
+        if books[i] is not None:
+            values[i, r0:r1] = _book_values(x, *books[i])
+
+    _exact_blocks(names, times, lambda_c, gamma1, gamma2, n_paths, seed, workers, price)
+    return values
 
 
 def sample_defaults(pathset: PathSet, rng: Generator | None = None,
@@ -659,6 +726,20 @@ def _book_rows(names: Sequence[NameParams], lambda_c: float, gamma1: float,
     return -coeff_loss.sum(), rows, b0
 
 
+def _book_values(x: np.ndarray, const: float, rows: np.ndarray,
+                 b0: np.ndarray) -> np.ndarray:
+    """Per-path book values const + sum over j of exp(b0[j] * x) @ rows[j]
+    of intensities x (paths by names), from :func:`_book_rows`."""
+
+    eps = np.full(len(x), const)
+    buf = np.empty_like(x)
+    for j in range(len(rows)):
+        np.multiply(x, b0[j], out=buf)
+        np.exp(buf, out=buf)
+        eps += buf @ rows[j]
+    return eps
+
+
 def mc_exposure(pathset: PathSet, names: Sequence[NameParams], t: float, maturity: float,
                 r: float) -> tuple[float, float]:
     """Monte-Carlo estimate of the per-name portfolio exposure at time t.
@@ -686,14 +767,8 @@ def mc_exposure(pathset: PathSet, names: Sequence[NameParams], t: float, maturit
     if span == 0.0:
         return 0.0, 0.0
 
-    const, rows, b0 = _book_rows(names, pathset.lambda_c, pathset.gamma1,
-                                 pathset.gamma2, span, r)
-    eps = np.full(pathset.n_paths, const)
-    buf = np.empty_like(x_t)
-    for j in range(len(rows)):
-        np.multiply(x_t, b0[j], out=buf)
-        np.exp(buf, out=buf)
-        eps += buf @ rows[j]
+    eps = _book_values(x_t, *_book_rows(names, pathset.lambda_c, pathset.gamma1,
+                                         pathset.gamma2, span, r))
     return float(eps.mean()), _stderr(eps)
 
 

@@ -168,6 +168,14 @@ def test_config_error_exit_codes(tmp_path, capsys):
                     "--out", tmp_path]) == EXIT_CONFIG
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"]["code"] == EXIT_CONFIG
+    # a run whose stored paths the machine cannot allocate: 10^11 paths need
+    # 444 TiB, past any 47-bit address space, so the allocation fails at once
+    assert run_cli(["--experiment", "measure-convergence", "--config",
+                    CONFIGS / "measure.cfg", "--seed", "1",
+                    "--set", "experiment.n_paths=100000000000",
+                    "--set", "experiment.k_values=10", "--out", tmp_path]) == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"]["code"] == EXIT_CONFIG and err["error"]["kind"] == "memory"
 
 
 # the experiment and config that read the key under test
@@ -311,6 +319,24 @@ def test_a_long_horizon_sweep_keeps_memory_bounded(tmp_path):
     code, peak_rss_kb = result.stdout.splitlines()[-1].split()
     assert int(code) == EXIT_OK
     assert int(peak_rss_kb) < 100 * 1024
+
+
+def test_a_convergence_run_keeps_memory_bounded(tmp_path):
+    # fig1-c at K = 1000: the book is priced at each sample time from one
+    # block's state, so peak RSS stays near 80 MB, where storing the
+    # 256 x 61 x 1000 paths before pricing them reached 184 MB
+    script = ("from pathlib import Path\n"
+              "from cdspool.cli import main\n"
+              f"code = main(['--experiment', 'convergence', '--config', "
+              f"{str(CONFIGS / 'fig1-c.cfg')!r}, '--out', {str(tmp_path)!r}, '--seed', '1', "
+              "'--set', 'experiment.n_paths=256', '--set', 'experiment.k_values=1000'])\n"
+              "status = Path('/proc/self/status').read_text().splitlines()\n"
+              "print(code, *[line.split()[1] for line in status if line.startswith('VmHWM:')])\n")
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    code, peak_rss_kb = result.stdout.splitlines()[-1].split()
+    assert int(code) == EXIT_OK
+    assert int(peak_rss_kb) < 120 * 1024
 
 
 def test_shipped_configs_parse_and_declare_kinds():

@@ -169,6 +169,14 @@ def test_limit_exp_test_domain():
             survival_fhat(u, cfg)
 
 
+def test_exposure_limit_domain():
+    cfg = make_cfg()
+    for t, maturity in ((math.nan, 1.0), (0.5, math.nan), ([0.5, math.nan], 1.0),
+                        (1.5, 1.0)):
+        with pytest.raises(ValueError, match="Require t <= maturity"):
+            exposure_limit(t, maturity, cfg)
+
+
 def test_empirical_measure_is_one_at_time_zero():
     cfg = LimitConfig(**NOJUMP)
     names = build_name_sequence(cfg, 20)

@@ -85,6 +85,23 @@ def test_run_convergence_worker_invariance():
                                   t2[0].columns["mc_stderr"])
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_streamed_curve_equals_the_stored_path_estimator(workers):
+    # 300 paths: one full 256-path block and a partial one of 44
+    spec = shipped_spec("fig1-c", seed=5)
+    spec.k_values, spec.n_paths, spec.n_times, spec.workers = (40,), 300, 21, workers
+    table, = run_convergence(spec)
+    cfg = spec.limit
+    names = build_name_sequence(cfg, 40)
+    ps = simulation.simulate_exact_paths(
+        names, lambda_c=cfg.lambda_c, gamma1=cfg.gamma1, gamma2=cfg.gamma2,
+        sample_times=table.abscissa, n_paths=300, seed=5)
+    stored = np.array([simulation.mc_exposure(ps, names, float(t), spec.horizon, cfg.r)
+                       for t in table.abscissa])
+    np.testing.assert_array_equal(table.columns["mc_exposure"], stored[:, 0])
+    np.testing.assert_array_equal(table.columns["mc_stderr"], stored[:, 1])
+
+
 def test_run_measure_convergence_summary():
     spec = small_spec(kind="measure-convergence", k_values=(3, 6), n_paths=128,
                       repeats=2)
