@@ -17,7 +17,7 @@ from .jumps import BveParams, mgf_bve, mgf_bve_partials, mgf_exp, sample_bve
 from .kernels import (BcvaResult, SweepResult, bcva, joint_survival, kernel,
                       kernel_coefficients, kernel_ode_residuals, sensitivity_sweep)
 from .riccati import (integral_b, integral_beta, riccati_b, riccati_beta,
-                      riccati_beta_general, riccati_rhs, rk4_solve, varpi)
+                      riccati_beta_general, varpi)
 from .simulation import (CounterpartyParams, CounterpartySide, NameParams, PathSet,
                          mc_exposure, mc_kernel_oracles, mc_limit_transform,
                          sample_defaults, simulate_exact_paths, simulate_paths)
@@ -26,7 +26,7 @@ __all__ = [
     "__version__",
     "AccuracyError", "ConfigError",
     "varpi", "riccati_b", "integral_b", "riccati_beta", "integral_beta",
-    "riccati_beta_general", "riccati_rhs", "rk4_solve",
+    "riccati_beta_general",
     "BveParams", "mgf_exp", "mgf_bve", "mgf_bve_partials", "sample_bve",
     "NameParams", "CounterpartySide", "CounterpartyParams", "PathSet",
     "simulate_paths", "simulate_exact_paths", "sample_defaults", "mc_exposure",

@@ -27,8 +27,7 @@ from .exposure import (LimitConfig, build_name_sequence, empirical_measure_eval,
 from .jumps import BveParams, mgf_bve, mgf_bve_partials, mgf_exp, sample_bve
 from .quadrature import composite_simpson
 from .riccati import (exp_phi, integral_b, integral_beta, riccati_b, riccati_beta,
-                      riccati_beta_general, riccati_rhs, rk4_solve,
-                      rk4_solve_integral)
+                      riccati_beta_general, rk4_riccati)
 from .simulation import (CounterpartyParams, CounterpartySide, PathSet, _stderr,
                          exact_book_values, map_ordered, mc_kernel_oracles,
                          mc_limit_transform, simulate_paths)
@@ -77,8 +76,8 @@ class CurveTable:
         for name, col in self.columns.items():
             if len(col) != n:
                 raise ValueError(f"Column {name!r} length differs from abscissa.")
-            if name.endswith("_stderr") and np.any(np.asarray(col) < 0.0):
-                raise ValueError(f"stderr column {name!r} has negative entries.")
+            if name.endswith("_stderr") and not np.all(np.asarray(col) >= 0.0):
+                raise ValueError(f"stderr column {name!r} has negative or NaN entries.")
 
     def write_csv(self, path: Path) -> None:
         """CSV with a header row, floats as %.10e, LF line endings, UTF-8."""
@@ -355,10 +354,11 @@ def _judge(name: str, cases: Callable[[], Iterator[_Case]], tol: float,
 
 def _check_riccati_b_rk4() -> Iterator[_Case]:
     rng = np.random.default_rng(VALIDATION_SEED)
+    lags = (0.5, 2.0, 7.0)  # one step of 2e-4 serves all three lags
     for _ in range(10):
         k, s = rng.uniform(0.1, 3.0, 2)
-        for u in (0.5, 2.0, 7.0):
-            yield riccati_b(k, s, u), rk4_solve(riccati_rhs(k, s), 0.0, u, 2e-4), 1.0
+        for u, (y, _) in zip(lags, rk4_riccati(k, s, 1.0, 0.0, lags, 2e-4)):
+            yield riccati_b(k, s, u), y, 1.0
 
 
 def _check_riccati_beta_rk4() -> Iterator[_Case]:
@@ -366,9 +366,10 @@ def _check_riccati_beta_rk4() -> Iterator[_Case]:
     for _ in range(8):
         k, s = rng.uniform(0.1, 3.0, 2)
         b0 = -rng.uniform(0.01, 2.0)
+        # 0.7 and 3.0 round to steps an ulp apart, so each lag runs alone
         for u in (0.7, 3.0):
-            yield (riccati_beta(k, s, b0, u), rk4_solve(riccati_rhs(k, s), b0, u, 2e-4),
-                   1.0)
+            ((y, _),) = rk4_riccati(k, s, 1.0, b0, (u,), 2e-4)
+            yield riccati_beta(k, s, b0, u), y, 1.0
 
 
 def _check_riccati_beta_general_rk4() -> Iterator[_Case]:
@@ -377,8 +378,8 @@ def _check_riccati_beta_general_rk4() -> Iterator[_Case]:
         k, s = rng.uniform(0.1, 3.0, 2)
         a = rng.uniform(0.3, 3.0)
         b0 = -rng.uniform(0.0, 1.0)
-        yield (riccati_beta_general(k, s, a, b0, 1.5),
-               rk4_solve(riccati_rhs(k, s, a), b0, 1.5, 2e-4), 1.0)
+        ((y, _),) = rk4_riccati(k, s, a, b0, (1.5,), 2e-4)
+        yield riccati_beta_general(k, s, a, b0, 1.5), y, 1.0
 
 
 def _check_integral_b_simpson() -> Iterator[_Case]:
@@ -468,9 +469,8 @@ def _check_bve_empirical_mgf() -> Iterator[_Case]:
 def _check_fhat_cir() -> Iterator[_Case]:
     _, cfg, _ = _validation_baseline()
     # independent route: RK4 on the coupled (transform exponent, integral)
-    rhs_b = riccati_rhs(cfg.kappa, cfg.sigma)
-    for u in (0.5, 1.0, 2.0):
-        b, ib = rk4_solve_integral(rhs_b, u, 1e-4)
+    lags = (0.5, 1.0, 2.0)
+    for u, (b, ib) in zip(lags, rk4_riccati(cfg.kappa, cfg.sigma, 1.0, 0.0, lags, 1e-4)):
         yield survival_fhat(u, cfg), math.exp(cfg.x0 * b + cfg.alpha * ib), 1.0
 
 

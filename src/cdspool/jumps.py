@@ -8,6 +8,7 @@ so no analytic continuation is needed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,16 +65,17 @@ class BveParams:
 
 def _check_theta(theta) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
-    if not np.all(theta <= 0.0):
-        raise ValueError("theta must be <= 0 (MGFs are used on the negative half-line).")
+    if not ((theta <= 0.0) & (theta > -np.inf)).all():
+        raise ValueError("theta must be <= 0 and finite (MGFs are used on the negative "
+                         "half-line).")
     return theta
 
 
 def mgf_exp(theta, gamma: float) -> float | np.ndarray:
     """MGF of an Exp(gamma) size at theta <= 0: gamma / (gamma - theta)."""
 
-    if not gamma > 0.0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    if not 0.0 < gamma < math.inf:
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
     theta = _check_theta(theta)
     out = gamma / (gamma - theta)
     return float(out) if out.ndim == 0 else out

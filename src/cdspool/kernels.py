@@ -76,6 +76,8 @@ def kernel_coefficients(u, cps: CounterpartyParams, lambda_c: float,
 
     if side not in ("A", "B"):
         raise ValueError("side must be 'A' (H2) or 'B' (H1).")
+    if not 0.0 <= lambda_c < math.inf:
+        raise ValueError(f"lambda_c must be finite and non-negative, got {lambda_c}")
     sa, sb = cps.side_a, cps.side_b
     if not min(sa.sigma, sb.sigma) > 0.0:
         raise ConfigError("the counterparty kernels need sigma > 0 on both sides, got "
@@ -96,12 +98,20 @@ def kernel_coefficients(u, cps: CounterpartyParams, lambda_c: float,
     return dict(hat1=hat1, hat_a=hat_a, hat_b=hat_b, pre1=pre1, pre_a=pre_a, pre_b=pre_b)
 
 
+def _check_states(x_a, x_b) -> None:
+    for name, x in (("x_a", x_a), ("x_b", x_b)):
+        x = np.asarray(x, dtype=float)
+        if not ((x >= 0.0) & (x < np.inf)).all():
+            raise ValueError(f"{name} must be finite and non-negative, got {x}")
+
+
 def kernel(u, x_a: float, x_b: float, cps: CounterpartyParams, lambda_c: float,
            side: str):
     """Default density at lag u from (x_a, x_b), both sides surviving to u:
     H1 (side B defaults; x_b at u = 0) for side="B", H2 (x_a at u = 0) for
-    side="A". Non-negative."""
+    side="A". Non-negative; intensities x_a, x_b must be finite and >= 0."""
 
+    _check_states(x_a, x_b)
     c = kernel_coefficients(u, cps, lambda_c, side)
     out = ((c["pre1"] + c["pre_a"] * x_a + c["pre_b"] * x_b)
            * np.exp(c["hat1"] + c["hat_a"] * x_a + c["hat_b"] * x_b))
@@ -112,6 +122,7 @@ def joint_survival(u, x_a: float, x_b: float, cps: CounterpartyParams, lambda_c:
     """Joint survival factor of both counterparties over a lag u:
     exp(hat1 + hat_a x_a + hat_b x_b), in (0, 1], the same for either side."""
 
+    _check_states(x_a, x_b)
     c = kernel_coefficients(u, cps, lambda_c, "B")
     out = np.exp(c["hat1"] + c["hat_a"] * x_a + c["hat_b"] * x_b)
     return float(out) if out.ndim == 0 else out
@@ -240,8 +251,8 @@ def bcva(maturity: float, cfg: LimitConfig, cps: CounterpartyParams) -> BcvaResu
     counterparties' initial intensities.
     """
 
-    if maturity < 0.0:
-        raise ValueError("Require maturity >= 0.")
+    if not 0.0 <= maturity < math.inf:
+        raise ValueError(f"Require a finite maturity >= 0, got {maturity}.")
     if maturity == 0.0:
         return BcvaResult(bcva=0.0, cva=0.0, dva=0.0)
 

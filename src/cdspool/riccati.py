@@ -18,15 +18,14 @@ All expressions are written in terms of ``expm1``/``log1p`` of the decaying
 exponential ``exp(-varpi u)``, which is exact at u = 0 and cannot overflow
 at long horizons.
 
-:func:`rk4_solve` is a plain Runge-Kutta integrator used by the test suite
-as an independent oracle, and :func:`rk4_solve_integral` carries the running
-integral of the solution along; no pricing path calls either.
+:func:`rk4_riccati` is a Runge-Kutta oracle for the equation, with the
+running integral of its solution: the validation gate and the tests hold the
+closed forms to it, and no pricing path calls it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 import numpy as np
 
@@ -40,9 +39,7 @@ __all__ = [
     "riccati_beta",
     "integral_beta",
     "riccati_beta_general",
-    "riccati_rhs",
-    "rk4_solve",
-    "rk4_solve_integral",
+    "rk4_riccati",
 ]
 
 
@@ -52,16 +49,18 @@ _TINY = 1e-100
 
 
 def _check_rates(kappa: float, sigma: float) -> None:
-    if not kappa > 0.0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
-    if not sigma > 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not 0.0 < kappa < math.inf:
+        raise ValueError(f"kappa must be positive and finite, got {kappa}")
+    if not 0.0 < sigma < math.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
 
 
 def _check_u(u):
     u = np.asarray(u, dtype=float)
-    if not np.all(u >= 0.0):
-        raise ValueError("u must be non-negative.")
+    # the array method skips np.all's dispatch, which the kernels' per-panel
+    # calls would feel
+    if not ((u >= 0.0) & (u < np.inf)).all():
+        raise ValueError("u must be finite and non-negative.")
     return u
 
 
@@ -138,11 +137,13 @@ def survival_exponents(kappa, sigma, alpha, jumps, u) -> tuple[np.ndarray, np.nd
 
     with P = gamma (varpi - kappa) - 2 ell, Q = gamma (kappa + varpi) + 2 ell
     (Duffie and Garleanu 2001). Every argument broadcasts; sigma = 0 and the
-    P = 0 crossing are covered by the limits. Arguments are not validated:
-    kappa > 0, sigma, ell, rate >= 0, gamma > 0 and u >= 0 are assumed.
+    P = 0 crossing are covered by the limits. A negative or non-finite u
+    raises ValueError; the parameters are not validated: kappa > 0, sigma, ell,
+    rate >= 0 and gamma > 0 are assumed.
     """
 
-    kappa, sigma, u = (np.asarray(v, dtype=float) for v in (kappa, sigma, u))
+    u = _check_u(u)
+    kappa, sigma = (np.asarray(v, dtype=float) for v in (kappa, sigma))
     s2 = sigma * sigma
     w = np.sqrt(kappa * kappa + 2.0 * s2)
     g = w + kappa
@@ -239,8 +240,8 @@ def riccati_beta_general(kappa: float, sigma: float, a_ell: float, b0: float,
     a_ell * riccati_b(kappa, sigma sqrt(a_ell); u).
     """
 
-    if not a_ell > 0.0:
-        raise ValueError(f"a_ell must be positive, got {a_ell}")
+    if not 0.0 < a_ell < math.inf:
+        raise ValueError(f"a_ell must be positive and finite, got {a_ell}")
     s = sigma * math.sqrt(a_ell)
     # test the rescaled value: a subnormal b0 / a_ell can round to zero
     r = b0 / a_ell
@@ -251,75 +252,50 @@ def riccati_beta_general(kappa: float, sigma: float, a_ell: float, b0: float,
     return a_ell * b
 
 
-def riccati_rhs(kappa: float, sigma: float, a_ell: float = 1.0) -> Callable:
-    """Right-hand side y -> -kappa y + sigma^2 y^2 / 2 - a_ell (for oracles).
+def rk4_riccati(kappa: float, sigma: float, a_ell: float, y0: float, lags,
+                step: float) -> list[tuple[float, float]]:
+    """RK4 on y' = -kappa y + sigma^2 y^2 / 2 - a_ell from y(0) = y0, carrying
+    the running integral of y; returns (y(u), integral of y on [0, u]) for
+    each lag u.
 
-    Scalar coefficients become Python floats, so a scalar RK4 loop never
-    leaves float arithmetic.
+    Verification oracle for the closed forms (the validation gate and the
+    tests hold them to it). A lag u takes n = round(u / step) steps of
+    h = u / n, and one run up to the last lag serves every lag, so the lags
+    must be ascending and share one float h; lags that do not raise instead
+    of being rounded onto one grid. The steps run inline on Python floats, in
+    the same IEEE operations as RK4 on the vector right-hand side (rhs(y), y),
+    so each lag's result is bit-equal to its own run.
     """
 
-    kappa, sigma, a_ell = (float(v) if np.ndim(v) == 0 else v
-                           for v in (kappa, sigma, a_ell))
-
-    def rhs(y):
-        return -kappa * y + 0.5 * sigma * sigma * y * y - a_ell
-
-    return rhs
-
-
-def rk4_solve(rhs: Callable, y0, u: float, step: float):
-    """Classical fourth-order Runge-Kutta for scalar autonomous ODEs.
-
-    Verification oracle only. ``y0`` may be an array of initial values;
-    the step count is rounded so the integration lands exactly on ``u``.
-    A scalar ``y0`` steps as a Python float, which gives the same IEEE
-    results as a 0-d array without numpy's per-operation overhead.
-    """
-
-    if not step > 0.0:
-        raise ValueError(f"step must be positive, got {step}")
-    if u < 0.0:
-        raise ValueError("u must be non-negative.")
-    y = np.asarray(y0, dtype=float).copy()
-    scalar = y.ndim == 0
-    if scalar:
-        y = float(y)
-    if u == 0.0:
-        return _maybe_scalar(y, scalar)
-    n = max(1, int(round(u / step)))
-    h = u / n
-    for _ in range(n):
-        k1 = rhs(y)
-        k2 = rhs(y + 0.5 * h * k1)
-        k3 = rhs(y + 0.5 * h * k2)
-        k4 = rhs(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return _maybe_scalar(y, scalar)
-
-
-def rk4_solve_integral(rhs: Callable, u: float, step: float) -> tuple[float, float]:
-    """RK4 on the pair (y, integral of y) from (0, 0); returns both at ``u``.
-
-    Verification oracle for transforms exp(x0 y(u) + alpha * integral of y).
-    The pair steps as two Python floats, with the same IEEE operations in the
-    same order as :func:`rk4_solve` on the vector right-hand side (rhs(y), y).
-    """
-
-    if not step > 0.0:
-        raise ValueError(f"step must be positive, got {step}")
-    if u < 0.0:
-        raise ValueError("u must be non-negative.")
-    n = max(1, int(round(u / step)))
-    h = u / n
-    y = iy = 0.0
-    for _ in range(n):
-        k1 = rhs(y)
-        y2 = y + 0.5 * h * k1
-        k2 = rhs(y2)
-        y3 = y + 0.5 * h * k2
-        k3 = rhs(y3)
-        y4 = y + h * k3
-        k4 = rhs(y4)
-        iy = iy + (h / 6.0) * (y + 2.0 * y2 + 2.0 * y3 + y4)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return y, iy
+    if not 0.0 < step < math.inf:
+        raise ValueError(f"step must be positive and finite, got {step}")
+    lags = [float(u) for u in lags]
+    if not all(0.0 <= u < math.inf for u in lags):
+        raise ValueError(f"lags must be finite and non-negative, got {lags}")
+    if any(v < u for u, v in zip(lags, lags[1:])):
+        raise ValueError(f"lags must be ascending, got {lags}")
+    # u / step is monotone in u, so the step counts ascend with the lags
+    counts = [max(1, round(u / step)) if u > 0.0 else 0 for u in lags]
+    steps = {u / n for u, n in zip(lags, counts) if n}
+    if len(steps) > 1:
+        raise ValueError(f"lags {lags} do not share one step near {step}")
+    h = steps.pop() if steps else 0.0
+    # hoisted values keep every rounding of -kappa y + (sigma^2 / 2) y^2 - a
+    neg_k, c, a = -float(kappa), 0.5 * float(sigma) * float(sigma), float(a_ell)
+    half_h, sixth_h = 0.5 * h, h / 6.0
+    y, iy, done = float(y0), 0.0, 0
+    out = []
+    for n in counts:
+        for _ in range(n - done):
+            k1 = neg_k * y + c * y * y - a
+            y2 = y + half_h * k1
+            k2 = neg_k * y2 + c * y2 * y2 - a
+            y3 = y + half_h * k2
+            k3 = neg_k * y3 + c * y3 * y3 - a
+            y4 = y + h * k3
+            k4 = neg_k * y4 + c * y4 * y4 - a
+            iy = iy + sixth_h * (y + 2.0 * y2 + 2.0 * y3 + y4)
+            y = y + sixth_h * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        done = n
+        out.append((y, iy))
+    return out

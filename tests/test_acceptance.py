@@ -19,7 +19,7 @@ from cdspool.jumps import BveParams, mgf_bve, mgf_bve_partials, sample_bve
 from cdspool.kernels import kernel, kernel_ode_residuals
 from cdspool.quadrature import composite_simpson
 from cdspool.riccati import (integral_b, riccati_b, riccati_beta,
-                             riccati_beta_general, riccati_rhs, rk4_solve_integral)
+                             riccati_beta_general, rk4_riccati)
 from cdspool.simulation import mc_kernel_oracles, mc_limit_transform, simulate_paths
 
 from finite_k import finite_k_exposure
@@ -150,10 +150,10 @@ def test_criterion_3_pool_survival():
     nojump = LimitConfig(alpha=0.75, kappa=1.5, sigma=0.2, c=0.0, d=0.0,
                          lambda_hat=0.5, x0=0.5, gamma1=1.5, gamma2=1.5,
                          lambda_c=2.5, s_z=0.02, l_z=0.4, r=0.03)
-    rhs_b = riccati_rhs(nojump.kappa, nojump.sigma)
+    lags = (0.5, 1.0, 2.0, 3.0)
     worst_cir = 0.0
-    for u in (0.5, 1.0, 2.0, 3.0):
-        b, ib = rk4_solve_integral(rhs_b, u, 1e-4)
+    for u, (b, ib) in zip(lags, rk4_riccati(nojump.kappa, nojump.sigma, 1.0, 0.0, lags,
+                                            1e-4)):
         worst_cir = max(worst_cir, abs(survival_fhat(u, nojump)
                                        - math.exp(nojump.x0 * b + nojump.alpha * ib)))
 

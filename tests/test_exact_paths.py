@@ -9,10 +9,10 @@ import pytest
 
 from cdspool.errors import ConfigError
 from cdspool.exposure import LimitConfig, build_name_sequence, empirical_measure_eval
-from cdspool.riccati import rk4_solve
 from cdspool.simulation import NameParams, sample_defaults, simulate_exact_paths
 
 from finite_k import transform_coefficients
+from oracles import rk4_solve
 
 
 def make_name(**overrides):

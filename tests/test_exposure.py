@@ -8,7 +8,7 @@ from cdspool.cli import build_spec, parse_config
 from cdspool.exposure import (LimitConfig, build_name_sequence, empirical_measure_eval,
                               exposure_limit, limit_exp_test, survival_fhat)
 from cdspool.harness import grid_for_samples
-from cdspool.riccati import riccati_rhs, rk4_solve_integral
+from cdspool.riccati import rk4_riccati
 from cdspool.simulation import simulate_paths
 
 from oracles import simpson_adaptive
@@ -43,9 +43,8 @@ def test_fhat_is_one_on_the_diagonal():
 def test_fhat_jump_free_equals_affine_transform():
     # independent route: Runge-Kutta on the coupled (exponent, integral) pair
     cfg = LimitConfig(**NOJUMP)
-    rhs_b = riccati_rhs(cfg.kappa, cfg.sigma)
-    for u in (0.25, 1.0, 3.0):
-        b, ib = rk4_solve_integral(rhs_b, u, 1e-4)
+    lags = (0.25, 1.0, 3.0)
+    for u, (b, ib) in zip(lags, rk4_riccati(cfg.kappa, cfg.sigma, 1.0, 0.0, lags, 1e-4)):
         assert survival_fhat(u, cfg) == pytest.approx(
             math.exp(cfg.x0 * b + cfg.alpha * ib), abs=1e-10)
 

@@ -262,9 +262,10 @@ def test_curve_table_validation():
     with pytest.raises(ValueError):
         CurveTable(label="bad", abscissa_name="t", abscissa=np.array([0.0, 1.0]),
                    columns={"v": np.array([1.0])})
-    with pytest.raises(ValueError):
-        CurveTable(label="bad", abscissa_name="t", abscissa=np.array([0.0]),
-                   columns={"v_stderr": np.array([-1.0])})
+    for bad in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="negative or NaN"):
+            CurveTable(label="bad", abscissa_name="t", abscissa=np.array([0.0, 1.0]),
+                       columns={"v_stderr": np.array([0.5, bad])})
 
 
 def test_write_run_manifest(tmp_path):

@@ -248,6 +248,22 @@ def test_kernels_nonnegative_and_bounded_domain():
         kernel(1.0, 0.2, 0.2, cps, LAMBDA_C, "C")
 
 
+@pytest.mark.parametrize("x_a, x_b", [(math.nan, 0.2), (-0.5, 0.2), (math.inf, 0.2),
+                                      (0.2, math.nan), (0.2, np.array([0.1, -1e-300]))])
+def test_kernels_reject_bad_intensities(x_a, x_b):
+    cps = make_cps()
+    for f in (lambda: kernel(1.0, x_a, x_b, cps, LAMBDA_C, "B"),
+              lambda: joint_survival(1.0, x_a, x_b, cps, LAMBDA_C)):
+        with pytest.raises(ValueError, match="must be finite and non-negative"):
+            f()
+
+
+@pytest.mark.parametrize("maturity", [math.nan, math.inf, -1.0])
+def test_bcva_rejects_a_bad_maturity_up_front(maturity):
+    with pytest.raises(ValueError, match="Require a finite maturity"):
+        bcva(maturity, make_cfg(lambda_c=LAMBDA_C), make_cps())
+
+
 def test_default_density_integrates_below_one():
     # integral of pool-survival-weighted side-B default density over a
     # horizon of 50 mean reversions stays a sub-probability

@@ -7,9 +7,12 @@ from hypothesis import strategies as st
 
 from scipy.integrate import cumulative_simpson, quad
 
+from cdspool import harness
 from cdspool.riccati import (exp_phi, integral_b, integral_beta, integral_exp_phi,
-                             riccati_b, riccati_beta, riccati_beta_general, riccati_rhs,
-                             rk4_solve, rk4_solve_integral, survival_exponents, varpi)
+                             riccati_b, riccati_beta, riccati_beta_general, rk4_riccati,
+                             survival_exponents, varpi)
+
+from oracles import riccati_rhs, rk4_solve
 
 rates = st.floats(min_value=0.1, max_value=3.0)
 
@@ -238,20 +241,79 @@ def test_rk4_scalar_steps_equal_one_array_call():
             assert scalar == batch[i]
 
 
+def _vector_solve(kappa, sigma, a_ell, y0, u, step):
+    """RK4 on the 2-vector (rhs(y), y) from (y0, 0): y(u) and its integral."""
+
+    rhs = riccati_rhs(kappa, sigma, a_ell)
+    return tuple(rk4_solve(lambda y: np.array([rhs(y[0]), y[0]]), [y0, 0.0], u, step))
+
+
 def test_rk4_integral_pair_equals_the_vector_solve():
     # two Python floats, bit-equal to RK4 on the 2-vector (rhs(y), y), and
     # on target against the closed forms
-    rhs_b = riccati_rhs(1.5, 0.2)
     for u in (0.0, 0.37, 2.0):
-        b, ib = rk4_solve_integral(rhs_b, u, 1e-3)
-        vec = rk4_solve(lambda y: np.array([rhs_b(y[0]), y[0]]), np.zeros(2), u, 1e-3)
+        ((b, ib),) = rk4_riccati(1.5, 0.2, 1.0, 0.0, (u,), 1e-3)
         assert type(b) is float and type(ib) is float
-        assert (b, ib) == (vec[0], vec[1])
+        assert (b, ib) == _vector_solve(1.5, 0.2, 1.0, 0.0, u, 1e-3)
         assert ib == pytest.approx(integral_b(1.5, 0.2, u), abs=1e-12)
+    # one run serves every lag on a shared step, from any start and weight
+    lags = (0.0, 0.25, 0.25, 1.0, 3.0)
+    runs = rk4_riccati(0.7, 1.3, 2.5, -0.4, lags, 1e-3)
+    assert runs == [_vector_solve(0.7, 1.3, 2.5, -0.4, u, 1e-3) for u in lags]
+    assert runs[-1][1] == pytest.approx(integral_beta(0.7, 1.3 * math.sqrt(2.5), -0.16, 3.0)
+                                        * 2.5, abs=1e-10)
+
+
+def _gate_draws():
+    """(kappa, sigma, a_ell, y0, lags, step) of every run the gate's three
+    riccati_*_vs_rk4 checks make, drawn as the gate draws them."""
+
+    rng = np.random.default_rng(harness.VALIDATION_SEED)
+    for _ in range(10):
+        k, s = rng.uniform(0.1, 3.0, 2)
+        yield k, s, 1.0, 0.0, (0.5, 2.0, 7.0), 2e-4
+    rng = np.random.default_rng(harness.VALIDATION_SEED + 1)
+    for _ in range(8):
+        k, s = rng.uniform(0.1, 3.0, 2)
+        b0 = -rng.uniform(0.01, 2.0)
+        for u in (0.7, 3.0):
+            yield k, s, 1.0, b0, (u,), 2e-4
+    rng = np.random.default_rng(harness.VALIDATION_SEED + 2)
+    for _ in range(8):
+        k, s = rng.uniform(0.1, 3.0, 2)
+        a = rng.uniform(0.3, 3.0)
+        b0 = -rng.uniform(0.0, 1.0)
+        yield k, s, a, b0, (1.5,), 2e-4
+
+
+def test_rk4_riccati_equals_the_generic_oracle_at_every_gate_run():
+    # bit-equal to one generic RK4 run per lag, at every draw and lag the gate
+    # checks; the gate's oracle values are these runs, as before
+    gate_oracle = []
+    for kappa, sigma, a_ell, y0, lags, step in _gate_draws():
+        for u, (y, _) in zip(lags, rk4_riccati(kappa, sigma, a_ell, y0, lags, step)):
+            assert y == rk4_solve(riccati_rhs(kappa, sigma, a_ell), y0, u, step)
+            gate_oracle.append(y)
+    # fhat_cir_reduction reads the integral too, through exp(x0 y + alpha iy)
+    _, cfg, _ = harness._validation_baseline()
+    lags = (0.5, 1.0, 2.0)
+    for u, (y, iy) in zip(lags, rk4_riccati(cfg.kappa, cfg.sigma, 1.0, 0.0, lags, 1e-4)):
+        assert (y, iy) == _vector_solve(cfg.kappa, cfg.sigma, 1.0, 0.0, u, 1e-4)
+        gate_oracle.append(math.exp(cfg.x0 * y + cfg.alpha * iy))
+    checks = (harness._check_riccati_b_rk4, harness._check_riccati_beta_rk4,
+              harness._check_riccati_beta_general_rk4, harness._check_fhat_cir)
+    assert [oracle for check in checks for _, oracle, _ in check()] == gate_oracle
+
+
+@pytest.mark.parametrize("lags, step", [
+    ((math.nan,), 1e-3), ((math.inf,), 1e-3), ((-math.inf,), 1e-3), ((-1.0,), 1e-3),
+    ((0.5, math.nan), 1e-3), ((2.0, 0.5), 1e-3), ((0.7, 3.0), 2e-4),
+    ((1.0,), 0.0), ((1.0,), -0.1), ((1.0,), math.nan), ((1.0,), math.inf),
+])
+def test_rk4_riccati_rejects_bad_lags_and_steps(lags, step):
+    # 0.7 / 3500 and 3.0 / 15000 round to steps an ulp apart: no shared grid
     with pytest.raises(ValueError):
-        rk4_solve_integral(rhs_b, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        rk4_solve_integral(rhs_b, -1.0, 1e-3)
+        rk4_riccati(1.5, 0.2, 1.0, 0.0, lags, step)
 
 
 def test_rk4_hits_riccati_target():
@@ -271,7 +333,7 @@ def test_domain_errors():
     with pytest.raises(ValueError):
         riccati_beta_general(0.5, 0.3, 0.0, -0.1, 1.0)
     with pytest.raises(ValueError):
-        rk4_solve(lambda y: y, 0.0, 1.0, -0.1)
+        rk4_riccati(0.5, 0.3, 1.0, 0.0, (1.0,), -0.1)
 
 
 @pytest.mark.parametrize("b0", [math.nan, math.inf, -math.inf])
@@ -289,6 +351,8 @@ def test_nan_lag_raises():
                 f(0.5, 0.3, u)
     with pytest.raises(ValueError, match="u must be"):
         riccati_beta(0.5, 0.3, -1.0, math.nan)
+    with pytest.raises(ValueError, match="u must be"):
+        survival_exponents(0.5, 0.3, 0.1, [(1.0, 0.2, 1.5)], np.array([1.0, math.nan]))
 
 
 def test_positive_initial_value_pole_raises():
