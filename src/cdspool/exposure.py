@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ConfigError
 from .quadrature import gauss_legendre_panels
 from .riccati import integral_b, integral_beta, riccati_b, riccati_beta
-from .simulation import NameParams, PathSet, _stderr
+from .simulation import NameParams, PathSet
 
 __all__ = [
     "LimitConfig",
@@ -138,7 +138,8 @@ def empirical_measure_eval(pathset: PathSet, theta: float, t: float) -> tuple[fl
 
     The per-path statistic is the equal-weight average over names of
     exp(theta * intensity at t) times the survival indicator at t; theta = 0
-    is the surviving mass, as in :func:`limit_exp_test`.
+    is the surviving mass, as in :func:`limit_exp_test`. The standard error
+    is clustered by antithetic path pair (``PathSet.stderr``).
     """
 
     if not theta <= 0.0:
@@ -153,7 +154,7 @@ def empirical_measure_eval(pathset: PathSet, theta: float, t: float) -> tuple[fl
     alive = pathset.default_times[:, :k] > t
     f = 1.0 if theta == 0.0 else np.exp(theta * x)
     per_path = (f * alive).mean(axis=1)
-    return float(per_path.mean()), _stderr(per_path)
+    return float(per_path.mean()), pathset.stderr(per_path)
 
 
 def build_name_sequence(cfg: LimitConfig, K: int) -> list[NameParams]:

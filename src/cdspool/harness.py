@@ -478,9 +478,11 @@ def _check_fhat_limit_sde() -> Iterator[_Case]:
     """``survival_fhat(1.5, cfg)`` against ``mc_limit_transform(1.5, cfg,
     ...)``, an Euler simulation of the same config's limit diffusion, as a
     z-score with bound 3. At _LIMIT_ORACLE_PATHS the oracle's relative
-    stderr is 2.9e-4, so the check flags a relative offset above about
-    8.8e-4. The 1000-step Euler bias, measured by step doubling, is about
-    1e-5 relative: under 0.05 stderr."""
+    stderr is 1.9e-4 (its antithetic pairs correlate at -0.57), so the
+    check flags a relative offset above about 5.7e-4. The 1000-step Euler
+    bias, measured by step doubling on 400,000 paths (1000 and 500 steps
+    driven by the same normals and marks), is -6e-6 relative: 0.03 of
+    that stderr."""
 
     cfg, _, _ = _validation_baseline()
     u = 1.5
@@ -528,9 +530,9 @@ def _pair_check(which: str) -> Iterator[_Case]:
     z-score with bound 3, read from :func:`_pair_values`. The Euler bias of
     the 1/334 step, measured by step doubling on 400,000 paths (steps 1/334
     and 1/167 driven by the same normals, jumps and thresholds), is relative
-    +1.4e-4 on h1 and h2, -2.3e-4 on joint survival and +4.9e-4 on CVA: at
-    most 0.19 of the gate's 20,000-path stderr (joint survival; 0.06 on the
-    other three), and first order in the step."""
+    +1.4e-4 on h1 and h2, -2.3e-4 on joint survival and +3.2e-4 on CVA:
+    0.24 of the gate's 20,000-path pair-clustered stderr on joint survival
+    and at most 0.08 on the other three, and first order in the step."""
 
     with _PAIR_LOCK:
         closed, (est, se) = _pair_values()[which]
@@ -551,7 +553,8 @@ def nested_mc_cva(pathset: PathSet, cfg: LimitConfig, loss_b: float) -> tuple[fl
 
     The pool's limit default time is conditionally independent of the
     counterparties, so the indicator of the pool outliving tau_B integrates
-    to the survival function evaluated there.
+    to the survival function evaluated there. The standard error is
+    clustered by antithetic path pair (``PathSet.stderr``).
     """
 
     if pathset.n_names:
@@ -564,7 +567,7 @@ def nested_mc_cva(pathset: PathSet, cfg: LimitConfig, loss_b: float) -> tuple[fl
     vals[hit] = (np.exp(-cfg.r * tb) * survival_fhat(tb, cfg)
                  * np.maximum(exposure_limit(tb, maturity, cfg), 0.0))
     vals *= loss_b
-    return float(vals.mean()), _stderr(vals)
+    return float(vals.mean()), pathset.stderr(vals)
 
 
 # (name, run) in report order, built from each check's (name, cases, bound);

@@ -14,13 +14,14 @@ Two engines simulate this system:
   trapezoidal integral of the simulated intensity on the fine grid. Each
   block allocates its step buffers once and runs every step in place: the
   normals are drawn into one buffer (``standard_normal(out=...)``, the same
-  values as a fresh draw), and the positive part of the state is carried
-  from the end of one step, where the trapezoid integral needs it, to the
-  start of the next, where drift and diffusion read it. The per-entity
-  parameters are rows at block shape, so a block of the narrow pair runs
-  each operation as one flat loop. The measure-convergence study, the
-  counterparty-kernel oracles and the nested-MC CVA oracle read default
-  times or running integrals, and use this engine.
+  values as a fresh draw) and mirrored onto the partner paths (below), and
+  the positive part of the state is carried from the end of one step,
+  where the trapezoid integral needs it, to the start of the next, where
+  drift and diffusion read it. The per-entity parameters are rows at block
+  shape, so a block of the narrow pair runs each operation as one flat
+  loop. The measure-convergence study, the counterparty-kernel oracles
+  and the nested-MC CVA oracle read default times or running integrals,
+  and use this engine.
 - :func:`simulate_exact_paths` draws the names only at the sample times,
   from the exact square-root transition law (Broadie and Kaya 2006): a
   scaled noncentral chi-square between consecutive events, where the
@@ -37,13 +38,21 @@ block index). The tags keep the engines' streams disjoint: 0 for
 :func:`simulate_paths`, 1 for the limit diffusion, 2 for
 :func:`simulate_exact_paths`. The width is 256 paths for systems with
 names, and 4096 for the counterparty pair alone and for the limit
-diffusion, whose narrow state stays in cache at that width. Every block
-draws at full width, so a path's draws depend only on the seed, the
-system's shape and the path's own index, never on the total path count or
-on how many workers process the blocks.
+diffusion, whose narrow state stays in cache at that width. The Euler
+loops pair their paths antithetically (Glasserman 2004, section 4.2): each
+step fills half a block's rows with fresh normals, one per pair, and path
+2k + 1 diffuses on the negation of path 2k's normals. Every other draw
+stays per path: the default thresholds, both jump layers and the limit
+diffusion's marks. Estimators on Euler paths therefore keep the plain mean
+but cluster their standard error by pair (:meth:`PathSet.stderr`). Every
+block draws at full width, its half-width normal fill included, so a
+path's draws depend only on the seed, the system's shape and the path's
+own index, never on the total path count or on how many workers process
+the blocks.
 
 Estimators: :func:`mc_exposure` prices the CDS book on stored paths at
-one time. The convergence study instead prices it with
+one time, with the standard error that :meth:`PathSet.stderr` picks for
+the engine that drew them. The convergence study instead prices it with
 :func:`exact_book_values` at each sample time while a block's state is in
 hand, so it holds O(block x K) state plus one value per path and time,
 never the paths; the per-path values are ``mc_exposure``'s.
@@ -218,6 +227,14 @@ class PathSet:
     def n_entities(self) -> int:
         return self.intensities.shape[2]
 
+    def stderr(self, vals: np.ndarray) -> float:
+        """Standard error of the mean of per-path values read from these
+        paths: clustered by antithetic pair on Euler paths
+        (:func:`_pair_stderr`), plain on the exact engine's independent ones
+        (:func:`_stderr`)."""
+
+        return (_stderr if self.dt is None else _pair_stderr)(vals)
+
     def time_index(self, t: float) -> int:
         idx = int(np.argmin(np.abs(self.times - t)))
         if not abs(self.times[idx] - t) <= 1e-9 * max(1.0, self.horizon):
@@ -249,6 +266,23 @@ def _stderr(vals: np.ndarray) -> float:
     return float(vals.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
 
 
+def _pair_stderr(vals: np.ndarray) -> float:
+    """Standard error of the mean of per-path values read from the Euler
+    engine, clustered by antithetic pair: paths 2k and 2k + 1 share their
+    normals, so each pair (and an odd last path alone) is one independent
+    cluster. With G clusters and S_g the sum of vals - mean over cluster g,
+    it is sqrt(G / (G - 1) sum of S_g^2) / n, which for clusters of one
+    path would be :func:`_stderr`; 0.0 for one cluster (one or two paths).
+    """
+
+    n = len(vals)
+    g = (n + 1) // 2
+    if g < 2:
+        return 0.0
+    sums = np.add.reduceat(vals - vals.mean(), np.arange(0, n, 2))
+    return float(math.sqrt(g / (g - 1) * (sums @ sums)) / n)
+
+
 def _sorted_events(step, *cols):
     order = np.argsort(step, kind="stable")
     return (step[order],) + tuple(c[order] for c in cols)
@@ -257,16 +291,22 @@ def _sorted_events(step, *cols):
 def _diffuse(rng: Generator, x, xp, alpha, kappa, sigma, dt: float, sqrt_dt: float,
              z, a, v) -> None:
     """Euler diffusion update x += (alpha - kappa xp) dt + sigma sqrt(xp)
-    (sqrt_dt z), in place, with fresh normals drawn into z; a and v are
-    scratch buffers of x's shape."""
+    (sqrt_dt z), in place; a and v are scratch buffers of x's shape. Fresh
+    normals are drawn for half the rows only, into v's first half, and
+    written to the even rows of z; each odd row 2k + 1 gets the negation of
+    row 2k, its antithetic partner's."""
 
-    rng.standard_normal(out=z)
+    half = v[:len(v) // 2]
+    rng.standard_normal(out=half)
+    half *= sqrt_dt
+    pairs = z.reshape(len(half), 2, *z.shape[1:])
+    pairs[:, 0] = half
+    np.negative(half, out=pairs[:, 1])
     np.multiply(kappa, xp, out=a)
     np.subtract(alpha, a, out=a)
     a *= dt
     np.sqrt(xp, out=v)
     v *= sigma
-    z *= sqrt_dt
     v *= z
     a += v
     x += a
@@ -348,6 +388,8 @@ def simulate_paths(names: Sequence[NameParams], cps: CounterpartyParams | None =
         sample_idx = np.arange(n_steps + 1)
     else:
         sample_times = np.asarray(sample_times, dtype=float)
+        if not np.all(np.isfinite(sample_times)):
+            raise ConfigError("sample_times must be finite.")
         sample_idx = np.rint(sample_times / dt).astype(int)
         if np.any(np.abs(sample_idx * dt - sample_times) > 1e-9 * max(1.0, horizon)):
             raise ConfigError("sample_times must lie on the Euler grid.")
@@ -754,7 +796,8 @@ def mc_exposure(pathset: PathSet, names: Sequence[NameParams], t: float, maturit
     [0, maturity - t]; the loss leg reads the transform at maturity. Returns
     (estimate, stderr) of the per-name (divided by K) exposure of the
     investor at time t for contracts maturing at ``maturity``; short names
-    (z = -1) enter with negative sign.
+    (z = -1) enter with negative sign; the stderr is
+    :meth:`PathSet.stderr`'s.
     """
 
     if t > maturity:
@@ -769,7 +812,7 @@ def mc_exposure(pathset: PathSet, names: Sequence[NameParams], t: float, maturit
 
     eps = _book_values(x_t, *_book_rows(names, pathset.lambda_c, pathset.gamma1,
                                          pathset.gamma2, span, r))
-    return float(eps.mean()), _stderr(eps)
+    return float(eps.mean()), pathset.stderr(eps)
 
 
 def mc_kernel_oracles(pathset: PathSet, u: float):
@@ -782,7 +825,8 @@ def mc_kernel_oracles(pathset: PathSet, u: float):
     - h2 = E[S(u) xi_A(u)], its mirror for side A,
     - the joint survival factor E[S(u)].
 
-    Returns ((h1, stderr), (h2, stderr), (joint, stderr)) as floats.
+    Returns ((h1, stderr), (h2, stderr), (joint, stderr)) as floats, each
+    stderr clustered by antithetic pair (:func:`_pair_stderr`).
     Raises ValueError for a PathSet without running integrals (a system with
     names, or the exact engine) or for a lag that is not stored. Validation
     oracle for the closed-form kernels.
@@ -793,7 +837,7 @@ def mc_kernel_oracles(pathset: PathSet, u: float):
                          "a simulation of the counterparty pair alone records.")
     i = pathset.time_index(u)
     surv = np.exp(-(pathset.integrated[:, i, 0] + pathset.integrated[:, i, 1]))
-    return tuple((float(vals.mean()), _stderr(vals))
+    return tuple((float(vals.mean()), pathset.stderr(vals))
                  for vals in (surv * pathset.intensities[:, i, 1],
                               surv * pathset.intensities[:, i, 0], surv))
 
@@ -801,8 +845,9 @@ def mc_kernel_oracles(pathset: PathSet, u: float):
 def mc_limit_transform(u: float, cfg: LimitConfig, n_paths: int,
                        seed: int) -> tuple[float, float]:
     """MC estimate of E[exp(-integral of X on [0,u])] for the limit
-    killing-rate diffusion of ``cfg``, on 1000 Euler steps; returns
-    (estimate, stderr).
+    killing-rate diffusion of ``cfg``, on 1000 Euler steps with antithetic
+    path pairs; returns (estimate, stderr), the stderr clustered by pair
+    (:func:`_pair_stderr`).
 
     X is a square-root diffusion from x0 with per-path constant drift shift
     c lambda_c Y + d lambda_hat Ytilde, Y ~ Exp(gamma1), Ytilde ~ Exp(gamma2)
@@ -841,4 +886,4 @@ def mc_limit_transform(u: float, cfg: LimitConfig, n_paths: int,
             xp, xnew = xnew, xp
         vals[r0:r1] = np.exp(-integ[:r1 - r0])
 
-    return float(vals.mean()), _stderr(vals)
+    return float(vals.mean()), _pair_stderr(vals)

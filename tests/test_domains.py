@@ -1,14 +1,18 @@
 """Every public closed form of ``riccati``, ``jumps`` and ``kernels`` either
 returns finite values or raises a clean error, whatever numbers it is fed:
-finite values, NaN, +-inf and the edges of each domain.
+finite values, NaN, +-inf and the edges of each domain. So do the Euler
+engine ``simulate_paths`` and the limit oracle ``mc_limit_transform`` in
+their numeric arguments, with numpy warnings raised as errors.
 
 ``survival_exponents`` takes special values in its lag only, since it
 documents its rate and jump parameters as unvalidated. Kernel lags and
 maturities stay below 30 years when finite: the panel count grows with them.
+The simulations keep horizons, steps and lags to at most 2,000 Euler steps.
 """
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +26,7 @@ from cdspool.kernels import bcva, joint_survival, kernel, kernel_coefficients
 from cdspool.riccati import (exp_phi, integral_b, integral_beta, integral_exp_phi,
                              riccati_b, riccati_beta, riccati_beta_general,
                              survival_exponents, varpi)
+from cdspool.simulation import NameParams, mc_limit_transform, simulate_paths
 
 CLEAN_ERRORS = (ValueError, ConfigError, AccuracyError, ArithmeticError)
 SPECIAL = (math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0)
@@ -35,7 +40,9 @@ def number(lo: float, hi: float):
 
 rate, lag, short_lag = number(1e-3, 1e3), number(0.0, 1e3), number(0.0, 30.0)
 theta, level = number(-1e3, 0.0), number(-10.0, 10.0)
-_, CFG, CPS = _validation_baseline()
+JUMPY_CFG, CFG, CPS = _validation_baseline()
+NAME = NameParams(alpha=0.01, kappa=0.5, sigma=0.2, c=0.2, d=0.2, lambda_hat=0.5,
+                  xi0=0.02, spread=0.02, loss=0.4)
 
 CASES = {
     "varpi": (varpi, (rate, rate)),
@@ -86,3 +93,44 @@ def test_closed_form_is_finite_or_raises_cleanly(name, data):
     except CLEAN_ERRORS:
         return
     assert all(np.all(np.isfinite(v)) for v in _values(out)), (name, args, out)
+
+
+# simulate_paths' numeric arguments: a valid run, of which the test
+# changes one argument; steps and sample times are drawn on the grid too
+SIM_BASE = dict(lambda_c=0.5, gamma1=1.5, gamma2=1.5, horizon=1.0, n_paths=3, seed=1,
+                dt=None, sample_times=None)
+on_grid = st.integers(0, 1000).map(lambda i: i / 1000)
+SIM_ARGS = {
+    "lambda_c": number(0.0, 10.0), "gamma1": rate, "gamma2": rate,
+    "horizon": number(0.0, 2.0),
+    "dt": st.one_of(number(1e-3, 1.0), st.integers(1, 2000).map(lambda n: 1.0 / n)),
+    "n_paths": st.integers(-1, 5), "seed": st.integers(-1, 2**64),
+    "sample_times": st.lists(st.one_of(number(-1.0, 2.0), on_grid), max_size=3),
+}
+
+
+@pytest.mark.parametrize("arg", sorted(SIM_ARGS))
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_simulate_paths_is_finite_or_raises_cleanly(arg, data):
+    kw = dict(SIM_BASE, **{arg: data.draw(SIM_ARGS[arg])})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            ps = simulate_paths([NAME], CPS, **kw)
+        except CLEAN_ERRORS:
+            return
+    assert np.all(np.isfinite(ps.intensities)) and np.all(ps.intensities >= 0.0), kw
+    assert np.all(np.isfinite(ps.thresholds)) and np.all(ps.default_times > 0.0), kw
+
+
+@settings(max_examples=20, deadline=None)
+@given(u=lag, n_paths=st.integers(-1, 5), seed=st.integers(-1, 2**64))
+def test_mc_limit_transform_is_finite_or_raises_cleanly(u, n_paths, seed):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            est, se = mc_limit_transform(u, JUMPY_CFG, n_paths, seed)
+        except CLEAN_ERRORS:
+            return
+    assert 0.0 <= est <= 1.0 and se >= 0.0, (u, n_paths, seed, est, se)

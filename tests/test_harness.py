@@ -212,7 +212,7 @@ def test_validation_fault_injection_flags_only_the_perturbed_check():
 
 @pytest.mark.parametrize("offset", [2e-3, -2e-3])
 def test_limit_sde_check_flags_a_small_offset(offset):
-    # 2e-3 is about 2.1e-3 relative to F-hat(1.5): about 7 oracle stderrs
+    # 2e-3 is about 2.1e-3 relative to F-hat(1.5): about 11 oracle stderrs
     rep = run_validation(perturb={"fhat_vs_limit_sde_mc": offset}, workers=2)
     assert rep.failures() == ["fhat_vs_limit_sde_mc"]
 

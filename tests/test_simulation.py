@@ -13,8 +13,9 @@ from cdspool.jumps import BveParams, mgf_exp
 from cdspool.quadrature import composite_simpson, simpson_weights
 from cdspool.riccati import integral_beta, riccati_b, riccati_beta
 from cdspool.simulation import (CounterpartyParams, CounterpartySide, NameParams,
-                                mc_exposure, mc_kernel_oracles, mc_limit_transform,
-                                sample_defaults, simulate_exact_paths, simulate_paths)
+                                _pair_stderr, _stderr, mc_exposure, mc_kernel_oracles,
+                                mc_limit_transform, sample_defaults, simulate_exact_paths,
+                                simulate_paths)
 
 
 def make_name(**overrides):
@@ -58,8 +59,7 @@ def test_mean_matches_mean_reversion_formula():
     expected = np.mean([n.xi0 * math.exp(-n.kappa * horizon)
                         + n.alpha * (1 - math.exp(-n.kappa * horizon)) / n.kappa
                         for n in names])
-    se = terminal.std(ddof=1) / math.sqrt(len(terminal))
-    assert abs(terminal.mean() - expected) < 3 * se
+    assert abs(terminal.mean() - expected) < 3 * _pair_stderr(terminal)
 
 
 def test_common_jumps_hit_all_entities_at_same_steps():
@@ -80,7 +80,8 @@ def test_common_jumps_hit_all_entities_at_same_steps():
 
 
 def test_default_times_match_exponential_survival():
-    # constant intensity: the doubly stochastic time is plain exponential
+    # constant intensity: the doubly stochastic time is plain exponential;
+    # with sigma = 0 the paired normals do nothing, so the paths are iid
     lam = 0.3
     name = make_name(sigma=0.0, c=0.0, d=0.0, lambda_hat=0.0, alpha=lam * 1e-12,
                      kappa=1e-12, xi0=lam)
@@ -109,8 +110,7 @@ def test_joint_survival_factorizes_for_independent_entities():
     alive = ps.default_times > t
     i1, i2 = alive[:, 0].astype(float), alive[:, 1].astype(float)
     delta = (i1 * i2).mean() - i1.mean() * i2.mean()
-    se = np.std((i1 - i1.mean()) * (i2 - i2.mean()), ddof=1) / math.sqrt(len(i1))
-    assert abs(delta) < 4 * se
+    assert abs(delta) < 4 * _pair_stderr((i1 - i1.mean()) * (i2 - i2.mean()))
 
 
 def test_conditional_independence_given_frozen_paths():
@@ -123,10 +123,10 @@ def test_conditional_independence_given_frozen_paths():
     tau = sample_defaults(ps, rng=rng)
     t = 1.0
     alive = (tau > t).astype(float)
-    joint_hat = (alive[:, 0] * alive[:, 1]).mean()
+    joint = alive[:, 0] * alive[:, 1]
     cond = np.exp(-(ps.integrated[:, -1, 0] + ps.integrated[:, -1, 1]))
-    se = math.sqrt(joint_hat * (1 - joint_hat) / len(alive)) + cond.std() / math.sqrt(len(alive))
-    assert abs(joint_hat - cond.mean()) < 4 * se
+    se = _pair_stderr(joint) + _pair_stderr(cond)
+    assert abs(joint.mean() - cond.mean()) < 4 * se
 
 
 def test_intensities_stay_nonnegative_with_jumps():
@@ -164,10 +164,11 @@ def test_bit_reproducibility_and_worker_invariance():
 
 
 def test_names_and_pair_pinned():
-    # pinned stream layout and Euler arithmetic for a system with names:
-    # both jump layers on every entity; SHA-256 of the raw float64 bytes
-    digests = ("867e73cf56a177334ca2631e9b8ace84079f1cc0595d1317a5cd41837da85a4f",
-               "6b48267bf8d6081d76c2c21af9fd95743a2aa1215d917c810ee4611c61c29d5b",
+    # pinned stream layout (antithetic normals, per-path thresholds and
+    # jumps) and Euler arithmetic for a system with names: both jump layers
+    # on every entity; SHA-256 of the raw float64 bytes
+    digests = ("bc21d9bac82241e4ad47a03a960bc4d4c37df21b170226a0b6044f4e2ac2f028",
+               "c4dcf2a5455f63a7bbe325008456516e4ef2405d8144a1d3f09d3256da745936",
                "e490def82ff9626acfd806526c5decae152b7de86af3388833389c2cc47e5a57")
     names = [make_name(xi0=0.01 * (k + 1), sigma=0.1 + 0.05 * k) for k in range(3)]
     ps = simulate_paths(names, make_cps(), lambda_c=2.5, gamma1=1.5, gamma2=1.5,
@@ -175,6 +176,41 @@ def test_names_and_pair_pinned():
     got = tuple(hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
                 for a in (ps.intensities, ps.default_times, ps.thresholds))
     assert got == digests
+
+
+def test_one_step_mirrors_each_pair_of_paths():
+    # jumps off, every path from one state: one Euler step moves path 2k by
+    # drift + noise and path 2k + 1 by drift - noise, so the pair sums to
+    # twice the drift step; the noise itself is fresh for each pair
+    dt = 1e-3
+    names = [make_name(xi0=0.5, alpha=0.3, kappa=0.8, sigma=0.4, c=0.0, d=0.0,
+                       lambda_hat=0.0)]
+    ps = simulate_paths(names, horizon=dt, n_paths=300, seed=83, dt=dt,
+                        sample_times=[dt])
+    x = ps.intensities[:, 0, 0]
+    drift = 0.5 + (0.3 - 0.8 * 0.5) * dt
+    np.testing.assert_allclose(x[0::2] + x[1::2], 2 * drift, rtol=0, atol=1e-15)
+    noise = x[0::2] - drift
+    assert np.all(noise != 0.0) and len(np.unique(noise)) == len(noise)
+
+
+def test_pair_stderr_clusters_each_pair():
+    rng = np.random.default_rng(97)
+    vals = rng.standard_normal(10)
+    # an even count: the plain stderr of the five pair means
+    assert _pair_stderr(vals) == pytest.approx(_stderr(vals.reshape(5, 2).mean(axis=1)),
+                                               rel=1e-13)
+    # an odd count: the last path is a cluster of its own
+    odd = vals[:9]
+    dev = odd - odd.mean()
+    sums = np.array([dev[0:2].sum(), dev[2:4].sum(), dev[4:6].sum(), dev[6:8].sum(),
+                     dev[8]])
+    assert _pair_stderr(odd) == pytest.approx(math.sqrt(5 / 4 * np.sum(sums ** 2)) / 9,
+                                              rel=1e-13)
+    # perfectly mirrored pairs carry no noise; one cluster has no stderr
+    assert _pair_stderr(np.array([1.0, -1.0, 2.0, -2.0])) == 0.0
+    assert _pair_stderr(np.array([0.3])) == 0.0
+    assert _pair_stderr(np.array([0.3, 0.7])) == 0.0
 
 
 def test_paths_invariant_to_total_path_count():
@@ -196,6 +232,12 @@ def test_config_errors():
     with pytest.raises(ConfigError):
         simulate_paths([make_name()], horizon=1.0, n_paths=1, seed=1,
                        sample_times=[0.123456])  # off the grid
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no cast warning before the check
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ConfigError, match="sample_times must be finite"):
+                simulate_paths([make_name()], horizon=1.0, n_paths=1, seed=1,
+                               sample_times=[0.5, bad])
     ps = simulate_paths([make_name()], horizon=1.0, n_paths=3, seed=1, dt=0.01)
     with pytest.raises(ValueError):
         sample_defaults(ps, thresholds=np.inf)
@@ -287,24 +329,25 @@ def test_mc_h1_oracle_matches_transform_derivative():
 
 def test_mc_kernel_oracles_equal_separate_runs_at_gate_arguments():
     # pinned stream layout: the gate's one pair simulation (1002 steps of
-    # 1/334 to maturity 3 in 4096-path blocks) gives exactly these kernel and
-    # nested-CVA estimates; a change of step, horizon or block width moves them
+    # 1/334 to maturity 3 in 4096-path blocks of antithetic pairs) gives
+    # exactly these kernel and nested-CVA estimates and pair-clustered
+    # stderrs; a change of step, horizon, block width or pairing moves them
     from cdspool.harness import _pair_values
     mc = {name: est for name, (_, est) in _pair_values().items()}
-    assert mc == {"h1": (0.23612397363773088, 0.0005842981879191098),
-                  "h2": (0.23558650233584486, 0.0005824911604714624),
-                  "joint_survival": (0.4857441350146984, 0.0005953936400864571),
-                  "cva": (0.0018677166007507395, 1.4482382783464542e-05)}
+    assert mc == {"h1": (0.2363637465351626, 0.0004294184940628182),
+                  "h2": (0.23530186021234234, 0.00042100392201793475),
+                  "joint_survival": (0.48587323221768347, 0.0004732206136859496),
+                  "cva": (0.001868064634260288, 1.4472263147913609e-05)}
 
 
 def test_mc_limit_transform_pinned_at_gate_arguments():
-    # the gate's limit-SDE oracle: its five 4096-path blocks on 1000 Euler
-    # steps give exactly these values
+    # the gate's limit-SDE oracle: its five 4096-path blocks of antithetic
+    # pairs on 1000 Euler steps give exactly these values
     from cdspool.harness import _LIMIT_ORACLE_PATHS, VALIDATION_SEED, _validation_baseline
     cfg, _, _ = _validation_baseline()
     est = mc_limit_transform(1.5, cfg, n_paths=_LIMIT_ORACLE_PATHS,
                              seed=VALIDATION_SEED + 11)
-    assert est == (0.9518378243943133, 0.0002780681643869314)
+    assert est == (0.9521192420779284, 0.00018203144765617732)
 
 
 # a limit diffusion with both jump drifts at 0.1
