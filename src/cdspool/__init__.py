@@ -19,8 +19,8 @@ from .kernels import (BcvaResult, SweepResult, bcva, joint_survival, kernel,
 from .riccati import (integral_b, integral_beta, riccati_b, riccati_beta,
                       riccati_beta_general, varpi)
 from .simulation import (CounterpartyParams, CounterpartySide, NameParams, PathSet,
-                         mc_exposure, mc_kernel_oracles, mc_limit_transform,
-                         sample_defaults, simulate_exact_paths, simulate_paths)
+                         exact_book_values, mc_kernel_oracles, mc_limit_transform,
+                         sample_defaults, simulate_paths)
 
 __all__ = [
     "__version__",
@@ -29,7 +29,7 @@ __all__ = [
     "riccati_beta_general",
     "BveParams", "mgf_exp", "mgf_bve", "mgf_bve_partials", "sample_bve",
     "NameParams", "CounterpartySide", "CounterpartyParams", "PathSet",
-    "simulate_paths", "simulate_exact_paths", "sample_defaults", "mc_exposure",
+    "simulate_paths", "exact_book_values", "sample_defaults",
     "mc_kernel_oracles", "mc_limit_transform",
     "LimitConfig", "survival_fhat", "exposure_limit",
     "limit_exp_test", "empirical_measure_eval", "build_name_sequence",

@@ -144,8 +144,6 @@ def empirical_measure_eval(pathset: PathSet, theta: float, t: float) -> tuple[fl
 
     if not theta <= 0.0:
         raise ValueError("theta must be <= 0.")
-    if pathset.default_times is None:
-        raise ValueError("The exact sample-time engine resolves no default times.")
     k = pathset.n_names
     if k == 0:
         raise ValueError("PathSet holds no reference names.")

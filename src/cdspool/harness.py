@@ -195,8 +195,7 @@ def run_convergence(spec: ExperimentSpec) -> list[CurveTable]:
     while each block's state is in hand
     (:func:`~cdspool.simulation.exact_book_values`): the run holds
     O(block x K) state plus one value per path and time, never the paths.
-    Each time's mean and stderr are reduced from the per-path values in
-    ``mc_exposure``'s order.
+    Each time's mean and plain stderr are reduced from its per-path values.
     """
 
     cfg = spec.limit

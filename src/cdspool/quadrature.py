@@ -2,16 +2,17 @@
 
 The pricing rule is 16-node Gauss–Legendre on whole ``GL_PANEL_YEARS``
 panels plus the remainder, laid out by :func:`gauss_legendre_panels` for
-every integral on the pricing path (the premium leg of ``mc_exposure``, the
-limit exposure, the kernels' constant terms, the bilateral adjustment), all
-smooth products of exponentials and rational functions of exponentials.
-The rule has no error estimate; its accuracy depends on how fast the
-integrand decays within a panel. Against adaptive Simpson at rel_tol 1e-13
-on the fig5 pool (x0 = 10, alpha = 5), whose survival decays within weeks,
-``exposure_limit`` errs 2.9e-15 at v = 3 but 8.6e-7 absolute (2.2e-6
-relative) at v = 10, one full ten-year panel; the kernels' constant terms
-err at rounding level on a three-year panel and by about 1e-11 on a full
-one for the shipped pair. Error-controlled panels are ROADMAP item 1.
+every integral on the pricing path (the premium leg of the book that
+``simulation.exact_book_values`` prices, the limit exposure, the kernels'
+constant terms, the bilateral adjustment), all smooth products of
+exponentials and rational functions of exponentials. The rule has no error
+estimate; its accuracy depends on how fast the integrand decays within a
+panel. Against adaptive Simpson at rel_tol 1e-13 on the fig5 pool (x0 = 10,
+alpha = 5), whose survival decays within weeks, ``exposure_limit`` errs
+2.9e-15 at v = 3 but 8.6e-7 absolute (2.2e-6 relative) at v = 10, one full
+ten-year panel; the kernels' constant terms err at rounding level on a
+three-year panel and by about 1e-11 on a full one for the shipped pair.
+Error-controlled panels are ROADMAP item 1.
 
 Composite Simpson is the validation gate's independent oracle.
 """

@@ -22,21 +22,21 @@ Two engines simulate this system:
   loop. The measure-convergence study, the counterparty-kernel oracles
   and the nested-MC CVA oracle read default times or running integrals,
   and use this engine.
-- :func:`simulate_exact_paths` draws the names only at the sample times,
+- :func:`exact_book_values` draws the names only at the sample times,
   from the exact square-root transition law (Broadie and Kaya 2006): a
   scaled noncentral chi-square between consecutive events, where the
   events are the sample times and the jump times. It resolves no default
   times and stores no integrals, so it serves the exposure convergence
-  study, whose estimator reads the intensities at the sample times alone.
-  Its one block loop hands each block's state at each sample time to a
-  visitor: :func:`simulate_exact_paths` stores it, and
-  :func:`exact_book_values` prices the book from it.
+  study, whose estimator reads the intensities at the sample times alone:
+  it prices the CDS book at each sample time while a block's state is in
+  hand, so the study holds O(block x K) state plus one value per path and
+  time, never the paths.
 
 Reproducibility contract: paths are generated in fixed-width blocks, each
 block owning a counter-based RNG stream derived from (seed, stream tag,
 block index). The tags keep the engines' streams disjoint: 0 for
 :func:`simulate_paths`, 1 for the limit diffusion, 2 for
-:func:`simulate_exact_paths`. The width is 256 paths for systems with
+:func:`exact_book_values`. The width is 256 paths for systems with
 names, and 4096 for the counterparty pair alone and for the limit
 diffusion, whose narrow state stays in cache at that width. The Euler
 loops pair their paths antithetically (Glasserman 2004, section 4.2): each
@@ -50,13 +50,7 @@ path's draws depend only on the seed, the system's shape and the path's
 own index, never on the total path count or on how many workers process
 the blocks.
 
-Estimators: :func:`mc_exposure` prices the CDS book on stored paths at
-one time, with the standard error that :meth:`PathSet.stderr` picks for
-the engine that drew them. The convergence study instead prices it with
-:func:`exact_book_values` at each sample time while a block's state is in
-hand, so it holds O(block x K) state plus one value per path and time,
-never the paths; the per-path values are ``mc_exposure``'s.
-:func:`mc_kernel_oracles` reads the three counterparty kernels at a stored
+Oracles: :func:`mc_kernel_oracles` reads the three counterparty kernels at a stored
 lag of a simulation of the pair alone (validation gate).
 ``mc_limit_transform(u, cfg, n_paths, seed)`` runs its own Euler loop, on
 the same in-place step updates, for the large-pool limit diffusion of a
@@ -89,10 +83,8 @@ __all__ = [
     "CounterpartyParams",
     "PathSet",
     "simulate_paths",
-    "simulate_exact_paths",
     "exact_book_values",
     "sample_defaults",
-    "mc_exposure",
     "mc_kernel_oracles",
     "mc_limit_transform",
     "map_ordered",
@@ -195,7 +187,7 @@ class CounterpartyParams:
 
 @dataclass
 class PathSet:
-    """Simulated intensity paths at a set of sample times.
+    """Euler intensity paths (:func:`simulate_paths`) at a set of sample times.
 
     intensities[m, i, j] is the (non-negative) intensity of entity j at
     times[i] on path m. For the counterparty pair alone, integrated holds
@@ -203,20 +195,15 @@ class PathSet:
     names leave it None. Entities are ordered names first, then
     counterparties A and B when present. default_times are resolved at
     fine-grid resolution against the stored unit-exponential thresholds.
-    The exact engine has no step and resolves no defaults: dt, thresholds
-    and default_times are None.
     """
 
     times: np.ndarray
-    dt: float | None
+    dt: float
     horizon: float
     n_names: int
     intensities: np.ndarray
-    thresholds: np.ndarray | None
-    default_times: np.ndarray | None
-    lambda_c: float
-    gamma1: float
-    gamma2: float
+    thresholds: np.ndarray
+    default_times: np.ndarray
     integrated: np.ndarray | None = None
 
     @property
@@ -229,11 +216,9 @@ class PathSet:
 
     def stderr(self, vals: np.ndarray) -> float:
         """Standard error of the mean of per-path values read from these
-        paths: clustered by antithetic pair on Euler paths
-        (:func:`_pair_stderr`), plain on the exact engine's independent ones
-        (:func:`_stderr`)."""
+        paths, clustered by antithetic pair (:func:`_pair_stderr`)."""
 
-        return (_stderr if self.dt is None else _pair_stderr)(vals)
+        return _pair_stderr(vals)
 
     def time_index(self, t: float) -> int:
         idx = int(np.argmin(np.abs(self.times - t)))
@@ -257,6 +242,19 @@ def _entity_vectors(names: Sequence[NameParams], cps: CounterpartyParams | None)
         ent.extend([cps.side_a, cps.side_b])
     get = lambda attr: np.array([getattr(e, attr) for e in ent], dtype=float)
     return {a: get(a) for a in ("alpha", "kappa", "sigma", "c", "d", "lambda_hat", "xi0")}
+
+
+def _check_jumps_and_paths(lambda_c: float, gamma1: float, gamma2: float,
+                           n_paths: int) -> None:
+    """The engines' shared input check: finite jump parameters with
+    lambda_c >= 0 and gamma1, gamma2 > 0, and at least one path."""
+
+    if not all(map(math.isfinite, (lambda_c, gamma1, gamma2))):
+        raise ConfigError("lambda_c, gamma1, gamma2 must be finite.")
+    if lambda_c < 0 or gamma1 <= 0 or gamma2 <= 0:
+        raise ConfigError("Require lambda_c >= 0 and gamma1, gamma2 > 0.")
+    if n_paths < 1:
+        raise ConfigError("n_paths must be >= 1.")
 
 
 def _stderr(vals: np.ndarray) -> float:
@@ -363,17 +361,13 @@ def simulate_paths(names: Sequence[NameParams], cps: CounterpartyParams | None =
 
     if cps is None and len(names) == 0:
         raise ConfigError("Need at least one name or the counterparty pair.")
-    for v in (lambda_c, gamma1, gamma2, horizon):
-        if not (math.isfinite(v)):
-            raise ConfigError("lambda_c, gamma1, gamma2, horizon must be finite.")
-    if lambda_c < 0 or gamma1 <= 0 or gamma2 <= 0:
-        raise ConfigError("Require lambda_c >= 0 and gamma1, gamma2 > 0.")
+    _check_jumps_and_paths(lambda_c, gamma1, gamma2, n_paths)
+    if not math.isfinite(horizon):
+        raise ConfigError("horizon must be finite.")
     if dt is None:
         dt = horizon / 1000.0
     if not dt > 0 or horizon < dt:
         raise ConfigError("Require dt > 0 and horizon >= dt.")
-    if n_paths < 1:
-        raise ConfigError("n_paths must be >= 1.")
     n_steps = int(round(horizon / dt))
     if abs(n_steps * dt - horizon) > 1e-8 * horizon:
         raise ConfigError("dt must divide the horizon.")
@@ -500,8 +494,7 @@ def simulate_paths(names: Sequence[NameParams], cps: CounterpartyParams | None =
     map_ordered(run_block, range(n_blocks), workers)
     return PathSet(times=grid[sample_idx], dt=dt, horizon=horizon, n_names=K,
                    intensities=intensities, thresholds=thresholds,
-                   default_times=default_times, lambda_c=lambda_c,
-                   gamma1=gamma1, gamma2=gamma2, integrated=integrated)
+                   default_times=default_times, integrated=integrated)
 
 
 def _by_interval(times: np.ndarray, event_times: np.ndarray):
@@ -549,29 +542,10 @@ def _cir_transition(rng: Generator, x, decay, c, shift) -> np.ndarray:
     return c * draw
 
 
-def _exact_times(names: Sequence[NameParams], lambda_c: float, gamma1: float,
-                 gamma2: float, sample_times, n_paths: int) -> np.ndarray:
-    """Check the exact engine's inputs; returns the sample times as floats."""
-
-    if len(names) == 0:
-        raise ConfigError("Need at least one name.")
-    if not all(map(math.isfinite, (lambda_c, gamma1, gamma2))):
-        raise ConfigError("lambda_c, gamma1, gamma2 must be finite.")
-    if lambda_c < 0 or gamma1 <= 0 or gamma2 <= 0:
-        raise ConfigError("Require lambda_c >= 0 and gamma1, gamma2 > 0.")
-    times = np.asarray(sample_times, dtype=float)
-    if (times.ndim != 1 or len(times) < 2 or times[0] != 0.0
-            or not np.all(np.isfinite(times)) or np.any(np.diff(times) <= 0.0)):
-        raise ConfigError("sample_times must start at 0 and increase strictly.")
-    if n_paths < 1:
-        raise ConfigError("n_paths must be >= 1.")
-    return times
-
-
 def _exact_blocks(names: Sequence[NameParams], times: np.ndarray, lambda_c: float,
                   gamma1: float, gamma2: float, n_paths: int, seed: int, workers: int,
                   visit: Callable[[int, int, int, np.ndarray], None]) -> None:
-    """The exact engine's block loop over inputs checked by :func:`_exact_times`.
+    """The exact engine's block loop over inputs checked by :func:`exact_book_values`.
 
     Each (path, name) moves between consecutive events by
     :func:`_cir_transition`; the events are the sample times, the path's
@@ -656,47 +630,29 @@ def _exact_blocks(names: Sequence[NameParams], times: np.ndarray, lambda_c: floa
     map_ordered(run_block, range(n_blocks), workers)
 
 
-def simulate_exact_paths(names: Sequence[NameParams], *, lambda_c: float, gamma1: float,
-                         gamma2: float, sample_times, n_paths: int, seed: int,
-                         workers: int = 1) -> PathSet:
-    """Simulate the names' intensities at the sample times only, exactly.
-
-    ``sample_times`` start at 0 and increase strictly; the last one is the
-    horizon. The paths come from :func:`_exact_blocks`, stored whole: the
-    result has no default times (see :class:`PathSet`).
-    """
-
-    times = _exact_times(names, lambda_c, gamma1, gamma2, sample_times, n_paths)
-    intensities = np.empty((n_paths, len(times), len(names)))
-
-    def store(i: int, r0: int, r1: int, x: np.ndarray) -> None:
-        intensities[r0:r1, i] = x
-
-    _exact_blocks(names, times, lambda_c, gamma1, gamma2, n_paths, seed, workers, store)
-    return PathSet(times=times, dt=None, horizon=float(times[-1]), n_names=len(names),
-                   intensities=intensities, thresholds=None, default_times=None,
-                   lambda_c=lambda_c, gamma1=gamma1, gamma2=gamma2)
-
-
 def exact_book_values(names: Sequence[NameParams], *, lambda_c: float, gamma1: float,
                       gamma2: float, sample_times, maturity: float, r: float,
                       n_paths: int, seed: int, workers: int = 1) -> np.ndarray:
     """Per-path book values of the exact engine's paths at each sample time.
 
-    Takes :func:`simulate_exact_paths`' arguments plus the book's maturity
-    and rate, and returns values[i, m] = the per-name book value that
-    :func:`mc_exposure` prices on path m at sample time i (0 where the
-    time is the maturity), by the same arithmetic (:func:`_book_values`).
-    No path is stored: each block's state is priced at each sample time
-    while it is in hand, so memory is O(block x names) plus the
-    (times x paths) values. The matrix-vector product runs per block, so
-    a value can differ in its last bits from ``mc_exposure``'s wherever
-    the BLAS groups a block's rows unlike the whole set's (seen at 513
-    paths); each row's mean and :func:`_stderr` equal ``mc_exposure``'s
-    bit for bit at 300 and 2000 paths.
+    ``sample_times`` start at 0 and increase strictly, up to the horizon
+    <= ``maturity``. values[i, m] is the per-name value at sample time i
+    (0 at maturity) of the investor's CDS book on path m, priced from the
+    names' state through their closed-form affine survival transforms
+    (:func:`_book_rows`, :func:`_book_values`); short names (z = -1) enter
+    with negative sign. The paths are independent, so a row's stderr is
+    the plain :func:`_stderr`. No path is stored: each block's state is
+    priced at each sample time while it is in hand, so memory is
+    O(block x names) plus the (times x paths) values.
     """
 
-    times = _exact_times(names, lambda_c, gamma1, gamma2, sample_times, n_paths)
+    if len(names) == 0:
+        raise ConfigError("Need at least one name.")
+    _check_jumps_and_paths(lambda_c, gamma1, gamma2, n_paths)
+    times = np.asarray(sample_times, dtype=float)
+    if (times.ndim != 1 or len(times) < 2 or times[0] != 0.0
+            or not np.all(np.isfinite(times)) or np.any(np.diff(times) <= 0.0)):
+        raise ConfigError("sample_times must start at 0 and increase strictly.")
     if not maturity >= times[-1]:
         raise ValueError("Require every sample time <= maturity.")
     spans = [maturity - float(t) for t in times]
@@ -724,8 +680,6 @@ def sample_defaults(pathset: PathSet, rng: Generator | None = None,
     """
 
     if rng is None and thresholds is None:
-        if pathset.default_times is None:
-            raise ValueError("The exact sample-time engine resolves no default times.")
         return pathset.default_times.copy()
     if pathset.integrated is None:
         raise ValueError("Redrawing default times needs the stored intensity integrals, "
@@ -782,39 +736,6 @@ def _book_values(x: np.ndarray, const: float, rows: np.ndarray,
     return eps
 
 
-def mc_exposure(pathset: PathSet, names: Sequence[NameParams], t: float, maturity: float,
-                r: float) -> tuple[float, float]:
-    """Monte-Carlo estimate of the per-name portfolio exposure at time t.
-
-    Each path prices its CDS book from the simulated intensity state at t
-    through the name-level affine survival transform
-    exp(A0(s - t) + B0(s - t) xi_t). The exponents are closed forms
-    (:func:`~cdspool.riccati.survival_exponents`, the basic affine
-    jump-diffusion transform with exponential jump sizes), evaluated for all
-    names at once, so no quadrature error enters them. The premium-leg time
-    integral runs over :func:`~cdspool.quadrature.gauss_legendre_panels` on
-    [0, maturity - t]; the loss leg reads the transform at maturity. Returns
-    (estimate, stderr) of the per-name (divided by K) exposure of the
-    investor at time t for contracts maturing at ``maturity``; short names
-    (z = -1) enter with negative sign; the stderr is
-    :meth:`PathSet.stderr`'s.
-    """
-
-    if t > maturity:
-        raise ValueError("Require t <= maturity.")
-    K = pathset.n_names
-    if K == 0 or len(names) != K:
-        raise ValueError("names must match the simulated reference pool.")
-    x_t = pathset.intensities[:, pathset.time_index(t), :K]
-    span = maturity - t
-    if span == 0.0:
-        return 0.0, 0.0
-
-    eps = _book_values(x_t, *_book_rows(names, pathset.lambda_c, pathset.gamma1,
-                                         pathset.gamma2, span, r))
-    return float(eps.mean()), pathset.stderr(eps)
-
-
 def mc_kernel_oracles(pathset: PathSet, u: float):
     """MC estimates of the three counterparty kernels at lag u, read from a
     simulation of the counterparty pair alone started at the kernels' (x_a,
@@ -828,8 +749,8 @@ def mc_kernel_oracles(pathset: PathSet, u: float):
     Returns ((h1, stderr), (h2, stderr), (joint, stderr)) as floats, each
     stderr clustered by antithetic pair (:func:`_pair_stderr`).
     Raises ValueError for a PathSet without running integrals (a system with
-    names, or the exact engine) or for a lag that is not stored. Validation
-    oracle for the closed-form kernels.
+    names) or for a lag that is not stored. Validation oracle for the
+    closed-form kernels.
     """
 
     if pathset.integrated is None:
@@ -852,17 +773,21 @@ def mc_limit_transform(u: float, cfg: LimitConfig, n_paths: int,
     X is a square-root diffusion from x0 with per-path constant drift shift
     c lambda_c Y + d lambda_hat Ytilde, Y ~ Exp(gamma1), Ytilde ~ Exp(gamma2)
     (the frozen-mark drift of the large-pool limit). Used as the independent
-    oracle for the closed form ``survival_fhat(u, cfg)``.
+    oracle for the closed form ``survival_fhat(u, cfg)``. The lag must lie
+    in (0, 1000 / kappa], so that the step u / 1000 is at most the
+    mean-reversion time 1 / kappa.
     """
 
     u = float(u)
+    n_steps = 1000
     if not (math.isfinite(u) and u > 0.0):
         raise ConfigError(f"u must be finite and > 0, got {u}.")
-    if n_paths < 1:
-        raise ConfigError("n_paths must be >= 1.")
-    drift_c, drift_d = cfg.c * cfg.lambda_c, cfg.d * cfg.lambda_hat
-    n_steps = 1000
+    if not u <= n_steps / cfg.kappa:
+        raise ConfigError(f"u must be at most 1000 / kappa = {n_steps / cfg.kappa:g} "
+                          f"(Euler step <= 1 / kappa), got {u:g}.")
     dt = u / n_steps
+    _check_jumps_and_paths(cfg.lambda_c, cfg.gamma1, cfg.gamma2, n_paths)
+    drift_c, drift_d = cfg.c * cfg.lambda_c, cfg.d * cfg.lambda_hat
     key = _philox_key(seed)
     sqrt_dt = math.sqrt(dt)
     vals = np.empty(n_paths)

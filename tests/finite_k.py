@@ -1,7 +1,9 @@
-"""Closed-form expected exposure of a finite K-name book (test oracle).
+"""Closed-form expected exposure of a finite K-name book (test oracle), and
+the exact engine's states for the tests that read them.
 
-``mc_exposure`` ignores default indicators and is linear in the names, so
-its expectation at time t needs only each name's marginal law at t:
+The per-path book value of ``exact_book_values`` ignores default indicators
+and is linear in the names, so its expectation at time t needs only each
+name's marginal law at t:
 
     E[eps_K(t)] = const + sum over j, k of rows[j, k] E exp(b0[j, k] x_{k,t}),
 
@@ -13,12 +15,30 @@ Singleton 2000): E exp(b x_t) = exp(phi(t) + psi(t) x_0), where
     phi' = alpha psi + sum over jump layers of rate (gamma / (gamma - ell psi) - 1),
 
 both solved in closed form by :func:`transform_coefficients`.
+
+:func:`exact_states` stores the exact engine's block states, which the
+pipeline only prices, as one (paths, times, names) array.
 """
 
 import numpy as np
 
 from cdspool.riccati import _log1p_ratio
-from cdspool.simulation import _book_rows
+from cdspool.simulation import _book_rows, _exact_blocks
+
+
+def exact_states(names, *, lambda_c, gamma1, gamma2, sample_times, n_paths, seed,
+                 workers=1):
+    """states[m, i, k]: name k's intensity at sample_times[i] on path m, from
+    the block loop behind ``exact_book_values``; the inputs are unchecked."""
+
+    times = np.asarray(sample_times, dtype=float)
+    states = np.empty((n_paths, len(times), len(names)))
+
+    def store(i, r0, r1, x):
+        states[r0:r1, i] = x
+
+    _exact_blocks(names, times, lambda_c, gamma1, gamma2, n_paths, seed, workers, store)
+    return states
 
 
 def transform_coefficients(b, t, alpha, kappa, sigma, layers):
@@ -44,7 +64,7 @@ def transform_coefficients(b, t, alpha, kappa, sigma, layers):
 
 
 def finite_k_exposure(names, lambda_c, gamma1, gamma2, t, maturity, r):
-    """E[eps_K(t)] of ``mc_exposure`` on a book started at the names' xi0."""
+    """E[eps_K(t)] of ``exact_book_values`` on a book started at the names' xi0."""
 
     span = maturity - t
     if span == 0.0:

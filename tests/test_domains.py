@@ -7,7 +7,8 @@ their numeric arguments, with numpy warnings raised as errors.
 ``survival_exponents`` takes special values in its lag only, since it
 documents its rate and jump parameters as unvalidated. Kernel lags and
 maturities stay below 30 years when finite: the panel count grows with them.
-The simulations keep horizons, steps and lags to at most 2,000 Euler steps.
+The Euler engine keeps horizons and steps to at most 2,000 steps; the limit
+oracle's lag reaches far past its cap, 1000 / kappa.
 """
 
 import dataclasses
@@ -125,7 +126,8 @@ def test_simulate_paths_is_finite_or_raises_cleanly(arg, data):
 
 
 @settings(max_examples=20, deadline=None)
-@given(u=lag, n_paths=st.integers(-1, 5), seed=st.integers(-1, 2**64))
+@given(u=st.one_of(lag, number(0.0, 1e300)), n_paths=st.integers(-1, 5),
+       seed=st.integers(-1, 2**64))
 def test_mc_limit_transform_is_finite_or_raises_cleanly(u, n_paths, seed):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from cdspool.errors import ConfigError
-from cdspool.exposure import LimitConfig, build_name_sequence, empirical_measure_eval
-from cdspool.simulation import NameParams, sample_defaults, simulate_exact_paths
+from cdspool.exposure import LimitConfig, build_name_sequence
+from cdspool.simulation import NameParams, exact_book_values
 
-from finite_k import transform_coefficients
+from finite_k import exact_states, transform_coefficients
 from oracles import rk4_solve
 
 
@@ -82,27 +82,27 @@ def _z(sample: np.ndarray, mean: float, var: float) -> tuple[float, float]:
 def test_one_interval_moments_match_cir(label, names):
     names = [replace(n, c=0.0, d=0.0, lambda_hat=0.0) for n in names]
     dt = 0.25
-    ps = simulate_exact_paths(names, lambda_c=0.0, gamma1=1.5, gamma2=1.5,
-                              sample_times=[0.0, dt], n_paths=20_000, seed=5)
+    xs = exact_states(names, lambda_c=0.0, gamma1=1.5, gamma2=1.5,
+                      sample_times=[0.0, dt], n_paths=20_000, seed=5)
     worst = 0.0
     for k, n in enumerate(names):
         e = math.exp(-n.kappa * dt)
         mean = n.xi0 * e + n.alpha / n.kappa * (1.0 - e)
         var = (n.xi0 * n.sigma ** 2 * e * (1.0 - e) / n.kappa
                + n.alpha * n.sigma ** 2 * (1.0 - e) ** 2 / (2.0 * n.kappa ** 2))
-        worst = max(worst, *_z(ps.intensities[:, 1, k], mean, var))
+        worst = max(worst, *_z(xs[:, 1, k], mean, var))
     assert worst <= 4.0, (label, worst)
 
 
 def test_zero_sigma_follows_the_deterministic_flow():
     names = [make_name(sigma=0.0, c=0.0, d=0.0, lambda_hat=0.0, xi0=x) for x in (0.0, 0.3)]
     times = np.linspace(0.0, 1.0, 5)
-    ps = simulate_exact_paths(names, lambda_c=0.0, gamma1=1.5, gamma2=1.5,
-                              sample_times=times, n_paths=4, seed=2)
+    xs = exact_states(names, lambda_c=0.0, gamma1=1.5, gamma2=1.5,
+                      sample_times=times, n_paths=4, seed=2)
     for k, n in enumerate(names):
         e = np.exp(-n.kappa * times)
         flow = n.xi0 * e + n.alpha / n.kappa * (1.0 - e)
-        np.testing.assert_allclose(ps.intensities[:, :, k], np.broadcast_to(flow, (4, 5)),
+        np.testing.assert_allclose(xs[:, :, k], np.broadcast_to(flow, (4, 5)),
                                    rtol=1e-14, atol=1e-17)
 
 
@@ -113,16 +113,16 @@ def test_jump_layer_means_of_the_ladder_ends():
                       l_z=0.4, r=0.03)
     full = build_name_sequence(cfg, 300)
     book = [full[0], full[-1]]
-    ps = simulate_exact_paths(book, lambda_c=cfg.lambda_c, gamma1=cfg.gamma1,
-                              gamma2=cfg.gamma2, sample_times=[0.0, 0.5, 1.0],
-                              n_paths=20_000, seed=9)
+    xs = exact_states(book, lambda_c=cfg.lambda_c, gamma1=cfg.gamma1,
+                      gamma2=cfg.gamma2, sample_times=[0.0, 0.5, 1.0],
+                      n_paths=20_000, seed=9)
     worst = 0.0
     for i, t in ((1, 0.5), (2, 1.0)):
         for k, n in enumerate(book):
             e = math.exp(-n.kappa * t)
             drift = n.alpha + cfg.lambda_c * n.c / cfg.gamma1 + n.lambda_hat * n.d / cfg.gamma2
             mean = n.xi0 * e + drift * (1.0 - e) / n.kappa
-            x = ps.intensities[:, i, k]
+            x = xs[:, i, k]
             worst = max(worst, abs(x.mean() - mean) / (x.std(ddof=1) / math.sqrt(len(x))))
     assert worst <= 4.0
 
@@ -140,38 +140,31 @@ EXACT_KW = dict(lambda_c=2.5, gamma1=1.5, gamma2=1.5,
 
 
 def test_exact_paths_worker_invariance():
-    runs = [simulate_exact_paths(_jump_book(), n_paths=600, workers=w, **EXACT_KW)
+    runs = [exact_states(_jump_book(), n_paths=600, workers=w, **EXACT_KW)
             for w in (1, 2, 4)]
     for other in runs[1:]:
-        assert runs[0].intensities.tobytes() == other.intensities.tobytes()
+        assert runs[0].tobytes() == other.tobytes()
 
 
 def test_exact_paths_invariant_to_total_path_count():
-    big = simulate_exact_paths(_jump_book(), n_paths=700, **EXACT_KW)
-    small = simulate_exact_paths(_jump_book(), n_paths=123, **EXACT_KW)
-    np.testing.assert_array_equal(big.intensities[:123], small.intensities)
+    big = exact_states(_jump_book(), n_paths=700, **EXACT_KW)
+    small = exact_states(_jump_book(), n_paths=123, **EXACT_KW)
+    np.testing.assert_array_equal(big[:123], small)
 
 
 def test_exact_paths_pinned():
     # pinned stream layout and transition arithmetic of the exact engine:
     # both jump layers; SHA-256 of the raw float64 bytes
-    ps = simulate_exact_paths(_jump_book(), n_paths=600, workers=2, **EXACT_KW)
-    got = hashlib.sha256(np.ascontiguousarray(ps.intensities).tobytes()).hexdigest()
+    xs = exact_states(_jump_book(), n_paths=600, workers=2, **EXACT_KW)
+    got = hashlib.sha256(np.ascontiguousarray(xs).tobytes()).hexdigest()
     assert got == "c95076f3c3c81cb64e9b000b6f6292a5d7b4a33dd86c066f0a9fe397ceb586ca"
 
 
 def test_exact_paths_store_the_sample_times_and_no_defaults():
-    ps = simulate_exact_paths(_jump_book(), n_paths=5, **EXACT_KW)
-    assert ps.intensities.shape == (5, 6, 3)
-    np.testing.assert_array_equal(ps.intensities[:, 0], np.broadcast_to(
-        [0.01, 0.02, 0.03], (5, 3)))
-    assert np.all(ps.intensities >= 0.0)
-    assert ps.horizon == 0.5 and ps.time_index(0.3) == 3
-    assert ps.dt is None and ps.default_times is None
-    with pytest.raises(ValueError, match="no default times"):
-        sample_defaults(ps)
-    with pytest.raises(ValueError, match="no default times"):
-        empirical_measure_eval(ps, 0.0, 0.3)
+    xs = exact_states(_jump_book(), n_paths=5, **EXACT_KW)
+    assert xs.shape == (5, 6, 3)
+    np.testing.assert_array_equal(xs[:, 0], np.broadcast_to([0.01, 0.02, 0.03], (5, 3)))
+    assert np.all(xs >= 0.0)
 
 
 @pytest.mark.parametrize("override", [
@@ -181,6 +174,6 @@ def test_exact_paths_store_the_sample_times_and_no_defaults():
     dict(names=[]),
 ])
 def test_exact_paths_reject_bad_input(override):
-    kw = dict(EXACT_KW, names=_jump_book(), n_paths=4) | override
+    kw = dict(EXACT_KW, names=_jump_book(), n_paths=4, maturity=1.0, r=0.03) | override
     with pytest.raises(ConfigError):
-        simulate_exact_paths(**kw)
+        exact_book_values(**kw)

@@ -16,6 +16,8 @@ from cdspool.harness import (CurveTable, ExperimentSpec, default_counterparties,
                              run_measure_convergence, run_validation, write_run)
 from cdspool.simulation import simulate_paths
 
+from finite_k import exact_states
+
 
 def small_limit(**overrides):
     base = dict(alpha=0.75, kappa=1.5, sigma=0.2, c=0.0, d=0.0, lambda_hat=0.5,
@@ -93,11 +95,15 @@ def test_streamed_curve_equals_the_stored_path_estimator(workers):
     table, = run_convergence(spec)
     cfg = spec.limit
     names = build_name_sequence(cfg, 40)
-    ps = simulation.simulate_exact_paths(
-        names, lambda_c=cfg.lambda_c, gamma1=cfg.gamma1, gamma2=cfg.gamma2,
-        sample_times=table.abscissa, n_paths=300, seed=5)
-    stored = np.array([simulation.mc_exposure(ps, names, float(t), spec.horizon, cfg.r)
-                       for t in table.abscissa])
+    jumps = dict(lambda_c=cfg.lambda_c, gamma1=cfg.gamma1, gamma2=cfg.gamma2)
+    states = exact_states(names, sample_times=table.abscissa, n_paths=300, seed=5, **jumps)
+    stored = np.zeros((len(table.abscissa), 2))
+    for i, t in enumerate(table.abscissa):
+        span = spec.horizon - float(t)
+        if span != 0.0:  # the book at maturity is worth 0
+            vals = simulation._book_values(states[:, i], *simulation._book_rows(
+                names, cfg.lambda_c, cfg.gamma1, cfg.gamma2, span, cfg.r))
+            stored[i] = vals.mean(), simulation._stderr(vals)
     np.testing.assert_array_equal(table.columns["mc_exposure"], stored[:, 0])
     np.testing.assert_array_equal(table.columns["mc_stderr"], stored[:, 1])
 

@@ -13,9 +13,9 @@ from cdspool.jumps import BveParams, mgf_exp
 from cdspool.quadrature import composite_simpson, simpson_weights
 from cdspool.riccati import integral_beta, riccati_b, riccati_beta
 from cdspool.simulation import (CounterpartyParams, CounterpartySide, NameParams,
-                                _pair_stderr, _stderr, mc_exposure, mc_kernel_oracles,
-                                mc_limit_transform, sample_defaults, simulate_exact_paths,
-                                simulate_paths)
+                                _book_rows, _book_values, _pair_stderr, _stderr,
+                                exact_book_values, mc_kernel_oracles, mc_limit_transform,
+                                sample_defaults, simulate_paths)
 
 
 def make_name(**overrides):
@@ -245,31 +245,36 @@ def test_config_errors():
 
 def test_mc_exposure_vanishes_at_maturity():
     names = build_name_sequence(NOJUMP_CFG, 5)
-    ps = simulate_paths(names, lambda_c=NOJUMP_CFG.lambda_c, gamma1=1.5, gamma2=1.5,
-                        horizon=1.0, n_paths=50, seed=41, dt=1e-2)
-    est, se = mc_exposure(ps, names, 1.0, 1.0, 0.03)
-    assert est == 0.0 and se == 0.0
+    values = exact_book_values(names, lambda_c=NOJUMP_CFG.lambda_c, gamma1=1.5,
+                               gamma2=1.5, sample_times=[0.0, 0.5, 1.0], maturity=1.0,
+                               r=0.03, n_paths=50, seed=41)
+    assert values.shape == (3, 50)
+    assert np.all(values[-1] == 0.0) and _stderr(values[-1]) == 0.0
 
 
 def test_mc_exposure_deterministic_intensity_oracle():
-    # sigma ~ 0, no jumps: the book value follows the deterministic hazard
+    # sigma = 0, no jumps: the exact engine draws the flow x_t, and the book
+    # value at t follows the deterministic hazard from there to maturity
     x0, alpha, kappa, spread, loss, r, horizon = 0.05, 0.03, 0.8, 0.02, 0.4, 0.03, 2.0
-    name = NameParams(alpha=alpha, kappa=kappa, sigma=1e-8, c=0.0, d=0.0,
+    name = NameParams(alpha=alpha, kappa=kappa, sigma=0.0, c=0.0, d=0.0,
                       lambda_hat=0.0, xi0=x0, spread=spread, loss=loss)
-    ps = simulate_paths([name], horizon=0.5, n_paths=1, seed=43, dt=1e-3,
-                        sample_times=[0.0])
-    est, _ = mc_exposure(ps, [name], 0.0, horizon, r)
+    values = exact_book_values([name], lambda_c=0.0, gamma1=1.5, gamma2=1.5,
+                               sample_times=[0.0, 0.5], maturity=horizon, r=r,
+                               n_paths=1, seed=43)
+    for est, t in zip(values[:, 0], (0.0, 0.5)):
+        x_t = x0 * math.exp(-kappa * t) - alpha / kappa * math.expm1(-kappa * t)
+        span = horizon - t
 
-    def survival(s):
-        integ = ((x0 - alpha / kappa) * (1 - np.exp(-kappa * s)) / kappa
-                 + alpha * s / kappa)
-        return np.exp(-integ)
+        def survival(s):
+            integ = ((x_t - alpha / kappa) * (1 - np.exp(-kappa * s)) / kappa
+                     + alpha * s / kappa)
+            return np.exp(-integ)
 
-    integral = composite_simpson(lambda s: np.exp(-r * s) * survival(s),
-                                 0.0, horizon, 4000)
-    oracle = (loss * (math.exp(-r * horizon) * survival(horizon) - 1.0)
-              + (spread + r * loss) * integral)
-    assert est == pytest.approx(oracle, rel=1e-6)
+        integral = composite_simpson(lambda s: np.exp(-r * s) * survival(s),
+                                     0.0, span, 4000)
+        oracle = (loss * (math.exp(-r * span) * survival(span) - 1.0)
+                  + (spread + r * loss) * integral)
+        assert est == pytest.approx(oracle, rel=1e-6)
 
 
 def test_mc_exposure_tracks_limit_for_moderate_pool():
@@ -280,12 +285,12 @@ def test_mc_exposure_tracks_limit_for_moderate_pool():
     cfg = NOJUMP_CFG
     K, horizon = 50, 1.0
     names = build_name_sequence(cfg, K)
-    ps = simulate_paths(names, lambda_c=cfg.lambda_c, gamma1=cfg.gamma1,
-                        gamma2=cfg.gamma2, horizon=horizon, n_paths=500, seed=47,
-                        dt=1e-3, sample_times=[0.0, 0.5])
+    values = exact_book_values(names, lambda_c=cfg.lambda_c, gamma1=cfg.gamma1,
+                               gamma2=cfg.gamma2, sample_times=[0.0, 0.5],
+                               maturity=horizon, r=cfg.r, n_paths=500, seed=47)
     scale = abs(exposure_limit(0.0, horizon, cfg))
-    for t in (0.0, 0.5):
-        est, se = mc_exposure(ps, names, t, horizon, cfg.r)
+    for vals, t in zip(values, (0.0, 0.5)):
+        est, se = vals.mean(), _stderr(vals)
         limit = exposure_limit(t, horizon, cfg)
         assert abs(est - limit) <= 0.10 * scale + 3 * se
 
@@ -356,6 +361,19 @@ LIMIT_CFG = LimitConfig(alpha=0.5, kappa=1.5, sigma=0.2, c=0.1, d=0.1, lambda_ha
                         l_z=0.4, r=0.03)
 
 
+def test_mc_limit_transform_caps_the_lag_at_1000_mean_reversion_times():
+    # the Euler step u / 1000 may not exceed 1 / kappa; a lag of 1e300 used
+    # to overflow in the step and return (0.0, 0.0)
+    cap = 1000 / LIMIT_CFG.kappa
+    for u in (1e300, cap * (1 + 1e-12)):
+        with pytest.raises(ConfigError, match=f"at most 1000 / kappa = {cap:g}"):
+            mc_limit_transform(u, LIMIT_CFG, n_paths=4, seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est, se = mc_limit_transform(cap, LIMIT_CFG, n_paths=4, seed=1)
+    assert 0.0 <= est <= 1.0 and se >= 0.0
+
+
 def test_oracles_reject_empty_runs():
     for n in (0, -3):
         with pytest.raises(ConfigError, match="n_paths"):
@@ -403,11 +421,9 @@ def test_oracles_report_zero_stderr_for_one_path():
 def test_kernel_oracles_read_only_a_pair_simulation():
     # the running integrals exist only for the pair alone, and the lag must be stored
     kw = dict(lambda_c=1.0, gamma1=1.5, gamma2=1.5, n_paths=8, seed=71)
-    exact = simulate_exact_paths([make_name()], sample_times=[0.0, 1.0], **kw)
-    for ps in (simulate_paths([make_name()], make_cps(), horizon=1.0, dt=1e-2, **kw),
-               exact):
-        with pytest.raises(ValueError, match="pair alone"):
-            mc_kernel_oracles(ps, 1.0)
+    ps = simulate_paths([make_name()], make_cps(), horizon=1.0, dt=1e-2, **kw)
+    with pytest.raises(ValueError, match="pair alone"):
+        mc_kernel_oracles(ps, 1.0)
     ps = simulate_paths((), make_cps(), horizon=1.0, dt=1e-2, sample_times=[0.5, 1.0],
                         **kw)
     assert mc_kernel_oracles(ps, 0.5) != mc_kernel_oracles(ps, 1.0)
@@ -443,10 +459,12 @@ def test_pathset_bookkeeping():
     assert ps.integrated[0, -1, 0] == pytest.approx(manual, rel=1e-12)
 
 
-def _quadrature_exposure(ps, names, t, maturity, r, n_panels=2048):
-    """mc_exposure computed by quadrature alone: the survival exponent A0 as
-    a cumulative Simpson integral of its Riccati integrand and the premium
-    leg as composite Simpson, both on ``n_panels`` uniform panels."""
+def _quadrature_exposure(ps, names, t, maturity, r, lambda_c, gamma1, gamma2,
+                         n_panels=2048):
+    """The mean book value at t computed by quadrature alone: the survival
+    exponent A0 as a cumulative Simpson integral of its Riccati integrand
+    and the premium leg as composite Simpson, both on ``n_panels`` uniform
+    panels."""
 
     K = ps.n_names
     x_t = ps.intensities[:, ps.time_index(t), :K]
@@ -455,8 +473,8 @@ def _quadrature_exposure(ps, names, t, maturity, r, n_panels=2048):
     u = np.linspace(0.0, span, n_panels + 1)
     b = np.column_stack([riccati_b(n.kappa, n.sigma, u) for n in names])
     integrand = (vec("alpha") * b
-                 + ps.lambda_c * (mgf_exp(vec("c") * b, ps.gamma1) - 1.0)
-                 + vec("lambda_hat") * (mgf_exp(vec("d") * b, ps.gamma2) - 1.0))
+                 + lambda_c * (mgf_exp(vec("c") * b, gamma1) - 1.0)
+                 + vec("lambda_hat") * (mgf_exp(vec("d") * b, gamma2) - 1.0))
     a = cumulative_simpson(integrand, dx=span / n_panels, axis=0, initial=0.0)
     weights = simpson_weights(n_panels, span / n_panels) * np.exp(-r * u)
     coeff_spread = vec("z") * (vec("spread") + r * vec("loss")) / K
@@ -479,8 +497,9 @@ def test_mc_exposure_matches_quadrature_reference(maturity):
     ps = simulate_paths(names, lambda_c=2.5, gamma1=1.5, gamma2=1.5, horizon=1.0,
                         n_paths=64, seed=73, dt=1e-2, sample_times=[0.0, 0.5, 1.0])
     for t in (0.0, 0.5, 1.0):
-        est, _ = mc_exposure(ps, names, t, t + maturity, 0.03)
-        ref = _quadrature_exposure(ps, names, t, t + maturity, 0.03)
+        x_t = ps.intensities[:, ps.time_index(t)]
+        est = _book_values(x_t, *_book_rows(names, 2.5, 1.5, 1.5, maturity, 0.03)).mean()
+        ref = _quadrature_exposure(ps, names, t, t + maturity, 0.03, 2.5, 1.5, 1.5)
         assert abs(est - ref) <= 1e-9
 
 
@@ -491,13 +510,12 @@ def test_short_book_negates_long_book():
     long_names = build_name_sequence(long_cfg, 7)
     short_names = build_name_sequence(short_cfg, 7)
     assert all(n.z == -1 for n in short_names)
-    ps = simulate_paths(long_names, lambda_c=long_cfg.lambda_c, gamma1=long_cfg.gamma1,
-                        gamma2=long_cfg.gamma2, horizon=1.0, n_paths=40, seed=79,
-                        dt=1e-2, sample_times=[0.0, 0.5])
-    for t in (0.0, 0.5):
-        est_long, se_long = mc_exposure(ps, long_names, t, 1.0, long_cfg.r)
-        est_short, se_short = mc_exposure(ps, short_names, t, 1.0, short_cfg.r)
-        assert est_short == -est_long and se_short == se_long
+    long_book, short_book = (
+        exact_book_values(names, lambda_c=long_cfg.lambda_c, gamma1=long_cfg.gamma1,
+                          gamma2=long_cfg.gamma2, sample_times=[0.0, 0.5], maturity=1.0,
+                          r=long_cfg.r, n_paths=40, seed=79)
+        for names in (long_names, short_names))
+    np.testing.assert_array_equal(short_book, -long_book)
     assert exposure_limit(0.0, 1.0, short_cfg) == -exposure_limit(0.0, 1.0, long_cfg)
     with pytest.raises(ConfigError, match="mixed-sign"):
         build_name_sequence(replace(long_cfg, l_z=-0.4), 3)
