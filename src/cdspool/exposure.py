@@ -6,7 +6,9 @@ In the large-pool limit the surviving-name mass at horizon u is carried by
 a square-root diffusion killed at its own level, with the two jump layers
 collapsing into a per-name random drift shift c lambda_c Y + d lambda_hat
 Ytilde. Averaging the affine transform over the exponential size laws
-yields the closed form implemented by :func:`survival_fhat`.
+yields the closed form implemented by :func:`survival_fhat`. The finite
+books that converge to this limit come from :func:`build_name_sequence`, as
+a :class:`~cdspool.simulation.Pool` with the limit's jump law.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 from .errors import ConfigError
 from .quadrature import gauss_legendre_panels
 from .riccati import integral_b, integral_beta, riccati_b, riccati_beta
-from .simulation import NameParams, PathSet
+from .simulation import NameParams, PathSet, Pool
 
 __all__ = [
     "LimitConfig",
@@ -92,12 +94,14 @@ def exposure_limit(t, maturity: float, cfg: LimitConfig):
     Broadcasts over t. The integral sums the panels of
     :func:`~cdspool.quadrature.gauss_legendre_panels` on [0, v], so each
     value depends only on its own t and a vector call equals the scalar
-    calls bit for bit. Vanishes exactly at t = T.
+    calls bit for bit. Vanishes exactly at t = T. Raises ValueError unless
+    t <= T, both finite.
     """
 
-    v = maturity - np.asarray(t, dtype=float)
-    if not np.all(v >= 0.0):
-        raise ValueError("Require t <= maturity, neither of them NaN.")
+    t = np.asarray(t, dtype=float)
+    if not (math.isfinite(maturity) and ((t <= maturity) & (t > -np.inf)).all()):
+        raise ValueError("Require t <= maturity, both finite.")
+    v = maturity - t
     integral = sum(np.sum(w * np.exp(-cfg.r * u) * survival_fhat(u, cfg), axis=-1)
                    for u, w in gauss_legendre_panels(v))
     terminal = cfg.l_z * (np.exp(-cfg.r * v) * survival_fhat(v, cfg) - 1.0)
@@ -155,8 +159,9 @@ def empirical_measure_eval(pathset: PathSet, theta: float, t: float) -> tuple[fl
     return float(per_path.mean()), pathset.stderr(per_path)
 
 
-def build_name_sequence(cfg: LimitConfig, K: int) -> list[NameParams]:
-    """K-name book whose intensity parameters decrease to the limit.
+def build_name_sequence(cfg: LimitConfig, K: int) -> Pool:
+    """K-name book whose intensity parameters decrease to the limit, as a
+    :class:`~cdspool.simulation.Pool` with cfg's lambda_c, gamma1 and gamma2.
 
     Name k scales alpha, kappa, sigma, c, d, lambda_hat and x0 by (1 + 1/k).
     Every name carries spread |s_z| and loss |l_z|: long (z = +1) when
@@ -176,11 +181,11 @@ def build_name_sequence(cfg: LimitConfig, K: int) -> list[NameParams]:
         raise ConfigError(
             f"mixed-sign books are not supported (s_z = {cfg.s_z:g}, "
             f"l_z = {cfg.l_z:g}); s_z and l_z must share a sign.")
-    out = []
+    names = []
     for k in range(1, K + 1):
         up = 1.0 + 1.0 / k
-        out.append(NameParams(
+        names.append(NameParams(
             alpha=cfg.alpha * up, kappa=cfg.kappa * up, sigma=cfg.sigma * up,
             c=cfg.c * up, d=cfg.d * up, lambda_hat=cfg.lambda_hat * up,
             xi0=cfg.x0 * up, spread=abs(cfg.s_z), loss=abs(cfg.l_z), z=z))
-    return out
+    return Pool(names, cfg.lambda_c, cfg.gamma1, cfg.gamma2)

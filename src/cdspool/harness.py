@@ -28,7 +28,7 @@ from .jumps import BveParams, mgf_bve, mgf_bve_partials, mgf_exp, sample_bve
 from .quadrature import composite_simpson
 from .riccati import (exp_phi, integral_b, integral_beta, riccati_b, riccati_beta,
                       riccati_beta_general, rk4_riccati)
-from .simulation import (CounterpartyParams, CounterpartySide, PathSet, _stderr,
+from .simulation import (CounterpartyParams, CounterpartySide, PathSet, Pool, _stderr,
                          exact_book_values, map_ordered, mc_kernel_oracles,
                          mc_limit_transform, simulate_paths)
 
@@ -203,11 +203,9 @@ def run_convergence(spec: ExperimentSpec) -> list[CurveTable]:
     limit_curve = exposure_limit(times, spec.horizon, cfg)
     tables = []
     for K in spec.k_values:
-        values = exact_book_values(build_name_sequence(cfg, K), lambda_c=cfg.lambda_c,
-                                   gamma1=cfg.gamma1, gamma2=cfg.gamma2,
-                                   sample_times=times, maturity=spec.horizon, r=cfg.r,
-                                   n_paths=spec.n_paths, seed=spec.seed,
-                                   workers=spec.workers)
+        values = exact_book_values(build_name_sequence(cfg, K), sample_times=times,
+                                   maturity=spec.horizon, r=cfg.r, n_paths=spec.n_paths,
+                                   seed=spec.seed, workers=spec.workers)
         tables.append(CurveTable(
             label=f"exposure-K{K}", abscissa_name="t", abscissa=times,
             columns={"mc_exposure": np.array([v.mean() for v in values]),
@@ -230,11 +228,9 @@ def run_measure_convergence(spec: ExperimentSpec) -> list[CurveTable]:
     sup_one = np.empty((len(spec.k_values), spec.repeats))
     sup_exp = np.empty((len(spec.k_values), spec.repeats))
     for ki, K in enumerate(spec.k_values):
-        names = build_name_sequence(cfg, K)
+        pool = build_name_sequence(cfg, K)
         for rep in range(spec.repeats):
-            ps = simulate_paths(names, None, lambda_c=cfg.lambda_c,
-                                gamma1=cfg.gamma1, gamma2=cfg.gamma2,
-                                horizon=spec.horizon, n_paths=spec.n_paths,
+            ps = simulate_paths(pool, None, horizon=spec.horizon, n_paths=spec.n_paths,
                                 seed=spec.seed + rep, dt=dt, sample_times=times,
                                 workers=spec.workers)
             one = np.array([empirical_measure_eval(ps, 0.0, float(t)) for t in times])
@@ -512,7 +508,7 @@ def _pair_values() -> dict[str, tuple[float, tuple[float, float]]]:
     cfg, _, cps = _validation_baseline()
     u, maturity = 1.0, 3.0
     x_a, x_b = cps.side_a.xi0, cps.side_b.xi0
-    ps = simulate_paths((), cps, lambda_c=cfg.lambda_c, horizon=maturity, dt=_PAIR_DT,
+    ps = simulate_paths(Pool((), cfg.lambda_c), cps, horizon=maturity, dt=_PAIR_DT,
                         n_paths=20_000, seed=VALIDATION_SEED + 12,
                         sample_times=[u, maturity])
     mc_h1, mc_h2, mc_joint = mc_kernel_oracles(ps, u)

@@ -5,7 +5,10 @@ layers: a common Poisson process hitting every entity simultaneously
 (exponential sizes for names, a Marshall-Olkin pair for the counterparties)
 and per-entity idiosyncratic Poisson jumps.
 
-Two engines simulate this system:
+The names and their jump law form one :class:`Pool`: the names, the
+common Poisson rate lambda_c, and the exponential rates gamma1 and gamma2 of
+the names' common and idiosyncratic jump sizes. It is the only way either
+engine takes that law. Two engines simulate this system:
 
 - :func:`simulate_paths` runs Euler with full truncation (positive part in
   both drift and diffusion) on a fine grid; stored intensities are the
@@ -63,7 +66,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
@@ -81,10 +84,10 @@ __all__ = [
     "NameParams",
     "CounterpartySide",
     "CounterpartyParams",
+    "Pool",
     "PathSet",
     "simulate_paths",
     "exact_book_values",
-    "sample_defaults",
     "mc_kernel_oracles",
     "mc_limit_transform",
     "map_ordered",
@@ -99,14 +102,12 @@ _NARROW_BLOCK_SIZE = 4096
 
 
 @dataclass(frozen=True)
-class NameParams:
-    """Credit and contract parameters of one reference name.
+class CounterpartySide:
+    """Intensity parameters of one counterparty.
 
     alpha/kappa/sigma are the mean-reverting diffusion parameters, c and d
     the common/idiosyncratic jump loadings, lambda_hat the idiosyncratic
-    Poisson rate, xi0 the initial intensity. spread and loss are the CDS
-    premium and loss-given-default; z = +1 if the investor is long
-    (receives spread), -1 if short.
+    Poisson rate, xi0 the initial intensity.
     """
 
     alpha: float
@@ -116,21 +117,30 @@ class NameParams:
     d: float
     lambda_hat: float
     xi0: float
+
+    def __post_init__(self) -> None:
+        if not all(math.isfinite(getattr(self, f.name)) for f in fields(self)):
+            raise ConfigError(f"{type(self).__name__} fields must be finite.")
+        if self.alpha < 0 or self.kappa <= 0 or self.sigma < 0:
+            raise ConfigError("Require alpha >= 0, kappa > 0, sigma >= 0.")
+        if self.c < 0 or self.d < 0 or self.lambda_hat < 0 or self.xi0 < 0:
+            raise ConfigError("Jump fields and xi0 must be non-negative.")
+
+
+@dataclass(frozen=True)
+class NameParams(CounterpartySide):
+    """Credit and contract parameters of one reference name: the intensity
+    fields of a :class:`CounterpartySide`, then the CDS premium spread and
+    loss-given-default loss; z = +1 if the investor is long (receives
+    spread), -1 if short.
+    """
+
     spread: float
     loss: float
     z: int = 1
 
     def __post_init__(self) -> None:
-        if not all(map(math.isfinite, (self.alpha, self.kappa, self.sigma, self.c,
-                                       self.d, self.lambda_hat, self.xi0,
-                                       self.spread, self.loss))):
-            raise ConfigError("NameParams fields must be finite.")
-        if self.alpha < 0 or self.kappa <= 0 or self.sigma < 0:
-            raise ConfigError("Require alpha >= 0, kappa > 0, sigma >= 0.")
-        if self.c < 0 or self.d < 0 or self.lambda_hat < 0:
-            raise ConfigError("Jump loadings and rates must be non-negative.")
-        if self.xi0 < 0:
-            raise ConfigError("xi0 must be non-negative.")
+        super().__post_init__()
         if not 0.0 <= self.loss <= 1.0:
             raise ConfigError("loss must lie in [0, 1].")
         if self.z not in (-1, 1):
@@ -138,25 +148,40 @@ class NameParams:
 
 
 @dataclass(frozen=True)
-class CounterpartySide:
-    """Intensity parameters of one counterparty (same fields as a name)."""
+class Pool:
+    """The finite-name law: the reference names, a common Poisson clock of
+    rate lambda_c at whose events every name k jumps by c_k Exp(gamma1),
+    and each name's own Poisson clock (rate lambda_hat_k) of d_k Exp(gamma2)
+    jumps.
 
-    alpha: float
-    kappa: float
-    sigma: float
-    c: float
-    d: float
-    lambda_hat: float
-    xi0: float
+    Building it checks the jump parameters and lays each
+    :class:`NameParams` field out once as a float array over the names
+    (``pool.kappa``, ``pool.xi0``, ...). A pool with no names,
+    ``Pool((), lambda_c)``, carries only the common clock, for a
+    simulation of the counterparty pair alone.
+    """
+
+    names: Sequence[NameParams]
+    lambda_c: float = 0.0
+    gamma1: float = 1.0
+    gamma2: float = 1.0
 
     def __post_init__(self) -> None:
-        if not all(map(math.isfinite, (self.alpha, self.kappa, self.sigma, self.c,
-                                       self.d, self.lambda_hat, self.xi0))):
-            raise ConfigError("CounterpartySide fields must be finite.")
-        if self.alpha < 0 or self.kappa <= 0 or self.sigma < 0:
-            raise ConfigError("Require alpha >= 0, kappa > 0, sigma >= 0.")
-        if self.c < 0 or self.d < 0 or self.lambda_hat < 0 or self.xi0 < 0:
-            raise ConfigError("Jump fields and xi0 must be non-negative.")
+        if not all(map(math.isfinite, (self.lambda_c, self.gamma1, self.gamma2))):
+            raise ConfigError("lambda_c, gamma1, gamma2 must be finite.")
+        if self.lambda_c < 0 or self.gamma1 <= 0 or self.gamma2 <= 0:
+            raise ConfigError("Require lambda_c >= 0 and gamma1, gamma2 > 0.")
+        object.__setattr__(self, "names", tuple(self.names))
+        for f in fields(NameParams):
+            object.__setattr__(self, f.name, np.array([getattr(n, f.name) for n in self.names],
+                                                      dtype=float))
+
+    @property
+    def layers(self) -> list:
+        """The jump layers (rate, loading, size rate) of the names' affine
+        transforms: the common clock, then the idiosyncratic clocks."""
+
+        return [(self.lambda_c, self.c, self.gamma1), (self.lambda_hat, self.d, self.gamma2)]
 
 
 @dataclass(frozen=True)
@@ -179,10 +204,6 @@ class CounterpartyParams:
     def __post_init__(self) -> None:
         if not (0.0 < self.loss_a <= 1.0 and 0.0 < self.loss_b <= 1.0):
             raise ConfigError("Counterparty losses must lie in (0, 1].")
-
-    def with_initial(self, x_a: float, x_b: float) -> "CounterpartyParams":
-        return replace(self, side_a=replace(self.side_a, xi0=x_a),
-                       side_b=replace(self.side_b, xi0=x_b))
 
 
 @dataclass
@@ -234,27 +255,6 @@ def _philox_key(seed: int) -> np.ndarray:
 def _block_generator(key: np.ndarray, tag: int, block: int) -> Generator:
     counter = np.array([0, 0, block, tag], dtype=np.uint64)
     return Generator(Philox(counter=counter, key=key))
-
-
-def _entity_vectors(names: Sequence[NameParams], cps: CounterpartyParams | None):
-    ent = list(names)
-    if cps is not None:
-        ent.extend([cps.side_a, cps.side_b])
-    get = lambda attr: np.array([getattr(e, attr) for e in ent], dtype=float)
-    return {a: get(a) for a in ("alpha", "kappa", "sigma", "c", "d", "lambda_hat", "xi0")}
-
-
-def _check_jumps_and_paths(lambda_c: float, gamma1: float, gamma2: float,
-                           n_paths: int) -> None:
-    """The engines' shared input check: finite jump parameters with
-    lambda_c >= 0 and gamma1, gamma2 > 0, and at least one path."""
-
-    if not all(map(math.isfinite, (lambda_c, gamma1, gamma2))):
-        raise ConfigError("lambda_c, gamma1, gamma2 must be finite.")
-    if lambda_c < 0 or gamma1 <= 0 or gamma2 <= 0:
-        raise ConfigError("Require lambda_c >= 0 and gamma1, gamma2 > 0.")
-    if n_paths < 1:
-        raise ConfigError("n_paths must be >= 1.")
 
 
 def _stderr(vals: np.ndarray) -> float:
@@ -330,19 +330,17 @@ def map_ordered(fn: Callable, items: Sequence, workers: int) -> list:
     return [fn(x) for x in items]
 
 
-def simulate_paths(names: Sequence[NameParams], cps: CounterpartyParams | None = None, *,
-                   lambda_c: float = 0.0, gamma1: float = 1.0, gamma2: float = 1.0,
-                   horizon: float, n_paths: int, seed: int, dt: float | None = None,
-                   sample_times=None, workers: int = 1) -> PathSet:
+def simulate_paths(pool: Pool, cps: CounterpartyParams | None = None, *, horizon: float,
+                   n_paths: int, seed: int, dt: float | None = None, sample_times=None,
+                   workers: int = 1) -> PathSet:
     """Simulate the joint intensity system and resolve default times.
 
     Parameters
     ----------
-    names, cps
-        Reference names and (optionally) the two counterparties.
-    lambda_c, gamma1, gamma2
-        Common Poisson rate and the exponential rates of the names' common
-        and idiosyncratic jump sizes.
+    pool, cps
+        The reference names with their jump law, and (optionally) the two
+        counterparties. The pair alone runs on a pool with no names,
+        ``Pool((), lambda_c)``, whose common clock it shares.
     horizon, n_paths, seed
         Simulation horizon, path count, and RNG seed.
     dt
@@ -359,9 +357,11 @@ def simulate_paths(names: Sequence[NameParams], cps: CounterpartyParams | None =
     counterparty pair alone (see the module docstring).
     """
 
-    if cps is None and len(names) == 0:
+    K = len(pool.names)
+    if cps is None and K == 0:
         raise ConfigError("Need at least one name or the counterparty pair.")
-    _check_jumps_and_paths(lambda_c, gamma1, gamma2, n_paths)
+    if n_paths < 1:
+        raise ConfigError("n_paths must be >= 1.")
     if not math.isfinite(horizon):
         raise ConfigError("horizon must be finite.")
     if dt is None:
@@ -374,9 +374,10 @@ def simulate_paths(names: Sequence[NameParams], cps: CounterpartyParams | None =
 
     key = _philox_key(seed)
 
-    K = len(names)
     E = K + (2 if cps is not None else 0)
-    vec = _entity_vectors(names, cps)
+    sides = () if cps is None else (cps.side_a, cps.side_b)
+    vec = {f.name: np.append(getattr(pool, f.name), [getattr(s, f.name) for s in sides])
+           for f in fields(CounterpartySide)}
     grid = np.arange(n_steps + 1) * dt
     if sample_times is None:
         sample_idx = np.arange(n_steps + 1)
@@ -401,7 +402,7 @@ def simulate_paths(names: Sequence[NameParams], cps: CounterpartyParams | None =
 
     sqrt_dt = math.sqrt(dt)
     # idiosyncratic size rates: names use gamma2, counterparties their BVE marginals
-    idio_rate = np.full(E, gamma2)
+    idio_rate = np.full(E, pool.gamma2)
     if cps is not None:
         idio_rate[K] = cps.idio_jump.marginal_rate_a
         idio_rate[K + 1] = cps.idio_jump.marginal_rate_b
@@ -423,14 +424,14 @@ def simulate_paths(names: Sequence[NameParams], cps: CounterpartyParams | None =
         thr = rng.standard_exponential((bf, E))
 
         # common-jump schedule: one Poisson clock shared by every entity
-        if lambda_c > 0.0:
-            ncom = rng.poisson(lambda_c * horizon, bf)
+        if pool.lambda_c > 0.0:
+            ncom = rng.poisson(pool.lambda_c * horizon, bf)
             tot = int(ncom.sum())
             ev_step = (rng.random(tot) * horizon / dt).astype(np.int64)
             ev_row = np.repeat(np.arange(bf), ncom)
             csize = np.empty((tot, E))
             if K:
-                csize[:, :K] = (rng.standard_exponential((tot, K)) / gamma1
+                csize[:, :K] = (rng.standard_exponential((tot, K)) / pool.gamma1
                                 * vec["c"][None, :K])
             if cps is not None:
                 ya, yb = sample_bve(cps.common_jump, rng, size=tot)
@@ -542,8 +543,7 @@ def _cir_transition(rng: Generator, x, decay, c, shift) -> np.ndarray:
     return c * draw
 
 
-def _exact_blocks(names: Sequence[NameParams], times: np.ndarray, lambda_c: float,
-                  gamma1: float, gamma2: float, n_paths: int, seed: int, workers: int,
+def _exact_blocks(pool: Pool, times: np.ndarray, n_paths: int, seed: int, workers: int,
                   visit: Callable[[int, int, int, np.ndarray], None]) -> None:
     """The exact engine's block loop over inputs checked by :func:`exact_book_values`.
 
@@ -561,15 +561,13 @@ def _exact_blocks(names: Sequence[NameParams], times: np.ndarray, lambda_c: floa
     visit writes only to its own paths.
     """
 
-    K = len(names)
+    K = len(pool.names)
     key = _philox_key(seed)
     horizon = float(times[-1])
     n_s = len(times)
-    vec = _entity_vectors(names, None)
     bf = _NAME_BLOCK_SIZE
     n_blocks = (n_paths + bf - 1) // bf
-    law = lambda dt, col: _cir_law(dt, vec["alpha"][col], vec["kappa"][col],
-                                   vec["sigma"][col])
+    law = lambda dt, col: _cir_law(dt, pool.alpha[col], pool.kappa[col], pool.sigma[col])
 
     def run_block(b: int) -> None:
         rng = _block_generator(key, _BLOCK_EXACT, b)
@@ -577,20 +575,20 @@ def _exact_blocks(names: Sequence[NameParams], times: np.ndarray, lambda_c: floa
         r1 = min(n_paths, r0 + bf)
 
         # common-jump clock, one per path; each name draws its own size at each event
-        ncom = rng.poisson(lambda_c * horizon, bf)
+        ncom = rng.poisson(pool.lambda_c * horizon, bf)
         crow = np.repeat(np.arange(bf), ncom)
         ctime = (1.0 - rng.random(len(crow))) * horizon
-        csize = rng.standard_exponential((len(crow), K)) / gamma1 * vec["c"]
+        csize = rng.standard_exponential((len(crow), K)) / pool.gamma1 * pool.c
         # idiosyncratic clocks, one per element = path * K + name
-        nidio = rng.poisson(vec["lambda_hat"] * horizon, (bf, K)).reshape(-1)
+        nidio = rng.poisson(pool.lambda_hat * horizon, (bf, K)).reshape(-1)
         ielem = np.repeat(np.arange(bf * K), nidio)
         itime = (1.0 - rng.random(len(ielem))) * horizon
-        isize = rng.standard_exponential(len(ielem)) / gamma2 * vec["d"][ielem % K]
+        isize = rng.standard_exponential(len(ielem)) / pool.gamma2 * pool.d[ielem % K]
         # each clock's events grouped by sample interval, (s_i, s_{i+1}]
         cptr, corder = _by_interval(times, ctime)
         iptr, iorder = _by_interval(times, itime)
 
-        x = np.tile(vec["xi0"], (bf, 1))
+        x = np.tile(pool.xi0, (bf, 1))
         flat = x.reshape(-1)
         coef = np.empty((3, bf, K))
         visit(0, r0, r1, x[:r1 - r0])
@@ -630,13 +628,12 @@ def _exact_blocks(names: Sequence[NameParams], times: np.ndarray, lambda_c: floa
     map_ordered(run_block, range(n_blocks), workers)
 
 
-def exact_book_values(names: Sequence[NameParams], *, lambda_c: float, gamma1: float,
-                      gamma2: float, sample_times, maturity: float, r: float,
-                      n_paths: int, seed: int, workers: int = 1) -> np.ndarray:
+def exact_book_values(pool: Pool, *, sample_times, maturity: float, r: float, n_paths: int,
+                      seed: int, workers: int = 1) -> np.ndarray:
     """Per-path book values of the exact engine's paths at each sample time.
 
     ``sample_times`` start at 0 and increase strictly, up to the horizon
-    <= ``maturity``. values[i, m] is the per-name value at sample time i
+    <= ``maturity``; ``r`` and ``maturity`` are finite. values[i, m] is the per-name value at sample time i
     (0 at maturity) of the investor's CDS book on path m, priced from the
     names' state through their closed-form affine survival transforms
     (:func:`_book_rows`, :func:`_book_values`); short names (z = -1) enter
@@ -646,9 +643,12 @@ def exact_book_values(names: Sequence[NameParams], *, lambda_c: float, gamma1: f
     O(block x names) plus the (times x paths) values.
     """
 
-    if len(names) == 0:
+    if len(pool.names) == 0:
         raise ConfigError("Need at least one name.")
-    _check_jumps_and_paths(lambda_c, gamma1, gamma2, n_paths)
+    if n_paths < 1:
+        raise ConfigError("n_paths must be >= 1.")
+    if not (math.isfinite(r) and math.isfinite(maturity)):
+        raise ConfigError("r and maturity must be finite.")
     times = np.asarray(sample_times, dtype=float)
     if (times.ndim != 1 or len(times) < 2 or times[0] != 0.0
             or not np.all(np.isfinite(times)) or np.any(np.diff(times) <= 0.0)):
@@ -656,46 +656,18 @@ def exact_book_values(names: Sequence[NameParams], *, lambda_c: float, gamma1: f
     if not maturity >= times[-1]:
         raise ValueError("Require every sample time <= maturity.")
     spans = [maturity - float(t) for t in times]
-    books = [_book_rows(names, lambda_c, gamma1, gamma2, span, r) if span != 0.0 else None
-             for span in spans]
+    books = [_book_rows(pool, span, r) if span != 0.0 else None for span in spans]
     values = np.zeros((len(times), n_paths))
 
     def price(i: int, r0: int, r1: int, x: np.ndarray) -> None:
         if books[i] is not None:
             values[i, r0:r1] = _book_values(x, *books[i])
 
-    _exact_blocks(names, times, lambda_c, gamma1, gamma2, n_paths, seed, workers, price)
+    _exact_blocks(pool, times, n_paths, seed, workers, price)
     return values
 
 
-def sample_defaults(pathset: PathSet, rng: Generator | None = None,
-                    thresholds=None) -> np.ndarray:
-    """Default times: first grid time where the integrated intensity crosses
-    the unit-exponential threshold.
-
-    With no arguments this returns the fine-grid default times resolved
-    during simulation. Passing ``rng`` (fresh thresholds) or ``thresholds``
-    re-derives default times on the stored sample grid, which lets tests
-    redraw the doubly stochastic layer on the pair's frozen paths.
-    """
-
-    if rng is None and thresholds is None:
-        return pathset.default_times.copy()
-    if pathset.integrated is None:
-        raise ValueError("Redrawing default times needs the stored intensity integrals, "
-                         "which only the counterparty pair alone records.")
-    m, _, e = pathset.integrated.shape
-    if thresholds is None:
-        thresholds = rng.standard_exponential((m, e))
-    thr = np.broadcast_to(np.asarray(thresholds, dtype=float), (m, e))
-    crossed = pathset.integrated >= thr[:, None, :]
-    any_cross = crossed.any(axis=1)
-    first = np.argmax(crossed, axis=1)
-    return np.where(any_cross, pathset.times[first], np.inf)
-
-
-def _book_rows(names: Sequence[NameParams], lambda_c: float, gamma1: float,
-               gamma2: float, span: float, r: float):
+def _book_rows(pool: Pool, span: float, r: float):
     """The book's per-name value with ``span`` to maturity as an affine
     function of the names' intensities: (const, rows, b0) such that
     const + sum over j of exp(b0[j] * x) @ rows[j] prices intensities x.
@@ -705,14 +677,11 @@ def _book_rows(names: Sequence[NameParams], lambda_c: float, gamma1: float,
     at its node, with exp(A0) folded in.
     """
 
-    K = len(names)
-    get = lambda attr: np.array([getattr(n, attr) for n in names], dtype=float)
-    z, spread, loss = get("z"), get("spread"), get("loss")
+    K = len(pool.names)
+    z, spread, loss = pool.z, pool.spread, pool.loss
     gl_nodes, gl_weights = map(np.concatenate, zip(*gauss_legendre_panels(span)))
     u = np.append(gl_nodes, span)
-    a0, b0 = survival_exponents(
-        get("kappa"), get("sigma"), get("alpha"),
-        [(lambda_c, get("c"), gamma1), (get("lambda_hat"), get("d"), gamma2)], u[:, None])
+    a0, b0 = survival_exponents(pool.kappa, pool.sigma, pool.alpha, pool.layers, u[:, None])
     disc = np.exp(-r * u)
     coeff_loss = z * loss / K
     rows = np.empty((len(u), K))
@@ -786,7 +755,8 @@ def mc_limit_transform(u: float, cfg: LimitConfig, n_paths: int,
         raise ConfigError(f"u must be at most 1000 / kappa = {n_steps / cfg.kappa:g} "
                           f"(Euler step <= 1 / kappa), got {u:g}.")
     dt = u / n_steps
-    _check_jumps_and_paths(cfg.lambda_c, cfg.gamma1, cfg.gamma2, n_paths)
+    if n_paths < 1:
+        raise ConfigError("n_paths must be >= 1.")
     drift_c, drift_d = cfg.c * cfg.lambda_c, cfg.d * cfg.lambda_hat
     key = _philox_key(seed)
     sqrt_dt = math.sqrt(dt)

@@ -14,7 +14,8 @@ Singleton 2000): E exp(b x_t) = exp(phi(t) + psi(t) x_0), where
     psi' = -kappa psi + sigma^2 psi^2 / 2,     psi(0) = b,
     phi' = alpha psi + sum over jump layers of rate (gamma / (gamma - ell psi) - 1),
 
-both solved in closed form by :func:`transform_coefficients`.
+both solved in closed form by :func:`transform_coefficients`, whose jump
+layers are the pool's own (``Pool.layers``).
 
 :func:`exact_states` stores the exact engine's block states, which the
 pipeline only prices, as one (paths, times, names) array.
@@ -26,18 +27,18 @@ from cdspool.riccati import _log1p_ratio
 from cdspool.simulation import _book_rows, _exact_blocks
 
 
-def exact_states(names, *, lambda_c, gamma1, gamma2, sample_times, n_paths, seed,
-                 workers=1):
-    """states[m, i, k]: name k's intensity at sample_times[i] on path m, from
-    the block loop behind ``exact_book_values``; the inputs are unchecked."""
+def exact_states(pool, *, sample_times, n_paths, seed, workers=1):
+    """states[m, i, k]: name k of ``pool``'s intensity at sample_times[i] on
+    path m, from the block loop behind ``exact_book_values``; the sample
+    times and path count are unchecked."""
 
     times = np.asarray(sample_times, dtype=float)
-    states = np.empty((n_paths, len(times), len(names)))
+    states = np.empty((n_paths, len(times), len(pool.names)))
 
     def store(i, r0, r1, x):
         states[r0:r1, i] = x
 
-    _exact_blocks(names, times, lambda_c, gamma1, gamma2, n_paths, seed, workers, store)
+    _exact_blocks(pool, times, n_paths, seed, workers, store)
     return states
 
 
@@ -63,15 +64,12 @@ def transform_coefficients(b, t, alpha, kappa, sigma, layers):
     return phi, psi
 
 
-def finite_k_exposure(names, lambda_c, gamma1, gamma2, t, maturity, r):
-    """E[eps_K(t)] of ``exact_book_values`` on a book started at the names' xi0."""
+def finite_k_exposure(pool, t, maturity, r):
+    """E[eps_K(t)] of ``exact_book_values`` on ``pool`` started at its names' xi0."""
 
     span = maturity - t
     if span == 0.0:
         return 0.0
-    const, rows, b0 = _book_rows(names, lambda_c, gamma1, gamma2, span, r)
-    get = lambda attr: np.array([getattr(n, attr) for n in names], dtype=float)
-    phi, psi = transform_coefficients(
-        b0, t, get("alpha"), get("kappa"), get("sigma"),
-        [(lambda_c, get("c"), gamma1), (get("lambda_hat"), get("d"), gamma2)])
-    return float(const + np.sum(rows * np.exp(phi + psi * get("xi0"))))
+    const, rows, b0 = _book_rows(pool, span, r)
+    phi, psi = transform_coefficients(b0, t, pool.alpha, pool.kappa, pool.sigma, pool.layers)
+    return float(const + np.sum(rows * np.exp(phi + psi * pool.xi0)))

@@ -7,6 +7,7 @@ scope so the pool-ladder criteria share simulations.
 
 import math
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ from cdspool.kernels import kernel, kernel_ode_residuals
 from cdspool.quadrature import composite_simpson
 from cdspool.riccati import (integral_b, riccati_b, riccati_beta,
                              riccati_beta_general, rk4_riccati)
-from cdspool.simulation import mc_kernel_oracles, mc_limit_transform, simulate_paths
+from cdspool.simulation import Pool, mc_kernel_oracles, mc_limit_transform, simulate_paths
 
 from finite_k import finite_k_exposure
 
@@ -188,8 +189,9 @@ def test_criterion_4_counterparty_kernels():
     lags = (0.5, 1.0, 2.0)
 
     # h1 and h2 at every lag read from one simulation of the pair to u = 2
-    ps = simulate_paths((), cps.with_initial(x_a, x_b), lambda_c=lam_c, horizon=2.0,
-                        n_paths=100_000, seed=ACCEPT_SEED + 4, sample_times=lags)
+    cps = replace(cps, side_a=replace(cps.side_a, xi0=x_a), side_b=replace(cps.side_b, xi0=x_b))
+    ps = simulate_paths(Pool((), lam_c), cps, horizon=2.0, n_paths=100_000,
+                        seed=ACCEPT_SEED + 4, sample_times=lags)
     worst_z, worst_rel = 0.0, 0.0
     for u in lags:
         mc_h1, mc_h2, _ = mc_kernel_oracles(ps, u)
@@ -277,10 +279,9 @@ def test_exact_engine_matches_finite_k_exposure(stem):
     table = fig1_curves(stem, ACCEPT_SEED, (300,))[300]
     cfg = build_spec(parse_config((CONFIGS / f"{stem}.cfg").read_text()), "convergence",
                      ACCEPT_SEED, 1, None).limit
-    names = build_name_sequence(cfg, 300)
+    pool = build_name_sequence(cfg, 300)
     maturity = float(table.abscissa[-1])
-    exact = np.array([finite_k_exposure(names, cfg.lambda_c, cfg.gamma1, cfg.gamma2,
-                                        float(t), maturity, cfg.r)
+    exact = np.array([finite_k_exposure(pool, float(t), maturity, cfg.r)
                       for t in table.abscissa])
     mc, se = table.columns["mc_exposure"], table.columns["mc_stderr"]
     lim = table.columns["limit_exposure"]

@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import pkgutil
 import re
 from pathlib import Path
@@ -25,3 +26,14 @@ def test_readme_library_example_runs():
     blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.M | re.S)
     assert len(blocks) == 1
     exec(compile(blocks[0], "README.md", "exec"), {})
+
+
+@pytest.mark.parametrize("module", [f"cdspool.{m}" for m in MODULES])
+def test_no_function_takes_the_jump_size_rates_as_parameters(module):
+    # the finite-name jump law travels as one value: the fields of a Pool or
+    # of a LimitConfig, never as loose gamma1/gamma2 parameters of a function
+    mod = importlib.import_module(module)
+    loose = [name for name, fn in inspect.getmembers(mod, inspect.isfunction)
+             if fn.__module__ == module
+             and {"gamma1", "gamma2"} & set(inspect.signature(fn).parameters)]
+    assert loose == []

@@ -1,14 +1,18 @@
-"""Every public closed form of ``riccati``, ``jumps`` and ``kernels`` either
-returns finite values or raises a clean error, whatever numbers it is fed:
-finite values, NaN, +-inf and the edges of each domain. So do the Euler
-engine ``simulate_paths`` and the limit oracle ``mc_limit_transform`` in
-their numeric arguments, with numpy warnings raised as errors.
+"""Every public closed form of ``riccati``, ``jumps``, ``exposure`` and
+``kernels`` either returns finite values or raises a clean error, whatever
+numbers it is fed: finite values, NaN, +-inf and the edges of each domain.
+So do the Euler engine ``simulate_paths`` (its pool's jump law included),
+the exact engine ``exact_book_values`` and the limit oracle
+``mc_limit_transform`` in their numeric arguments, with numpy warnings
+raised as errors.
 
 ``survival_exponents`` takes special values in its lag only, since it
 documents its rate and jump parameters as unvalidated. Kernel lags and
-maturities stay below 30 years when finite: the panel count grows with them.
-The Euler engine keeps horizons and steps to at most 2,000 steps; the limit
-oracle's lag reaches far past its cap, 1000 / kappa.
+exposure and ``bcva`` maturities stay below 30 years when finite: the panel
+count grows with them. The Euler engine keeps horizons and steps to at most
+2,000 steps; the exact engine's rate stays in [-1, 1] when finite, since a
+finite rate far below 0 overflows its discount factor; the limit oracle's
+lag reaches far past its cap, 1000 / kappa.
 """
 
 import dataclasses
@@ -21,13 +25,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdspool.errors import AccuracyError, ConfigError
+from cdspool.exposure import exposure_limit, limit_exp_test, survival_fhat
 from cdspool.harness import _validation_baseline
 from cdspool.jumps import BveParams, mgf_bve, mgf_bve_partials, mgf_exp
 from cdspool.kernels import bcva, joint_survival, kernel, kernel_coefficients
 from cdspool.riccati import (exp_phi, integral_b, integral_beta, integral_exp_phi,
                              riccati_b, riccati_beta, riccati_beta_general,
                              survival_exponents, varpi)
-from cdspool.simulation import NameParams, mc_limit_transform, simulate_paths
+from cdspool.simulation import (NameParams, Pool, exact_book_values, mc_limit_transform,
+                                simulate_paths)
 
 CLEAN_ERRORS = (ValueError, ConfigError, AccuracyError, ArithmeticError)
 SPECIAL = (math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0)
@@ -72,6 +78,10 @@ CASES = {
                        (short_lag, number(0.0, 10.0), number(0.0, 10.0),
                         number(0.0, 10.0))),
     "bcva": (lambda t: bcva(t, CFG, CPS), (short_lag,)),
+    "survival_fhat": (lambda u: survival_fhat(u, JUMPY_CFG), (lag,)),
+    "limit_exp_test": (lambda th, t: limit_exp_test(th, t, JUMPY_CFG), (theta, lag)),
+    "exposure_limit": (lambda t, maturity: exposure_limit(t, maturity, JUMPY_CFG),
+                       (short_lag, short_lag)),
 }
 
 
@@ -96,8 +106,10 @@ def test_closed_form_is_finite_or_raises_cleanly(name, data):
     assert all(np.all(np.isfinite(v)) for v in _values(out)), (name, args, out)
 
 
-# simulate_paths' numeric arguments: a valid run, of which the test
-# changes one argument; steps and sample times are drawn on the grid too
+# simulate_paths' numeric arguments and its pool's jump law: a valid run, of
+# which the test changes one argument; steps and sample times are drawn on
+# the grid too
+JUMP_LAW = ("lambda_c", "gamma1", "gamma2")
 SIM_BASE = dict(lambda_c=0.5, gamma1=1.5, gamma2=1.5, horizon=1.0, n_paths=3, seed=1,
                 dt=None, sample_times=None)
 on_grid = st.integers(0, 1000).map(lambda i: i / 1000)
@@ -115,14 +127,37 @@ SIM_ARGS = {
 @given(data=st.data())
 def test_simulate_paths_is_finite_or_raises_cleanly(arg, data):
     kw = dict(SIM_BASE, **{arg: data.draw(SIM_ARGS[arg])})
+    law = {k: kw.pop(k) for k in JUMP_LAW}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            ps = simulate_paths([NAME], CPS, **kw)
+            ps = simulate_paths(Pool([NAME], **law), CPS, **kw)
         except CLEAN_ERRORS:
             return
-    assert np.all(np.isfinite(ps.intensities)) and np.all(ps.intensities >= 0.0), kw
-    assert np.all(np.isfinite(ps.thresholds)) and np.all(ps.default_times > 0.0), kw
+    assert np.all(np.isfinite(ps.intensities)) and np.all(ps.intensities >= 0.0), (law, kw)
+    assert np.all(np.isfinite(ps.thresholds)) and np.all(ps.default_times > 0.0), (law, kw)
+
+
+# exact_book_values' numeric arguments, on a one-name jump pool and a few paths
+EXACT_BASE = dict(sample_times=[0.0, 0.5], maturity=1.0, r=0.03, n_paths=3, seed=1)
+EXACT_ARGS = {
+    "r": number(-1.0, 1.0), "maturity": short_lag,
+    "n_paths": st.integers(-1, 5), "seed": st.integers(-1, 2**64),
+}
+
+
+@pytest.mark.parametrize("arg", sorted(EXACT_ARGS))
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_exact_book_values_is_finite_or_raises_cleanly(arg, data):
+    kw = dict(EXACT_BASE, **{arg: data.draw(EXACT_ARGS[arg])})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            values = exact_book_values(Pool([NAME], 0.5, 1.5, 1.5), **kw)
+        except CLEAN_ERRORS:
+            return
+    assert values.shape == (2, kw["n_paths"]) and np.all(np.isfinite(values)), kw
 
 
 @settings(max_examples=20, deadline=None)

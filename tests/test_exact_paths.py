@@ -9,7 +9,7 @@ import pytest
 
 from cdspool.errors import ConfigError
 from cdspool.exposure import LimitConfig, build_name_sequence
-from cdspool.simulation import NameParams, exact_book_values
+from cdspool.simulation import NameParams, Pool, exact_book_values
 
 from finite_k import exact_states, transform_coefficients
 from oracles import rk4_solve
@@ -28,7 +28,7 @@ def ladder(alpha, sigma, x0, kappa):
     cfg = LimitConfig(alpha=alpha, kappa=kappa, sigma=sigma, c=0.0, d=0.0, lambda_hat=0.5,
                       x0=x0, gamma1=1.5, gamma2=1.5, lambda_c=2.5, s_z=0.02, l_z=0.4,
                       r=0.03)
-    return build_name_sequence(cfg, 5)
+    return build_name_sequence(cfg, 5).names
 
 
 # ---------------------------------------------------------------------------
@@ -82,8 +82,8 @@ def _z(sample: np.ndarray, mean: float, var: float) -> tuple[float, float]:
 def test_one_interval_moments_match_cir(label, names):
     names = [replace(n, c=0.0, d=0.0, lambda_hat=0.0) for n in names]
     dt = 0.25
-    xs = exact_states(names, lambda_c=0.0, gamma1=1.5, gamma2=1.5,
-                      sample_times=[0.0, dt], n_paths=20_000, seed=5)
+    xs = exact_states(Pool(names, 0.0, 1.5, 1.5), sample_times=[0.0, dt], n_paths=20_000,
+                      seed=5)
     worst = 0.0
     for k, n in enumerate(names):
         e = math.exp(-n.kappa * dt)
@@ -97,8 +97,7 @@ def test_one_interval_moments_match_cir(label, names):
 def test_zero_sigma_follows_the_deterministic_flow():
     names = [make_name(sigma=0.0, c=0.0, d=0.0, lambda_hat=0.0, xi0=x) for x in (0.0, 0.3)]
     times = np.linspace(0.0, 1.0, 5)
-    xs = exact_states(names, lambda_c=0.0, gamma1=1.5, gamma2=1.5,
-                      sample_times=times, n_paths=4, seed=2)
+    xs = exact_states(Pool(names, 0.0, 1.5, 1.5), sample_times=times, n_paths=4, seed=2)
     for k, n in enumerate(names):
         e = np.exp(-n.kappa * times)
         flow = n.xi0 * e + n.alpha / n.kappa * (1.0 - e)
@@ -112,13 +111,11 @@ def test_jump_layer_means_of_the_ladder_ends():
                       x0=0.02, gamma1=1.5, gamma2=1.5, lambda_c=2.5, s_z=0.02,
                       l_z=0.4, r=0.03)
     full = build_name_sequence(cfg, 300)
-    book = [full[0], full[-1]]
-    xs = exact_states(book, lambda_c=cfg.lambda_c, gamma1=cfg.gamma1,
-                      gamma2=cfg.gamma2, sample_times=[0.0, 0.5, 1.0],
-                      n_paths=20_000, seed=9)
+    book = replace(full, names=[full.names[0], full.names[-1]])
+    xs = exact_states(book, sample_times=[0.0, 0.5, 1.0], n_paths=20_000, seed=9)
     worst = 0.0
     for i, t in ((1, 0.5), (2, 1.0)):
-        for k, n in enumerate(book):
+        for k, n in enumerate(book.names):
             e = math.exp(-n.kappa * t)
             drift = n.alpha + cfg.lambda_c * n.c / cfg.gamma1 + n.lambda_hat * n.d / cfg.gamma2
             mean = n.xi0 * e + drift * (1.0 - e) / n.kappa
@@ -132,11 +129,11 @@ def test_jump_layer_means_of_the_ladder_ends():
 # ---------------------------------------------------------------------------
 
 def _jump_book():
-    return [make_name(xi0=0.01 * (k + 1), sigma=0.1 + 0.05 * k) for k in range(3)]
+    return Pool([make_name(xi0=0.01 * (k + 1), sigma=0.1 + 0.05 * k) for k in range(3)],
+                lambda_c=2.5, gamma1=1.5, gamma2=1.5)
 
 
-EXACT_KW = dict(lambda_c=2.5, gamma1=1.5, gamma2=1.5,
-                sample_times=np.linspace(0.0, 0.5, 6), seed=31)
+EXACT_KW = dict(sample_times=np.linspace(0.0, 0.5, 6), seed=31)
 
 
 def test_exact_paths_worker_invariance():
@@ -172,8 +169,15 @@ def test_exact_paths_store_the_sample_times_and_no_defaults():
     dict(sample_times=[0.0]), dict(sample_times=[0.0, np.inf]),
     dict(gamma1=0.0), dict(lambda_c=-1.0), dict(gamma2=np.nan), dict(n_paths=0),
     dict(names=[]),
+    # r = nan used to return all-NaN values, r = inf to raise numpy's
+    # invalid-value warning and maturity = inf an OverflowError
+    dict(r=np.nan), dict(r=np.inf), dict(r=-np.inf), dict(maturity=np.inf),
+    dict(maturity=np.nan),
 ])
 def test_exact_paths_reject_bad_input(override):
-    kw = dict(EXACT_KW, names=_jump_book(), n_paths=4, maturity=1.0, r=0.03) | override
+    # the jump law is checked when its Pool is built, the rest by the engine
+    kw = dict(EXACT_KW, names=_jump_book().names, lambda_c=2.5, gamma1=1.5, gamma2=1.5,
+              n_paths=4, maturity=1.0, r=0.03) | override
+    law = {k: kw.pop(k) for k in ("names", "lambda_c", "gamma1", "gamma2")}
     with pytest.raises(ConfigError):
-        exact_book_values(**kw)
+        exact_book_values(Pool(**law), **kw)

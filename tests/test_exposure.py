@@ -170,17 +170,17 @@ def test_limit_exp_test_domain():
 
 def test_exposure_limit_domain():
     cfg = make_cfg()
+    # an infinite t or maturity used to end in an OverflowError from the panel count
     for t, maturity in ((math.nan, 1.0), (0.5, math.nan), ([0.5, math.nan], 1.0),
-                        (1.5, 1.0)):
+                        (1.5, 1.0), (0.0, math.inf), (-math.inf, 1.0),
+                        ([0.5, -math.inf], 1.0), (math.inf, math.inf)):
         with pytest.raises(ValueError, match="Require t <= maturity"):
             exposure_limit(t, maturity, cfg)
 
 
 def test_empirical_measure_is_one_at_time_zero():
     cfg = LimitConfig(**NOJUMP)
-    names = build_name_sequence(cfg, 20)
-    ps = simulate_paths(names, lambda_c=cfg.lambda_c, gamma1=cfg.gamma1,
-                        gamma2=cfg.gamma2, horizon=0.5, n_paths=40, seed=2,
+    ps = simulate_paths(build_name_sequence(cfg, 20), horizon=0.5, n_paths=40, seed=2,
                         dt=1e-2)
     mean, stderr = empirical_measure_eval(ps, 0.0, 0.0)
     assert mean == 1.0 and stderr == 0.0
@@ -189,9 +189,7 @@ def test_empirical_measure_is_one_at_time_zero():
 def test_empirical_measure_converges_to_limit_values():
     cfg = LimitConfig(**NOJUMP)
     K = 300
-    names = build_name_sequence(cfg, K)
-    ps = simulate_paths(names, lambda_c=cfg.lambda_c, gamma1=cfg.gamma1,
-                        gamma2=cfg.gamma2, horizon=1.0, n_paths=400, seed=71,
+    ps = simulate_paths(build_name_sequence(cfg, K), horizon=1.0, n_paths=400, seed=71,
                         dt=1e-3, sample_times=[0.5, 1.0])
     for t in (0.5, 1.0):
         mean, se = empirical_measure_eval(ps, 0.0, t)
@@ -204,9 +202,8 @@ def test_empirical_measure_converges_to_limit_values():
 
 def test_empirical_measure_rejects_unknown_test_function():
     cfg = LimitConfig(**NOJUMP)
-    names = build_name_sequence(cfg, 3)
-    ps = simulate_paths(names, lambda_c=0.0, gamma1=1.5, gamma2=1.5, horizon=0.1,
-                        n_paths=5, seed=3, dt=0.01)
+    ps = simulate_paths(build_name_sequence(cfg, 3), horizon=0.1, n_paths=5, seed=3,
+                        dt=0.01)
     for theta in (0.5, math.nan):
         with pytest.raises(ValueError):
             empirical_measure_eval(ps, theta, 0.0)
@@ -214,7 +211,7 @@ def test_empirical_measure_rejects_unknown_test_function():
 
 def test_name_ladder_first_rung_and_limits():
     cfg = make_cfg()
-    names = build_name_sequence(cfg, 1000)
+    names = build_name_sequence(cfg, 1000).names
     first = names[0]
     assert first.alpha == pytest.approx(2 * cfg.alpha)
     assert first.kappa == pytest.approx(2 * cfg.kappa)
@@ -227,10 +224,19 @@ def test_name_ladder_first_rung_and_limits():
     assert all(n.z == 1 for n in names)
 
 
+def test_name_ladder_carries_the_limit_jump_law():
+    # the book's pool takes cfg's common rate and both size rates, each in its place
+    cfg = make_cfg(lambda_c=0.7, gamma1=1.5, gamma2=3.0)
+    pool = build_name_sequence(cfg, 4)
+    assert (pool.lambda_c, pool.gamma1, pool.gamma2) == (0.7, 1.5, 3.0)
+    assert len(pool.names) == 4
+    np.testing.assert_array_equal(pool.kappa, [n.kappa for n in pool.names])
+
+
 def test_name_ladder_harmonic_average_identity():
     cfg = make_cfg()
     K = 300
-    names = build_name_sequence(cfg, K)
+    names = build_name_sequence(cfg, K).names
     # the book carries the contract averages that exposure_limit prices
     avg_spread = sum(n.z * n.spread for n in names) / K
     avg_loss = sum(n.z * n.loss for n in names) / K

@@ -14,7 +14,7 @@ from cdspool.exposure import LimitConfig, build_name_sequence, exposure_limit
 from cdspool.harness import (CurveTable, ExperimentSpec, default_counterparties,
                              grid_for_samples, run_bcva_sweeps, run_convergence,
                              run_measure_convergence, run_validation, write_run)
-from cdspool.simulation import simulate_paths
+from cdspool.simulation import Pool, simulate_paths
 
 from finite_k import exact_states
 
@@ -94,15 +94,14 @@ def test_streamed_curve_equals_the_stored_path_estimator(workers):
     spec.k_values, spec.n_paths, spec.n_times, spec.workers = (40,), 300, 21, workers
     table, = run_convergence(spec)
     cfg = spec.limit
-    names = build_name_sequence(cfg, 40)
-    jumps = dict(lambda_c=cfg.lambda_c, gamma1=cfg.gamma1, gamma2=cfg.gamma2)
-    states = exact_states(names, sample_times=table.abscissa, n_paths=300, seed=5, **jumps)
+    pool = build_name_sequence(cfg, 40)
+    states = exact_states(pool, sample_times=table.abscissa, n_paths=300, seed=5)
     stored = np.zeros((len(table.abscissa), 2))
     for i, t in enumerate(table.abscissa):
         span = spec.horizon - float(t)
         if span != 0.0:  # the book at maturity is worth 0
-            vals = simulation._book_values(states[:, i], *simulation._book_rows(
-                names, cfg.lambda_c, cfg.gamma1, cfg.gamma2, span, cfg.r))
+            vals = simulation._book_values(states[:, i],
+                                           *simulation._book_rows(pool, span, cfg.r))
             stored[i] = vals.mean(), simulation._stderr(vals)
     np.testing.assert_array_equal(table.columns["mc_exposure"], stored[:, 0])
     np.testing.assert_array_equal(table.columns["mc_stderr"], stored[:, 1])
@@ -235,16 +234,15 @@ def test_nested_mc_cva_one_path_has_zero_stderr():
     cfg, _, cps = harness._validation_baseline()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        ps = simulate_paths((), cps, lambda_c=cfg.lambda_c, horizon=3.0, n_paths=1,
-                            seed=5)
+        ps = simulate_paths(Pool((), cfg.lambda_c), cps, horizon=3.0, n_paths=1, seed=5)
         est, se = harness.nested_mc_cva(ps, cfg, cps.loss_b)
     assert math.isfinite(est) and se == 0.0
 
 
 def test_nested_mc_cva_reads_only_a_pair_simulation():
     cfg, _, cps = harness._validation_baseline()
-    ps = simulate_paths(build_name_sequence(cfg, 2), cps, lambda_c=cfg.lambda_c,
-                        horizon=1.0, n_paths=4, seed=5, dt=0.1)
+    ps = simulate_paths(build_name_sequence(cfg, 2), cps, horizon=1.0, n_paths=4, seed=5,
+                        dt=0.1)
     with pytest.raises(ValueError, match="pair alone"):
         harness.nested_mc_cva(ps, cfg, cps.loss_b)
 

@@ -1,7 +1,7 @@
 import hashlib
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -12,10 +12,10 @@ from cdspool.exposure import LimitConfig, build_name_sequence, exposure_limit
 from cdspool.jumps import BveParams, mgf_exp
 from cdspool.quadrature import composite_simpson, simpson_weights
 from cdspool.riccati import integral_beta, riccati_b, riccati_beta
-from cdspool.simulation import (CounterpartyParams, CounterpartySide, NameParams,
+from cdspool.simulation import (CounterpartyParams, CounterpartySide, NameParams, Pool,
                                 _book_rows, _book_values, _pair_stderr, _stderr,
                                 exact_book_values, mc_kernel_oracles, mc_limit_transform,
-                                sample_defaults, simulate_paths)
+                                simulate_paths)
 
 
 def make_name(**overrides):
@@ -39,9 +39,26 @@ NOJUMP_CFG = LimitConfig(alpha=0.75, kappa=1.5, sigma=0.2, c=0.0, d=0.0,
                          lambda_c=2.5, s_z=0.02, l_z=0.4, r=0.03)
 
 
+def redraw_defaults(ps, rng=None, thresholds=None):
+    """Default times re-derived on the stored sample grid of a simulation of
+    the pair alone: the first stored time at which the running intensity
+    integral reaches fresh unit-exponential thresholds drawn from ``rng``,
+    or the given ``thresholds``; inf if it never does."""
+
+    if ps.integrated is None:
+        raise ValueError("Redrawing default times needs the stored intensity integrals, "
+                         "which only the counterparty pair alone records.")
+    m, _, e = ps.integrated.shape
+    if thresholds is None:
+        thresholds = rng.standard_exponential((m, e))
+    thr = np.broadcast_to(np.asarray(thresholds, dtype=float), (m, e))
+    crossed = ps.integrated >= thr[:, None, :]
+    return np.where(crossed.any(axis=1), ps.times[np.argmax(crossed, axis=1)], np.inf)
+
+
 def test_stationary_deterministic_path_is_constant():
     name = make_name(sigma=0.0, c=0.0, d=0.0, lambda_hat=0.0, alpha=0.5 * 0.02)
-    ps = simulate_paths([name], horizon=1.0, n_paths=4, seed=1, dt=0.01)
+    ps = simulate_paths(Pool([name]), horizon=1.0, n_paths=4, seed=1, dt=0.01)
     np.testing.assert_allclose(ps.intensities, 0.02, rtol=0, atol=1e-15)
 
 
@@ -51,14 +68,13 @@ def test_mean_matches_mean_reversion_formula():
                       x0=0.02, gamma1=1.5, gamma2=1.5, lambda_c=2.5, s_z=0.02,
                       l_z=0.4, r=0.03)
     K, horizon = 300, 1.0
-    names = build_name_sequence(cfg, K)
-    ps = simulate_paths(names, lambda_c=cfg.lambda_c, gamma1=cfg.gamma1,
-                        gamma2=cfg.gamma2, horizon=horizon, n_paths=500, seed=11,
-                        dt=1e-3, sample_times=[horizon])
+    pool = build_name_sequence(cfg, K)
+    ps = simulate_paths(pool, horizon=horizon, n_paths=500, seed=11, dt=1e-3,
+                        sample_times=[horizon])
     terminal = ps.intensities[:, -1, :].mean(axis=1)
     expected = np.mean([n.xi0 * math.exp(-n.kappa * horizon)
                         + n.alpha * (1 - math.exp(-n.kappa * horizon)) / n.kappa
-                        for n in names])
+                        for n in pool.names])
     assert abs(terminal.mean() - expected) < 3 * _pair_stderr(terminal)
 
 
@@ -70,8 +86,8 @@ def test_common_jumps_hit_all_entities_at_same_steps():
                                            d=0.0, lambda_hat=0.0, xi0=0.1),
                    side_b=CounterpartySide(alpha=0.0, kappa=1e-12, sigma=0.0, c=0.9,
                                            d=0.0, lambda_hat=0.0, xi0=0.1))
-    ps = simulate_paths(names, cps, lambda_c=30.0, gamma1=1.5, gamma2=1.5,
-                        horizon=1.0, n_paths=8, seed=3, dt=1e-2)
+    ps = simulate_paths(Pool(names, 30.0, 1.5, 1.5), cps, horizon=1.0, n_paths=8, seed=3,
+                        dt=1e-2)
     jumps = np.diff(ps.intensities, axis=1) > 1e-12
     # every entity jumps at exactly the same grid steps on every path
     for j in range(1, ps.n_entities):
@@ -85,7 +101,7 @@ def test_default_times_match_exponential_survival():
     lam = 0.3
     name = make_name(sigma=0.0, c=0.0, d=0.0, lambda_hat=0.0, alpha=lam * 1e-12,
                      kappa=1e-12, xi0=lam)
-    ps = simulate_paths([name], horizon=2.0, n_paths=100_000, seed=5, dt=1e-2,
+    ps = simulate_paths(Pool([name]), horizon=2.0, n_paths=100_000, seed=5, dt=1e-2,
                         sample_times=[0.0, 2.0])
     for t in (0.5, 1.0, 2.0):
         p_hat = (ps.default_times[:, 0] > t).mean()
@@ -95,17 +111,17 @@ def test_default_times_match_exponential_survival():
 
 
 def test_forced_infinite_thresholds_mean_no_defaults():
-    ps = simulate_paths((), make_cps(), lambda_c=2.5, gamma1=1.5, gamma2=1.5,
-                        horizon=1.0, n_paths=50, seed=9, dt=1e-2)
-    tau = sample_defaults(ps, thresholds=np.inf)
+    ps = simulate_paths(Pool((), 2.5, 1.5, 1.5), make_cps(), horizon=1.0, n_paths=50, seed=9,
+                        dt=1e-2)
+    tau = redraw_defaults(ps, thresholds=np.inf)
     assert np.all(np.isinf(tau))
 
 
 def test_joint_survival_factorizes_for_independent_entities():
     # two names, no common jumps: defaults are independent
     names = [make_name(xi0=0.4, alpha=0.3, c=0.0), make_name(xi0=0.6, alpha=0.2, c=0.0)]
-    ps = simulate_paths(names, lambda_c=0.0, gamma1=1.5, gamma2=1.5, horizon=1.0,
-                        n_paths=50_000, seed=13, dt=2e-3, sample_times=[0.0, 1.0])
+    ps = simulate_paths(Pool(names, 0.0, 1.5, 1.5), horizon=1.0, n_paths=50_000, seed=13,
+                        dt=2e-3, sample_times=[0.0, 1.0])
     t = 1.0
     alive = ps.default_times > t
     i1, i2 = alive[:, 0].astype(float), alive[:, 1].astype(float)
@@ -117,10 +133,10 @@ def test_conditional_independence_given_frozen_paths():
     # correlated intensities via common jumps, fresh thresholds on frozen
     # paths: joint default indicator matches the product-of-survivals mean
     cps = make_cps()
-    ps = simulate_paths((), cps, lambda_c=1.0, gamma1=1.5, gamma2=1.5, horizon=1.0,
-                        n_paths=50_000, seed=17, dt=2e-3, sample_times=[0.0, 1.0])
+    ps = simulate_paths(Pool((), 1.0, 1.5, 1.5), cps, horizon=1.0, n_paths=50_000, seed=17,
+                        dt=2e-3, sample_times=[0.0, 1.0])
     rng = np.random.default_rng(23)
-    tau = sample_defaults(ps, rng=rng)
+    tau = redraw_defaults(ps, rng=rng)
     t = 1.0
     alive = (tau > t).astype(float)
     joint = alive[:, 0] * alive[:, 1]
@@ -131,8 +147,8 @@ def test_conditional_independence_given_frozen_paths():
 
 def test_intensities_stay_nonnegative_with_jumps():
     names = [make_name(sigma=0.6, xi0=0.01) for _ in range(5)]
-    ps = simulate_paths(names, make_cps(), lambda_c=2.5, gamma1=1.5, gamma2=1.5,
-                        horizon=1.0, n_paths=300, seed=19, dt=1e-3)
+    ps = simulate_paths(Pool(names, 2.5, 1.5, 1.5), make_cps(), horizon=1.0, n_paths=300,
+                        seed=19, dt=1e-3)
     assert ps.intensities.min() >= 0.0
 
 
@@ -142,21 +158,18 @@ def test_fourth_moment_bounded_along_pool_ladder():
     cfg = NOJUMP_CFG
     est = {}
     for K in (10, 300):
-        names = build_name_sequence(cfg, K)
-        ps = simulate_paths(names, lambda_c=cfg.lambda_c, gamma1=cfg.gamma1,
-                            gamma2=cfg.gamma2, horizon=1.0, n_paths=200, seed=29,
+        ps = simulate_paths(build_name_sequence(cfg, K), horizon=1.0, n_paths=200, seed=29,
                             dt=2e-3, sample_times=np.linspace(0, 1, 11))
         est[K] = (ps.intensities**4).mean(axis=(0, 2)).max()
     assert est[300] <= 2.0 * est[10]
 
 
 def test_bit_reproducibility_and_worker_invariance():
-    names = build_name_sequence(NOJUMP_CFG, 7)
-    kw = dict(lambda_c=2.5, gamma1=1.5, gamma2=1.5, horizon=0.5, n_paths=600,
-              seed=31, dt=1e-3)
-    a = simulate_paths(names, make_cps(), **kw)
-    b = simulate_paths(names, make_cps(), **kw)
-    c = simulate_paths(names, make_cps(), workers=4, **kw)
+    pool = build_name_sequence(NOJUMP_CFG, 7)  # lambda_c 2.5, gamma1 = gamma2 = 1.5
+    kw = dict(horizon=0.5, n_paths=600, seed=31, dt=1e-3)
+    a = simulate_paths(pool, make_cps(), **kw)
+    b = simulate_paths(pool, make_cps(), **kw)
+    c = simulate_paths(pool, make_cps(), workers=4, **kw)
     for other in (b, c):
         np.testing.assert_array_equal(a.intensities, other.intensities)
         np.testing.assert_array_equal(a.default_times, other.default_times)
@@ -171,8 +184,8 @@ def test_names_and_pair_pinned():
                "c4dcf2a5455f63a7bbe325008456516e4ef2405d8144a1d3f09d3256da745936",
                "e490def82ff9626acfd806526c5decae152b7de86af3388833389c2cc47e5a57")
     names = [make_name(xi0=0.01 * (k + 1), sigma=0.1 + 0.05 * k) for k in range(3)]
-    ps = simulate_paths(names, make_cps(), lambda_c=2.5, gamma1=1.5, gamma2=1.5,
-                        horizon=0.5, n_paths=600, seed=31, dt=1e-3, workers=2)
+    ps = simulate_paths(Pool(names, 2.5, 1.5, 1.5), make_cps(), horizon=0.5, n_paths=600,
+                        seed=31, dt=1e-3, workers=2)
     got = tuple(hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
                 for a in (ps.intensities, ps.default_times, ps.thresholds))
     assert got == digests
@@ -185,7 +198,7 @@ def test_one_step_mirrors_each_pair_of_paths():
     dt = 1e-3
     names = [make_name(xi0=0.5, alpha=0.3, kappa=0.8, sigma=0.4, c=0.0, d=0.0,
                        lambda_hat=0.0)]
-    ps = simulate_paths(names, horizon=dt, n_paths=300, seed=83, dt=dt,
+    ps = simulate_paths(Pool(names), horizon=dt, n_paths=300, seed=83, dt=dt,
                         sample_times=[dt])
     x = ps.intensities[:, 0, 0]
     drift = 0.5 + (0.3 - 0.8 * 0.5) * dt
@@ -214,40 +227,96 @@ def test_pair_stderr_clusters_each_pair():
 
 
 def test_paths_invariant_to_total_path_count():
-    names = [make_name()]
-    kw = dict(lambda_c=2.5, gamma1=1.5, gamma2=1.5, horizon=0.5, seed=37, dt=1e-3)
-    big = simulate_paths(names, n_paths=700, **kw)
-    small = simulate_paths(names, n_paths=123, **kw)
+    pool = Pool([make_name()], 2.5, 1.5, 1.5)
+    kw = dict(horizon=0.5, seed=37, dt=1e-3)
+    big = simulate_paths(pool, n_paths=700, **kw)
+    small = simulate_paths(pool, n_paths=123, **kw)
     np.testing.assert_array_equal(big.intensities[:123], small.intensities)
     np.testing.assert_array_equal(big.default_times[:123], small.default_times)
 
 
 def test_config_errors():
     with pytest.raises(ConfigError):
-        simulate_paths([], horizon=1.0, n_paths=1, seed=1)
+        simulate_paths(Pool([]), horizon=1.0, n_paths=1, seed=1)
     with pytest.raises(ConfigError):
         make_name(alpha=float("nan"))
     with pytest.raises(ConfigError):
-        simulate_paths([make_name()], horizon=1.0, n_paths=1, seed=1, dt=0.3)
+        simulate_paths(Pool([make_name()]), horizon=1.0, n_paths=1, seed=1, dt=0.3)
     with pytest.raises(ConfigError):
-        simulate_paths([make_name()], horizon=1.0, n_paths=1, seed=1,
+        simulate_paths(Pool([make_name()]), horizon=1.0, n_paths=1, seed=1,
                        sample_times=[0.123456])  # off the grid
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no cast warning before the check
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ConfigError, match="sample_times must be finite"):
-                simulate_paths([make_name()], horizon=1.0, n_paths=1, seed=1,
+                simulate_paths(Pool([make_name()]), horizon=1.0, n_paths=1, seed=1,
                                sample_times=[0.5, bad])
-    ps = simulate_paths([make_name()], horizon=1.0, n_paths=3, seed=1, dt=0.01)
+    ps = simulate_paths(Pool([make_name()]), horizon=1.0, n_paths=3, seed=1, dt=0.01)
     with pytest.raises(ValueError):
-        sample_defaults(ps, thresholds=np.inf)
+        redraw_defaults(ps, thresholds=np.inf)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("lambda_c", -1.0, "Require lambda_c >= 0"), ("gamma1", 0.0, "gamma1, gamma2 > 0"),
+    ("gamma1", -1.0, "gamma1, gamma2 > 0"), ("gamma2", 0.0, "gamma1, gamma2 > 0"),
+    ("lambda_c", math.nan, "must be finite"), ("lambda_c", math.inf, "must be finite"),
+    ("gamma1", math.inf, "must be finite"), ("gamma2", math.nan, "must be finite"),
+    ("gamma2", -math.inf, "must be finite"),
+])
+def test_pool_rejects_a_bad_jump_law(field, value, message):
+    # the engines' jump-parameter checks live in the Pool alone
+    law = dict(lambda_c=2.5, gamma1=1.5, gamma2=1.5) | {field: value}
+    for names in ([make_name()], ()):
+        with pytest.raises(ConfigError, match=message):
+            Pool(names, **law)
+
+
+def test_pool_lays_out_each_name_field_and_the_jump_layers():
+    names = [make_name(z=-1, xi0=0.03), make_name(kappa=0.7, spread=0.05, loss=0.6)]
+    pool = Pool(names, 2.5, 1.5, 3.0)
+    assert pool.names == tuple(names)
+    for f in fields(NameParams):
+        arr = getattr(pool, f.name)
+        assert arr.dtype == float
+        np.testing.assert_array_equal(arr, [getattr(n, f.name) for n in names])
+    (rate_c, ell_c, gamma_c), (rate_i, ell_i, gamma_i) = pool.layers
+    assert (rate_c, gamma_c, gamma_i) == (2.5, 1.5, 3.0)
+    np.testing.assert_array_equal(rate_i, pool.lambda_hat)
+    np.testing.assert_array_equal(ell_c, pool.c)
+    np.testing.assert_array_equal(ell_i, pool.d)
+    # no names: empty arrays, and the defaults carry no common clock
+    empty = Pool(())
+    assert (empty.lambda_c, empty.gamma1, empty.gamma2) == (0.0, 1.0, 1.0)
+    assert empty.kappa.shape == (0,)
+
+
+@pytest.mark.parametrize("cls", [NameParams, CounterpartySide])
+def test_intensity_types_reject_nan_in_every_field(cls):
+    # one validator: its finiteness test runs over all of the type's fields,
+    # spread and loss included for a name
+    base = dict(alpha=0.01, kappa=0.5, sigma=0.2, c=0.2, d=0.2, lambda_hat=0.5, xi0=0.02)
+    if cls is NameParams:
+        base.update(spread=0.02, loss=0.4)
+    cls(**base)
+    for f in fields(cls):
+        with pytest.raises(ConfigError, match=f"{cls.__name__} fields must be finite"):
+            cls(**base | {f.name: math.nan})
+
+
+def test_name_params_extends_the_counterparty_side():
+    # a name is a side plus its contract terms, in the same field order
+    assert issubclass(NameParams, CounterpartySide)
+    side_fields = [f.name for f in fields(CounterpartySide)]
+    assert [f.name for f in fields(NameParams)] == side_fields + ["spread", "loss", "z"]
+    assert NameParams(0.01, 0.5, 0.2, 0.2, 0.2, 0.5, 0.02, 0.02, 0.4) == make_name()
+    for bad in (dict(loss=1.5), dict(z=0), dict(xi0=-1.0), dict(kappa=0.0)):
+        with pytest.raises(ConfigError):
+            make_name(**bad)
 
 
 def test_mc_exposure_vanishes_at_maturity():
-    names = build_name_sequence(NOJUMP_CFG, 5)
-    values = exact_book_values(names, lambda_c=NOJUMP_CFG.lambda_c, gamma1=1.5,
-                               gamma2=1.5, sample_times=[0.0, 0.5, 1.0], maturity=1.0,
-                               r=0.03, n_paths=50, seed=41)
+    values = exact_book_values(build_name_sequence(NOJUMP_CFG, 5), sample_times=[0.0, 0.5, 1.0],
+                               maturity=1.0, r=0.03, n_paths=50, seed=41)
     assert values.shape == (3, 50)
     assert np.all(values[-1] == 0.0) and _stderr(values[-1]) == 0.0
 
@@ -258,9 +327,8 @@ def test_mc_exposure_deterministic_intensity_oracle():
     x0, alpha, kappa, spread, loss, r, horizon = 0.05, 0.03, 0.8, 0.02, 0.4, 0.03, 2.0
     name = NameParams(alpha=alpha, kappa=kappa, sigma=0.0, c=0.0, d=0.0,
                       lambda_hat=0.0, xi0=x0, spread=spread, loss=loss)
-    values = exact_book_values([name], lambda_c=0.0, gamma1=1.5, gamma2=1.5,
-                               sample_times=[0.0, 0.5], maturity=horizon, r=r,
-                               n_paths=1, seed=43)
+    values = exact_book_values(Pool([name], 0.0, 1.5, 1.5), sample_times=[0.0, 0.5],
+                               maturity=horizon, r=r, n_paths=1, seed=43)
     for est, t in zip(values[:, 0], (0.0, 0.5)):
         x_t = x0 * math.exp(-kappa * t) - alpha / kappa * math.expm1(-kappa * t)
         span = horizon - t
@@ -284,9 +352,7 @@ def test_mc_exposure_tracks_limit_for_moderate_pool():
     # the K = 300 / 2% version belongs to the acceptance suite
     cfg = NOJUMP_CFG
     K, horizon = 50, 1.0
-    names = build_name_sequence(cfg, K)
-    values = exact_book_values(names, lambda_c=cfg.lambda_c, gamma1=cfg.gamma1,
-                               gamma2=cfg.gamma2, sample_times=[0.0, 0.5],
+    values = exact_book_values(build_name_sequence(cfg, K), sample_times=[0.0, 0.5],
                                maturity=horizon, r=cfg.r, n_paths=500, seed=47)
     scale = abs(exposure_limit(0.0, horizon, cfg))
     for vals, t in zip(values, (0.0, 0.5)):
@@ -297,12 +363,14 @@ def test_mc_exposure_tracks_limit_for_moderate_pool():
 
 def pair_to(u, cps=None, lambda_c=0.25, n_paths=10, seed=1):
     """The pair alone simulated on 1000 steps to lag u, stored at u only."""
-    return simulate_paths((), cps or make_cps(), lambda_c=lambda_c, horizon=u,
+    return simulate_paths(Pool((), lambda_c), cps or make_cps(), horizon=u,
                           n_paths=n_paths, seed=seed, sample_times=[u])
 
 
 def test_mc_h1_oracle_short_horizon_recovers_initial_intensity():
-    ps = pair_to(1e-3, make_cps().with_initial(0.2, 0.3), n_paths=2000, seed=53)
+    cps = make_cps()
+    cps = replace(cps, side_a=replace(cps.side_a, xi0=0.2), side_b=replace(cps.side_b, xi0=0.3))
+    ps = pair_to(1e-3, cps, n_paths=2000, seed=53)
     (est, se), _, _ = mc_kernel_oracles(ps, 1e-3)
     assert est == pytest.approx(0.3, rel=2e-2)
 
@@ -420,12 +488,12 @@ def test_oracles_report_zero_stderr_for_one_path():
 
 def test_kernel_oracles_read_only_a_pair_simulation():
     # the running integrals exist only for the pair alone, and the lag must be stored
-    kw = dict(lambda_c=1.0, gamma1=1.5, gamma2=1.5, n_paths=8, seed=71)
-    ps = simulate_paths([make_name()], make_cps(), horizon=1.0, dt=1e-2, **kw)
+    law, kw = dict(lambda_c=1.0, gamma1=1.5, gamma2=1.5), dict(n_paths=8, seed=71)
+    ps = simulate_paths(Pool([make_name()], **law), make_cps(), horizon=1.0, dt=1e-2, **kw)
     with pytest.raises(ValueError, match="pair alone"):
         mc_kernel_oracles(ps, 1.0)
-    ps = simulate_paths((), make_cps(), horizon=1.0, dt=1e-2, sample_times=[0.5, 1.0],
-                        **kw)
+    ps = simulate_paths(Pool((), **law), make_cps(), horizon=1.0, dt=1e-2,
+                        sample_times=[0.5, 1.0], **kw)
     assert mc_kernel_oracles(ps, 0.5) != mc_kernel_oracles(ps, 1.0)
     with pytest.raises(ValueError, match="not a stored sample time"):
         mc_kernel_oracles(ps, 0.25)
@@ -433,21 +501,21 @@ def test_kernel_oracles_read_only_a_pair_simulation():
 
 def test_integrals_recorded_for_the_pair_alone():
     # only the pair's kernel oracle reads the running integrals
-    kw = dict(lambda_c=1.0, gamma1=1.5, gamma2=1.5, horizon=0.5, n_paths=8, seed=67,
-              dt=1e-2)
-    pair = simulate_paths((), make_cps(), **kw)
+    law = dict(lambda_c=1.0, gamma1=1.5, gamma2=1.5)
+    kw = dict(horizon=0.5, n_paths=8, seed=67, dt=1e-2)
+    pair = simulate_paths(Pool((), **law), make_cps(), **kw)
     assert pair.integrated is not None
     assert pair.integrated.shape == pair.intensities.shape
     for cps in (None, make_cps()):
-        ps = simulate_paths([make_name()], cps, **kw)
+        ps = simulate_paths(Pool([make_name()], **law), cps, **kw)
         assert ps.integrated is None
         with pytest.raises(ValueError, match="only the counterparty pair alone records"):
-            sample_defaults(ps, thresholds=np.inf)
+            redraw_defaults(ps, thresholds=np.inf)
 
 
 def test_pathset_bookkeeping():
-    ps = simulate_paths((), make_cps(), lambda_c=1.0, gamma1=1.5, gamma2=1.5,
-                        horizon=1.0, n_paths=10, seed=61, dt=1e-2)
+    ps = simulate_paths(Pool((), 1.0, 1.5, 1.5), make_cps(), horizon=1.0, n_paths=10, seed=61,
+                        dt=1e-2)
     assert ps.n_names == 0 and ps.n_entities == 2
     assert ps.time_index(0.5) == 50
     # off the grid or not finite; a NaN t compares false with every bound
@@ -459,8 +527,7 @@ def test_pathset_bookkeeping():
     assert ps.integrated[0, -1, 0] == pytest.approx(manual, rel=1e-12)
 
 
-def _quadrature_exposure(ps, names, t, maturity, r, lambda_c, gamma1, gamma2,
-                         n_panels=2048):
+def _quadrature_exposure(ps, pool, t, maturity, r, n_panels=2048):
     """The mean book value at t computed by quadrature alone: the survival
     exponent A0 as a cumulative Simpson integral of its Riccati integrand
     and the premium leg as composite Simpson, both on ``n_panels`` uniform
@@ -468,17 +535,16 @@ def _quadrature_exposure(ps, names, t, maturity, r, lambda_c, gamma1, gamma2,
 
     K = ps.n_names
     x_t = ps.intensities[:, ps.time_index(t), :K]
-    vec = lambda attr: np.array([getattr(n, attr) for n in names])
     span = maturity - t
     u = np.linspace(0.0, span, n_panels + 1)
-    b = np.column_stack([riccati_b(n.kappa, n.sigma, u) for n in names])
-    integrand = (vec("alpha") * b
-                 + lambda_c * (mgf_exp(vec("c") * b, gamma1) - 1.0)
-                 + vec("lambda_hat") * (mgf_exp(vec("d") * b, gamma2) - 1.0))
+    b = np.column_stack([riccati_b(n.kappa, n.sigma, u) for n in pool.names])
+    integrand = (pool.alpha * b
+                 + pool.lambda_c * (mgf_exp(pool.c * b, pool.gamma1) - 1.0)
+                 + pool.lambda_hat * (mgf_exp(pool.d * b, pool.gamma2) - 1.0))
     a = cumulative_simpson(integrand, dx=span / n_panels, axis=0, initial=0.0)
     weights = simpson_weights(n_panels, span / n_panels) * np.exp(-r * u)
-    coeff_spread = vec("z") * (vec("spread") + r * vec("loss")) / K
-    coeff_loss = vec("z") * vec("loss") / K
+    coeff_spread = pool.z * (pool.spread + r * pool.loss) / K
+    coeff_loss = pool.z * pool.loss / K
     eps = (math.exp(-r * span) * (np.exp(a[-1] + b[-1] * x_t) @ coeff_loss)
            - coeff_loss.sum())
     for j in range(n_panels + 1):
@@ -491,15 +557,15 @@ def test_mc_exposure_matches_quadrature_reference(maturity):
     # closed-form exponent + 16-node Gauss-Legendre premium leg against the
     # 2048-panel Simpson construction, on a jump book with short names; the
     # 30-year span is where the fixed rule is weakest
-    names = [make_name(z=z, xi0=0.02 * (1 + k), kappa=0.5 + 0.1 * k, sigma=0.1 + 0.05 * k,
-                       spread=0.01 + 0.005 * k, loss=0.3 + 0.05 * k)
-             for k, z in enumerate([1, -1, 1, 1, -1, 1])]
-    ps = simulate_paths(names, lambda_c=2.5, gamma1=1.5, gamma2=1.5, horizon=1.0,
-                        n_paths=64, seed=73, dt=1e-2, sample_times=[0.0, 0.5, 1.0])
+    pool = Pool([make_name(z=z, xi0=0.02 * (1 + k), kappa=0.5 + 0.1 * k,
+                           sigma=0.1 + 0.05 * k, spread=0.01 + 0.005 * k, loss=0.3 + 0.05 * k)
+                 for k, z in enumerate([1, -1, 1, 1, -1, 1])], 2.5, 1.5, 1.5)
+    ps = simulate_paths(pool, horizon=1.0, n_paths=64, seed=73, dt=1e-2,
+                        sample_times=[0.0, 0.5, 1.0])
     for t in (0.0, 0.5, 1.0):
         x_t = ps.intensities[:, ps.time_index(t)]
-        est = _book_values(x_t, *_book_rows(names, 2.5, 1.5, 1.5, maturity, 0.03)).mean()
-        ref = _quadrature_exposure(ps, names, t, t + maturity, 0.03, 2.5, 1.5, 1.5)
+        est = _book_values(x_t, *_book_rows(pool, maturity, 0.03)).mean()
+        ref = _quadrature_exposure(ps, pool, t, t + maturity, 0.03)
         assert abs(est - ref) <= 1e-9
 
 
@@ -507,14 +573,13 @@ def test_short_book_negates_long_book():
     # s_z, l_z <= 0 builds the mirror book: same intensities, z = -1
     long_cfg = replace(NOJUMP_CFG, c=0.2, d=0.2)
     short_cfg = replace(long_cfg, s_z=-long_cfg.s_z, l_z=-long_cfg.l_z)
-    long_names = build_name_sequence(long_cfg, 7)
-    short_names = build_name_sequence(short_cfg, 7)
-    assert all(n.z == -1 for n in short_names)
+    long_pool = build_name_sequence(long_cfg, 7)
+    short_pool = build_name_sequence(short_cfg, 7)
+    assert all(n.z == -1 for n in short_pool.names)
     long_book, short_book = (
-        exact_book_values(names, lambda_c=long_cfg.lambda_c, gamma1=long_cfg.gamma1,
-                          gamma2=long_cfg.gamma2, sample_times=[0.0, 0.5], maturity=1.0,
-                          r=long_cfg.r, n_paths=40, seed=79)
-        for names in (long_names, short_names))
+        exact_book_values(pool, sample_times=[0.0, 0.5], maturity=1.0, r=long_cfg.r,
+                          n_paths=40, seed=79)
+        for pool in (long_pool, short_pool))
     np.testing.assert_array_equal(short_book, -long_book)
     assert exposure_limit(0.0, 1.0, short_cfg) == -exposure_limit(0.0, 1.0, long_cfg)
     with pytest.raises(ConfigError, match="mixed-sign"):
