@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ConfigError
 from .quadrature import gauss_legendre_panels
 from .riccati import integral_b, integral_beta, riccati_b, riccati_beta
-from .simulation import NameParams, PathSet, Pool
+from .simulation import NameParams, PathSet, Pool, _check_discount
 
 __all__ = [
     "LimitConfig",
@@ -95,13 +95,15 @@ def exposure_limit(t, maturity: float, cfg: LimitConfig):
     :func:`~cdspool.quadrature.gauss_legendre_panels` on [0, v], so each
     value depends only on its own t and a vector call equals the scalar
     calls bit for bit. Vanishes exactly at t = T. Raises ValueError unless
-    t <= T, both finite.
+    t <= T, both finite, and ConfigError if the discount factor over the
+    longest span T - t overflows (a rate far below 0).
     """
 
     t = np.asarray(t, dtype=float)
     if not (math.isfinite(maturity) and ((t <= maturity) & (t > -np.inf)).all()):
         raise ValueError("Require t <= maturity, both finite.")
     v = maturity - t
+    _check_discount(cfg.r, v.max(initial=0.0))
     integral = sum(np.sum(w * np.exp(-cfg.r * u) * survival_fhat(u, cfg), axis=-1)
                    for u, w in gauss_legendre_panels(v))
     terminal = cfg.l_z * (np.exp(-cfg.r * v) * survival_fhat(v, cfg) - 1.0)

@@ -30,7 +30,7 @@ from .exposure import LimitConfig, exposure_limit, survival_fhat
 from .jumps import mgf_bve, mgf_bve_partials
 from .quadrature import gauss_legendre_panels
 from .riccati import exp_phi, riccati_b
-from .simulation import CounterpartyParams, map_ordered
+from .simulation import CounterpartyParams, _check_discount, map_ordered
 
 __all__ = [
     "BcvaResult",
@@ -248,11 +248,13 @@ def bcva(maturity: float, cfg: LimitConfig, cps: CounterpartyParams) -> BcvaResu
     is integrated on :func:`~cdspool.quadrature.gauss_legendre_panels`
     shifted to its start. A kernel side is built only when the exposure
     takes its sign somewhere on [0, T]. The kernels start from the
-    counterparties' initial intensities.
+    counterparties' initial intensities. A rate far enough below 0 that the
+    discount factor over T overflows raises ConfigError.
     """
 
     if not 0.0 <= maturity < math.inf:
         raise ValueError(f"Require a finite maturity >= 0, got {maturity}.")
+    _check_discount(cfg.r, maturity)
     if maturity == 0.0:
         return BcvaResult(bcva=0.0, cva=0.0, dva=0.0)
 

@@ -24,7 +24,9 @@ engine takes that law. Two engines simulate this system:
   shape, so a block of the narrow pair runs each operation as one flat
   loop. The measure-convergence study, the counterparty-kernel oracles
   and the nested-MC CVA oracle read default times or running integrals,
-  and use this engine.
+  and use this engine. For the counterparty pair alone it also steps a
+  coupled coarse path of step 2 dt on the same draws, so that estimators
+  on the pair are Richardson-extrapolated (:meth:`PathSet.extrapolate`).
 - :func:`exact_book_values` draws the names only at the sample times,
   from the exact square-root transition law (Broadie and Kaya 2006): a
   scaled noncentral chi-square between consecutive events, where the
@@ -53,8 +55,9 @@ path's draws depend only on the seed, the system's shape and the path's
 own index, never on the total path count or on how many workers process
 the blocks.
 
-Oracles: :func:`mc_kernel_oracles` reads the three counterparty kernels at a stored
-lag of a simulation of the pair alone (validation gate).
+Oracles: :func:`mc_kernel_oracles` reads the three counterparty kernels,
+Richardson-extrapolated, at a stored lag of a simulation of the pair alone
+(validation gate).
 ``mc_limit_transform(u, cfg, n_paths, seed)`` runs its own Euler loop, on
 the same in-place step updates, for the large-pool limit diffusion of a
 :class:`~cdspool.exposure.LimitConfig`, whose drift is a per-path frozen
@@ -65,6 +68,7 @@ checks.
 from __future__ import annotations
 
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Callable, Sequence
@@ -99,6 +103,8 @@ _BLOCK_EXACT = 2
 # paths per block: systems with names, then the pair alone and the limit diffusion
 _NAME_BLOCK_SIZE = 256
 _NARROW_BLOCK_SIZE = 4096
+# the largest exponent whose exp is a finite float
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -212,10 +218,11 @@ class PathSet:
 
     intensities[m, i, j] is the (non-negative) intensity of entity j at
     times[i] on path m. For the counterparty pair alone, integrated holds
-    the running fine-grid trapezoid integral at the same nodes; systems with
-    names leave it None. Entities are ordered names first, then
-    counterparties A and B when present. default_times are resolved at
-    fine-grid resolution against the stored unit-exponential thresholds.
+    the running trapezoid integral at the same nodes, and coarse the
+    coupled path of step 2 dt driven by the same draws; systems with names
+    leave both None. Entities are ordered names first, then counterparties
+    A and B when present. default_times are resolved at the path's grid
+    resolution against the stored unit-exponential thresholds.
     """
 
     times: np.ndarray
@@ -226,6 +233,7 @@ class PathSet:
     thresholds: np.ndarray
     default_times: np.ndarray
     integrated: np.ndarray | None = None
+    coarse: PathSet | None = None
 
     @property
     def n_paths(self) -> int:
@@ -241,11 +249,52 @@ class PathSet:
 
         return _pair_stderr(vals)
 
+    def extrapolate(self, f: Callable[[PathSet], Sequence[np.ndarray]]):
+        """(mean, stderr) of 2 f(fine) - f(coarse) for each per-path value
+        array that f reads from a PathSet, the stderr clustered by pair. On
+        one set of draws this cancels Euler's first-order weak error
+        (Talay and Tubaro 1990; Glasserman 2004, section 6.2). Raises
+        ValueError without a coarse path."""
+
+        if self.coarse is None:
+            raise ValueError("Extrapolation reads the coarse path, which only a "
+                             "simulation of the counterparty pair alone records.")
+        return tuple((float(vals.mean()), self.stderr(vals))
+                     for vals in (2.0 * fine - coarse
+                                  for fine, coarse in zip(f(self), f(self.coarse))))
+
     def time_index(self, t: float) -> int:
         idx = int(np.argmin(np.abs(self.times - t)))
         if not abs(self.times[idx] - t) <= 1e-9 * max(1.0, self.horizon):
             raise ValueError(f"t={t} is not a stored sample time.")
         return idx
+
+
+class _Level:
+    """One Euler level's in-place state in a block: x; its positive part xp,
+    carried from the end of one step (the trapezoid) to the start of the
+    next (drift and diffusion), with the buffer xnew for the next one; the
+    running trapezoid integral; default times tau and the alive mask."""
+
+    def __init__(self, x0: np.ndarray) -> None:
+        self.x = x0.copy()
+        self.xp = np.maximum(x0, 0.0)
+        self.xnew = np.empty_like(x0)
+        self.integ = np.zeros_like(x0)
+        self.tau = np.full_like(x0, np.inf)
+        self.alive = np.ones(x0.shape, dtype=bool)
+
+
+def _check_discount(r: float, span: float) -> None:
+    """Raise ConfigError unless r * span and the discount factor exp(-r
+    span) are finite floats: a finite rate far below 0 overflows the factor
+    over a long span, and one of huge size overflows the exponent. The
+    pricing functions check it once, on their longest span."""
+
+    exponent = -float(r) * float(span)  # a Python float: overflow gives inf, no warning
+    if not (math.isfinite(exponent) and exponent <= _LOG_FLOAT_MAX):
+        raise ConfigError(f"The discount factor exp(-r * {span:g}) overflows at r = {r:g}; "
+                          f"need r * span finite and >= -{_LOG_FLOAT_MAX:.6g}.")
 
 
 def _philox_key(seed: int) -> np.ndarray:
@@ -286,13 +335,11 @@ def _sorted_events(step, *cols):
     return (step[order],) + tuple(c[order] for c in cols)
 
 
-def _diffuse(rng: Generator, x, xp, alpha, kappa, sigma, dt: float, sqrt_dt: float,
-             z, a, v) -> None:
-    """Euler diffusion update x += (alpha - kappa xp) dt + sigma sqrt(xp)
-    (sqrt_dt z), in place; a and v are scratch buffers of x's shape. Fresh
-    normals are drawn for half the rows only, into v's first half, and
-    written to the even rows of z; each odd row 2k + 1 gets the negation of
-    row 2k, its antithetic partner's."""
+def _draw_pairs(rng: Generator, z, v, sqrt_dt: float) -> None:
+    """Fill z with antithetic Euler increments sqrt_dt N, in place; v is a
+    scratch buffer of z's shape. Fresh normals are drawn for half the rows
+    only, into v's first half, and written to the even rows of z; each odd
+    row 2k + 1 gets the negation of row 2k, its antithetic partner's."""
 
     half = v[:len(v) // 2]
     rng.standard_normal(out=half)
@@ -300,6 +347,13 @@ def _diffuse(rng: Generator, x, xp, alpha, kappa, sigma, dt: float, sqrt_dt: flo
     pairs = z.reshape(len(half), 2, *z.shape[1:])
     pairs[:, 0] = half
     np.negative(half, out=pairs[:, 1])
+
+
+def _euler(x, xp, alpha, kappa, sigma, dt: float, z, a, v) -> None:
+    """Euler diffusion update x += (alpha - kappa xp) dt + sigma sqrt(xp) z
+    on the Brownian increments z, in place; a and v are scratch buffers of
+    x's shape."""
+
     np.multiply(kappa, xp, out=a)
     np.subtract(alpha, a, out=a)
     a *= dt
@@ -351,10 +405,15 @@ def simulate_paths(pool: Pool, cps: CounterpartyParams | None = None, *, horizon
     workers
         Thread count for the block loop; never changes the output values.
 
-    The running intensity integrals are stored only for the counterparty
-    pair alone, the system whose kernel oracle reads them. Paths run in
-    blocks of 256 when the system has names and of 4096 for the
-    counterparty pair alone (see the module docstring).
+    The counterparty pair alone, which the kernel and CVA oracles read,
+    also records the running intensity integrals and steps a coupled coarse
+    path of step 2 dt (``PathSet.coarse``, stored at the sample times on its
+    grid): its Brownian increment is the sum of the two fine ones, and it
+    adds both fine steps' jumps at the end of its step and crosses the same
+    thresholds. It draws nothing, so the fine path is unchanged by it. The
+    pair alone needs an even step count and explicit sample times on the
+    coarse grid. Paths run in blocks of 256 when the system has names and
+    of 4096 for the pair alone (see the module docstring).
     """
 
     K = len(pool.names)
@@ -371,6 +430,10 @@ def simulate_paths(pool: Pool, cps: CounterpartyParams | None = None, *, horizon
     n_steps = int(round(horizon / dt))
     if abs(n_steps * dt - horizon) > 1e-8 * horizon:
         raise ConfigError("dt must divide the horizon.")
+    pair = K == 0  # the pair alone: integrals and the coupled coarse path
+    if pair and n_steps % 2:
+        raise ConfigError(f"The counterparty pair alone needs an even step count for its "
+                          f"coarse path of step 2 dt, got {n_steps} steps.")
 
     key = _philox_key(seed)
 
@@ -390,15 +453,26 @@ def simulate_paths(pool: Pool, cps: CounterpartyParams | None = None, *, horizon
             raise ConfigError("sample_times must lie on the Euler grid.")
         if np.any((sample_idx < 0) | (sample_idx > n_steps)):
             raise ConfigError("sample_times must lie in [0, horizon].")
-    n_s = len(sample_idx)
-    store_slot = np.full(n_steps + 1, -1, dtype=int)
-    store_slot[sample_idx] = np.arange(n_s)
+        if pair and np.any(sample_idx % 2):
+            raise ConfigError("sample_times of the counterparty pair alone must lie on "
+                              "its coarse grid of step 2 dt.")
 
-    intensities = np.empty((n_paths, n_s, E))
-    record_integrated = K == 0
-    integrated = np.empty((n_paths, n_s, E)) if record_integrated else None
+    def stored(idx: np.ndarray, step: float) -> tuple[np.ndarray, PathSet]:
+        """The slot of each grid node in idx (-1 elsewhere) and an empty
+        PathSet of step ``step`` stored at those nodes."""
+
+        slot = np.full(n_steps + 1, -1, dtype=int)
+        slot[idx] = np.arange(len(idx))
+        shape = (n_paths, len(idx), E)
+        return slot, PathSet(times=grid[idx], dt=step, horizon=horizon, n_names=K,
+                             intensities=np.empty(shape), thresholds=thresholds,
+                             default_times=np.empty((n_paths, E)),
+                             integrated=np.empty(shape) if pair else None)
+
     thresholds = np.empty((n_paths, E))
-    default_times = np.empty((n_paths, E))
+    outs = [stored(sample_idx, dt)]  # the fine path, then the pair's coarse one
+    if pair:
+        outs.append(stored(sample_idx[sample_idx % 2 == 0], 2.0 * dt))
 
     sqrt_dt = math.sqrt(dt)
     # idiosyncratic size rates: names use gamma2, counterparties their BVE marginals
@@ -455,47 +529,64 @@ def simulate_paths(pool: Pool, cps: CounterpartyParams | None = None, *, horizon
         iptr = np.searchsorted(istep, np.arange(n_steps + 1))
 
         # step buffers, local to the block so worker threads never share them;
-        # xp carries the positive part of x from one step to the next
-        x = np.tile(vec["xi0"], (bf, 1))
-        xp = np.maximum(x, 0.0)
-        xnew, z, a, v = (np.empty((bf, E)) for _ in range(4))
+        # z holds a fine step's increments, and for the pair alone z_odd the
+        # second fine step's of each coarse step
+        x0 = np.tile(vec["xi0"], (bf, 1))
+        states = [_Level(x0) for _ in outs]
+        z, z_odd, a, v = (np.empty((bf, E)) for _ in range(4))
         newly = np.empty((bf, E), dtype=bool)
-        integ = np.zeros((bf, E))
-        tau = np.full((bf, E), np.inf)
-        alive = np.ones((bf, E), dtype=bool)
-        if store_slot[0] >= 0:
-            intensities[r0:r1, store_slot[0]] = xp[:nb]
-            if record_integrated:
-                integrated[r0:r1, store_slot[0]] = 0.0
 
-        for i in range(n_steps):
-            _diffuse(rng, x, xp, alpha, kappa, sigma, dt, sqrt_dt, z, a, v)
-            lo, hi = cptr[i], cptr[i + 1]
+        def store(lv: _Level, out: tuple[np.ndarray, PathSet], node: int) -> None:
+            slot, ps = out
+            if slot[node] >= 0:
+                ps.intensities[r0:r1, slot[node]] = lv.xp[:nb]
+                if pair:
+                    ps.integrated[r0:r1, slot[node]] = lv.integ[:nb]
+
+        def close(lv: _Level, i0: int, i1: int, h: float) -> None:
+            """Finish a step of length h that covers fine steps i0 to i1 - 1,
+            after its diffusion update: add those steps' jumps, truncate,
+            integrate, and record the defaults at node i1."""
+
+            lo, hi = cptr[i0], cptr[i1]
             if hi > lo:
-                np.add.at(x, ev_row[lo:hi], csize[lo:hi])
-            lo, hi = iptr[i], iptr[i + 1]
+                np.add.at(lv.x, ev_row[lo:hi], csize[lo:hi])
+            lo, hi = iptr[i0], iptr[i1]
             if hi > lo:
-                np.add.at(x, (irow[lo:hi], icol[lo:hi]), isize[lo:hi])
-            _truncate_and_integrate(x, xp, xnew, integ, dt, a)
-            xp, xnew = xnew, xp
-            np.greater_equal(integ, thr, out=newly)
-            newly &= alive
+                np.add.at(lv.x, (irow[lo:hi], icol[lo:hi]), isize[lo:hi])
+            _truncate_and_integrate(lv.x, lv.xp, lv.xnew, lv.integ, h, a)
+            lv.xp, lv.xnew = lv.xnew, lv.xp
+            np.greater_equal(lv.integ, thr, out=newly)
+            np.logical_and(newly, lv.alive, out=newly)
             if newly.any():
-                tau[newly] = (i + 1) * dt
-                alive &= ~newly
-            slot = store_slot[i + 1]
-            if slot >= 0:
-                intensities[r0:r1, slot] = xp[:nb]
-                if record_integrated:
-                    integrated[r0:r1, slot] = integ[:nb]
+                lv.tau[newly] = i1 * dt
+                lv.alive &= ~newly
+
+        for lv, out in zip(states, outs):
+            store(lv, out, 0)
+        fine, coarse = states[0], states[-1]
+        for i in range(n_steps):
+            zi = z_odd if pair and i % 2 else z
+            _draw_pairs(rng, zi, v, sqrt_dt)
+            _euler(fine.x, fine.xp, alpha, kappa, sigma, dt, zi, a, v)
+            close(fine, i, i + 1, dt)
+            store(fine, outs[0], i + 1)
+            if pair and i % 2:
+                # the coarse step over fine steps i - 1 and i
+                z += z_odd
+                _euler(coarse.x, coarse.xp, alpha, kappa, sigma, 2.0 * dt, z, a, v)
+                close(coarse, i - 1, i + 1, 2.0 * dt)
+                store(coarse, outs[1], i + 1)
 
         thresholds[r0:r1] = thr[:nb]
-        default_times[r0:r1] = tau[:nb]
+        for lv, (_, ps) in zip(states, outs):
+            ps.default_times[r0:r1] = lv.tau[:nb]
 
     map_ordered(run_block, range(n_blocks), workers)
-    return PathSet(times=grid[sample_idx], dt=dt, horizon=horizon, n_names=K,
-                   intensities=intensities, thresholds=thresholds,
-                   default_times=default_times, integrated=integrated)
+    result = outs[0][1]
+    if pair:
+        result.coarse = outs[1][1]
+    return result
 
 
 def _by_interval(times: np.ndarray, event_times: np.ndarray):
@@ -633,11 +724,12 @@ def exact_book_values(pool: Pool, *, sample_times, maturity: float, r: float, n_
     """Per-path book values of the exact engine's paths at each sample time.
 
     ``sample_times`` start at 0 and increase strictly, up to the horizon
-    <= ``maturity``; ``r`` and ``maturity`` are finite. values[i, m] is the per-name value at sample time i
-    (0 at maturity) of the investor's CDS book on path m, priced from the
-    names' state through their closed-form affine survival transforms
-    (:func:`_book_rows`, :func:`_book_values`); short names (z = -1) enter
-    with negative sign. The paths are independent, so a row's stderr is
+    <= ``maturity``; ``r`` and ``maturity`` are finite, and so is the
+    discount factor exp(-r maturity). values[i, m] is the per-name value at
+    sample time i (0 at maturity) of the investor's CDS book on path m,
+    priced from the names' state through their closed-form affine survival
+    transforms (:func:`_book_rows`, :func:`_book_values`); short names
+    (z = -1) enter with negative sign. The paths are independent, so a row's stderr is
     the plain :func:`_stderr`. No path is stored: each block's state is
     priced at each sample time while it is in hand, so memory is
     O(block x names) plus the (times x paths) values.
@@ -655,6 +747,7 @@ def exact_book_values(pool: Pool, *, sample_times, maturity: float, r: float, n_
         raise ConfigError("sample_times must start at 0 and increase strictly.")
     if not maturity >= times[-1]:
         raise ValueError("Require every sample time <= maturity.")
+    _check_discount(r, maturity)
     spans = [maturity - float(t) for t in times]
     books = [_book_rows(pool, span, r) if span != 0.0 else None for span in spans]
     values = np.zeros((len(times), n_paths))
@@ -715,21 +808,21 @@ def mc_kernel_oracles(pathset: PathSet, u: float):
     - h2 = E[S(u) xi_A(u)], its mirror for side A,
     - the joint survival factor E[S(u)].
 
-    Returns ((h1, stderr), (h2, stderr), (joint, stderr)) as floats, each
-    stderr clustered by antithetic pair (:func:`_pair_stderr`).
-    Raises ValueError for a PathSet without running integrals (a system with
-    names) or for a lag that is not stored. Validation oracle for the
-    closed-form kernels.
+    Each is Richardson-extrapolated from the fine path and its coupled
+    coarse path (:meth:`PathSet.extrapolate`), so its Euler bias is second
+    order in the step. Returns ((h1, stderr), (h2, stderr), (joint,
+    stderr)) as floats, each stderr clustered by antithetic pair. Raises
+    ValueError for a PathSet without a coarse path (a system with names) or
+    for a lag that is not stored. Validation oracle for the closed-form
+    kernels.
     """
 
-    if pathset.integrated is None:
-        raise ValueError("The kernel oracles read the running integrals, which only "
-                         "a simulation of the counterparty pair alone records.")
-    i = pathset.time_index(u)
-    surv = np.exp(-(pathset.integrated[:, i, 0] + pathset.integrated[:, i, 1]))
-    return tuple((float(vals.mean()), pathset.stderr(vals))
-                 for vals in (surv * pathset.intensities[:, i, 1],
-                              surv * pathset.intensities[:, i, 0], surv))
+    def kernels(ps: PathSet):
+        i = ps.time_index(u)
+        surv = np.exp(-(ps.integrated[:, i, 0] + ps.integrated[:, i, 1]))
+        return surv * ps.intensities[:, i, 1], surv * ps.intensities[:, i, 0], surv
+
+    return pathset.extrapolate(kernels)
 
 
 def mc_limit_transform(u: float, cfg: LimitConfig, n_paths: int,
@@ -776,7 +869,8 @@ def mc_limit_transform(u: float, cfg: LimitConfig, n_paths: int,
         xnew, z, a, v = (np.empty(bf) for _ in range(4))
         integ = np.zeros(bf)
         for _ in range(n_steps):
-            _diffuse(rng, x, xp, drift0, cfg.kappa, cfg.sigma, dt, sqrt_dt, z, a, v)
+            _draw_pairs(rng, z, v, sqrt_dt)
+            _euler(x, xp, drift0, cfg.kappa, cfg.sigma, dt, z, a, v)
             _truncate_and_integrate(x, xp, xnew, integ, dt, a)
             xp, xnew = xnew, xp
         vals[r0:r1] = np.exp(-integ[:r1 - r0])

@@ -10,9 +10,10 @@ raised as errors.
 documents its rate and jump parameters as unvalidated. Kernel lags and
 exposure and ``bcva`` maturities stay below 30 years when finite: the panel
 count grows with them. The Euler engine keeps horizons and steps to at most
-2,000 steps; the exact engine's rate stays in [-1, 1] when finite, since a
-finite rate far below 0 overflows its discount factor; the limit oracle's
-lag reaches far past its cap, 1000 / kappa.
+2,000 steps. The pricing functions' risk-free rate (``exposure_limit``,
+``bcva``, ``exact_book_values``) takes any float, so a rate far below 0
+meets the shared discount-factor check. The limit oracle's lag reaches far
+past its cap, 1000 / kappa.
 """
 
 import dataclasses
@@ -47,6 +48,9 @@ def number(lo: float, hi: float):
 
 rate, lag, short_lag = number(1e-3, 1e3), number(0.0, 1e3), number(0.0, 30.0)
 theta, level = number(-1e3, 0.0), number(-10.0, 10.0)
+# a risk-free rate: moderate values, where the discount factor overflows
+# over 30 years below -23.7, or any finite float
+any_rate = st.one_of(number(-1e3, 1e3), st.floats(allow_nan=False, allow_infinity=False))
 JUMPY_CFG, CFG, CPS = _validation_baseline()
 NAME = NameParams(alpha=0.01, kappa=0.5, sigma=0.2, c=0.2, d=0.2, lambda_hat=0.5,
                   xi0=0.02, spread=0.02, loss=0.4)
@@ -77,11 +81,12 @@ CASES = {
     "joint_survival": (lambda u, xa, xb, lam: joint_survival(u, xa, xb, CPS, lam),
                        (short_lag, number(0.0, 10.0), number(0.0, 10.0),
                         number(0.0, 10.0))),
-    "bcva": (lambda t: bcva(t, CFG, CPS), (short_lag,)),
+    "bcva": (lambda t, r: bcva(t, dataclasses.replace(CFG, r=r), CPS),
+             (short_lag, any_rate)),
     "survival_fhat": (lambda u: survival_fhat(u, JUMPY_CFG), (lag,)),
     "limit_exp_test": (lambda th, t: limit_exp_test(th, t, JUMPY_CFG), (theta, lag)),
-    "exposure_limit": (lambda t, maturity: exposure_limit(t, maturity, JUMPY_CFG),
-                       (short_lag, short_lag)),
+    "exposure_limit": (lambda t, maturity, r: exposure_limit(
+        t, maturity, dataclasses.replace(JUMPY_CFG, r=r)), (short_lag, short_lag, any_rate)),
 }
 
 
@@ -141,7 +146,7 @@ def test_simulate_paths_is_finite_or_raises_cleanly(arg, data):
 # exact_book_values' numeric arguments, on a one-name jump pool and a few paths
 EXACT_BASE = dict(sample_times=[0.0, 0.5], maturity=1.0, r=0.03, n_paths=3, seed=1)
 EXACT_ARGS = {
-    "r": number(-1.0, 1.0), "maturity": short_lag,
+    "r": any_rate, "maturity": short_lag,
     "n_paths": st.integers(-1, 5), "seed": st.integers(-1, 2**64),
 }
 

@@ -1,4 +1,6 @@
 import math
+import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -176,6 +178,37 @@ def test_exposure_limit_domain():
                         ([0.5, -math.inf], 1.0), (math.inf, math.inf)):
         with pytest.raises(ValueError, match="Require t <= maturity"):
             exposure_limit(t, maturity, cfg)
+
+
+def test_pricers_reject_an_overflowing_discount_factor():
+    # exp(-r T) overflows once -r T passes log(max float), about 709.78: the
+    # three pricers raise ConfigError from one shared check, with no numpy
+    # warning, and price at the edge
+    from cdspool.errors import ConfigError
+    from cdspool.harness import _validation_baseline
+    from cdspool.kernels import bcva
+    from cdspool.simulation import NameParams, Pool, exact_book_values
+
+    _, base, cps = _validation_baseline()
+    pool = Pool([NameParams(alpha=0.01, kappa=0.5, sigma=0.2, c=0.2, d=0.2, lambda_hat=0.5,
+                            xi0=0.02, spread=0.02, loss=0.4)], 0.5, 1.5, 1.5)
+    edge = math.log(np.finfo(float).max) / 30.0
+    pricers = {
+        "exposure_limit": lambda r: exposure_limit([0.0, 10.0], 30.0, make_cfg(r=r)),
+        "bcva": lambda r: bcva(30.0, replace(base, r=r), cps).cva,
+        "exact_book_values": lambda r: exact_book_values(
+            pool, sample_times=[0.0, 0.5], maturity=30.0, r=r, n_paths=3, seed=1),
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, price in pricers.items():
+            for r in (-30.0, -edge * (1 + 1e-9), -1e300, 1e308):
+                with pytest.raises(ConfigError, match="discount factor"):
+                    price(r)
+            assert np.all(np.isfinite(price(-edge * (1 - 1e-9)))), name
+    # a negative t lengthens the span past the maturity
+    with pytest.raises(ConfigError, match="discount factor"):
+        exposure_limit(-10.0, 25.0, make_cfg(r=-edge))
 
 
 def test_empirical_measure_is_one_at_time_zero():

@@ -191,6 +191,23 @@ def test_names_and_pair_pinned():
     assert got == digests
 
 
+def test_pair_alone_fine_path_pinned():
+    # the fine Euler path of the pair alone (two 4096-path blocks, both jump
+    # layers, a correlated common jump): SHA-256 of its stored intensities,
+    # running integrals, default times and thresholds, which the coupled
+    # coarse path stepped beside it must leave untouched
+    digests = ("f48d9e6453930904d82b6e6e905d7e48739d538c05cf4e18aeb5730105370421",
+               "129badd47b6c1b5e8e22a7f057c85b64a94261e226ab1f8b8684670b44d43ad1",
+               "40215e3711104c7e7333c613cf5aaf6b4bd08478d258cedbaf3dfd99bf183cfc",
+               "5398e8f5b5670e9365413dbc6211475a6ef502efe4a5430266b47e6f69b11992")
+    cps = make_cps(common_jump=BveParams(1.5, 2.0, 0.5))
+    ps = simulate_paths(Pool((), 2.5), cps, horizon=0.5, n_paths=4200, seed=41, dt=1e-2,
+                        workers=2)
+    got = tuple(hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+                for a in (ps.intensities, ps.integrated, ps.default_times, ps.thresholds))
+    assert got == digests
+
+
 def test_one_step_mirrors_each_pair_of_paths():
     # jumps off, every path from one state: one Euler step moves path 2k by
     # drift + noise and path 2k + 1 by drift - noise, so the pair sums to
@@ -401,16 +418,18 @@ def test_mc_h1_oracle_matches_transform_derivative():
 
 
 def test_mc_kernel_oracles_equal_separate_runs_at_gate_arguments():
-    # pinned stream layout: the gate's one pair simulation (1002 steps of
-    # 1/334 to maturity 3 in 4096-path blocks of antithetic pairs) gives
-    # exactly these kernel and nested-CVA estimates and pair-clustered
-    # stderrs; a change of step, horizon, block width or pairing moves them
+    # pinned stream layout: the gate's one pair simulation (504 fine steps
+    # of 1/168 to maturity 3, Richardson-extrapolated against the coupled
+    # coarse path of 252 steps of 1/84, in 4096-path blocks of antithetic
+    # pairs) gives exactly these kernel and nested-CVA estimates and
+    # pair-clustered stderrs; a change of step, horizon, block width,
+    # pairing or coupling moves them
     from cdspool.harness import _pair_values
     mc = {name: est for name, (_, est) in _pair_values().items()}
-    assert mc == {"h1": (0.2363637465351626, 0.0004294184940628182),
-                  "h2": (0.23530186021234234, 0.00042100392201793475),
-                  "joint_survival": (0.48587323221768347, 0.0004732206136859496),
-                  "cva": (0.001868064634260288, 1.4472263147913609e-05)}
+    assert mc == {"h1": (0.23631217457034892, 0.0004282249625216222),
+                  "h2": (0.23539485290706408, 0.0004219768446897049),
+                  "joint_survival": (0.48604143866270444, 0.0004725825084281647),
+                  "cva": (0.0018679430241213307, 1.4525821390478582e-05)}
 
 
 def test_mc_limit_transform_pinned_at_gate_arguments():
@@ -525,6 +544,99 @@ def test_pathset_bookkeeping():
     # stored integral equals a trapezoid over the stored full-resolution path
     manual = np.trapezoid(ps.intensities[0, :, 0], dx=ps.dt)
     assert ps.integrated[0, -1, 0] == pytest.approx(manual, rel=1e-12)
+
+
+def _deterministic_pair(kappa=2.0, alpha=0.4, xi0=1.0):
+    side = CounterpartySide(alpha=alpha, kappa=kappa, sigma=0.0, c=0.0, d=0.0,
+                            lambda_hat=0.0, xi0=xi0)
+    return make_cps(side_a=side, side_b=side)
+
+
+def test_coarse_path_follows_the_explicit_euler_recursion():
+    # sigma = 0, no jumps: each level is the explicit Euler recursion
+    # x_n = x* + (x0 - x*)(1 - kappa h)^n of its own step, the coarse one on
+    # every second node of the fine grid
+    kappa, alpha, x0, n = 2.0, 0.4, 1.0, 64
+    h, x_star = 1.0 / n, alpha / kappa
+    ps = simulate_paths(Pool(()), _deterministic_pair(kappa, alpha, x0), horizon=1.0,
+                        dt=h, n_paths=4, seed=3)
+    coarse = ps.coarse
+    assert coarse.dt == 2 * h and coarse.coarse is None
+    np.testing.assert_array_equal(coarse.times, ps.times[::2])
+    for level, step in ((ps, h), (coarse, 2 * h)):
+        recursion = x_star + (x0 - x_star) * (1 - kappa * step) ** np.arange(len(level.times))
+        np.testing.assert_allclose(level.intensities, recursion[None, :, None].repeat(
+            4, axis=0).repeat(2, axis=2), rtol=1e-14, atol=0)
+
+
+def test_extrapolated_integral_error_falls_fourfold_per_halving():
+    # against the exact integral of x(t) = x* + (x0 - x*) e^{-kappa t}, the
+    # fine trapezoid of Euler errs to first order in h (ratio 2 per halving)
+    # and 2 I_h - I_2h to second order (ratio 4)
+    kappa, alpha, x0 = 2.0, 0.4, 1.0
+    x_star = alpha / kappa
+    exact = x_star + (x0 - x_star) * (1 - math.exp(-kappa)) / kappa
+    plain, extrapolated = [], []
+    for n in (16, 32, 64):
+        ps = simulate_paths(Pool(()), _deterministic_pair(kappa, alpha, x0), horizon=1.0,
+                            dt=1.0 / n, n_paths=2, seed=3)
+        (est, se), = ps.extrapolate(lambda p: (p.integrated[:, -1, 0],))
+        assert se == 0.0
+        plain.append(ps.integrated[0, -1, 0] - exact)
+        extrapolated.append(est - exact)
+    for errs, ratio in ((plain, 2.0), (extrapolated, 4.0)):
+        for coarser, finer in zip(errs, errs[1:]):
+            assert coarser / finer == pytest.approx(ratio, rel=0.15)
+
+
+def test_coarse_increment_is_the_sum_of_the_fine_ones():
+    # jumps off: recover each fine step's Brownian increment from the fine
+    # path; the one coarse step moves by its drift over 2h plus the sum of
+    # the two, so antithetic partners mirror again and no draw is added
+    alpha, kappa, sigma, x0, h = 0.3, 0.8, 0.4, 0.5, 1e-3
+    side = CounterpartySide(alpha=alpha, kappa=kappa, sigma=sigma, c=0.0, d=0.0,
+                            lambda_hat=0.0, xi0=x0)
+    ps = simulate_paths(Pool(()), make_cps(side_a=side, side_b=side), horizon=2 * h,
+                        dt=h, n_paths=300, seed=83)
+    x = ps.intensities  # no path leaves the positive half-line in two steps
+    drift = lambda y: (alpha - kappa * y) * h
+    dw = sum((x[:, i + 1] - x[:, i] - drift(x[:, i])) / (sigma * np.sqrt(x[:, i]))
+             for i in (0, 1))
+    np.testing.assert_allclose(ps.coarse.intensities[:, 1],
+                               x0 + 2 * drift(x0) + sigma * math.sqrt(x0) * dw,
+                               rtol=0, atol=1e-13)
+    coarse_step = ps.coarse.intensities[:, 1] - x0 - 2 * drift(x0)
+    np.testing.assert_allclose(coarse_step[0::2], -coarse_step[1::2], rtol=0, atol=1e-15)
+
+
+def test_coarse_path_takes_both_fine_steps_jumps():
+    # diffusion frozen, both jump layers on: the coarse path adds the jumps
+    # of its two fine steps, so it meets the fine path at every coarse node,
+    # and it crosses the same thresholds on its own grid
+    side = CounterpartySide(alpha=0.0, kappa=1e-12, sigma=0.0, c=0.7, d=0.5,
+                            lambda_hat=3.0, xi0=0.1)
+    ps = simulate_paths(Pool((), 5.0), make_cps(side_a=side, side_b=side), horizon=1.0,
+                        dt=0.01, n_paths=200, seed=43)
+    coarse = ps.coarse
+    assert np.ptp(ps.intensities[:, -1, 0]) > 1.0  # the jumps moved the paths
+    np.testing.assert_allclose(coarse.intensities, ps.intensities[:, ::2], rtol=1e-10)
+    assert coarse.thresholds is ps.thresholds
+    tau = coarse.default_times[np.isfinite(coarse.default_times)]
+    assert len(tau) > 0
+    np.testing.assert_allclose(tau / 0.02, np.rint(tau / 0.02), rtol=0, atol=1e-9)
+
+
+def test_pair_alone_needs_the_coarse_grid():
+    kw = dict(horizon=1.0, n_paths=2, seed=1)
+    with pytest.raises(ConfigError, match="even step count"):
+        simulate_paths(Pool(()), make_cps(), dt=1.0 / 3, **kw)
+    with pytest.raises(ConfigError, match="coarse grid"):
+        simulate_paths(Pool(()), make_cps(), dt=0.01, sample_times=[0.5, 0.51], **kw)
+    # a system with names runs no coarse path, so it takes either
+    ps = simulate_paths(Pool([make_name()]), make_cps(), dt=1.0 / 3, **kw)
+    assert ps.coarse is None and ps.integrated is None
+    with pytest.raises(ValueError, match="pair alone"):
+        ps.extrapolate(lambda p: (p.intensities[:, -1, 0],))
 
 
 def _quadrature_exposure(ps, pool, t, maturity, r, n_panels=2048):
