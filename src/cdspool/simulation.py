@@ -40,29 +40,31 @@ engine takes that law. Two engines simulate this system:
 Reproducibility contract: paths are generated in fixed-width blocks, each
 block owning a counter-based RNG stream derived from (seed, stream tag,
 block index). The tags keep the engines' streams disjoint: 0 for
-:func:`simulate_paths`, 1 for the limit diffusion, 2 for
-:func:`exact_book_values`. The width is 256 paths for systems with
-names, and 4096 for the counterparty pair alone and for the limit
-diffusion, whose narrow state stays in cache at that width. The Euler
-loops pair their paths antithetically (Glasserman 2004, section 4.2): each
-step fills half a block's rows with fresh normals, one per pair, and path
-2k + 1 diffuses on the negation of path 2k's normals. Every other draw
-stays per path: the default thresholds, both jump layers and the limit
-diffusion's marks. Estimators on Euler paths therefore keep the plain mean
-but cluster their standard error by pair (:meth:`PathSet.stderr`). Every
-block draws at full width, its half-width normal fill included, so a
-path's draws depend only on the seed, the system's shape and the path's
-own index, never on the total path count or on how many workers process
-the blocks.
+:func:`simulate_paths`, 1 for the limit diffusion of
+:func:`mc_limit_transform`, 2 for :func:`exact_book_values`. The width is
+256 paths for systems with names, and 4096 for the counterparty pair alone
+and for the limit diffusion, whose narrow state stays in cache at that
+width. The Euler loop pairs its paths antithetically (Glasserman 2004,
+section 4.2): each step fills half a block's rows with fresh normals, one
+per pair, and path 2k + 1 diffuses on the negation of path 2k's normals.
+Every other draw stays per path: the default thresholds and both jump
+layers. Estimators on Euler paths therefore keep the plain mean but
+cluster their standard error by pair (:meth:`PathSet.stderr`). Every block
+draws at full width, its half-width normal fill included, so a path's
+draws depend only on the seed, the system's shape and the path's own
+index, never on the total path count or on how many workers process the
+blocks.
 
 Oracles: :func:`mc_kernel_oracles` reads the three counterparty kernels,
 Richardson-extrapolated, at a stored lag of a simulation of the pair alone
 (validation gate).
-``mc_limit_transform(u, cfg, n_paths, seed)`` runs its own Euler loop, on
-the same in-place step updates, for the large-pool limit diffusion of a
-:class:`~cdspool.exposure.LimitConfig`, whose drift is a per-path frozen
-mark; it takes the inputs of ``survival_fhat(u, cfg)``, the closed form it
-checks.
+``mc_limit_transform(u, cfg, n_paths, seed)`` draws the large-pool limit
+diffusion of a :class:`~cdspool.exposure.LimitConfig`, whose drift is a
+per-path frozen mark, exactly at the one lag u: the endpoint from the
+Poisson-gamma transition law and the integral given both endpoints from
+the gamma expansion of Glasserman and Kim (2011) (:func:`_integrated_cir`).
+Its paths are independent. It takes the inputs of ``survival_fhat(u,
+cfg)``, the closed form it checks.
 """
 
 from __future__ import annotations
@@ -105,6 +107,13 @@ _NAME_BLOCK_SIZE = 256
 _NARROW_BLOCK_SIZE = 4096
 # the largest exponent whose exp is a finite float
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
+# the gamma expansion of the integrated square-root diffusion: series terms
+# kept before each moment-matched tail; zeta(2j) / pi^(2j) for j = 1..8, the
+# Taylor coefficients of its sums; the largest Poisson mean it draws
+_GK_TERMS = 2
+_ZETA_PI = (1 / 6, 1 / 90, 1 / 945, 1 / 9450, 1 / 93555, 691 / 638512875, 2 / 18243225,
+            3617 / 325641566250)
+_POISSON_MAX = 1e15
 
 
 @dataclass(frozen=True)
@@ -647,9 +656,11 @@ def _exact_blocks(pool: Pool, times: np.ndarray, n_paths: int, seed: int, worker
     jumped. Jump sizes follow :func:`simulate_paths`: c Exp(gamma1) per name
     at each common event, d Exp(gamma2) at idiosyncratic ones. Blocks of 256
     paths run on stream tag 2 (see the module docstring). At each sample
-    time i, including 0, ``visit(i, r0, r1, x)`` reads the state x (paths
-    r0:r1 by names) of one block; blocks run on ``workers`` threads, so a
-    visit writes only to its own paths.
+    time i, including 0, ``visit(i, r0, r1, x)`` reads the full-width state
+    x (block rows by names) of one block, whose first r1 - r0 rows are paths
+    r0:r1; blocks run on ``workers`` threads, so a visit writes only to its
+    own paths. A visit that computes on all rows does the same arithmetic on
+    every block, so a path's result never depends on the path count.
     """
 
     K = len(pool.names)
@@ -682,7 +693,7 @@ def _exact_blocks(pool: Pool, times: np.ndarray, n_paths: int, seed: int, worker
         x = np.tile(pool.xi0, (bf, 1))
         flat = x.reshape(-1)
         coef = np.empty((3, bf, K))
-        visit(0, r0, r1, x[:r1 - r0])
+        visit(0, r0, r1, x)
         for i in range(n_s - 1):
             ce = corder[cptr[i]:cptr[i + 1]]
             ie = iorder[iptr[i]:iptr[i + 1]]
@@ -714,7 +725,7 @@ def _exact_blocks(pool: Pool, times: np.ndarray, n_paths: int, seed: int, worker
                 move = step > 0.0
                 e, step = e[move], step[move]
                 flat[e] = _cir_transition(rng, flat[e], *law(step, e % K))
-            visit(i + 1, r0, r1, x[:r1 - r0])
+            visit(i + 1, r0, r1, x)
 
     map_ordered(run_block, range(n_blocks), workers)
 
@@ -754,7 +765,7 @@ def exact_book_values(pool: Pool, *, sample_times, maturity: float, r: float, n_
 
     def price(i: int, r0: int, r1: int, x: np.ndarray) -> None:
         if books[i] is not None:
-            values[i, r0:r1] = _book_values(x, *books[i])
+            values[i, r0:r1] = _book_values(x, *books[i])[:r1 - r0]
 
     _exact_blocks(pool, times, n_paths, seed, workers, price)
     return values
@@ -825,34 +836,114 @@ def mc_kernel_oracles(pathset: PathSet, u: float):
     return pathset.extrapolate(kernels)
 
 
+def _expansion_sums(h: float) -> tuple[float, float, float, float]:
+    """The full sums over n >= 1 that set the moments of the gamma expansion
+    (:func:`_integrated_cir`) at h = kappa u / 2. With d_n = h^2 + pi^2 n^2
+    they are sum 1/d_n, sum 1/d_n^2, sum pi^2 n^2/d_n^2 and sum pi^2 n^2/d_n^3,
+    in closed form through coth h and csch h. Those forms cancel like 1/h^4 as
+    h -> 0, so below h = 0.3 their Taylor series in h^2 is used, whose
+    coefficients are zeta(2j)/pi^(2j); both agree to about 3e-13 there."""
+
+    if h < 0.3:
+        t1 = t2 = a = b = 0.0
+        for j in range(len(_ZETA_PI) - 1):
+            p, z, z1 = (-h * h) ** j, _ZETA_PI[j], _ZETA_PI[j + 1]
+            t1 += p * z
+            t2 += (j + 1) * p * z1
+            a += (j + 1) * p * z
+            b += (j + 1) * (j + 2) / 2 * p * z1
+        return t1, t2, a, b
+    coth, csch = 1.0 / math.tanh(h), 1.0 / math.sinh(h)  # csch * csch underflows to 0
+    csch2, h2 = csch * csch, h * h
+    return ((h * coth - 1.0) / (2.0 * h2), (h2 * csch2 + h * coth - 2.0) / (4.0 * h2 * h2),
+            coth / (4.0 * h) - csch2 / 4.0,
+            coth / (16.0 * h2 * h) + csch2 / (16.0 * h2) - coth * csch2 / (8.0 * h))
+
+
+def _integrated_cir(rng: Generator, x0: float, alpha: np.ndarray, kappa: float, sigma: float,
+                    u: float) -> tuple[np.ndarray, np.ndarray]:
+    """Exact draws of (X_u, integral of X on [0, u]) of the square-root
+    diffusion dX = (alpha - kappa X) dt + sigma sqrt(X) dW from x0 > 0, one
+    per entry of the drift array alpha >= 0; u > 0, sigma > 0.
+
+    With delta = 4 alpha / sigma^2 and c = sigma^2 (1 - e^{-kappa u}) / (4
+    kappa), the endpoint is the Poisson-gamma transition (Broadie and Kaya
+    2006): N ~ Poisson(x0 e^{-kappa u} / (2 c)), X_u = 2 c Gamma(delta / 2 +
+    N). Given X_u, N has the Bessel law of the count eta in the gamma
+    expansion of the integral (Glasserman and Kim 2011), so no Bessel
+    function is evaluated. With the expansion's gamma_n and lambda_n, the
+    integral is the sum over n of (Gamma(P_n) + Gamma(delta / 2 + 2 N)) /
+    gamma_n, P_n ~ Poisson(lambda_n (x0 + X_u)): X1, then X2 + X3 in one
+    gamma per term. Each series keeps _GK_TERMS terms, and its tail is one
+    gamma with the tail's mean and variance (:func:`_expansion_sums`). Every
+    draw has alpha's length, so an entry depends only on the stream and its
+    index. A Poisson count whose mean exceeds _POISSON_MAX has relative noise
+    below 1 / sqrt(_POISSON_MAX) (numpy rejects means above about 9e18):
+    where N's does (tiny u or sigma), every entry follows its deterministic
+    flow, drawing nothing, and a P_n above it (a tiny sigma with x0 near 0)
+    is taken at its mean.
+    """
+
+    grow = -math.expm1(-kappa * u)
+    decay, c = 1.0 - grow, sigma * sigma * grow / (4.0 * kappa)
+    if not (c > 0.0 and x0 * decay <= 2.0 * c * _POISSON_MAX):
+        ramp = max(u - grow / kappa, 0.0) / kappa  # the drift's integral per unit alpha
+        return x0 * decay + alpha * grow / kappa, x0 * grow / kappa + alpha * ramp
+    half_df = 2.0 * alpha / (sigma * sigma)
+    eta = rng.poisson(x0 * decay / (2.0 * c), len(alpha))
+    x_u = 2.0 * c * rng.standard_gamma(half_df + eta)
+
+    h = 0.5 * kappa * u
+    # with d_n = h^2 + pi^2 n^2: 1 / gamma_n = sigma^2 u^2 / (2 d_n) and
+    # lambda_n = 4 pi^2 n^2 / (sigma^2 u d_n)
+    d = h * h + (math.pi * np.arange(1, _GK_TERMS + 1)) ** 2
+    q = d - h * h
+    s2u = sigma * sigma * u
+    inv_gamma = s2u * u / (2.0 * d)
+    lam = 4.0 * q / (s2u * d)
+    t1, t2, a, b = (full - kept.sum() for full, kept in
+                    zip(_expansion_sums(h), (1.0 / d, 1.0 / d ** 2, q / d ** 2, q / d ** 3)))
+    v = x0 + x_u
+    shape = half_df + 2.0 * eta
+    mean = lam[:, None] * v  # a count above _POISSON_MAX is taken at its mean
+    count = np.where(mean > _POISSON_MAX, mean, rng.poisson(np.minimum(mean, _POISSON_MAX)))
+    terms = (rng.standard_gamma(count)
+             + rng.standard_gamma(np.broadcast_to(shape, (_GK_TERMS, len(alpha)))))
+    integ = (inv_gamma[:, None] * terms).sum(axis=0)
+    # the tails: X1's has mean 2 u a v and variance 2 sigma^2 u^3 b v, the
+    # other's mean sigma^2 u^2 t1 shape / 2 and variance sigma^4 u^4 t2 shape / 4
+    integ += s2u * u * b / a * rng.standard_gamma(2.0 * a * a / (s2u * b) * v)
+    integ += s2u * u * t2 / (2.0 * t1) * rng.standard_gamma(t1 * t1 / t2 * shape)
+    return x_u, integ
+
+
 def mc_limit_transform(u: float, cfg: LimitConfig, n_paths: int,
                        seed: int) -> tuple[float, float]:
     """MC estimate of E[exp(-integral of X on [0,u])] for the limit
-    killing-rate diffusion of ``cfg``, on 1000 Euler steps with antithetic
-    path pairs; returns (estimate, stderr), the stderr clustered by pair
-    (:func:`_pair_stderr`).
+    killing-rate diffusion of ``cfg``, drawn exactly at u; returns
+    (estimate, stderr), the plain :func:`_stderr` of independent paths.
 
     X is a square-root diffusion from x0 with per-path constant drift shift
     c lambda_c Y + d lambda_hat Ytilde, Y ~ Exp(gamma1), Ytilde ~ Exp(gamma2)
-    (the frozen-mark drift of the large-pool limit). Used as the independent
-    oracle for the closed form ``survival_fhat(u, cfg)``. The lag must lie
-    in (0, 1000 / kappa], so that the step u / 1000 is at most the
-    mean-reversion time 1 / kappa.
+    (the frozen-mark drift of the large-pool limit). With the marks drawn,
+    each path is a plain square-root diffusion, whose integral over [0, u]
+    :func:`_integrated_cir` draws in one interval. Blocks of 4096 paths run
+    on stream tag 1, each at full width. Used as the independent oracle for
+    the closed form ``survival_fhat(u, cfg)``. The lag must lie in (0, 1000
+    / kappa]: the expansion's sums read sinh(kappa u / 2), which overflows
+    past about 1420 / kappa.
     """
 
     u = float(u)
-    n_steps = 1000
     if not (math.isfinite(u) and u > 0.0):
         raise ConfigError(f"u must be finite and > 0, got {u}.")
-    if not u <= n_steps / cfg.kappa:
-        raise ConfigError(f"u must be at most 1000 / kappa = {n_steps / cfg.kappa:g} "
-                          f"(Euler step <= 1 / kappa), got {u:g}.")
-    dt = u / n_steps
+    if not u <= 1000.0 / cfg.kappa:
+        raise ConfigError(f"u must be at most 1000 / kappa = {1000.0 / cfg.kappa:g} "
+                          f"(sinh(kappa u / 2) overflows past about 1420 / kappa), got {u:g}.")
     if n_paths < 1:
         raise ConfigError("n_paths must be >= 1.")
     drift_c, drift_d = cfg.c * cfg.lambda_c, cfg.d * cfg.lambda_hat
     key = _philox_key(seed)
-    sqrt_dt = math.sqrt(dt)
     vals = np.empty(n_paths)
     bf = _NARROW_BLOCK_SIZE
     n_blocks = (n_paths + bf - 1) // bf
@@ -864,15 +955,7 @@ def mc_limit_transform(u: float, cfg: LimitConfig, n_paths: int,
         y1 = rng.standard_exponential(bf) / cfg.gamma1
         y2 = rng.standard_exponential(bf) / cfg.gamma2
         drift0 = cfg.alpha + drift_c * y1 + drift_d * y2
-        x = np.full(bf, cfg.x0, dtype=float)
-        xp = np.maximum(x, 0.0)
-        xnew, z, a, v = (np.empty(bf) for _ in range(4))
-        integ = np.zeros(bf)
-        for _ in range(n_steps):
-            _draw_pairs(rng, z, v, sqrt_dt)
-            _euler(x, xp, drift0, cfg.kappa, cfg.sigma, dt, z, a, v)
-            _truncate_and_integrate(x, xp, xnew, integ, dt, a)
-            xp, xnew = xnew, xp
+        _, integ = _integrated_cir(rng, cfg.x0, drift0, cfg.kappa, cfg.sigma, u)
         vals[r0:r1] = np.exp(-integ[:r1 - r0])
 
-    return float(vals.mean()), _pair_stderr(vals)
+    return float(vals.mean()), _stderr(vals)

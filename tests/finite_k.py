@@ -36,7 +36,7 @@ def exact_states(pool, *, sample_times, n_paths, seed, workers=1):
     states = np.empty((n_paths, len(times), len(pool.names)))
 
     def store(i, r0, r1, x):
-        states[r0:r1, i] = x
+        states[r0:r1, i] = x[:r1 - r0]
 
     _exact_blocks(pool, times, n_paths, seed, workers, store)
     return states

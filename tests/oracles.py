@@ -2,12 +2,17 @@
 
 Adaptive Simpson quadrature, an error-controlled integrator independent of
 the Gauss–Legendre pricing rule, which the tests hold ``exposure_limit``, the
-kernels and ``bcva`` against; and a generic Runge-Kutta integrator, which the
-tests hold the closed forms and ``riccati.rk4_riccati`` against.
+kernels and ``bcva`` against; a generic Runge-Kutta integrator, which the
+tests hold the closed forms and ``riccati.rk4_riccati`` against; and an
+Euler simulation of the limit diffusion, which the tests hold the exact
+sampler of ``mc_limit_transform`` against.
 """
+
+import math
 
 import numpy as np
 
+from cdspool import simulation
 from cdspool.errors import AccuracyError
 from cdspool.quadrature import composite_simpson
 
@@ -83,3 +88,42 @@ def rk4_solve(rhs, y0, u: float, step: float):
         k4 = rhs(y + h * k3)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return y
+
+
+def euler_limit_transform(u: float, cfg, n_paths: int, seed: int) -> tuple[float, float]:
+    """E[exp(-integral of X on [0,u])] for the limit diffusion of ``cfg``, as
+    ``mc_limit_transform`` estimates it, on 1000 full-truncation Euler steps
+    built from the Euler engine's step updates; returns (estimate, stderr).
+
+    Paths run in antithetic pairs (each step draws normals for half a block
+    and path 2k + 1 diffuses on the negation of path 2k's), so the stderr is
+    clustered by pair. The marks are drawn as ``mc_limit_transform`` draws
+    them, on the same stream tag and block width.
+    """
+
+    n_steps = 1000
+    dt = u / n_steps
+    drift_c, drift_d = cfg.c * cfg.lambda_c, cfg.d * cfg.lambda_hat
+    key = simulation._philox_key(seed)
+    sqrt_dt = math.sqrt(dt)
+    vals = np.empty(n_paths)
+    bf = simulation._NARROW_BLOCK_SIZE
+
+    for r0 in range(0, n_paths, bf):
+        rng = simulation._block_generator(key, simulation._BLOCK_LIMIT, r0 // bf)
+        r1 = min(n_paths, r0 + bf)
+        y1 = rng.standard_exponential(bf) / cfg.gamma1
+        y2 = rng.standard_exponential(bf) / cfg.gamma2
+        drift0 = cfg.alpha + drift_c * y1 + drift_d * y2
+        x = np.full(bf, cfg.x0, dtype=float)
+        xp = np.maximum(x, 0.0)
+        xnew, z, a, v = (np.empty(bf) for _ in range(4))
+        integ = np.zeros(bf)
+        for _ in range(n_steps):
+            simulation._draw_pairs(rng, z, v, sqrt_dt)
+            simulation._euler(x, xp, drift0, cfg.kappa, cfg.sigma, dt, z, a, v)
+            simulation._truncate_and_integrate(x, xp, xnew, integ, dt, a)
+            xp, xnew = xnew, xp
+        vals[r0:r1] = np.exp(-integ[:r1 - r0])
+
+    return float(vals.mean()), simulation._pair_stderr(vals)

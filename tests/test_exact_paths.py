@@ -149,6 +149,20 @@ def test_exact_paths_invariant_to_total_path_count():
     np.testing.assert_array_equal(big[:123], small)
 
 
+def test_book_values_invariant_to_total_path_count():
+    # every block is priced at full width: a short last block used to group
+    # its rows differently in the BLAS product, which moved path 512's value
+    # at 513 paths in the last bits (K = 300 on fig1-c)
+    cfg = LimitConfig(alpha=0.01, kappa=0.5, sigma=0.2, c=0.2, d=0.2, lambda_hat=0.5,
+                      x0=0.02, gamma1=1.5, gamma2=1.5, lambda_c=2.5, s_z=0.02, l_z=0.4,
+                      r=0.03)
+    pool = build_name_sequence(cfg, 300)
+    kw = dict(sample_times=[0.0, 0.5, 1.0], maturity=1.0, r=cfg.r, seed=5)
+    small, *others = (exact_book_values(pool, n_paths=n, **kw) for n in (513, 600, 768))
+    for other in others:
+        assert other[:, :513].tobytes() == small.tobytes()
+
+
 def test_exact_paths_pinned():
     # pinned stream layout and transition arithmetic of the exact engine:
     # both jump layers; SHA-256 of the raw float64 bytes

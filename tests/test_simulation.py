@@ -8,14 +8,17 @@ import pytest
 from scipy.integrate import cumulative_simpson
 
 from cdspool.errors import ConfigError
-from cdspool.exposure import LimitConfig, build_name_sequence, exposure_limit
+from cdspool.exposure import LimitConfig, build_name_sequence, exposure_limit, survival_fhat
+from cdspool.harness import _validation_baseline
 from cdspool.jumps import BveParams, mgf_exp
 from cdspool.quadrature import composite_simpson, simpson_weights
-from cdspool.riccati import integral_beta, riccati_b, riccati_beta
+from cdspool.riccati import integral_b, integral_beta, riccati_b, riccati_beta
 from cdspool.simulation import (CounterpartyParams, CounterpartySide, NameParams, Pool,
-                                _book_rows, _book_values, _pair_stderr, _stderr,
-                                exact_book_values, mc_kernel_oracles, mc_limit_transform,
-                                simulate_paths)
+                                _book_rows, _book_values, _expansion_sums, _integrated_cir,
+                                _pair_stderr, _stderr, exact_book_values, mc_kernel_oracles,
+                                mc_limit_transform, simulate_paths)
+
+from oracles import euler_limit_transform
 
 
 def make_name(**overrides):
@@ -405,7 +408,6 @@ def test_mc_h1_oracle_matches_transform_derivative():
 
     def transform(theta):
         if theta == 0.0:
-            from cdspool.riccati import integral_b, riccati_b
             return math.exp(alpha_b * integral_b(kappa_b, sigma_b, u)
                             + riccati_b(kappa_b, sigma_b, u) * x_b)
         return math.exp(alpha_b * integral_beta(kappa_b, sigma_b, theta, u)
@@ -433,13 +435,98 @@ def test_mc_kernel_oracles_equal_separate_runs_at_gate_arguments():
 
 
 def test_mc_limit_transform_pinned_at_gate_arguments():
-    # the gate's limit-SDE oracle: its five 4096-path blocks of antithetic
-    # pairs on 1000 Euler steps give exactly these values
+    # the gate's limit-SDE oracle: its twelve 4096-path blocks of exact
+    # draws give exactly these values
     from cdspool.harness import _LIMIT_ORACLE_PATHS, VALIDATION_SEED, _validation_baseline
     cfg, _, _ = _validation_baseline()
     est = mc_limit_transform(1.5, cfg, n_paths=_LIMIT_ORACLE_PATHS,
                              seed=VALIDATION_SEED + 11)
-    assert est == (0.9521192420779284, 0.00018203144765617732)
+    assert est == (0.9520838697493198, 0.00018007287915181478)
+
+
+def test_exact_limit_oracle_agrees_with_an_euler_simulation():
+    # the gate's config through 1000 antithetic Euler steps, the oracle's
+    # former body; the two runs draw independent marks (different seeds)
+    from cdspool.harness import _LIMIT_ORACLE_PATHS, VALIDATION_SEED
+    cfg = FELLER_BROKEN
+    euler, euler_se = euler_limit_transform(1.5, cfg, 20_480, VALIDATION_SEED + 11)
+    assert (euler, euler_se) == (0.9521192420779284, 0.00018203144765617732)
+    exact, exact_se = mc_limit_transform(1.5, cfg, _LIMIT_ORACLE_PATHS, VALIDATION_SEED + 12)
+    assert abs(exact - euler) < 3 * math.hypot(exact_se, euler_se)
+
+
+# the gate's limit diffusion: 2 alpha = 0.02 < sigma^2 = 0.09 breaks Feller
+FELLER_BROKEN = _validation_baseline()[0]
+
+
+@pytest.mark.parametrize("h", [1e-300, 1e-8, 0.05, 0.3 - 1e-12, 0.3, 1.0, 20.0, 500.0])
+def test_expansion_sums_match_direct_summation(h):
+    # 10^6 terms plus the integral of each sum's leading power beyond them;
+    # the series below h = 0.3 and the closed forms above meet there
+    n2 = (np.pi * np.arange(1, 1_000_001)) ** 2
+    d, last = h * h + n2, np.pi ** 2 * 1e6
+    direct = (np.sum(1 / d) + 1 / last, np.sum(1 / d ** 2) + np.pi ** 2 / (3 * last ** 3),
+              np.sum(n2 / d ** 2) + 1 / last, np.sum(n2 / d ** 3) + np.pi ** 2 / (3 * last ** 3))
+    np.testing.assert_allclose(_expansion_sums(h), direct, rtol=1e-9, atol=0.0)
+
+
+@pytest.mark.parametrize("u", [0.05, 1.5, 10.0])
+def test_integrated_cir_matches_its_mean_closed_forms(u):
+    # E[X_u] = x0 e^{-kappa u} + alpha (1 - e^{-kappa u}) / kappa and
+    # E[integral] = (x0 (1 - e^{-kappa u}) + alpha (u - (1 - e^{-kappa u}) / kappa)) / kappa
+    cfg, n = FELLER_BROKEN, 1_000_000
+    rng = np.random.Generator(np.random.Philox(83))
+    alpha = np.full(n, cfg.alpha)
+    x_u, integ = _integrated_cir(rng, cfg.x0, alpha, cfg.kappa, cfg.sigma, u)
+    grow = -math.expm1(-cfg.kappa * u)
+    means = (cfg.x0 * (1.0 - grow) + cfg.alpha * grow / cfg.kappa,
+             (cfg.x0 * grow + cfg.alpha * (u - grow / cfg.kappa)) / cfg.kappa)
+    for draws, mean in zip((x_u, integ), means):
+        assert abs(draws.mean() - mean) <= 4 * _stderr(draws), (u, draws.mean(), mean)
+
+
+@pytest.mark.parametrize("cfg", [NOJUMP_CFG, replace(FELLER_BROKEN, c=0.0, d=0.0)],
+                         ids=["gate-nojump", "feller-broken"])
+def test_mc_limit_transform_matches_the_no_jump_closed_form(cfg):
+    # without jump loadings the marks drop out: exp(alpha IB(u) + B(u) x0)
+    for u in (0.05, 1.5, 10.0):
+        est, se = mc_limit_transform(u, cfg, n_paths=1 << 18, seed=89)
+        closed = math.exp(cfg.alpha * integral_b(cfg.kappa, cfg.sigma, u)
+                          + riccati_b(cfg.kappa, cfg.sigma, u) * cfg.x0)
+        assert abs(est - closed) <= 4 * se, (u, est, closed, se)
+
+
+def test_mc_limit_transform_is_finite_at_extreme_lags():
+    # subnormal, tiny and the largest allowed lags: the expansion's sums
+    # switch to their series, or the flow carries negligible noise
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for u in (5e-324, 1e-12, 1e-6, 1000 / FELLER_BROKEN.kappa):
+            est, se = mc_limit_transform(u, FELLER_BROKEN, n_paths=4096, seed=97)
+            assert 0.0 <= est <= 1.0 and 0.0 <= se < math.inf, (u, est, se)
+
+
+@pytest.mark.parametrize("sigma, x0", [(1e-9, 0.02), (1e-12, 1e-30)])
+def test_mc_limit_transform_follows_the_flow_where_noise_is_negligible(sigma, x0):
+    # sigma = 1e-9 puts the transition's Poisson mean near 2e16: each path
+    # follows its deterministic flow. From x0 = 1e-30 that mean is small but
+    # the series counts' means pass 1e22, past numpy's Poisson sampler, and
+    # are taken at their means. Only the marks carry noise.
+    cfg = replace(FELLER_BROKEN, sigma=sigma, x0=x0)
+    est, se = mc_limit_transform(1.5, cfg, n_paths=1 << 16, seed=103)
+    assert se > 0.0 and abs(est - survival_fhat(1.5, cfg)) <= 4 * se
+
+
+def test_limit_paths_depend_only_on_seed_and_index(monkeypatch):
+    from cdspool import simulation
+    seen = []
+    stderr = simulation._stderr
+    monkeypatch.setattr(simulation, "_stderr", lambda vals: seen.append(vals) or stderr(vals))
+    for n in (700, 123, 49_152, 20_480):
+        mc_limit_transform(1.5, FELLER_BROKEN, n_paths=n, seed=101)
+    big, small, gate, old_gate = seen
+    np.testing.assert_array_equal(big[:123], small)
+    np.testing.assert_array_equal(gate[:20_480], old_gate)
 
 
 # a limit diffusion with both jump drifts at 0.1
