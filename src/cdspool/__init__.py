@@ -18,9 +18,8 @@ from .kernels import (BcvaResult, SweepResult, bcva, joint_survival, kernel,
                       kernel_coefficients, kernel_ode_residuals, sensitivity_sweep)
 from .riccati import (integral_b, integral_beta, riccati_b, riccati_beta,
                       riccati_beta_general, varpi)
-from .simulation import (CounterpartyParams, CounterpartySide, NameParams, PathSet, Pool,
-                         exact_book_values, mc_kernel_oracles, mc_limit_transform,
-                         simulate_paths)
+from .simulation import (CounterpartyParams, CounterpartySide, NameParams, Pool,
+                         exact_book_values, mc_kernel_oracles, mc_limit_transform)
 
 __all__ = [
     "__version__",
@@ -28,8 +27,7 @@ __all__ = [
     "varpi", "riccati_b", "integral_b", "riccati_beta", "integral_beta",
     "riccati_beta_general",
     "BveParams", "mgf_exp", "mgf_bve", "mgf_bve_partials", "sample_bve",
-    "NameParams", "CounterpartySide", "CounterpartyParams", "Pool", "PathSet",
-    "simulate_paths", "exact_book_values",
+    "NameParams", "CounterpartySide", "CounterpartyParams", "Pool", "exact_book_values",
     "mc_kernel_oracles", "mc_limit_transform",
     "LimitConfig", "survival_fhat", "exposure_limit",
     "limit_exp_test", "empirical_measure_eval", "build_name_sequence",

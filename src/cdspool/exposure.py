@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ConfigError
 from .quadrature import gauss_legendre_panels
 from .riccati import integral_b, integral_beta, riccati_b, riccati_beta
-from .simulation import NameParams, PathSet, Pool, _check_discount
+from .simulation import NameParams, Pool, _check_discount
 
 __all__ = [
     "LimitConfig",
@@ -138,27 +138,23 @@ def limit_exp_test(theta: float, t, cfg: LimitConfig):
     return float(out) if out.ndim == 0 else out
 
 
-def empirical_measure_eval(pathset: PathSet, theta: float, t: float) -> tuple[float, float]:
-    """Monte-Carlo average of the surviving-name empirical measure applied
-    to the test function exp(theta x), theta <= 0, with standard error.
+def empirical_measure_eval(x: np.ndarray, tau: np.ndarray, theta: float,
+                           t: float) -> np.ndarray:
+    """Per-path values of the surviving-name empirical measure applied to
+    the test function exp(theta x), theta <= 0, at time t.
 
-    The per-path statistic is the equal-weight average over names of
-    exp(theta * intensity at t) times the survival indicator at t; theta = 0
-    is the surviving mass, as in :func:`limit_exp_test`. The standard error
-    is clustered by antithetic path pair (``PathSet.stderr``).
+    x holds the names' intensities at t and tau their default times
+    resolved through t (paths by names). A path's value is the
+    equal-weight average over names of exp(theta x) times the survival
+    indicator tau > t; theta = 0 is the surviving mass, as in
+    :func:`limit_exp_test`. Euler paths come in antithetic pairs, so their
+    mean's stderr is the pair-clustered one.
     """
 
     if not theta <= 0.0:
         raise ValueError("theta must be <= 0.")
-    k = pathset.n_names
-    if k == 0:
-        raise ValueError("PathSet holds no reference names.")
-    i_t = pathset.time_index(t)
-    x = pathset.intensities[:, i_t, :k]
-    alive = pathset.default_times[:, :k] > t
     f = 1.0 if theta == 0.0 else np.exp(theta * x)
-    per_path = (f * alive).mean(axis=1)
-    return float(per_path.mean()), pathset.stderr(per_path)
+    return (f * (tau > t)).mean(axis=1)
 
 
 def build_name_sequence(cfg: LimitConfig, K: int) -> Pool:

@@ -28,9 +28,9 @@ from .jumps import BveParams, mgf_bve, mgf_bve_partials, mgf_exp, sample_bve
 from .quadrature import composite_simpson
 from .riccati import (exp_phi, integral_b, integral_beta, riccati_b, riccati_beta,
                       riccati_beta_general, rk4_riccati)
-from .simulation import (CounterpartyParams, CounterpartySide, PathSet, Pool, _stderr,
-                         exact_book_values, map_ordered, mc_kernel_oracles,
-                         mc_limit_transform, simulate_paths)
+from .simulation import (CounterpartyParams, CounterpartySide, Pool, _euler_blocks,
+                         _pair_stderr, _richardson, _stderr, exact_book_values, map_ordered,
+                         mc_kernel_oracles, mc_limit_transform)
 
 __all__ = [
     "CurveTable",
@@ -218,7 +218,13 @@ def run_convergence(spec: ExperimentSpec) -> list[CurveTable]:
 def run_measure_convergence(spec: ExperimentSpec) -> list[CurveTable]:
     """Surviving-mass and exponential-transform curves of the empirical
     measure against the limit measure, with a per-K sup-error summary
-    (median over repeats)."""
+    (median over repeats).
+
+    The Euler engine's visitor writes each path's statistics
+    (:func:`empirical_measure_eval` at theta = 0 and -1) into arrays
+    allocated before the run, so the run holds O(block x K) state plus two
+    values per path and time, never the paths.
+    """
 
     cfg = spec.limit
     theta = -1.0
@@ -231,11 +237,18 @@ def run_measure_convergence(spec: ExperimentSpec) -> list[CurveTable]:
     for ki, K in enumerate(spec.k_values):
         pool = build_name_sequence(cfg, K)
         for rep in range(spec.repeats):
-            ps = simulate_paths(pool, None, horizon=spec.horizon, n_paths=spec.n_paths,
-                                seed=spec.seed + rep, dt=dt, sample_times=times,
-                                workers=spec.workers)
-            one = np.array([empirical_measure_eval(ps, 0.0, float(t)) for t in times])
-            ee = np.array([empirical_measure_eval(ps, theta, float(t)) for t in times])
+            # stats[j, i, m]: path m's statistic at times[i], theta = 0 then theta
+            stats = np.empty((2, len(times), spec.n_paths))
+
+            def fold(level, i, r0, r1, xp, integ, tau):
+                for j, th in enumerate((0.0, theta)):
+                    stats[j, i, r0:r1] = empirical_measure_eval(
+                        xp[:r1 - r0], tau[:r1 - r0], th, float(times[i]))
+
+            _euler_blocks(pool, None, horizon=spec.horizon, n_paths=spec.n_paths,
+                          seed=spec.seed + rep, dt=dt, sample_times=times,
+                          workers=spec.workers, visit=fold)
+            one, ee = (np.array([(v.mean(), _pair_stderr(v)) for v in rows]) for rows in stats)
             sup_one[ki, rep] = np.max(np.abs(one[:, 0] - lim_mass))
             sup_exp[ki, rep] = np.max(np.abs(ee[:, 0] - lim_exp))
             if rep == 0:
@@ -504,21 +517,32 @@ _PAIR_LOCK = threading.Lock()
 def _pair_values() -> dict[str, tuple[float, tuple[float, float]]]:
     """Closed-form value and MC (estimate, stderr) of each counterparty
     kernel at u = 1 and of CVA at maturity 3, the pair started at (0.2,
-    0.2); every MC value reads one simulation of the pair."""
+    0.2); every MC value reads one simulation of the pair, whose visitor
+    folds each level's per-path values as it runs."""
 
     cfg, _, cps = _validation_baseline()
-    u, maturity = 1.0, 3.0
+    u, maturity, n_paths = 1.0, 3.0, 20_000
     x_a, x_b = cps.side_a.xi0, cps.side_b.xi0
-    ps = simulate_paths(Pool((), cfg.lambda_c), cps, horizon=maturity, dt=_PAIR_DT,
-                        n_paths=20_000, seed=VALIDATION_SEED + 12,
-                        sample_times=[u, maturity])
-    mc_h1, mc_h2, mc_joint = mc_kernel_oracles(ps, u)
+    # vals[level, j, m]: path m's h1, h2 and joint survival at u (j = 0..2)
+    # and discounted loss at maturity (j = 3), on the fine then coarse level
+    vals = np.empty((2, 4, n_paths))
+
+    def fold(level, i, r0, r1, xp, integ, tau):
+        nb = r1 - r0
+        if i == 0:
+            vals[level, :3, r0:r1] = mc_kernel_oracles(xp[:nb], integ[:nb])
+        else:
+            vals[level, 3, r0:r1] = nested_mc_cva(tau[:nb], cfg, cps.loss_b, maturity)
+
+    _euler_blocks(Pool((), cfg.lambda_c), cps, horizon=maturity, n_paths=n_paths,
+                  seed=VALIDATION_SEED + 12, dt=_PAIR_DT, sample_times=[u, maturity],
+                  workers=1, visit=fold)
+    mc_h1, mc_h2, mc_joint, mc_cva = (_richardson(fine, coarse) for fine, coarse in zip(*vals))
     return {"h1": (kernels.kernel(u, x_a, x_b, cps, cfg.lambda_c, "B"), mc_h1),
             "h2": (kernels.kernel(u, x_a, x_b, cps, cfg.lambda_c, "A"), mc_h2),
             "joint_survival": (kernels.joint_survival(u, x_a, x_b, cps, cfg.lambda_c),
                                mc_joint),
-            "cva": (kernels.bcva(maturity, cfg, cps).cva,
-                    nested_mc_cva(ps, cfg, cps.loss_b))}
+            "cva": (kernels.bcva(maturity, cfg, cps).cva, mc_cva)}
 
 
 def _pair_check(which: str) -> Iterator[_Case]:
@@ -547,33 +571,26 @@ def _check_kernel_residuals() -> Iterator[_Case]:
             yield residual, 0.0, 1.0
 
 
-def nested_mc_cva(pathset: PathSet, cfg: LimitConfig, loss_b: float) -> tuple[float, float]:
-    """Nested Monte-Carlo CVA oracle at maturity ``pathset.horizon``: read
-    side B's default time from a simulation of the counterparty pair alone,
-    apply the limit exposure there, weight by pool survival.
+def nested_mc_cva(tau: np.ndarray, cfg: LimitConfig, loss_b: float,
+                  maturity: float) -> np.ndarray:
+    """Per-path values of the nested Monte-Carlo CVA oracle at ``maturity``:
+    read side B's default time from tau, the pair alone's default times at
+    maturity (paths by sides A, B), apply the limit exposure there, weight
+    by pool survival.
 
     The pool's limit default time is conditionally independent of the
     counterparties, so the indicator of the pool outliving tau_B integrates
-    to the survival function evaluated there. The estimate is
-    Richardson-extrapolated from the fine path and its coupled coarse path,
-    each resolving its default times on its own grid
-    (``PathSet.extrapolate``, which raises ValueError for a system with
-    names); the standard error is clustered by antithetic path pair.
+    to the survival function evaluated there. Read from both levels of the
+    pair run and combined by :func:`~cdspool.simulation._richardson`.
     """
 
-    maturity = pathset.horizon
-
-    def discounted_loss(ps: PathSet):
-        tau_a, tau_b = ps.default_times[:, 0], ps.default_times[:, 1]
-        hit = (tau_b <= np.minimum(tau_a, maturity)) & (tau_b > 0)
-        vals = np.zeros(ps.n_paths)
-        tb = tau_b[hit]
-        vals[hit] = (np.exp(-cfg.r * tb) * survival_fhat(tb, cfg)
-                     * np.maximum(exposure_limit(tb, maturity, cfg), 0.0))
-        return (vals * loss_b,)
-
-    (cva,) = pathset.extrapolate(discounted_loss)
-    return cva
+    tau_a, tau_b = tau[:, 0], tau[:, 1]
+    hit = (tau_b <= np.minimum(tau_a, maturity)) & (tau_b > 0)
+    vals = np.zeros(len(tau))
+    tb = tau_b[hit]
+    vals[hit] = (np.exp(-cfg.r * tb) * survival_fhat(tb, cfg)
+                 * np.maximum(exposure_limit(tb, maturity, cfg), 0.0))
+    return vals * loss_b
 
 
 # (name, run) in report order, built from each check's (name, cases, bound);

@@ -10,23 +10,25 @@ common Poisson rate lambda_c, and the exponential rates gamma1 and gamma2 of
 the names' common and idiosyncratic jump sizes. It is the only way either
 engine takes that law. Two engines simulate this system:
 
-- :func:`simulate_paths` runs Euler with full truncation (positive part in
-  both drift and diffusion) on a fine grid; stored intensities are the
-  truncated, non-negative values. Default times are doubly stochastic:
-  unit-mean exponential thresholds drawn up front, crossed by the
-  trapezoidal integral of the simulated intensity on the fine grid. Each
-  block allocates its step buffers once and runs every step in place: the
-  normals are drawn into one buffer (``standard_normal(out=...)``, the same
-  values as a fresh draw) and mirrored onto the partner paths (below), and
-  the positive part of the state is carried from the end of one step,
+- :func:`_euler_blocks` runs Euler with full truncation (positive part in
+  both drift and diffusion) on a fine grid. Default times are doubly
+  stochastic: unit-mean exponential thresholds drawn up front, crossed by
+  the trapezoidal integral of the simulated intensity on the fine grid.
+  Each block allocates its step buffers once and runs every step in place:
+  the normals are drawn into one buffer (``standard_normal(out=...)``, the
+  same values as a fresh draw) and mirrored onto the partner paths (below),
+  and the positive part of the state is carried from the end of one step,
   where the trapezoid integral needs it, to the start of the next, where
   drift and diffusion read it. The per-entity parameters are rows at block
   shape, so a block of the narrow pair runs each operation as one flat
-  loop. The measure-convergence study, the counterparty-kernel oracles
-  and the nested-MC CVA oracle read default times or running integrals,
-  and use this engine. For the counterparty pair alone it also steps a
-  coupled coarse path of step 2 dt on the same draws, so that estimators
-  on the pair are Richardson-extrapolated (:meth:`PathSet.extrapolate`).
+  loop. Like the exact engine it stores no path: at each sample time it
+  hands a block's state (truncated intensities, running integrals, default
+  times so far) to a visitor that folds it into per-path values, the
+  empirical-measure statistics of the measure-convergence study or the
+  kernel and nested-CVA oracles of the gate's pair run. For the
+  counterparty pair alone it also steps a coupled coarse path of step 2 dt
+  on the same draws, so that estimators on the pair are
+  Richardson-extrapolated (:func:`_richardson`).
 - :func:`exact_book_values` draws the names only at the sample times,
   from the exact square-root transition law (Broadie and Kaya 2006): a
   scaled noncentral chi-square between consecutive events, where the
@@ -40,7 +42,7 @@ engine takes that law. Two engines simulate this system:
 Reproducibility contract: paths are generated in fixed-width blocks, each
 block owning a counter-based RNG stream derived from (seed, stream tag,
 block index). The tags keep the engines' streams disjoint: 0 for
-:func:`simulate_paths`, 1 for the limit diffusion of
+:func:`_euler_blocks`, 1 for the limit diffusion of
 :func:`mc_limit_transform`, 2 for :func:`exact_book_values`. The width is
 256 paths for systems with names, and 4096 for the counterparty pair alone
 and for the limit diffusion, whose narrow state stays in cache at that
@@ -49,15 +51,14 @@ section 4.2): each step fills half a block's rows with fresh normals, one
 per pair, and path 2k + 1 diffuses on the negation of path 2k's normals.
 Every other draw stays per path: the default thresholds and both jump
 layers. Estimators on Euler paths therefore keep the plain mean but
-cluster their standard error by pair (:meth:`PathSet.stderr`). Every block
+cluster their standard error by pair (:func:`_pair_stderr`). Every block
 draws at full width, its half-width normal fill included, so a path's
 draws depend only on the seed, the system's shape and the path's own
 index, never on the total path count or on how many workers process the
 blocks.
 
-Oracles: :func:`mc_kernel_oracles` reads the three counterparty kernels,
-Richardson-extrapolated, at a stored lag of a simulation of the pair alone
-(validation gate).
+Oracles: :func:`mc_kernel_oracles` reads the three counterparty kernels'
+per-path values from the pair alone's state at a lag (validation gate).
 ``mc_limit_transform(u, cfg, n_paths, seed)`` draws the large-pool limit
 diffusion of a :class:`~cdspool.exposure.LimitConfig`, whose drift is a
 per-path frozen mark, exactly at the one lag u: the endpoint from the
@@ -91,8 +92,6 @@ __all__ = [
     "CounterpartySide",
     "CounterpartyParams",
     "Pool",
-    "PathSet",
-    "simulate_paths",
     "exact_book_values",
     "mc_kernel_oracles",
     "mc_limit_transform",
@@ -221,64 +220,6 @@ class CounterpartyParams:
             raise ConfigError("Counterparty losses must lie in (0, 1].")
 
 
-@dataclass
-class PathSet:
-    """Euler intensity paths (:func:`simulate_paths`) at a set of sample times.
-
-    intensities[m, i, j] is the (non-negative) intensity of entity j at
-    times[i] on path m. For the counterparty pair alone, integrated holds
-    the running trapezoid integral at the same nodes, and coarse the
-    coupled path of step 2 dt driven by the same draws; systems with names
-    leave both None. Entities are ordered names first, then counterparties
-    A and B when present. default_times are resolved at the path's grid
-    resolution against the stored unit-exponential thresholds.
-    """
-
-    times: np.ndarray
-    dt: float
-    horizon: float
-    n_names: int
-    intensities: np.ndarray
-    thresholds: np.ndarray
-    default_times: np.ndarray
-    integrated: np.ndarray | None = None
-    coarse: PathSet | None = None
-
-    @property
-    def n_paths(self) -> int:
-        return self.intensities.shape[0]
-
-    @property
-    def n_entities(self) -> int:
-        return self.intensities.shape[2]
-
-    def stderr(self, vals: np.ndarray) -> float:
-        """Standard error of the mean of per-path values read from these
-        paths, clustered by antithetic pair (:func:`_pair_stderr`)."""
-
-        return _pair_stderr(vals)
-
-    def extrapolate(self, f: Callable[[PathSet], Sequence[np.ndarray]]):
-        """(mean, stderr) of 2 f(fine) - f(coarse) for each per-path value
-        array that f reads from a PathSet, the stderr clustered by pair. On
-        one set of draws this cancels Euler's first-order weak error
-        (Talay and Tubaro 1990; Glasserman 2004, section 6.2). Raises
-        ValueError without a coarse path."""
-
-        if self.coarse is None:
-            raise ValueError("Extrapolation reads the coarse path, which only a "
-                             "simulation of the counterparty pair alone records.")
-        return tuple((float(vals.mean()), self.stderr(vals))
-                     for vals in (2.0 * fine - coarse
-                                  for fine, coarse in zip(f(self), f(self.coarse))))
-
-    def time_index(self, t: float) -> int:
-        idx = int(np.argmin(np.abs(self.times - t)))
-        if not abs(self.times[idx] - t) <= 1e-9 * max(1.0, self.horizon):
-            raise ValueError(f"t={t} is not a stored sample time.")
-        return idx
-
-
 class _Level:
     """One Euler level's in-place state in a block: x; its positive part xp,
     carried from the end of one step (the trapezoid) to the start of the
@@ -393,36 +334,45 @@ def map_ordered(fn: Callable, items: Sequence, workers: int) -> list:
     return [fn(x) for x in items]
 
 
-def simulate_paths(pool: Pool, cps: CounterpartyParams | None = None, *, horizon: float,
-                   n_paths: int, seed: int, dt: float | None = None, sample_times=None,
-                   workers: int = 1) -> PathSet:
-    """Simulate the joint intensity system and resolve default times.
+def _euler_blocks(pool: Pool, cps: CounterpartyParams | None, *, horizon: float, n_paths: int,
+                  seed: int, dt: float, sample_times, workers: int,
+                  visit: Callable[..., None]) -> None:
+    """The Euler engine's block loop: simulate the joint intensity system
+    and resolve default times, handing each block's state to ``visit``.
 
     Parameters
     ----------
     pool, cps
         The reference names with their jump law, and (optionally) the two
         counterparties. The pair alone runs on a pool with no names,
-        ``Pool((), lambda_c)``, whose common clock it shares.
+        ``Pool((), lambda_c)``, whose common clock it shares. Entities are
+        ordered names first, then counterparties A and B when present.
     horizon, n_paths, seed
         Simulation horizon, path count, and RNG seed.
     dt
-        Euler step; defaults to horizon / 1000. Must divide the horizon.
+        Euler step. Must divide the horizon.
     sample_times
-        Grid times at which paths are stored (default: every node). Must
-        lie on the Euler grid.
+        Distinct grid times at which the state is visited.
     workers
-        Thread count for the block loop; never changes the output values.
+        Thread count for the block loop; never changes the values visited.
 
-    The counterparty pair alone, which the kernel and CVA oracles read,
-    also records the running intensity integrals and steps a coupled coarse
-    path of step 2 dt (``PathSet.coarse``, stored at the sample times on its
-    grid): its Brownian increment is the sum of the two fine ones, and it
+    At each sample time i, ``visit(level, i, r0, r1, xp, integ, tau)``
+    reads one level of one block: the truncated, non-negative intensities
+    xp, the running trapezoid integrals integ and the default times tau
+    resolved so far (inf before a default), each full width (block rows by
+    entities), whose first r1 - r0 rows are paths r0:r1. They are the
+    block's live buffers, so a visit copies what it keeps; blocks run on
+    ``workers`` threads, so a visit writes only to its own paths. Level 0
+    is the fine path. The counterparty pair alone also steps a coupled
+    coarse path of step 2 dt, level 1, visited at the sample times on its
+    grid: its Brownian increment is the sum of the two fine ones, and it
     adds both fine steps' jumps at the end of its step and crosses the same
-    thresholds. It draws nothing, so the fine path is unchanged by it. The
-    pair alone needs an even step count and explicit sample times on the
-    coarse grid. Paths run in blocks of 256 when the system has names and
-    of 4096 for the pair alone (see the module docstring).
+    thresholds. It draws nothing, so the fine path is unchanged by it, and
+    it needs an even step count. Paths run in blocks of 256 when the system
+    has names and of 4096 for the pair alone (see the module docstring).
+    Every check runs before the first allocation: the step count must fit
+    a numpy array and each Poisson mean of the jump clocks must stay below
+    ``_POISSON_MAX``.
     """
 
     K = len(pool.names)
@@ -432,57 +382,39 @@ def simulate_paths(pool: Pool, cps: CounterpartyParams | None = None, *, horizon
         raise ConfigError("n_paths must be >= 1.")
     if not math.isfinite(horizon):
         raise ConfigError("horizon must be finite.")
-    if dt is None:
-        dt = horizon / 1000.0
     if not dt > 0 or horizon < dt:
         raise ConfigError("Require dt > 0 and horizon >= dt.")
-    n_steps = int(round(horizon / dt))
+    steps = horizon / dt
+    if not steps < sys.maxsize // 8:
+        raise ConfigError(f"horizon / dt = {steps:.3g} Euler steps, more than an array of "
+                          f"step pointers can index.")
+    n_steps = int(round(steps))
     if abs(n_steps * dt - horizon) > 1e-8 * horizon:
         raise ConfigError("dt must divide the horizon.")
-    pair = K == 0  # the pair alone: integrals and the coupled coarse path
-    if pair and n_steps % 2:
-        raise ConfigError(f"The counterparty pair alone needs an even step count for its "
-                          f"coarse path of step 2 dt, got {n_steps} steps.")
-
-    key = _philox_key(seed)
-
-    E = K + (2 if cps is not None else 0)
     sides = () if cps is None else (cps.side_a, cps.side_b)
     vec = {f.name: np.append(getattr(pool, f.name), [getattr(s, f.name) for s in sides])
            for f in fields(CounterpartySide)}
-    grid = np.arange(n_steps + 1) * dt
-    if sample_times is None:
-        sample_idx = np.arange(n_steps + 1)
-    else:
-        sample_times = np.asarray(sample_times, dtype=float)
-        if not np.all(np.isfinite(sample_times)):
-            raise ConfigError("sample_times must be finite.")
-        sample_idx = np.rint(sample_times / dt).astype(int)
-        if np.any(np.abs(sample_idx * dt - sample_times) > 1e-9 * max(1.0, horizon)):
-            raise ConfigError("sample_times must lie on the Euler grid.")
-        if np.any((sample_idx < 0) | (sample_idx > n_steps)):
-            raise ConfigError("sample_times must lie in [0, horizon].")
-        if pair and np.any(sample_idx % 2):
-            raise ConfigError("sample_times of the counterparty pair alone must lie on "
-                              "its coarse grid of step 2 dt.")
+    mean = max(pool.lambda_c, float(vec["lambda_hat"].max())) * horizon
+    if mean > _POISSON_MAX:
+        raise ConfigError(f"A jump clock's Poisson mean, rate * horizon = {mean:g}, exceeds "
+                          f"{_POISSON_MAX:g}.")
+    pair = K == 0  # the pair alone: the coupled coarse path
+    if pair and n_steps % 2:
+        raise ConfigError(f"The counterparty pair alone needs an even step count for its "
+                          f"coarse path of step 2 dt, got {n_steps} steps.")
+    sample_times = np.asarray(sample_times, dtype=float)
+    if not np.all(np.isfinite(sample_times)):
+        raise ConfigError("sample_times must be finite.")
+    sample_idx = np.rint(sample_times / dt).astype(int)
+    if np.any(np.abs(sample_idx * dt - sample_times) > 1e-9 * max(1.0, horizon)):
+        raise ConfigError("sample_times must lie on the Euler grid.")
+    if np.any((sample_idx < 0) | (sample_idx > n_steps)):
+        raise ConfigError("sample_times must lie in [0, horizon].")
 
-    def stored(idx: np.ndarray, step: float) -> tuple[np.ndarray, PathSet]:
-        """The slot of each grid node in idx (-1 elsewhere) and an empty
-        PathSet of step ``step`` stored at those nodes."""
-
-        slot = np.full(n_steps + 1, -1, dtype=int)
-        slot[idx] = np.arange(len(idx))
-        shape = (n_paths, len(idx), E)
-        return slot, PathSet(times=grid[idx], dt=step, horizon=horizon, n_names=K,
-                             intensities=np.empty(shape), thresholds=thresholds,
-                             default_times=np.empty((n_paths, E)),
-                             integrated=np.empty(shape) if pair else None)
-
-    thresholds = np.empty((n_paths, E))
-    outs = [stored(sample_idx, dt)]  # the fine path, then the pair's coarse one
-    if pair:
-        outs.append(stored(sample_idx[sample_idx % 2 == 0], 2.0 * dt))
-
+    key = _philox_key(seed)
+    E = K + len(sides)
+    slot = np.full(n_steps + 1, -1)  # the sample index of each grid node, -1 elsewhere
+    slot[sample_idx] = np.arange(len(sample_idx))
     sqrt_dt = math.sqrt(dt)
     # idiosyncratic size rates: names use gamma2, counterparties their BVE marginals
     idio_rate = np.full(E, pool.gamma2)
@@ -501,7 +433,6 @@ def simulate_paths(pool: Pool, cps: CounterpartyParams | None = None, *, horizon
         rng = _block_generator(key, _BLOCK_PATHS, b)
         r0 = b * block_size
         r1 = min(n_paths, r0 + block_size)
-        nb = r1 - r0
         bf = block_size  # draw at full width so paths are invariant to n_paths
 
         thr = rng.standard_exponential((bf, E))
@@ -541,22 +472,23 @@ def simulate_paths(pool: Pool, cps: CounterpartyParams | None = None, *, horizon
         # z holds a fine step's increments, and for the pair alone z_odd the
         # second fine step's of each coarse step
         x0 = np.tile(vec["xi0"], (bf, 1))
-        states = [_Level(x0) for _ in outs]
+        levels = [_Level(x0) for _ in range(1 + pair)]
+        fine, coarse = levels[0], levels[-1]
         z, z_odd, a, v = (np.empty((bf, E)) for _ in range(4))
         newly = np.empty((bf, E), dtype=bool)
 
-        def store(lv: _Level, out: tuple[np.ndarray, PathSet], node: int) -> None:
-            slot, ps = out
+        def reach(level: int, node: int) -> None:
             if slot[node] >= 0:
-                ps.intensities[r0:r1, slot[node]] = lv.xp[:nb]
-                if pair:
-                    ps.integrated[r0:r1, slot[node]] = lv.integ[:nb]
+                lv = levels[level]
+                visit(level, slot[node], r0, r1, lv.xp, lv.integ, lv.tau)
 
-        def close(lv: _Level, i0: int, i1: int, h: float) -> None:
+        def close(level: int, i0: int, i1: int, h: float) -> None:
             """Finish a step of length h that covers fine steps i0 to i1 - 1,
             after its diffusion update: add those steps' jumps, truncate,
-            integrate, and record the defaults at node i1."""
+            integrate, record the defaults at node i1 and visit it if it is
+            a sample node."""
 
+            lv = levels[level]
             lo, hi = cptr[i0], cptr[i1]
             if hi > lo:
                 np.add.at(lv.x, ev_row[lo:hi], csize[lo:hi])
@@ -570,32 +502,22 @@ def simulate_paths(pool: Pool, cps: CounterpartyParams | None = None, *, horizon
             if newly.any():
                 lv.tau[newly] = i1 * dt
                 lv.alive &= ~newly
+            reach(level, i1)
 
-        for lv, out in zip(states, outs):
-            store(lv, out, 0)
-        fine, coarse = states[0], states[-1]
+        for level in range(len(levels)):
+            reach(level, 0)
         for i in range(n_steps):
             zi = z_odd if pair and i % 2 else z
             _draw_pairs(rng, zi, v, sqrt_dt)
             _euler(fine.x, fine.xp, alpha, kappa, sigma, dt, zi, a, v)
-            close(fine, i, i + 1, dt)
-            store(fine, outs[0], i + 1)
+            close(0, i, i + 1, dt)
             if pair and i % 2:
                 # the coarse step over fine steps i - 1 and i
                 z += z_odd
                 _euler(coarse.x, coarse.xp, alpha, kappa, sigma, 2.0 * dt, z, a, v)
-                close(coarse, i - 1, i + 1, 2.0 * dt)
-                store(coarse, outs[1], i + 1)
-
-        thresholds[r0:r1] = thr[:nb]
-        for lv, (_, ps) in zip(states, outs):
-            ps.default_times[r0:r1] = lv.tau[:nb]
+                close(1, i - 1, i + 1, 2.0 * dt)
 
     map_ordered(run_block, range(n_blocks), workers)
-    result = outs[0][1]
-    if pair:
-        result.coarse = outs[1][1]
-    return result
 
 
 def _by_interval(times: np.ndarray, event_times: np.ndarray):
@@ -653,7 +575,7 @@ def _exact_blocks(pool: Pool, times: np.ndarray, n_paths: int, seed: int, worker
     (0, horizon], where the jump is added. Each sample interval runs one
     full-width draw, to every element's first event or the interval's end,
     then one round per event rank, drawing only for the elements that
-    jumped. Jump sizes follow :func:`simulate_paths`: c Exp(gamma1) per name
+    jumped. Jump sizes follow :func:`_euler_blocks`: c Exp(gamma1) per name
     at each common event, d Exp(gamma2) at idiosyncratic ones. Blocks of 256
     paths run on stream tag 2 (see the module docstring). At each sample
     time i, including 0, ``visit(i, r0, r1, x)`` reads the full-width state
@@ -809,31 +731,33 @@ def _book_values(x: np.ndarray, const: float, rows: np.ndarray,
     return eps
 
 
-def mc_kernel_oracles(pathset: PathSet, u: float):
-    """MC estimates of the three counterparty kernels at lag u, read from a
-    simulation of the counterparty pair alone started at the kernels' (x_a,
-    x_b), with u a stored sample time. With S(u) = exp(-integral of xi_A +
-    xi_B on [0,u]), they are
+def mc_kernel_oracles(xp: np.ndarray, integ: np.ndarray):
+    """Per-path MC values of the three counterparty kernels at lag u, read
+    from the pair alone started at the kernels' (x_a, x_b): xp holds the
+    intensities and integ the running integrals at u (paths by sides A,
+    B). With S(u) = exp(-integral of xi_A + xi_B on [0,u]), their means are
 
     - h1 = E[S(u) xi_B(u)], the default-density kernel of side B,
     - h2 = E[S(u) xi_A(u)], its mirror for side A,
     - the joint survival factor E[S(u)].
 
-    Each is Richardson-extrapolated from the fine path and its coupled
-    coarse path (:meth:`PathSet.extrapolate`), so its Euler bias is second
-    order in the step. Returns ((h1, stderr), (h2, stderr), (joint,
-    stderr)) as floats, each stderr clustered by antithetic pair. Raises
-    ValueError for a PathSet without a coarse path (a system with names) or
-    for a lag that is not stored. Validation oracle for the closed-form
-    kernels.
+    Returns the (h1, h2, joint) value arrays. Read from both levels of
+    :func:`_euler_blocks` and combined by :func:`_richardson`, each is a
+    validation oracle for a closed-form kernel.
     """
 
-    def kernels(ps: PathSet):
-        i = ps.time_index(u)
-        surv = np.exp(-(ps.integrated[:, i, 0] + ps.integrated[:, i, 1]))
-        return surv * ps.intensities[:, i, 1], surv * ps.intensities[:, i, 0], surv
+    surv = np.exp(-(integ[:, 0] + integ[:, 1]))
+    return surv * xp[:, 1], surv * xp[:, 0], surv
 
-    return pathset.extrapolate(kernels)
+
+def _richardson(fine: np.ndarray, coarse: np.ndarray) -> tuple[float, float]:
+    """(mean, stderr) of 2 fine - coarse, per-path values read from the
+    pair's fine path and its coupled coarse path, the stderr clustered by
+    antithetic pair. On one set of draws this cancels Euler's first-order
+    weak error (Talay and Tubaro 1990; Glasserman 2004, section 6.2)."""
+
+    vals = 2.0 * fine - coarse
+    return float(vals.mean()), _pair_stderr(vals)
 
 
 def _expansion_sums(h: float) -> tuple[float, float, float, float]:

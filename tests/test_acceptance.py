@@ -21,8 +21,9 @@ from cdspool.kernels import kernel, kernel_ode_residuals
 from cdspool.quadrature import composite_simpson
 from cdspool.riccati import (integral_b, riccati_b, riccati_beta,
                              riccati_beta_general, rk4_riccati)
-from cdspool.simulation import Pool, mc_kernel_oracles, mc_limit_transform, simulate_paths
+from cdspool.simulation import Pool, mc_limit_transform
 
+from euler_paths import kernel_oracles, stored_paths
 from finite_k import finite_k_exposure
 
 ACCEPT_SEED = 20240617
@@ -190,11 +191,11 @@ def test_criterion_4_counterparty_kernels():
 
     # h1 and h2 at every lag read from one simulation of the pair to u = 2
     cps = replace(cps, side_a=replace(cps.side_a, xi0=x_a), side_b=replace(cps.side_b, xi0=x_b))
-    ps = simulate_paths(Pool((), lam_c), cps, horizon=2.0, n_paths=100_000,
-                        seed=ACCEPT_SEED + 4, sample_times=lags)
+    ps = stored_paths(Pool((), lam_c), cps, horizon=2.0, n_paths=100_000,
+                      seed=ACCEPT_SEED + 4, sample_times=lags)
     worst_z, worst_rel = 0.0, 0.0
     for u in lags:
-        mc_h1, mc_h2, _ = mc_kernel_oracles(ps, u)
+        mc_h1, mc_h2, _ = kernel_oracles(ps, u)
         for side, (est, se) in (("B", mc_h1), ("A", mc_h2)):
             closed = kernel(u, x_a, x_b, cps, lam_c, side)
             worst_z = max(worst_z, abs(closed - est) / se)

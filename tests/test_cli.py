@@ -168,8 +168,9 @@ def test_config_error_exit_codes(tmp_path, capsys):
                     "--out", tmp_path]) == EXIT_CONFIG
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"]["code"] == EXIT_CONFIG
-    # a run whose stored paths the machine cannot allocate: 10^11 paths need
-    # 444 TiB, past any 47-bit address space, so the allocation fails at once
+    # a run whose per-path statistics the machine cannot allocate: two values
+    # per path and sample time, 89 TiB for 10^11 paths, are allocated before
+    # the first block runs, so the allocation fails at once
     assert run_cli(["--experiment", "measure-convergence", "--config",
                     CONFIGS / "measure.cfg", "--seed", "1",
                     "--set", "experiment.n_paths=100000000000",
@@ -178,11 +179,14 @@ def test_config_error_exit_codes(tmp_path, capsys):
     assert err["error"]["code"] == EXIT_CONFIG and err["error"]["kind"] == "memory"
 
 
-# the experiment and config that read the key under test
+# the experiment and config that read the override, or else its key
 BAD_INPUT_RUNS = {"experiment.sweep": ("bcva-sweep", "fig2"),
                   "experiment.repeats": ("measure-convergence", "measure"),
                   "counterparty.gamma_a": ("bcva-sweep", "fig2"),
-                  "limit.sigma": ("bcva-sweep", "fig2")}
+                  "limit.sigma": ("bcva-sweep", "fig2"),
+                  # the Euler grid's step count and the jump clocks' Poisson means
+                  "experiment.dt=1e-300": ("measure-convergence", "measure"),
+                  "experiment.horizon=1e300": ("measure-convergence", "measure")}
 
 
 @pytest.mark.parametrize("override", ["experiment.horizon=nan", "experiment.horizon=inf",
@@ -191,9 +195,11 @@ BAD_INPUT_RUNS = {"experiment.sweep": ("bcva-sweep", "fig2"),
                                       "experiment.repeats=0", "experiment.repeats=-2",
                                       "counterparty.gamma_a=-1", "counterparty.gamma_a=inf",
                                       "limit.sigma=0", "experiment.n_paths=many",
-                                      "experiment.k_values=10,x", "limit.sigma=abc"])
+                                      "experiment.k_values=10,x", "limit.sigma=abc",
+                                      "experiment.dt=1e-300", "experiment.horizon=1e300"])
 def test_bad_experiment_input_is_a_config_error(tmp_path, capsys, override):
-    kind, config = BAD_INPUT_RUNS.get(override.split("=")[0], ("convergence", "fig1-c"))
+    kind, config = BAD_INPUT_RUNS.get(override, BAD_INPUT_RUNS.get(override.split("=")[0],
+                                                                   ("convergence", "fig1-c")))
     code = run_cli(["--experiment", kind, "--config", CONFIGS / f"{config}.cfg",
                     "--seed", "1", "--set", override, "--out", tmp_path])
     assert code == EXIT_CONFIG
@@ -337,6 +343,27 @@ def test_a_convergence_run_keeps_memory_bounded(tmp_path):
     code, peak_rss_kb = result.stdout.splitlines()[-1].split()
     assert int(code) == EXIT_OK
     assert int(peak_rss_kb) < 120 * 1024
+
+
+def test_a_measure_run_keeps_memory_bounded(tmp_path):
+    # measure.cfg at K = 1000 on 60 Euler steps: each block's state is
+    # folded into two statistics per path and sample time while it is in
+    # hand, so peak RSS stays near 85 MB, where storing the 256 x 61 x 1000
+    # paths before reducing them reached 205 MB
+    script = ("from pathlib import Path\n"
+              "from cdspool.cli import main\n"
+              f"code = main(['--experiment', 'measure-convergence', '--config', "
+              f"{str(CONFIGS / 'measure.cfg')!r}, '--out', {str(tmp_path)!r}, '--seed', '1', "
+              "'--set', 'experiment.n_paths=256', '--set', 'experiment.k_values=1000', "
+              "'--set', 'experiment.dt=0.016666666666666666', "
+              "'--set', 'experiment.repeats=1'])\n"
+              "status = Path('/proc/self/status').read_text().splitlines()\n"
+              "print(code, *[line.split()[1] for line in status if line.startswith('VmHWM:')])\n")
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    code, peak_rss_kb = result.stdout.splitlines()[-1].split()
+    assert int(code) == EXIT_OK
+    assert int(peak_rss_kb) < 100 * 1024
 
 
 def test_shipped_configs_parse_and_declare_kinds():

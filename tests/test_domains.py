@@ -1,7 +1,7 @@
 """Every public closed form of ``riccati``, ``jumps``, ``exposure`` and
 ``kernels`` either returns finite values or raises a clean error, whatever
 numbers it is fed: finite values, NaN, +-inf and the edges of each domain.
-So do the Euler engine ``simulate_paths`` (its pool's jump law included),
+So do the Euler engine ``_euler_blocks`` (its pool's jump law included),
 the exact engine ``exact_book_values`` and the limit oracle
 ``mc_limit_transform`` in their numeric arguments, with numpy warnings
 raised as errors.
@@ -33,8 +33,9 @@ from cdspool.kernels import bcva, joint_survival, kernel, kernel_coefficients
 from cdspool.riccati import (exp_phi, integral_b, integral_beta, integral_exp_phi,
                              riccati_b, riccati_beta, riccati_beta_general,
                              survival_exponents, varpi)
-from cdspool.simulation import (NameParams, Pool, exact_book_values, mc_limit_transform,
-                                simulate_paths)
+from cdspool.simulation import NameParams, Pool, exact_book_values, mc_limit_transform
+
+from euler_paths import stored_paths
 
 CLEAN_ERRORS = (ValueError, ConfigError, AccuracyError, ArithmeticError)
 SPECIAL = (math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0)
@@ -111,9 +112,9 @@ def test_closed_form_is_finite_or_raises_cleanly(name, data):
     assert all(np.all(np.isfinite(v)) for v in _values(out)), (name, args, out)
 
 
-# simulate_paths' numeric arguments and its pool's jump law: a valid run, of
-# which the test changes one argument; steps and sample times are drawn on
-# the grid too
+# the Euler engine's numeric arguments and its pool's jump law, through the
+# tests' path store: a valid run, of which the test changes one argument;
+# steps and sample times are drawn on the grid too
 JUMP_LAW = ("lambda_c", "gamma1", "gamma2")
 SIM_BASE = dict(lambda_c=0.5, gamma1=1.5, gamma2=1.5, horizon=1.0, n_paths=3, seed=1,
                 dt=None, sample_times=None)
@@ -136,7 +137,7 @@ def test_simulate_paths_is_finite_or_raises_cleanly(arg, data):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            ps = simulate_paths(Pool([NAME], **law), CPS, **kw)
+            ps = stored_paths(Pool([NAME], **law), CPS, **kw)
         except CLEAN_ERRORS:
             return
     assert np.all(np.isfinite(ps.intensities)) and np.all(ps.intensities >= 0.0), (law, kw)

@@ -11,8 +11,9 @@ from cdspool.exposure import (LimitConfig, build_name_sequence, empirical_measur
                               exposure_limit, limit_exp_test, survival_fhat)
 from cdspool.harness import grid_for_samples
 from cdspool.riccati import rk4_riccati
-from cdspool.simulation import simulate_paths
+from cdspool.simulation import _pair_stderr
 
+from euler_paths import stored_paths
 from oracles import simpson_adaptive
 
 
@@ -211,35 +212,41 @@ def test_pricers_reject_an_overflowing_discount_factor():
         exposure_limit(-10.0, 25.0, make_cfg(r=-edge))
 
 
+def measure_at(ps, theta, i):
+    """Mean and pair-clustered stderr of the empirical-measure statistic at
+    sample index i of stored Euler paths, as the measure study reduces it."""
+
+    vals = empirical_measure_eval(ps.intensities[:, i], ps.default_times, theta, ps.times[i])
+    return vals.mean(), _pair_stderr(vals)
+
+
 def test_empirical_measure_is_one_at_time_zero():
     cfg = LimitConfig(**NOJUMP)
-    ps = simulate_paths(build_name_sequence(cfg, 20), horizon=0.5, n_paths=40, seed=2,
-                        dt=1e-2)
-    mean, stderr = empirical_measure_eval(ps, 0.0, 0.0)
+    ps = stored_paths(build_name_sequence(cfg, 20), horizon=0.5, n_paths=40, seed=2, dt=1e-2)
+    mean, stderr = measure_at(ps, 0.0, 0)
     assert mean == 1.0 and stderr == 0.0
 
 
 def test_empirical_measure_converges_to_limit_values():
     cfg = LimitConfig(**NOJUMP)
     K = 300
-    ps = simulate_paths(build_name_sequence(cfg, K), horizon=1.0, n_paths=400, seed=71,
-                        dt=1e-3, sample_times=[0.5, 1.0])
-    for t in (0.5, 1.0):
-        mean, se = empirical_measure_eval(ps, 0.0, t)
+    ps = stored_paths(build_name_sequence(cfg, K), horizon=1.0, n_paths=400, seed=71,
+                      dt=1e-3, sample_times=[0.5, 1.0])
+    for i, t in enumerate((0.5, 1.0)):
+        mean, se = measure_at(ps, 0.0, i)
         lim = survival_fhat(t, cfg)
         assert abs(mean - lim) < 3 * se + 0.01 * lim
-        mean_e, se_e = empirical_measure_eval(ps, -1.0, t)
+        mean_e, se_e = measure_at(ps, -1.0, i)
         lim_e = limit_exp_test(-1.0, t, cfg)
         assert abs(mean_e - lim_e) < 3 * se_e + 0.02 * lim_e
 
 
 def test_empirical_measure_rejects_unknown_test_function():
     cfg = LimitConfig(**NOJUMP)
-    ps = simulate_paths(build_name_sequence(cfg, 3), horizon=0.1, n_paths=5, seed=3,
-                        dt=0.01)
+    ps = stored_paths(build_name_sequence(cfg, 3), horizon=0.1, n_paths=5, seed=3, dt=0.01)
     for theta in (0.5, math.nan):
         with pytest.raises(ValueError):
-            empirical_measure_eval(ps, theta, 0.0)
+            measure_at(ps, theta, 0)
 
 
 def test_name_ladder_first_rung_and_limits():

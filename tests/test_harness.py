@@ -14,8 +14,9 @@ from cdspool.exposure import LimitConfig, build_name_sequence, exposure_limit
 from cdspool.harness import (CurveTable, ExperimentSpec, default_counterparties,
                              grid_for_samples, run_bcva_sweeps, run_convergence,
                              run_measure_convergence, run_validation, write_run)
-from cdspool.simulation import Pool, simulate_paths
+from cdspool.simulation import Pool, _richardson
 
+from euler_paths import stored_paths
 from finite_k import exact_states
 
 
@@ -180,17 +181,19 @@ def test_validation_gate_simulates_the_kernel_pair_once(monkeypatch):
     calls, n_paths, blocks = [], [], []
     block_generator = simulation._block_generator
 
+    euler_blocks = simulation._euler_blocks
+
     def counting(*args, **kwargs):
         calls.append(kwargs["horizon"])
         n_paths.append(kwargs["n_paths"])
-        return simulate_paths(*args, **kwargs)
+        return euler_blocks(*args, **kwargs)
 
     def counting_blocks(key, tag, block):
         blocks.append(tag)
         return block_generator(key, tag, block)
 
-    monkeypatch.setattr(simulation, "simulate_paths", counting)
-    monkeypatch.setattr(harness, "simulate_paths", counting)
+    monkeypatch.setattr(simulation, "_euler_blocks", counting)
+    monkeypatch.setattr(harness, "_euler_blocks", counting)
     monkeypatch.setattr(simulation, "_block_generator", counting_blocks)
     harness._pair_values.cache_clear()
     # the shared values still take each check's own perturbation
@@ -234,17 +237,10 @@ def test_nested_mc_cva_one_path_has_zero_stderr():
     cfg, _, cps = harness._validation_baseline()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        ps = simulate_paths(Pool((), cfg.lambda_c), cps, horizon=3.0, n_paths=1, seed=5)
-        est, se = harness.nested_mc_cva(ps, cfg, cps.loss_b)
+        ps = stored_paths(Pool((), cfg.lambda_c), cps, horizon=3.0, n_paths=1, seed=5)
+        est, se = _richardson(*(harness.nested_mc_cva(p.default_times, cfg, cps.loss_b, 3.0)
+                                for p in (ps, ps.coarse)))
     assert math.isfinite(est) and se == 0.0
-
-
-def test_nested_mc_cva_reads_only_a_pair_simulation():
-    cfg, _, cps = harness._validation_baseline()
-    ps = simulate_paths(build_name_sequence(cfg, 2), cps, horizon=1.0, n_paths=4, seed=5,
-                        dt=0.1)
-    with pytest.raises(ValueError, match="pair alone"):
-        harness.nested_mc_cva(ps, cfg, cps.loss_b)
 
 
 def test_curve_table_csv_format(tmp_path):

@@ -15,9 +15,10 @@ from cdspool.quadrature import composite_simpson, simpson_weights
 from cdspool.riccati import integral_b, integral_beta, riccati_b, riccati_beta
 from cdspool.simulation import (CounterpartyParams, CounterpartySide, NameParams, Pool,
                                 _book_rows, _book_values, _expansion_sums, _integrated_cir,
-                                _pair_stderr, _stderr, exact_book_values, mc_kernel_oracles,
-                                mc_limit_transform, simulate_paths)
+                                _pair_stderr, _richardson, _stderr, exact_book_values,
+                                mc_limit_transform)
 
+from euler_paths import kernel_oracles, stored_paths
 from oracles import euler_limit_transform
 
 
@@ -43,14 +44,11 @@ NOJUMP_CFG = LimitConfig(alpha=0.75, kappa=1.5, sigma=0.2, c=0.0, d=0.0,
 
 
 def redraw_defaults(ps, rng=None, thresholds=None):
-    """Default times re-derived on the stored sample grid of a simulation of
-    the pair alone: the first stored time at which the running intensity
-    integral reaches fresh unit-exponential thresholds drawn from ``rng``,
-    or the given ``thresholds``; inf if it never does."""
+    """Default times re-derived on the stored sample grid: the first stored
+    time at which the running intensity integral reaches fresh
+    unit-exponential thresholds drawn from ``rng``, or the given
+    ``thresholds``; inf if it never does."""
 
-    if ps.integrated is None:
-        raise ValueError("Redrawing default times needs the stored intensity integrals, "
-                         "which only the counterparty pair alone records.")
     m, _, e = ps.integrated.shape
     if thresholds is None:
         thresholds = rng.standard_exponential((m, e))
@@ -61,7 +59,7 @@ def redraw_defaults(ps, rng=None, thresholds=None):
 
 def test_stationary_deterministic_path_is_constant():
     name = make_name(sigma=0.0, c=0.0, d=0.0, lambda_hat=0.0, alpha=0.5 * 0.02)
-    ps = simulate_paths(Pool([name]), horizon=1.0, n_paths=4, seed=1, dt=0.01)
+    ps = stored_paths(Pool([name]), horizon=1.0, n_paths=4, seed=1, dt=0.01)
     np.testing.assert_allclose(ps.intensities, 0.02, rtol=0, atol=1e-15)
 
 
@@ -72,8 +70,8 @@ def test_mean_matches_mean_reversion_formula():
                       l_z=0.4, r=0.03)
     K, horizon = 300, 1.0
     pool = build_name_sequence(cfg, K)
-    ps = simulate_paths(pool, horizon=horizon, n_paths=500, seed=11, dt=1e-3,
-                        sample_times=[horizon])
+    ps = stored_paths(pool, horizon=horizon, n_paths=500, seed=11, dt=1e-3,
+                      sample_times=[horizon])
     terminal = ps.intensities[:, -1, :].mean(axis=1)
     expected = np.mean([n.xi0 * math.exp(-n.kappa * horizon)
                         + n.alpha * (1 - math.exp(-n.kappa * horizon)) / n.kappa
@@ -89,8 +87,8 @@ def test_common_jumps_hit_all_entities_at_same_steps():
                                            d=0.0, lambda_hat=0.0, xi0=0.1),
                    side_b=CounterpartySide(alpha=0.0, kappa=1e-12, sigma=0.0, c=0.9,
                                            d=0.0, lambda_hat=0.0, xi0=0.1))
-    ps = simulate_paths(Pool(names, 30.0, 1.5, 1.5), cps, horizon=1.0, n_paths=8, seed=3,
-                        dt=1e-2)
+    ps = stored_paths(Pool(names, 30.0, 1.5, 1.5), cps, horizon=1.0, n_paths=8, seed=3,
+                      dt=1e-2)
     jumps = np.diff(ps.intensities, axis=1) > 1e-12
     # every entity jumps at exactly the same grid steps on every path
     for j in range(1, ps.n_entities):
@@ -104,8 +102,8 @@ def test_default_times_match_exponential_survival():
     lam = 0.3
     name = make_name(sigma=0.0, c=0.0, d=0.0, lambda_hat=0.0, alpha=lam * 1e-12,
                      kappa=1e-12, xi0=lam)
-    ps = simulate_paths(Pool([name]), horizon=2.0, n_paths=100_000, seed=5, dt=1e-2,
-                        sample_times=[0.0, 2.0])
+    ps = stored_paths(Pool([name]), horizon=2.0, n_paths=100_000, seed=5, dt=1e-2,
+                      sample_times=[0.0, 2.0])
     for t in (0.5, 1.0, 2.0):
         p_hat = (ps.default_times[:, 0] > t).mean()
         p = math.exp(-lam * t)
@@ -114,8 +112,8 @@ def test_default_times_match_exponential_survival():
 
 
 def test_forced_infinite_thresholds_mean_no_defaults():
-    ps = simulate_paths(Pool((), 2.5, 1.5, 1.5), make_cps(), horizon=1.0, n_paths=50, seed=9,
-                        dt=1e-2)
+    ps = stored_paths(Pool((), 2.5, 1.5, 1.5), make_cps(), horizon=1.0, n_paths=50, seed=9,
+                      dt=1e-2)
     tau = redraw_defaults(ps, thresholds=np.inf)
     assert np.all(np.isinf(tau))
 
@@ -123,8 +121,8 @@ def test_forced_infinite_thresholds_mean_no_defaults():
 def test_joint_survival_factorizes_for_independent_entities():
     # two names, no common jumps: defaults are independent
     names = [make_name(xi0=0.4, alpha=0.3, c=0.0), make_name(xi0=0.6, alpha=0.2, c=0.0)]
-    ps = simulate_paths(Pool(names, 0.0, 1.5, 1.5), horizon=1.0, n_paths=50_000, seed=13,
-                        dt=2e-3, sample_times=[0.0, 1.0])
+    ps = stored_paths(Pool(names, 0.0, 1.5, 1.5), horizon=1.0, n_paths=50_000, seed=13,
+                      dt=2e-3, sample_times=[0.0, 1.0])
     t = 1.0
     alive = ps.default_times > t
     i1, i2 = alive[:, 0].astype(float), alive[:, 1].astype(float)
@@ -136,8 +134,8 @@ def test_conditional_independence_given_frozen_paths():
     # correlated intensities via common jumps, fresh thresholds on frozen
     # paths: joint default indicator matches the product-of-survivals mean
     cps = make_cps()
-    ps = simulate_paths(Pool((), 1.0, 1.5, 1.5), cps, horizon=1.0, n_paths=50_000, seed=17,
-                        dt=2e-3, sample_times=[0.0, 1.0])
+    ps = stored_paths(Pool((), 1.0, 1.5, 1.5), cps, horizon=1.0, n_paths=50_000, seed=17,
+                      dt=2e-3, sample_times=[0.0, 1.0])
     rng = np.random.default_rng(23)
     tau = redraw_defaults(ps, rng=rng)
     t = 1.0
@@ -150,8 +148,8 @@ def test_conditional_independence_given_frozen_paths():
 
 def test_intensities_stay_nonnegative_with_jumps():
     names = [make_name(sigma=0.6, xi0=0.01) for _ in range(5)]
-    ps = simulate_paths(Pool(names, 2.5, 1.5, 1.5), make_cps(), horizon=1.0, n_paths=300,
-                        seed=19, dt=1e-3)
+    ps = stored_paths(Pool(names, 2.5, 1.5, 1.5), make_cps(), horizon=1.0, n_paths=300,
+                      seed=19, dt=1e-3)
     assert ps.intensities.min() >= 0.0
 
 
@@ -161,8 +159,8 @@ def test_fourth_moment_bounded_along_pool_ladder():
     cfg = NOJUMP_CFG
     est = {}
     for K in (10, 300):
-        ps = simulate_paths(build_name_sequence(cfg, K), horizon=1.0, n_paths=200, seed=29,
-                            dt=2e-3, sample_times=np.linspace(0, 1, 11))
+        ps = stored_paths(build_name_sequence(cfg, K), horizon=1.0, n_paths=200, seed=29,
+                          dt=2e-3, sample_times=np.linspace(0, 1, 11))
         est[K] = (ps.intensities**4).mean(axis=(0, 2)).max()
     assert est[300] <= 2.0 * est[10]
 
@@ -170,9 +168,9 @@ def test_fourth_moment_bounded_along_pool_ladder():
 def test_bit_reproducibility_and_worker_invariance():
     pool = build_name_sequence(NOJUMP_CFG, 7)  # lambda_c 2.5, gamma1 = gamma2 = 1.5
     kw = dict(horizon=0.5, n_paths=600, seed=31, dt=1e-3)
-    a = simulate_paths(pool, make_cps(), **kw)
-    b = simulate_paths(pool, make_cps(), **kw)
-    c = simulate_paths(pool, make_cps(), workers=4, **kw)
+    a = stored_paths(pool, make_cps(), **kw)
+    b = stored_paths(pool, make_cps(), **kw)
+    c = stored_paths(pool, make_cps(), workers=4, **kw)
     for other in (b, c):
         np.testing.assert_array_equal(a.intensities, other.intensities)
         np.testing.assert_array_equal(a.default_times, other.default_times)
@@ -187,8 +185,8 @@ def test_names_and_pair_pinned():
                "c4dcf2a5455f63a7bbe325008456516e4ef2405d8144a1d3f09d3256da745936",
                "e490def82ff9626acfd806526c5decae152b7de86af3388833389c2cc47e5a57")
     names = [make_name(xi0=0.01 * (k + 1), sigma=0.1 + 0.05 * k) for k in range(3)]
-    ps = simulate_paths(Pool(names, 2.5, 1.5, 1.5), make_cps(), horizon=0.5, n_paths=600,
-                        seed=31, dt=1e-3, workers=2)
+    ps = stored_paths(Pool(names, 2.5, 1.5, 1.5), make_cps(), horizon=0.5, n_paths=600,
+                      seed=31, dt=1e-3, workers=2)
     got = tuple(hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
                 for a in (ps.intensities, ps.default_times, ps.thresholds))
     assert got == digests
@@ -204,8 +202,8 @@ def test_pair_alone_fine_path_pinned():
                "40215e3711104c7e7333c613cf5aaf6b4bd08478d258cedbaf3dfd99bf183cfc",
                "5398e8f5b5670e9365413dbc6211475a6ef502efe4a5430266b47e6f69b11992")
     cps = make_cps(common_jump=BveParams(1.5, 2.0, 0.5))
-    ps = simulate_paths(Pool((), 2.5), cps, horizon=0.5, n_paths=4200, seed=41, dt=1e-2,
-                        workers=2)
+    ps = stored_paths(Pool((), 2.5), cps, horizon=0.5, n_paths=4200, seed=41, dt=1e-2,
+                      workers=2)
     got = tuple(hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
                 for a in (ps.intensities, ps.integrated, ps.default_times, ps.thresholds))
     assert got == digests
@@ -218,8 +216,8 @@ def test_one_step_mirrors_each_pair_of_paths():
     dt = 1e-3
     names = [make_name(xi0=0.5, alpha=0.3, kappa=0.8, sigma=0.4, c=0.0, d=0.0,
                        lambda_hat=0.0)]
-    ps = simulate_paths(Pool(names), horizon=dt, n_paths=300, seed=83, dt=dt,
-                        sample_times=[dt])
+    ps = stored_paths(Pool(names), horizon=dt, n_paths=300, seed=83, dt=dt,
+                      sample_times=[dt])
     x = ps.intensities[:, 0, 0]
     drift = 0.5 + (0.3 - 0.8 * 0.5) * dt
     np.testing.assert_allclose(x[0::2] + x[1::2], 2 * drift, rtol=0, atol=1e-15)
@@ -249,31 +247,28 @@ def test_pair_stderr_clusters_each_pair():
 def test_paths_invariant_to_total_path_count():
     pool = Pool([make_name()], 2.5, 1.5, 1.5)
     kw = dict(horizon=0.5, seed=37, dt=1e-3)
-    big = simulate_paths(pool, n_paths=700, **kw)
-    small = simulate_paths(pool, n_paths=123, **kw)
+    big = stored_paths(pool, n_paths=700, **kw)
+    small = stored_paths(pool, n_paths=123, **kw)
     np.testing.assert_array_equal(big.intensities[:123], small.intensities)
     np.testing.assert_array_equal(big.default_times[:123], small.default_times)
 
 
 def test_config_errors():
     with pytest.raises(ConfigError):
-        simulate_paths(Pool([]), horizon=1.0, n_paths=1, seed=1)
+        stored_paths(Pool([]), horizon=1.0, n_paths=1, seed=1)
     with pytest.raises(ConfigError):
         make_name(alpha=float("nan"))
     with pytest.raises(ConfigError):
-        simulate_paths(Pool([make_name()]), horizon=1.0, n_paths=1, seed=1, dt=0.3)
+        stored_paths(Pool([make_name()]), horizon=1.0, n_paths=1, seed=1, dt=0.3)
     with pytest.raises(ConfigError):
-        simulate_paths(Pool([make_name()]), horizon=1.0, n_paths=1, seed=1,
-                       sample_times=[0.123456])  # off the grid
+        stored_paths(Pool([make_name()]), horizon=1.0, n_paths=1, seed=1,
+                     sample_times=[0.123456])  # off the grid
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no cast warning before the check
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ConfigError, match="sample_times must be finite"):
-                simulate_paths(Pool([make_name()]), horizon=1.0, n_paths=1, seed=1,
-                               sample_times=[0.5, bad])
-    ps = simulate_paths(Pool([make_name()]), horizon=1.0, n_paths=3, seed=1, dt=0.01)
-    with pytest.raises(ValueError):
-        redraw_defaults(ps, thresholds=np.inf)
+                stored_paths(Pool([make_name()]), horizon=1.0, n_paths=1, seed=1,
+                             sample_times=[0.5, bad])
 
 
 @pytest.mark.parametrize("field, value, message", [
@@ -383,15 +378,15 @@ def test_mc_exposure_tracks_limit_for_moderate_pool():
 
 def pair_to(u, cps=None, lambda_c=0.25, n_paths=10, seed=1):
     """The pair alone simulated on 1000 steps to lag u, stored at u only."""
-    return simulate_paths(Pool((), lambda_c), cps or make_cps(), horizon=u,
-                          n_paths=n_paths, seed=seed, sample_times=[u])
+    return stored_paths(Pool((), lambda_c), cps or make_cps(), horizon=u,
+                        n_paths=n_paths, seed=seed, sample_times=[u])
 
 
 def test_mc_h1_oracle_short_horizon_recovers_initial_intensity():
     cps = make_cps()
     cps = replace(cps, side_a=replace(cps.side_a, xi0=0.2), side_b=replace(cps.side_b, xi0=0.3))
     ps = pair_to(1e-3, cps, n_paths=2000, seed=53)
-    (est, se), _, _ = mc_kernel_oracles(ps, 1e-3)
+    (est, se), _, _ = kernel_oracles(ps, 1e-3)
     assert est == pytest.approx(0.3, rel=2e-2)
 
 
@@ -415,7 +410,7 @@ def test_mc_h1_oracle_matches_transform_derivative():
 
     h = 1e-5
     fd = (transform(0.0) - transform(-h)) / h  # one-sided: theta must stay <= 0
-    (est, se), _, _ = mc_kernel_oracles(pair_to(u, cps, 0.0, 40_000, 59), u)
+    (est, se), _, _ = kernel_oracles(pair_to(u, cps, 0.0, 40_000, 59), u)
     assert abs(est - fd) < 3 * se
 
 
@@ -567,9 +562,8 @@ def test_oracles_reject_empty_runs():
     ("x0", -1e-3), ("x0", float("nan")), ("x0", float("inf")),
 ])
 def test_oracles_reject_bad_input(field, value):
-    # both oracles check the lag u (the kernel oracles take only a stored
-    # one); the limit oracle's diffusion is a LimitConfig, which rejects a
-    # bad field when it is built
+    # the limit oracle checks the lag u; its diffusion is a LimitConfig,
+    # which rejects a bad field when it is built
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         if field != "u":
@@ -578,56 +572,21 @@ def test_oracles_reject_bad_input(field, value):
             return
         with pytest.raises(ConfigError, match="u must be"):
             mc_limit_transform(value, LIMIT_CFG, n_paths=10, seed=1)
-        with pytest.raises(ValueError, match="not a stored sample time"):
-            mc_kernel_oracles(pair_to(1.0), value)
 
 
 def test_oracles_report_zero_stderr_for_one_path():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         est, se = mc_limit_transform(1.0, LIMIT_CFG, n_paths=1, seed=1)
-        kernels = mc_kernel_oracles(pair_to(1.0, n_paths=1), 1.0)
+        kernels = kernel_oracles(pair_to(1.0, n_paths=1), 1.0)
     assert 0.0 < est < 1.0 and se == 0.0
     for est, se in kernels:
         assert math.isfinite(est) and se == 0.0
 
 
-def test_kernel_oracles_read_only_a_pair_simulation():
-    # the running integrals exist only for the pair alone, and the lag must be stored
-    law, kw = dict(lambda_c=1.0, gamma1=1.5, gamma2=1.5), dict(n_paths=8, seed=71)
-    ps = simulate_paths(Pool([make_name()], **law), make_cps(), horizon=1.0, dt=1e-2, **kw)
-    with pytest.raises(ValueError, match="pair alone"):
-        mc_kernel_oracles(ps, 1.0)
-    ps = simulate_paths(Pool((), **law), make_cps(), horizon=1.0, dt=1e-2,
-                        sample_times=[0.5, 1.0], **kw)
-    assert mc_kernel_oracles(ps, 0.5) != mc_kernel_oracles(ps, 1.0)
-    with pytest.raises(ValueError, match="not a stored sample time"):
-        mc_kernel_oracles(ps, 0.25)
-
-
-def test_integrals_recorded_for_the_pair_alone():
-    # only the pair's kernel oracle reads the running integrals
-    law = dict(lambda_c=1.0, gamma1=1.5, gamma2=1.5)
-    kw = dict(horizon=0.5, n_paths=8, seed=67, dt=1e-2)
-    pair = simulate_paths(Pool((), **law), make_cps(), **kw)
-    assert pair.integrated is not None
-    assert pair.integrated.shape == pair.intensities.shape
-    for cps in (None, make_cps()):
-        ps = simulate_paths(Pool([make_name()], **law), cps, **kw)
-        assert ps.integrated is None
-        with pytest.raises(ValueError, match="only the counterparty pair alone records"):
-            redraw_defaults(ps, thresholds=np.inf)
-
-
 def test_pathset_bookkeeping():
-    ps = simulate_paths(Pool((), 1.0, 1.5, 1.5), make_cps(), horizon=1.0, n_paths=10, seed=61,
-                        dt=1e-2)
-    assert ps.n_names == 0 and ps.n_entities == 2
-    assert ps.time_index(0.5) == 50
-    # off the grid or not finite; a NaN t compares false with every bound
-    for t in (0.505, math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError, match="not a stored sample time"):
-            ps.time_index(t)
+    ps = stored_paths(Pool((), 1.0, 1.5, 1.5), make_cps(), horizon=1.0, n_paths=10, seed=61,
+                      dt=1e-2)
     # stored integral equals a trapezoid over the stored full-resolution path
     manual = np.trapezoid(ps.intensities[0, :, 0], dx=ps.dt)
     assert ps.integrated[0, -1, 0] == pytest.approx(manual, rel=1e-12)
@@ -645,8 +604,8 @@ def test_coarse_path_follows_the_explicit_euler_recursion():
     # every second node of the fine grid
     kappa, alpha, x0, n = 2.0, 0.4, 1.0, 64
     h, x_star = 1.0 / n, alpha / kappa
-    ps = simulate_paths(Pool(()), _deterministic_pair(kappa, alpha, x0), horizon=1.0,
-                        dt=h, n_paths=4, seed=3)
+    ps = stored_paths(Pool(()), _deterministic_pair(kappa, alpha, x0), horizon=1.0,
+                      dt=h, n_paths=4, seed=3)
     coarse = ps.coarse
     assert coarse.dt == 2 * h and coarse.coarse is None
     np.testing.assert_array_equal(coarse.times, ps.times[::2])
@@ -665,9 +624,9 @@ def test_extrapolated_integral_error_falls_fourfold_per_halving():
     exact = x_star + (x0 - x_star) * (1 - math.exp(-kappa)) / kappa
     plain, extrapolated = [], []
     for n in (16, 32, 64):
-        ps = simulate_paths(Pool(()), _deterministic_pair(kappa, alpha, x0), horizon=1.0,
-                            dt=1.0 / n, n_paths=2, seed=3)
-        (est, se), = ps.extrapolate(lambda p: (p.integrated[:, -1, 0],))
+        ps = stored_paths(Pool(()), _deterministic_pair(kappa, alpha, x0), horizon=1.0,
+                          dt=1.0 / n, n_paths=2, seed=3)
+        est, se = _richardson(ps.integrated[:, -1, 0], ps.coarse.integrated[:, -1, 0])
         assert se == 0.0
         plain.append(ps.integrated[0, -1, 0] - exact)
         extrapolated.append(est - exact)
@@ -683,8 +642,8 @@ def test_coarse_increment_is_the_sum_of_the_fine_ones():
     alpha, kappa, sigma, x0, h = 0.3, 0.8, 0.4, 0.5, 1e-3
     side = CounterpartySide(alpha=alpha, kappa=kappa, sigma=sigma, c=0.0, d=0.0,
                             lambda_hat=0.0, xi0=x0)
-    ps = simulate_paths(Pool(()), make_cps(side_a=side, side_b=side), horizon=2 * h,
-                        dt=h, n_paths=300, seed=83)
+    ps = stored_paths(Pool(()), make_cps(side_a=side, side_b=side), horizon=2 * h,
+                      dt=h, n_paths=300, seed=83)
     x = ps.intensities  # no path leaves the positive half-line in two steps
     drift = lambda y: (alpha - kappa * y) * h
     dw = sum((x[:, i + 1] - x[:, i] - drift(x[:, i])) / (sigma * np.sqrt(x[:, i]))
@@ -702,8 +661,8 @@ def test_coarse_path_takes_both_fine_steps_jumps():
     # and it crosses the same thresholds on its own grid
     side = CounterpartySide(alpha=0.0, kappa=1e-12, sigma=0.0, c=0.7, d=0.5,
                             lambda_hat=3.0, xi0=0.1)
-    ps = simulate_paths(Pool((), 5.0), make_cps(side_a=side, side_b=side), horizon=1.0,
-                        dt=0.01, n_paths=200, seed=43)
+    ps = stored_paths(Pool((), 5.0), make_cps(side_a=side, side_b=side), horizon=1.0,
+                      dt=0.01, n_paths=200, seed=43)
     coarse = ps.coarse
     assert np.ptp(ps.intensities[:, -1, 0]) > 1.0  # the jumps moved the paths
     np.testing.assert_allclose(coarse.intensities, ps.intensities[:, ::2], rtol=1e-10)
@@ -716,25 +675,21 @@ def test_coarse_path_takes_both_fine_steps_jumps():
 def test_pair_alone_needs_the_coarse_grid():
     kw = dict(horizon=1.0, n_paths=2, seed=1)
     with pytest.raises(ConfigError, match="even step count"):
-        simulate_paths(Pool(()), make_cps(), dt=1.0 / 3, **kw)
-    with pytest.raises(ConfigError, match="coarse grid"):
-        simulate_paths(Pool(()), make_cps(), dt=0.01, sample_times=[0.5, 0.51], **kw)
-    # a system with names runs no coarse path, so it takes either
-    ps = simulate_paths(Pool([make_name()]), make_cps(), dt=1.0 / 3, **kw)
-    assert ps.coarse is None and ps.integrated is None
-    with pytest.raises(ValueError, match="pair alone"):
-        ps.extrapolate(lambda p: (p.intensities[:, -1, 0],))
+        stored_paths(Pool(()), make_cps(), dt=1.0 / 3, **kw)
+    # a system with names runs no coarse path, so it takes an odd one
+    ps = stored_paths(Pool([make_name()]), make_cps(), dt=1.0 / 3, **kw)
+    assert ps.coarse is None
 
 
-def _quadrature_exposure(ps, pool, t, maturity, r, n_panels=2048):
+def _quadrature_exposure(ps, pool, i, maturity, r, n_panels=2048):
     """The mean book value at t computed by quadrature alone: the survival
     exponent A0 as a cumulative Simpson integral of its Riccati integrand
     and the premium leg as composite Simpson, both on ``n_panels`` uniform
-    panels."""
+    panels, at sample index i."""
 
     K = ps.n_names
-    x_t = ps.intensities[:, ps.time_index(t), :K]
-    span = maturity - t
+    x_t = ps.intensities[:, i, :K]
+    span = maturity - ps.times[i]
     u = np.linspace(0.0, span, n_panels + 1)
     b = np.column_stack([riccati_b(n.kappa, n.sigma, u) for n in pool.names])
     integrand = (pool.alpha * b
@@ -759,12 +714,11 @@ def test_mc_exposure_matches_quadrature_reference(maturity):
     pool = Pool([make_name(z=z, xi0=0.02 * (1 + k), kappa=0.5 + 0.1 * k,
                            sigma=0.1 + 0.05 * k, spread=0.01 + 0.005 * k, loss=0.3 + 0.05 * k)
                  for k, z in enumerate([1, -1, 1, 1, -1, 1])], 2.5, 1.5, 1.5)
-    ps = simulate_paths(pool, horizon=1.0, n_paths=64, seed=73, dt=1e-2,
-                        sample_times=[0.0, 0.5, 1.0])
-    for t in (0.0, 0.5, 1.0):
-        x_t = ps.intensities[:, ps.time_index(t)]
-        est = _book_values(x_t, *_book_rows(pool, maturity, 0.03)).mean()
-        ref = _quadrature_exposure(ps, pool, t, t + maturity, 0.03)
+    ps = stored_paths(pool, horizon=1.0, n_paths=64, seed=73, dt=1e-2,
+                      sample_times=[0.0, 0.5, 1.0])
+    for i, t in enumerate((0.0, 0.5, 1.0)):
+        est = _book_values(ps.intensities[:, i], *_book_rows(pool, maturity, 0.03)).mean()
+        ref = _quadrature_exposure(ps, pool, i, t + maturity, 0.03)
         assert abs(est - ref) <= 1e-9
 
 
