@@ -153,6 +153,8 @@ def empirical_measure_eval(x: np.ndarray, tau: np.ndarray, theta: float,
 
     if not theta <= 0.0:
         raise ValueError("theta must be <= 0.")
+    if np.shape(x)[-1] == 0:
+        raise ValueError("No reference names.")
     f = 1.0 if theta == 0.0 else np.exp(theta * x)
     return (f * (tau > t)).mean(axis=1)
 

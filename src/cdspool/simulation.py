@@ -352,7 +352,8 @@ def _euler_blocks(pool: Pool, cps: CounterpartyParams | None, *, horizon: float,
     dt
         Euler step. Must divide the horizon.
     sample_times
-        Distinct grid times at which the state is visited.
+        Distinct grid times at which the state is visited, or None for every
+        node of the Euler grid.
     workers
         Thread count for the block loop; never changes the values visited.
 
@@ -367,12 +368,12 @@ def _euler_blocks(pool: Pool, cps: CounterpartyParams | None, *, horizon: float,
     coarse path of step 2 dt, level 1, visited at the sample times on its
     grid: its Brownian increment is the sum of the two fine ones, and it
     adds both fine steps' jumps at the end of its step and crosses the same
-    thresholds. It draws nothing, so the fine path is unchanged by it, and
-    it needs an even step count. Paths run in blocks of 256 when the system
-    has names and of 4096 for the pair alone (see the module docstring).
-    Every check runs before the first allocation: the step count must fit
-    a numpy array and each Poisson mean of the jump clocks must stay below
-    ``_POISSON_MAX``.
+    thresholds. It draws nothing, so the fine path is unchanged by it. The
+    pair alone needs an even step count and, when they are given, sample
+    times on the coarse grid, so that both levels visit each of them. Paths run in blocks of 256 when the system has names and of 4096
+    for the pair alone (see the module docstring). Every check runs before
+    the first allocation: the step count must fit a numpy array and each
+    Poisson mean of the jump clocks must stay below ``_POISSON_MAX``.
     """
 
     K = len(pool.names)
@@ -402,14 +403,20 @@ def _euler_blocks(pool: Pool, cps: CounterpartyParams | None, *, horizon: float,
     if pair and n_steps % 2:
         raise ConfigError(f"The counterparty pair alone needs an even step count for its "
                           f"coarse path of step 2 dt, got {n_steps} steps.")
-    sample_times = np.asarray(sample_times, dtype=float)
-    if not np.all(np.isfinite(sample_times)):
-        raise ConfigError("sample_times must be finite.")
-    sample_idx = np.rint(sample_times / dt).astype(int)
-    if np.any(np.abs(sample_idx * dt - sample_times) > 1e-9 * max(1.0, horizon)):
-        raise ConfigError("sample_times must lie on the Euler grid.")
-    if np.any((sample_idx < 0) | (sample_idx > n_steps)):
-        raise ConfigError("sample_times must lie in [0, horizon].")
+    if sample_times is None:
+        sample_idx = np.arange(n_steps + 1)
+    else:
+        sample_times = np.asarray(sample_times, dtype=float)
+        if not np.all(np.isfinite(sample_times)):
+            raise ConfigError("sample_times must be finite.")
+        sample_idx = np.rint(sample_times / dt).astype(int)
+        if np.any(np.abs(sample_idx * dt - sample_times) > 1e-9 * max(1.0, horizon)):
+            raise ConfigError("sample_times must lie on the Euler grid.")
+        if np.any((sample_idx < 0) | (sample_idx > n_steps)):
+            raise ConfigError("sample_times must lie in [0, horizon].")
+        if pair and np.any(sample_idx % 2):
+            raise ConfigError("sample_times of the counterparty pair alone must lie on its "
+                              "coarse grid of step 2 dt.")
 
     key = _philox_key(seed)
     E = K + len(sides)

@@ -9,7 +9,6 @@ them. :func:`kernel_oracles` reads the gate's three kernel oracles from such
 a store.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +24,7 @@ class Paths:
 
     intensities[m, i, j] is the truncated intensity of entity j at times[i]
     on path m and integrated[m, i, j] its running trapezoid integral;
-    default_times are resolved through the last sample time. coarse is the
+    default_times are resolved through the horizon. coarse is the
     pair alone's coupled path of step 2 dt, at the sample times on its
     grid, sharing the thresholds; None for a system with names.
     """
@@ -52,21 +51,31 @@ def stored_paths(pool, cps=None, *, horizon, n_paths, seed, dt=None, sample_time
                  workers=1) -> Paths:
     """Every path of an ``_euler_blocks`` run, stored. dt defaults to
     horizon / 1000 and sample_times to every grid node; the engine checks
-    the arguments, and the store allocates nothing before it does."""
+    the arguments, and the store allocates nothing before it does. The run
+    always visits the horizon too, so default times are resolved through
+    it whichever sample times are stored."""
 
     if dt is None:
         dt = horizon / 1000.0
-    if sample_times is None:  # every node of a grid the engine can accept
-        n = horizon / dt if 0.0 < dt < math.inf else math.nan
-        sample_times = np.arange(round(n) + 1) * dt if 0.0 <= n <= 1e7 else [horizon]
-    times = np.asarray(sample_times, dtype=float)
     visits = {}
 
     def store(level, i, r0, r1, xp, integ, tau):
         visits[level, i, r0] = tuple(a[:r1 - r0].copy() for a in (xp, integ, tau))
 
-    _euler_blocks(pool, cps, horizon=horizon, n_paths=n_paths, seed=seed, dt=dt,
-                  sample_times=times, workers=workers, visit=store)
+    if sample_times is None:
+        _euler_blocks(pool, cps, horizon=horizon, n_paths=n_paths, seed=seed, dt=dt,
+                      sample_times=None, workers=workers, visit=store)
+        times = np.arange(int(round(horizon / dt)) + 1) * dt
+        end = len(times) - 1
+    else:
+        times = np.asarray(sample_times, dtype=float)
+        # the index of the horizon's grid node among the visited times,
+        # appended if absent
+        near = np.flatnonzero(np.abs(times - horizon) < 0.5 * dt)
+        end = int(near[0]) if near.size else len(times)
+        _euler_blocks(pool, cps, horizon=horizon, n_paths=n_paths, seed=seed, dt=dt,
+                      sample_times=np.append(times, horizon) if end == len(times) else times,
+                      workers=workers, visit=store)
 
     K = len(pool.names)
     E = K + (0 if cps is None else 2)
@@ -79,16 +88,20 @@ def stored_paths(pool, cps=None, *, horizon, n_paths, seed, dt=None, sample_time
         [:min(width, n_paths - r0)] for r0 in starts])
 
     def level(lv, step):
-        idx = sorted({i for (v, i, _) in visits if v == lv})
+        idx = sorted({i for (v, i, _) in visits if v == lv and i < len(times)})
         # state[k, m, j]: intensities, integrals (k = 0, 1) and default times
         # so far (k = 2) of path m at times[idx[j]]
         state = np.empty((3, n_paths, len(idx), E))
+        tau = np.empty((n_paths, E))
         for (v, i, r0), visited in visits.items():
-            if v == lv:
+            if v != lv:
+                continue
+            if i < len(times):
                 state[:, r0:r0 + len(visited[0]), idx.index(i)] = visited
-        last = state[2, :, int(np.argmax(times[idx]))] if idx else np.full((n_paths, E), np.inf)
+            if i == end:
+                tau[r0:r0 + len(visited[2])] = visited[2]
         return Paths(times=times[idx], dt=step, n_names=K, intensities=state[0],
-                     integrated=state[1], default_times=last, thresholds=thresholds)
+                     integrated=state[1], default_times=tau, thresholds=thresholds)
 
     fine = level(0, dt)
     if K == 0:

@@ -249,6 +249,11 @@ def test_empirical_measure_rejects_unknown_test_function():
             measure_at(ps, theta, 0)
 
 
+def test_empirical_measure_needs_reference_names():
+    with pytest.raises(ValueError, match="No reference names"):
+        empirical_measure_eval(np.empty((4, 0)), np.empty((4, 0)), 0.0, 0.5)
+
+
 def test_name_ladder_first_rung_and_limits():
     cfg = make_cfg()
     names = build_name_sequence(cfg, 1000).names

@@ -676,6 +676,8 @@ def test_pair_alone_needs_the_coarse_grid():
     kw = dict(horizon=1.0, n_paths=2, seed=1)
     with pytest.raises(ConfigError, match="even step count"):
         stored_paths(Pool(()), make_cps(), dt=1.0 / 3, **kw)
+    with pytest.raises(ConfigError, match="coarse grid"):
+        stored_paths(Pool(()), make_cps(), dt=0.01, sample_times=[0.5, 0.51], **kw)
     # a system with names runs no coarse path, so it takes an odd one
     ps = stored_paths(Pool([make_name()]), make_cps(), dt=1.0 / 3, **kw)
     assert ps.coarse is None
