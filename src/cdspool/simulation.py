@@ -370,9 +370,10 @@ def _euler_blocks(pool: Pool, cps: CounterpartyParams | None, *, horizon: float,
     adds both fine steps' jumps at the end of its step and crosses the same
     thresholds. It draws nothing, so the fine path is unchanged by it. The
     pair alone needs an even step count and, when they are given, sample
-    times on the coarse grid, so that both levels visit each of them. Paths run in blocks of 256 when the system has names and of 4096
-    for the pair alone (see the module docstring). Every check runs before
-    the first allocation: the step count must fit a numpy array and each
+    times on the coarse grid, so that both levels visit each of them.
+    Paths run in blocks of 256 when the system has names and of 4096 for
+    the pair alone (see the module docstring). Every check runs before the
+    first allocation: the step count must fit a numpy array and each
     Poisson mean of the jump clocks must stay below ``_POISSON_MAX``.
     """
 
