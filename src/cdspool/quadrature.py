@@ -21,9 +21,12 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from typing import Callable
 
 import numpy as np
+
+from .errors import ConfigError
 
 __all__ = ["GL_PANEL_YEARS", "composite_simpson", "gauss_legendre_16",
            "gauss_legendre_panels", "simpson_weights"]
@@ -58,11 +61,17 @@ def gauss_legendre_panels(v):
     have zero width. At least one panel comes out, so sums keep the
     integrand's leading axes when every v is 0. Each point's nodes depend
     only on its own v: a vector call equals the scalar calls bit for bit.
+    A panel count past what an array can index raises ConfigError before
+    the first allocation.
     """
 
     v = np.asarray(v, dtype=float)
     nodes, weights = gauss_legendre_16()
-    n_panels = max(1, math.ceil(v.max(initial=0.0) / GL_PANEL_YEARS))
+    panels = v.max(initial=0.0) / GL_PANEL_YEARS
+    if not panels < sys.maxsize // 8:
+        raise ConfigError(f"{panels:.3g} quadrature panels of {GL_PANEL_YEARS:g} years, more "
+                          f"than an array of panel offsets can index.")
+    n_panels = max(1, math.ceil(panels))
     for lo in GL_PANEL_YEARS * np.arange(n_panels):
         half = 0.5 * np.clip(v - lo, 0.0, GL_PANEL_YEARS)[..., None]
         yield lo + half * (1.0 + nodes), half * weights

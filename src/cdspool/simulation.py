@@ -247,6 +247,17 @@ def _check_discount(r: float, span: float) -> None:
                           f"need r * span finite and >= -{_LOG_FLOAT_MAX:.6g}.")
 
 
+def _check_jump_clocks(rate: float, horizon: float) -> None:
+    """Raise ConfigError unless the largest jump clock's Poisson mean, rate *
+    horizon, stays within _POISSON_MAX; both engines check it before their
+    first allocation."""
+
+    mean = rate * horizon
+    if mean > _POISSON_MAX:
+        raise ConfigError(f"A jump clock's Poisson mean, rate * horizon = {mean:g}, exceeds "
+                          f"{_POISSON_MAX:g}.")
+
+
 def _philox_key(seed: int) -> np.ndarray:
     return np.random.SeedSequence(seed).generate_state(2, np.uint64)
 
@@ -396,10 +407,7 @@ def _euler_blocks(pool: Pool, cps: CounterpartyParams | None, *, horizon: float,
     sides = () if cps is None else (cps.side_a, cps.side_b)
     vec = {f.name: np.append(getattr(pool, f.name), [getattr(s, f.name) for s in sides])
            for f in fields(CounterpartySide)}
-    mean = max(pool.lambda_c, float(vec["lambda_hat"].max())) * horizon
-    if mean > _POISSON_MAX:
-        raise ConfigError(f"A jump clock's Poisson mean, rate * horizon = {mean:g}, exceeds "
-                          f"{_POISSON_MAX:g}.")
+    _check_jump_clocks(max(pool.lambda_c, float(vec["lambda_hat"].max())), horizon)
     pair = K == 0  # the pair alone: the coupled coarse path
     if pair and n_steps % 2:
         raise ConfigError(f"The counterparty pair alone needs an even step count for its "
@@ -666,8 +674,9 @@ def exact_book_values(pool: Pool, *, sample_times, maturity: float, r: float, n_
 
     ``sample_times`` start at 0 and increase strictly, up to the horizon
     <= ``maturity``; ``r`` and ``maturity`` are finite, and so is the
-    discount factor exp(-r maturity). values[i, m] is the per-name value at
-    sample time i (0 at maturity) of the investor's CDS book on path m,
+    discount factor exp(-r maturity); each jump clock's Poisson mean, rate *
+    horizon, stays within ``_POISSON_MAX``. values[i, m] is the per-name
+    value at sample time i (0 at maturity) of the investor's CDS book on path m,
     priced from the names' state through their closed-form affine survival
     transforms (:func:`_book_rows`, :func:`_book_values`); short names
     (z = -1) enter with negative sign. The paths are independent, so a row's stderr is
@@ -689,6 +698,7 @@ def exact_book_values(pool: Pool, *, sample_times, maturity: float, r: float, n_
     if not maturity >= times[-1]:
         raise ValueError("Require every sample time <= maturity.")
     _check_discount(r, maturity)
+    _check_jump_clocks(max(pool.lambda_c, float(pool.lambda_hat.max())), float(times[-1]))
     spans = [maturity - float(t) for t in times]
     books = [_book_rows(pool, span, r) if span != 0.0 else None for span in spans]
     values = np.zeros((len(times), n_paths))

@@ -209,6 +209,21 @@ def test_bad_experiment_input_is_a_config_error(tmp_path, capsys, override):
     assert err["error"]["code"] == EXIT_CONFIG and err["error"]["kind"] == "config"
 
 
+@pytest.mark.parametrize("override", [
+    # the limit exposure's quadrature panels, then the exact engine's jump clocks
+    "experiment.horizon=1e300", "limit.lambda_c=1e16"])
+def test_out_of_range_convergence_run_is_a_config_error(tmp_path, capsys, override):
+    # each would need an array past numpy's reach: checked before any allocation
+    code = run_cli(["--experiment", "convergence", "--config", CONFIGS / "fig1-c.cfg",
+                    "--seed", "1", "--set", override, "--set", "experiment.n_paths=4",
+                    "--out", tmp_path])
+    assert code == EXIT_CONFIG
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"]["code"] == EXIT_CONFIG and err["error"]["kind"] == "config"
+
+
 def test_step_on_a_convergence_run_is_a_config_error(tmp_path, capsys):
     # the convergence book is drawn exactly at the sample times, so a step
     # would do nothing; the measure study still runs its Euler grid on it

@@ -30,6 +30,7 @@ from cdspool.exposure import exposure_limit, limit_exp_test, survival_fhat
 from cdspool.harness import _validation_baseline
 from cdspool.jumps import BveParams, mgf_bve, mgf_bve_partials, mgf_exp
 from cdspool.kernels import bcva, joint_survival, kernel, kernel_coefficients
+from cdspool.quadrature import gauss_legendre_panels
 from cdspool.riccati import (exp_phi, integral_b, integral_beta, integral_exp_phi,
                              riccati_b, riccati_beta, riccati_beta_general,
                              survival_exponents, varpi)
@@ -164,6 +165,21 @@ def test_exact_book_values_is_finite_or_raises_cleanly(arg, data):
         except CLEAN_ERRORS:
             return
     assert values.shape == (2, kw["n_paths"]) and np.all(np.isfinite(values)), kw
+
+
+@pytest.mark.parametrize("lambda_c, lambda_hat", [(1e16, 0.5), (0.5, 4e15)])
+def test_exact_book_values_rejects_an_oversized_poisson_mean(lambda_c, lambda_hat):
+    # checked before the first allocation, as the Euler engine checks it
+    pool = Pool([dataclasses.replace(NAME, lambda_hat=lambda_hat)], lambda_c, 1.5, 1.5)
+    with pytest.raises(ConfigError, match="Poisson mean"):
+        exact_book_values(pool, **EXACT_BASE)
+
+
+@pytest.mark.parametrize("v", [1e300, [0.5, 1e300], math.inf, math.nan])
+def test_gauss_legendre_panels_reject_a_panel_count_past_an_array(v):
+    # raised on the first panel, before the panel offsets are allocated
+    with pytest.raises(ConfigError, match="quadrature panels"):
+        next(gauss_legendre_panels(v))
 
 
 @settings(max_examples=20, deadline=None)

@@ -218,6 +218,16 @@ def test_validation_fault_injection_flags_only_the_perturbed_check():
         run_validation(perturb={"no_such_check": 1.0})
 
 
+@pytest.mark.parametrize("check", ["riccati_b_vs_rk4", "riccati_beta_vs_rk4",
+                                   "riccati_beta_general_vs_rk4", "fhat_cir_reduction"])
+def test_rk4_checks_flag_an_offset_of_twice_their_bound(check):
+    # each check's own run, without the rest of the gate
+    run = dict(harness._CHECKS)[check]
+    tol = run.args[2]
+    assert run(0.0).passed
+    assert not run(2.0 * tol).passed and not run(-2.0 * tol).passed
+
+
 @pytest.mark.parametrize("offset", [2e-3, -2e-3])
 def test_limit_sde_check_flags_a_small_offset(offset):
     # 2e-3 is about 2.1e-3 relative to F-hat(1.5): about 11 oracle stderrs

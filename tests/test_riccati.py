@@ -265,44 +265,59 @@ def test_rk4_integral_pair_equals_the_vector_solve():
 
 
 def _gate_draws():
-    """(kappa, sigma, a_ell, y0, lags, step) of every run the gate's three
-    riccati_*_vs_rk4 checks make, drawn as the gate draws them."""
+    """(check, kappa, sigma, a_ell, y0, lags) of every RK4 run the gate's
+    four RK4 checks make at harness._RK4_STEP, drawn as the gate draws them."""
 
     rng = np.random.default_rng(harness.VALIDATION_SEED)
     for _ in range(10):
         k, s = rng.uniform(0.1, 3.0, 2)
-        yield k, s, 1.0, 0.0, (0.5, 2.0, 7.0), 2e-4
+        yield "riccati_b_vs_rk4", k, s, 1.0, 0.0, (0.5, 2.0, 7.0)
     rng = np.random.default_rng(harness.VALIDATION_SEED + 1)
     for _ in range(8):
         k, s = rng.uniform(0.1, 3.0, 2)
         b0 = -rng.uniform(0.01, 2.0)
-        for u in (0.7, 3.0):
-            yield k, s, 1.0, b0, (u,), 2e-4
+        yield "riccati_beta_vs_rk4", k, s, 1.0, b0, (0.7, 3.0)
     rng = np.random.default_rng(harness.VALIDATION_SEED + 2)
     for _ in range(8):
         k, s = rng.uniform(0.1, 3.0, 2)
         a = rng.uniform(0.3, 3.0)
         b0 = -rng.uniform(0.0, 1.0)
-        yield k, s, a, b0, (1.5,), 2e-4
+        yield "riccati_beta_general_vs_rk4", k, s, a, b0, (1.5,)
+    _, cfg, _ = harness._validation_baseline()
+    yield "fhat_cir_reduction", cfg.kappa, cfg.sigma, 1.0, 0.0, (0.5, 1.0, 2.0)
 
 
 def test_rk4_riccati_equals_the_generic_oracle_at_every_gate_run():
     # bit-equal to one generic RK4 run per lag, at every draw and lag the gate
     # checks; the gate's oracle values are these runs, as before
-    gate_oracle = []
-    for kappa, sigma, a_ell, y0, lags, step in _gate_draws():
-        for u, (y, _) in zip(lags, rk4_riccati(kappa, sigma, a_ell, y0, lags, step)):
-            assert y == rk4_solve(riccati_rhs(kappa, sigma, a_ell), y0, u, step)
-            gate_oracle.append(y)
-    # fhat_cir_reduction reads the integral too, through exp(x0 y + alpha iy)
+    step = harness._RK4_STEP
     _, cfg, _ = harness._validation_baseline()
-    lags = (0.5, 1.0, 2.0)
-    for u, (y, iy) in zip(lags, rk4_riccati(cfg.kappa, cfg.sigma, 1.0, 0.0, lags, 1e-4)):
-        assert (y, iy) == _vector_solve(cfg.kappa, cfg.sigma, 1.0, 0.0, u, 1e-4)
-        gate_oracle.append(math.exp(cfg.x0 * y + cfg.alpha * iy))
+    gate_oracle = []
+    for check, kappa, sigma, a_ell, y0, lags in _gate_draws():
+        for u, (y, iy) in zip(lags, rk4_riccati(kappa, sigma, a_ell, y0, lags, step)):
+            if check == "fhat_cir_reduction":
+                # read through exp(x0 y + alpha iy), so the integral counts too
+                assert (y, iy) == _vector_solve(kappa, sigma, a_ell, y0, u, step)
+                gate_oracle.append(math.exp(cfg.x0 * y + cfg.alpha * iy))
+            else:
+                assert y == rk4_solve(riccati_rhs(kappa, sigma, a_ell), y0, u, step)
+                gate_oracle.append(y)
     checks = (harness._check_riccati_b_rk4, harness._check_riccati_beta_rk4,
               harness._check_riccati_beta_general_rk4, harness._check_fhat_cir)
     assert [oracle for check in checks for _, oracle, _ in check()] == gate_oracle
+
+
+def test_gate_rk4_oracles_are_step_converged():
+    # halving the gate's step moves no oracle run by more than 1e-4 of its
+    # check's bound, so the oracle's own error cannot pass or fail a check
+    tols = {name: run.args[2] for name, run in harness._CHECKS}
+    step = harness._RK4_STEP
+    for check, kappa, sigma, a_ell, y0, lags in _gate_draws():
+        coarse, fine = (rk4_riccati(kappa, sigma, a_ell, y0, lags, h) for h in (step, step / 2))
+        for (y, iy), (y_fine, iy_fine) in zip(coarse, fine):
+            assert abs(y - y_fine) <= 1e-4 * tols[check], (check, kappa, sigma, lags)
+            if check == "fhat_cir_reduction":
+                assert abs(iy - iy_fine) <= 1e-4 * tols[check], lags
 
 
 @pytest.mark.parametrize("lags, step", [
