@@ -53,11 +53,17 @@ EXPERIMENTS = ("convergence", "bcva-sweep", "validate", "measure-convergence")
 VALIDATION_SEED = 20240901
 # paths of the gate's limit-SDE oracle: twelve 4096-path narrow blocks
 _LIMIT_ORACLE_PATHS = 49_152
-# fine Euler step of the gate's one pair simulation, whose estimates are
-# Richardson-extrapolated against its coupled coarse path of step 1/84: 504
-# fine and 252 coarse steps to the CVA maturity 3, with the kernels' lag
-# u = 1 on both grids (fine step 168, coarse step 84)
+# fine Euler step of the gate's two pair runs, whose estimates are
+# Richardson-extrapolated against their coupled coarse paths of step 1/84:
+# the kernel run stops at the kernels' lag u = 1 (168 fine and 84 coarse
+# steps), and the CVA run reads its 253 nodes, the coarse grid, on both
+# levels to maturity 3 (504 fine and 252 coarse steps)
 _PAIR_DT = 1.0 / 168
+# paths of the kernel run, and of the CVA run: one narrow block
+_KERNEL_PATHS, _CVA_PATHS = 20_000, 4096
+# the most per-path values a convergence or measure study may hold, 1 GiB
+# of floats; ExperimentSpec rejects a larger run before it allocates
+_MAX_HELD_VALUES = 1 << 27
 # step of every RK4 oracle run in the gate; each check's lags share it in
 # floats, so one run per draw serves all of them. Halving it moves no
 # oracle value by more than 1e-4 of its check's bound.
@@ -141,6 +147,11 @@ class ExperimentSpec:
                               f"got {list(self.k_values)}.")
         if self.repeats < 1:
             raise ConfigError(f"experiment repeats must be >= 1, got {self.repeats}.")
+        # the measure study holds two statistics per path and time
+        held = {"convergence": 1, "measure-convergence": 2}.get(self.kind, 0)
+        if held * self.n_times * self.n_paths > _MAX_HELD_VALUES:
+            raise ConfigError(f"n_times = {self.n_times} and n_paths = {self.n_paths} hold "
+                              f"more per-path values than the cap of {_MAX_HELD_VALUES}.")
 
     def config_hash(self) -> str:
         return hashlib.sha256((self.config_text or "").encode("utf-8")).hexdigest()
@@ -450,14 +461,6 @@ def _check_mgf_exp_mc() -> Iterator[_Case]:
     yield mgf_exp(theta, gamma), draws.mean(), _stderr(draws)
 
 
-def _check_mgf_bve_mc() -> Iterator[_Case]:
-    rng = np.random.default_rng(VALIDATION_SEED + 8)
-    p = BveParams(1.5, 1.5, 0.5)
-    ya, yb = sample_bve(p, rng, size=1_000_000)
-    vals = np.exp(-0.7 * ya - 0.3 * yb)
-    yield mgf_bve(-0.7, -0.3, p), vals.mean(), _stderr(vals)
-
-
 def _check_mgf_bve_partials_fd() -> Iterator[_Case]:
     p = BveParams(1.5, 1.5, 0.5)
     h = 1e-6
@@ -469,25 +472,38 @@ def _check_mgf_bve_partials_fd() -> Iterator[_Case]:
         yield db, fd_b, abs(fd_b)
 
 
-def _check_bve_moments() -> Iterator[_Case]:
-    rng = np.random.default_rng(VALIDATION_SEED + 9)
+# the checks that share one computation read its cases through one lock,
+# which keeps checks running on parallel workers from computing it twice
+_SHARED_LOCK = threading.Lock()
+
+
+def _shared(values: Callable[[], dict], which: str) -> Iterator[_Case]:
+    with _SHARED_LOCK:
+        yield from values()[which]
+
+
+@functools.cache
+def _bve_cases() -> dict[str, tuple[_Case, ...]]:
+    """The three sampler checks' cases from one draw of 1M pairs of
+    ``BveParams(1.5, 1.5, 0.5)``; the correlation's stderr is the asymptotic
+    (1 - rho^2) / sqrt(n). Only the cases stay cached, not the draw."""
+
+    rng = np.random.default_rng(VALIDATION_SEED + 8)
     p = BveParams(1.5, 1.5, 0.5)
     n = 1_000_000
     ya, yb = sample_bve(p, rng, size=n)
-    for y, rate in ((ya, p.marginal_rate_a), (yb, p.marginal_rate_b)):
-        yield 1.0 / rate, y.mean(), _stderr(y)
-    corr = np.corrcoef(ya, yb)[0, 1]
-    # correlation stderr via the asymptotic normal approximation
-    yield p.correlation, corr, (1.0 - corr * corr) / math.sqrt(n)
 
-
-def _check_bve_empirical_mgf() -> Iterator[_Case]:
-    rng = np.random.default_rng(VALIDATION_SEED + 10)
-    p = BveParams(1.5, 1.5, 0.5)
-    ya, yb = sample_bve(p, rng, size=1_000_000)
-    for ta, tb in ((-0.2, -0.2), (-1.0, -0.1), (-0.1, -1.0), (-0.5, -1.5), (-2.0, -2.0)):
+    def transform(ta, tb):
         vals = np.exp(ta * ya + tb * yb)
-        yield mgf_bve(ta, tb, p), vals.mean(), _stderr(vals)
+        return mgf_bve(ta, tb, p), vals.mean(), _stderr(vals)
+
+    moments = [(1.0 / rate, y.mean(), _stderr(y))
+               for y, rate in ((ya, p.marginal_rate_a), (yb, p.marginal_rate_b))]
+    corr = np.corrcoef(ya, yb)[0, 1]
+    moments.append((p.correlation, corr, (1.0 - corr * corr) / math.sqrt(n)))
+    return {"mgf": (transform(-0.7, -0.3),), "moments": tuple(moments),
+            "empirical": tuple(transform(ta, tb) for ta, tb in (
+                (-0.2, -0.2), (-1.0, -0.1), (-0.1, -1.0), (-0.5, -1.5), (-2.0, -2.0)))}
 
 
 def _check_fhat_cir() -> Iterator[_Case]:
@@ -529,60 +545,65 @@ def _check_exposure_quadrature() -> Iterator[_Case]:
            + (cfg.s_z + cfg.r * cfg.l_z) * integral, 1.0)
 
 
-# the h1, h2, joint-survival and nested-CVA checks share one set of values;
-# the lock keeps checks running on parallel workers from computing it twice
-_PAIR_LOCK = threading.Lock()
+def _cva_node_weights(cfg: LimitConfig, loss_b: float,
+                      maturity: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes s_j of the CVA run, the coarse grid of step 2 _PAIR_DT on [0,
+    maturity], and weights g_j = w_j L_B e^{-r s_j} F(s_j) (E(s_j))^+ with
+    the trapezoid weights w_j, F = ``survival_fhat`` and E =
+    ``exposure_limit``. A path's conditional CVA is the sum of g_j
+    xi_B(s_j) S_AB(s_j) over the nodes."""
+
+    nodes = np.linspace(0.0, maturity, int(round(maturity / (2.0 * _PAIR_DT))) + 1)
+    w = np.full(len(nodes), nodes[1])
+    w[[0, -1]] *= 0.5
+    return nodes, (w * loss_b * np.exp(-cfg.r * nodes) * survival_fhat(nodes, cfg)
+                   * np.maximum(exposure_limit(nodes, maturity, cfg), 0.0))
 
 
 @functools.cache
-def _pair_values() -> dict[str, tuple[float, tuple[float, float]]]:
-    """Closed-form value and MC (estimate, stderr) of each counterparty
-    kernel at u = 1 and of CVA at maturity 3, the pair started at (0.2,
-    0.2); every MC value reads one simulation of the pair, whose visitor
-    folds each level's per-path values as it runs."""
+def _pair_values(seed: int = VALIDATION_SEED + 12) -> dict[str, tuple[_Case, ...]]:
+    """The cases (closed form, MC estimate, stderr) of the four pair checks:
+    h1, h2 and joint survival at u = 1, CVA at maturity 3, the pair started
+    at (0.2, 0.2). Two pair runs fold each level's per-path values as their
+    blocks pass; each estimate is Richardson-extrapolated (steps 1/168 and
+    1/84 on the same draws). The kernel run takes _KERNEL_PATHS paths from
+    ``seed`` to u and folds :func:`mc_kernel_oracles`. The CVA run takes
+    _CVA_PATHS paths from ``seed + 1`` to maturity, and a path's value is
+    its discounted loss at side B's default time, on B defaulting first,
+    in expectation given its intensities: h1's path value summed over
+    :func:`_cva_node_weights` (conditional Monte Carlo; Glasserman 2004,
+    section 4.7). Coupled step doubling (``tests/pair_bias_sweep.py``) puts
+    each residual bias at 1/168 at most 0.005 of the gate's stderr, and
+    Simpson's rule on CVA's nodes moves it by 0.005 of its stderr."""
 
     cfg, _, cps = _validation_baseline()
-    u, maturity, n_paths = 1.0, 3.0, 20_000
+    u, maturity = 1.0, 3.0
     x_a, x_b = cps.side_a.xi0, cps.side_b.xi0
-    # vals[level, j, m]: path m's h1, h2 and joint survival at u (j = 0..2)
-    # and discounted loss at maturity (j = 3), on the fine then coarse level
-    vals = np.empty((2, 4, n_paths))
+    pair = Pool((), cfg.lambda_c)
+    # kern[level, j, m]: path m's h1, h2 and joint survival at u, and cva[level,
+    # m] its conditional CVA, on the fine then coarse level
+    kern = np.empty((2, 3, _KERNEL_PATHS))
+    cva = np.zeros((2, _CVA_PATHS))
+    nodes, g = _cva_node_weights(cfg, cps.loss_b, maturity)
 
-    def fold(level, i, r0, r1, xp, integ, tau):
-        nb = r1 - r0
-        if i == 0:
-            vals[level, :3, r0:r1] = mc_kernel_oracles(xp[:nb], integ[:nb])
-        else:
-            vals[level, 3, r0:r1] = nested_mc_cva(tau[:nb], cfg, cps.loss_b, maturity)
+    def fold_kernels(level, i, r0, r1, xp, integ, tau):
+        kern[level, :, r0:r1] = mc_kernel_oracles(xp[:r1 - r0], integ[:r1 - r0])
 
-    _euler_blocks(Pool((), cfg.lambda_c), cps, horizon=maturity, n_paths=n_paths,
-                  seed=VALIDATION_SEED + 12, dt=_PAIR_DT, sample_times=[u, maturity],
-                  workers=1, visit=fold)
-    mc_h1, mc_h2, mc_joint, mc_cva = (_richardson(fine, coarse) for fine, coarse in zip(*vals))
-    return {"h1": (kernels.kernel(u, x_a, x_b, cps, cfg.lambda_c, "B"), mc_h1),
-            "h2": (kernels.kernel(u, x_a, x_b, cps, cfg.lambda_c, "A"), mc_h2),
-            "joint_survival": (kernels.joint_survival(u, x_a, x_b, cps, cfg.lambda_c),
-                               mc_joint),
-            "cva": (kernels.bcva(maturity, cfg, cps).cva, mc_cva)}
+    def fold_cva(level, i, r0, r1, xp, integ, tau):
+        cva[level, r0:r1] += g[i] * mc_kernel_oracles(xp[:r1 - r0], integ[:r1 - r0])[0]
 
-
-def _pair_check(which: str) -> Iterator[_Case]:
-    """One of the four pair checks (h1, h2, joint survival, CVA) as a
-    z-score with bound 3, read from :func:`_pair_values`. Each estimate is
-    Richardson-extrapolated (steps 1/168 and 1/84 on the same draws), so its
-    Euler bias is second order. Coupled step doubling of the extrapolated
-    estimator on 401,408 paths (steps 1/336, 1/168 and 1/84 driven by the
-    same normals, jumps and thresholds) puts its residual bias at 1/168,
-    R(1/168) - R(1/336), at -0.005, -0.001, -0.005 and +0.004 of the gate's
-    20,000-path pair-clustered stderr on h1, h2, joint survival and CVA
-    (probe stderr 0.008, 0.008, 0.008 and 0.03). Plain Euler's bias is
-    first order: Y(1/168) - Y(1/336) is +0.08, +0.08, -0.24 and +0.06 of
-    that stderr, so the fine estimate alone would be off by about twice
-    that at 1/168."""
-
-    with _PAIR_LOCK:
-        closed, (est, se) = _pair_values()[which]
-    yield closed, est, se
+    for horizon, n_paths, run_seed, times, fold in (
+            (u, _KERNEL_PATHS, seed, [u], fold_kernels),
+            (maturity, _CVA_PATHS, seed + 1, nodes, fold_cva)):
+        _euler_blocks(pair, cps, horizon=horizon, n_paths=n_paths, seed=run_seed, dt=_PAIR_DT,
+                      sample_times=times, workers=1, visit=fold)
+    closed = (kernels.kernel(u, x_a, x_b, cps, cfg.lambda_c, "B"),
+              kernels.kernel(u, x_a, x_b, cps, cfg.lambda_c, "A"),
+              kernels.joint_survival(u, x_a, x_b, cps, cfg.lambda_c),
+              kernels.bcva(maturity, cfg, cps).cva)
+    mc = [_richardson(fine, coarse) for fine, coarse in zip(*kern)] + [_richardson(*cva)]
+    return {name: ((c, *est),) for name, c, est in zip(
+        ("h1", "h2", "joint_survival", "cva"), closed, mc)}
 
 
 def _check_kernel_residuals() -> Iterator[_Case]:
@@ -590,28 +611,6 @@ def _check_kernel_residuals() -> Iterator[_Case]:
     for side in ("B", "A"):
         for residual in kernels.kernel_ode_residuals(cps, cfg.lambda_c, side, 3.0).values():
             yield residual, 0.0, 1.0
-
-
-def nested_mc_cva(tau: np.ndarray, cfg: LimitConfig, loss_b: float,
-                  maturity: float) -> np.ndarray:
-    """Per-path values of the nested Monte-Carlo CVA oracle at ``maturity``:
-    read side B's default time from tau, the pair alone's default times at
-    maturity (paths by sides A, B), apply the limit exposure there, weight
-    by pool survival.
-
-    The pool's limit default time is conditionally independent of the
-    counterparties, so the indicator of the pool outliving tau_B integrates
-    to the survival function evaluated there. Read from both levels of the
-    pair run and combined by :func:`~cdspool.simulation._richardson`.
-    """
-
-    tau_a, tau_b = tau[:, 0], tau[:, 1]
-    hit = (tau_b <= np.minimum(tau_a, maturity)) & (tau_b > 0)
-    vals = np.zeros(len(tau))
-    tb = tau_b[hit]
-    vals[hit] = (np.exp(-cfg.r * tb) * survival_fhat(tb, cfg)
-                 * np.maximum(exposure_limit(tb, maturity, cfg), 0.0))
-    return vals * loss_b
 
 
 # (name, run) in report order, built from each check's (name, cases, bound);
@@ -626,18 +625,18 @@ _CHECKS: list[tuple[str, Callable[[float], CheckResult]]] = [
         ("beta_flow_property", _check_beta_flow, 1e-8),
         ("integral_beta_vs_simpson", _check_integral_beta_simpson, 1e-8),
         ("mgf_exp_vs_mc", _check_mgf_exp_mc, 3.0),
-        ("mgf_bve_vs_mc", _check_mgf_bve_mc, 3.0),
+        ("mgf_bve_vs_mc", functools.partial(_shared, _bve_cases, "mgf"), 3.0),
         ("mgf_bve_partials_vs_fd", _check_mgf_bve_partials_fd, 1e-6),
-        ("bve_sampler_moments", _check_bve_moments, 4.0),
-        ("bve_empirical_mgf", _check_bve_empirical_mgf, 4.0),
+        ("bve_sampler_moments", functools.partial(_shared, _bve_cases, "moments"), 4.0),
+        ("bve_empirical_mgf", functools.partial(_shared, _bve_cases, "empirical"), 4.0),
         ("fhat_cir_reduction", _check_fhat_cir, 1e-10),
         ("fhat_vs_limit_sde_mc", _check_fhat_limit_sde, 3.0),
         ("exposure_limit_vs_simpson", _check_exposure_quadrature, 1e-7),
-        ("h1_vs_mc", functools.partial(_pair_check, "h1"), 3.0),
-        ("h2_vs_mc", functools.partial(_pair_check, "h2"), 3.0),
-        ("joint_survival_vs_mc", functools.partial(_pair_check, "joint_survival"), 3.0),
+        ("h1_vs_mc", functools.partial(_shared, _pair_values, "h1"), 3.0),
+        ("h2_vs_mc", functools.partial(_shared, _pair_values, "h2"), 3.0),
+        ("joint_survival_vs_mc", functools.partial(_shared, _pair_values, "joint_survival"), 3.0),
         ("kernel_ode_residuals", _check_kernel_residuals, 1e-5),
-        ("cva_vs_nested_mc", functools.partial(_pair_check, "cva"), 3.0),
+        ("cva_vs_nested_mc", functools.partial(_shared, _pair_values, "cva"), 3.0),
     )]
 
 

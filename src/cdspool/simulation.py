@@ -25,7 +25,7 @@ engine takes that law. Two engines simulate this system:
   hands a block's state (truncated intensities, running integrals, default
   times so far) to a visitor that folds it into per-path values, the
   empirical-measure statistics of the measure-convergence study or the
-  kernel and nested-CVA oracles of the gate's pair run. For the
+  kernel and conditional-CVA oracles of the gate's pair runs. For the
   counterparty pair alone it also steps a coupled coarse path of step 2 dt
   on the same draws, so that estimators on the pair are
   Richardson-extrapolated (:func:`_richardson`).

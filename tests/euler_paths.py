@@ -117,3 +117,12 @@ def kernel_oracles(ps: Paths, u: float):
     fine, coarse = (mc_kernel_oracles(p.intensities[:, k], p.integrated[:, k])
                     for p in (ps, ps.coarse) for k in [list(p.times).index(u)])
     return tuple(_richardson(f, c) for f, c in zip(fine, coarse))
+
+
+def conditional_cva(p: Paths, g) -> np.ndarray:
+    """Per-path conditional CVA of one stored level of a pair-alone run whose
+    times are the nodes of the weights g (``harness._cva_node_weights``):
+    the sum over nodes of g_j xi_B(s_j) S_AB(s_j), with S_AB the joint
+    survival exp(-integral of xi_A + xi_B)."""
+
+    return (p.intensities[:, :, 1] * np.exp(-p.integrated.sum(axis=2))) @ g

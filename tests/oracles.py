@@ -5,7 +5,8 @@ the Gauss–Legendre pricing rule, which the tests hold ``exposure_limit``, the
 kernels and ``bcva`` against; a generic Runge-Kutta integrator, which the
 tests hold the closed forms and ``riccati.rk4_riccati`` against; and an
 Euler simulation of the limit diffusion, which the tests hold the exact
-sampler of ``mc_limit_transform`` against.
+sampler of ``mc_limit_transform`` against; and the default-indicator CVA
+oracle, which the tests hold the gate's conditional CVA estimator against.
 """
 
 import math
@@ -14,6 +15,7 @@ import numpy as np
 
 from cdspool import simulation
 from cdspool.errors import AccuracyError
+from cdspool.exposure import exposure_limit, survival_fhat
 from cdspool.quadrature import composite_simpson
 
 
@@ -127,3 +129,24 @@ def euler_limit_transform(u: float, cfg, n_paths: int, seed: int) -> tuple[float
         vals[r0:r1] = np.exp(-integ[:r1 - r0])
 
     return float(vals.mean()), simulation._pair_stderr(vals)
+
+
+def nested_mc_cva(tau: np.ndarray, cfg, loss_b: float, maturity: float) -> np.ndarray:
+    """Per-path values of the nested Monte-Carlo CVA oracle at ``maturity``:
+    read side B's default time from tau, the pair alone's default times at
+    maturity (paths by sides A, B), apply the limit exposure there, weight
+    by pool survival.
+
+    The pool's limit default time is conditionally independent of the
+    counterparties, so the indicator of the pool outliving tau_B integrates
+    to the survival function evaluated there. The gate's estimator is this
+    oracle's conditional expectation given the intensity paths.
+    """
+
+    tau_a, tau_b = tau[:, 0], tau[:, 1]
+    hit = (tau_b <= np.minimum(tau_a, maturity)) & (tau_b > 0)
+    vals = np.zeros(len(tau))
+    tb = tau_b[hit]
+    vals[hit] = (np.exp(-cfg.r * tb) * survival_fhat(tb, cfg)
+                 * np.maximum(exposure_limit(tb, maturity, cfg), 0.0))
+    return vals * loss_b

@@ -168,12 +168,20 @@ def test_config_error_exit_codes(tmp_path, capsys):
                     "--out", tmp_path]) == EXIT_CONFIG
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"]["code"] == EXIT_CONFIG
-    # a run whose per-path statistics the machine cannot allocate: two values
-    # per path and sample time, 89 TiB for 10^11 paths, are allocated before
-    # the first block runs, so the allocation fails at once
+    # a run whose per-path statistics would take 89 TiB, two values per path
+    # and sample time for 10^11 paths: the spec caps them before any
+    # allocation
     assert run_cli(["--experiment", "measure-convergence", "--config",
                     CONFIGS / "measure.cfg", "--seed", "1",
                     "--set", "experiment.n_paths=100000000000",
+                    "--set", "experiment.k_values=10", "--out", tmp_path]) == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"]["code"] == EXIT_CONFIG and err["error"]["kind"] == "config"
+    # a run the machine cannot allocate: 10^12 Euler steps fit the engine's
+    # step check, and their 7 TiB of step pointers fail at once
+    assert run_cli(["--experiment", "measure-convergence", "--config",
+                    CONFIGS / "measure.cfg", "--seed", "1",
+                    "--set", "experiment.dt=1e-12", "--set", "experiment.n_paths=4",
                     "--set", "experiment.k_values=10", "--out", tmp_path]) == EXIT_CONFIG
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"]["code"] == EXIT_CONFIG and err["error"]["kind"] == "memory"
@@ -222,6 +230,19 @@ def test_out_of_range_convergence_run_is_a_config_error(tmp_path, capsys, overri
     assert len(lines) == 1
     err = json.loads(lines[0])
     assert err["error"]["code"] == EXIT_CONFIG and err["error"]["kind"] == "config"
+
+
+def test_oversized_time_grid_is_a_config_error(tmp_path, capsys):
+    # 10^15 sample times: the spec's cap on held values rejects the run
+    # before its time grid is allocated
+    code = run_cli(["--experiment", "convergence", "--config", CONFIGS / "fig1-c.cfg",
+                    "--seed", "1", "--set", "experiment.n_times=1000000000000000",
+                    "--out", tmp_path])
+    assert code == EXIT_CONFIG
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"]["kind"] == "config" and "cap" in err["error"]["message"]
 
 
 def test_step_on_a_convergence_run_is_a_config_error(tmp_path, capsys):

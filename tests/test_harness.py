@@ -16,8 +16,9 @@ from cdspool.harness import (CurveTable, ExperimentSpec, default_counterparties,
                              run_measure_convergence, run_validation, write_run)
 from cdspool.simulation import Pool, _richardson
 
-from euler_paths import stored_paths
+from euler_paths import conditional_cva, stored_paths
 from finite_k import exact_states
+from oracles import nested_mc_cva
 
 
 def small_limit(**overrides):
@@ -49,6 +50,22 @@ SWEEP = dict(kind="bcva-sweep", cps=default_counterparties(), seed=None,
 def test_spec_rejects_a_kind_without_its_inputs(overrides):
     with pytest.raises(ConfigError):
         small_spec(**overrides)
+
+
+def test_spec_rejects_a_study_too_large_to_hold():
+    # checked before any allocation: 10^9 times would take 8 GB per path
+    for kind in ("convergence", "measure-convergence"):
+        with pytest.raises(ConfigError, match="cap"):
+            small_spec(kind=kind, n_times=10**9)
+    # at the cap exactly, with small_spec's 64 paths; the measure study
+    # holds two values per path and time
+    most = harness._MAX_HELD_VALUES // 64
+    assert small_spec(n_times=most).n_times == most
+    assert small_spec(kind="measure-convergence", n_times=most // 2).n_times == most // 2
+    with pytest.raises(ConfigError, match="cap"):
+        small_spec(kind="measure-convergence", n_times=most // 2 + 1)
+    # the sweep and the gate hold no per-path values
+    assert small_spec(**SWEEP, n_times=10**9).n_times == 10**9
 
 
 def test_spec_accepts_each_kind_with_its_inputs():
@@ -177,7 +194,8 @@ def test_validation_gate_passes_and_is_reproducible():
 
 
 def test_validation_gate_simulates_the_kernel_pair_once(monkeypatch):
-    # h1, h2, joint survival and nested_mc_cva all read one pair simulation
+    # h1, h2 and joint survival read one run of the pair to their lag u = 1,
+    # and CVA one narrow block to maturity 3
     calls, n_paths, blocks = [], [], []
     block_generator = simulation._block_generator
 
@@ -198,12 +216,12 @@ def test_validation_gate_simulates_the_kernel_pair_once(monkeypatch):
     harness._pair_values.cache_clear()
     # the shared values still take each check's own perturbation
     assert run_validation(workers=1, perturb={"h2_vs_mc": 1e-2}).failures() == ["h2_vs_mc"]
-    assert calls == [3.0] and n_paths == [20_000]
+    assert calls == [1.0, 3.0] and n_paths == [20_000, 4096]
     # the pair and limit-diffusion simulations run narrow blocks, so each
     # steps at most 5% more paths than it asks for
     width = simulation._NARROW_BLOCK_SIZE
     blocks_for = lambda n: math.ceil(n / width)
-    assert blocks.count(simulation._BLOCK_PATHS) == blocks_for(20_000)
+    assert blocks.count(simulation._BLOCK_PATHS) == sum(map(blocks_for, n_paths))
     assert blocks.count(simulation._BLOCK_LIMIT) == blocks_for(harness._LIMIT_ORACLE_PATHS)
     for n in n_paths + [harness._LIMIT_ORACLE_PATHS]:
         assert blocks_for(n) * width <= 1.05 * n
@@ -228,6 +246,34 @@ def test_rk4_checks_flag_an_offset_of_twice_their_bound(check):
     assert not run(2.0 * tol).passed and not run(-2.0 * tol).passed
 
 
+BVE_CHECKS = ("mgf_bve_vs_mc", "bve_sampler_moments", "bve_empirical_mgf")
+
+
+def test_bve_checks_share_one_draw(monkeypatch):
+    sizes = []
+    sample_bve = harness.sample_bve
+
+    def counting(*args, **kwargs):
+        sizes.append(kwargs["size"])
+        return sample_bve(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "sample_bve", counting)
+    harness._bve_cases.cache_clear()
+    assert all(dict(harness._CHECKS)[check](0.0).passed for check in BVE_CHECKS)
+    assert sizes == [1_000_000]
+
+
+@pytest.mark.parametrize("check", BVE_CHECKS)
+def test_bve_checks_flag_an_offset_of_twice_their_bound_in_stderrs(check):
+    # each verdict is its own, though the three read one draw: an offset of
+    # 2 x bound x the smallest stderr fails the check on that case
+    run = dict(harness._CHECKS)[check]
+    tol = run.args[2]
+    se = min(scale for _, _, scale in run.args[1]())
+    assert run(0.0).passed
+    assert not run(2.0 * tol * se).passed and not run(-2.0 * tol * se).passed
+
+
 @pytest.mark.parametrize("offset", [2e-3, -2e-3])
 def test_limit_sde_check_flags_a_small_offset(offset):
     # 2e-3 is about 2.1e-3 relative to F-hat(1.5): about 11 oracle stderrs
@@ -239,18 +285,50 @@ def test_limit_sde_check_flags_a_small_offset(offset):
                                           ("cva_vs_nested_mc", "cva")])
 def test_pair_checks_fail_alone_under_a_five_stderr_offset(check, which):
     # the four pair checks read one simulation, yet each verdict is its own
-    _, (_, se) = harness._pair_values()[which]
+    ((_, _, se),) = harness._pair_values()[which]
     assert run_validation(perturb={check: 5 * se}, workers=2).failures() == [check]
 
 
-def test_nested_mc_cva_one_path_has_zero_stderr():
+@pytest.mark.parametrize("offset", [3e-5, -3e-5])
+def test_cva_check_flags_a_small_offset(offset):
+    # 3e-5 is about 7 stderrs of the conditional CVA oracle (4.1e-6); the
+    # default-indicator oracle's stderr at 20,000 paths, 1.45e-5, let it pass
+    run = dict(harness._CHECKS)["cva_vs_nested_mc"]
+    assert run(0.0).passed and not run(offset).passed
+
+
+def pair_store(n_paths, seed):
+    """The gate's pair stored at the CVA run's nodes, with its node weights."""
+
     cfg, _, cps = harness._validation_baseline()
+    nodes, g = harness._cva_node_weights(cfg, cps.loss_b, 3.0)
+    ps = stored_paths(Pool((), cfg.lambda_c), cps, horizon=3.0, n_paths=n_paths, seed=seed,
+                      dt=harness._PAIR_DT, sample_times=nodes)
+    return ps, g
+
+
+def test_conditional_cva_one_path_has_zero_stderr():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        ps = stored_paths(Pool((), cfg.lambda_c), cps, horizon=3.0, n_paths=1, seed=5)
-        est, se = _richardson(*(harness.nested_mc_cva(p.default_times, cfg, cps.loss_b, 3.0)
-                                for p in (ps, ps.coarse)))
-    assert math.isfinite(est) and se == 0.0
+        ps, g = pair_store(1, 5)
+        est, se = _richardson(*(conditional_cva(p, g) for p in (ps, ps.coarse)))
+    assert math.isfinite(est) and est > 0.0 and se == 0.0
+
+
+def test_conditional_cva_agrees_with_the_indicator_oracle():
+    # the gate's CVA run stored: its conditional estimate is the visitor's,
+    # it agrees with the default-indicator oracle on the same paths, and its
+    # stderr is far smaller at equal paths
+    cfg, _, cps = harness._validation_baseline()
+    ps, g = pair_store(harness._CVA_PATHS, harness.VALIDATION_SEED + 13)
+    cond = [conditional_cva(p, g) for p in (ps, ps.coarse)]
+    ind = [nested_mc_cva(p.default_times, cfg, cps.loss_b, 3.0) for p in (ps, ps.coarse)]
+    est, se = _richardson(*cond)
+    ((_, gate_est, gate_se),) = harness._pair_values()["cva"]
+    assert abs(est - gate_est) < 1e-12 * gate_est and abs(se - gate_se) < 1e-9 * gate_se
+    diff, diff_se = _richardson(*(i - c for i, c in zip(ind, cond)))
+    assert abs(diff) <= 3.0 * diff_se
+    assert _richardson(*ind)[1] >= 3.0 * se
 
 
 def test_curve_table_csv_format(tmp_path):

@@ -415,18 +415,19 @@ def test_mc_h1_oracle_matches_transform_derivative():
 
 
 def test_mc_kernel_oracles_equal_separate_runs_at_gate_arguments():
-    # pinned stream layout: the gate's one pair simulation (504 fine steps
-    # of 1/168 to maturity 3, Richardson-extrapolated against the coupled
-    # coarse path of 252 steps of 1/84, in 4096-path blocks of antithetic
-    # pairs) gives exactly these kernel and nested-CVA estimates and
-    # pair-clustered stderrs; a change of step, horizon, block width,
-    # pairing or coupling moves them
+    # pinned stream layout: the gate's two pair runs (the kernel run's 20,000
+    # paths to u = 1, and the CVA run's 4096 to maturity 3 with its
+    # conditional CVA summed over the 253 nodes of step 1/84), each on 1/168
+    # Richardson-extrapolated against its coupled coarse path of 1/84, in
+    # 4096-path blocks of antithetic pairs, give exactly these kernel and CVA
+    # estimates and pair-clustered stderrs; a change of step, horizon, block
+    # width, pairing, coupling, node rule or seed moves them
     from cdspool.harness import _pair_values
-    mc = {name: est for name, (_, est) in _pair_values().items()}
-    assert mc == {"h1": (0.23631217457034892, 0.0004282249625216222),
-                  "h2": (0.23539485290706408, 0.0004219768446897049),
-                  "joint_survival": (0.48604143866270444, 0.0004725825084281647),
-                  "cva": (0.0018679430241213307, 1.4525821390478582e-05)}
+    mc = {name: (est, se) for name, ((_, est, se),) in _pair_values().items()}
+    assert mc == {"h1": (0.23545613890578043, 0.00042621576138513715),
+                  "h2": (0.2360578722097949, 0.0004152907478181361),
+                  "joint_survival": (0.48625272698852423, 0.00047299569807204535),
+                  "cva": (0.0018667063225643126, 4.098672892336841e-06)}
 
 
 def test_mc_limit_transform_pinned_at_gate_arguments():
