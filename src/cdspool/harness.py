@@ -497,13 +497,17 @@ def _bve_cases() -> dict[str, tuple[_Case, ...]]:
         vals = np.exp(ta * ya + tb * yb)
         return mgf_bve(ta, tb, p), vals.mean(), _stderr(vals)
 
+    # mgf_bve_vs_mc's argument, then bve_empirical_mgf's five
+    mgf = [transform(ta, tb) for ta, tb in ((-0.7, -0.3), (-0.2, -0.2), (-1.0, -0.1),
+                                            (-0.1, -1.0), (-0.5, -1.5), (-2.0, -2.0))]
     moments = [(1.0 / rate, y.mean(), _stderr(y))
                for y, rate in ((ya, p.marginal_rate_a), (yb, p.marginal_rate_b))]
-    corr = np.corrcoef(ya, yb)[0, 1]
+    # the correlation last, on the draw centred in place: no copy of it is made
+    ya -= ya.mean()
+    yb -= yb.mean()
+    corr = (ya @ yb) / math.sqrt((ya @ ya) * (yb @ yb))
     moments.append((p.correlation, corr, (1.0 - corr * corr) / math.sqrt(n)))
-    return {"mgf": (transform(-0.7, -0.3),), "moments": tuple(moments),
-            "empirical": tuple(transform(ta, tb) for ta, tb in (
-                (-0.2, -0.2), (-1.0, -0.1), (-0.1, -1.0), (-0.5, -1.5), (-2.0, -2.0)))}
+    return {"mgf": tuple(mgf[:1]), "moments": tuple(moments), "empirical": tuple(mgf[1:])}
 
 
 def _check_fhat_cir() -> Iterator[_Case]:
@@ -548,10 +552,9 @@ def _check_exposure_quadrature() -> Iterator[_Case]:
 def _cva_node_weights(cfg: LimitConfig, loss_b: float,
                       maturity: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes s_j of the CVA run, the coarse grid of step 2 _PAIR_DT on [0,
-    maturity], and weights g_j = w_j L_B e^{-r s_j} F(s_j) (E(s_j))^+ with
-    the trapezoid weights w_j, F = ``survival_fhat`` and E =
-    ``exposure_limit``. A path's conditional CVA is the sum of g_j
-    xi_B(s_j) S_AB(s_j) over the nodes."""
+    maturity], and weights g_j = w_j L_B e^{-r s_j} F(s_j) (E(s_j))^+: w_j
+    the trapezoid's, F ``survival_fhat`` and E ``exposure_limit``. A path's
+    conditional CVA is the sum of g_j xi_B(s_j) S_AB(s_j) over the nodes."""
 
     nodes = np.linspace(0.0, maturity, int(round(maturity / (2.0 * _PAIR_DT))) + 1)
     w = np.full(len(nodes), nodes[1])
@@ -579,7 +582,6 @@ def _pair_values(seed: int = VALIDATION_SEED + 12) -> dict[str, tuple[_Case, ...
     cfg, _, cps = _validation_baseline()
     u, maturity = 1.0, 3.0
     x_a, x_b = cps.side_a.xi0, cps.side_b.xi0
-    pair = Pool((), cfg.lambda_c)
     # kern[level, j, m]: path m's h1, h2 and joint survival at u, and cva[level,
     # m] its conditional CVA, on the fine then coarse level
     kern = np.empty((2, 3, _KERNEL_PATHS))
@@ -595,8 +597,8 @@ def _pair_values(seed: int = VALIDATION_SEED + 12) -> dict[str, tuple[_Case, ...
     for horizon, n_paths, run_seed, times, fold in (
             (u, _KERNEL_PATHS, seed, [u], fold_kernels),
             (maturity, _CVA_PATHS, seed + 1, nodes, fold_cva)):
-        _euler_blocks(pair, cps, horizon=horizon, n_paths=n_paths, seed=run_seed, dt=_PAIR_DT,
-                      sample_times=times, workers=1, visit=fold)
+        _euler_blocks(Pool((), cfg.lambda_c), cps, horizon=horizon, n_paths=n_paths,
+                      seed=run_seed, dt=_PAIR_DT, sample_times=times, workers=1, visit=fold)
     closed = (kernels.kernel(u, x_a, x_b, cps, cfg.lambda_c, "B"),
               kernels.kernel(u, x_a, x_b, cps, cfg.lambda_c, "A"),
               kernels.joint_survival(u, x_a, x_b, cps, cfg.lambda_c),

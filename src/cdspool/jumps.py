@@ -139,8 +139,7 @@ def sample_bve(params: BveParams, rng: np.random.Generator, size=None):
     e_a = _exp(params.gamma_a)
     e_b = _exp(params.gamma_b)
     e_c = _exp(params.gamma_ab)
-    y_a = np.minimum(e_a, e_c)
-    y_b = np.minimum(e_b, e_c)
     if size is None:
-        return float(y_a), float(y_b)
-    return y_a, y_b
+        return float(min(e_a, e_c)), float(min(e_b, e_c))
+    # in place: a large draw peaks at three arrays, not five
+    return np.minimum(e_a, e_c, out=e_a), np.minimum(e_b, e_c, out=e_b)

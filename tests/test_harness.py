@@ -284,7 +284,8 @@ def test_limit_sde_check_flags_a_small_offset(offset):
 @pytest.mark.parametrize("check, which", [("h1_vs_mc", "h1"),
                                           ("cva_vs_nested_mc", "cva")])
 def test_pair_checks_fail_alone_under_a_five_stderr_offset(check, which):
-    # the four pair checks read one simulation, yet each verdict is its own
+    # the four pair checks read one cached computation, yet each verdict is
+    # its own
     ((_, _, se),) = harness._pair_values()[which]
     assert run_validation(perturb={check: 5 * se}, workers=2).failures() == [check]
 
