@@ -65,6 +65,8 @@ class LimitConfig:
             raise ConfigError("LimitConfig fields must be finite.")
         if self.kappa <= 0 or self.sigma <= 0 or self.gamma1 <= 0 or self.gamma2 <= 0:
             raise ConfigError("kappa, sigma, gamma1, gamma2 must be positive.")
+        if not math.isfinite(self.kappa * self.kappa + 2.0 * self.sigma * self.sigma):
+            raise ConfigError("kappa^2 + 2 sigma^2 must be a finite float.")
         if self.c < 0 or self.d < 0 or self.lambda_hat < 0 or self.lambda_c < 0:
             raise ConfigError("Jump loadings and rates must be non-negative.")
         if self.x0 <= 0:
@@ -138,15 +140,14 @@ def limit_exp_test(theta: float, t, cfg: LimitConfig):
     return float(out) if out.ndim == 0 else out
 
 
-def empirical_measure_eval(x: np.ndarray, tau: np.ndarray, theta: float,
-                           t: float) -> np.ndarray:
+def empirical_measure_eval(x: np.ndarray, alive: np.ndarray, theta: float) -> np.ndarray:
     """Per-path values of the surviving-name empirical measure applied to
-    the test function exp(theta x), theta <= 0, at time t.
+    the test function exp(theta x), theta <= 0, at one time t.
 
-    x holds the names' intensities at t and tau their default times
-    resolved through t (paths by names). A path's value is the
-    equal-weight average over names of exp(theta x) times the survival
-    indicator tau > t; theta = 0 is the surviving mass, as in
+    x holds the names' intensities at t and alive their survival
+    indicators there (paths by names): 1{integral of x_k on [0, t] <
+    threshold_k}. A path's value is the equal-weight average over names of
+    exp(theta x) times alive; theta = 0 is the surviving mass, as in
     :func:`limit_exp_test`. Euler paths come in antithetic pairs, so their
     mean's stderr is the pair-clustered one.
     """
@@ -156,7 +157,7 @@ def empirical_measure_eval(x: np.ndarray, tau: np.ndarray, theta: float,
     if np.shape(x)[-1] == 0:
         raise ValueError("No reference names.")
     f = 1.0 if theta == 0.0 else np.exp(theta * x)
-    return (f * (tau > t)).mean(axis=1)
+    return (f * alive).mean(axis=1)
 
 
 def build_name_sequence(cfg: LimitConfig, K: int) -> Pool:

@@ -235,8 +235,9 @@ def run_measure_convergence(spec: ExperimentSpec) -> list[CurveTable]:
     measure against the limit measure, with a per-K sup-error summary
     (median over repeats).
 
-    The Euler engine's visitor writes each path's statistics
-    (:func:`empirical_measure_eval` at theta = 0 and -1) into arrays
+    The Euler engine's visitor reads each name's survival at the sample
+    time, its running integral below its threshold, and writes each path's
+    statistics (:func:`empirical_measure_eval` at theta = 0 and -1) into arrays
     allocated before the run, so the run holds O(block x K) state plus two
     values per path and time, never the paths.
     """
@@ -255,10 +256,10 @@ def run_measure_convergence(spec: ExperimentSpec) -> list[CurveTable]:
             # stats[j, i, m]: path m's statistic at times[i], theta = 0 then theta
             stats = np.empty((2, len(times), spec.n_paths))
 
-            def fold(level, i, r0, r1, xp, integ, tau):
+            def fold(level, i, r0, r1, xp, integ, thr):
+                alive = integ[:r1 - r0] < thr[:r1 - r0]
                 for j, th in enumerate((0.0, theta)):
-                    stats[j, i, r0:r1] = empirical_measure_eval(
-                        xp[:r1 - r0], tau[:r1 - r0], th, float(times[i]))
+                    stats[j, i, r0:r1] = empirical_measure_eval(xp[:r1 - r0], alive, th)
 
             _euler_blocks(pool, None, horizon=spec.horizon, n_paths=spec.n_paths,
                           seed=spec.seed + rep, dt=dt, sample_times=times,
@@ -588,10 +589,10 @@ def _pair_values(seed: int = VALIDATION_SEED + 12) -> dict[str, tuple[_Case, ...
     cva = np.zeros((2, _CVA_PATHS))
     nodes, g = _cva_node_weights(cfg, cps.loss_b, maturity)
 
-    def fold_kernels(level, i, r0, r1, xp, integ, tau):
+    def fold_kernels(level, i, r0, r1, xp, integ, thr):
         kern[level, :, r0:r1] = mc_kernel_oracles(xp[:r1 - r0], integ[:r1 - r0])
 
-    def fold_cva(level, i, r0, r1, xp, integ, tau):
+    def fold_cva(level, i, r0, r1, xp, integ, thr):
         cva[level, r0:r1] += g[i] * mc_kernel_oracles(xp[:r1 - r0], integ[:r1 - r0])[0]
 
     for horizon, n_paths, run_seed, times, fold in (

@@ -11,9 +11,10 @@ the names' common and idiosyncratic jump sizes. It is the only way either
 engine takes that law. Two engines simulate this system:
 
 - :func:`_euler_blocks` runs Euler with full truncation (positive part in
-  both drift and diffusion) on a fine grid. Default times are doubly
-  stochastic: unit-mean exponential thresholds drawn up front, crossed by
-  the trapezoidal integral of the simulated intensity on the fine grid.
+  both drift and diffusion) on a fine grid. Defaults are doubly
+  stochastic: an entity survives to a node while the trapezoidal integral
+  of its simulated intensity there is below its unit-mean exponential
+  threshold, drawn up front. The engine resolves no default time.
   Each block allocates its step buffers once and runs every step in place:
   the normals are drawn into one buffer (``standard_normal(out=...)``, the
   same values as a fresh draw) and mirrored onto the partner paths (below),
@@ -22,8 +23,8 @@ engine takes that law. Two engines simulate this system:
   drift and diffusion read it. The per-entity parameters are rows at block
   shape, so a block of the narrow pair runs each operation as one flat
   loop. Like the exact engine it stores no path: at each sample time it
-  hands a block's state (truncated intensities, running integrals, default
-  times so far) to a visitor that folds it into per-path values, the
+  hands a block's state (truncated intensities, running integrals and the
+  thresholds) to a visitor that folds it into per-path values, the
   empirical-measure statistics of the measure-convergence study or the
   kernel and conditional-CVA oracles of the gate's pair runs. For the
   counterparty pair alone it also steps a coupled coarse path of step 2 dt
@@ -137,6 +138,8 @@ class CounterpartySide:
             raise ConfigError(f"{type(self).__name__} fields must be finite.")
         if self.alpha < 0 or self.kappa <= 0 or self.sigma < 0:
             raise ConfigError("Require alpha >= 0, kappa > 0, sigma >= 0.")
+        if not math.isfinite(self.kappa * self.kappa + 2.0 * self.sigma * self.sigma):
+            raise ConfigError("kappa^2 + 2 sigma^2 must be a finite float.")
         if self.c < 0 or self.d < 0 or self.lambda_hat < 0 or self.xi0 < 0:
             raise ConfigError("Jump fields and xi0 must be non-negative.")
 
@@ -223,16 +226,14 @@ class CounterpartyParams:
 class _Level:
     """One Euler level's in-place state in a block: x; its positive part xp,
     carried from the end of one step (the trapezoid) to the start of the
-    next (drift and diffusion), with the buffer xnew for the next one; the
-    running trapezoid integral; default times tau and the alive mask."""
+    next (drift and diffusion), with the buffer xnew for the next one; and
+    the running trapezoid integral."""
 
     def __init__(self, x0: np.ndarray) -> None:
         self.x = x0.copy()
         self.xp = np.maximum(x0, 0.0)
         self.xnew = np.empty_like(x0)
         self.integ = np.zeros_like(x0)
-        self.tau = np.full_like(x0, np.inf)
-        self.alive = np.ones(x0.shape, dtype=bool)
 
 
 def _check_discount(r: float, span: float) -> None:
@@ -348,8 +349,8 @@ def map_ordered(fn: Callable, items: Sequence, workers: int) -> list:
 def _euler_blocks(pool: Pool, cps: CounterpartyParams | None, *, horizon: float, n_paths: int,
                   seed: int, dt: float, sample_times, workers: int,
                   visit: Callable[..., None]) -> None:
-    """The Euler engine's block loop: simulate the joint intensity system
-    and resolve default times, handing each block's state to ``visit``.
+    """The Euler engine's block loop: simulate the joint intensity system,
+    handing each block's state and default thresholds to ``visit``.
 
     Parameters
     ----------
@@ -368,18 +369,19 @@ def _euler_blocks(pool: Pool, cps: CounterpartyParams | None, *, horizon: float,
     workers
         Thread count for the block loop; never changes the values visited.
 
-    At each sample time i, ``visit(level, i, r0, r1, xp, integ, tau)``
+    At each sample time i, ``visit(level, i, r0, r1, xp, integ, thr)``
     reads one level of one block: the truncated, non-negative intensities
-    xp, the running trapezoid integrals integ and the default times tau
-    resolved so far (inf before a default), each full width (block rows by
-    entities), whose first r1 - r0 rows are paths r0:r1. They are the
-    block's live buffers, so a visit copies what it keeps; blocks run on
-    ``workers`` threads, so a visit writes only to its own paths. Level 0
-    is the fine path. The counterparty pair alone also steps a coupled
-    coarse path of step 2 dt, level 1, visited at the sample times on its
-    grid: its Brownian increment is the sum of the two fine ones, and it
-    adds both fine steps' jumps at the end of its step and crosses the same
-    thresholds. It draws nothing, so the fine path is unchanged by it. The
+    xp, the running trapezoid integrals integ and the unit-exponential
+    default thresholds thr, each full width (block rows by entities), whose
+    first r1 - r0 rows are paths r0:r1. The integral never decreases, so
+    integ < thr means no crossing at any node up to the sample time. These
+    are the block's live buffers, so a visit copies what it keeps; blocks
+    run on ``workers`` threads, so a visit writes only to its own paths.
+    Level 0 is the fine path. The counterparty pair alone also steps a
+    coupled coarse path of step 2 dt, level 1, visited at the sample times
+    on its grid with the same thresholds: its Brownian increment is the sum
+    of the two fine ones, and it adds both fine steps' jumps at the end of
+    its step. It draws nothing, so the fine path is unchanged by it. The
     pair alone needs an even step count and, when they are given, sample
     times on the coarse grid, so that both levels visit each of them.
     Paths run in blocks of 256 when the system has names and of 4096 for
@@ -423,6 +425,8 @@ def _euler_blocks(pool: Pool, cps: CounterpartyParams | None, *, horizon: float,
             raise ConfigError("sample_times must lie on the Euler grid.")
         if np.any((sample_idx < 0) | (sample_idx > n_steps)):
             raise ConfigError("sample_times must lie in [0, horizon].")
+        if not 0 < len(sample_idx) == len(np.unique(sample_idx)):
+            raise ConfigError("sample_times must be one or more distinct grid times.")
         if pair and np.any(sample_idx % 2):
             raise ConfigError("sample_times of the counterparty pair alone must lie on its "
                               "coarse grid of step 2 dt.")
@@ -491,18 +495,16 @@ def _euler_blocks(pool: Pool, cps: CounterpartyParams | None, *, horizon: float,
         levels = [_Level(x0) for _ in range(1 + pair)]
         fine, coarse = levels[0], levels[-1]
         z, z_odd, a, v = (np.empty((bf, E)) for _ in range(4))
-        newly = np.empty((bf, E), dtype=bool)
 
         def reach(level: int, node: int) -> None:
             if slot[node] >= 0:
                 lv = levels[level]
-                visit(level, slot[node], r0, r1, lv.xp, lv.integ, lv.tau)
+                visit(level, slot[node], r0, r1, lv.xp, lv.integ, thr)
 
         def close(level: int, i0: int, i1: int, h: float) -> None:
             """Finish a step of length h that covers fine steps i0 to i1 - 1,
             after its diffusion update: add those steps' jumps, truncate,
-            integrate, record the defaults at node i1 and visit it if it is
-            a sample node."""
+            integrate and visit node i1 if it is a sample node."""
 
             lv = levels[level]
             lo, hi = cptr[i0], cptr[i1]
@@ -513,11 +515,6 @@ def _euler_blocks(pool: Pool, cps: CounterpartyParams | None, *, horizon: float,
                 np.add.at(lv.x, (irow[lo:hi], icol[lo:hi]), isize[lo:hi])
             _truncate_and_integrate(lv.x, lv.xp, lv.xnew, lv.integ, h, a)
             lv.xp, lv.xnew = lv.xnew, lv.xp
-            np.greater_equal(lv.integ, thr, out=newly)
-            np.logical_and(newly, lv.alive, out=newly)
-            if newly.any():
-                lv.tau[newly] = i1 * dt
-                lv.alive &= ~newly
             reach(level, i1)
 
         for level in range(len(levels)):

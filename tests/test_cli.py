@@ -217,6 +217,23 @@ def test_bad_experiment_input_is_a_config_error(tmp_path, capsys, override):
     assert err["error"]["code"] == EXIT_CONFIG and err["error"]["kind"] == "config"
 
 
+@pytest.mark.parametrize("kind, config, override", [
+    ("bcva-sweep", "fig4", "limit.kappa=1e300"), ("bcva-sweep", "fig4", "limit.sigma=1e200"),
+    ("convergence", "fig1-c", "limit.sigma=1e200"),
+    ("convergence", "fig1-c", "limit.kappa=1e300"),
+    ("measure-convergence", "measure", "limit.sigma=1e200")])
+def test_an_overflowing_varpi_is_a_config_error(tmp_path, capsys, kind, config, override):
+    # kappa^2 + 2 sigma^2 past the largest float: the Riccati closed forms
+    # would read an infinite varpi, and the sweeps printed all-zero CVA
+    code = run_cli(["--experiment", kind, "--config", CONFIGS / f"{config}.cfg", "--seed", "1",
+                    "--set", override, "--set", "experiment.n_paths=8", "--out", tmp_path])
+    assert code == EXIT_CONFIG
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"]["code"] == EXIT_CONFIG and err["error"]["kind"] == "config"
+
+
 @pytest.mark.parametrize("override", [
     # the limit exposure's quadrature panels, then the exact engine's jump clocks
     "experiment.horizon=1e300", "limit.lambda_c=1e16"])

@@ -142,7 +142,8 @@ def test_simulate_paths_is_finite_or_raises_cleanly(arg, data):
         except CLEAN_ERRORS:
             return
     assert np.all(np.isfinite(ps.intensities)) and np.all(ps.intensities >= 0.0), (law, kw)
-    assert np.all(np.isfinite(ps.thresholds)) and np.all(ps.default_times > 0.0), (law, kw)
+    assert np.all(np.isfinite(ps.thresholds)) and np.all(ps.thresholds > 0.0), (law, kw)
+    assert np.all(np.isfinite(ps.integrated)) and np.all(ps.integrated >= 0.0), (law, kw)
 
 
 # exact_book_values' numeric arguments, on a one-name jump pool and a few paths

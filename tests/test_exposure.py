@@ -216,7 +216,8 @@ def measure_at(ps, theta, i):
     """Mean and pair-clustered stderr of the empirical-measure statistic at
     sample index i of stored Euler paths, as the measure study reduces it."""
 
-    vals = empirical_measure_eval(ps.intensities[:, i], ps.default_times, theta, ps.times[i])
+    alive = ps.integrated[:, i] < ps.thresholds
+    vals = empirical_measure_eval(ps.intensities[:, i], alive, theta)
     return vals.mean(), _pair_stderr(vals)
 
 
@@ -251,7 +252,7 @@ def test_empirical_measure_rejects_unknown_test_function():
 
 def test_empirical_measure_needs_reference_names():
     with pytest.raises(ValueError, match="No reference names"):
-        empirical_measure_eval(np.empty((4, 0)), np.empty((4, 0)), 0.0, 0.5)
+        empirical_measure_eval(np.empty((4, 0)), np.empty((4, 0), dtype=bool), 0.0)
 
 
 def test_name_ladder_first_rung_and_limits():

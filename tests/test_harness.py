@@ -16,7 +16,7 @@ from cdspool.harness import (CurveTable, ExperimentSpec, default_counterparties,
                              run_measure_convergence, run_validation, write_run)
 from cdspool.simulation import Pool, _richardson
 
-from euler_paths import conditional_cva, stored_paths
+from euler_paths import conditional_cva, default_times, stored_paths
 from finite_k import exact_states
 from oracles import nested_mc_cva
 
@@ -136,6 +136,24 @@ def test_run_measure_convergence_summary():
     assert set(summary.columns) == {"sup_err_mass_median", "sup_err_exp_median"}
     curve = tables[0]
     assert curve.columns["empirical_mass"][0] == 1.0  # nobody defaults at t = 0
+
+
+def test_measure_study_counts_a_name_that_crossed_at_a_sample_node_as_dead():
+    # on this grid four sample times t sit just below their node's float
+    # index * dt, so a default time read as that product exceeds t although
+    # the name crossed at that very node; survival is integral < threshold
+    # at the node itself, which no rounding of the clock can move
+    spec = small_spec(kind="measure-convergence", horizon=1.0, n_times=32, k_values=(10,),
+                      n_paths=512, repeats=1)
+    dt, times = grid_for_samples(spec.horizon, spec.n_times, spec.dt)
+    assert np.sum(np.rint(times / dt) * dt > times) == 4
+    mass = run_measure_convergence(spec)[0].columns["empirical_mass"]
+    ps = stored_paths(build_name_sequence(spec.limit, 10), horizon=spec.horizon,
+                      n_paths=spec.n_paths, seed=spec.seed, dt=dt, sample_times=times)
+    alive = ps.integrated < ps.thresholds[:, None, :]
+    # each path's surviving share, then their mean, reduced as the study does
+    expected = [alive[:, i].mean(axis=1).mean() for i in range(len(times))]
+    np.testing.assert_array_equal(mass, expected)
 
 
 def test_run_bcva_sweeps():
@@ -299,20 +317,27 @@ def test_cva_check_flags_a_small_offset(offset):
 
 
 def pair_store(n_paths, seed):
-    """The gate's pair stored at the CVA run's nodes, with its node weights."""
+    """The gate's pair stored at every node of its fine grid, whose every
+    second node is a node of the CVA run's weights, with those weights."""
 
     cfg, _, cps = harness._validation_baseline()
-    nodes, g = harness._cva_node_weights(cfg, cps.loss_b, 3.0)
+    _, g = harness._cva_node_weights(cfg, cps.loss_b, 3.0)
     ps = stored_paths(Pool((), cfg.lambda_c), cps, horizon=3.0, n_paths=n_paths, seed=seed,
-                      dt=harness._PAIR_DT, sample_times=nodes)
+                      dt=harness._PAIR_DT)
     return ps, g
+
+
+def cva_levels(ps, g):
+    """The per-path conditional CVA of a pair store's fine and coarse levels."""
+
+    return conditional_cva(ps, g, every=2), conditional_cva(ps.coarse, g)
 
 
 def test_conditional_cva_one_path_has_zero_stderr():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         ps, g = pair_store(1, 5)
-        est, se = _richardson(*(conditional_cva(p, g) for p in (ps, ps.coarse)))
+        est, se = _richardson(*cva_levels(ps, g))
     assert math.isfinite(est) and est > 0.0 and se == 0.0
 
 
@@ -322,14 +347,26 @@ def test_conditional_cva_agrees_with_the_indicator_oracle():
     # stderr is far smaller at equal paths
     cfg, _, cps = harness._validation_baseline()
     ps, g = pair_store(harness._CVA_PATHS, harness.VALIDATION_SEED + 13)
-    cond = [conditional_cva(p, g) for p in (ps, ps.coarse)]
-    ind = [nested_mc_cva(p.default_times, cfg, cps.loss_b, 3.0) for p in (ps, ps.coarse)]
+    cond = cva_levels(ps, g)
+    ind = [nested_mc_cva(default_times(p), cfg, cps.loss_b, 3.0) for p in (ps, ps.coarse)]
     est, se = _richardson(*cond)
     ((_, gate_est, gate_se),) = harness._pair_values()["cva"]
     assert abs(est - gate_est) < 1e-12 * gate_est and abs(se - gate_se) < 1e-9 * gate_se
     diff, diff_se = _richardson(*(i - c for i, c in zip(ind, cond)))
     assert abs(diff) <= 3.0 * diff_se
     assert _richardson(*ind)[1] >= 3.0 * se
+
+
+def test_pair_bias_sweep_script_runs(capsys):
+    # the script reads the engine's private step functions; run both of its
+    # measurements at their smallest sizes so a change to them shows here
+    import pair_bias_sweep
+    pair_bias_sweep.seed_sweep(2)
+    pair_bias_sweep.step_doubling(1)
+    out = capsys.readouterr().out
+    assert "seed sweep, 2 seeds" in out and "4096 paths" in out and "node rule" in out
+    for name in pair_bias_sweep.CHECKS:
+        assert out.count(f"  {name:<15s} ") == 2, name
 
 
 def test_curve_table_csv_format(tmp_path):

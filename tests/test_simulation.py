@@ -18,7 +18,7 @@ from cdspool.simulation import (CounterpartyParams, CounterpartySide, NameParams
                                 _pair_stderr, _richardson, _stderr, exact_book_values,
                                 mc_limit_transform)
 
-from euler_paths import kernel_oracles, stored_paths
+from euler_paths import default_times, kernel_oracles, stored_paths
 from oracles import euler_limit_transform
 
 
@@ -41,20 +41,6 @@ def make_cps(**overrides):
 NOJUMP_CFG = LimitConfig(alpha=0.75, kappa=1.5, sigma=0.2, c=0.0, d=0.0,
                          lambda_hat=0.5, x0=0.5, gamma1=1.5, gamma2=1.5,
                          lambda_c=2.5, s_z=0.02, l_z=0.4, r=0.03)
-
-
-def redraw_defaults(ps, rng=None, thresholds=None):
-    """Default times re-derived on the stored sample grid: the first stored
-    time at which the running intensity integral reaches fresh
-    unit-exponential thresholds drawn from ``rng``, or the given
-    ``thresholds``; inf if it never does."""
-
-    m, _, e = ps.integrated.shape
-    if thresholds is None:
-        thresholds = rng.standard_exponential((m, e))
-    thr = np.broadcast_to(np.asarray(thresholds, dtype=float), (m, e))
-    crossed = ps.integrated >= thr[:, None, :]
-    return np.where(crossed.any(axis=1), ps.times[np.argmax(crossed, axis=1)], np.inf)
 
 
 def test_stationary_deterministic_path_is_constant():
@@ -102,10 +88,11 @@ def test_default_times_match_exponential_survival():
     lam = 0.3
     name = make_name(sigma=0.0, c=0.0, d=0.0, lambda_hat=0.0, alpha=lam * 1e-12,
                      kappa=1e-12, xi0=lam)
+    times = (0.5, 1.0, 2.0)
     ps = stored_paths(Pool([name]), horizon=2.0, n_paths=100_000, seed=5, dt=1e-2,
-                      sample_times=[0.0, 2.0])
-    for t in (0.5, 1.0, 2.0):
-        p_hat = (ps.default_times[:, 0] > t).mean()
+                      sample_times=times)
+    for i, t in enumerate(times):
+        p_hat = (ps.integrated[:, i, 0] < ps.thresholds[:, 0]).mean()
         p = math.exp(-lam * t)
         se = math.sqrt(p * (1 - p) / ps.n_paths)
         assert abs(p_hat - p) < 3 * se
@@ -114,8 +101,7 @@ def test_default_times_match_exponential_survival():
 def test_forced_infinite_thresholds_mean_no_defaults():
     ps = stored_paths(Pool((), 2.5, 1.5, 1.5), make_cps(), horizon=1.0, n_paths=50, seed=9,
                       dt=1e-2)
-    tau = redraw_defaults(ps, thresholds=np.inf)
-    assert np.all(np.isinf(tau))
+    assert np.all(np.isinf(default_times(ps, thresholds=np.inf)))
 
 
 def test_joint_survival_factorizes_for_independent_entities():
@@ -123,8 +109,7 @@ def test_joint_survival_factorizes_for_independent_entities():
     names = [make_name(xi0=0.4, alpha=0.3, c=0.0), make_name(xi0=0.6, alpha=0.2, c=0.0)]
     ps = stored_paths(Pool(names, 0.0, 1.5, 1.5), horizon=1.0, n_paths=50_000, seed=13,
                       dt=2e-3, sample_times=[0.0, 1.0])
-    t = 1.0
-    alive = ps.default_times > t
+    alive = ps.integrated[:, -1] < ps.thresholds  # survival to t = 1
     i1, i2 = alive[:, 0].astype(float), alive[:, 1].astype(float)
     delta = (i1 * i2).mean() - i1.mean() * i2.mean()
     assert abs(delta) < 4 * _pair_stderr((i1 - i1.mean()) * (i2 - i2.mean()))
@@ -136,10 +121,8 @@ def test_conditional_independence_given_frozen_paths():
     cps = make_cps()
     ps = stored_paths(Pool((), 1.0, 1.5, 1.5), cps, horizon=1.0, n_paths=50_000, seed=17,
                       dt=2e-3, sample_times=[0.0, 1.0])
-    rng = np.random.default_rng(23)
-    tau = redraw_defaults(ps, rng=rng)
-    t = 1.0
-    alive = (tau > t).astype(float)
+    fresh = np.random.default_rng(23).standard_exponential((ps.n_paths, 2))
+    alive = (ps.integrated[:, -1] < fresh).astype(float)  # survival to t = 1
     joint = alive[:, 0] * alive[:, 1]
     cond = np.exp(-(ps.integrated[:, -1, 0] + ps.integrated[:, -1, 1]))
     se = _pair_stderr(joint) + _pair_stderr(cond)
@@ -173,39 +156,43 @@ def test_bit_reproducibility_and_worker_invariance():
     c = stored_paths(pool, make_cps(), workers=4, **kw)
     for other in (b, c):
         np.testing.assert_array_equal(a.intensities, other.intensities)
-        np.testing.assert_array_equal(a.default_times, other.default_times)
+        np.testing.assert_array_equal(a.integrated, other.integrated)
         np.testing.assert_array_equal(a.thresholds, other.thresholds)
 
 
 def test_names_and_pair_pinned():
     # pinned stream layout (antithetic normals, per-path thresholds and
     # jumps) and Euler arithmetic for a system with names: both jump layers
-    # on every entity; SHA-256 of the raw float64 bytes
+    # on every entity; SHA-256 of the raw float64 bytes of the intensities,
+    # running integrals and thresholds, then of the default times derived
+    # from this store of every node (each a crossing node's index times dt)
     digests = ("bc21d9bac82241e4ad47a03a960bc4d4c37df21b170226a0b6044f4e2ac2f028",
-               "c4dcf2a5455f63a7bbe325008456516e4ef2405d8144a1d3f09d3256da745936",
-               "e490def82ff9626acfd806526c5decae152b7de86af3388833389c2cc47e5a57")
+               "a06e80443d1847def40edefdc70211001841a4d24091cdaab0802951097f3fb1",
+               "e490def82ff9626acfd806526c5decae152b7de86af3388833389c2cc47e5a57",
+               "c4dcf2a5455f63a7bbe325008456516e4ef2405d8144a1d3f09d3256da745936")
     names = [make_name(xi0=0.01 * (k + 1), sigma=0.1 + 0.05 * k) for k in range(3)]
     ps = stored_paths(Pool(names, 2.5, 1.5, 1.5), make_cps(), horizon=0.5, n_paths=600,
                       seed=31, dt=1e-3, workers=2)
     got = tuple(hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
-                for a in (ps.intensities, ps.default_times, ps.thresholds))
+                for a in (ps.intensities, ps.integrated, ps.thresholds, default_times(ps)))
     assert got == digests
 
 
 def test_pair_alone_fine_path_pinned():
     # the fine Euler path of the pair alone (two 4096-path blocks, both jump
     # layers, a correlated common jump): SHA-256 of its stored intensities,
-    # running integrals, default times and thresholds, which the coupled
-    # coarse path stepped beside it must leave untouched
+    # running integrals and thresholds, which the coupled coarse path
+    # stepped beside it must leave untouched, then of the default times
+    # derived from this store of every node
     digests = ("f48d9e6453930904d82b6e6e905d7e48739d538c05cf4e18aeb5730105370421",
                "129badd47b6c1b5e8e22a7f057c85b64a94261e226ab1f8b8684670b44d43ad1",
-               "40215e3711104c7e7333c613cf5aaf6b4bd08478d258cedbaf3dfd99bf183cfc",
-               "5398e8f5b5670e9365413dbc6211475a6ef502efe4a5430266b47e6f69b11992")
+               "5398e8f5b5670e9365413dbc6211475a6ef502efe4a5430266b47e6f69b11992",
+               "40215e3711104c7e7333c613cf5aaf6b4bd08478d258cedbaf3dfd99bf183cfc")
     cps = make_cps(common_jump=BveParams(1.5, 2.0, 0.5))
     ps = stored_paths(Pool((), 2.5), cps, horizon=0.5, n_paths=4200, seed=41, dt=1e-2,
                       workers=2)
     got = tuple(hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
-                for a in (ps.intensities, ps.integrated, ps.default_times, ps.thresholds))
+                for a in (ps.intensities, ps.integrated, ps.thresholds, default_times(ps)))
     assert got == digests
 
 
@@ -250,7 +237,8 @@ def test_paths_invariant_to_total_path_count():
     big = stored_paths(pool, n_paths=700, **kw)
     small = stored_paths(pool, n_paths=123, **kw)
     np.testing.assert_array_equal(big.intensities[:123], small.intensities)
-    np.testing.assert_array_equal(big.default_times[:123], small.default_times)
+    np.testing.assert_array_equal(big.integrated[:123], small.integrated)
+    np.testing.assert_array_equal(big.thresholds[:123], small.thresholds)
 
 
 def test_config_errors():
@@ -263,6 +251,10 @@ def test_config_errors():
     with pytest.raises(ConfigError):
         stored_paths(Pool([make_name()]), horizon=1.0, n_paths=1, seed=1,
                      sample_times=[0.123456])  # off the grid
+    # one visit per sample slot: no time twice, not even through rounding to a node
+    for bad in ([], [0.5, 0.5], [0.5, 0.5 + 1e-12]):
+        with pytest.raises(ConfigError, match="distinct grid times"):
+            stored_paths(Pool([make_name()]), horizon=1.0, n_paths=1, seed=1, sample_times=bad)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no cast warning before the check
         for bad in (math.nan, math.inf, -math.inf):
@@ -659,7 +651,7 @@ def test_coarse_increment_is_the_sum_of_the_fine_ones():
 def test_coarse_path_takes_both_fine_steps_jumps():
     # diffusion frozen, both jump layers on: the coarse path adds the jumps
     # of its two fine steps, so it meets the fine path at every coarse node,
-    # and it crosses the same thresholds on its own grid
+    # and it is read against the same thresholds on its own grid
     side = CounterpartySide(alpha=0.0, kappa=1e-12, sigma=0.0, c=0.7, d=0.5,
                             lambda_hat=3.0, xi0=0.1)
     ps = stored_paths(Pool((), 5.0), make_cps(side_a=side, side_b=side), horizon=1.0,
@@ -668,7 +660,8 @@ def test_coarse_path_takes_both_fine_steps_jumps():
     assert np.ptp(ps.intensities[:, -1, 0]) > 1.0  # the jumps moved the paths
     np.testing.assert_allclose(coarse.intensities, ps.intensities[:, ::2], rtol=1e-10)
     assert coarse.thresholds is ps.thresholds
-    tau = coarse.default_times[np.isfinite(coarse.default_times)]
+    tau = default_times(coarse)
+    tau = tau[np.isfinite(tau)]
     assert len(tau) > 0
     np.testing.assert_allclose(tau / 0.02, np.rint(tau / 0.02), rtol=0, atol=1e-9)
 
