@@ -11,7 +11,8 @@ reproduces the run. The manifest's ``config_hash`` is the hash of that text
 alone, so it does not depend on ``--workers``.
 
 Exit codes: 0 success, 2 configuration error (or a run too large for the
-machine's memory), 3 validation failure, 4 numerical-accuracy error.
+machine's memory), 3 validation failure, 4 numerical-accuracy error (or a
+floating-point exception in a run whose config passed every check).
 """
 
 from __future__ import annotations
@@ -240,6 +241,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     except AccuracyError as exc:
         _error_line(EXIT_ACCURACY, "accuracy", str(exc))
+        return EXIT_ACCURACY
+    except FloatingPointError as exc:
+        _error_line(EXIT_ACCURACY, "accuracy", f"floating-point exception: {exc}")
         return EXIT_ACCURACY
 
     if report is not None:

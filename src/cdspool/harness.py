@@ -139,9 +139,9 @@ class ExperimentSpec:
                 f"experiment horizon must be finite and > 0, got {self.horizon}.")
         if self.dt is not None and not (math.isfinite(self.dt) and self.dt > 0.0):
             raise ConfigError(f"experiment dt must be finite and > 0, got {self.dt}.")
-        if self.dt is not None and self.kind == "convergence":
-            raise ConfigError("experiment dt has no effect on convergence runs, which "
-                              "draw the book exactly at the sample times; remove it.")
+        if self.dt is not None and self.kind != "measure-convergence":
+            raise ConfigError(f"experiment dt has no effect on {self.kind} runs; only the "
+                              "measure-convergence study takes an Euler step. Remove it.")
         if not self.k_values or min(self.k_values) < 1:
             raise ConfigError("experiment k_values must list pool sizes >= 1, "
                               f"got {list(self.k_values)}.")
@@ -683,16 +683,18 @@ def write_run(tables: list[CurveTable], spec: ExperimentSpec, out_dir: Path,
 
 
 def run_experiment(spec: ExperimentSpec, out_dir: Path | None = None):
-    """Dispatch one experiment; optionally persist outputs."""
+    """Dispatch one experiment; optionally persist outputs. An overflow, invalid
+    operation or division by zero raises FloatingPointError."""
 
-    if spec.kind == "convergence":
-        tables, report = run_convergence(spec), None
-    elif spec.kind == "measure-convergence":
-        tables, report = run_measure_convergence(spec), None
-    elif spec.kind == "bcva-sweep":
-        tables, report = run_bcva_sweeps(spec), None
-    else:  # validate: ExperimentSpec admits no other kind
-        tables, report = [], run_validation(spec.perturb, spec.workers)
+    with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
+        if spec.kind == "convergence":
+            tables, report = run_convergence(spec), None
+        elif spec.kind == "measure-convergence":
+            tables, report = run_measure_convergence(spec), None
+        elif spec.kind == "bcva-sweep":
+            tables, report = run_bcva_sweeps(spec), None
+        else:  # validate: ExperimentSpec admits no other kind
+            tables, report = [], run_validation(spec.perturb, spec.workers)
     if out_dir is not None:
         write_run(tables, spec, out_dir, report)
     return tables, report

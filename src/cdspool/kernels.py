@@ -12,9 +12,10 @@ of smooth MGF combinations over the panels of
 The bilateral adjustment integrates the discounted positive/negative part
 of the limit exposure against pool survival and the matching kernel. The
 exposure curve is scanned in one vectorised call and split at its sign
-changes, so the integrand stays smooth on each piece, and every piece is
-integrated on the same panels, shifted to its start. A side's kernel is
-built only when the exposure has that side's sign.
+changes, each located by rescanning its bracket twice, so the integrand
+stays smooth on each piece, and every piece is integrated on the same
+panels, shifted to its start. A side's kernel is built only when the
+exposure has that side's sign.
 """
 
 from __future__ import annotations
@@ -167,74 +168,38 @@ class BcvaResult:
     dva: float
 
 
-def _brent_root(f, a: float, b: float, xtol: float) -> float:
-    """Root of f in [a, b] by Brent's method (R. P. Brent, Algorithms for
-    Minimization without Derivatives, 1973).
+def _sign_segments(f, a: float, b: float):
+    """Split [a, b] at the sign changes of a smooth function.
 
-    A step-for-step transcription of scipy's brentq.c, with its relative
-    tolerance 4 eps and its cap of 100 iterations: the same floating-point
-    operations in the same order, so it returns the same float. f(a) and
-    f(b) must differ in sign (ValueError otherwise); a NaN value of f or
-    the iteration cap ends in :class:`AccuracyError`.
+    f is scanned at 257 evenly spaced points in one vector call. Each
+    bracket of a sign change is rescanned the same way twice, every bracket
+    in one call, and its root is the secant of the last bracket, of width
+    (b - a) / 256**3. A scan value of exactly 0 is a root; a NaN raises
+    :class:`AccuracyError`.
     """
 
-    def value(x: float) -> float:
-        fx = float(f(x))
-        if math.isnan(fx):
-            raise AccuracyError(f"root search: f({x!r}) is NaN.")
-        return fx
+    def scan(x: np.ndarray) -> np.ndarray:
+        y = f(x)
+        if np.isnan(y).any():
+            raise AccuracyError(f"sign scan: f is NaN at x = {x[np.isnan(y)][0]!r}.")
+        return y
 
-    rtol, maxiter = 4.0 * float(np.finfo(float).eps), 100
-    a, b = float(a), float(b)
-    xpre, xcur = a, b
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise ValueError(f"f(a) and f(b) must differ in sign on [{a!r}, {b!r}].")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
-        if fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # inverse quadratic
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = value(xcur)
-    raise AccuracyError(f"root search on [{a!r}, {b!r}] did not converge in "
-                        f"{maxiter} iterations; last x = {xcur!r}.")
-
-
-def _sign_segments(f, a: float, b: float):
-    """Split [a, b] at the sign changes of a smooth function, scanned at 257
-    evenly spaced points in one vector call and located by :func:`_brent_root`."""
-
-    s = np.linspace(a, b, 257)
-    sign = np.sign(f(s))
-    roots = [_brent_root(f, s[i], s[i + 1], xtol=1e-12)
-             for i in np.flatnonzero(sign[:-1] * sign[1:] < 0.0)]
-    return sorted(set([a, *roots, b]))
+    x = np.linspace(a, b, 257)
+    y = scan(x)
+    cuts = {a, b, *x[1:-1][y[1:-1] == 0.0]}
+    i = np.flatnonzero(np.sign(y[:-1]) * np.sign(y[1:]) < 0.0)
+    if i.size:
+        lo, hi, f_lo, f_hi = x[i], x[i + 1], y[i], y[i + 1]
+        rows = np.arange(i.size)
+        for _ in range(2):
+            # the ends keep their values; the 255 points between are new
+            x = np.linspace(lo, hi, 257, axis=-1)
+            y = np.column_stack([f_lo, scan(x[:, 1:-1].ravel()).reshape(-1, 255), f_hi])
+            # the first point off the left end's sign closes the new bracket
+            k = np.argmax(np.sign(y) != np.sign(f_lo)[:, None], axis=1)
+            lo, hi, f_lo, f_hi = x[rows, k - 1], x[rows, k], y[rows, k - 1], y[rows, k]
+        cuts.update(np.where(f_hi == 0.0, hi, lo - f_lo * (hi - lo) / (f_hi - f_lo)))
+    return sorted(cuts)
 
 
 def bcva(maturity: float, cfg: LimitConfig, cps: CounterpartyParams) -> BcvaResult:
@@ -244,8 +209,8 @@ def bcva(maturity: float, cfg: LimitConfig, cps: CounterpartyParams) -> BcvaResu
     The CVA term discounts the positive part of the limit exposure against
     pool survival and the side-B default kernel; the DVA term mirrors it
     with the negative part and side A. Sign changes of the exposure are
-    located by Brent's method (:func:`_brent_root`), and each sign segment
-    is integrated on :func:`~cdspool.quadrature.gauss_legendre_panels`
+    located by :func:`_sign_segments`, to the secant of a bracket of width
+    T / 256**3, and each sign segment is integrated on :func:`~cdspool.quadrature.gauss_legendre_panels`
     shifted to its start. A kernel side is built only when the exposure
     takes its sign somewhere on [0, T]. The kernels start from the
     counterparties' initial intensities. A rate far enough below 0 that the

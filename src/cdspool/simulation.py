@@ -71,6 +71,7 @@ cfg)``, the closed form it checks.
 
 from __future__ import annotations
 
+import contextvars
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -338,11 +339,13 @@ def _truncate_and_integrate(x, xp, xnew, integ, dt: float, a) -> None:
 
 
 def map_ordered(fn: Callable, items: Sequence, workers: int) -> list:
-    """Apply fn to items, on a thread pool when workers > 1; results in item order."""
+    """Apply fn to items, on a thread pool when workers > 1; results in item order.
+    Each pooled call runs in a copy of the caller's context (numpy's error state)."""
 
     if workers > 1 and len(items) > 1:
+        contexts = [contextvars.copy_context() for _ in items]
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
+            return list(pool.map(lambda ctx, x: ctx.run(fn, x), contexts, items))
     return [fn(x) for x in items]
 
 

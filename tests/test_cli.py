@@ -263,14 +263,21 @@ def test_oversized_time_grid_is_a_config_error(tmp_path, capsys):
 
 
 def test_step_on_a_convergence_run_is_a_config_error(tmp_path, capsys):
-    # the convergence book is drawn exactly at the sample times, so a step
-    # would do nothing; the measure study still runs its Euler grid on it
-    code = run_cli(["--experiment", "convergence", "--config", CONFIGS / "fig1-a.cfg",
-                    "--seed", "1", "--set", "experiment.dt=0.001", "--out", tmp_path]
-                   + SMALL)
-    assert code == EXIT_CONFIG
-    err = json.loads(capsys.readouterr().err.strip())
-    assert err["error"]["kind"] == "config" and "dt" in err["error"]["message"]
+    # the convergence book is drawn exactly at the sample times, the sweeps
+    # are closed forms and the gate fixes its own steps, so a step would do
+    # nothing there (and the manifest would record it); the measure study
+    # still runs its Euler grid on it
+    for kind, config in (("convergence", "fig1-a"), ("bcva-sweep", "fig4"),
+                         ("validate", "validate")):
+        out = tmp_path / kind
+        code = run_cli(["--experiment", kind, "--config", CONFIGS / f"{config}.cfg",
+                        "--seed", "1", "--set", "experiment.dt=0.001", "--out", out] + SMALL)
+        assert code == EXIT_CONFIG, kind
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"]["kind"] == "config" and "dt" in err["error"]["message"]
+        assert not out.exists()
     assert run_cli(["--experiment", "measure-convergence", "--config",
                     CONFIGS / "measure.cfg", "--seed", "1", "--set", "experiment.dt=0.05",
                     "--out", tmp_path / "measure"] + SMALL[:4]) == EXIT_OK
@@ -334,6 +341,24 @@ def test_accuracy_error_exit_code(tmp_path, capsys, monkeypatch):
     assert code == EXIT_ACCURACY
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"]["code"] == EXIT_ACCURACY
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_floating_point_exception_is_an_accuracy_error(tmp_path, capsys, workers):
+    # alpha = 1e300 passes every config check, then overflows the exact
+    # engine's chi-square law. 512 paths are two blocks, so at two workers
+    # the overflow happens on a pool thread, which must keep the run's
+    # raising error state; before, the run exited 0 with a constant curve
+    code = run_cli(["--experiment", "convergence", "--config", CONFIGS / "fig1-c.cfg",
+                    "--seed", "1", "--set", "limit.alpha=1e300",
+                    "--set", "experiment.n_paths=512", "--workers", workers,
+                    "--out", tmp_path])
+    assert code == EXIT_ACCURACY
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"]["kind"] == "accuracy" and "overflow" in err["error"]["message"]
+    assert not (tmp_path / "run_manifest.json").exists()
 
 
 def test_console_entry_point(tmp_path):

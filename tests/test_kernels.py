@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import cumulative_simpson
 from scipy.optimize import brentq
 
-from cdspool import kernels
+from cdspool import harness, kernels
 from cdspool.cli import EXIT_OK, build_spec, main, parse_config
 from cdspool.errors import AccuracyError
 from cdspool.exposure import LimitConfig, exposure_limit, survival_fhat
@@ -15,7 +15,8 @@ from cdspool.jumps import BveParams, mgf_bve, mgf_bve_partials
 from cdspool.kernels import (bcva, joint_survival, kernel, kernel_coefficients,
                              kernel_ode_residuals, sensitivity_sweep)
 from cdspool.riccati import exp_phi, integral_b, riccati_b
-from cdspool.simulation import CounterpartyParams, CounterpartySide
+from cdspool.simulation import (CounterpartyParams, CounterpartySide, Pool, _euler_blocks,
+                                _richardson, mc_kernel_oracles)
 
 from oracles import simpson_adaptive
 
@@ -315,63 +316,108 @@ def test_bcva_handles_sign_change_in_exposure():
     assert res.dva == pytest.approx(dva_ref, rel=2e-3)
 
 
-def test_brent_root_equals_brentq_on_every_sweep_bracket(monkeypatch):
-    # every sign-change bracket bcva meets on the fig2-fig5 sweep points
-    pairs = []
-    brent = kernels._brent_root
+def scan_brackets(f, a, b):
+    """The sign-change brackets of the 257-point scan _sign_segments starts from."""
 
-    def recording(f, a, b, xtol):
-        root = brent(f, a, b, xtol)
-        pairs.append((root, brentq(f, a, b, xtol=xtol)))
-        return root
+    x = np.linspace(a, b, 257)
+    y = f(x)
+    return [(x[i], x[i + 1]) for i in np.flatnonzero(np.sign(y[:-1]) * np.sign(y[1:]) < 0.0)]
 
-    monkeypatch.setattr(kernels, "_brent_root", recording)
+
+def assert_cuts_match_brentq(f, a, b, cuts, tol):
+    inner = cuts[1:-1]
+    brackets = scan_brackets(f, a, b)
+    assert cuts[0] == a and cuts[-1] == b and len(inner) == len(brackets)
+    for cut, (lo, hi), bound in zip(inner, brackets, np.broadcast_to(tol, len(inner))):
+        assert lo < cut < hi
+        assert abs(cut - brentq(f, lo, hi, xtol=1e-15)) <= bound
+
+
+def test_sign_segments_match_brentq_on_every_sweep_bracket(monkeypatch):
+    # every sign change bcva meets on the fig2-fig5 sweep points
+    calls = {}
+    segments = kernels._sign_segments
+
+    def recording(f, a, b):
+        cuts = segments(f, a, b)
+        calls.setdefault(stem, []).append((f, a, b, cuts))
+        return cuts
+
+    monkeypatch.setattr(kernels, "_sign_segments", recording)
     for stem in ("fig2", "fig3", "fig4", "fig5"):
         spec = build_spec(parse_config((CONFIGS / f"{stem}.cfg").read_text()),
                           "bcva-sweep", None, 1, None)
         sensitivity_sweep(spec.sweep, spec.sweep_values, spec.limit, spec.cps,
                           maturity=spec.horizon)
-    assert len(pairs) == 10  # all on the lambda_c grid of fig4
-    assert all(ours == ref for ours, ref in pairs)
+    n_cuts = {stem: sum(len(c[3]) - 2 for c in calls[stem]) for stem in calls}
+    assert n_cuts == {"fig2": 0, "fig3": 0, "fig4": 10, "fig5": 0}
+    for f, a, b, cuts in calls["fig4"]:
+        assert_cuts_match_brentq(f, a, b, cuts, tol=1e-13)
 
 
-def test_brent_root_equals_brentq_on_random_smooth_brackets():
+def test_sign_segments_match_brentq_on_random_smooth_functions():
+    # smooth functions whose roots lie more than one scan cell apart, so
+    # each sits in its own scan bracket
     rng = np.random.default_rng(1973)
-    n_brackets = 0
-    for _ in range(4000):
-        c0, c1, c2, c3, amp, rate = rng.normal(size=6)
-        freq, phase = rng.uniform(0.5, 8.0), rng.uniform(0.0, 2.0 * math.pi)
+    n_roots = 0
+    for _ in range(300):
         a, b = sorted(rng.uniform(-3.0, 3.0, size=2))
-        xtol = 10.0 ** rng.uniform(-12.0, -1.0)  # coarse ones test the step rules
+        roots = np.sort(rng.uniform(a, b, size=rng.integers(0, 5)))
+        if np.any(np.diff(roots) <= (b - a) / 256):
+            continue
+        rate, amp = rng.normal(size=2)
+        freq, phase = rng.uniform(0.5, 8.0), rng.uniform(0.0, 2.0 * math.pi)
 
         def f(x):
-            return ((c0 + x * (c1 + x * (c2 + x * c3)) + amp * math.sin(freq * x + phase))
-                    * math.exp(rate * x))
+            x = np.asarray(x, dtype=float)
+            return (np.prod(x[..., None] - roots, axis=-1) * np.exp(rate * x)
+                    * (1.5 + np.tanh(amp) * np.sin(freq * x + phase)))
 
-        if f(a) * f(b) < 0.0:
-            n_brackets += 1
-            assert kernels._brent_root(f, a, b, xtol) == brentq(f, a, b, xtol=xtol)
-    assert n_brackets > 1000
+        cuts = kernels._sign_segments(f, a, b)
+        assert len(cuts) == len(roots) + 2
+        # the secant's error on a last bracket of width w is about
+        # (w / 2)^2 |f'' / 2 f'|, and a root d from the next one adds 1 / d
+        # to that ratio: 2.3e-13 of the span for roots one cell apart
+        w = (b - a) / 256**3
+        gaps = np.abs(roots[:, None] - roots)
+        np.fill_diagonal(gaps, np.inf)
+        assert_cuts_match_brentq(f, a, b, cuts,
+                                 tol=1e-13 * (b - a) + (w / 2)**2 * np.sum(1 / gaps, axis=1))
+        n_roots += len(roots)
+    assert n_roots > 300
 
 
-def test_brent_root_rejects_a_same_sign_bracket():
-    with pytest.raises(ValueError):
-        kernels._brent_root(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-12)
+def test_a_scan_value_of_zero_is_a_cut():
+    # 1/2 is a point of the first scan; r a point of the first rescan of
+    # [100/256, 101/256], and q one of the second rescan of its last bracket
+    r = (100 + 37 / 256) / 256
+    q = (100 + (37 + 11 / 256) / 256) / 256
+    for root in (0.5, r, q):
+        def f(x):
+            return (x - root) * np.exp(x)
+
+        assert kernels._sign_segments(f, 0.0, 1.0) == [0.0, root, 1.0]
 
 
-def test_brent_root_failures_are_accuracy_errors():
-    # a step function forces bisection, and 100 halvings of [-1e300, 1e300]
-    # leave the bracket wide: scipy ends this in a bare RuntimeError
-    def step(x):
-        return 1.0 if x > 0.1 else -1.0
+def test_no_sign_change_gives_the_whole_interval():
+    assert kernels._sign_segments(lambda x: x * x + 1.0, -1.0, 1.0) == [-1.0, 1.0]
 
-    with pytest.raises(RuntimeError):
-        brentq(step, -1e300, 1e300, xtol=1e-12)
-    with pytest.raises(AccuracyError, match="100 iterations"):
-        kernels._brent_root(step, -1e300, 1e300, xtol=1e-12)
-    with pytest.raises(AccuracyError, match="NaN"):
-        kernels._brent_root(lambda x: math.nan if 0.4 < x < 0.6 else x - 0.5, 0.0, 1.0,
-                            xtol=1e-12)
+
+def test_a_nan_in_any_scan_is_an_accuracy_error():
+    # the first scan's point 76/256 is NaN; then a NaN window between the
+    # first scan's points 128/256 and 129/256, inside the bracket of the
+    # root 128.5/256, that only the rescans reach
+    def first(x):
+        return np.where(x == 76 / 256, math.nan, x - 0.5)
+
+    def rescan(x):
+        return np.where(np.abs(x - 128.25 / 256) < 1e-4, math.nan, x - 128.5 / 256)
+
+    for f in (first, rescan):
+        with pytest.raises(AccuracyError, match="NaN"):
+            kernels._sign_segments(f, 0.0, 1.0)
+    # the rescan's NaN window misses every point of the first scan
+    assert not np.isnan(rescan(np.linspace(0.0, 1.0, 257))).any()
 
 
 def fig4_point(lambda_c):
@@ -430,6 +476,39 @@ def test_bcva_against_nested_mc():
     # 1.866279e-03 +- 9.16e-06
     res = bcva(3.0, make_cfg(lambda_c=LAMBDA_C), make_cps())
     assert abs(res.cva - 1.866279e-3) < 3 * 9.16e-6
+
+
+def test_bcva_both_sides_match_conditional_mc_through_a_sign_change():
+    # fig4's lambda_c = 1 point, whose exposure turns negative before T = 3,
+    # against the gate's estimator: the pair alone at step _PAIR_DT and its
+    # coupled coarse path, each path scored on the 253 coarse nodes by its
+    # conditional CVA (weights with (E)^+ against xi_B S_AB) and DVA
+    # ((E)^- against xi_A S_AB), then Richardson-extrapolated. At 4096 paths
+    # the stderr is 0.7% of CVA and 0.35% of DVA. The node rule's bias at
+    # the (E)^- kink, the node sums of the closed-form kernels against bcva,
+    # is -0.010 (CVA) and -0.006 (DVA) of a stderr
+    cfg, cps, maturity = fig4_point(1.0)
+    nodes, g_cva = harness._cva_node_weights(cfg, cps.loss_b, maturity)
+    w = np.full(len(nodes), nodes[1])
+    w[[0, -1]] *= 0.5
+    g_dva = (w * cps.loss_a * np.exp(-cfg.r * nodes) * survival_fhat(nodes, cfg)
+             * np.maximum(-exposure_limit(nodes, maturity, cfg), 0.0))
+    assert len(nodes) == 253 and g_cva.any() and g_dva.any()
+    # vals[side, level, m]: path m's conditional CVA then DVA, fine then coarse
+    vals = np.zeros((2, 2, 4096))
+
+    def fold(level, i, r0, r1, xp, integ, thr):
+        h1, h2, _ = mc_kernel_oracles(xp[:r1 - r0], integ[:r1 - r0])
+        vals[0, level, r0:r1] += g_cva[i] * h1
+        vals[1, level, r0:r1] += g_dva[i] * h2
+
+    _euler_blocks(Pool((), cfg.lambda_c), cps, horizon=maturity, n_paths=4096, seed=4133,
+                  dt=harness._PAIR_DT, sample_times=nodes, workers=1, visit=fold)
+    res = bcva(maturity, cfg, cps)
+    for closed, levels in ((res.cva, vals[0]), (res.dva, vals[1])):
+        est, se = _richardson(*levels)
+        assert abs(est - closed) <= 3.0 * se
+        assert se < 0.01 * closed
 
 
 def test_sweep_returns_grid_and_rejects_unknown_parameter():

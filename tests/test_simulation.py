@@ -16,7 +16,7 @@ from cdspool.riccati import integral_b, integral_beta, riccati_b, riccati_beta
 from cdspool.simulation import (CounterpartyParams, CounterpartySide, NameParams, Pool,
                                 _book_rows, _book_values, _expansion_sums, _integrated_cir,
                                 _pair_stderr, _richardson, _stderr, exact_book_values,
-                                mc_limit_transform)
+                                map_ordered, mc_limit_transform)
 
 from euler_paths import default_times, kernel_oracles, stored_paths
 from oracles import euler_limit_transform
@@ -733,3 +733,16 @@ def test_short_book_negates_long_book():
     assert exposure_limit(0.0, 1.0, short_cfg) == -exposure_limit(0.0, 1.0, long_cfg)
     with pytest.raises(ConfigError, match="mixed-sign"):
         build_name_sequence(replace(long_cfg, l_z=-0.4), 3)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_map_ordered_keeps_the_callers_floating_point_error_state(workers):
+    # numpy keeps its error state in a context variable, which pool threads
+    # do not inherit on their own
+    def inverse(x):
+        return 1.0 / np.float64(x)
+
+    with np.errstate(divide="raise"):
+        with pytest.raises(FloatingPointError):
+            map_ordered(inverse, [1.0, 0.0], workers)
+    assert map_ordered(inverse, [1.0, 2.0], workers) == [1.0, 0.5]
