@@ -13,7 +13,7 @@ import hashlib
 import json
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -49,7 +49,14 @@ __all__ = [
     "VALIDATION_SEED",
 ]
 
-EXPERIMENTS = ("convergence", "bcva-sweep", "validate", "measure-convergence")
+# the run choices each kind reads; ExperimentSpec rejects any other set off its default
+_READS = {
+    "convergence": {"n_paths", "k_values", "n_times", "seed"},
+    "bcva-sweep": {"sweep", "sweep_values"},
+    "validate": set(),
+    "measure-convergence": {"n_paths", "k_values", "n_times", "repeats", "dt", "seed"},
+}
+EXPERIMENTS = tuple(_READS)
 VALIDATION_SEED = 20240901
 # paths of the gate's limit-SDE oracle: twelve 4096-path narrow blocks
 _LIMIT_ORACLE_PATHS = 49_152
@@ -104,7 +111,7 @@ class CurveTable:
 @dataclass
 class ExperimentSpec:
     """Everything one experiment run needs, resolved from config + CLI;
-    construction checks that the kind's required inputs are set."""
+    construction checks the kind's inputs and the run choices (``_READS``)."""
 
     kind: str
     limit: LimitConfig | None = None
@@ -126,7 +133,13 @@ class ExperimentSpec:
         if self.kind not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.kind!r}; "
                               f"expected one of {EXPERIMENTS}")
-        if self.seed is None and self.kind in ("convergence", "measure-convergence"):
+        unread = set().union(*_READS.values()) - _READS[self.kind]
+        moved = [f.name for f in fields(self)
+                 if f.name in unread and getattr(self, f.name) != f.default]
+        if moved:
+            keys = ", ".join("--seed" if k == "seed" else f"experiment.{k}" for k in moved)
+            raise ConfigError(f"experiment {self.kind!r} does not read {keys}.")
+        if self.seed is None and "seed" in _READS[self.kind]:
             raise ConfigError(f"experiment {self.kind!r} requires a seed")
         if self.limit is None and self.kind != "validate":
             raise ConfigError(f"experiment {self.kind!r} requires a limit section")
@@ -139,9 +152,6 @@ class ExperimentSpec:
                 f"experiment horizon must be finite and > 0, got {self.horizon}.")
         if self.dt is not None and not (math.isfinite(self.dt) and self.dt > 0.0):
             raise ConfigError(f"experiment dt must be finite and > 0, got {self.dt}.")
-        if self.dt is not None and self.kind != "measure-convergence":
-            raise ConfigError(f"experiment dt has no effect on {self.kind} runs; only the "
-                              "measure-convergence study takes an Euler step. Remove it.")
         if not self.k_values or min(self.k_values) < 1:
             raise ConfigError("experiment k_values must list pool sizes >= 1, "
                               f"got {list(self.k_values)}.")
@@ -553,15 +563,14 @@ def _check_exposure_quadrature() -> Iterator[_Case]:
 def _cva_node_weights(cfg: LimitConfig, loss_b: float,
                       maturity: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes s_j of the CVA run, the coarse grid of step 2 _PAIR_DT on [0,
-    maturity], and weights g_j = w_j L_B e^{-r s_j} F(s_j) (E(s_j))^+: w_j
-    the trapezoid's, F ``survival_fhat`` and E ``exposure_limit``. A path's
+    maturity], and weights g_j = w_j L_B e^{-r s_j} (E(s_j))^+ F(s_j), w_j
+    the trapezoid's (``kernels._adjustment_integrand``). A path's
     conditional CVA is the sum of g_j xi_B(s_j) S_AB(s_j) over the nodes."""
 
     nodes = np.linspace(0.0, maturity, int(round(maturity / (2.0 * _PAIR_DT))) + 1)
     w = np.full(len(nodes), nodes[1])
     w[[0, -1]] *= 0.5
-    return nodes, (w * loss_b * np.exp(-cfg.r * nodes) * survival_fhat(nodes, cfg)
-                   * np.maximum(exposure_limit(nodes, maturity, cfg), 0.0))
+    return nodes, w * loss_b * kernels._adjustment_integrand(nodes, maturity, cfg, 1.0)
 
 
 @functools.cache

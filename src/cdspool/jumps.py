@@ -121,25 +121,21 @@ def mgf_bve_partials(theta_a, theta_b, params: BveParams):
     return d_a, d_b
 
 
-def sample_bve(params: BveParams, rng: np.random.Generator, size=None):
-    """Draw Marshall-Olkin pairs: (min(E_a, E_c), min(E_b, E_c)).
+def sample_bve(params: BveParams, rng: np.random.Generator, size):
+    """Draw ``size`` Marshall-Olkin pairs: (min(E_a, E_c), min(E_b, E_c)).
 
     E_a ~ Exp(gamma_a), E_b ~ Exp(gamma_b), E_c ~ Exp(gamma_ab); a zero rate
     means the corresponding shock never fires. Draw order is fixed
     (a, then b, then common) so streams are reproducible.
     """
 
-    shape = () if size is None else size
-
     def _exp(rate: float):
         if rate > 0.0:
-            return rng.standard_exponential(shape) / rate
-        return np.full(shape, np.inf)
+            return rng.standard_exponential(size) / rate
+        return np.full(size, np.inf)
 
     e_a = _exp(params.gamma_a)
     e_b = _exp(params.gamma_b)
     e_c = _exp(params.gamma_ab)
-    if size is None:
-        return float(min(e_a, e_c)), float(min(e_b, e_c))
     # in place: a large draw peaks at three arrays, not five
     return np.minimum(e_a, e_c, out=e_a), np.minimum(e_b, e_c, out=e_b)

@@ -169,13 +169,16 @@ class BcvaResult:
 
 
 def _sign_segments(f, a: float, b: float):
-    """Split [a, b] at the sign changes of a smooth function.
+    """Split [a, b] at the sign changes of a smooth function: returns the
+    sorted cuts (an array) and the sign of f on each segment between them.
 
     f is scanned at 257 evenly spaced points in one vector call. Each
     bracket of a sign change is rescanned the same way twice, every bracket
     in one call, and its root is the secant of the last bracket, of width
     (b - a) / 256**3. A scan value of exactly 0 is a root; a NaN raises
-    :class:`AccuracyError`.
+    :class:`AccuracyError`. Each segment takes the first scan's sign at its
+    first scan point, or the next one's where that is 0 (a root lies inside
+    its bracket), so two neighbouring scan zeros make a segment of sign 0.
     """
 
     def scan(x: np.ndarray) -> np.ndarray:
@@ -186,20 +189,41 @@ def _sign_segments(f, a: float, b: float):
 
     x = np.linspace(a, b, 257)
     y = scan(x)
-    cuts = {a, b, *x[1:-1][y[1:-1] == 0.0]}
-    i = np.flatnonzero(np.sign(y[:-1]) * np.sign(y[1:]) < 0.0)
+    sign = np.sign(y)
+    zeros = np.flatnonzero(y[1:-1] == 0.0) + 1
+    i = np.flatnonzero(sign[:-1] * sign[1:] < 0.0)
+    # the cuts and their places on the first scan, each root's halfway through its bracket
+    place = np.concatenate([[0.0, 256.0], zeros, i + 0.5])
+    cuts = np.concatenate([[a, b], x[zeros]])
     if i.size:
         lo, hi, f_lo, f_hi = x[i], x[i + 1], y[i], y[i + 1]
         rows = np.arange(i.size)
+        t = np.linspace(0.0, 1.0, 257)
         for _ in range(2):
             # the ends keep their values; the 255 points between are new
-            x = np.linspace(lo, hi, 257, axis=-1)
+            x = lo[:, None] + (hi - lo)[:, None] * t
+            x[:, -1] = hi
             y = np.column_stack([f_lo, scan(x[:, 1:-1].ravel()).reshape(-1, 255), f_hi])
             # the first point off the left end's sign closes the new bracket
             k = np.argmax(np.sign(y) != np.sign(f_lo)[:, None], axis=1)
             lo, hi, f_lo, f_hi = x[rows, k - 1], x[rows, k], y[rows, k - 1], y[rows, k]
-        cuts.update(np.where(f_hi == 0.0, hi, lo - f_lo * (hi - lo) / (f_hi - f_lo)))
-    return sorted(cuts)
+        roots = np.where(f_hi == 0.0, hi, lo - f_lo * (hi - lo) / (f_hi - f_lo))
+        cuts = np.append(cuts, roots)
+    order = np.argsort(place)
+    place, cuts = place[order], cuts[order]
+    c = np.ceil(place[:-1]).astype(int)  # each segment's first scan point
+    signs = np.where(sign[c] != 0.0, sign[c], np.append(sign, 0.0)[c + 1])
+    # a root that rounds onto a neighbouring cut leaves a segment of no length
+    keep = cuts[1:] > cuts[:-1]
+    return cuts[np.append(True, keep)], signs[keep]
+
+
+def _adjustment_integrand(s, maturity: float, cfg: LimitConfig, sign: float):
+    """e^{-r s} (sign E(s))^+ F(s), the adjustment integrand besides its
+    kernel: E the limit exposure to ``maturity``, F the pool survival."""
+
+    return (np.exp(-cfg.r * s) * np.maximum(sign * exposure_limit(s, maturity, cfg), 0.0)
+            * survival_fhat(s, cfg))
 
 
 def bcva(maturity: float, cfg: LimitConfig, cps: CounterpartyParams) -> BcvaResult:
@@ -208,9 +232,10 @@ def bcva(maturity: float, cfg: LimitConfig, cps: CounterpartyParams) -> BcvaResu
 
     The CVA term discounts the positive part of the limit exposure against
     pool survival and the side-B default kernel; the DVA term mirrors it
-    with the negative part and side A. Sign changes of the exposure are
-    located by :func:`_sign_segments`, to the secant of a bracket of width
-    T / 256**3, and each sign segment is integrated on :func:`~cdspool.quadrature.gauss_legendre_panels`
+    with the negative part and side A (:func:`_adjustment_integrand`). Sign
+    changes of the exposure are located by :func:`_sign_segments`, to the
+    secant of a bracket of width T / 256**3, and each segment of the sign
+    it gives is integrated on :func:`~cdspool.quadrature.gauss_legendre_panels`
     shifted to its start. A kernel side is built only when the exposure
     takes its sign somewhere on [0, T]. The kernels start from the
     counterparties' initial intensities. A rate far enough below 0 that the
@@ -223,20 +248,16 @@ def bcva(maturity: float, cfg: LimitConfig, cps: CounterpartyParams) -> BcvaResu
     if maturity == 0.0:
         return BcvaResult(bcva=0.0, cva=0.0, dva=0.0)
 
-    def eps(s):
-        return exposure_limit(s, maturity, cfg)
-
-    cuts = np.array(_sign_segments(eps, 0.0, maturity))
-    mid_sign = np.sign(eps(0.5 * (cuts[:-1] + cuts[1:])))
+    cuts, signs = _sign_segments(lambda s: exposure_limit(s, maturity, cfg), 0.0, maturity)
 
     def part(side: str, sign: float) -> float:
-        own = mid_sign == sign
+        own = signs == sign
         panels = [(lo + x, w) for lo, hi in zip(cuts[:-1][own], cuts[1:][own])
                   for x, w in gauss_legendre_panels(hi - lo)]
         if not panels:
             return 0.0
         s, w = map(np.concatenate, zip(*panels))
-        f = (np.exp(-cfg.r * s) * np.maximum(sign * eps(s), 0.0) * survival_fhat(s, cfg)
+        f = (_adjustment_integrand(s, maturity, cfg, sign)
              * kernel(s, cps.side_a.xi0, cps.side_b.xi0, cps, cfg.lambda_c, side))
         return float(np.sum(w * f))
 

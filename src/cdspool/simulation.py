@@ -5,10 +5,10 @@ layers: a common Poisson process hitting every entity simultaneously
 (exponential sizes for names, a Marshall-Olkin pair for the counterparties)
 and per-entity idiosyncratic Poisson jumps.
 
-The names and their jump law form one :class:`Pool`: the names, the
-common Poisson rate lambda_c, and the exponential rates gamma1 and gamma2 of
-the names' common and idiosyncratic jump sizes. It is the only way either
-engine takes that law. Two engines simulate this system:
+The names and their jump law form one :class:`Pool`, the only way either
+engine takes that law. Both lay the entities out in one table
+(:class:`_Entities`) and draw each block's jump events from one sampler
+(:func:`_jump_events`). Two engines simulate this system:
 
 - :func:`_euler_blocks` runs Euler with full truncation (positive part in
   both drift and diffusion) on a fine grid. Defaults are doubly
@@ -40,23 +40,22 @@ engine takes that law. Two engines simulate this system:
   hand, so the study holds O(block x K) state plus one value per path and
   time, never the paths.
 
-Reproducibility contract: paths are generated in fixed-width blocks, each
-block owning a counter-based RNG stream derived from (seed, stream tag,
-block index). The tags keep the engines' streams disjoint: 0 for
-:func:`_euler_blocks`, 1 for the limit diffusion of
-:func:`mc_limit_transform`, 2 for :func:`exact_book_values`. The width is
-256 paths for systems with names, and 4096 for the counterparty pair alone
-and for the limit diffusion, whose narrow state stays in cache at that
-width. The Euler loop pairs its paths antithetically (Glasserman 2004,
-section 4.2): each step fills half a block's rows with fresh normals, one
-per pair, and path 2k + 1 diffuses on the negation of path 2k's normals.
-Every other draw stays per path: the default thresholds and both jump
-layers. Estimators on Euler paths therefore keep the plain mean but
-cluster their standard error by pair (:func:`_pair_stderr`). Every block
-draws at full width, its half-width normal fill included, so a path's
-draws depend only on the seed, the system's shape and the path's own
-index, never on the total path count or on how many workers process the
-blocks.
+Reproducibility contract: paths are generated in fixed-width blocks by one
+block driver, :func:`_run_blocks`, each block owning a counter-based RNG
+stream derived from (seed, stream tag, block index). The tags keep the
+engines' streams disjoint: 0 for :func:`_euler_blocks`, 1 for the limit
+diffusion of :func:`mc_limit_transform`, 2 for :func:`exact_book_values`.
+The width is 256 paths for systems with names, and 4096 for the
+counterparty pair alone and for the limit diffusion, whose narrow state
+stays in cache at that width. The Euler loop pairs its paths antithetically
+(Glasserman 2004, section 4.2): each step fills half a block's rows with
+fresh normals, one per pair, and path 2k + 1 diffuses on the negation of
+path 2k's normals. Every other draw stays per path: the default thresholds
+and both jump layers. Estimators on Euler paths therefore keep the plain
+mean but cluster their standard error by pair (:func:`_pair_stderr`). Every
+block draws at full width, its half-width normal fill included, so a path's
+draws depend only on the seed, the system's shape and the path's own index,
+never on the total path count or on how many workers process the blocks.
 
 Oracles: :func:`mc_kernel_oracles` reads the three counterparty kernels'
 per-path values from the pair alone's state at a lag (validation gate).
@@ -249,21 +248,6 @@ def _check_discount(r: float, span: float) -> None:
                           f"need r * span finite and >= -{_LOG_FLOAT_MAX:.6g}.")
 
 
-def _check_jump_clocks(rate: float, horizon: float) -> None:
-    """Raise ConfigError unless the largest jump clock's Poisson mean, rate *
-    horizon, stays within _POISSON_MAX; both engines check it before their
-    first allocation."""
-
-    mean = rate * horizon
-    if mean > _POISSON_MAX:
-        raise ConfigError(f"A jump clock's Poisson mean, rate * horizon = {mean:g}, exceeds "
-                          f"{_POISSON_MAX:g}.")
-
-
-def _philox_key(seed: int) -> np.ndarray:
-    return np.random.SeedSequence(seed).generate_state(2, np.uint64)
-
-
 def _block_generator(key: np.ndarray, tag: int, block: int) -> Generator:
     counter = np.array([0, 0, block, tag], dtype=np.uint64)
     return Generator(Philox(counter=counter, key=key))
@@ -293,9 +277,12 @@ def _pair_stderr(vals: np.ndarray) -> float:
     return float(math.sqrt(g / (g - 1) * (sums @ sums)) / n)
 
 
-def _sorted_events(step, *cols):
-    order = np.argsort(step, kind="stable")
-    return (step[order],) + tuple(c[order] for c in cols)
+def _grouped(bucket: np.ndarray, n_buckets: int):
+    """Events in a stable order by bucket, and ptr: bucket i holds the
+    events order[ptr[i]:ptr[i + 1]]."""
+
+    order = np.argsort(bucket, kind="stable")
+    return np.searchsorted(bucket[order], np.arange(n_buckets)), order
 
 
 def _draw_pairs(rng: Generator, z, v, sqrt_dt: float) -> None:
@@ -349,6 +336,69 @@ def map_ordered(fn: Callable, items: Sequence, workers: int) -> list:
     return [fn(x) for x in items]
 
 
+def _run_blocks(seed: int, tag: int, n_paths: int, width: int, workers: int,
+                body: Callable[[Generator, int, int], None]) -> None:
+    """The engines' block driver: ``body(rng, r0, r1)`` runs block b, paths
+    r0:r1 of ``width``, on ``workers`` threads, with Philox keyed by ``seed``
+    at counter (0, 0, b, tag)."""
+
+    key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
+
+    def run(b: int) -> None:
+        r0 = b * width
+        body(_block_generator(key, tag, b), r0, min(n_paths, r0 + width))
+
+    map_ordered(run, range((n_paths + width - 1) // width), workers)
+
+
+class _Entities:
+    """The pool's names, then sides A and B when the pair is given, on clocks
+    run to ``horizon``: each :class:`CounterpartySide` field as one array
+    over them, and ``idio_rate``, gamma2 for a name and the idiosyncratic
+    BVE marginals for a side. Building it raises ConfigError when a Poisson
+    mean, rate * horizon, exceeds _POISSON_MAX."""
+
+    def __init__(self, pool: Pool, cps: CounterpartyParams | None, horizon: float) -> None:
+        self.pool, self.cps, self.horizon = pool, cps, horizon
+        sides = () if cps is None else (cps.side_a, cps.side_b)
+        for f in fields(CounterpartySide):
+            setattr(self, f.name, np.append(getattr(pool, f.name),
+                                            [getattr(s, f.name) for s in sides]))
+        self.idio_rate = np.append(np.full(len(pool.names), pool.gamma2),
+                                   [] if cps is None else [cps.idio_jump.marginal_rate_a,
+                                                           cps.idio_jump.marginal_rate_b])
+        mean = max(pool.lambda_c, float(self.lambda_hat.max())) * horizon
+        if mean > _POISSON_MAX:
+            raise ConfigError(f"A jump clock's Poisson mean, rate * horizon = {mean:g}, "
+                              f"exceeds {_POISSON_MAX:g}.")
+
+
+def _jump_events(rng: Generator, ent: _Entities, rows: int):
+    """One block's jump events, ``rows`` paths wide, in this stream order:
+    the common clock's counts per path (Poisson, mean lambda_c horizon), a
+    uniform per event, the names' sizes c Exp(gamma1) and the sides' c times
+    a Marshall-Olkin pair; then each element's (path * E + entity) counts
+    (mean lambda_hat horizon), uniforms and sizes d Exp(idio_rate). A clock
+    of rate 0 draws nothing. Returns (crow, cu, csize, elem, iu, isize), the
+    common events' paths, uniforms and sizes (events by entities) and the
+    idiosyncratic events' elements, uniforms and sizes."""
+
+    pool, cps, horizon = ent.pool, ent.cps, ent.horizon
+    K, E = len(pool.names), len(ent.c)
+    crow = np.repeat(np.arange(rows), rng.poisson(pool.lambda_c * horizon, rows))
+    cu = rng.random(len(crow))
+    csize = rng.standard_exponential((len(crow), K)) / pool.gamma1 * ent.c[:K]
+    if cps is not None:
+        pair = np.column_stack(sample_bve(cps.common_jump, rng, len(crow))) * ent.c[K:]
+        csize = np.hstack([csize, pair])
+    elem = np.repeat(np.arange(rows * E),
+                     rng.poisson(ent.lambda_hat * horizon, (rows, E)).reshape(-1))
+    iu = rng.random(len(elem))
+    col = elem % E
+    isize = rng.standard_exponential(len(elem)) / ent.idio_rate[col] * ent.d[col]
+    return crow, cu, csize, elem, iu, isize
+
+
 def _euler_blocks(pool: Pool, cps: CounterpartyParams | None, *, horizon: float, n_paths: int,
                   seed: int, dt: float, sample_times, workers: int,
                   visit: Callable[..., None]) -> None:
@@ -359,38 +409,35 @@ def _euler_blocks(pool: Pool, cps: CounterpartyParams | None, *, horizon: float,
     ----------
     pool, cps
         The reference names with their jump law, and (optionally) the two
-        counterparties. The pair alone runs on a pool with no names,
-        ``Pool((), lambda_c)``, whose common clock it shares. Entities are
-        ordered names first, then counterparties A and B when present.
+        counterparties (entities in :class:`_Entities` order). The pair
+        alone runs on ``Pool((), lambda_c)``, whose common clock it shares.
     horizon, n_paths, seed
         Simulation horizon, path count, and RNG seed.
     dt
         Euler step. Must divide the horizon.
     sample_times
-        Distinct grid times at which the state is visited, or None for every
-        node of the Euler grid.
+        Distinct grid times at which the state is visited.
     workers
         Thread count for the block loop; never changes the values visited.
 
+    Each block draws its unit-exponential default thresholds, then its jump
+    events (:func:`_jump_events`), each at the step its uniform falls in.
     At each sample time i, ``visit(level, i, r0, r1, xp, integ, thr)``
     reads one level of one block: the truncated, non-negative intensities
-    xp, the running trapezoid integrals integ and the unit-exponential
-    default thresholds thr, each full width (block rows by entities), whose
-    first r1 - r0 rows are paths r0:r1. The integral never decreases, so
-    integ < thr means no crossing at any node up to the sample time. These
-    are the block's live buffers, so a visit copies what it keeps; blocks
-    run on ``workers`` threads, so a visit writes only to its own paths.
-    Level 0 is the fine path. The counterparty pair alone also steps a
-    coupled coarse path of step 2 dt, level 1, visited at the sample times
-    on its grid with the same thresholds: its Brownian increment is the sum
-    of the two fine ones, and it adds both fine steps' jumps at the end of
-    its step. It draws nothing, so the fine path is unchanged by it. The
-    pair alone needs an even step count and, when they are given, sample
-    times on the coarse grid, so that both levels visit each of them.
-    Paths run in blocks of 256 when the system has names and of 4096 for
-    the pair alone (see the module docstring). Every check runs before the
-    first allocation: the step count must fit a numpy array and each
-    Poisson mean of the jump clocks must stay below ``_POISSON_MAX``.
+    xp, the running trapezoid integrals integ and the thresholds thr, each
+    full width (block rows by entities), whose first r1 - r0 rows are paths
+    r0:r1. The integral never decreases, so integ < thr means no crossing
+    at any node up to the sample time. These are the block's live buffers,
+    so a visit copies what it keeps; blocks run on ``workers`` threads, so a
+    visit writes only to its own paths. Level 0 is the fine path. The
+    counterparty pair alone also steps a coupled coarse path of step 2 dt,
+    level 1, visited with the same thresholds at the sample times on its
+    grid: its Brownian increment is the sum of the two fine ones, and it
+    adds both fine steps' jumps at the end of its step. It draws nothing,
+    so the fine path is unchanged by it. The pair alone needs an even step
+    count, so that its coarse grid ends at the horizon. Every check runs
+    before the first allocation: the step count must fit a numpy array and
+    each Poisson mean of the jump clocks must stay below ``_POISSON_MAX``.
     """
 
     K = len(pool.names)
@@ -409,92 +456,44 @@ def _euler_blocks(pool: Pool, cps: CounterpartyParams | None, *, horizon: float,
     n_steps = int(round(steps))
     if abs(n_steps * dt - horizon) > 1e-8 * horizon:
         raise ConfigError("dt must divide the horizon.")
-    sides = () if cps is None else (cps.side_a, cps.side_b)
-    vec = {f.name: np.append(getattr(pool, f.name), [getattr(s, f.name) for s in sides])
-           for f in fields(CounterpartySide)}
-    _check_jump_clocks(max(pool.lambda_c, float(vec["lambda_hat"].max())), horizon)
+    ent = _Entities(pool, cps, horizon)
     pair = K == 0  # the pair alone: the coupled coarse path
     if pair and n_steps % 2:
         raise ConfigError(f"The counterparty pair alone needs an even step count for its "
                           f"coarse path of step 2 dt, got {n_steps} steps.")
-    if sample_times is None:
-        sample_idx = np.arange(n_steps + 1)
-    else:
-        sample_times = np.asarray(sample_times, dtype=float)
-        if not np.all(np.isfinite(sample_times)):
-            raise ConfigError("sample_times must be finite.")
-        sample_idx = np.rint(sample_times / dt).astype(int)
-        if np.any(np.abs(sample_idx * dt - sample_times) > 1e-9 * max(1.0, horizon)):
-            raise ConfigError("sample_times must lie on the Euler grid.")
-        if np.any((sample_idx < 0) | (sample_idx > n_steps)):
-            raise ConfigError("sample_times must lie in [0, horizon].")
-        if not 0 < len(sample_idx) == len(np.unique(sample_idx)):
-            raise ConfigError("sample_times must be one or more distinct grid times.")
-        if pair and np.any(sample_idx % 2):
-            raise ConfigError("sample_times of the counterparty pair alone must lie on its "
-                              "coarse grid of step 2 dt.")
+    sample_times = np.asarray(sample_times, dtype=float)
+    if not np.all(np.isfinite(sample_times)):
+        raise ConfigError("sample_times must be finite.")
+    sample_idx = np.rint(sample_times / dt).astype(int)
+    if np.any(np.abs(sample_idx * dt - sample_times) > 1e-9 * max(1.0, horizon)):
+        raise ConfigError("sample_times must lie on the Euler grid.")
+    if np.any((sample_idx < 0) | (sample_idx > n_steps)):
+        raise ConfigError("sample_times must lie in [0, horizon].")
+    if not 0 < len(sample_idx) == len(np.unique(sample_idx)):
+        raise ConfigError("sample_times must be one or more distinct grid times.")
 
-    key = _philox_key(seed)
-    E = K + len(sides)
+    E = len(ent.c)
     slot = np.full(n_steps + 1, -1)  # the sample index of each grid node, -1 elsewhere
     slot[sample_idx] = np.arange(len(sample_idx))
     sqrt_dt = math.sqrt(dt)
-    # idiosyncratic size rates: names use gamma2, counterparties their BVE marginals
-    idio_rate = np.full(E, pool.gamma2)
-    if cps is not None:
-        idio_rate[K] = cps.idio_jump.marginal_rate_a
-        idio_rate[K + 1] = cps.idio_jump.marginal_rate_b
-    block_size = _NAME_BLOCK_SIZE if K else _NARROW_BLOCK_SIZE
-    n_blocks = (n_paths + block_size - 1) // block_size
+    bf = _NAME_BLOCK_SIZE if K else _NARROW_BLOCK_SIZE  # every block draws at full width
     # per-entity rows at block shape, read-only and shared by the blocks:
     # with contiguous operands numpy runs each step's ufunc as one flat loop
     # instead of one short loop per path
-    alpha, kappa, sigma = (np.tile(vec[f], (block_size, 1))
-                           for f in ("alpha", "kappa", "sigma"))
+    alpha, kappa, sigma = (np.tile(v, (bf, 1)) for v in (ent.alpha, ent.kappa, ent.sigma))
 
-    def run_block(b: int) -> None:
-        rng = _block_generator(key, _BLOCK_PATHS, b)
-        r0 = b * block_size
-        r1 = min(n_paths, r0 + block_size)
-        bf = block_size  # draw at full width so paths are invariant to n_paths
-
+    def run_block(rng: Generator, r0: int, r1: int) -> None:
         thr = rng.standard_exponential((bf, E))
-
-        # common-jump schedule: one Poisson clock shared by every entity
-        if pool.lambda_c > 0.0:
-            ncom = rng.poisson(pool.lambda_c * horizon, bf)
-            tot = int(ncom.sum())
-            ev_step = (rng.random(tot) * horizon / dt).astype(np.int64)
-            ev_row = np.repeat(np.arange(bf), ncom)
-            csize = np.empty((tot, E))
-            if K:
-                csize[:, :K] = (rng.standard_exponential((tot, K)) / pool.gamma1
-                                * vec["c"][None, :K])
-            if cps is not None:
-                ya, yb = sample_bve(cps.common_jump, rng, size=tot)
-                csize[:, K] = vec["c"][K] * ya
-                csize[:, K + 1] = vec["c"][K + 1] * yb
-            ev_step, ev_row, csize = _sorted_events(ev_step, ev_row, csize)
-            cptr = np.searchsorted(ev_step, np.arange(n_steps + 1))
-        else:
-            cptr = np.zeros(n_steps + 1, dtype=np.int64)
-
-        # idiosyncratic schedules, one Poisson clock per entity
-        nidio = rng.poisson(vec["lambda_hat"] * horizon, (bf, E))
-        flat = nidio.reshape(-1)
-        tot2 = int(flat.sum())
-        irow = np.repeat(np.arange(bf), nidio.sum(axis=1))
-        icol = np.repeat(np.tile(np.arange(E), bf), flat)
-        it = rng.random(tot2) * horizon
-        isize = rng.standard_exponential(tot2) / idio_rate[icol] * vec["d"][icol]
-        istep, irow, icol, isize = _sorted_events((it / dt).astype(np.int64),
-                                                  irow, icol, isize)
-        iptr = np.searchsorted(istep, np.arange(n_steps + 1))
+        crow, cu, csize, elem, iu, isize = _jump_events(rng, ent, bf)
+        cptr, order = _grouped((cu * horizon / dt).astype(np.int64), n_steps + 1)
+        crow, csize = crow[order], csize[order]
+        iptr, order = _grouped((iu * horizon / dt).astype(np.int64), n_steps + 1)
+        elem, isize = elem[order], isize[order]
 
         # step buffers, local to the block so worker threads never share them;
         # z holds a fine step's increments, and for the pair alone z_odd the
         # second fine step's of each coarse step
-        x0 = np.tile(vec["xi0"], (bf, 1))
+        x0 = np.tile(ent.xi0, (bf, 1))
         levels = [_Level(x0) for _ in range(1 + pair)]
         fine, coarse = levels[0], levels[-1]
         z, z_odd, a, v = (np.empty((bf, E)) for _ in range(4))
@@ -512,10 +511,10 @@ def _euler_blocks(pool: Pool, cps: CounterpartyParams | None, *, horizon: float,
             lv = levels[level]
             lo, hi = cptr[i0], cptr[i1]
             if hi > lo:
-                np.add.at(lv.x, ev_row[lo:hi], csize[lo:hi])
+                np.add.at(lv.x, crow[lo:hi], csize[lo:hi])
             lo, hi = iptr[i0], iptr[i1]
             if hi > lo:
-                np.add.at(lv.x, (irow[lo:hi], icol[lo:hi]), isize[lo:hi])
+                np.add.at(lv.x.reshape(-1), elem[lo:hi], isize[lo:hi])
             _truncate_and_integrate(lv.x, lv.xp, lv.xnew, lv.integ, h, a)
             lv.xp, lv.xnew = lv.xnew, lv.xp
             reach(level, i1)
@@ -533,16 +532,7 @@ def _euler_blocks(pool: Pool, cps: CounterpartyParams | None, *, horizon: float,
                 _euler(coarse.x, coarse.xp, alpha, kappa, sigma, 2.0 * dt, z, a, v)
                 close(1, i - 1, i + 1, 2.0 * dt)
 
-    map_ordered(run_block, range(n_blocks), workers)
-
-
-def _by_interval(times: np.ndarray, event_times: np.ndarray):
-    """Group events in (0, times[-1]] by sample interval (s_i, s_{i+1}]:
-    interval i holds events order[ptr[i]:ptr[i + 1]]."""
-
-    interval = np.searchsorted(times, event_times, side="left") - 1
-    order = np.argsort(interval, kind="stable")
-    return np.searchsorted(interval[order], np.arange(len(times))), order
+    _run_blocks(seed, _BLOCK_PATHS, n_paths, bf, workers, run_block)
 
 
 def _cir_law(dt, alpha, kappa, sigma):
@@ -581,52 +571,38 @@ def _cir_transition(rng: Generator, x, decay, c, shift) -> np.ndarray:
     return c * draw
 
 
-def _exact_blocks(pool: Pool, times: np.ndarray, n_paths: int, seed: int, workers: int,
+def _exact_blocks(ent: _Entities, times: np.ndarray, n_paths: int, seed: int, workers: int,
                   visit: Callable[[int, int, int, np.ndarray], None]) -> None:
-    """The exact engine's block loop over inputs checked by :func:`exact_book_values`.
+    """The exact engine's block loop on inputs checked by :func:`exact_book_values`.
 
     Each (path, name) moves between consecutive events by
     :func:`_cir_transition`; the events are the sample times, the path's
-    common-jump times and the name's idiosyncratic jump times, all in
+    common-jump times and the name's idiosyncratic jump times
+    (:func:`_jump_events`, each uniform u at time (1 - u) horizon), all in
     (0, horizon], where the jump is added. Each sample interval runs one
     full-width draw, to every element's first event or the interval's end,
     then one round per event rank, drawing only for the elements that
-    jumped. Jump sizes follow :func:`_euler_blocks`: c Exp(gamma1) per name
-    at each common event, d Exp(gamma2) at idiosyncratic ones. Blocks of 256
-    paths run on stream tag 2 (see the module docstring). At each sample
-    time i, including 0, ``visit(i, r0, r1, x)`` reads the full-width state
-    x (block rows by names) of one block, whose first r1 - r0 rows are paths
-    r0:r1; blocks run on ``workers`` threads, so a visit writes only to its
-    own paths. A visit that computes on all rows does the same arithmetic on
-    every block, so a path's result never depends on the path count.
+    jumped. At each sample time i, including 0, ``visit(i, r0, r1, x)``
+    reads the full-width state x (block rows by names) of one block, whose
+    first r1 - r0 rows are paths r0:r1; blocks run on ``workers`` threads,
+    so a visit writes only to its own paths. A visit that computes on all
+    rows does the same arithmetic on every block, so a path's result never
+    depends on the path count.
     """
 
-    K = len(pool.names)
-    key = _philox_key(seed)
-    horizon = float(times[-1])
-    n_s = len(times)
+    pool, horizon = ent.pool, ent.horizon
+    K, n_s = len(pool.names), len(times)
     bf = _NAME_BLOCK_SIZE
-    n_blocks = (n_paths + bf - 1) // bf
     law = lambda dt, col: _cir_law(dt, pool.alpha[col], pool.kappa[col], pool.sigma[col])
 
-    def run_block(b: int) -> None:
-        rng = _block_generator(key, _BLOCK_EXACT, b)
-        r0 = b * bf
-        r1 = min(n_paths, r0 + bf)
-
-        # common-jump clock, one per path; each name draws its own size at each event
-        ncom = rng.poisson(pool.lambda_c * horizon, bf)
-        crow = np.repeat(np.arange(bf), ncom)
-        ctime = (1.0 - rng.random(len(crow))) * horizon
-        csize = rng.standard_exponential((len(crow), K)) / pool.gamma1 * pool.c
-        # idiosyncratic clocks, one per element = path * K + name
-        nidio = rng.poisson(pool.lambda_hat * horizon, (bf, K)).reshape(-1)
-        ielem = np.repeat(np.arange(bf * K), nidio)
-        itime = (1.0 - rng.random(len(ielem))) * horizon
-        isize = rng.standard_exponential(len(ielem)) / pool.gamma2 * pool.d[ielem % K]
+    def run_block(rng: Generator, r0: int, r1: int) -> None:
+        # the common sizes stay one row per event; an element is path * K + name
+        crow, cu, csize, ielem, iu, isize = _jump_events(rng, ent, bf)
+        ctime = (1.0 - cu) * horizon
+        itime = (1.0 - iu) * horizon
         # each clock's events grouped by sample interval, (s_i, s_{i+1}]
-        cptr, corder = _by_interval(times, ctime)
-        iptr, iorder = _by_interval(times, itime)
+        cptr, corder = _grouped(np.searchsorted(times, ctime, side="left") - 1, n_s)
+        iptr, iorder = _grouped(np.searchsorted(times, itime, side="left") - 1, n_s)
 
         x = np.tile(pool.xi0, (bf, 1))
         flat = x.reshape(-1)
@@ -665,7 +641,7 @@ def _exact_blocks(pool: Pool, times: np.ndarray, n_paths: int, seed: int, worker
                 flat[e] = _cir_transition(rng, flat[e], *law(step, e % K))
             visit(i + 1, r0, r1, x)
 
-    map_ordered(run_block, range(n_blocks), workers)
+    _run_blocks(seed, _BLOCK_EXACT, n_paths, bf, workers, run_block)
 
 
 def exact_book_values(pool: Pool, *, sample_times, maturity: float, r: float, n_paths: int,
@@ -698,7 +674,7 @@ def exact_book_values(pool: Pool, *, sample_times, maturity: float, r: float, n_
     if not maturity >= times[-1]:
         raise ValueError("Require every sample time <= maturity.")
     _check_discount(r, maturity)
-    _check_jump_clocks(max(pool.lambda_c, float(pool.lambda_hat.max())), float(times[-1]))
+    ent = _Entities(pool, None, float(times[-1]))
     spans = [maturity - float(t) for t in times]
     books = [_book_rows(pool, span, r) if span != 0.0 else None for span in spans]
     values = np.zeros((len(times), n_paths))
@@ -707,7 +683,7 @@ def exact_book_values(pool: Pool, *, sample_times, maturity: float, r: float, n_
         if books[i] is not None:
             values[i, r0:r1] = _book_values(x, *books[i])[:r1 - r0]
 
-    _exact_blocks(pool, times, n_paths, seed, workers, price)
+    _exact_blocks(ent, times, n_paths, seed, workers, price)
     return values
 
 
@@ -869,11 +845,10 @@ def mc_limit_transform(u: float, cfg: LimitConfig, n_paths: int,
     c lambda_c Y + d lambda_hat Ytilde, Y ~ Exp(gamma1), Ytilde ~ Exp(gamma2)
     (the frozen-mark drift of the large-pool limit). With the marks drawn,
     each path is a plain square-root diffusion, whose integral over [0, u]
-    :func:`_integrated_cir` draws in one interval. Blocks of 4096 paths run
-    on stream tag 1, each at full width. Used as the independent oracle for
-    the closed form ``survival_fhat(u, cfg)``. The lag must lie in (0, 1000
-    / kappa]: the expansion's sums read sinh(kappa u / 2), which overflows
-    past about 1420 / kappa.
+    :func:`_integrated_cir` draws in one interval. Used as the independent
+    oracle for the closed form ``survival_fhat(u, cfg)``. The lag must lie
+    in (0, 1000 / kappa]: the expansion's sums read sinh(kappa u / 2),
+    which overflows past about 1420 / kappa.
     """
 
     u = float(u)
@@ -885,19 +860,15 @@ def mc_limit_transform(u: float, cfg: LimitConfig, n_paths: int,
     if n_paths < 1:
         raise ConfigError("n_paths must be >= 1.")
     drift_c, drift_d = cfg.c * cfg.lambda_c, cfg.d * cfg.lambda_hat
-    key = _philox_key(seed)
     vals = np.empty(n_paths)
     bf = _NARROW_BLOCK_SIZE
-    n_blocks = (n_paths + bf - 1) // bf
 
-    for b in range(n_blocks):
-        rng = _block_generator(key, _BLOCK_LIMIT, b)
-        r0 = b * bf
-        r1 = min(n_paths, r0 + bf)
+    def run_block(rng: Generator, r0: int, r1: int) -> None:
         y1 = rng.standard_exponential(bf) / cfg.gamma1
         y2 = rng.standard_exponential(bf) / cfg.gamma2
         drift0 = cfg.alpha + drift_c * y1 + drift_d * y2
         _, integ = _integrated_cir(rng, cfg.x0, drift0, cfg.kappa, cfg.sigma, u)
         vals[r0:r1] = np.exp(-integ[:r1 - r0])
 
+    _run_blocks(seed, _BLOCK_LIMIT, n_paths, bf, 1, run_block)
     return float(vals.mean()), _stderr(vals)

@@ -11,6 +11,7 @@ every node. :func:`kernel_oracles` reads the gate's three kernel oracles
 from such a store.
 """
 
+import math
 import threading
 from dataclasses import dataclass
 
@@ -56,25 +57,29 @@ def stored_paths(pool, cps=None, *, horizon, n_paths, seed, dt=None, sample_time
 
     if dt is None:
         dt = horizon / 1000.0
+    if sample_times is None:
+        # every node; a grid the engine rejects gets the node 0 alone
+        n_steps = round(horizon / dt) if dt > 0 and 0 <= horizon < math.inf else 0
+        sample_times = np.arange(n_steps + 1) * dt if n_steps > 0 else [0.0]
     K = len(pool.names)
     E = K + (0 if cps is None else 2)
-    # the pair alone's coarse level visits every second node of a full grid
-    coarse_every = 2 if sample_times is None else 1
     state = {}
     lock = threading.Lock()
 
     def store(level, i, r0, r1, xp, integ, thr):
         with lock:
             if not state:
-                times = (np.arange(int(round(horizon / dt)) + 1) * dt if sample_times is None
-                         else np.asarray(sample_times, dtype=float))
-                state["times"] = times
+                times = np.asarray(sample_times, dtype=float)
+                # the pair alone's coarse level visits the times on its grid
+                on_coarse = np.rint(times / dt).astype(int) % 2 == 0
+                state["times"] = (times, times[on_coarse])
+                state["slots"] = (np.arange(len(times)), np.cumsum(on_coarse) - 1)
                 state["thresholds"] = np.empty((n_paths, E))
                 # [intensities, integrals] of each level, paths by times by entities
-                state["levels"] = [np.empty((2, n_paths, len(times[::every]), E))
-                                   for every in (1, coarse_every)[:1 + (K == 0)]]
+                state["levels"] = [np.empty((2, n_paths, len(t), E))
+                                   for t in state["times"][:1 + (K == 0)]]
         n = r1 - r0
-        j = i // coarse_every if level else i
+        j = state["slots"][level][i]
         out = state["levels"][level]
         out[0, r0:r1, j] = xp[:n]
         out[1, r0:r1, j] = integ[:n]
@@ -82,10 +87,10 @@ def stored_paths(pool, cps=None, *, horizon, n_paths, seed, dt=None, sample_time
 
     _euler_blocks(pool, cps, horizon=horizon, n_paths=n_paths, seed=seed, dt=dt,
                   sample_times=sample_times, workers=workers, visit=store)
-    times, thresholds = state["times"], state["thresholds"]
-    fine, *coarse = (Paths(times=times[::every], dt=step, n_names=K, intensities=lv[0],
+    thresholds = state["thresholds"]
+    fine, *coarse = (Paths(times=times, dt=step, n_names=K, intensities=lv[0],
                            integrated=lv[1], thresholds=thresholds)
-                     for lv, every, step in zip(state["levels"], (1, coarse_every),
+                     for lv, times, step in zip(state["levels"], state["times"],
                                                 (dt, 2.0 * dt)))
     fine.coarse = coarse[0] if coarse else None
     return fine

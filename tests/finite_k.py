@@ -24,7 +24,7 @@ pipeline only prices, as one (paths, times, names) array.
 import numpy as np
 
 from cdspool.riccati import _log1p_ratio
-from cdspool.simulation import _book_rows, _exact_blocks
+from cdspool.simulation import _book_rows, _Entities, _exact_blocks
 
 
 def exact_states(pool, *, sample_times, n_paths, seed, workers=1):
@@ -38,7 +38,8 @@ def exact_states(pool, *, sample_times, n_paths, seed, workers=1):
     def store(i, r0, r1, x):
         states[r0:r1, i] = x[:r1 - r0]
 
-    _exact_blocks(pool, times, n_paths, seed, workers, store)
+    ent = _Entities(pool, None, float(times[-1]))
+    _exact_blocks(ent, times, n_paths, seed, workers, store)
     return states
 
 

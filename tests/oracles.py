@@ -106,14 +106,11 @@ def euler_limit_transform(u: float, cfg, n_paths: int, seed: int) -> tuple[float
     n_steps = 1000
     dt = u / n_steps
     drift_c, drift_d = cfg.c * cfg.lambda_c, cfg.d * cfg.lambda_hat
-    key = simulation._philox_key(seed)
     sqrt_dt = math.sqrt(dt)
     vals = np.empty(n_paths)
     bf = simulation._NARROW_BLOCK_SIZE
 
-    for r0 in range(0, n_paths, bf):
-        rng = simulation._block_generator(key, simulation._BLOCK_LIMIT, r0 // bf)
-        r1 = min(n_paths, r0 + bf)
+    def run_block(rng, r0, r1):
         y1 = rng.standard_exponential(bf) / cfg.gamma1
         y2 = rng.standard_exponential(bf) / cfg.gamma2
         drift0 = cfg.alpha + drift_c * y1 + drift_d * y2
@@ -128,6 +125,7 @@ def euler_limit_transform(u: float, cfg, n_paths: int, seed: int) -> tuple[float
             xp, xnew = xnew, xp
         vals[r0:r1] = np.exp(-integ[:r1 - r0])
 
+    simulation._run_blocks(seed, simulation._BLOCK_LIMIT, n_paths, bf, 1, run_block)
     return float(vals.mean()), simulation._pair_stderr(vals)
 
 

@@ -30,9 +30,9 @@ import sys
 import numpy as np
 
 from cdspool import harness
-from cdspool.jumps import sample_bve
-from cdspool.simulation import (_NARROW_BLOCK_SIZE, _draw_pairs, _euler, _pair_stderr,
-                                _sorted_events, _truncate_and_integrate, mc_kernel_oracles)
+from cdspool.simulation import (_NARROW_BLOCK_SIZE, Pool, _draw_pairs, _Entities, _euler,
+                                _grouped, _jump_events, _pair_stderr,
+                                _truncate_and_integrate, mc_kernel_oracles)
 
 CHECKS = ("h1", "h2", "joint_survival", "cva")
 
@@ -66,32 +66,15 @@ def three_level_block(rng, cps, lambda_c, g_rules, node_every, u_node):
     T, dt = 3.0, harness._PAIR_DT / 2.0
     n_steps = int(round(T / dt))
     bf, E = _NARROW_BLOCK_SIZE, 2
-    sides = (cps.side_a, cps.side_b)
-    alpha, kappa, sigma = (np.tile([getattr(s, f) for s in sides], (bf, 1))
-                           for f in ("alpha", "kappa", "sigma"))
-    c = np.array([s.c for s in sides])
-    d = np.array([s.d for s in sides])
-    lam = np.array([s.lambda_hat for s in sides])
-    rate = np.array([cps.idio_jump.marginal_rate_a, cps.idio_jump.marginal_rate_b])
+    ent = _Entities(Pool((), lambda_c), cps, T)
+    alpha, kappa, sigma = (np.tile(v, (bf, 1)) for v in (ent.alpha, ent.kappa, ent.sigma))
+    crow, cu, csize, elem, iu, isize = _jump_events(rng, ent, bf)
+    cptr, order = _grouped((cu * T / dt).astype(np.int64), n_steps + 1)
+    ev_row, csize = crow[order], csize[order]
+    iptr, order = _grouped((iu * T / dt).astype(np.int64), n_steps + 1)
+    elem, isize = elem[order], isize[order]
 
-    ncom = rng.poisson(lambda_c * T, bf)
-    tot = int(ncom.sum())
-    ev_step = (rng.random(tot) * T / dt).astype(np.int64)
-    ev_row = np.repeat(np.arange(bf), ncom)
-    csize = np.column_stack(sample_bve(cps.common_jump, rng, size=tot)) * c
-    ev_step, ev_row, csize = _sorted_events(ev_step, ev_row, csize)
-    cptr = np.searchsorted(ev_step, np.arange(n_steps + 1))
-    nidio = rng.poisson(lam * T, (bf, E))
-    flat = nidio.reshape(-1)
-    irow = np.repeat(np.arange(bf), nidio.sum(axis=1))
-    icol = np.repeat(np.tile(np.arange(E), bf), flat)
-    tot2 = int(flat.sum())
-    it = rng.random(tot2) * T
-    isize = rng.standard_exponential(tot2) / rate[icol] * d[icol]
-    istep, irow, icol, isize = _sorted_events((it / dt).astype(np.int64), irow, icol, isize)
-    iptr = np.searchsorted(istep, np.arange(n_steps + 1))
-
-    x0 = np.tile([s.xi0 for s in sides], (bf, 1))
+    x0 = np.tile(ent.xi0, (bf, 1))
     x = [x0.copy() for _ in range(3)]
     xp = [np.maximum(x0, 0.0) for _ in range(3)]
     xnew = [np.empty_like(x0) for _ in range(3)]
@@ -125,7 +108,7 @@ def three_level_block(rng, cps, lambda_c, g_rules, node_every, u_node):
                 np.add.at(x[level], ev_row[lo:hi], csize[lo:hi])
             lo, hi = iptr[i0], iptr[i1]
             if hi > lo:
-                np.add.at(x[level], (irow[lo:hi], icol[lo:hi]), isize[lo:hi])
+                np.add.at(x[level].reshape(-1), elem[lo:hi], isize[lo:hi])
             _truncate_and_integrate(x[level], xp[level], xnew[level], integ[level], h, a)
             xp[level], xnew[level] = xnew[level], xp[level]
             if i1 % node_every == 0:

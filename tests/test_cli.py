@@ -208,8 +208,9 @@ BAD_INPUT_RUNS = {"experiment.sweep": ("bcva-sweep", "fig2"),
 def test_bad_experiment_input_is_a_config_error(tmp_path, capsys, override):
     kind, config = BAD_INPUT_RUNS.get(override, BAD_INPUT_RUNS.get(override.split("=")[0],
                                                                    ("convergence", "fig1-c")))
+    seed = [] if kind == "bcva-sweep" else ["--seed", "1"]
     code = run_cli(["--experiment", kind, "--config", CONFIGS / f"{config}.cfg",
-                    "--seed", "1", "--set", override, "--out", tmp_path])
+                    "--set", override, "--out", tmp_path] + seed)
     assert code == EXIT_CONFIG
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
@@ -225,8 +226,9 @@ def test_bad_experiment_input_is_a_config_error(tmp_path, capsys, override):
 def test_an_overflowing_varpi_is_a_config_error(tmp_path, capsys, kind, config, override):
     # kappa^2 + 2 sigma^2 past the largest float: the Riccati closed forms
     # would read an infinite varpi, and the sweeps printed all-zero CVA
-    code = run_cli(["--experiment", kind, "--config", CONFIGS / f"{config}.cfg", "--seed", "1",
-                    "--set", override, "--set", "experiment.n_paths=8", "--out", tmp_path])
+    paths = [] if kind == "bcva-sweep" else ["--seed", "1", "--set", "experiment.n_paths=8"]
+    code = run_cli(["--experiment", kind, "--config", CONFIGS / f"{config}.cfg",
+                    "--set", override, "--out", tmp_path] + paths)
     assert code == EXIT_CONFIG
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
@@ -281,6 +283,39 @@ def test_step_on_a_convergence_run_is_a_config_error(tmp_path, capsys):
     assert run_cli(["--experiment", "measure-convergence", "--config",
                     CONFIGS / "measure.cfg", "--seed", "1", "--set", "experiment.dt=0.05",
                     "--out", tmp_path / "measure"] + SMALL[:4]) == EXIT_OK
+
+
+# each kind with its config, and a run choice it never reads
+UNREAD_CHOICES = ([(kind, config, choice) for kind, config in (("bcva-sweep", "fig2"),
+                                                              ("validate", "validate"))
+                   for choice in ("experiment.n_paths=8", "experiment.k_values=5",
+                                  "experiment.n_times=5", "experiment.repeats=2", "--seed=1")]
+                  + [(kind, config, choice) for kind, config in (("convergence", "fig1-a"),
+                                                                 ("measure-convergence",
+                                                                  "measure"))
+                     for choice in ("experiment.sweep=sigma_star",
+                                    "experiment.sweep_values=0.1")]
+                  + [("convergence", "fig1-a", "experiment.repeats=2")])
+
+
+@pytest.mark.parametrize("kind, config, choice", UNREAD_CHOICES)
+def test_a_run_choice_the_kind_never_reads_is_a_config_error(tmp_path, capsys, kind, config,
+                                                             choice):
+    # the run would ignore the value and its manifest would record it
+    key, value = choice.split("=")
+    extra = [key, value] if key == "--seed" else ["--set", choice]
+    if kind in ("convergence", "measure-convergence"):
+        extra += ["--seed", "1"]
+    out = tmp_path / "out"
+    code = run_cli(["--experiment", kind, "--config", CONFIGS / f"{config}.cfg",
+                    "--out", out] + extra)
+    assert code == EXIT_CONFIG
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"]["kind"] == "config"
+    assert err["error"]["message"] == f"experiment {kind!r} does not read {key}."
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("config, override", [("fig3", "experiment.sweep_values=0"),

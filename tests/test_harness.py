@@ -31,8 +31,10 @@ def small_limit(**overrides):
 
 def small_spec(**overrides):
     fields = dict(kind="convergence", limit=small_limit(), horizon=0.5,
-                  k_values=(5,), n_paths=64, n_times=5, seed=7,
                   config_text="test-config")
+    if overrides.get("kind", "convergence") in ("convergence", "measure-convergence"):
+        # the Monte-Carlo run choices, which the closed-form kinds reject
+        fields.update(k_values=(5,), n_paths=64, n_times=5, seed=7)
     fields.update(overrides)
     return ExperimentSpec(**fields)
 
@@ -64,8 +66,9 @@ def test_spec_rejects_a_study_too_large_to_hold():
     assert small_spec(kind="measure-convergence", n_times=most // 2).n_times == most // 2
     with pytest.raises(ConfigError, match="cap"):
         small_spec(kind="measure-convergence", n_times=most // 2 + 1)
-    # the sweep and the gate hold no per-path values
-    assert small_spec(**SWEEP, n_times=10**9).n_times == 10**9
+    # the sweep and the gate hold no per-path values, and read no n_times
+    with pytest.raises(ConfigError, match="does not read experiment.n_times"):
+        small_spec(**SWEEP, n_times=10**9)
 
 
 def test_spec_accepts_each_kind_with_its_inputs():

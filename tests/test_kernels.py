@@ -339,9 +339,9 @@ def test_sign_segments_match_brentq_on_every_sweep_bracket(monkeypatch):
     segments = kernels._sign_segments
 
     def recording(f, a, b):
-        cuts = segments(f, a, b)
+        cuts, signs = segments(f, a, b)
         calls.setdefault(stem, []).append((f, a, b, cuts))
-        return cuts
+        return cuts, signs
 
     monkeypatch.setattr(kernels, "_sign_segments", recording)
     for stem in ("fig2", "fig3", "fig4", "fig5"):
@@ -373,8 +373,11 @@ def test_sign_segments_match_brentq_on_random_smooth_functions():
             return (np.prod(x[..., None] - roots, axis=-1) * np.exp(rate * x)
                     * (1.5 + np.tanh(amp) * np.sin(freq * x + phase)))
 
-        cuts = kernels._sign_segments(f, a, b)
+        cuts, signs = kernels._sign_segments(f, a, b)
         assert len(cuts) == len(roots) + 2
+        # the signs read off the scan are f's at each segment's midpoint
+        mid = 0.5 * (cuts[:-1] + cuts[1:])
+        np.testing.assert_array_equal(signs, np.sign(f(mid)))
         # the secant's error on a last bracket of width w is about
         # (w / 2)^2 |f'' / 2 f'|, and a root d from the next one adds 1 / d
         # to that ratio: 2.3e-13 of the span for roots one cell apart
@@ -396,11 +399,34 @@ def test_a_scan_value_of_zero_is_a_cut():
         def f(x):
             return (x - root) * np.exp(x)
 
-        assert kernels._sign_segments(f, 0.0, 1.0) == [0.0, root, 1.0]
+        cuts, signs = kernels._sign_segments(f, 0.0, 1.0)
+        assert cuts.tolist() == [0.0, root, 1.0] and signs.tolist() == [-1.0, 1.0]
 
 
 def test_no_sign_change_gives_the_whole_interval():
-    assert kernels._sign_segments(lambda x: x * x + 1.0, -1.0, 1.0) == [-1.0, 1.0]
+    cuts, signs = kernels._sign_segments(lambda x: x * x + 1.0, -1.0, 1.0)
+    assert cuts.tolist() == [-1.0, 1.0] and signs.tolist() == [1.0]
+
+
+def test_segment_signs_come_from_the_first_scan():
+    # roots in the first and the last scan bracket leave end segments with
+    # no scan point inside: each takes the sign at its end, and f is called
+    # for the first scan and the two rescans only
+    calls = []
+
+    def f(x):
+        calls.append(len(x))
+        return (x - 0.001) * (0.999 - x)
+
+    cuts, signs = kernels._sign_segments(f, 0.0, 1.0)
+    assert len(cuts) == 4 and cuts[1] == pytest.approx(0.001, abs=1e-15)
+    assert signs.tolist() == [-1.0, 1.0, -1.0] and calls == [257, 2 * 255, 2 * 255]
+    # f is 0 on [1/4, 3/4]: each of its scan points is a cut, and each
+    # segment between two of them, with no nonzero scan value, has sign 0
+    cuts, signs = kernels._sign_segments(
+        lambda x: np.minimum(x - 0.25, 0.0) + np.maximum(x - 0.75, 0.0), 0.0, 1.0)
+    assert cuts.tolist() == np.linspace(0.0, 1.0, 257)[[0, *range(64, 193), 256]].tolist()
+    assert signs.tolist() == [-1.0] + [0.0] * 128 + [1.0]
 
 
 def test_a_nan_in_any_scan_is_an_accuracy_error():
@@ -436,8 +462,8 @@ def test_bcva_matches_tight_simpson_reference(lambda_c):
     def eps(s):
         return exposure_limit(s, maturity, cfg)
 
-    cuts = kernels._sign_segments(eps, 0.0, maturity)
-    assert len(cuts) == 3
+    cuts, signs = kernels._sign_segments(eps, 0.0, maturity)
+    assert len(cuts) == 3 and signs[0] == -signs[1] != 0.0
     ref = {}
     for side, sign in (("B", 1.0), ("A", -1.0)):
         def integrand(s):
@@ -491,8 +517,7 @@ def test_bcva_both_sides_match_conditional_mc_through_a_sign_change():
     nodes, g_cva = harness._cva_node_weights(cfg, cps.loss_b, maturity)
     w = np.full(len(nodes), nodes[1])
     w[[0, -1]] *= 0.5
-    g_dva = (w * cps.loss_a * np.exp(-cfg.r * nodes) * survival_fhat(nodes, cfg)
-             * np.maximum(-exposure_limit(nodes, maturity, cfg), 0.0))
+    g_dva = w * cps.loss_a * kernels._adjustment_integrand(nodes, maturity, cfg, -1.0)
     assert len(nodes) == 253 and g_cva.any() and g_dva.any()
     # vals[side, level, m]: path m's conditional CVA then DVA, fine then coarse
     vals = np.zeros((2, 2, 4096))

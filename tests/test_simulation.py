@@ -14,9 +14,9 @@ from cdspool.jumps import BveParams, mgf_exp
 from cdspool.quadrature import composite_simpson, simpson_weights
 from cdspool.riccati import integral_b, integral_beta, riccati_b, riccati_beta
 from cdspool.simulation import (CounterpartyParams, CounterpartySide, NameParams, Pool,
-                                _book_rows, _book_values, _expansion_sums, _integrated_cir,
-                                _pair_stderr, _richardson, _stderr, exact_book_values,
-                                map_ordered, mc_limit_transform)
+                                _book_rows, _book_values, _Entities, _expansion_sums,
+                                _integrated_cir, _jump_events, _pair_stderr, _richardson,
+                                _stderr, exact_book_values, map_ordered, mc_limit_transform)
 
 from euler_paths import default_times, kernel_oracles, stored_paths
 from oracles import euler_limit_transform
@@ -194,6 +194,61 @@ def test_pair_alone_fine_path_pinned():
     got = tuple(hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
                 for a in (ps.intensities, ps.integrated, ps.thresholds, default_times(ps)))
     assert got == digests
+
+
+def test_jump_clocks_of_rate_zero_draw_nothing():
+    # with lambda_c = 0 and every lambda_hat = 0 the sampler returns no
+    # event and leaves the stream where it found it, so an engine that has
+    # no jumps draws the same diffusion as if it never called it
+    side = CounterpartySide(alpha=0.4, kappa=0.6, sigma=0.3, c=0.3, d=0.3, lambda_hat=0.0,
+                            xi0=0.2)
+    cps = make_cps(side_a=side, side_b=side, common_jump=BveParams(1.5, 2.0, 0.5))
+    names = [make_name(lambda_hat=0.0), make_name(lambda_hat=0.0, c=0.5)]
+    for pool, pair in ((Pool(names), cps), (Pool(()), cps), (Pool(names), None)):
+        rng = np.random.Generator(np.random.Philox(7))
+        events = _jump_events(rng, _Entities(pool, pair, 2.0), 256)
+        assert all(len(e) == 0 for e in events)
+        np.testing.assert_array_equal(rng.random(8),
+                                      np.random.Generator(np.random.Philox(7)).random(8))
+
+
+def test_jump_events_follow_the_jump_law():
+    # two names and the pair on both clocks: counts per path and element,
+    # uniform times, size means (c / gamma1 for a name's common size, c
+    # over the marginal rate for a side's, d / idio_rate for an
+    # idiosyncratic size) and the Marshall-Olkin correlation, each within
+    # z = 4 of the law
+    names = [make_name(c=0.2, d=0.3, lambda_hat=0.5), make_name(c=0.5, d=0.1, lambda_hat=1.5)]
+    sides = [CounterpartySide(alpha=0.4, kappa=0.6, sigma=0.3, c=c, d=d, lambda_hat=lam,
+                              xi0=0.2) for c, d, lam in ((0.3, 0.4, 0.8), (0.6, 0.2, 0.4))]
+    cps = make_cps(side_a=sides[0], side_b=sides[1], common_jump=BveParams(1.5, 2.0, 0.5),
+                   idio_jump=BveParams(1.0, 2.0, 0.7))
+    pool = Pool(names, 2.0, 1.5, 3.0)
+    horizon, rows, E = 2.0, 4096, 4
+    ent = _Entities(pool, cps, horizon)
+    np.testing.assert_array_equal(ent.idio_rate, [3.0, 3.0, 1.7, 2.7])
+    rng = np.random.Generator(np.random.Philox(3401))
+    crow, cu, csize, elem, iu, isize = _jump_events(rng, ent, rows)
+    z = []
+    counts = np.bincount(crow, minlength=rows)
+    mean = 2.0 * horizon
+    z.append((counts.mean() - mean) / math.sqrt(mean / rows))
+    idio = np.bincount(elem, minlength=rows * E).reshape(rows, E)
+    for j, lam in enumerate(ent.lambda_hat):
+        z.append((idio[:, j].mean() - lam * horizon) / math.sqrt(lam * horizon / rows))
+    for u in (cu, iu):
+        z.append((u.mean() - 0.5) / math.sqrt(1.0 / (12.0 * len(u))))
+    col = elem % E
+    rates = [1.5, 1.5, cps.common_jump.marginal_rate_a, cps.common_jump.marginal_rate_b]
+    for j in range(E):
+        for y, want in ((csize[:, j], ent.c[j] / rates[j]),
+                        (isize[col == j], ent.d[j] / ent.idio_rate[j])):
+            z.append((y.mean() - want) / _stderr(y))
+    rho = np.corrcoef(csize[:, 2], csize[:, 3])[0, 1]
+    want = cps.common_jump.correlation
+    z.append((rho - want) / ((1.0 - rho * rho) / math.sqrt(len(crow))))
+    assert len(crow) > 10_000 and np.all(csize > 0.0) and np.all(isize > 0.0)
+    assert np.max(np.abs(z)) <= 4.0, z
 
 
 def test_one_step_mirrors_each_pair_of_paths():
@@ -670,8 +725,14 @@ def test_pair_alone_needs_the_coarse_grid():
     kw = dict(horizon=1.0, n_paths=2, seed=1)
     with pytest.raises(ConfigError, match="even step count"):
         stored_paths(Pool(()), make_cps(), dt=1.0 / 3, **kw)
-    with pytest.raises(ConfigError, match="coarse grid"):
-        stored_paths(Pool(()), make_cps(), dt=0.01, sample_times=[0.5, 0.51], **kw)
+    # the coarse level visits the sample times on its grid alone, with the
+    # values a store of every node holds there
+    ps = stored_paths(Pool(()), make_cps(), dt=0.01, sample_times=[0.5, 0.51], **kw)
+    every = stored_paths(Pool(()), make_cps(), dt=0.01, **kw)
+    assert ps.times.tolist() == [0.5, 0.51] and ps.coarse.times.tolist() == [0.5]
+    np.testing.assert_array_equal(ps.intensities, every.intensities[:, [50, 51]])
+    np.testing.assert_array_equal(ps.coarse.intensities[:, 0], every.coarse.intensities[:, 25])
+    np.testing.assert_array_equal(ps.coarse.integrated[:, 0], every.coarse.integrated[:, 25])
     # a system with names runs no coarse path, so it takes an odd one
     ps = stored_paths(Pool([make_name()]), make_cps(), dt=1.0 / 3, **kw)
     assert ps.coarse is None
