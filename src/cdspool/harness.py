@@ -51,10 +51,11 @@ __all__ = [
 
 # the run choices each kind reads; ExperimentSpec rejects any other set off its default
 _READS = {
-    "convergence": {"n_paths", "k_values", "n_times", "seed"},
-    "bcva-sweep": {"sweep", "sweep_values"},
+    "convergence": {"limit", "horizon", "n_paths", "k_values", "n_times", "seed"},
+    "bcva-sweep": {"limit", "cps", "horizon", "sweep", "sweep_values"},
     "validate": set(),
-    "measure-convergence": {"n_paths", "k_values", "n_times", "repeats", "dt", "seed"},
+    "measure-convergence": {"limit", "horizon", "n_paths", "k_values", "n_times", "repeats",
+                            "dt", "seed"},
 }
 EXPERIMENTS = tuple(_READS)
 VALIDATION_SEED = 20240901
@@ -137,11 +138,13 @@ class ExperimentSpec:
         moved = [f.name for f in fields(self)
                  if f.name in unread and getattr(self, f.name) != f.default]
         if moved:
-            keys = ", ".join("--seed" if k == "seed" else f"experiment.{k}" for k in moved)
+            named = {"seed": "--seed", "limit": "the limit section",
+                     "cps": "the counterparty section"}
+            keys = ", ".join(named.get(k, f"experiment.{k}") for k in moved)
             raise ConfigError(f"experiment {self.kind!r} does not read {keys}.")
         if self.seed is None and "seed" in _READS[self.kind]:
             raise ConfigError(f"experiment {self.kind!r} requires a seed")
-        if self.limit is None and self.kind != "validate":
+        if self.limit is None and "limit" in _READS[self.kind]:
             raise ConfigError(f"experiment {self.kind!r} requires a limit section")
         if self.kind == "bcva-sweep" and (self.cps is None or self.sweep is None
                                           or not self.sweep_values):
@@ -167,15 +170,16 @@ class ExperimentSpec:
         return hashlib.sha256((self.config_text or "").encode("utf-8")).hexdigest()
 
     def provenance(self) -> dict:
+        # the run choices the kind reads, tuples as the lists JSON reads back;
+        # the config hash covers the model sections
+        choices = {k: getattr(self, k) for k in _READS[self.kind] - {"limit", "cps"}}
         return {
             "experiment": self.kind,
             "seed": self.seed,
             "config_hash": self.config_hash(),
             "package": "cdspool",
             "version": __version__,
-            "n_paths": self.n_paths,
-            "k_values": list(self.k_values),
-            "dt": self.dt,
+            **{k: list(v) if isinstance(v, tuple) else v for k, v in choices.items()},
             "workers_note": "worker count never affects values",
         }
 

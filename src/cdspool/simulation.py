@@ -31,14 +31,13 @@ engine takes that law. Both lay the entities out in one table
   on the same draws, so that estimators on the pair are
   Richardson-extrapolated (:func:`_richardson`).
 - :func:`exact_book_values` draws the names only at the sample times,
-  from the exact square-root transition law (Broadie and Kaya 2006): a
-  scaled noncentral chi-square between consecutive events, where the
-  events are the sample times and the jump times. It resolves no default
-  times and stores no integrals, so it serves the exposure convergence
-  study, whose estimator reads the intensities at the sample times alone:
-  it prices the CDS book at each sample time while a block's state is in
-  hand, so the study holds O(block x K) state plus one value per path and
-  time, never the paths.
+  by the exact square-root transition (:func:`_cir_transition`) between
+  consecutive events, where the events are the sample times and the jump
+  times. It resolves no default times and stores no integrals, so it
+  serves the exposure convergence study, whose estimator reads the
+  intensities at the sample times alone: it prices the CDS book at each
+  sample time while a block's state is in hand, so the study holds
+  O(block x K) state plus one value per path and time, never the paths.
 
 Reproducibility contract: paths are generated in fixed-width blocks by one
 block driver, :func:`_run_blocks`, each block owning a counter-based RNG
@@ -61,9 +60,9 @@ Oracles: :func:`mc_kernel_oracles` reads the three counterparty kernels'
 per-path values from the pair alone's state at a lag (validation gate).
 ``mc_limit_transform(u, cfg, n_paths, seed)`` draws the large-pool limit
 diffusion of a :class:`~cdspool.exposure.LimitConfig`, whose drift is a
-per-path frozen mark, exactly at the one lag u: the endpoint from the
-Poisson-gamma transition law and the integral given both endpoints from
-the gamma expansion of Glasserman and Kim (2011) (:func:`_integrated_cir`).
+per-path frozen mark, exactly at the one lag u: the endpoint by the same
+transition and the integral given both endpoints from the gamma expansion
+of Glasserman and Kim (2011) (:func:`_integrated_cir`).
 Its paths are independent. It takes the inputs of ``survival_fhat(u,
 cfg)``, the closed form it checks.
 """
@@ -109,7 +108,7 @@ _NARROW_BLOCK_SIZE = 4096
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 # the gamma expansion of the integrated square-root diffusion: series terms
 # kept before each moment-matched tail; zeta(2j) / pi^(2j) for j = 1..8, the
-# Taylor coefficients of its sums; the largest Poisson mean it draws
+# Taylor coefficients of its sums; the largest Poisson mean any engine draws
 _GK_TERMS = 2
 _ZETA_PI = (1 / 6, 1 / 90, 1 / 945, 1 / 9450, 1 / 93555, 691 / 638512875, 2 / 18243225,
             3617 / 325641566250)
@@ -545,30 +544,31 @@ def _cir_law(dt, alpha, kappa, sigma):
     return np.exp(-kappa * dt), sigma * sigma * grow / (4.0 * kappa), alpha * grow / kappa
 
 
-def _cir_transition(rng: Generator, x, decay, c, shift) -> np.ndarray:
+def _cir_transition(rng: Generator, x, decay, c, shift) -> tuple[np.ndarray, np.ndarray]:
     """One exact square-root transition per element, from :func:`_cir_law`'s
-    coefficients (arrays of x's shape).
+    coefficients (broadcast together), and its Poisson count: (x_next, N) with
+    N ~ Poisson(x decay / (2 c)) and x_next = 2 c Gamma(shift / (2 c) + N), where
+    shift / (2 c) = 2 alpha / sigma^2 (Broadie and Kaya 2006). An element with
+    c = 0 (sigma = 0), or whose N has a mean above _POISSON_MAX (relative noise
+    below 1 / sqrt(_POISSON_MAX); numpy rejects means above about 9e18),
+    follows its flow x decay + shift, with count -1."""
 
-    x_{s+dt} = c chi'^2_df(x decay / c) with df = shift / c = 4 alpha /
-    sigma^2 (Broadie and Kaya 2006). numpy's sampler needs df > 0, so
-    alpha = 0 draws the Poisson-gamma mixture 2 Gamma(N), N ~
-    Poisson(nonc / 2); c = 0 (sigma = 0) follows the deterministic flow
-    x decay + shift.
-    """
-
-    noisy = c > 0.0
-    if not noisy.all():
-        out = x * decay + shift
-        out[noisy] = _cir_transition(rng, *(v[noisy] for v in (x, decay, c, shift)))
-        return out
-    df, nonc = shift / c, x * decay / c
-    if np.all(df > 0.0):
-        return c * rng.noncentral_chisquare(df, nonc)
-    draw = np.empty_like(c)
-    pos = df > 0.0
-    draw[pos] = rng.noncentral_chisquare(df[pos], nonc[pos])
-    draw[~pos] = 2.0 * rng.standard_gamma(rng.poisson(0.5 * nonc[~pos]))
-    return c * draw
+    x, decay, c, shift = np.broadcast_arrays(x, decay, c, shift)
+    out = x * decay
+    flow = ~(out < c * (2.0 * _POISSON_MAX))
+    if flow.any():
+        out += shift
+        count = np.full(out.shape, -1)
+        keep = ~flow
+        out[keep], count[keep] = _cir_transition(rng, *(v[keep] for v in (x, decay, c, shift)))
+        return out, count
+    out /= 2.0 * c  # in place, as below: three block-sized arrays at the peak
+    count = rng.poisson(out)
+    np.divide(shift, 2.0 * c, out=out)
+    out += count
+    out = rng.standard_gamma(out)
+    out *= 2.0 * c
+    return out, count
 
 
 def _exact_blocks(ent: _Entities, times: np.ndarray, n_paths: int, seed: int, workers: int,
@@ -626,7 +626,7 @@ def _exact_blocks(ent: _Entities, times: np.ndarray, n_paths: int, seed: int, wo
             coef[:] = np.array(law(times[i + 1] - times[i], slice(None)))[:, None, :]
             e = el[first]
             coef.reshape(3, -1)[:, e] = law(t[first] - times[i], e % K)
-            x[...] = _cir_transition(rng, x, *coef)
+            x[...] = _cir_transition(rng, x, *coef)[0]
             # then event rank by rank: jump, move to the next event or the end
             nxt = np.append(t[1:], times[i + 1])
             nxt[np.append(first[1:], True)] = times[i + 1]
@@ -638,7 +638,7 @@ def _exact_blocks(ent: _Entities, times: np.ndarray, n_paths: int, seed: int, wo
                 step = nxt[sel] - t[sel]
                 move = step > 0.0
                 e, step = e[move], step[move]
-                flat[e] = _cir_transition(rng, flat[e], *law(step, e % K))
+                flat[e] = _cir_transition(rng, flat[e], *law(step, e % K))[0]
             visit(i + 1, r0, r1, x)
 
     _run_blocks(seed, _BLOCK_EXACT, n_paths, bf, workers, run_block)
@@ -784,32 +784,27 @@ def _integrated_cir(rng: Generator, x0: float, alpha: np.ndarray, kappa: float, 
     diffusion dX = (alpha - kappa X) dt + sigma sqrt(X) dW from x0 > 0, one
     per entry of the drift array alpha >= 0; u > 0, sigma > 0.
 
-    With delta = 4 alpha / sigma^2 and c = sigma^2 (1 - e^{-kappa u}) / (4
-    kappa), the endpoint is the Poisson-gamma transition (Broadie and Kaya
-    2006): N ~ Poisson(x0 e^{-kappa u} / (2 c)), X_u = 2 c Gamma(delta / 2 +
-    N). Given X_u, N has the Bessel law of the count eta in the gamma
-    expansion of the integral (Glasserman and Kim 2011), so no Bessel
-    function is evaluated. With the expansion's gamma_n and lambda_n, the
-    integral is the sum over n of (Gamma(P_n) + Gamma(delta / 2 + 2 N)) /
-    gamma_n, P_n ~ Poisson(lambda_n (x0 + X_u)): X1, then X2 + X3 in one
-    gamma per term. Each series keeps _GK_TERMS terms, and its tail is one
-    gamma with the tail's mean and variance (:func:`_expansion_sums`). Every
-    draw has alpha's length, so an entry depends only on the stream and its
-    index. A Poisson count whose mean exceeds _POISSON_MAX has relative noise
-    below 1 / sqrt(_POISSON_MAX) (numpy rejects means above about 9e18):
-    where N's does (tiny u or sigma), every entry follows its deterministic
-    flow, drawing nothing, and a P_n above it (a tiny sigma with x0 near 0)
-    is taken at its mean.
+    The endpoint X_u and its Poisson count N come from the exact transition
+    (:func:`_cir_transition`). Given X_u, N has the Bessel law of the count
+    eta in the gamma expansion of the integral (Glasserman and Kim 2011), so
+    no Bessel function is evaluated. With delta = 4 alpha / sigma^2 and the
+    expansion's gamma_n and lambda_n, the integral is the sum over n of
+    (Gamma(P_n) + Gamma(delta / 2 + 2 N)) / gamma_n, P_n ~ Poisson(lambda_n
+    (x0 + X_u)): X1, then X2 + X3 in one gamma per term. Each series keeps
+    _GK_TERMS terms, and its tail is one gamma with the tail's mean and
+    variance (:func:`_expansion_sums`). Every draw has alpha's length, so an
+    entry depends only on the stream and its index. Where the transition
+    follows its flow (tiny u or sigma; N's mean is one scalar, so every
+    entry alike), the integral is the flow's, and a P_n whose mean exceeds
+    _POISSON_MAX (a tiny sigma with x0 near 0) is taken at its mean.
     """
 
-    grow = -math.expm1(-kappa * u)
-    decay, c = 1.0 - grow, sigma * sigma * grow / (4.0 * kappa)
-    if not (c > 0.0 and x0 * decay <= 2.0 * c * _POISSON_MAX):
+    decay, c, shift = _cir_law(u, alpha, kappa, sigma)
+    x_u, eta = _cir_transition(rng, x0, decay, c, shift)
+    if eta[0] < 0:
+        grow = -math.expm1(-kappa * u)
         ramp = max(u - grow / kappa, 0.0) / kappa  # the drift's integral per unit alpha
-        return x0 * decay + alpha * grow / kappa, x0 * grow / kappa + alpha * ramp
-    half_df = 2.0 * alpha / (sigma * sigma)
-    eta = rng.poisson(x0 * decay / (2.0 * c), len(alpha))
-    x_u = 2.0 * c * rng.standard_gamma(half_df + eta)
+        return x_u, x0 * grow / kappa + alpha * ramp
 
     h = 0.5 * kappa * u
     # with d_n = h^2 + pi^2 n^2: 1 / gamma_n = sigma^2 u^2 / (2 d_n) and
@@ -822,7 +817,7 @@ def _integrated_cir(rng: Generator, x0: float, alpha: np.ndarray, kappa: float, 
     t1, t2, a, b = (full - kept.sum() for full, kept in
                     zip(_expansion_sums(h), (1.0 / d, 1.0 / d ** 2, q / d ** 2, q / d ** 3)))
     v = x0 + x_u
-    shape = half_df + 2.0 * eta
+    shape = 2.0 * alpha / (sigma * sigma) + 2.0 * eta  # delta / 2 + 2 N
     mean = lam[:, None] * v  # a count above _POISSON_MAX is taken at its mean
     count = np.where(mean > _POISSON_MAX, mean, rng.poisson(np.minimum(mean, _POISSON_MAX)))
     terms = (rng.standard_gamma(count)

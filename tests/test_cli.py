@@ -4,6 +4,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cdspool import harness
@@ -54,8 +55,8 @@ def test_build_spec_kind_mismatch():
 def test_build_spec_leaves_unset_experiment_keys_to_the_spec_defaults():
     mapping = {key: value for key, value in parse_config((CONFIGS / "fig2.cfg").read_text())
                .items() if key.startswith("limit.")}
-    spec = build_spec(mapping, "validate", None, 1, None)
-    default = harness.ExperimentSpec(kind="validate", limit=spec.limit)
+    spec = build_spec(mapping, "convergence", 1, 1, None)
+    default = harness.ExperimentSpec(kind="convergence", limit=spec.limit, seed=1)
     for f in fields(harness.ExperimentSpec):
         assert getattr(spec, f.name) == getattr(default, f.name), f.name
 
@@ -295,15 +296,27 @@ UNREAD_CHOICES = ([(kind, config, choice) for kind, config in (("bcva-sweep", "f
                                                                   "measure"))
                      for choice in ("experiment.sweep=sigma_star",
                                     "experiment.sweep_values=0.1")]
-                  + [("convergence", "fig1-a", "experiment.repeats=2")])
+                  + [("convergence", "fig1-a", "experiment.repeats=2"),
+                     ("validate", "validate", "experiment.horizon=2"),
+                     ("validate", "validate", "limit"), ("validate", "validate", "counterparty"),
+                     ("convergence", "fig1-a", "counterparty"),
+                     ("measure-convergence", "measure", "counterparty")])
+# a model section is set whole, with fig2's values
+SECTION_NAMES = {"limit": "the limit section", "counterparty": "the counterparty section"}
 
 
 @pytest.mark.parametrize("kind, config, choice", UNREAD_CHOICES)
 def test_a_run_choice_the_kind_never_reads_is_a_config_error(tmp_path, capsys, kind, config,
                                                              choice):
     # the run would ignore the value and its manifest would record it
-    key, value = choice.split("=")
-    extra = [key, value] if key == "--seed" else ["--set", choice]
+    key, _, value = choice.partition("=")
+    if key in SECTION_NAMES:
+        fig2 = parse_config((CONFIGS / "fig2.cfg").read_text())
+        extra = [a for k, v in fig2.items() if k.startswith(f"{key}.")
+                 for a in ("--set", f"{k}={v}")]
+        key = SECTION_NAMES[key]
+    else:
+        extra = [key, value] if key == "--seed" else ["--set", choice]
     if kind in ("convergence", "measure-convergence"):
         extra += ["--seed", "1"]
     out = tmp_path / "out"
@@ -380,12 +393,13 @@ def test_accuracy_error_exit_code(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_a_floating_point_exception_is_an_accuracy_error(tmp_path, capsys, workers):
-    # alpha = 1e300 passes every config check, then overflows the exact
-    # engine's chi-square law. 512 paths are two blocks, so at two workers
-    # the overflow happens on a pool thread, which must keep the run's
-    # raising error state; before, the run exited 0 with a constant curve
+    # alpha = 1e300 with sigma = 1e-5 passes every config check, then
+    # 2 alpha / sigma^2 overflows in the exact transition. 512 paths are two
+    # blocks, so at two workers the overflow happens on a pool thread, which
+    # must keep the run's raising error state; a thread that dropped it let
+    # the run exit 0
     code = run_cli(["--experiment", "convergence", "--config", CONFIGS / "fig1-c.cfg",
-                    "--seed", "1", "--set", "limit.alpha=1e300",
+                    "--seed", "1", "--set", "limit.alpha=1e300", "--set", "limit.sigma=1e-5",
                     "--set", "experiment.n_paths=512", "--workers", workers,
                     "--out", tmp_path])
     assert code == EXIT_ACCURACY
@@ -394,6 +408,31 @@ def test_a_floating_point_exception_is_an_accuracy_error(tmp_path, capsys, worke
     err = json.loads(lines[0])
     assert err["error"]["kind"] == "accuracy" and "overflow" in err["error"]["message"]
     assert not (tmp_path / "run_manifest.json").exists()
+
+
+def test_a_run_past_the_poisson_range_ends_cleanly(tmp_path):
+    # sigma = 1e-9 puts N's mean x decay / (2 c) near 1e18 and beyond: the
+    # names follow their flow; numpy's Poisson used to raise "lam value too large"
+    code = run_cli(["--experiment", "convergence", "--config", CONFIGS / "fig1-c.cfg",
+                    "--seed", "1", "--set", "limit.alpha=0", "--set", "limit.sigma=1e-9",
+                    "--set", "experiment.n_paths=8", "--out", tmp_path])
+    assert code == EXIT_OK
+    curve = np.loadtxt(tmp_path / "curve-exposure-K300.csv", delimiter=",", skiprows=1)
+    assert np.all(np.isfinite(curve))
+
+
+def test_a_huge_drift_follows_the_flow_to_the_limit_curve(tmp_path):
+    # alpha = 1e300: after the first transition N's mean is far past the
+    # Poisson cap, every name follows its flow, and the book equals the
+    # limit curve, -0.4 until maturity
+    code = run_cli(["--experiment", "convergence", "--config", CONFIGS / "fig1-c.cfg",
+                    "--seed", "1", "--set", "limit.alpha=1e300",
+                    "--set", "experiment.n_paths=8", "--out", tmp_path])
+    assert code == EXIT_OK
+    t, mc, _, lim = np.loadtxt(tmp_path / "curve-exposure-K300.csv", delimiter=",",
+                               skiprows=1, unpack=True)
+    np.testing.assert_array_equal(mc, lim)
+    np.testing.assert_array_equal(mc, np.where(t < 1.0, -0.4, 0.0))
 
 
 def test_console_entry_point(tmp_path):

@@ -9,9 +9,10 @@ import pytest
 
 from cdspool.errors import ConfigError
 from cdspool.exposure import LimitConfig, build_name_sequence
-from cdspool.simulation import NameParams, Pool, exact_book_values
+from cdspool.simulation import (_POISSON_MAX, NameParams, Pool, _cir_transition,
+                                exact_book_values)
 
-from finite_k import exact_states, transform_coefficients
+from finite_k import exact_states, finite_k_exposure, transform_coefficients
 from oracles import rk4_solve
 
 
@@ -105,6 +106,41 @@ def test_zero_sigma_follows_the_deterministic_flow():
                                    rtol=1e-14, atol=1e-17)
 
 
+@pytest.mark.parametrize("df", [0.5, 3.0, 0.0], ids=["df<1", "df>1", "alpha=0"])
+def test_a_transition_past_the_poisson_cap_follows_its_flow(df):
+    # N's mean x decay / (2 c) of 1e14 draws, above _POISSON_MAX the flow;
+    # numpy's noncentral chi-square returned about 4e-21 of the flow at df < 1
+    # and 1e19, and its Poisson raised at alpha = 0 past about 9e18
+    means = np.repeat([1e14, 1e17, 1e19, 1e21], 500)
+    x, decay = np.full(len(means), 0.3), np.full(len(means), 0.9)
+    c = x * decay / (2.0 * means)
+    flow = x * decay + df * c
+    got, count = _cir_transition(np.random.Generator(np.random.Philox(7)), x, decay, c, df * c)
+    assert np.all(np.isfinite(got))
+    assert np.max(np.abs(got / flow - 1.0)) <= 1e-6
+    capped = means > _POISSON_MAX
+    assert np.all(count[capped] == -1) and np.all(count[~capped] >= 0)
+
+
+@pytest.mark.parametrize("sigma, alpha", [(1e-10, 1e-25), (1e-9, 0.0)])
+def test_a_near_deterministic_ladder_matches_finite_k_exposure(sigma, alpha):
+    # the fig1-c ladder at sigma -> 0, where N's mean leaves the Poisson range:
+    # numpy's chi-square read max z = 1.4e6 on the first case and raised on
+    # the second; K = 300, 512 paths and seed 5 were fixed before the first run
+    cfg = LimitConfig(alpha=alpha, kappa=0.5, sigma=sigma, c=0.2, d=0.2, lambda_hat=0.5,
+                      x0=0.02, gamma1=1.5, gamma2=1.5, lambda_c=2.5, s_z=0.02, l_z=0.4,
+                      r=0.03)
+    pool = build_name_sequence(cfg, 300)
+    times = np.linspace(0.0, 1.0, 13)
+    vals = exact_book_values(pool, sample_times=times, maturity=1.0, r=cfg.r, n_paths=512,
+                             seed=5)
+    exact = np.array([finite_k_exposure(pool, float(t), 1.0, cfg.r) for t in times])
+    se = vals.std(axis=1, ddof=1) / math.sqrt(vals.shape[1])
+    z = np.abs(vals.mean(axis=1) - exact)[1:-1] / se[1:-1]
+    assert np.all(np.isfinite(vals))
+    assert z.max() <= 4.0, z.max()
+
+
 def test_jump_layer_means_of_the_ladder_ends():
     # fig1-c ladder at K = 300, both jump layers: names 1 and K
     cfg = LimitConfig(alpha=0.01, kappa=0.5, sigma=0.2, c=0.2, d=0.2, lambda_hat=0.5,
@@ -168,7 +204,7 @@ def test_exact_paths_pinned():
     # both jump layers; SHA-256 of the raw float64 bytes
     xs = exact_states(_jump_book(), n_paths=600, workers=2, **EXACT_KW)
     got = hashlib.sha256(np.ascontiguousarray(xs).tobytes()).hexdigest()
-    assert got == "c95076f3c3c81cb64e9b000b6f6292a5d7b4a33dd86c066f0a9fe397ceb586ca"
+    assert got == "7851d1c16362a3d56f4ce6c553bbf0ae81466ed28eb612dfc88f901f50fc5f62"
 
 
 def test_exact_paths_store_the_sample_times_and_no_defaults():

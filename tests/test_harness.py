@@ -80,6 +80,17 @@ def test_spec_accepts_each_kind_with_its_inputs():
     assert bare[0].config_hash() == bare[1].config_hash() == hashlib.sha256(b"").hexdigest()
 
 
+def test_provenance_records_the_run_choices_the_kind_reads():
+    # the gate and the sweep used to record the unread n_paths, k_values and dt
+    core = {"experiment", "seed", "config_hash", "package", "version", "workers_note"}
+    assert ExperimentSpec(kind="validate").provenance().keys() == core
+    assert small_spec(**SWEEP).provenance().keys() == core | {"horizon", "sweep",
+                                                              "sweep_values"}
+    prov = small_spec(kind="measure-convergence").provenance()
+    assert prov.keys() == core | {"horizon", "n_paths", "k_values", "n_times", "repeats", "dt"}
+    assert (prov["seed"], prov["k_values"]) == (7, [5])
+
+
 def test_grid_for_samples_lands_on_nodes():
     dt, times = grid_for_samples(1.0, 61, 1e-3)
     assert len(times) == 61
