@@ -14,6 +14,7 @@ from cdspool.exposure import LimitConfig, build_name_sequence, exposure_limit
 from cdspool.harness import (CurveTable, ExperimentSpec, default_counterparties,
                              grid_for_samples, run_bcva_sweeps, run_convergence,
                              run_measure_convergence, run_validation, write_run)
+from cdspool.jumps import BveParams, sample_bve
 from cdspool.simulation import Pool, _richardson
 
 from euler_paths import conditional_cva, default_times, stored_paths
@@ -292,18 +293,68 @@ def test_bve_checks_share_one_draw(monkeypatch):
     monkeypatch.setattr(harness, "sample_bve", counting)
     harness._bve_cases.cache_clear()
     assert all(dict(harness._CHECKS)[check](0.0).passed for check in BVE_CHECKS)
-    assert sizes == [1_000_000]
+    assert sizes == [harness._SAMPLER_DRAWS]
 
 
-@pytest.mark.parametrize("check", BVE_CHECKS)
+@pytest.mark.parametrize("check", ("mgf_exp_vs_mc",) + BVE_CHECKS)
 def test_bve_checks_flag_an_offset_of_twice_their_bound_in_stderrs(check):
-    # each verdict is its own, though the three read one draw: an offset of
-    # 2 x bound x the smallest stderr fails the check on that case
+    # each verdict is its own, though the three BVE checks read one draw: an
+    # offset of 2 x bound x the smallest stderr fails the check on that case
     run = dict(harness._CHECKS)[check]
     tol = run.args[2]
     se = min(scale for _, _, scale in run.args[1]())
     assert run(0.0).passed
     assert not run(2.0 * tol * se).passed and not run(-2.0 * tol * se).passed
+
+
+def _rate_a_off(p, factor):
+    # the pair whose marginal rate a is factor x p's, with p's rate b and
+    # correlation: only a marginal mean can see it, not the tie frequency
+    ra, rb = factor * p.marginal_rate_a, p.marginal_rate_b
+    gamma_ab = p.correlation * (ra + rb) / (1.0 + p.correlation)
+    return BveParams(ra - gamma_ab, rb - gamma_ab, gamma_ab)
+
+
+# samplers off the law of BveParams p in one way each, with the fault
+# that a wrong marginal rate must raise
+SAMPLER_MUTANTS = {
+    "independent": (lambda p, rng, size: (rng.standard_exponential(size) / p.marginal_rate_a,
+                                          rng.standard_exponential(size) / p.marginal_rate_b),
+                    set()),
+    "double_common_rate": (lambda p, rng, size: sample_bve(
+        BveParams(p.gamma_a, p.gamma_b, 2.0 * p.gamma_ab), rng, size), set()),
+    "marginal_rate_a_5pct": (lambda p, rng, size: sample_bve(_rate_a_off(p, 1.05), rng, size),
+                             {"bve_sampler_moments"}),
+}
+
+
+@pytest.mark.parametrize("mutant", SAMPLER_MUTANTS)
+def test_bve_checks_catch_a_wrong_sampler(monkeypatch, mutant):
+    # no control may cancel a sampler fault: each mutant fails at least one
+    # of the three checks, and a wrong marginal rate fails the moments
+    sampler, fails = SAMPLER_MUTANTS[mutant]
+    monkeypatch.setattr(harness, "sample_bve", sampler)
+    harness._bve_cases.cache_clear()
+    try:
+        failed = {check for check in BVE_CHECKS if not dict(harness._CHECKS)[check](0.0).passed}
+    finally:
+        harness._bve_cases.cache_clear()
+    assert failed and fails <= failed
+
+
+def test_tie_frequency_stderr_matches_its_spread(monkeypatch):
+    # the correlation is read as the tie frequency P(Y_a = Y_b), whose
+    # Bernoulli stderr must match its spread over 256 seeds of 4096 pairs
+    # (the normal-theory (1 - rho^2) / sqrt(n) of the sample correlation
+    # was 13% below its spread for this pair). The sd of 256 draws is
+    # itself within 4.4% (1 sd), so the band of 25% is 5.6 of those; at 64
+    # seeds, about one calibrated seed set in 200 would fall outside it
+    monkeypatch.setattr(harness, "_SAMPLER_DRAWS", 4096)
+    ties = np.array([harness._bve_cases.__wrapped__(harness.VALIDATION_SEED + 100 + k)
+                     ["moments"][2] for k in range(256)])
+    closed, est, se = ties.T
+    assert np.all(closed == BveParams(1.5, 1.5, 0.5).correlation)
+    assert 0.75 <= est.std(ddof=1) / se[0] <= 1.25
 
 
 @pytest.mark.parametrize("offset", [2e-3, -2e-3])
@@ -381,6 +432,14 @@ def test_pair_bias_sweep_script_runs(capsys):
     assert "seed sweep, 2 seeds" in out and "4096 paths" in out and "node rule" in out
     for name in pair_bias_sweep.CHECKS:
         assert out.count(f"  {name:<15s} ") == 2, name
+
+
+def test_sampler_z_sweep_script_runs(capsys):
+    import sampler_z_sweep
+    sampler_z_sweep.seed_sweep(2)
+    out = capsys.readouterr().out
+    assert "seed sweep, 2 seeds" in out
+    assert out.count(" mean z ") == sum(len(labels) for _, _, labels in sampler_z_sweep.CASES)
 
 
 def test_curve_table_csv_format(tmp_path):
